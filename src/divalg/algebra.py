@@ -8,8 +8,12 @@ previous algebra, the multiplication rule used throughout is
 
 and the basis is ordered so that index b < beta/2 maps to (e_b, 0) and
 index b >= beta/2 maps to (0, e_{b - beta/2}).  The whole product structure
-is captured by the tensor C with  e_p e_q = sum_r C[p, q, r] e_r, which is
-what every matrix kernel in the package contracts against.
+is captured by the tensor C with  e_p e_q = sum_r C[p, q, r] e_r.  Each basis
+product is a signed basis element, so C is a signed permutation with beta^2
+nonzeros, and kernels do not contract against it: they gather through the
+table (P, S) of `_gather_table`, in which left multiplication by a sends e_q
+to sum_r S[r, q] a_{P[r, q]} e_r.  A product is then that signed gather
+followed by one real matmul.
 """
 from __future__ import annotations
 
@@ -95,6 +99,19 @@ def structure_tensor(beta: int) -> np.ndarray:
     return C
 
 
+@lru_cache(maxsize=None)
+def _gather_table(beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, S) with C[P[r, q], q, r] = S[r, q] = +-1: the left-regular matrix of a
+    is a[P] * S.  Each (q, r) has exactly one p, since e_p = +-e_r e_q^{-1}."""
+    C = structure_tensor(beta)
+    P = np.argmax(np.abs(C), axis=0).T
+    r, q = np.indices((beta, beta))
+    S = C[P, q, r]
+    P.setflags(write=False)
+    S.setflags(write=False)
+    return P, S
+
+
 def multiplication_table(beta: int) -> list[list[list[int]]]:
     """Basis product table: entry [i][j] is [sign, k] with e_i e_j = sign * e_k."""
     C = structure_tensor(beta)
@@ -168,8 +185,8 @@ def _check_kinds(a: Scalar, b: Scalar) -> None:
 def mul(a: Scalar, b: Scalar) -> Scalar:
     """Product under the Cayley-Dickson recursion (noncommutative for beta >= 4)."""
     _check_kinds(a, b)
-    C = structure_tensor(a.kind.beta)
-    return Scalar(a.kind, np.einsum("p,q,pqr->r", a.coeffs, b.coeffs, C))
+    P, S = _gather_table(a.kind.beta)
+    return Scalar(a.kind, (a.coeffs[P] * S) @ b.coeffs)
 
 
 def conj(a: Scalar) -> Scalar:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraKind, structure_tensor
+from .algebra import AlgebraKind
 from .errors import (
     ConditioningError,
     ConfigurationError,
@@ -452,7 +452,7 @@ def _fd_gram_log(complete_fn, coords: np.ndarray, step: float) -> np.ndarray:
         fm = complete_fn(coords - e).reshape(b, -1)
         columns.append((fp - fm) / (2.0 * h[:, i])[:, None])
     g = np.stack(columns, axis=-1)
-    gram = np.einsum("bai,baj->bij", g, g)
+    gram = np.swapaxes(g, -1, -2) @ g
     sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0.0):
         raise ConditioningError("chart Gram matrix is numerically singular")
@@ -502,17 +502,18 @@ def hausdorff_density(p: RectChartPoint | PsdChartPoint, step: float = DEFAULT_F
 # samplers
 
 
-def _batch_col_inner(h: np.ndarray, v: np.ndarray, c_tensor: np.ndarray) -> np.ndarray:
-    return np.einsum("bnp,bnq,pqr->br", conj_raw(h), v, c_tensor, optimize=True)
+def _batch_col_inner(h: np.ndarray, v: np.ndarray, beta: int) -> np.ndarray:
+    """h* v per batch row, columns given as (b, n, beta) arrays."""
+    return mul_raw(conj_raw(h)[:, None], v[:, :, None], beta)[:, 0, 0]
 
 
-def _batch_col_scale(h: np.ndarray, c: np.ndarray, c_tensor: np.ndarray) -> np.ndarray:
-    return np.einsum("bnp,bq,pqr->bnr", h, c, c_tensor, optimize=True)
+def _batch_col_scale(h: np.ndarray, c: np.ndarray, beta: int) -> np.ndarray:
+    """h c per batch row: a (b, n, beta) column times a (b, beta) scalar."""
+    return mul_raw(h[:, :, None], c[:, None, None], beta)[:, :, 0]
 
 
 def _mgs_batch(x: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray]:
     """Batched modified Gram-Schmidt (two passes); returns (frames, ok mask)."""
-    c_tensor = structure_tensor(beta)
     b, n, q, _ = x.shape
     out = np.empty_like(x)
     ok = np.ones(b, dtype=bool)
@@ -520,8 +521,8 @@ def _mgs_batch(x: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray]:
         v = x[:, :, k, :].copy()
         for _ in range(2):
             for i in range(k):
-                coef = _batch_col_inner(out[:, :, i, :], v, c_tensor)
-                v -= _batch_col_scale(out[:, :, i, :], coef, c_tensor)
+                coef = _batch_col_inner(out[:, :, i, :], v, beta)
+                v -= _batch_col_scale(out[:, :, i, :], coef, beta)
         nrm = np.linalg.norm(v.reshape(b, -1), axis=1)
         ok &= nrm > 1e-12
         safe = np.where(nrm > 1e-12, nrm, 1.0)

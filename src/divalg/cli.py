@@ -109,6 +109,12 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+def _jobs_from_args(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def _task_from_args(args: argparse.Namespace) -> TaskSpec:
     if args.task not in TASK_NAMES:
         raise ConfigurationError(
@@ -209,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         config = CliConfig(
             command="verify",
             task=_task_from_args(args),
-            jobs=args.jobs,
+            jobs=_jobs_from_args(args),
             out=args.out,
             fmt=args.format,
         )
@@ -276,6 +282,7 @@ def preset_tasks(preset: str, seed: int) -> list[TaskSpec]:
 def cmd_verify_all(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
+        jobs = _jobs_from_args(args)
         tasks = preset_tasks(args.preset, args.seed)
     except Exception as exc:  # noqa: BLE001
         return _exit_for_error(exc)
@@ -283,7 +290,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     n_fail = n_inconclusive = 0
     for task in tasks:
         try:
-            report = run_task(task, jobs=args.jobs)
+            report = run_task(task, jobs=jobs)
         except InconclusiveStatisticsError as exc:
             n_inconclusive += 1
             results.append(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import structure_tensor
 from .errors import (
     DegenerateSpectrumError,
     InternalConsistencyError,
@@ -64,14 +63,12 @@ def _require_assoc(kind, what: str) -> None:
 
 def _col_scalar_mul(col: np.ndarray, s: np.ndarray, beta: int) -> np.ndarray:
     """Right-multiply a column of scalars by one scalar: (col . s)_r = col_r s."""
-    C = structure_tensor(beta)
-    return np.einsum("np,q,pqr->nr", col, s, C)
+    return mul_raw(col[:, None, :], s[None, None, :], beta)[:, 0, :]
 
 
 def _col_inner(h: np.ndarray, x: np.ndarray, beta: int) -> np.ndarray:
     """h* x as an algebra scalar, columns given as (n, beta) arrays."""
-    C = structure_tensor(beta)
-    return np.einsum("np,nq,pqr->r", conj_raw(h), x, C)
+    return mul_raw(conj_raw(h)[None], x[:, None, :], beta)[0, 0]
 
 
 def _phase_unit(col: np.ndarray) -> np.ndarray:
@@ -168,8 +165,7 @@ def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
     e = real_embed(x)
-    sv = np.linalg.svd(e, compute_uv=False)
-    _, _, wt = np.linalg.svd(e)
+    _, sv, wt = np.linalg.svd(e)
     d_groups = _group_multiplets(sv[: min(n, m) * beta], beta)
     top = float(d_groups[0])
     if top == 0.0:

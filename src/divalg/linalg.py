@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraKind, Scalar, structure_tensor
+from .algebra import AlgebraKind, Scalar, _gather_table
 from .errors import (
     AlgebraMismatchError,
     InternalConsistencyError,
@@ -25,12 +25,23 @@ from .errors import (
 )
 
 # Raw kernels operate on plain coefficient arrays with arbitrary leading batch
-# axes; the Mat wrappers below delegate to them.
+# axes; the Mat wrappers below delegate to them.  Every algebra product goes
+# through embed_raw: a signed gather through the table of
+# algebra._gather_table (the structure tensor C is a signed permutation, so
+# nothing contracts against it), followed for mul_raw by one real matmul.
 
 
 def mul_raw(a: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
-    C = structure_tensor(beta)
-    return np.einsum("...ikp,...kjq,pqr->...ijr", a, b, C, optimize=True)
+    """Matrix product over the algebra, (..., n, m, beta) x (..., m, p, beta).
+
+    Row block i of embed_raw(a) applied to column j of b, with b's
+    coefficients moved into its rows, is sum_k a_ik b_kj; this needs no
+    associativity, so it holds for octonions too.  Leading axes broadcast.
+    """
+    m, p = b.shape[-3], b.shape[-2]
+    cols = b.swapaxes(-2, -1).reshape(b.shape[:-3] + (m * beta, p))
+    out = embed_raw(a, beta) @ cols
+    return out.reshape(out.shape[:-2] + (a.shape[-3], beta, p)).swapaxes(-2, -1)
 
 
 def conj_raw(a: np.ndarray) -> np.ndarray:
@@ -45,9 +56,9 @@ def ct_raw(a: np.ndarray) -> np.ndarray:
 
 def embed_raw(a: np.ndarray, beta: int) -> np.ndarray:
     """Left-regular representation, (..., n, m, beta) -> (..., n*beta, m*beta)."""
-    C = structure_tensor(beta)
+    P, S = _gather_table(beta)
     n, m = a.shape[-3], a.shape[-2]
-    blocks = np.einsum("...ijp,pqr->...irjq", a, C, optimize=True)
+    blocks = (a[..., P] * S).swapaxes(-3, -2)
     return blocks.reshape(a.shape[:-3] + (n * beta, m * beta))
 
 

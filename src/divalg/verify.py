@@ -547,8 +547,7 @@ def _min_sv_block(x11: np.ndarray, beta: int) -> np.ndarray:
 
 
 def _congruence_batch(bct: np.ndarray, data: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
-    out = mul_raw(mul_raw(np.broadcast_to(bct, data.shape[:1] + bct.shape), data, beta),
-                  np.broadcast_to(b, data.shape[:1] + b.shape), beta)
+    out = mul_raw(mul_raw(bct, data, beta), b, beta)
     return (out + ct_raw(out)) / 2.0
 
 

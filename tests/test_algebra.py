@@ -46,6 +46,25 @@ def test_octonion_table_matches_golden_copy():
     assert multiplication_table(8) == load_octonion_table()
 
 
+def test_octonion_scalar_product_matches_golden_table():
+    e = [Scalar.basis(OCTONION, b) for b in range(8)]
+    for i, row in enumerate(load_octonion_table()):
+        for j, (sign, k) in enumerate(row):
+            assert np.array_equal(mul(e[i], e[j]).coeffs, sign * e[k].coeffs)
+
+
+@pytest.mark.parametrize("beta", VALID_BETAS)
+def test_structure_tensor_is_signed_permutation(beta):
+    # e_p e_q = +-e_r: one nonzero per (p, q), and it is +-1; one p per (q, r)
+    # too, which the left-regular gather relies on
+    C = structure_tensor(beta)
+    nonzero = C != 0
+    ones = np.ones((beta, beta), dtype=int)
+    assert np.array_equal(nonzero.sum(axis=2), ones)
+    assert np.array_equal(nonzero.sum(axis=0), ones)
+    assert set(np.abs(C[nonzero])) == {1.0}
+
+
 def test_octonion_not_associative():
     e = [Scalar.basis(OCTONION, b) for b in range(8)]
     left = mul(mul(e[1], e[2]), e[4])

@@ -205,6 +205,16 @@ class TestVerifyCommand:
         assert code == 3
         assert "inconclusive" in err
 
+    @pytest.mark.parametrize("command", ["verify", "verify-all"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, command, jobs):
+        task = ["--task", "sd", "--beta", "1", "--m", "2", "--q", "1"]
+        argv = [command] + (task if command == "verify" else []) + ["--jobs", jobs]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--task", "sd", "--beta", "1", "--m", "2", "--q", "1",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divalg import COMPLEX, OCTONION, QUATERNION, REAL, Scalar
+from divalg.algebra import VALID_BETAS, structure_tensor
 from divalg.errors import (
     AlgebraMismatchError,
     ShapeMismatchError,
@@ -13,6 +14,7 @@ from divalg.errors import (
 from divalg.linalg import (
     Mat,
     conj_transpose,
+    embed_raw,
     fold_embedding,
     frobenius_norm,
     inner_re,
@@ -20,6 +22,7 @@ from divalg.linalg import (
     load_matrix,
     mat_inv,
     matmul,
+    mul_raw,
     numerical_rank,
     real_embed,
     save_matrix,
@@ -32,6 +35,60 @@ EMBED_KINDS = [REAL, COMPLEX, QUATERNION]
 
 def rand_mat(kind, n, m, rng):
     return Mat(kind, rng.normal(size=(n, m, kind.beta)))
+
+
+def _einsum_mul(a, b, beta):
+    """Reference product: contract both factors against the structure tensor."""
+    return np.einsum("...ikp,...kjq,pqr->...ijr", a, b, structure_tensor(beta))
+
+
+def _einsum_embed(a, beta):
+    n, m = a.shape[-3], a.shape[-2]
+    blocks = np.einsum("...ijp,pqr->...irjq", a, structure_tensor(beta))
+    return blocks.reshape(a.shape[:-3] + (n * beta, m * beta))
+
+
+@pytest.mark.parametrize("beta", VALID_BETAS)
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((3, 3), (3, 3)),
+        ((2, 4), (4, 3)),
+        ((6, 3, 3), (6, 3, 3)),
+        ((3, 3), (6, 3, 3)),  # one left factor against a batch
+        ((6, 3, 3), (3, 3)),
+        ((5, 1, 2, 3), (4, 3, 2)),  # batch axes broadcast to (5, 4)
+    ],
+)
+def test_mul_raw_matches_einsum_oracle(beta, a_shape, b_shape):
+    rng = np.random.default_rng(beta)
+    a = rng.normal(size=a_shape + (beta,))
+    b = rng.normal(size=b_shape + (beta,))
+    want = _einsum_mul(a, b, beta)
+    got = mul_raw(a, b, beta)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("beta", VALID_BETAS)
+def test_mul_raw_non_contiguous_inputs(beta):
+    rng = np.random.default_rng(10 + beta)
+    a = np.swapaxes(rng.normal(size=(4, 3, 5, beta)), 1, 2)[::2]  # (2, 5, 3, beta)
+    b = rng.normal(size=(2, 3, 8, beta))[:, :, ::2]  # (2, 3, 4, beta)
+    assert not a.flags.c_contiguous and not b.flags.c_contiguous
+    want = _einsum_mul(a, b, beta)
+    np.testing.assert_allclose(
+        mul_raw(a, b, beta), want, rtol=0, atol=1e-13 * np.abs(want).max()
+    )
+
+
+@pytest.mark.parametrize("beta", VALID_BETAS)
+def test_embed_raw_is_bit_identical_to_oracle(beta):
+    rng = np.random.default_rng(20 + beta)
+    a = rng.normal(size=(3, 2, 4, beta))
+    assert np.array_equal(embed_raw(a, beta), _einsum_embed(a, beta))
+    view = a[:, :, ::2]
+    assert np.array_equal(embed_raw(view, beta), _einsum_embed(view, beta))
 
 
 def test_identity_matmul():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from divalg import COMPLEX, REAL
+from divalg.algebra import structure_tensor
 from divalg.charts import assemble_sd_batch, extract_psd, sample_stiefel_batch
 from divalg.decomp import pinv
 from divalg.errors import (
@@ -403,3 +404,20 @@ class TestReportShape:
         task = TaskSpec(theorem_id="MP_HERM", beta=1, m=2, q=1, points=3, seed=42)
         rep = run_task(task)
         assert rep.passed == all(r["pass"] for r in rep.records)
+
+
+def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
+    """Algebra products gather through the signed-permutation table; only the
+    cached structure-tensor build may contract with einsum."""
+    structure_tensor(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called on the task path")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    chart = run_task(TaskSpec(theorem_id="MP_HERM", beta=4, m=3, q=2, points=2, seed=5))
+    assert len(chart.records) == 2
+    ratio = run_task(
+        TaskSpec(theorem_id="SD", beta=4, m=2, q=1, engine="MC_RATIO", trials=10_000, seed=6)
+    )
+    assert ratio.records
