@@ -10,6 +10,7 @@ has been derived (the rank-1 spectral case on 2x2 real matrices equals
 """
 import argparse
 import math
+import sys
 
 from divalg.verify import TaskSpec, run_task
 
@@ -34,6 +35,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
 
     header = f"{'task':8s} {'beta':>4s} {'sizes':16s} {'constant':>12s} {'cv':>8s}  note"
     print(header)

@@ -24,7 +24,17 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedAlgebraError,
 )
-from .linalg import Mat, conj_raw, ct_raw, is_hermitian, mul_raw, real_embed
+from .linalg import (
+    Mat,
+    conj_raw,
+    ct_raw,
+    embed_raw,
+    embedding_rank,
+    fold_raw,
+    is_hermitian,
+    mul_raw,
+    real_embed,
+)
 
 DEFAULT_GAP_FACTOR = 1e-6
 MULTIPLET_SPREAD_FACTOR = 1e-8
@@ -56,8 +66,8 @@ class QrParts:
     t: Mat
 
 
-def _require_assoc(kind, what: str) -> None:
-    if kind.beta > 4:
+def _require_assoc(beta: int, what: str) -> None:
+    if beta > 4:
         raise UnsupportedAlgebraError(f"{what} is not defined for octonion matrices")
 
 
@@ -85,25 +95,65 @@ def _fold_real_vector(u: np.ndarray, m: int, beta: int) -> np.ndarray:
 
 
 def _group_multiplets(values: np.ndarray, beta: int) -> np.ndarray:
-    """Means of consecutive groups of beta values (values sorted descending)."""
-    if values.size % beta:
+    """Means of consecutive groups of beta values along the last axis (sorted descending)."""
+    if values.shape[-1] % beta:
         raise InternalConsistencyError("spectrum size is not a multiple of beta")
-    return values.reshape(-1, beta).mean(axis=1)
+    return values.reshape(values.shape[:-1] + (-1, beta)).mean(axis=-1)
 
 
 def _check_multiplet_spread(values: np.ndarray, beta: int) -> None:
-    groups = values.reshape(-1, beta)
-    spread = float(values.max() - values.min()) if values.size else 0.0
-    within = (groups.max(axis=1) - groups.min(axis=1)).max() if groups.size else 0.0
-    if spread > 0 and within > MULTIPLET_SPREAD_FACTOR * spread + 1e-12:
+    """Each row of a (B, r*beta) spectrum splits into multiplets of beta equal values."""
+    groups = values.reshape(values.shape[0], -1, beta)
+    spread = values.max(axis=1) - values.min(axis=1)
+    within = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
+    bad = (spread > 0) & (within > MULTIPLET_SPREAD_FACTOR * spread + 1e-12)
+    if np.any(bad):
+        b = int(np.argmax(bad))
         raise InternalConsistencyError(
             f"eigenvalue multiplets of size beta={beta} did not separate cleanly "
-            f"(within-group spread {within:.3e} vs total {spread:.3e})"
+            f"(within-group spread {within[b]:.3e} vs total {spread[b]:.3e})"
         )
 
 
-def _resolve_gap_tol(top: float, gap_tol: float | None) -> float:
-    return DEFAULT_GAP_FACTOR * top if gap_tol is None else float(gap_tol)
+def _check_gaps(
+    d: np.ndarray, q: np.ndarray, top: np.ndarray, gap_tol: float | None, what: str
+) -> None:
+    """The leading q[b] values of each descending row d[b], and the gap from
+    the last of them to 0, are at least the gap tolerance apart."""
+    kept = np.arange(d.shape[1]) < q[:, None]
+    extended = np.pad(np.where(kept, d, 0.0), ((0, 0), (0, 1)))
+    gaps = np.where(kept, extended[:, :-1] - extended[:, 1:], np.inf).min(axis=1)
+    gtol = DEFAULT_GAP_FACTOR * top if gap_tol is None else np.full(top.shape, float(gap_tol))
+    low = gaps < gtol
+    if np.any(low):
+        b = int(np.argmax(low))
+        raise DegenerateSpectrumError(
+            f"{what} gap {gaps[b]:.3e} below tolerance {gtol[b]:.3e}"
+        )
+
+
+def _check_singular_values(
+    sv: np.ndarray, beta: int, q: int | None = None, gap_tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checks on (B, r*beta) descending singular values of real embeddings.
+
+    Returns the ranks q (B,) and the multiplet means d (B, r).  With q None
+    each rank is counted at 1e-10 (embedding_rank) and must agree with the
+    count of multiplets above 1e-8 * largest; a given q must equal that count.
+    Kept values must be gapped (DegenerateSpectrumError) and every multiplet
+    tight (InternalConsistencyError).
+    """
+    d = _group_multiplets(sv, beta)
+    top = d[:, 0]
+    qs = embedding_rank(sv, beta) if q is None else np.full(d.shape[0], q)
+    positive = np.sum(d > 1e-8 * top[:, None], axis=1)
+    wrong = positive != qs
+    if np.any(wrong):
+        b = int(np.argmax(wrong))
+        raise RankError(f"matrix has numerical rank {positive[b]}, expected q={qs[b]}")
+    _check_gaps(d, qs, top, gap_tol, "singular value")
+    _check_multiplet_spread(sv, beta)
+    return qs, d
 
 
 def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
@@ -114,7 +164,7 @@ def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
     the q eigenvalues (or the smallest one and zero) are closer than the gap
     tolerance, and a not-PSD error for negative eigenvalues beyond tolerance.
     """
-    _require_assoc(s.kind, "eig_hermitian")
+    _require_assoc(s.kind.beta, "eig_hermitian")
     if s.rows != s.cols:
         raise ShapeMismatchError(f"expected a square matrix, got {s.shape}")
     if not is_hermitian(s):
@@ -136,21 +186,15 @@ def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
     positive = int(np.sum(lam_groups > 1e-8 * scale))
     if positive != q:
         raise RankError(f"matrix has numerical rank {positive}, expected q={q}")
-    gtol = _resolve_gap_tol(top, gap_tol)
-    extended = np.concatenate([lam_groups[:q], [0.0]])
-    gaps = extended[:-1] - extended[1:]
-    if float(gaps.min()) < gtol:
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap {gaps.min():.3e} below tolerance {gtol:.3e}"
-        )
-    _check_multiplet_spread(w, beta)
+    _check_gaps(lam_groups[None], np.array([q]), np.array([top]), gap_tol, "eigenvalue")
+    _check_multiplet_spread(w[None], beta)
     cols = np.empty((m, q, beta))
     for i in range(q):
         u = vecs[:, i * beta]
         x = _fold_real_vector(u, m, beta)
         cols[:, i, :] = _col_scalar_mul(x, _phase_unit(x), beta)
+    _assert_orthonormal(cols, beta)
     w1 = Mat(s.kind, cols)
-    _assert_orthonormal(w1)
     return EigParts(w1=w1, lam=lam_groups[:q].copy())
 
 
@@ -160,28 +204,13 @@ def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
     W1 columns are phase-fixed; each V1 column is the paired image X w / d, so
     per-column phases are joint and the product reproduces X.
     """
-    _require_assoc(x.kind, "svd_rank_q")
+    _require_assoc(x.kind.beta, "svd_rank_q")
     n, m, beta = x.rows, x.cols, x.kind.beta
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-    e = real_embed(x)
-    _, sv, wt = np.linalg.svd(e)
-    d_groups = _group_multiplets(sv[: min(n, m) * beta], beta)
-    top = float(d_groups[0])
-    if top == 0.0:
-        raise RankError("zero matrix has no nonsingular SVD part")
-    positive = int(np.sum(d_groups > 1e-8 * top))
-    if positive != q:
-        raise RankError(f"matrix has numerical rank {positive}, expected q={q}")
-    gtol = _resolve_gap_tol(top, gap_tol)
-    extended = np.concatenate([d_groups[:q], [0.0]])
-    gaps = extended[:-1] - extended[1:]
-    if float(gaps.min()) < gtol:
-        raise DegenerateSpectrumError(
-            f"singular value gap {gaps.min():.3e} below tolerance {gtol:.3e}"
-        )
-    _check_multiplet_spread(sv[: min(n, m) * beta], beta)
-    d = d_groups[:q].copy()
+    _, sv, wt = np.linalg.svd(real_embed(x))
+    _, d_groups = _check_singular_values(sv[None], beta, q=q, gap_tol=gap_tol)
+    d = d_groups[0, :q].copy()
     wcols = np.empty((m, q, beta))
     vcols = np.empty((n, q, beta))
     for i in range(q):
@@ -191,32 +220,29 @@ def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
         wcols[:, i, :] = wv
         xv = mul_raw(x.data, wv[:, None, :], beta)[:, 0, :]
         vcols[:, i, :] = xv / d[i]
-    v1 = Mat(x.kind, vcols)
-    w1 = Mat(x.kind, wcols)
-    _assert_orthonormal(v1)
-    _assert_orthonormal(w1)
-    _assert_residual(x, _assemble_svd(v1, d, w1), "SVD")
-    return SvdParts(v1=v1, d=d, w1=w1)
+    _assert_orthonormal(vcols, beta)
+    _assert_orthonormal(wcols, beta)
+    back = mul_raw(vcols * d[None, :, None], ct_raw(wcols), beta)
+    _assert_residual(x.data[None], back[None], "SVD")
+    return SvdParts(v1=Mat(x.kind, vcols), d=d, w1=Mat(x.kind, wcols))
 
 
-def _assemble_svd(v1: Mat, d: np.ndarray, w1: Mat) -> Mat:
-    scaled = v1.data * d[None, :, None]
-    return Mat(v1.kind, mul_raw(scaled, ct_raw(w1.data), v1.kind.beta))
-
-
-def _assert_orthonormal(u: Mat, tol: float = 1e-9) -> None:
-    g = mul_raw(ct_raw(u.data), u.data, u.kind.beta)
-    eye = np.zeros_like(g)
-    idx = np.arange(g.shape[0])
+def _assert_orthonormal(u: np.ndarray, beta: int, tol: float = 1e-9) -> None:
+    """Columns of (..., n, q, beta) coefficient arrays are orthonormal over the algebra."""
+    g = mul_raw(ct_raw(u), u, beta)
+    eye = np.zeros(g.shape[-3:])
+    idx = np.arange(g.shape[-3])
     eye[idx, idx, 0] = 1.0
     err = float(np.abs(g - eye).max())
     if err > tol:
         raise InternalConsistencyError(f"columns lost orthonormality (error {err:.3e})")
 
 
-def _assert_residual(x: Mat, y: Mat, label: str, tol: float = 1e-8) -> None:
-    scale = max(1e-300, float(np.linalg.norm(x.data)))
-    err = float(np.linalg.norm(x.data - y.data)) / scale
+def _assert_residual(x: np.ndarray, y: np.ndarray, label: str, tol: float = 1e-8) -> None:
+    """Relative Frobenius residual ||x - y|| / ||x|| of each member of a batch."""
+    flat_x = x.reshape(x.shape[0], -1)
+    scale = np.maximum(1e-300, np.linalg.norm(flat_x, axis=1))
+    err = float((np.linalg.norm(flat_x - y.reshape(flat_x.shape), axis=1) / scale).max())
     if err > tol:
         raise InternalConsistencyError(f"{label} residual {err:.3e} exceeds {tol:.0e}")
 
@@ -228,7 +254,7 @@ def qr_positive(x: Mat, q: int) -> QrParts:
     leading q x q block of T comes out upper triangular with real positive
     diagonal, and the trailing block is H1* X[:, q:].
     """
-    _require_assoc(x.kind, "qr_positive")
+    _require_assoc(x.kind.beta, "qr_positive")
     n, m, beta = x.rows, x.cols, x.kind.beta
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
@@ -252,15 +278,9 @@ def qr_positive(x: Mat, q: int) -> QrParts:
     for j in range(q, m):
         for i in range(q):
             t[i, j, :] = _col_inner(h[:, i, :], x.data[:, j, :], beta)
-    h1 = Mat(x.kind, h)
-    tm = Mat(x.kind, t)
-    _assert_orthonormal(h1)
-    _assert_residual(
-        Mat(x.kind, x.data[:, :, :]),
-        Mat(x.kind, mul_raw(h1.data, tm.data, beta)),
-        "QR",
-    )
-    return QrParts(h1=h1, t=tm)
+    _assert_orthonormal(h, beta)
+    _assert_residual(x.data[None], mul_raw(h, t, beta)[None], "QR")
+    return QrParts(h1=Mat(x.kind, h), t=Mat(x.kind, t))
 
 
 def cholesky_rank_q(s: Mat, q: int) -> Mat:
@@ -269,7 +289,7 @@ def cholesky_rank_q(s: Mat, q: int) -> Mat:
     The leading q x q block of S must be positive definite (pivot first
     otherwise); T2 solves T1* T2 = S12 by forward substitution.
     """
-    _require_assoc(s.kind, "cholesky_rank_q")
+    _require_assoc(s.kind.beta, "cholesky_rank_q")
     if s.rows != s.cols:
         raise ShapeMismatchError(f"expected a square matrix, got {s.shape}")
     if not is_hermitian(s):
@@ -305,14 +325,28 @@ def cholesky_rank_q(s: Mat, q: int) -> Mat:
     return tm
 
 
-def pinv(x: Mat, gap_tol: float | None = None) -> Mat:
-    """Moore-Penrose inverse W1 diag(1/d) V1* through the rank-q SVD."""
-    _require_assoc(x.kind, "pinv")
-    from .linalg import numerical_rank
+def pinv_batch(data: np.ndarray, beta: int, gap_tol: float | None = None) -> np.ndarray:
+    """Moore-Penrose inverses of a batch, (B, n, m, beta) -> (B, m, n, beta).
 
-    q = numerical_rank(x)
-    if q == 0:
-        return Mat.zeros(x.kind, x.cols, x.rows)
-    parts = svd_rank_q(x, q, gap_tol=gap_tol)
-    scaled = parts.w1.data / parts.d[None, :, None]
-    return Mat(x.kind, mul_raw(scaled, ct_raw(parts.v1.data), x.kind.beta))
+    One SVD of the stacked real embeddings E = U diag(s) V^T: the embedding
+    of X+ is V diag(1/s) U^T over each matrix's kept singular values (its
+    rank q), folded back with fold_raw.  Every matrix passes the checks of
+    _check_singular_values, the thin singular vectors must be orthonormal and
+    U diag(s) V^T must reproduce E; zero matrices map to zeros.
+    """
+    _require_assoc(beta, "pinv")
+    e = embed_raw(data, beta)
+    u, sv, vt = np.linalg.svd(e, full_matrices=False)
+    q, _ = _check_singular_values(sv, beta, gap_tol=gap_tol)
+    v = np.swapaxes(vt, -1, -2)
+    _assert_orthonormal(u[..., None], 1)
+    _assert_orthonormal(v[..., None], 1)
+    kept = np.arange(sv.shape[1]) < beta * q[:, None]
+    _assert_residual(e, (u * np.where(kept, sv, 0.0)[:, None, :]) @ vt, "SVD")
+    inv_s = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
+    return fold_raw((v * inv_s[:, None, :]) @ np.swapaxes(u, -1, -2), beta)
+
+
+def pinv(x: Mat, gap_tol: float | None = None) -> Mat:
+    """Moore-Penrose inverse of one matrix: pinv_batch on a batch of one."""
+    return Mat(x.kind, pinv_batch(x.data[None], x.kind.beta, gap_tol=gap_tol)[0])

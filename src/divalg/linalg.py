@@ -208,16 +208,24 @@ def numerical_rank(a: Mat, tol: float = 1e-10) -> int:
     """Count of singular values above tol * largest, in algebra units."""
     _require_embeddable(a, "numerical_rank")
     sv = np.linalg.svd(real_embed(a), compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top <= 0.0:
-        return 0
-    count = int(np.sum(sv > tol * top))
-    if count % a.kind.beta:
+    return int(embedding_rank(sv[None], a.kind.beta, tol)[0])
+
+
+def embedding_rank(sv: np.ndarray, beta: int, tol: float = 1e-10) -> np.ndarray:
+    """Ranks in algebra units from (B, r) descending real-embedding singular values.
+
+    Counts the values above tol * largest (none for a zero matrix); each count
+    must be a multiple of beta, since every algebra singular value is a
+    multiplet of beta equal real ones.
+    """
+    count = np.sum(sv > tol * sv[:, :1], axis=1)
+    off = count % beta != 0
+    if np.any(off):
         raise InternalConsistencyError(
-            f"embedding rank {count} is not a multiple of beta={a.kind.beta}; "
+            f"embedding rank {count[off][0]} is not a multiple of beta={beta}; "
             "rank threshold falls inside a singular-value multiplet"
         )
-    return count // a.kind.beta
+    return count // beta
 
 
 def mat_inv(a: Mat) -> Mat:

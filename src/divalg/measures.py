@@ -66,7 +66,8 @@ class FactorInput:
 
     Spectra (d, lam, delta) must be strictly decreasing and positive; t_diag
     entries must be positive (triangular diagonals are not sorted);
-    determinant fields carry sdet values and must be positive.
+    determinant fields carry sdet values and must be positive.  Every value
+    must be finite.
     """
 
     beta: int
@@ -92,16 +93,18 @@ class FactorInput:
                 continue
             value = tuple(float(v) for v in value)
             object.__setattr__(self, name, value)
-            if any(v <= 0.0 for v in value):
-                raise ConfigurationError(f"{name} entries must be positive, got {value}")
+            if not all(0.0 < v < math.inf for v in value):
+                raise ConfigurationError(
+                    f"{name} entries must be finite and positive, got {value}"
+                )
             if name != "t_diag" and any(
                 value[i] <= value[i + 1] for i in range(len(value) - 1)
             ):
                 raise ConfigurationError(f"{name} must be strictly decreasing, got {value}")
         for name in ("det_b", "det_t1t1", "det_l1l1", "det_s11", "det_gbh"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 def _spectrum(fi: FactorInput, name: str, length: int) -> tuple[float, ...]:

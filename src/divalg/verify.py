@@ -32,6 +32,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .charts import (
     sd_density_log_batch,
     svd_density_log_batch,
 )
-from .decomp import cholesky_rank_q, eig_hermitian, pinv
+from .decomp import cholesky_rank_q, eig_hermitian, pinv_batch
 from .errors import (
     ConfigurationError,
     InconclusiveStatisticsError,
@@ -250,6 +251,8 @@ class TaskSpec:
             )
         if self.points < 1:
             raise ConfigurationError(f"points must be positive, got {self.points}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigurationError(f"step must be finite and positive, got {self.step}")
 
     @property
     def kind(self) -> AlgebraKind:
@@ -452,39 +455,43 @@ def _spec_of_point(point) -> tuple[ChartSpec, np.ndarray]:
 
 
 def _jacobian_logdet(
-    map_fn, in_spec: ChartSpec, coords0: np.ndarray, out_spec: ChartSpec, step: float
+    map_batch, in_spec: ChartSpec, coords0: np.ndarray, out_spec: ChartSpec, step: float
 ) -> float:
+    """Central differences at all 2k perturbations of coords0 in one pass:
+    rows coords0 + h_i e_i, then coords0 - h_i e_i, through one completion,
+    one map call and one extraction."""
     k = coords0.size
     k_out = out_spec.coord_count()
     if k_out != k:
         raise InternalConsistencyError(
             f"chart dimensions differ: input {k}, output {k_out}"
         )
-    jac = np.empty((k, k))
     h = np.maximum(step, step * np.abs(coords0))
-    for i in range(k):
-        cp = coords0.copy()
-        cm = coords0.copy()
-        cp[i] += h[i]
-        cm[i] -= h[i]
-        fp = out_spec.extract_batch(_apply_map(map_fn, in_spec, cp))
-        fm = out_spec.extract_batch(_apply_map(map_fn, in_spec, cm))
-        jac[:, i] = (fp[0] - fm[0]) / (2.0 * h[i])
+    coords = np.concatenate([coords0 + np.diag(h), coords0 - np.diag(h)])
+    mapped = map_batch(_require_finite(in_spec.complete_batch(coords)))
+    f = out_spec.extract_batch(_require_finite(mapped))
+    jac = ((f[:k] - f[k:]) / (2.0 * h[:, None])).T
     sign, logdet = np.linalg.slogdet(jac)
     if sign == 0.0:
         raise SingularBlockError("chart Jacobian is singular")
     return float(logdet)
 
 
-def _apply_map(map_fn, in_spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
-    mat = Mat(in_spec.kind, in_spec.complete_batch(coords[None])[0])
-    return map_fn(mat).data[None]
+def _require_finite(data: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(data)):
+        raise ValueError("matrix coefficients must be finite")
+    return data
 
 
-def chart_jacobian_logdet(map_fn, point, out_spec: ChartSpec, step: float = 1e-5) -> float:
-    """log |det| of the coordinate Jacobian of extract(map(complete(point)))."""
+def chart_jacobian_logdet(map_batch, point, out_spec: ChartSpec, step: float = 1e-5) -> float:
+    """log |det| of the coordinate Jacobian of extract(map(complete(point))).
+
+    map_batch is the map on a batch of coefficient arrays, (B, n, m, beta) ->
+    (B, n', m', beta), row by row (e.g. pinv_batch with beta bound); it is
+    called once, on the 2k perturbations of the point's k coordinates.
+    """
     in_spec, coords0 = _point_spec(point)
-    return _jacobian_logdet(map_fn, in_spec, coords0, out_spec, step)
+    return _jacobian_logdet(map_batch, in_spec, coords0, out_spec, step)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +626,11 @@ def _reference_samples(side_fn, seed: int, task_code: int, count: int = 512) -> 
 
 
 def _chart_problem(task: TaskSpec):
-    """Returns (point_sampler(rng) -> (in_point, map_fn, out_spec, analytic_log, gap_at_point))."""
+    """Returns (point_sampler(rng) -> (in_point, map_batch, out_spec, analytic_log, gap_at_point)).
+
+    map_batch is the map on a batch of coefficient arrays (see
+    chart_jacobian_logdet).
+    """
     kind, beta = task.kind, task.beta
     lo, hi = task.eigen_box
     m, n, q = task.m, task.n, task.q
@@ -629,6 +640,8 @@ def _chart_problem(task: TaskSpec):
     # the pivots makes the pair of charts a pure relabeling of the leading-
     # block charts.  Untied pivots would insert a nonconstant chart-transition
     # Jacobian that is not part of the transform factor.
+    inverse = partial(pinv_batch, beta=beta)
+
     if task.theorem_id == "MP_HERM":
         def sample(rng):
             lam = _sorted_spectrum(rng, lo, hi, q, 1)
@@ -640,7 +653,7 @@ def _chart_problem(task: TaskSpec):
                 "MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(lam[0]))
             )
             gap_at = _spectrum_gap(lam[0])
-            return point, pinv, out_spec, analytic, gap_at
+            return point, inverse, out_spec, analytic, gap_at
         return sample
 
     if task.theorem_id == "MP_RECT":
@@ -656,11 +669,14 @@ def _chart_problem(task: TaskSpec):
             analytic = transform_factor_log(
                 "MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(d[0]))
             )
-            return point, pinv, out_spec, analytic, _spectrum_gap(d[0])
+            return point, inverse, out_spec, analytic, _spectrum_gap(d[0])
         return sample
 
     if task.theorem_id == "CHOL":
         tri_spec = ChartSpec("tri", kind, (q, m))
+
+        def gram(t: np.ndarray) -> np.ndarray:
+            return mul_raw(ct_raw(t), t, beta)
 
         def sample(rng):
             coords = np.zeros(tri_spec.coord_count())
@@ -673,26 +689,20 @@ def _chart_problem(task: TaskSpec):
                 "CHOL",
                 FactorInput(beta=beta, m=m, q=q, t_diag=tuple(coords[:q])),
             )
-            def gram_map(tm: Mat) -> Mat:
-                return conj_transpose(tm) @ tm
-            return point, gram_map, out_spec, analytic, math.inf
+            return point, gram, out_spec, analytic, math.inf
         return sample
 
     if task.theorem_id in ("UHLIG_QR", "CONGRUENCE_NS"):
         b = _draw_b(task)
-        bct = conj_transpose(b)
         rank = n if task.theorem_id == "UHLIG_QR" else m
-
-        def congruence(y: Mat) -> Mat:
-            out = bct @ y @ b
-            return Mat(kind, (out.data + ct_raw(out.data)) / 2.0)
+        congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
 
         def sample(rng):
             lam = _sorted_spectrum(rng, lo, hi, rank, 1)
             w1 = sample_stiefel_batch(m, rank, kind, rng, 1)
             y = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
             point = extract_psd(y, rank)
-            x = congruence(y)
+            x = Mat(kind, congruence(y.data[None])[0])
             out_pivot = choose_pivot(x, rank, chart="psd")
             out_spec = ChartSpec("psd", kind, (m, rank), out_pivot)
             if task.theorem_id == "CONGRUENCE_NS":
@@ -758,7 +768,7 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
 
     def do_point(i: int) -> dict:
         rng = _substream(task.seed, code, _SIDE_POINTS, i)
-        point, map_fn, out_spec, analytic, gap_at = sampler(rng)
+        point, map_batch, out_spec, analytic, gap_at = sampler(rng)
         if gap_at < 10.0 * task.gap:
             warnings.warn(
                 f"point {i}: spectral gap {gap_at:.3e} is within 10x the gap "
@@ -767,7 +777,7 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
                 stacklevel=2,
             )
         in_spec, coords0 = _point_spec(point)
-        numeric = _jacobian_logdet(map_fn, in_spec, coords0, out_spec, task.step)
+        numeric = _jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
         tol = max(task.rtol * abs(analytic), ABS_LOG_FLOOR)
         err = abs(numeric - analytic)
         return {
@@ -1465,13 +1475,8 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     lam = np.arange(n, 0, -1, dtype=float)
     y_data[np.arange(n), np.arange(n), 0] = lam
     y = Mat(kind, y_data)
-    bct = conj_transpose(b)
-
-    def congruence(s: Mat) -> Mat:
-        out = bct @ s @ b
-        return Mat(kind, (out.data + ct_raw(out.data)) / 2.0)
-
-    x = congruence(y)
+    congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
+    x = Mat(kind, congruence(y_data[None])[0])
     in_point = extract_psd(y, n)
     out_pivot = choose_pivot(x, n, chart="psd")
     out_spec = ChartSpec("psd", kind, (m, n), out_pivot)

@@ -10,6 +10,7 @@ import math
 import re
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from divalg.decomp import (
     cholesky_rank_q,
     eig_hermitian,
     pinv,
+    pinv_batch,
     qr_positive,
     svd_rank_q,
 )
-from divalg.linalg import Mat, conj_transpose, frobenius_norm, save_matrix
+from divalg.linalg import Mat, conj_transpose, ct_raw, frobenius_norm, mul_raw, save_matrix
 from divalg.measures import mv_gamma_log, stiefel_volume_log
 from divalg.verify import (
     ChartSpec,
@@ -209,7 +211,7 @@ def test_criterion_04_chart_pseudo_inverse_hermitian():
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
         point = extract_psd(s, 1)
         out = ChartSpec("psd", REAL, (2, 1), point.pivot)
-        val = chart_jacobian_logdet(pinv, point, out)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
         assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
 
@@ -232,7 +234,7 @@ def test_criterion_05_chart_pseudo_inverse_general():
         x = Mat(REAL, np.array([[[1.2]], [[0.9]]]))
         point = extract_rect(x, 1)
         out = ChartSpec("rect", REAL, (1, 2, 1), (point.col_pivot, point.row_pivot))
-        val = chart_jacobian_logdet(pinv, point, out)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
         assert val == pytest.approx(-4.0 * math.log(1.5), abs=1e-6)
 
 
@@ -269,8 +271,8 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         point = _TriPoint(tri_spec, coords, t)
         out = ChartSpec("psd", REAL, (2, 1), (0, 1))
 
-        def gram(tm: Mat) -> Mat:
-            return conj_transpose(tm) @ tm
+        def gram(t: np.ndarray) -> np.ndarray:
+            return mul_raw(ct_raw(t), t, 1)
 
         val = chart_jacobian_logdet(gram, point, out)
         assert val == pytest.approx(math.log(2.0 * 1.3**2), abs=1e-6)
@@ -282,11 +284,11 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         h = np.array([[[math.cos(0.6)]], [[math.sin(0.6)]]])
         y = Mat(REAL, 1.4 * h * np.swapaxes(h, 0, 1))
 
-        def congruence(ym: Mat) -> Mat:
-            prod = (conj_transpose(b) @ ym) @ b
-            return Mat(REAL, (prod.data + np.swapaxes(prod.data, 0, 1)) / 2.0)
+        def congruence(ys: np.ndarray) -> np.ndarray:
+            prod = mul_raw(mul_raw(ct_raw(b.data), ys, 1), b.data, 1)
+            return (prod + np.swapaxes(prod, -3, -2)) / 2.0
 
-        x = congruence(y)
+        x = Mat(REAL, congruence(y.data[None])[0])
         expected = math.log(
             x.data[0, 0, 0] / y.data[0, 0, 0] * abs(1.0 * 1.4 - 0.7 * 0.3)
         )

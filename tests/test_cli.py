@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,19 @@ class TestFactorCommand:
             capsys, "factor", "--kind", "mp-herm", "--beta", "1", "--m", "2", "--q", "1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda", "inf"),
+                                            ("--det-b", "nan")])
+    def test_non_finite_input_is_usage_error(self, capsys, flag, value):
+        kind = "mp-herm" if flag == "--lambda" else "congruence-ns"
+        code, out, err = run_cli(
+            capsys, "factor", "--kind", kind, "--beta", "1", "--m", "2", "--q", "1",
+            flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite and positive" in err
 
 
 class TestGammaVolumeCommands:
@@ -215,6 +232,17 @@ class TestVerifyCommand:
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
+    def test_bad_step_is_usage_error(self, capsys, step):
+        code, out, err = run_cli(
+            capsys, "verify", "--task", "mp-herm", "--beta", "1", "--m", "2", "--q", "1",
+            "--points", "2", "--step", step,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: step must be finite and positive")
+        assert err.count("\n") == 1
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--task", "sd", "--beta", "1", "--m", "2", "--q", "1",
@@ -330,3 +358,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_tabulate_constants_rejects_jobs_below_one(jobs):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "tabulate_constants.py"), "--jobs", jobs],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: --jobs must be at least 1, got {jobs}\n"

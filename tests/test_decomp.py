@@ -9,6 +9,7 @@ from divalg.decomp import (
     cholesky_rank_q,
     eig_hermitian,
     pinv,
+    pinv_batch,
     qr_positive,
     svd_rank_q,
 )
@@ -19,7 +20,14 @@ from divalg.errors import (
     RankError,
     UnsupportedAlgebraError,
 )
-from divalg.linalg import Mat, conj_transpose, frobenius_norm, mat_inv, matmul
+from divalg.linalg import (
+    Mat,
+    conj_transpose,
+    frobenius_norm,
+    mat_inv,
+    matmul,
+    numerical_rank,
+)
 
 KINDS = [REAL, COMPLEX, QUATERNION]
 
@@ -286,6 +294,51 @@ class TestPinv:
         z = pinv(Mat.zeros(COMPLEX, 2, 3))
         assert z.shape == (3, 2)
         assert frobenius_norm(z) == 0.0
+
+
+class TestPinvBatch:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_matches_per_matrix_inverse_across_ranks(self, kind):
+        rng = np.random.default_rng(65)
+        members = [Mat.zeros(kind, 4, 3)]
+        for d in ([2.5], [2.0, 0.5], [3.0, 1.5, 0.4]):
+            members.append(
+                assemble_svd(rand_frame(kind, 4, len(d), rng), d,
+                             rand_frame(kind, 3, len(d), rng))
+            )
+        batch = pinv_batch(np.stack([x.data for x in members]), kind.beta)
+        assert batch.shape == (4, 3, 4, kind.beta)
+        assert np.all(batch[0] == 0.0)
+        for x, got in zip(members, batch):
+            np.testing.assert_allclose(got, pinv(x).data, atol=1e-12)
+            if frobenius_norm(x) == 0.0:
+                continue
+            # independent oracle: W1 diag(1/d) V1* from the algebra SVD
+            parts = svd_rank_q(x, numerical_rank(x))
+            scaled = Mat(kind, parts.w1.data / parts.d[None, :, None])
+            np.testing.assert_allclose(
+                got, (scaled @ conj_transpose(parts.v1)).data, atol=1e-10
+            )
+
+    def test_one_degenerate_member_raises(self):
+        rng = np.random.default_rng(66)
+        good = assemble_svd(rand_frame(COMPLEX, 3, 2, rng), [2.0, 1.0],
+                            rand_frame(COMPLEX, 3, 2, rng))
+        tied = assemble_svd(rand_frame(COMPLEX, 3, 2, rng), [1.5, 1.5],
+                            rand_frame(COMPLEX, 3, 2, rng))
+        pinv_batch(np.stack([good.data, good.data]), 2)
+        with pytest.raises(DegenerateSpectrumError):
+            pinv_batch(np.stack([good.data, tied.data, good.data]), 2)
+
+    def test_rank_thresholds_must_agree(self):
+        # rank 2 at 1e-10 but rank 1 at 1e-8
+        x = diag_mat(REAL, [1.0, 1e-9])
+        with pytest.raises(RankError):
+            pinv_batch(np.stack([diag_mat(REAL, [2.0, 1.0]).data, x.data]), 1)
+
+    def test_octonion_rejected(self):
+        with pytest.raises(UnsupportedAlgebraError):
+            pinv_batch(np.ones((1, 2, 2, 8)), 8)
 
 
 def test_octonion_rejected():

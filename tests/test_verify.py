@@ -1,20 +1,21 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, REAL
+from divalg import COMPLEX, REAL, verify
 from divalg.algebra import structure_tensor
 from divalg.charts import assemble_sd_batch, extract_psd, sample_stiefel_batch
-from divalg.decomp import pinv
+from divalg.decomp import pinv_batch, svd_rank_q
 from divalg.errors import (
     ConfigurationError,
     InconclusiveStatisticsError,
     RegistryError,
     UnsupportedAlgebraError,
 )
-from divalg.linalg import Mat, save_matrix
+from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank, save_matrix
 from divalg.verify import (
     DEFAULT_ENGINE,
     REGISTRY,
@@ -159,11 +160,17 @@ class TestChartClosedForms:
         val = chart_jacobian_logdet(lambda a: a, point, out)
         assert abs(val) < 1e-8
 
+    def test_non_finite_map_output_is_rejected(self):
+        point = extract_psd(Mat(REAL, np.array([[[2.0]]])), 1)
+        out = ChartSpec("psd", REAL, (1, 1), point.pivot)
+        with pytest.raises(ValueError, match="finite"):
+            chart_jacobian_logdet(lambda a: a * np.nan, point, out)
+
     def test_scalar_inverse(self):
         s = Mat(REAL, np.array([[[2.0]]]))
         point = extract_psd(s, 1)
         out = ChartSpec("psd", REAL, (1, 1), point.pivot)
-        val = chart_jacobian_logdet(pinv, point, out)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
         assert val == pytest.approx(math.log(0.25), abs=1e-8)
 
     def test_rank_one_pseudo_inverse_quartic_law(self):
@@ -175,7 +182,7 @@ class TestChartClosedForms:
             s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
             point = extract_psd(s, 1)
             out = ChartSpec("psd", REAL, (2, 1), point.pivot)
-            val = chart_jacobian_logdet(pinv, point, out)
+            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
             assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
     def test_pseudo_inverse_pivot_invariance(self):
@@ -187,7 +194,7 @@ class TestChartClosedForms:
         for pivot in ((0, 1), (1, 0)):
             point = extract_psd(s, 1, pivot)
             out = ChartSpec("psd", REAL, (2, 1), pivot)
-            vals.append(chart_jacobian_logdet(pinv, point, out))
+            vals.append(chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out))
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
     def test_pseudo_inverse_scale_homogeneity(self):
@@ -200,7 +207,7 @@ class TestChartClosedForms:
             s = Mat(COMPLEX, scale * base)
             point = extract_psd(s, 1)
             out = ChartSpec("psd", COMPLEX, (2, 1), point.pivot)
-            vals.append(chart_jacobian_logdet(pinv, point, out))
+            vals.append(chart_jacobian_logdet(partial(pinv_batch, beta=2), point, out))
         # beta=2, m=2, q=1: exponent beta(-2m+q+1)-2 = -6
         assert vals[1] - vals[0] == pytest.approx(-6.0 * math.log(c), abs=1e-6)
 
@@ -421,3 +428,102 @@ def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
         TaskSpec(theorem_id="SD", beta=4, m=2, q=1, engine="MC_RATIO", trials=10_000, seed=6)
     )
     assert ratio.records
+
+
+# ---------------------------------------------------------------------------
+# batched CHART Jacobian against the per-perturbation loop it replaced
+
+
+def _loop_pinv(x: Mat) -> Mat:
+    """W1 diag(1/d) V1* from the algebra SVD, one matrix at a time."""
+    parts = svd_rank_q(x, numerical_rank(x))
+    scaled = parts.w1.data / parts.d[None, :, None]
+    return Mat(x.kind, mul_raw(scaled, ct_raw(parts.v1.data), x.kind.beta))
+
+
+def _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, step):
+    """One completion, one single-Mat map and one extraction per perturbation."""
+    k = coords0.size
+    jac = np.empty((k, k))
+    h = np.maximum(step, step * np.abs(coords0))
+    for i in range(k):
+        cp = coords0.copy()
+        cm = coords0.copy()
+        cp[i] += h[i]
+        cm[i] -= h[i]
+        f = [
+            out_spec.extract_batch(
+                mat_map(Mat(in_spec.kind, in_spec.complete_batch(c[None])[0])).data[None]
+            )[0]
+            for c in (cp, cm)
+        ]
+        jac[:, i] = (f[0] - f[1]) / (2.0 * h[i])
+    return float(np.linalg.slogdet(jac)[1])
+
+
+def _loop_map(task: TaskSpec):
+    if task.theorem_id in ("MP_HERM", "MP_RECT"):
+        return _loop_pinv
+    if task.theorem_id == "CHOL":
+        return lambda t: conj_transpose(t) @ t
+    b = verify._draw_b(task)
+
+    def congruence(y: Mat) -> Mat:
+        out = conj_transpose(b) @ y @ b
+        return Mat(y.kind, (out.data + ct_raw(out.data)) / 2.0)
+
+    return congruence
+
+
+CHART_CASES = [
+    ("MP_HERM", dict(m=3, q=2)),
+    ("MP_RECT", dict(n=3, m=2, q=1)),
+    ("CHOL", dict(m=3, q=2)),
+    ("CONGRUENCE_NS", dict(m=2)),
+]
+
+
+@pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
+def test_batched_jacobian_matches_per_perturbation_loop(theorem, sizes):
+    task = TaskSpec(theorem_id=theorem, beta=4, points=3, seed=11, **sizes)
+    sample = verify._chart_problem(task)
+    mat_map = _loop_map(task)
+    for i in range(task.points):
+        rng = verify._substream(task.seed, verify.TASK_CODES[theorem], verify._SIDE_POINTS, i)
+        point, map_batch, out_spec, _, _ = sample(rng)
+        in_spec, coords0 = verify._point_spec(point)
+        batched = verify._jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
+        looped = _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, task.step)
+        assert batched == pytest.approx(looped, abs=1e-8)
+
+
+@pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
+def test_one_chart_point_makes_one_completion_and_one_map_call(monkeypatch, theorem, sizes):
+    calls = {"complete": 0, "map": 0}
+    complete = ChartSpec.complete_batch
+
+    def counted_complete(self, coords):
+        calls["complete"] += 1
+        return complete(self, coords)
+
+    problem = verify._chart_problem
+
+    def counted_problem(task):
+        sample = problem(task)
+
+        def counted_sample(rng):
+            point, map_fn, *rest = sample(rng)
+
+            def counted_map(data):
+                calls["map"] += 1
+                return map_fn(data)
+
+            return (point, counted_map, *rest)
+
+        return counted_sample
+
+    monkeypatch.setattr(ChartSpec, "complete_batch", counted_complete)
+    monkeypatch.setattr(verify, "_chart_problem", counted_problem)
+    rep = run_task(TaskSpec(theorem_id=theorem, beta=4, points=1, seed=12, **sizes))
+    assert rep.passed
+    assert calls == {"complete": 1, "map": 1}
