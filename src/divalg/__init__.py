@@ -45,7 +45,6 @@ from .measures import (
     transform_factor_log,
 )
 from .verify import (
-    REGISTRY,
     THEOREMS,
     Report,
     TaskSpec,
@@ -85,7 +84,6 @@ __all__ = [
     "transform_factor_log",
     "coupling_factor_log",
     "THEOREMS",
-    "REGISTRY",
     "TaskSpec",
     "Report",
     "run_task",

@@ -93,6 +93,12 @@ class RectChartPoint:
             [self.x11.ravel(), self.x12.ravel(), self.x21.ravel()]
         )
 
+    @property
+    def spec(self) -> "ChartSpec":
+        return ChartSpec(
+            "rect", self.kind, (self.n, self.m, self.q), (self.row_pivot, self.col_pivot)
+        )
+
     @staticmethod
     def from_coords(
         kind: AlgebraKind,
@@ -140,6 +146,10 @@ class PsdChartPoint:
     @property
     def coords(self) -> np.ndarray:
         return _psd_pack(self.s11[None], self.s12[None], self.kind, self.m, self.q)[0]
+
+    @property
+    def spec(self) -> "ChartSpec":
+        return ChartSpec("psd", self.kind, (self.m, self.q), self.pivot)
 
     @staticmethod
     def from_coords(
@@ -291,6 +301,80 @@ def extract_rect_batch(
     return _rect_pack(xp[:, :q, :q], xp[:, :q, q:], xp[:, q:, :q])
 
 
+def _tri_unpack(coords: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
+    beta = kind.beta
+    b = coords.shape[0]
+    t = np.zeros((b, q, m, beta))
+    pos = 0
+    for i in range(q):
+        t[:, i, i, 0] = coords[:, pos]
+        pos += 1
+    for i in range(q):
+        for j in range(i + 1, m):
+            t[:, i, j, :] = coords[:, pos : pos + beta]
+            pos += beta
+    return t
+
+
+def _tri_pack(t: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
+    parts = [t[:, i, i, 0][:, None] for i in range(q)]
+    for i in range(q):
+        for j in range(i + 1, m):
+            parts.append(t[:, i, j, :])
+    return np.concatenate(parts, axis=1)
+
+
+@dataclass(frozen=True)
+class ChartSpec:
+    """A chart of a rank-q manifold, the package's one chart type; a chart
+    point is a (spec, coords) pair.
+
+    space 'psd': sizes (m, q), pivots one symmetric permutation of range(m);
+    'rect': sizes (n, m, q), pivots (row_pivot, col_pivot);
+    'tri': sizes (q, m), q x m upper-triangular-leading factors with real
+    positive diagonal, no pivots.
+    """
+
+    space: str
+    kind: AlgebraKind
+    sizes: tuple[int, ...]
+    pivots: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.space not in ("psd", "rect", "tri"):
+            raise RegistryError(f"unknown chart space {self.space!r}")
+
+    def coord_count(self) -> int:
+        beta = self.kind.beta
+        if self.space == "psd":
+            return psd_coord_count(*self.sizes, beta)
+        if self.space == "rect":
+            return rect_coord_count(*self.sizes, beta)
+        q, m = self.sizes
+        return q + beta * (q * (q - 1) // 2 + q * (m - q))
+
+    def complete_batch(self, coords: np.ndarray) -> np.ndarray:
+        """(B, k) chart coordinates -> (B, rows, cols, beta) matrices."""
+        if self.space == "psd":
+            m, q = self.sizes
+            return complete_psd_batch(coords, self.kind, m, q, self.pivots)
+        if self.space == "rect":
+            n, m, q = self.sizes
+            rp, cp = self.pivots
+            return complete_rect_batch(coords, self.kind, n, m, q, rp, cp)
+        return _tri_unpack(coords, self.kind, *self.sizes)
+
+    def extract_batch(self, data: np.ndarray) -> np.ndarray:
+        """(B, rows, cols, beta) matrices -> (B, k) chart coordinates."""
+        if self.space == "psd":
+            m, q = self.sizes
+            return extract_psd_batch(data, m, q, self.pivots, self.kind)
+        if self.space == "rect":
+            rp, cp = self.pivots
+            return extract_rect_batch(data, self.sizes[2], rp, cp)
+        return _tri_pack(data, self.kind, *self.sizes)
+
+
 # ---------------------------------------------------------------------------
 # single-point API
 
@@ -440,16 +524,20 @@ def choose_pivot(a: Mat, q: int, chart: str = "rect"):
 # Hausdorff density
 
 
-def _fd_gram_log(complete_fn, coords: np.ndarray, step: float) -> np.ndarray:
-    """log sqrt(det G^T G) per batch row, G from central differences of complete_fn."""
+def hausdorff_density_log_batch(
+    spec: ChartSpec, coords: np.ndarray, step: float = DEFAULT_FD_STEP
+) -> np.ndarray:
+    """log sqrt(det G^T G) per batch row of a chart: the log density of its
+    Lebesgue measure against the Hausdorff measure, with G the central
+    differences of the chart's completion."""
     b, k = coords.shape
     h = np.maximum(step, step * np.abs(coords))
     columns = []
     for i in range(k):
         e = np.zeros_like(coords)
         e[:, i] = h[:, i]
-        fp = complete_fn(coords + e).reshape(b, -1)
-        fm = complete_fn(coords - e).reshape(b, -1)
+        fp = spec.complete_batch(coords + e).reshape(b, -1)
+        fm = spec.complete_batch(coords - e).reshape(b, -1)
         columns.append((fp - fm) / (2.0 * h[:, i])[:, None])
     g = np.stack(columns, axis=-1)
     gram = np.swapaxes(g, -1, -2) @ g
@@ -459,43 +547,9 @@ def _fd_gram_log(complete_fn, coords: np.ndarray, step: float) -> np.ndarray:
     return 0.5 * logdet
 
 
-def hausdorff_density_log_batch(
-    space: str,
-    coords: np.ndarray,
-    kind: AlgebraKind,
-    sizes: tuple[int, ...],
-    pivots,
-    step: float = DEFAULT_FD_STEP,
-) -> np.ndarray:
-    """Batched log Hausdorff density of a chart; space 'rect' ((n,m,q)) or 'psd' ((m,q))."""
-    if space == "psd":
-        m, q = sizes
-        fn = lambda c: complete_psd_batch(c, kind, m, q, pivots)
-    elif space == "rect":
-        n, m, q = sizes
-        row_pivot, col_pivot = pivots
-        fn = lambda c: complete_rect_batch(c, kind, n, m, q, row_pivot, col_pivot)
-    else:
-        raise RegistryError(f"unknown chart space {space!r}")
-    return _fd_gram_log(fn, coords, step)
-
-
 def hausdorff_density(p: RectChartPoint | PsdChartPoint, step: float = DEFAULT_FD_STEP) -> float:
     """sqrt det(G^T G): density of the chart Lebesgue measure w.r.t. Hausdorff measure."""
-    if isinstance(p, PsdChartPoint):
-        out = hausdorff_density_log_batch(
-            "psd", p.coords[None, :], p.kind, (p.m, p.q), p.pivot, step
-        )
-    else:
-        out = hausdorff_density_log_batch(
-            "rect",
-            p.coords[None, :],
-            p.kind,
-            (p.n, p.m, p.q),
-            (p.row_pivot, p.col_pivot),
-            step,
-        )
-    return float(np.exp(out[0]))
+    return float(np.exp(hausdorff_density_log_batch(p.spec, p.coords[None, :], step)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -550,25 +604,47 @@ def sample_stiefel_batch(
     raise ConfigurationError("Stiefel sampling kept drawing degenerate frames")
 
 
-def sample_stiefel_uniform(
-    n: int, q: int, kind: AlgebraKind, rng: np.random.Generator
-) -> Mat:
-    """One uniform frame; total mass downstream is exp(stiefel_volume_log(q, n, beta))."""
-    return Mat(kind, sample_stiefel_batch(n, q, kind, rng, 1)[0])
+def _check_box(box) -> tuple[float, float]:
+    lo, hi = float(box[0]), float(box[1])
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigurationError(
+            f"eigenvalue box must be finite with 0 < lo < hi, got ({lo}, {hi})"
+        )
+    return lo, hi
 
 
-def _sorted_spectrum(
-    rng: np.random.Generator, lo: float, hi: float, q: int, count: int
-) -> np.ndarray:
-    x = rng.uniform(lo, hi, size=(count, q))
-    x.sort(axis=1)
-    return x[:, ::-1].copy()
+def factorized_draw(
+    rng: np.random.Generator,
+    box: tuple[float, float],
+    q: int,
+    dims: tuple[int, ...],
+    kind: AlgebraKind,
+    count: int,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """A draw from a factorized measure: a (count, q) spectrum, uniform on
+    the box [lo, hi) and sorted descending, then one uniform Stiefel frame
+    (count, d, q, beta) per d in dims, drawn in the order given.
+
+    The measure's total mass is exp(factorized_mass_log(box, q, dims, beta)).
+    """
+    lo, hi = _check_box(box)
+    spectrum = rng.uniform(lo, hi, size=(count, q))
+    spectrum.sort(axis=1)
+    frames = tuple(sample_stiefel_batch(d, q, kind, rng, count) for d in dims)
+    return spectrum[:, ::-1].copy(), frames
 
 
-def _min_gap(spec: np.ndarray) -> np.ndarray:
-    if spec.shape[1] < 2:
-        return np.full(spec.shape[0], np.inf)
-    return (spec[:, :-1] - spec[:, 1:]).min(axis=1)
+def factorized_mass_log(
+    box: tuple[float, float], q: int, dims: tuple[int, ...], beta: int
+) -> float:
+    """log total mass of the measure factorized_draw samples: the sorted
+    spectra of the box, (hi - lo)^q / q!, times the Stiefel volumes of dims,
+    added in the order given."""
+    lo, hi = box
+    out = q * math.log(hi - lo) - math.lgamma(q + 1)
+    for d in dims:
+        out += stiefel_volume_log(q, d, beta)
+    return out
 
 
 def sd_density_log_batch(lam: np.ndarray, beta: int, m: int) -> np.ndarray:
@@ -607,85 +683,3 @@ def assemble_svd_batch(
     v1: np.ndarray, d: np.ndarray, w1: np.ndarray, beta: int
 ) -> np.ndarray:
     return mul_raw(v1 * d[:, None, :, None], ct_raw(w1), beta)
-
-
-def sample_factorized_batch(
-    space: str,
-    kind: AlgebraKind,
-    sizes: tuple[int, ...],
-    box: tuple[float, float],
-    gap: float,
-    rng: np.random.Generator,
-    count: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Batched draws from a factorized measure.
-
-    Returns (matrices, log-weights, log-measure-constant).  Draws whose
-    spectrum violates the gap get log-weight -inf but are still assembled, so
-    weighted averages remain unbiased for the gap-restricted integral.
-    """
-    lo, hi = float(box[0]), float(box[1])
-    if not 0.0 < lo < hi:
-        raise ConfigurationError(f"eigenvalue box must satisfy 0 < lo < hi, got {box}")
-    beta = kind.beta
-    if space == "SD":
-        m, q = sizes
-        lam = _sorted_spectrum(rng, lo, hi, q, count)
-        w1 = sample_stiefel_batch(m, q, kind, rng, count)
-        data = assemble_sd_batch(w1, lam, beta)
-        logw = sd_density_log_batch(lam, beta, m)
-        logw = np.where(_min_gap(lam) >= gap, logw, -np.inf)
-        const = (
-            q * math.log(hi - lo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, m, beta)
-        )
-        return data, logw, const
-    if space == "SVD":
-        n, m, q = sizes
-        d = _sorted_spectrum(rng, lo, hi, q, count)
-        v1 = sample_stiefel_batch(n, q, kind, rng, count)
-        w1 = sample_stiefel_batch(m, q, kind, rng, count)
-        data = assemble_svd_batch(v1, d, w1, beta)
-        logw = svd_density_log_batch(d, beta, n, m)
-        logw = np.where(_min_gap(d) >= gap, logw, -np.inf)
-        const = (
-            q * math.log(hi - lo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, n, beta)
-            + stiefel_volume_log(q, m, beta)
-        )
-        return data, logw, const
-    raise RegistryError(f"unknown factorized space {space!r}; expected 'SD' or 'SVD'")
-
-
-def sample_factorized(
-    space: str,
-    kind: AlgebraKind,
-    sizes: tuple[int, ...],
-    box: tuple[float, float],
-    gap: float,
-    rng: np.random.Generator,
-) -> tuple[Mat, float, float]:
-    """One draw: (matrix, log-weight, log-measure-constant)."""
-    data, logw, const = sample_factorized_batch(space, kind, sizes, box, gap, rng, 1)
-    return Mat(kind, data[0]), float(logw[0]), const
-
-
-def draw_factorized_valid(
-    space: str,
-    kind: AlgebraKind,
-    sizes: tuple[int, ...],
-    box: tuple[float, float],
-    gap: float,
-    rng: np.random.Generator,
-) -> tuple[Mat, float, float]:
-    """A draw with positive weight; errors if the gap rejects over ~99% of draws."""
-    data, logw, const = sample_factorized_batch(space, kind, sizes, box, gap, rng, 256)
-    valid = np.nonzero(np.isfinite(logw))[0]
-    if valid.size == 0:
-        raise ConfigurationError(
-            f"gap {gap} rejects essentially every draw from box {box}"
-        )
-    i = int(valid[0])
-    return Mat(kind, data[i]), float(logw[i]), const

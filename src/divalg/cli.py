@@ -21,13 +21,17 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .algebra import AlgebraKind
-from .charts import assemble_sd_batch, assemble_svd_batch, sample_stiefel_batch
+from .charts import (
+    assemble_sd_batch,
+    assemble_svd_batch,
+    factorized_draw,
+    sample_stiefel_batch,
+)
 from .errors import (
     ConfigurationError,
     DivalgError,
@@ -46,44 +50,16 @@ from .measures import (
     transform_factor_log,
     uhlig_svd_alternative_log,
 )
-from .verify import Report, TaskSpec, run_task
+from .verify import ENGINES, THEOREMS, Report, TaskSpec, run_task
 
-TASK_NAMES = {
-    "svd": "SVD",
-    "sd": "SD",
-    "w": "W",
-    "qr": "QR",
-    "chol": "CHOL",
-    "chol-x": "CHOL_X",
-    "mp-herm": "MP_HERM",
-    "mp-rect": "MP_RECT",
-    "uhlig-svd": "UHLIG_SVD",
-    "uhlig-qr": "UHLIG_QR",
-    "uhlig-mp": "UHLIG_MP",
-    "congruence-ns": "CONGRUENCE_NS",
-}
+TASK_NAMES = {t.cli_name: name for name, t in THEOREMS.items()}
 
-ENGINE_NAMES = {
-    "chart": "CHART",
-    "mc-equality": "MC_EQUALITY",
-    "mc-ratio": "MC_RATIO",
-    "demo": "DEMO",
-}
+ENGINE_NAMES = {e.lower().replace("_", "-"): e for e in ENGINES}
 
+# (family, theorem): every theorem's own factor, plus two that belong to none
 FACTOR_KINDS = {
     "tau": ("tau", None),
-    "svd": ("density", "SVD"),
-    "sd": ("density", "SD"),
-    "qr": ("density", "QR"),
-    "chol": ("density", "CHOL"),
-    "mp-herm": ("transform", "MP_HERM"),
-    "mp-rect": ("transform", "MP_RECT"),
-    "uhlig-svd": ("transform", "UHLIG_SVD"),
-    "uhlig-qr": ("transform", "UHLIG_QR"),
-    "uhlig-mp": ("transform", "UHLIG_MP"),
-    "congruence-ns": ("transform", "CONGRUENCE_NS"),
-    "w": ("coupling", "W"),
-    "chol-x": ("coupling", "CHOL_X"),
+    **{t.cli_name: (t.factor, name) for name, t in THEOREMS.items()},
     "uhlig-svd-alt": ("alternative", None),
 }
 
@@ -91,17 +67,6 @@ TABLE_DISCLAIMER = (
     "# table view is a reading convenience; field layout is not stable -- "
     "use --format json for scripts"
 )
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated flag bundle for the verify paths."""
-
-    command: str
-    task: TaskSpec
-    jobs: int
-    out: str | None
-    fmt: str
 
 
 def _fail_usage(message: str) -> int:
@@ -212,20 +177,11 @@ def _exit_for_error(exc: Exception) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        config = CliConfig(
-            command="verify",
-            task=_task_from_args(args),
-            jobs=_jobs_from_args(args),
-            out=args.out,
-            fmt=args.format,
-        )
+        task = _task_from_args(args)
+        report = run_task(task, jobs=_jobs_from_args(args))
     except Exception as exc:  # noqa: BLE001 -- mapped to exit codes
         return _exit_for_error(exc)
-    try:
-        report = run_task(config.task, jobs=config.jobs)
-    except Exception as exc:  # noqa: BLE001
-        return _exit_for_error(exc)
-    _write_report(report, config.fmt, config.out)
+    _write_report(report, args.format, args.out)
     return 0 if report.passed else 1
 
 
@@ -428,8 +384,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
             "octonion results conjectural -- sampling supports beta in {1,2,4}"
         )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([args.seed, 0x5A])))
-    lo, hi = args.lambda_lo, args.lambda_hi
+    box = (args.lambda_lo, args.lambda_hi)
     try:
+        if args.q < 1:
+            raise ConfigurationError(f"q must be at least 1, got {args.q}")
         if args.space == "stiefel":
             if args.n < args.q:
                 raise ConfigurationError(f"stiefel needs n >= q, got n={args.n} q={args.q}")
@@ -437,17 +395,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         elif args.space == "psd":
             if args.m < args.q:
                 raise ConfigurationError(f"psd needs m >= q, got m={args.m} q={args.q}")
-            lam = np.sort(rng.uniform(lo, hi, size=(1, args.q)))[:, ::-1]
-            w1 = sample_stiefel_batch(args.m, args.q, kind, rng, 1)
+            lam, (w1,) = factorized_draw(rng, box, args.q, (args.m,), kind, 1)
             data = assemble_sd_batch(w1, lam, args.beta)[0]
         else:
             if min(args.n, args.m) < args.q:
                 raise ConfigurationError(
                     f"rect needs q <= min(n, m), got n={args.n} m={args.m} q={args.q}"
                 )
-            d = np.sort(rng.uniform(lo, hi, size=(1, args.q)))[:, ::-1]
-            v1 = sample_stiefel_batch(args.n, args.q, kind, rng, 1)
-            w1 = sample_stiefel_batch(args.m, args.q, kind, rng, 1)
+            d, (v1, w1) = factorized_draw(rng, box, args.q, (args.n, args.m), kind, 1)
             data = assemble_svd_batch(v1, d, w1, args.beta)[0]
     except DivalgError as exc:
         return _fail_usage(str(exc))

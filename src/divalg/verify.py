@@ -20,9 +20,12 @@ Three engines, each matched to the measure semantics a formula lives in:
   fiber volume for the spectral factorizations, so the reported constant is a
   pure geometric normalization.
 
+Every theorem is one row of THEOREMS: its fixed RNG code, CLI name, size
+rule, factor family and one problem builder per engine that checks it.
+
 Determinism contract: every random block derives its generator from
-(seed, task code, side code, block index) and block partial sums are reduced
-in block order, so reports are byte-identical for any worker count.
+(seed, theorem code, side code, block index) and block partial sums are
+reduced in block order, so reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -33,29 +36,26 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .algebra import AlgebraKind
 from .charts import (
-    PsdChartPoint,
-    RectChartPoint,
+    ChartSpec,
+    _check_box,
+    _mgs_batch,
     _psd_unpack,
     _rect_unpack,
-    _sorted_spectrum,
     assemble_sd_batch,
     assemble_svd_batch,
     choose_pivot,
-    complete_psd_batch,
-    complete_rect_batch,
     extract_psd,
-    extract_psd_batch,
     extract_rect,
-    extract_rect_batch,
+    factorized_draw,
+    factorized_mass_log,
     hausdorff_density_log_batch,
-    psd_coord_count,
-    rect_coord_count,
     sample_stiefel_batch,
     sd_density_log_batch,
     svd_density_log_batch,
@@ -63,6 +63,7 @@ from .charts import (
 from .decomp import cholesky_rank_q, eig_hermitian, pinv_batch
 from .errors import (
     ConfigurationError,
+    DivalgError,
     InconclusiveStatisticsError,
     InternalConsistencyError,
     RegistryError,
@@ -89,52 +90,36 @@ from .measures import (
     uhlig_svd_alternative_log,
 )
 
-THEOREMS = (
-    "SVD",
-    "SD",
-    "W",
-    "QR",
-    "CHOL",
-    "CHOL_X",
-    "MP_HERM",
-    "MP_RECT",
-    "UHLIG_SVD",
-    "UHLIG_QR",
-    "UHLIG_MP",
-    "CONGRUENCE_NS",
-)
+# engines in the order a theorem's default engine is chosen
+ENGINES = ("CHART", "MC_EQUALITY", "MC_RATIO", "DEMO")
 
-REGISTRY: dict[str, frozenset[str]] = {
-    "SVD": frozenset({"MC_RATIO"}),
-    "SD": frozenset({"MC_RATIO"}),
-    "QR": frozenset({"MC_RATIO"}),
-    "CHOL_X": frozenset({"MC_RATIO"}),
-    "W": frozenset({"MC_EQUALITY"}),
-    "UHLIG_SVD": frozenset({"MC_EQUALITY", "DEMO"}),
-    "UHLIG_MP": frozenset({"MC_EQUALITY"}),
-    "MP_HERM": frozenset({"CHART", "MC_EQUALITY"}),
-    "MP_RECT": frozenset({"CHART", "MC_EQUALITY"}),
-    "CHOL": frozenset({"CHART"}),
-    "UHLIG_QR": frozenset({"CHART"}),
-    "CONGRUENCE_NS": frozenset({"CHART"}),
-}
 
-DEFAULT_ENGINE: dict[str, str] = {
-    "SVD": "MC_RATIO",
-    "SD": "MC_RATIO",
-    "QR": "MC_RATIO",
-    "CHOL_X": "MC_RATIO",
-    "W": "MC_EQUALITY",
-    "UHLIG_SVD": "MC_EQUALITY",
-    "UHLIG_MP": "MC_EQUALITY",
-    "MP_HERM": "CHART",
-    "MP_RECT": "CHART",
-    "CHOL": "CHART",
-    "UHLIG_QR": "CHART",
-    "CONGRUENCE_NS": "CHART",
-}
+@dataclass(frozen=True)
+class Theorem:
+    """One row of the theorem table.
 
-TASK_CODES = {name: i + 1 for i, name in enumerate(THEOREMS)}
+    code is the task term of every SeedSequence the theorem's tasks draw
+    from, so it never changes.  sizes names the TaskSpec size fields the
+    theorem reads: ("m", "q"), ("n", "m", "q"), ("m", "n") for a congruence
+    of rank n <= m, or ("m",).  factor is the measures family of its factor
+    (density, transform or coupling).  builders maps each engine that checks
+    the theorem to its problem builder, task -> problem.
+    """
+
+    code: int
+    cli_name: str
+    sizes: tuple[str, ...]
+    factor: str
+    builders: dict[str, Callable]
+
+    @property
+    def engines(self) -> tuple[str, ...]:
+        return tuple(e for e in ENGINES if e in self.builders)
+
+    @property
+    def default_engine(self) -> str:
+        return self.engines[0]
+
 
 # side codes for generator substreams
 _SIDE_LHS = 1
@@ -148,12 +133,6 @@ BLOCK_SIZE = 4096
 ABS_LOG_FLOOR = 1e-7
 MIN_TRIALS = 10_000
 INCONCLUSIVE_REL_STDERR = 0.20
-
-# theorems whose size fields are (m, rank n) congruence problems
-_CONGRUENCE_TASKS = ("UHLIG_SVD", "UHLIG_QR", "UHLIG_MP")
-_NEEDS_N = ("SVD", "W", "QR", "CHOL_X", "MP_RECT") + _CONGRUENCE_TASKS
-_NEEDS_Q = ("SVD", "SD", "W", "QR", "CHOL", "CHOL_X", "MP_HERM", "MP_RECT")
-_NEEDS_B = _CONGRUENCE_TASKS + ("CONGRUENCE_NS",)
 
 
 @dataclass(frozen=True)
@@ -178,21 +157,22 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.theorem_id not in REGISTRY:
+        if self.theorem_id not in THEOREMS:
             raise RegistryError(
-                f"unknown theorem {self.theorem_id!r}; expected one of {THEOREMS}"
+                f"unknown theorem {self.theorem_id!r}; expected one of {tuple(THEOREMS)}"
             )
-        engine = self.engine or DEFAULT_ENGINE[self.theorem_id]
-        if engine not in REGISTRY[self.theorem_id]:
+        theorem = self.theorem
+        engine = self.engine or theorem.default_engine
+        if engine not in theorem.builders:
             extra = ""
-            if self.theorem_id == "UHLIG_SVD" and engine == "CHART":
+            if "DEMO" in theorem.builders and engine == "CHART":
                 extra = (
                     " (this pairing is the documented discrepancy; "
                     "run it through the demo entry point)"
                 )
             raise RegistryError(
                 f"engine {engine} is not admissible for {self.theorem_id}; "
-                f"admissible: {sorted(REGISTRY[self.theorem_id])}{extra}"
+                f"admissible: {sorted(theorem.engines)}{extra}"
             )
         object.__setattr__(self, "engine", engine)
         if self.beta == 8:
@@ -204,21 +184,15 @@ class TaskSpec:
             raise ConfigurationError(f"beta must be 1, 2 or 4, got {self.beta}")
         if self.m < 1:
             raise ConfigurationError(f"m must be positive, got {self.m}")
-        n, q = self.n, self.q
-        if self.theorem_id in _NEEDS_N:
-            if n < 1:
-                raise ConfigurationError(f"{self.theorem_id} requires n >= 1, got {n}")
-        else:
-            n = 0
-        if self.theorem_id in _CONGRUENCE_TASKS:
-            if self.n > self.m:
-                raise ConfigurationError(
-                    f"{self.theorem_id} requires rank n <= m, got n={self.n} m={self.m}"
-                )
-            q = 0
-        elif self.theorem_id == "CONGRUENCE_NS":
-            q = 0
-        if self.theorem_id in _NEEDS_Q:
+        n = self.n if "n" in theorem.sizes else 0
+        q = self.q if "q" in theorem.sizes else 0
+        if "n" in theorem.sizes and n < 1:
+            raise ConfigurationError(f"{self.theorem_id} requires n >= 1, got {n}")
+        if theorem.sizes == _CONGRUENCE and n > self.m:
+            raise ConfigurationError(
+                f"{self.theorem_id} requires rank n <= m, got n={n} m={self.m}"
+            )
+        if "q" in theorem.sizes:
             limit = min(i for i in (n or 10**9, self.m))
             if not 1 <= q <= limit:
                 raise ConfigurationError(
@@ -237,14 +211,16 @@ class TaskSpec:
                 )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
-        lo, hi = float(self.eigen_box[0]), float(self.eigen_box[1])
-        if not 0.0 < lo < hi:
-            raise ConfigurationError(f"eigen box must satisfy 0 < lo < hi, got {self.eigen_box}")
+        lo, hi = _check_box(self.eigen_box)
         object.__setattr__(self, "eigen_box", (lo, hi))
         gap = 1e-3 * (hi - lo) if self.gap is None else float(self.gap)
-        if gap < 0:
-            raise ConfigurationError(f"gap must be nonnegative, got {gap}")
+        if not (math.isfinite(gap) and gap >= 0):
+            raise ConfigurationError(f"gap must be finite and nonnegative, got {gap}")
         object.__setattr__(self, "gap", gap)
+        for name in ("rtol", "ztol", "cv_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
         if self.engine in ("MC_EQUALITY", "MC_RATIO") and self.trials < MIN_TRIALS:
             raise ConfigurationError(
                 f"Monte Carlo engines need trials >= {MIN_TRIALS}, got {self.trials}"
@@ -257,6 +233,10 @@ class TaskSpec:
     @property
     def kind(self) -> AlgebraKind:
         return AlgebraKind.from_beta(self.beta)
+
+    @property
+    def theorem(self) -> Theorem:
+        return THEOREMS[self.theorem_id]
 
     def to_dict(self) -> dict:
         return {
@@ -357,109 +337,21 @@ def make_test_functions(
 
 
 # ---------------------------------------------------------------------------
-# chart specs and the finite-difference Jacobian
+# the finite-difference Jacobian
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    """A parameterized chart: space 'psd' ((m, q)), 'rect' ((n, m, q)) or
-    'tri' ((q, m): upper-triangular-leading factors with real positive diagonal)."""
-
-    space: str
-    kind: AlgebraKind
-    sizes: tuple[int, ...]
-    pivots: tuple = ()
-
-    def coord_count(self) -> int:
-        beta = self.kind.beta
-        if self.space == "psd":
-            m, q = self.sizes
-            return psd_coord_count(m, q, beta)
-        if self.space == "rect":
-            n, m, q = self.sizes
-            return rect_coord_count(n, m, q, beta)
-        if self.space == "tri":
-            q, m = self.sizes
-            return q + beta * (q * (q - 1) // 2 + q * (m - q))
-        raise RegistryError(f"unknown chart space {self.space!r}")
-
-    def complete_batch(self, coords: np.ndarray) -> np.ndarray:
-        if self.space == "psd":
-            m, q = self.sizes
-            return complete_psd_batch(coords, self.kind, m, q, self.pivots)
-        if self.space == "rect":
-            n, m, q = self.sizes
-            rp, cp = self.pivots
-            return complete_rect_batch(coords, self.kind, n, m, q, rp, cp)
-        if self.space == "tri":
-            q, m = self.sizes
-            return _tri_unpack(coords, self.kind, q, m)
-        raise RegistryError(f"unknown chart space {self.space!r}")
-
-    def extract_batch(self, data: np.ndarray) -> np.ndarray:
-        if self.space == "psd":
-            m, q = self.sizes
-            return extract_psd_batch(data, m, q, self.pivots, self.kind)
-        if self.space == "rect":
-            _, _, q = self.sizes
-            rp, cp = self.pivots
-            return extract_rect_batch(data, q, rp, cp)
-        if self.space == "tri":
-            q, m = self.sizes
-            return _tri_pack(data, self.kind, q, m)
-        raise RegistryError(f"unknown chart space {self.space!r}")
-
-
-def _tri_unpack(coords: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
-    beta = kind.beta
-    b = coords.shape[0]
-    t = np.zeros((b, q, m, beta))
-    pos = 0
-    for i in range(q):
-        t[:, i, i, 0] = coords[:, pos]
-        pos += 1
-    for i in range(q):
-        for j in range(i + 1, m):
-            t[:, i, j, :] = coords[:, pos : pos + beta]
-            pos += beta
-    return t
-
-
-def _tri_pack(t: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
-    beta = kind.beta
-    b = t.shape[0]
-    parts = [t[:, i, i, 0][:, None] for i in range(q)]
-    for i in range(q):
-        for j in range(i + 1, m):
-            parts.append(t[:, i, j, :])
-    return np.concatenate(parts, axis=1)
-
-
-def _spec_of_point(point) -> tuple[ChartSpec, np.ndarray]:
-    if isinstance(point, PsdChartPoint):
-        return (
-            ChartSpec("psd", point.kind, (point.m, point.q), point.pivot),
-            point.coords,
-        )
-    if isinstance(point, RectChartPoint):
-        return (
-            ChartSpec(
-                "rect",
-                point.kind,
-                (point.n, point.m, point.q),
-                (point.row_pivot, point.col_pivot),
-            ),
-            point.coords,
-        )
-    raise ConfigurationError(f"unsupported chart point type {type(point).__name__}")
-
-
-def _jacobian_logdet(
-    map_batch, in_spec: ChartSpec, coords0: np.ndarray, out_spec: ChartSpec, step: float
+def chart_jacobian_logdet(
+    map_batch, in_spec: ChartSpec, coords0: np.ndarray, out_spec: ChartSpec,
+    step: float = 1e-5,
 ) -> float:
-    """Central differences at all 2k perturbations of coords0 in one pass:
+    """log |det| of the coordinate Jacobian of extract(map(complete(coords0))).
+
+    map_batch is the map on a batch of coefficient arrays, (B, n, m, beta) ->
+    (B, n', m', beta), row by row (e.g. pinv_batch with beta bound).  Central
+    differences at all 2k perturbations of the k coordinates in one pass:
     rows coords0 + h_i e_i, then coords0 - h_i e_i, through one completion,
-    one map call and one extraction."""
+    one map call and one extraction.
+    """
     k = coords0.size
     k_out = out_spec.coord_count()
     if k_out != k:
@@ -483,19 +375,17 @@ def _require_finite(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def chart_jacobian_logdet(map_batch, point, out_spec: ChartSpec, step: float = 1e-5) -> float:
-    """log |det| of the coordinate Jacobian of extract(map(complete(point))).
-
-    map_batch is the map on a batch of coefficient arrays, (B, n, m, beta) ->
-    (B, n', m', beta), row by row (e.g. pinv_batch with beta bound); it is
-    called once, on the 2k perturbations of the point's k coordinates.
-    """
-    in_spec, coords0 = _point_spec(point)
-    return _jacobian_logdet(map_batch, in_spec, coords0, out_spec, step)
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
+
+
+def _problem(task: TaskSpec):
+    """The problem the task's engine checks, from the theorem's builder."""
+    return task.theorem.builders[task.engine](task)
+
+
+def _pilot(task: TaskSpec, index: int = 0) -> np.random.Generator:
+    return _substream(task.seed, task.theorem.code, _SIDE_PILOT, index)
 
 
 def _draw_b(task: TaskSpec) -> Mat:
@@ -504,14 +394,23 @@ def _draw_b(task: TaskSpec) -> Mat:
     if source == "identity":
         return Mat.eye(kind, m)
     if source == "random":
-        rng = _substream(task.seed, TASK_CODES[task.theorem_id], _SIDE_B, 0)
+        rng = _substream(task.seed, task.theorem.code, _SIDE_B, 0)
         for _ in range(1000):
             b = Mat(kind, rng.normal(size=(m, m, kind.beta)))
             scale = (float(np.linalg.norm(b.data)) / math.sqrt(m)) ** m
             if sdet(b) > 0.1 * scale:
                 return b
         raise ConfigurationError("could not draw a well-conditioned B matrix")
-    return load_matrix(source)
+    try:
+        b = load_matrix(source)
+    except (OSError, ValueError, KeyError, TypeError, DivalgError) as exc:
+        raise ConfigurationError(f"cannot read B matrix {source}: {exc}") from None
+    if (b.kind.beta, b.rows, b.cols) != (kind.beta, m, m):
+        raise ConfigurationError(
+            f"B matrix {source} is {b.rows}x{b.cols} with beta={b.kind.beta}; "
+            f"the task needs {m}x{m} with beta={kind.beta}"
+        )
+    return b
 
 
 def _spectra_batch(data: np.ndarray, kind: AlgebraKind, top: int) -> np.ndarray:
@@ -623,117 +522,96 @@ def _reference_samples(side_fn, seed: int, task_code: int, count: int = 512) -> 
 
 # ---------------------------------------------------------------------------
 # CHART engine
+#
+# A CHART builder returns point_sampler(rng) -> ((in_spec, coords0),
+# map_batch, out_spec, analytic_log, gap_at_point); map_batch is the map on a
+# batch of coefficient arrays (see chart_jacobian_logdet).
+#
+# For the pseudo-inverse maps the output chart must be the input chart
+# transported through the map: permutations commute with pinv, so tying the
+# pivots makes the pair of charts a pure relabeling of the leading-block
+# charts.  Untied pivots would insert a nonconstant chart-transition Jacobian
+# that is not part of the transform factor.
 
 
-def _chart_problem(task: TaskSpec):
-    """Returns (point_sampler(rng) -> (in_point, map_batch, out_spec, analytic_log, gap_at_point)).
-
-    map_batch is the map on a batch of coefficient arrays (see
-    chart_jacobian_logdet).
-    """
-    kind, beta = task.kind, task.beta
-    lo, hi = task.eigen_box
-    m, n, q = task.m, task.n, task.q
-
-    # For the pseudo-inverse maps the output chart must be the input chart
-    # transported through the map: permutations commute with pinv, so tying
-    # the pivots makes the pair of charts a pure relabeling of the leading-
-    # block charts.  Untied pivots would insert a nonconstant chart-transition
-    # Jacobian that is not part of the transform factor.
+def _mp_herm_chart(task: TaskSpec):
+    kind, beta, m, q = task.kind, task.beta, task.m, task.q
     inverse = partial(pinv_batch, beta=beta)
 
-    if task.theorem_id == "MP_HERM":
-        def sample(rng):
-            lam = _sorted_spectrum(rng, lo, hi, q, 1)
-            w1 = sample_stiefel_batch(m, q, kind, rng, 1)
-            s = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
-            point = extract_psd(s, q)
-            out_spec = ChartSpec("psd", kind, (m, q), point.pivot)
+    def sample(rng):
+        lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, 1)
+        point = extract_psd(Mat(kind, assemble_sd_batch(w1, lam, beta)[0]), q)
+        analytic = transform_factor_log(
+            "MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(lam[0]))
+        )
+        return (point.spec, point.coords), inverse, point.spec, analytic, _spectrum_gap(lam[0])
+    return sample
+
+
+def _mp_rect_chart(task: TaskSpec):
+    kind, beta, m, n, q = task.kind, task.beta, task.m, task.n, task.q
+    inverse = partial(pinv_batch, beta=beta)
+
+    def sample(rng):
+        d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, 1)
+        point = extract_rect(Mat(kind, assemble_svd_batch(v1, d, w1, beta)[0]), q)
+        out_spec = ChartSpec("rect", kind, (m, n, q), (point.col_pivot, point.row_pivot))
+        analytic = transform_factor_log(
+            "MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(d[0]))
+        )
+        return (point.spec, point.coords), inverse, out_spec, analytic, _spectrum_gap(d[0])
+    return sample
+
+
+def _chol_chart(task: TaskSpec):
+    kind, beta, m, q = task.kind, task.beta, task.m, task.q
+    tri_spec = ChartSpec("tri", kind, (q, m))
+    out_spec = ChartSpec("psd", kind, (m, q), tuple(range(m)))
+
+    def gram(t: np.ndarray) -> np.ndarray:
+        return mul_raw(ct_raw(t), t, beta)
+
+    def sample(rng):
+        coords = np.zeros(tri_spec.coord_count())
+        coords[:q] = rng.uniform(0.5, 2.0, size=q)
+        coords[q:] = 0.7 * rng.standard_normal(coords.size - q)
+        analytic = decomposition_density_log(
+            "CHOL", FactorInput(beta=beta, m=m, q=q, t_diag=tuple(coords[:q]))
+        )
+        return (tri_spec, coords), gram, out_spec, analytic, math.inf
+    return sample
+
+
+def _congruence_chart(task: TaskSpec):
+    """UHLIG_QR (a rank-n congruence) and CONGRUENCE_NS (rank m)."""
+    kind, beta, m = task.kind, task.beta, task.m
+    b = _draw_b(task)
+    rank = task.n if task.theorem_id == "UHLIG_QR" else m
+    congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
+
+    def sample(rng):
+        lam, (w1,) = factorized_draw(rng, task.eigen_box, rank, (m,), kind, 1)
+        y = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
+        point = extract_psd(y, rank)
+        x = Mat(kind, congruence(y.data[None])[0])
+        out_pivot = choose_pivot(x, rank, chart="psd")
+        out_spec = ChartSpec("psd", kind, (m, rank), out_pivot)
+        if task.theorem_id == "CONGRUENCE_NS":
             analytic = transform_factor_log(
-                "MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(lam[0]))
+                "CONGRUENCE_NS", FactorInput(beta=beta, m=m, det_b=sdet(b))
             )
-            gap_at = _spectrum_gap(lam[0])
-            return point, inverse, out_spec, analytic, gap_at
-        return sample
-
-    if task.theorem_id == "MP_RECT":
-        def sample(rng):
-            d = _sorted_spectrum(rng, lo, hi, q, 1)
-            v1 = sample_stiefel_batch(n, q, kind, rng, 1)
-            w1 = sample_stiefel_batch(m, q, kind, rng, 1)
-            x = Mat(kind, assemble_svd_batch(v1, d, w1, beta)[0])
-            point = extract_rect(x, q)
-            out_spec = ChartSpec(
-                "rect", kind, (m, n, q), (point.col_pivot, point.row_pivot)
-            )
+        else:
+            det_t = _pivoted_chol_det(x, rank, out_pivot)
+            det_l = _pivoted_chol_det(y, rank, point.pivot)
             analytic = transform_factor_log(
-                "MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(d[0]))
+                "UHLIG_QR",
+                FactorInput(
+                    beta=beta, m=m, n=rank,
+                    det_t1t1=det_t, det_l1l1=det_l, det_b=sdet(b),
+                ),
             )
-            return point, inverse, out_spec, analytic, _spectrum_gap(d[0])
-        return sample
-
-    if task.theorem_id == "CHOL":
-        tri_spec = ChartSpec("tri", kind, (q, m))
-
-        def gram(t: np.ndarray) -> np.ndarray:
-            return mul_raw(ct_raw(t), t, beta)
-
-        def sample(rng):
-            coords = np.zeros(tri_spec.coord_count())
-            coords[:q] = rng.uniform(0.5, 2.0, size=q)
-            coords[q:] = 0.7 * rng.standard_normal(coords.size - q)
-            t = _tri_unpack(coords[None], kind, q, m)[0]
-            point = _TriPoint(tri_spec, coords, t)
-            out_spec = ChartSpec("psd", kind, (m, q), tuple(range(m)))
-            analytic = decomposition_density_log(
-                "CHOL",
-                FactorInput(beta=beta, m=m, q=q, t_diag=tuple(coords[:q])),
-            )
-            return point, gram, out_spec, analytic, math.inf
-        return sample
-
-    if task.theorem_id in ("UHLIG_QR", "CONGRUENCE_NS"):
-        b = _draw_b(task)
-        rank = n if task.theorem_id == "UHLIG_QR" else m
-        congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
-
-        def sample(rng):
-            lam = _sorted_spectrum(rng, lo, hi, rank, 1)
-            w1 = sample_stiefel_batch(m, rank, kind, rng, 1)
-            y = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
-            point = extract_psd(y, rank)
-            x = Mat(kind, congruence(y.data[None])[0])
-            out_pivot = choose_pivot(x, rank, chart="psd")
-            out_spec = ChartSpec("psd", kind, (m, rank), out_pivot)
-            if task.theorem_id == "CONGRUENCE_NS":
-                analytic = transform_factor_log(
-                    "CONGRUENCE_NS", FactorInput(beta=beta, m=m, det_b=sdet(b))
-                )
-            else:
-                det_t = _pivoted_chol_det(x, rank, out_pivot)
-                det_l = _pivoted_chol_det(y, rank, point.pivot)
-                analytic = transform_factor_log(
-                    "UHLIG_QR",
-                    FactorInput(
-                        beta=beta, m=m, n=rank,
-                        det_t1t1=det_t, det_l1l1=det_l, det_b=sdet(b),
-                    ),
-                )
-            return point, congruence, out_spec, analytic, _spectrum_gap(lam[0])
-        return sample
-
-    raise RegistryError(f"{task.theorem_id} has no CHART implementation")
-
-
-@dataclass(frozen=True)
-class _TriPoint:
-    spec: ChartSpec
-    coord_values: np.ndarray
-    t: np.ndarray
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.coord_values
+        return (point.spec, point.coords), congruence, out_spec, analytic, _spectrum_gap(lam[0])
+    return sample
 
 
 def _spectrum_gap(spec: np.ndarray) -> float:
@@ -751,24 +629,18 @@ def _pivoted_chol_det(s: Mat, rank: int, pivot) -> float:
     return math.exp(2.0 * sdet_log(t1))
 
 
-def _point_spec(point) -> tuple[ChartSpec, np.ndarray]:
-    if isinstance(point, _TriPoint):
-        return point.spec, point.coords
-    return _spec_of_point(point)
-
-
 def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
     """Compare finite-difference chart Jacobians with the analytic factor."""
     start = time.perf_counter()
     if task.engine != "CHART":
         raise RegistryError(f"run_chart_task needs engine CHART, got {task.engine}")
-    sampler = _chart_problem(task)
-    code = TASK_CODES[task.theorem_id]
+    sampler = _problem(task)
+    code = task.theorem.code
     records = []
 
     def do_point(i: int) -> dict:
         rng = _substream(task.seed, code, _SIDE_POINTS, i)
-        point, map_batch, out_spec, analytic, gap_at = sampler(rng)
+        (in_spec, coords0), map_batch, out_spec, analytic, gap_at = sampler(rng)
         if gap_at < 10.0 * task.gap:
             warnings.warn(
                 f"point {i}: spectral gap {gap_at:.3e} is within 10x the gap "
@@ -776,8 +648,7 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        in_spec, coords0 = _point_spec(point)
-        numeric = _jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
+        numeric = chart_jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
         tol = max(task.rtol * abs(analytic), ABS_LOG_FLOOR)
         err = abs(numeric - analytic)
         return {
@@ -810,218 +681,181 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
 
 # ---------------------------------------------------------------------------
 # MC_EQUALITY engine
+#
+# An MC_EQUALITY builder returns (lhs_fn, lhs_const, rhs_fn, rhs_const).
+# Each side_fn(rng, count) -> (data, logw); logw already contains density,
+# transform factor, and region indicators (log 0 = -inf for excluded draws).
+# The constants carry box volumes and Stiefel masses.
 
 
-def _equality_problem(task: TaskSpec):
-    """Returns (lhs_fn, lhs_const, rhs_fn, rhs_const).
-
-    Each side_fn(rng, count) -> (data, logw); logw already contains density,
-    transform factor, and region indicators (log 0 = -inf for excluded draws).
-    The constants carry box volumes and Stiefel masses.
-    """
-    kind, beta = task.kind, task.beta
+def _w_equality(task: TaskSpec):
+    kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
     lo, hi = task.eigen_box
-    gap = task.gap
-    m, n, q = task.m, task.n, task.q
+    root_box = (math.sqrt(lo), math.sqrt(hi))
 
-    if task.theorem_id == "W":
-        dlo, dhi = math.sqrt(lo), math.sqrt(hi)
+    def lhs(rng, count):
+        d, (v1, w1) = factorized_draw(rng, root_box, q, (n, m), kind, count)
+        x = assemble_svd_batch(v1, d, w1, beta)
+        logw = svd_density_log_batch(d, beta, n, m)
+        lam = d * d
+        ok = _in_box_gap(lam, lo, hi, gap)
+        return x, np.where(ok, logw, -np.inf)
 
-        def lhs(rng, count):
-            d = _sorted_spectrum(rng, dlo, dhi, q, count)
-            v1 = sample_stiefel_batch(n, q, kind, rng, count)
-            w1 = sample_stiefel_batch(m, q, kind, rng, count)
-            x = assemble_svd_batch(v1, d, w1, beta)
-            logw = svd_density_log_batch(d, beta, n, m)
-            lam = d * d
-            ok = _in_box_gap(lam, lo, hi, gap)
-            return x, np.where(ok, logw, -np.inf)
+    def rhs(rng, count):
+        lam, (w1, v1) = factorized_draw(rng, task.eigen_box, q, (m, n), kind, count)
+        x = assemble_svd_batch(v1, np.sqrt(lam), w1, beta)
+        logw = sd_density_log_batch(lam, beta, m)
+        logw = logw - q * math.log(2.0) + (
+            beta * (n - m + 1) / 2.0 - 1.0
+        ) * np.log(lam).sum(axis=1)
+        ok = _in_box_gap(lam, lo, hi, gap)
+        return x, np.where(ok, logw, -np.inf)
 
-        lhs_const = (
-            q * math.log(dhi - dlo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, n, beta)
-            + stiefel_volume_log(q, m, beta)
+    return (
+        lhs, factorized_mass_log(root_box, q, (n, m), beta),
+        rhs, factorized_mass_log(task.eigen_box, q, (m, n), beta),
+    )
+
+
+def _mp_herm_equality(task: TaskSpec):
+    kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
+    lo, hi = task.eigen_box
+    inverse_box = (1.0 / hi, 1.0 / lo)
+
+    def lhs(rng, count):
+        lam_v, (w1,) = factorized_draw(rng, inverse_box, q, (m,), kind, count)
+        v = assemble_sd_batch(w1, lam_v, beta)
+        logw = sd_density_log_batch(lam_v, beta, m)
+        lam_s = _desc_inverse(lam_v)
+        ok = _in_box_gap(lam_s, lo, hi, gap)
+        return v, np.where(ok, logw, -np.inf)
+
+    def rhs(rng, count):
+        lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, count)
+        v = assemble_sd_batch(w1, 1.0 / lam, beta)
+        logw = sd_density_log_batch(lam, beta, m)
+        logw = logw + (beta * (-2 * m + q + 1) - 2) * np.log(lam).sum(axis=1)
+        ok = _in_box_gap(lam, lo, hi, gap)
+        return v, np.where(ok, logw, -np.inf)
+
+    return (
+        lhs, factorized_mass_log(inverse_box, q, (m,), beta),
+        rhs, factorized_mass_log(task.eigen_box, q, (m,), beta),
+    )
+
+
+def _mp_rect_equality(task: TaskSpec):
+    kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
+    lo, hi = task.eigen_box
+    inverse_box = (1.0 / hi, 1.0 / lo)
+
+    def lhs(rng, count):
+        d_y, (v1, w1) = factorized_draw(rng, inverse_box, q, (m, n), kind, count)
+        y = assemble_svd_batch(v1, d_y, w1, beta)
+        logw = svd_density_log_batch(d_y, beta, m, n)
+        d_x = _desc_inverse(d_y)
+        ok = _in_box_gap(d_x, lo, hi, gap)
+        return y, np.where(ok, logw, -np.inf)
+
+    def rhs(rng, count):
+        d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, count)
+        y = assemble_svd_batch(w1, 1.0 / d, v1, beta)
+        logw = svd_density_log_batch(d, beta, n, m)
+        logw = logw - 2 * beta * (m + n - q) * np.log(d).sum(axis=1)
+        ok = _in_box_gap(d, lo, hi, gap)
+        return y, np.where(ok, logw, -np.inf)
+
+    return (
+        lhs, factorized_mass_log(inverse_box, q, (m, n), beta),
+        rhs, factorized_mass_log(task.eigen_box, q, (n, m), beta),
+    )
+
+
+def _uhlig_equality(task: TaskSpec):
+    """UHLIG_SVD and UHLIG_MP: the image laws of a rank-n congruence."""
+    kind, beta, m, n, gap = task.kind, task.beta, task.m, task.n, task.gap
+    lo, hi = task.eigen_box
+    b = _draw_b(task)
+    b_inv = mat_inv(b)
+    det_b_log = sdet_log(b)
+    e = beta * (m - n - 1) / 2.0 + 1.0
+    mp = task.theorem_id == "UHLIG_MP"
+    lam_exp = -(beta * (3 * m - n - 1) / 2.0 + 1.0) if mp else -e
+    bct = ct_raw(b.data)
+    b_inv_ct = ct_raw(b_inv.data)
+
+    def image_batch(rng, count):
+        """Draw from the right-hand measure; returns (x, delta, lam, gap_ok)."""
+        lam, (w1,) = factorized_draw(rng, task.eigen_box, n, (m,), kind, count)
+        spectrum = 1.0 / lam if mp else lam
+        y_like = assemble_sd_batch(w1, spectrum, beta)
+        x = _congruence_batch(bct, y_like, b.data, beta)
+        delta = _spectra_batch(x, kind, n)
+        return x, delta, lam, _in_box_gap(lam, lo, hi, gap)
+
+    # Both sides are additionally restricted to per-position spectral
+    # boxes estimated from pilot image spectra.  Any common restriction
+    # preserves the identity; the boxes keep the left sampler close to
+    # the image so its acceptance rate survives ill-conditioned B.
+    _, pilot_delta, _, pilot_ok = image_batch(_pilot(task), 4096)
+    pilot_delta = pilot_delta[pilot_ok]
+    if pilot_delta.shape[0] < 32:
+        raise InconclusiveStatisticsError(
+            "pilot acceptance too low to bracket the image spectra; "
+            "widen the eigenvalue box or reduce the gap"
         )
+    box_lo = 0.95 * np.quantile(pilot_delta, 0.01, axis=0)
+    box_hi = 1.05 * np.quantile(pilot_delta, 0.99, axis=0)
 
-        def rhs(rng, count):
-            lam = _sorted_spectrum(rng, lo, hi, q, count)
-            w1 = sample_stiefel_batch(m, q, kind, rng, count)
-            v1 = sample_stiefel_batch(n, q, kind, rng, count)
-            x = assemble_svd_batch(v1, np.sqrt(lam), w1, beta)
-            logw = sd_density_log_batch(lam, beta, m)
-            logw = logw - q * math.log(2.0) + (
-                beta * (n - m + 1) / 2.0 - 1.0
-            ) * np.log(lam).sum(axis=1)
-            ok = _in_box_gap(lam, lo, hi, gap)
-            return x, np.where(ok, logw, -np.inf)
+    def rhs(rng, count):
+        x, delta, lam, ok = image_batch(rng, count)
+        logw = sd_density_log_batch(lam, beta, m)
+        logw = logw + beta * n * det_b_log
+        logw = logw + e * np.log(delta).sum(axis=1) + lam_exp * np.log(lam).sum(axis=1)
+        ok &= np.all((delta >= box_lo) & (delta <= box_hi), axis=1)
+        return x, np.where(ok, logw, -np.inf)
 
-        rhs_const = (
-            q * math.log(hi - lo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, m, beta)
-            + stiefel_volume_log(q, n, beta)
+    rhs_const = factorized_mass_log(task.eigen_box, n, (m,), beta)
+
+    # The left sampler importance-samples the eigenframe from the law of
+    # an orthonormal basis of range(B^* G) with G Gaussian -- exactly the
+    # subspace distribution of image points -- and divides by its density
+    # relative to the uniform frame measure,
+    #   sdet(Sigma)^{-beta n/2} sdet(H^* Sigma^{-1} H)^{-beta m/2},
+    # with Sigma = B^* B.  With B = I this reduces to uniform frames.
+    ebct = embed_raw(bct, beta)
+    eb_inv_ct = embed_raw(b_inv_ct, beta)
+
+    def lhs(rng, count):
+        u = rng.uniform(size=(count, n))
+        lam_x = box_lo + u * (box_hi - box_lo)
+        sorted_ok = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
+        g = rng.standard_normal(size=(count, m, n, kind.beta))
+        ez = ebct[None] @ embed_raw(g, beta)
+        gram_z = np.swapaxes(ez, -1, -2) @ ez
+        gram_z = 0.5 * (gram_z + np.swapaxes(gram_z, -1, -2))
+        w_z, u_z = np.linalg.eigh(gram_z)
+        inv_sqrt = (u_z * (1.0 / np.sqrt(w_z))[..., None, :]) @ np.swapaxes(
+            u_z, -1, -2
         )
-        return lhs, lhs_const, rhs, rhs_const
+        h = fold_raw(ez @ inv_sqrt, beta)
+        x = assemble_sd_batch(h, lam_x, beta)
+        z = _congruence_batch(b_inv_ct, x, b_inv.data, beta)
+        z_spec = _spectra_batch(z, kind, n)
+        lam_y = _desc_inverse(z_spec) if mp else z_spec
+        ok = _in_box_gap(lam_y, lo, hi, gap) & sorted_ok
+        t = eb_inv_ct[None] @ (ez @ inv_sqrt)
+        gram_h = np.swapaxes(t, -1, -2) @ t
+        _, ld = np.linalg.slogdet(gram_h)
+        with np.errstate(invalid="ignore"):
+            logw = sd_density_log_batch(lam_x, beta, m)
+        logw = logw + beta * n * det_b_log + 0.5 * m * ld
+        return x, np.where(ok, logw, -np.inf)
 
-    if task.theorem_id == "MP_HERM":
-        vlo, vhi = 1.0 / hi, 1.0 / lo
-
-        def lhs(rng, count):
-            lam_v = _sorted_spectrum(rng, vlo, vhi, q, count)
-            w1 = sample_stiefel_batch(m, q, kind, rng, count)
-            v = assemble_sd_batch(w1, lam_v, beta)
-            logw = sd_density_log_batch(lam_v, beta, m)
-            lam_s = _desc_inverse(lam_v)
-            ok = _in_box_gap(lam_s, lo, hi, gap)
-            return v, np.where(ok, logw, -np.inf)
-
-        lhs_const = (
-            q * math.log(vhi - vlo) - math.lgamma(q + 1) + stiefel_volume_log(q, m, beta)
-        )
-
-        def rhs(rng, count):
-            lam = _sorted_spectrum(rng, lo, hi, q, count)
-            w1 = sample_stiefel_batch(m, q, kind, rng, count)
-            v = assemble_sd_batch(w1, 1.0 / lam, beta)
-            logw = sd_density_log_batch(lam, beta, m)
-            logw = logw + (beta * (-2 * m + q + 1) - 2) * np.log(lam).sum(axis=1)
-            ok = _in_box_gap(lam, lo, hi, gap)
-            return v, np.where(ok, logw, -np.inf)
-
-        rhs_const = (
-            q * math.log(hi - lo) - math.lgamma(q + 1) + stiefel_volume_log(q, m, beta)
-        )
-        return lhs, lhs_const, rhs, rhs_const
-
-    if task.theorem_id == "MP_RECT":
-        dlo, dhi = 1.0 / hi, 1.0 / lo
-
-        def lhs(rng, count):
-            d_y = _sorted_spectrum(rng, dlo, dhi, q, count)
-            v1 = sample_stiefel_batch(m, q, kind, rng, count)
-            w1 = sample_stiefel_batch(n, q, kind, rng, count)
-            y = assemble_svd_batch(v1, d_y, w1, beta)
-            logw = svd_density_log_batch(d_y, beta, m, n)
-            d_x = _desc_inverse(d_y)
-            ok = _in_box_gap(d_x, lo, hi, gap)
-            return y, np.where(ok, logw, -np.inf)
-
-        lhs_const = (
-            q * math.log(dhi - dlo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, m, beta)
-            + stiefel_volume_log(q, n, beta)
-        )
-
-        def rhs(rng, count):
-            d = _sorted_spectrum(rng, lo, hi, q, count)
-            v1 = sample_stiefel_batch(n, q, kind, rng, count)
-            w1 = sample_stiefel_batch(m, q, kind, rng, count)
-            y = assemble_svd_batch(w1, 1.0 / d, v1, beta)
-            logw = svd_density_log_batch(d, beta, n, m)
-            logw = logw - 2 * beta * (m + n - q) * np.log(d).sum(axis=1)
-            ok = _in_box_gap(d, lo, hi, gap)
-            return y, np.where(ok, logw, -np.inf)
-
-        rhs_const = (
-            q * math.log(hi - lo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, n, beta)
-            + stiefel_volume_log(q, m, beta)
-        )
-        return lhs, lhs_const, rhs, rhs_const
-
-    if task.theorem_id in ("UHLIG_SVD", "UHLIG_MP"):
-        b = _draw_b(task)
-        b_inv = mat_inv(b)
-        det_b_log = sdet_log(b)
-        e = beta * (m - n - 1) / 2.0 + 1.0
-        mp = task.theorem_id == "UHLIG_MP"
-        lam_exp = -(beta * (3 * m - n - 1) / 2.0 + 1.0) if mp else -e
-        bct = ct_raw(b.data)
-        b_inv_ct = ct_raw(b_inv.data)
-
-        def image_batch(rng, count):
-            """Draw from the right-hand measure; returns (x, delta, lam, gap_ok)."""
-            lam = _sorted_spectrum(rng, lo, hi, n, count)
-            w1 = sample_stiefel_batch(m, n, kind, rng, count)
-            spectrum = 1.0 / lam if mp else lam
-            y_like = assemble_sd_batch(w1, spectrum, beta)
-            x = _congruence_batch(bct, y_like, b.data, beta)
-            delta = _spectra_batch(x, kind, n)
-            return x, delta, lam, _in_box_gap(lam, lo, hi, gap)
-
-        # Both sides are additionally restricted to per-position spectral
-        # boxes estimated from pilot image spectra.  Any common restriction
-        # preserves the identity; the boxes keep the left sampler close to
-        # the image so its acceptance rate survives ill-conditioned B.
-        code = TASK_CODES[task.theorem_id]
-        _, pilot_delta, _, pilot_ok = image_batch(
-            _substream(task.seed, code, _SIDE_PILOT, 0), 4096
-        )
-        pilot_delta = pilot_delta[pilot_ok]
-        if pilot_delta.shape[0] < 32:
-            raise InconclusiveStatisticsError(
-                "pilot acceptance too low to bracket the image spectra; "
-                "widen the eigenvalue box or reduce the gap"
-            )
-        box_lo = 0.95 * np.quantile(pilot_delta, 0.01, axis=0)
-        box_hi = 1.05 * np.quantile(pilot_delta, 0.99, axis=0)
-
-        def rhs(rng, count):
-            x, delta, lam, ok = image_batch(rng, count)
-            logw = sd_density_log_batch(lam, beta, m)
-            logw = logw + beta * n * det_b_log
-            logw = logw + e * np.log(delta).sum(axis=1) + lam_exp * np.log(lam).sum(axis=1)
-            ok &= np.all((delta >= box_lo) & (delta <= box_hi), axis=1)
-            return x, np.where(ok, logw, -np.inf)
-
-        rhs_const = (
-            n * math.log(hi - lo) - math.lgamma(n + 1) + stiefel_volume_log(n, m, beta)
-        )
-
-        # The left sampler importance-samples the eigenframe from the law of
-        # an orthonormal basis of range(B^* G) with G Gaussian -- exactly the
-        # subspace distribution of image points -- and divides by its density
-        # relative to the uniform frame measure,
-        #   sdet(Sigma)^{-beta n/2} sdet(H^* Sigma^{-1} H)^{-beta m/2},
-        # with Sigma = B^* B.  With B = I this reduces to uniform frames.
-        ebct = embed_raw(bct, beta)
-        eb_inv_ct = embed_raw(b_inv_ct, beta)
-
-        def lhs(rng, count):
-            u = rng.uniform(size=(count, n))
-            lam_x = box_lo + u * (box_hi - box_lo)
-            sorted_ok = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
-            g = rng.standard_normal(size=(count, m, n, kind.beta))
-            ez = ebct[None] @ embed_raw(g, beta)
-            gram_z = np.swapaxes(ez, -1, -2) @ ez
-            gram_z = 0.5 * (gram_z + np.swapaxes(gram_z, -1, -2))
-            w_z, u_z = np.linalg.eigh(gram_z)
-            inv_sqrt = (u_z * (1.0 / np.sqrt(w_z))[..., None, :]) @ np.swapaxes(
-                u_z, -1, -2
-            )
-            h = fold_raw(ez @ inv_sqrt, beta)
-            x = assemble_sd_batch(h, lam_x, beta)
-            z = _congruence_batch(b_inv_ct, x, b_inv.data, beta)
-            z_spec = _spectra_batch(z, kind, n)
-            lam_y = _desc_inverse(z_spec) if mp else z_spec
-            ok = _in_box_gap(lam_y, lo, hi, gap) & sorted_ok
-            t = eb_inv_ct[None] @ (ez @ inv_sqrt)
-            gram_h = np.swapaxes(t, -1, -2) @ t
-            _, ld = np.linalg.slogdet(gram_h)
-            with np.errstate(invalid="ignore"):
-                logw = sd_density_log_batch(lam_x, beta, m)
-            logw = logw + beta * n * det_b_log + 0.5 * m * ld
-            return x, np.where(ok, logw, -np.inf)
-
-        lhs_const = float(np.log(box_hi - box_lo).sum()) + stiefel_volume_log(
-            n, m, beta
-        )
-        return lhs, lhs_const, rhs, rhs_const
-
-    raise RegistryError(f"{task.theorem_id} has no MC_EQUALITY implementation")
+    lhs_const = float(np.log(box_hi - box_lo).sum()) + stiefel_volume_log(
+        n, m, beta
+    )
+    return lhs, lhs_const, rhs, rhs_const
 
 
 def run_mc_equality_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 3) -> Report:
@@ -1033,8 +867,8 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 
         )
     if n_test_functions < 2:
         raise ConfigurationError("equality tasks need at least 2 test functions")
-    lhs_fn, lhs_const, rhs_fn, rhs_const = _equality_problem(task)
-    code = TASK_CODES[task.theorem_id]
+    lhs_fn, lhs_const, rhs_fn, rhs_const = _problem(task)
+    code = task.theorem.code
     reference = _reference_samples(rhs_fn, task.seed, code)
     test_fns = make_test_functions(task.seed, n_test_functions, reference)
     lhs_mean, lhs_se = _mc_estimate(
@@ -1085,6 +919,11 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 
 
 # ---------------------------------------------------------------------------
 # MC_RATIO engine
+#
+# An MC_RATIO builder returns (chart_fn, chart_const, fact_fn, fact_const,
+# reference_fn): the surface side samples chart coordinates uniformly in a
+# box and weighs them by the chart's Hausdorff density, the factorized side
+# samples the factorization.
 
 
 def _phase_fiber_log(beta: int, q: int) -> float:
@@ -1112,272 +951,216 @@ def _uniform_in_box(rng: np.random.Generator, box: np.ndarray, count: int) -> np
     return rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
 
 
-def _ratio_problem(task: TaskSpec):
-    """Returns (chart_fn, chart_const, fact_fn, fact_const, reference_fn)."""
-    kind, beta = task.kind, task.beta
+def _sd_ratio(task: TaskSpec):
+    kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
     lo, hi = task.eigen_box
-    gap = task.gap
-    m, n, q = task.m, task.n, task.q
-    code = TASK_CODES[task.theorem_id]
-    pilot_rng = _substream(task.seed, code, _SIDE_PILOT, 0)
+    spec = ChartSpec("psd", kind, (m, q), tuple(range(m)))
 
-    if task.theorem_id == "SD":
-        pivot = tuple(range(m))
-        spec = ChartSpec("psd", kind, (m, q), pivot)
+    def fact_raw(rng, count):
+        lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, count)
+        s = assemble_sd_batch(w1, lam, beta)
+        logw = sd_density_log_batch(lam, beta, m)
+        return s, np.where(_in_box_gap(lam, lo, hi, gap), logw, -np.inf)
 
-        def fact_raw(rng, count):
-            lam = _sorted_spectrum(rng, lo, hi, q, count)
-            w1 = sample_stiefel_batch(m, q, kind, rng, count)
-            s = assemble_sd_batch(w1, lam, beta)
-            logw = sd_density_log_batch(lam, beta, m)
-            return s, np.where(_in_box_gap(lam, lo, hi, gap), logw, -np.inf), lam
+    pilot_s, pilot_w = fact_raw(_pilot(task), 4096)
+    good = np.isfinite(pilot_w)
+    pilot_coords = spec.extract_batch(pilot_s[good])
+    box = _quantile_box(pilot_coords)
+    s11_p, _ = _psd_unpack(pilot_coords, kind, m, q)
+    eps = 0.9 * float(np.quantile(_min_eig_block(s11_p, beta), 0.05))
 
-        pilot_s, pilot_w, _ = fact_raw(pilot_rng, 4096)
-        good = np.isfinite(pilot_w)
-        pilot_coords = spec.extract_batch(pilot_s[good])
-        box = _quantile_box(pilot_coords)
-        s11_p, _ = _psd_unpack(pilot_coords, kind, m, q)
-        eps = 0.9 * float(np.quantile(_min_eig_block(s11_p, beta), 0.05))
+    def common_mask(coords: np.ndarray) -> np.ndarray:
+        ok = _coords_in_box(coords, box)
+        s11, _ = _psd_unpack(coords, kind, m, q)
+        ok &= _min_eig_block(s11, beta) >= eps
+        return ok
 
-        def common_mask(coords: np.ndarray) -> np.ndarray:
-            ok = _coords_in_box(coords, box)
-            s11, _ = _psd_unpack(coords, kind, m, q)
-            ok &= _min_eig_block(s11, beta) >= eps
-            return ok
+    def chart_fn(rng, count):
+        coords = _uniform_in_box(rng, box, count)
+        s11, _ = _psd_unpack(coords, kind, m, q)
+        valid = _min_eig_block(s11, beta) >= eps
+        data = np.zeros((count, m, m, beta))
+        data[:, np.arange(m), np.arange(m), 0] = 1.0
+        logw = np.full(count, -np.inf)
+        if np.any(valid):
+            sub = coords[valid]
+            data[valid] = spec.complete_batch(sub)
+            hlog = hausdorff_density_log_batch(spec, sub, task.step)
+            spec_ok = _in_box_gap(_spectra_batch(data[valid], kind, q), lo, hi, gap)
+            logw[valid] = np.where(spec_ok, hlog, -np.inf)
+        return data, logw
 
-        def chart_fn(rng, count):
-            coords = _uniform_in_box(rng, box, count)
-            s11, _ = _psd_unpack(coords, kind, m, q)
-            valid = _min_eig_block(s11, beta) >= eps
-            data = np.zeros((count, m, m, beta))
-            data[:, np.arange(m), np.arange(m), 0] = 1.0
-            logw = np.full(count, -np.inf)
-            if np.any(valid):
-                sub = coords[valid]
-                data[valid] = complete_psd_batch(sub, kind, m, q, pivot)
-                hlog = hausdorff_density_log_batch("psd", sub, kind, (m, q), pivot, task.step)
-                spec_ok = _in_box_gap(_spectra_batch(data[valid], kind, q), lo, hi, gap)
-                logw[valid] = np.where(spec_ok, hlog, -np.inf)
-            return data, logw
+    def fact_fn(rng, count):
+        s, logw = fact_raw(rng, count)
+        coords = spec.extract_batch(s)
+        return s, np.where(common_mask(coords), logw, -np.inf)
 
-        chart_const = _box_volume_log(box)
+    fact_const = factorized_mass_log(task.eigen_box, q, (m,), beta) - _phase_fiber_log(beta, q)
+    return chart_fn, _box_volume_log(box), fact_fn, fact_const, fact_raw
 
-        def fact_fn(rng, count):
-            s, logw, _ = fact_raw(rng, count)
-            coords = spec.extract_batch(s)
-            return s, np.where(common_mask(coords), logw, -np.inf)
 
-        fact_const = (
-            q * math.log(hi - lo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, m, beta)
-            - _phase_fiber_log(beta, q)
-        )
+def _svd_ratio(task: TaskSpec):
+    kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
+    lo, hi = task.eigen_box
+    spec = ChartSpec("rect", kind, (n, m, q), (tuple(range(n)), tuple(range(m))))
 
-        def reference_fn(rng, count):
-            s, logw, _ = fact_raw(rng, count)
-            return s, logw
+    def fact_raw(rng, count):
+        d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, count)
+        x = assemble_svd_batch(v1, d, w1, beta)
+        logw = svd_density_log_batch(d, beta, n, m)
+        return x, np.where(_in_box_gap(d, lo, hi, gap), logw, -np.inf)
 
-        return chart_fn, chart_const, fact_fn, fact_const, reference_fn
+    pilot_x, pilot_w = fact_raw(_pilot(task), 4096)
+    good = np.isfinite(pilot_w)
+    pilot_coords = spec.extract_batch(pilot_x[good])
+    box = _quantile_box(pilot_coords)
+    if q < min(n, m):
+        x11_p = _rect_unpack(pilot_coords, kind, n, m, q)[0]
+        eps = 0.9 * float(np.quantile(_min_sv_block(x11_p, beta), 0.05))
+    else:
+        eps = 0.0
 
-    if task.theorem_id == "SVD":
-        row_pivot = tuple(range(n))
-        col_pivot = tuple(range(m))
-        spec = ChartSpec("rect", kind, (n, m, q), (row_pivot, col_pivot))
+    def block_ok(coords: np.ndarray) -> np.ndarray:
+        if q == min(n, m):
+            return np.ones(coords.shape[0], dtype=bool)
+        x11 = _rect_unpack(coords, kind, n, m, q)[0]
+        return _min_sv_block(x11, beta) >= eps
 
-        def fact_raw(rng, count):
-            d = _sorted_spectrum(rng, lo, hi, q, count)
-            v1 = sample_stiefel_batch(n, q, kind, rng, count)
-            w1 = sample_stiefel_batch(m, q, kind, rng, count)
-            x = assemble_svd_batch(v1, d, w1, beta)
-            logw = svd_density_log_batch(d, beta, n, m)
-            return x, np.where(_in_box_gap(d, lo, hi, gap), logw, -np.inf), d
+    def chart_fn(rng, count):
+        coords = _uniform_in_box(rng, box, count)
+        valid = block_ok(coords)
+        data = np.zeros((count, n, m, beta))
+        logw = np.full(count, -np.inf)
+        if np.any(valid):
+            sub = coords[valid]
+            data[valid] = spec.complete_batch(sub)
+            hlog = hausdorff_density_log_batch(spec, sub, task.step)
+            spec_ok = _in_box_gap(_sv_batch(data[valid], kind, q), lo, hi, gap)
+            logw[valid] = np.where(spec_ok, hlog, -np.inf)
+        return data, logw
 
-        pilot_x, pilot_w, _ = fact_raw(pilot_rng, 4096)
-        good = np.isfinite(pilot_w)
-        pilot_coords = spec.extract_batch(pilot_x[good])
-        box = _quantile_box(pilot_coords)
-        if q < min(n, m):
-            x11_p = _rect_unpack(pilot_coords, kind, n, m, q)[0]
-            eps = 0.9 * float(np.quantile(_min_sv_block(x11_p, beta), 0.05))
-        else:
-            eps = 0.0
+    def fact_fn(rng, count):
+        x, logw = fact_raw(rng, count)
+        coords = spec.extract_batch(x)
+        ok = _coords_in_box(coords, box) & block_ok(coords)
+        return x, np.where(ok, logw, -np.inf)
 
-        def block_ok(coords: np.ndarray) -> np.ndarray:
-            if q == min(n, m):
-                return np.ones(coords.shape[0], dtype=bool)
-            x11 = _rect_unpack(coords, kind, n, m, q)[0]
-            return _min_sv_block(x11, beta) >= eps
+    fact_const = factorized_mass_log(task.eigen_box, q, (n, m), beta) - _phase_fiber_log(beta, q)
+    return chart_fn, _box_volume_log(box), fact_fn, fact_const, fact_raw
 
-        def chart_fn(rng, count):
-            coords = _uniform_in_box(rng, box, count)
-            valid = block_ok(coords)
-            data = np.zeros((count, n, m, beta))
-            logw = np.full(count, -np.inf)
-            if np.any(valid):
-                sub = coords[valid]
-                data[valid] = complete_rect_batch(sub, kind, n, m, q, row_pivot, col_pivot)
-                hlog = hausdorff_density_log_batch(
-                    "rect", sub, kind, (n, m, q), (row_pivot, col_pivot), task.step
-                )
-                spec_ok = _in_box_gap(_sv_batch(data[valid], kind, q), lo, hi, gap)
-                logw[valid] = np.where(spec_ok, hlog, -np.inf)
-            return data, logw
 
-        chart_const = _box_volume_log(box)
+def _qr_ratio(task: TaskSpec):
+    # q = m (enforced): the chart is the whole n x m space
+    kind, beta, m, n = task.kind, task.beta, task.m, task.n
+    lo, hi = task.eigen_box
+    spec = ChartSpec("rect", kind, (n, m, m), (tuple(range(n)), tuple(range(m))))
+    tri_spec = ChartSpec("tri", kind, (m, m))
+    tri_box = np.empty((tri_spec.coord_count(), 2))
+    tri_box[:m, 0] = lo
+    tri_box[:m, 1] = hi
+    tri_box[m:, 0] = -hi
+    tri_box[m:, 1] = hi
+    qr_exponents = np.array([beta * (n - i + 1) - 1 for i in range(1, m + 1)], dtype=float)
 
-        def fact_fn(rng, count):
-            x, logw, _ = fact_raw(rng, count)
-            coords = spec.extract_batch(x)
-            ok = _coords_in_box(coords, box) & block_ok(coords)
-            return x, np.where(ok, logw, -np.inf)
+    def fact_raw(rng, count):
+        tcoords = _uniform_in_box(rng, tri_box, count)
+        t = tri_spec.complete_batch(tcoords)
+        h1 = sample_stiefel_batch(n, m, kind, rng, count)
+        x = mul_raw(h1, t, beta)
+        logw = (np.log(tcoords[:, :m]) * qr_exponents[None, :]).sum(axis=1)
+        return x, logw, tcoords
 
-        fact_const = (
-            q * math.log(hi - lo)
-            - math.lgamma(q + 1)
-            + stiefel_volume_log(q, n, beta)
-            + stiefel_volume_log(q, m, beta)
-            - _phase_fiber_log(beta, q)
-        )
+    pilot_x, _, _ = fact_raw(_pilot(task), 4096)
+    box = _quantile_box(spec.extract_batch(pilot_x))
 
-        def reference_fn(rng, count):
-            x, logw, _ = fact_raw(rng, count)
-            return x, logw
+    def tri_coords_of(data: np.ndarray) -> np.ndarray:
+        h, t, ok = _qr_coords_batch(data, kind, m)
+        coords = tri_spec.extract_batch(t)
+        coords[~ok] = np.inf
+        return coords
 
-        return chart_fn, chart_const, fact_fn, fact_const, reference_fn
+    def chart_fn(rng, count):
+        coords = _uniform_in_box(rng, box, count)
+        data = spec.complete_batch(coords)
+        hlog = hausdorff_density_log_batch(spec, coords, task.step)
+        ok = _coords_in_box(tri_coords_of(data), tri_box)
+        return data, np.where(ok, hlog, -np.inf)
 
-    if task.theorem_id == "QR":
-        # q = m (enforced): the chart is the whole n x m space
-        row_pivot = tuple(range(n))
-        col_pivot = tuple(range(m))
-        spec = ChartSpec("rect", kind, (n, m, m), (row_pivot, col_pivot))
-        k_tri = m + beta * (m * (m - 1) // 2)
-        tri_box = np.empty((k_tri, 2))
-        tri_box[:m, 0] = lo
-        tri_box[:m, 1] = hi
-        tri_box[m:, 0] = -hi
-        tri_box[m:, 1] = hi
-        qr_exponents = np.array([beta * (n - i + 1) - 1 for i in range(1, m + 1)], dtype=float)
+    def fact_fn(rng, count):
+        x, logw, tcoords = fact_raw(rng, count)
+        ok = _coords_in_box(spec.extract_batch(x), box)
+        ok &= _coords_in_box(tcoords, tri_box)
+        return x, np.where(ok, logw, -np.inf)
 
-        def fact_raw(rng, count):
-            tcoords = _uniform_in_box(rng, tri_box, count)
-            t = _tri_unpack(tcoords, kind, m, m)
-            h1 = sample_stiefel_batch(n, m, kind, rng, count)
-            x = mul_raw(h1, t, beta)
-            logw = (np.log(tcoords[:, :m]) * qr_exponents[None, :]).sum(axis=1)
-            return x, logw, tcoords
+    fact_const = _box_volume_log(tri_box) + stiefel_volume_log(m, n, beta)
 
-        pilot_x, _, _ = fact_raw(pilot_rng, 4096)
-        box = _quantile_box(spec.extract_batch(pilot_x))
+    def reference_fn(rng, count):
+        x, logw, _ = fact_raw(rng, count)
+        return x, logw
 
-        def tri_coords_of(data: np.ndarray) -> np.ndarray:
-            h, t, ok = _qr_coords_batch(data, kind, m)
-            coords = _tri_pack(t, kind, m, m)
-            coords[~ok] = np.inf
-            return coords
+    return chart_fn, _box_volume_log(box), fact_fn, fact_const, reference_fn
 
-        def chart_fn(rng, count):
-            coords = _uniform_in_box(rng, box, count)
-            data = complete_rect_batch(coords, kind, n, m, m, row_pivot, col_pivot)
-            hlog = hausdorff_density_log_batch(
-                "rect", coords, kind, (n, m, m), (row_pivot, col_pivot), task.step
-            )
-            ok = _coords_in_box(tri_coords_of(data), tri_box)
-            return data, np.where(ok, hlog, -np.inf)
 
-        chart_const = _box_volume_log(box)
+def _chol_x_ratio(task: TaskSpec):
+    # q = m (enforced): S = X*X is m x m positive definite
+    kind, beta, m, n = task.kind, task.beta, task.m, task.n
+    x_spec = ChartSpec("rect", kind, (n, m, m), (tuple(range(n)), tuple(range(m))))
+    s_spec = ChartSpec("psd", kind, (m, m), tuple(range(m)))
+    exp_s = beta * (n - m + 1) / 2.0 - 1.0
 
-        def fact_fn(rng, count):
-            x, logw, tcoords = fact_raw(rng, count)
-            ok = _coords_in_box(spec.extract_batch(x), box)
-            ok &= _coords_in_box(tcoords, tri_box)
-            return x, np.where(ok, logw, -np.inf)
+    lam, (w1,) = factorized_draw(_pilot(task), task.eigen_box, m, (m,), kind, 4096)
+    pilot_s = assemble_sd_batch(w1, lam, beta)
+    s_box = _quantile_box(s_spec.extract_batch(pilot_s))
+    eps = 0.9 * float(np.quantile(_spectra_batch(pilot_s, kind, m)[:, -1], 0.05))
 
-        fact_const = _box_volume_log(tri_box) + stiefel_volume_log(m, n, beta)
+    def chol_factor(s: np.ndarray) -> np.ndarray:
+        c = np.linalg.cholesky(embed_raw(s, beta))
+        return fold_raw(np.swapaxes(c, -1, -2), beta)
 
-        def reference_fn(rng, count):
-            x, logw, _ = fact_raw(rng, count)
-            return x, logw
+    def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
+        return mul_raw(h1, chol_factor(s), beta)
 
-        return chart_fn, chart_const, fact_fn, fact_const, reference_fn
+    pilot_h = sample_stiefel_batch(n, m, kind, _pilot(task, 1), 4096)
+    x_box = _quantile_box(x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
 
-    if task.theorem_id == "CHOL_X":
-        # q = m (enforced): S = X*X is m x m positive definite
-        row_pivot = tuple(range(n))
-        col_pivot = tuple(range(m))
-        x_spec = ChartSpec("rect", kind, (n, m, m), (row_pivot, col_pivot))
-        s_pivot = tuple(range(m))
-        s_spec = ChartSpec("psd", kind, (m, m), s_pivot)
-        exp_s = beta * (n - m + 1) / 2.0 - 1.0
+    def s_log_sdet(s: np.ndarray) -> np.ndarray:
+        sign, logabs = np.linalg.slogdet(embed_raw(s, beta))
+        return logabs / beta
 
-        def pilot_sample(rng, count):
-            lam = _sorted_spectrum(rng, lo, hi, m, count)
-            w1 = sample_stiefel_batch(m, m, kind, rng, count)
-            return assemble_sd_batch(w1, lam, beta)
+    def fact_fn(rng, count):
+        s_coords = _uniform_in_box(rng, s_box, count)
+        s11, _ = _psd_unpack(s_coords, kind, m, m)
+        mineig = _min_eig_block(s11, beta)
+        valid = mineig >= eps
+        h1 = sample_stiefel_batch(n, m, kind, rng, count)
+        data = np.zeros((count, n, m, beta))
+        logw = np.full(count, -np.inf)
+        if np.any(valid):
+            s_full = s_spec.complete_batch(s_coords[valid])
+            x = assemble_x(s_full, h1[valid])
+            in_x = _coords_in_box(x_spec.extract_batch(x), x_box)
+            data[valid] = x
+            lw = -m * math.log(2.0) + exp_s * s_log_sdet(s_full)
+            logw[valid] = np.where(in_x, lw, -np.inf)
+        return data, logw
 
-        pilot_s = pilot_sample(pilot_rng, 4096)
-        s_box = _quantile_box(s_spec.extract_batch(pilot_s))
-        eps = 0.9 * float(np.quantile(_spectra_batch(pilot_s, kind, m)[:, -1], 0.05))
+    fact_const = _box_volume_log(s_box) + stiefel_volume_log(m, n, beta)
 
-        def chol_factor(s: np.ndarray) -> np.ndarray:
-            c = np.linalg.cholesky(embed_raw(s, beta))
-            return fold_raw(np.swapaxes(c, -1, -2), beta)
+    def chart_fn(rng, count):
+        coords = _uniform_in_box(rng, x_box, count)
+        data = x_spec.complete_batch(coords)
+        hlog = hausdorff_density_log_batch(x_spec, coords, task.step)
+        s = mul_raw(ct_raw(data), data, beta)
+        s = (s + ct_raw(s)) / 2.0
+        ok = _coords_in_box(s_spec.extract_batch(s), s_box)
+        ok &= _spectra_batch(s, kind, m)[:, -1] >= eps
+        return data, np.where(ok, hlog, -np.inf)
 
-        def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
-            return mul_raw(h1, chol_factor(s), beta)
-
-        pilot_h = sample_stiefel_batch(n, m, kind, _substream(task.seed, code, _SIDE_PILOT, 1), 4096)
-        x_box = _quantile_box(x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
-
-        def s_log_sdet(s: np.ndarray) -> np.ndarray:
-            sign, logabs = np.linalg.slogdet(embed_raw(s, beta))
-            return logabs / beta
-
-        def fact_fn(rng, count):
-            s_coords = _uniform_in_box(rng, s_box, count)
-            s11, _ = _psd_unpack(s_coords, kind, m, m)
-            mineig = _min_eig_block(s11, beta)
-            valid = mineig >= eps
-            h1 = sample_stiefel_batch(n, m, kind, rng, count)
-            data = np.zeros((count, n, m, beta))
-            logw = np.full(count, -np.inf)
-            if np.any(valid):
-                s_full = complete_psd_batch(s_coords[valid], kind, m, m, s_pivot)
-                x = assemble_x(s_full, h1[valid])
-                in_x = _coords_in_box(x_spec.extract_batch(x), x_box)
-                data[valid] = x
-                lw = -m * math.log(2.0) + exp_s * s_log_sdet(s_full)
-                logw[valid] = np.where(in_x, lw, -np.inf)
-            return data, logw
-
-        fact_const = _box_volume_log(s_box) + stiefel_volume_log(m, n, beta)
-
-        def chart_fn(rng, count):
-            coords = _uniform_in_box(rng, x_box, count)
-            data = complete_rect_batch(coords, kind, n, m, m, row_pivot, col_pivot)
-            hlog = hausdorff_density_log_batch(
-                "rect", coords, kind, (n, m, m), (row_pivot, col_pivot), task.step
-            )
-            s = mul_raw(ct_raw(data), data, beta)
-            s = (s + ct_raw(s)) / 2.0
-            ok = _coords_in_box(s_spec.extract_batch(s), s_box)
-            ok &= _spectra_batch(s, kind, m)[:, -1] >= eps
-            return data, np.where(ok, hlog, -np.inf)
-
-        chart_const = _box_volume_log(x_box)
-
-        def reference_fn(rng, count):
-            return fact_fn(rng, count)
-
-        return chart_fn, chart_const, fact_fn, fact_const, reference_fn
-
-    raise RegistryError(f"{task.theorem_id} has no MC_RATIO implementation")
+    return chart_fn, _box_volume_log(x_box), fact_fn, fact_const, fact_fn
 
 
 def _qr_coords_batch(x: np.ndarray, kind: AlgebraKind, q: int):
     """Batched positive-diagonal QR via Gram-Schmidt; returns (H, T, ok)."""
-    from .charts import _mgs_batch
-
     h, ok = _mgs_batch(x[:, :, :q, :], kind.beta)
     t = mul_raw(ct_raw(h), x, kind.beta)
     return h, t, ok
@@ -1390,8 +1173,8 @@ def run_mc_ratio_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 5) 
         raise RegistryError(f"run_mc_ratio_task needs engine MC_RATIO, got {task.engine}")
     if n_test_functions < 5:
         raise ConfigurationError("ratio tasks need at least 5 test functions")
-    chart_fn, chart_const, fact_fn, fact_const, reference_fn = _ratio_problem(task)
-    code = TASK_CODES[task.theorem_id]
+    chart_fn, chart_const, fact_fn, fact_const, reference_fn = _problem(task)
+    code = task.theorem.code
     reference = _reference_samples(reference_fn, task.seed, code)
     test_fns = make_test_functions(task.seed, n_test_functions, reference)
     h_mean, h_se = _mc_estimate(
@@ -1448,6 +1231,23 @@ def run_mc_ratio_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 5) 
 # discrepancy demo
 
 
+def _demo_problem(task: TaskSpec) -> tuple[Mat, Mat, np.ndarray]:
+    """(B, Y, lam): the congruence and the pinned rank-n base point
+    Y = diag(lam, 0, ..., 0) with lam = (n, ..., 1)."""
+    kind, beta, m, n = task.kind, task.beta, task.m, task.n
+    if task.b_source == "demo":
+        bd = np.zeros((m, m, beta))
+        bd[np.arange(m), np.arange(m), 0] = 1.0
+        bd[np.arange(m - 1), np.arange(1, m), 0] = 1.0
+        b = Mat(kind, bd)
+    else:
+        b = _draw_b(task)
+    y_data = np.zeros((m, m, beta))
+    lam = np.arange(n, 0, -1, dtype=float)
+    y_data[np.arange(n), np.arange(n), 0] = lam
+    return b, Mat(kind, y_data), lam
+
+
 def run_discrepancy_demo(task: TaskSpec) -> Report:
     """Show that the SVD-congruence factor is not an entry-chart Jacobian.
 
@@ -1457,30 +1257,21 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     nonsingular-congruence factor).
     """
     start = time.perf_counter()
-    if task.theorem_id != "UHLIG_SVD" or task.engine != "DEMO":
+    if task.engine != "DEMO":
         raise RegistryError(
             "the discrepancy demo runs the UHLIG_SVD theorem with engine DEMO"
         )
     kind, beta = task.kind, task.beta
     m, n = task.m, task.n
-    if task.b_source == "demo":
-        bd = np.zeros((m, m, beta))
-        bd[np.arange(m), np.arange(m), 0] = 1.0
-        bd[np.arange(m - 1), np.arange(1, m), 0] = 1.0
-        b = Mat(kind, bd)
-    else:
-        b = _draw_b(task)
-    # pinned rank-n base point: diag(n, ..., 1, 0, ..., 0)
-    y_data = np.zeros((m, m, beta))
-    lam = np.arange(n, 0, -1, dtype=float)
-    y_data[np.arange(n), np.arange(n), 0] = lam
-    y = Mat(kind, y_data)
+    b, y, lam = _problem(task)
     congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
-    x = Mat(kind, congruence(y_data[None])[0])
+    x = Mat(kind, congruence(y.data[None])[0])
     in_point = extract_psd(y, n)
     out_pivot = choose_pivot(x, n, chart="psd")
     out_spec = ChartSpec("psd", kind, (m, n), out_pivot)
-    chart_log = chart_jacobian_logdet(congruence, in_point, out_spec, task.step)
+    chart_log = chart_jacobian_logdet(
+        congruence, in_point.spec, in_point.coords, out_spec, task.step
+    )
     det_b = sdet(b)
     delta = eig_hermitian(x, n).lam
     fi = FactorInput(
@@ -1530,7 +1321,32 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the theorem table and dispatch
+
+_MQ, _NMQ, _CONGRUENCE, _M = ("m", "q"), ("n", "m", "q"), ("m", "n"), ("m",)
+
+# A theorem's code seeds every substream of its tasks: renumbering one would
+# reseed all of its reports, so the codes stay as written.
+THEOREMS: dict[str, Theorem] = {
+    "SVD": Theorem(1, "svd", _NMQ, "density", {"MC_RATIO": _svd_ratio}),
+    "SD": Theorem(2, "sd", _MQ, "density", {"MC_RATIO": _sd_ratio}),
+    "W": Theorem(3, "w", _NMQ, "coupling", {"MC_EQUALITY": _w_equality}),
+    "QR": Theorem(4, "qr", _NMQ, "density", {"MC_RATIO": _qr_ratio}),
+    "CHOL": Theorem(5, "chol", _MQ, "density", {"CHART": _chol_chart}),
+    "CHOL_X": Theorem(6, "chol-x", _NMQ, "coupling", {"MC_RATIO": _chol_x_ratio}),
+    "MP_HERM": Theorem(7, "mp-herm", _MQ, "transform",
+                       {"CHART": _mp_herm_chart, "MC_EQUALITY": _mp_herm_equality}),
+    "MP_RECT": Theorem(8, "mp-rect", _NMQ, "transform",
+                       {"CHART": _mp_rect_chart, "MC_EQUALITY": _mp_rect_equality}),
+    "UHLIG_SVD": Theorem(9, "uhlig-svd", _CONGRUENCE, "transform",
+                         {"MC_EQUALITY": _uhlig_equality, "DEMO": _demo_problem}),
+    "UHLIG_QR": Theorem(10, "uhlig-qr", _CONGRUENCE, "transform",
+                        {"CHART": _congruence_chart}),
+    "UHLIG_MP": Theorem(11, "uhlig-mp", _CONGRUENCE, "transform",
+                        {"MC_EQUALITY": _uhlig_equality}),
+    "CONGRUENCE_NS": Theorem(12, "congruence-ns", _M, "transform",
+                             {"CHART": _congruence_chart}),
+}
 
 
 def run_task(task: TaskSpec, jobs: int = 1) -> Report:
@@ -1540,6 +1356,4 @@ def run_task(task: TaskSpec, jobs: int = 1) -> Report:
         return run_mc_equality_task(task, jobs=jobs)
     if task.engine == "MC_RATIO":
         return run_mc_ratio_task(task, jobs=jobs)
-    if task.engine == "DEMO":
-        return run_discrepancy_demo(task)
-    raise RegistryError(f"unknown engine {task.engine!r}")
+    return run_discrepancy_demo(task)

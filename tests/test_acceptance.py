@@ -41,7 +41,6 @@ from divalg.verify import (
     run_discrepancy_demo,
     run_task,
 )
-from divalg.verify import _TriPoint, _tri_unpack  # white-box chart access
 
 KINDS = {1: "real", 2: "complex", 4: "quaternion", 8: "octonion"}
 JOBS = 4
@@ -211,7 +210,7 @@ def test_criterion_04_chart_pseudo_inverse_hermitian():
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
         point = extract_psd(s, 1)
         out = ChartSpec("psd", REAL, (2, 1), point.pivot)
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
         assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
 
@@ -234,7 +233,7 @@ def test_criterion_05_chart_pseudo_inverse_general():
         x = Mat(REAL, np.array([[[1.2]], [[0.9]]]))
         point = extract_rect(x, 1)
         out = ChartSpec("rect", REAL, (1, 2, 1), (point.col_pivot, point.row_pivot))
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
         assert val == pytest.approx(-4.0 * math.log(1.5), abs=1e-6)
 
 
@@ -267,14 +266,12 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         # hand oracle: gram map t -> t*t at m=2, q=1 has determinant 2*t11**2
         tri_spec = ChartSpec("tri", REAL, (1, 2))
         coords = np.array([1.3, 0.4])
-        t = _tri_unpack(coords[None], REAL, 1, 2)[0]
-        point = _TriPoint(tri_spec, coords, t)
         out = ChartSpec("psd", REAL, (2, 1), (0, 1))
 
         def gram(t: np.ndarray) -> np.ndarray:
             return mul_raw(ct_raw(t), t, 1)
 
-        val = chart_jacobian_logdet(gram, point, out)
+        val = chart_jacobian_logdet(gram, tri_spec, coords, out)
         assert val == pytest.approx(math.log(2.0 * 1.3**2), abs=1e-6)
 
         # hand oracle: rank-1 congruence x = b*yb has determinant (x11/y11)|det b|
@@ -294,7 +291,7 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         )
         point = extract_psd(y, 1, (0, 1))
         out = ChartSpec("psd", REAL, (2, 1), (0, 1))
-        val = chart_jacobian_logdet(congruence, point, out)
+        val = chart_jacobian_logdet(congruence, point.spec, point.coords, out)
         assert val == pytest.approx(expected, abs=1e-6)
 
         # diagonal oracle: b = diag(1, 2) gives a constant determinant of 8

@@ -3,24 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, QUATERNION, REAL
+from divalg import COMPLEX, QUATERNION, REAL, verify
 from divalg.charts import (
     PsdChartPoint,
     RectChartPoint,
+    assemble_sd_batch,
+    assemble_svd_batch,
     choose_pivot,
     complete_psd,
     complete_rect,
-    draw_factorized_valid,
     extract,
     extract_psd,
     extract_rect,
+    factorized_draw,
+    factorized_mass_log,
     hausdorff_density,
     psd_coord_count,
     rect_coord_count,
-    sample_factorized,
-    sample_factorized_batch,
     sample_stiefel_batch,
-    sample_stiefel_uniform,
     sd_density_log_batch,
     svd_density_log_batch,
 )
@@ -32,7 +32,7 @@ from divalg.errors import (
     SingularBlockError,
 )
 from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank
-from divalg.measures import FactorInput, decomposition_density_log
+from divalg.measures import FactorInput, decomposition_density_log, stiefel_volume_log
 
 KINDS = [REAL, COMPLEX, QUATERNION]
 
@@ -221,7 +221,7 @@ class TestStiefelSampling:
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(12)
         for kind in KINDS:
-            h = sample_stiefel_uniform(4, 2, kind, rng)
+            h = Mat(kind, sample_stiefel_batch(4, 2, kind, rng, 1)[0])
             gram = conj_transpose(h) @ h
             np.testing.assert_allclose(gram.data, Mat.eye(kind, 2).data, atol=1e-10)
 
@@ -251,15 +251,23 @@ class TestStiefelSampling:
         assert d_stat <= d_crit
 
 
+def _sd_draws(kind, m, q, box, gap, rng, count):
+    """Spectral-decomposition draws from the factorized sampler, weighted as
+    the engines weigh them: (matrices, log-weights, log-mass)."""
+    lam, (w1,) = factorized_draw(rng, box, q, (m,), kind, count)
+    logw = sd_density_log_batch(lam, kind.beta, m)
+    ok = verify._in_box_gap(lam, box[0], box[1], gap)
+    const = factorized_mass_log(box, q, (m,), kind.beta)
+    return assemble_sd_batch(w1, lam, kind.beta), np.where(ok, logw, -np.inf), const
+
+
 class TestFactorizedSampling:
     def test_sd_scalar_matches_quadrature(self):
         # m = q = 1: the weighted average over the factorized measure must
         # reproduce the plain integral of f over the eigenvalue box
         for kind in (REAL, COMPLEX):
             rng = np.random.default_rng(15)
-            data, logw, const = sample_factorized_batch(
-                "SD", kind, (1, 1), (1.0, 2.0), 1e-3, rng, 40000
-            )
+            data, logw, const = _sd_draws(kind, 1, 1, (1.0, 2.0), 1e-3, rng, 40000)
             f = data[:, 0, 0, 0] ** 2
             vals = f * np.exp(logw + const)
             est = vals.mean()
@@ -269,18 +277,19 @@ class TestFactorizedSampling:
     def test_sd_round_trip(self):
         rng = np.random.default_rng(16)
         for kind in KINDS:
-            mat, logw, _ = draw_factorized_valid("SD", kind, (3, 2), (1.0, 2.0), 1e-2, rng)
-            parts = eig_hermitian(mat, 2)
-            assert np.isfinite(logw)
+            data, logw, _ = _sd_draws(kind, 3, 2, (1.0, 2.0), 1e-2, rng, 256)
+            i = int(np.nonzero(np.isfinite(logw))[0][0])
+            parts = eig_hermitian(Mat(kind, data[i]), 2)
             assert np.all((parts.lam >= 0.99) & (parts.lam <= 2.01))
 
     def test_svd_plane_integral(self):
         # n=2, m=1, q=1, beta=1: the factorized measure with its Stiefel
         # masses integrates f over the annulus 1 <= |x| <= 2 in the plane
         rng = np.random.default_rng(17)
-        data, logw, const = sample_factorized_batch(
-            "SVD", REAL, (2, 1, 1), (1.0, 2.0), 1e-3, rng, 40000
-        )
+        d, (v1, w1) = factorized_draw(rng, (1.0, 2.0), 1, (2, 1), REAL, 40000)
+        data = assemble_svd_batch(v1, d, w1, 1)
+        logw = svd_density_log_batch(d, 1, 2, 1)
+        const = factorized_mass_log((1.0, 2.0), 1, (2, 1), 1)
         r2 = np.sum(data[:, :, 0, 0] ** 2, axis=1)
         vals = np.exp(-r2) * np.exp(logw + const)
         est = vals.mean()
@@ -290,21 +299,38 @@ class TestFactorizedSampling:
 
     def test_gap_rejection_gives_zero_weight(self):
         rng = np.random.default_rng(18)
-        data, logw, _ = sample_factorized_batch(
-            "SD", REAL, (2, 2), (1.0, 1.01), 0.5, rng, 32
-        )
+        data, logw, _ = _sd_draws(REAL, 2, 2, (1.0, 1.01), 0.5, rng, 32)
         assert np.all(np.isinf(logw) & (logw < 0))
         assert data.shape == (32, 2, 2, 1)
         with pytest.raises(ConfigurationError):
-            draw_factorized_valid("SD", REAL, (2, 2), (1.0, 1.01), 0.5, rng)
+            verify._reference_samples(
+                lambda rng, count: _sd_draws(REAL, 2, 2, (1.0, 1.01), 0.5, rng, count)[:2],
+                seed=0, task_code=2,
+            )
 
     def test_single_draw_api(self):
         rng = np.random.default_rng(19)
-        mat, logw, const = sample_factorized(
-            "SVD", QUATERNION, (3, 2, 2), (1.0, 2.0), 1e-3, rng
+        d, frames = factorized_draw(rng, (1.0, 2.0), 2, (3, 2), QUATERNION, 1)
+        assert d.shape == (1, 2) and d[0, 0] >= d[0, 1]
+        assert [f.shape for f in frames] == [(1, 3, 2, 4), (1, 2, 2, 4)]
+        assert isinstance(factorized_mass_log((1.0, 2.0), 2, (3, 2), 4), float)
+
+    def test_draw_order_and_mass_order_follow_dims(self):
+        # spectrum first, then one frame per dimension in the order given;
+        # the mass adds the Stiefel volumes in that same order
+        box, q, dims = (1.0, 2.0), 2, (3, 2)
+        spec, frames = factorized_draw(np.random.default_rng(23), box, q, dims, COMPLEX, 5)
+        rng = np.random.default_rng(23)
+        x = rng.uniform(1.0, 2.0, size=(5, q))
+        x.sort(axis=1)
+        np.testing.assert_array_equal(spec, x[:, ::-1])
+        for d, frame in zip(dims, frames):
+            np.testing.assert_array_equal(frame, sample_stiefel_batch(d, q, COMPLEX, rng, 5))
+        expected = (
+            q * math.log(1.0) - math.lgamma(q + 1)
+            + stiefel_volume_log(q, 3, 2) + stiefel_volume_log(q, 2, 2)
         )
-        assert mat.shape == (3, 2)
-        assert isinstance(logw, float) and isinstance(const, float)
+        assert factorized_mass_log(box, q, dims, 2) == expected
 
     def test_batch_density_matches_measures(self):
         lam = np.array([[2.0, 1.0], [1.7, 0.4]])
@@ -329,7 +355,7 @@ class TestFactorizedSampling:
     def test_bad_box_rejected(self):
         rng = np.random.default_rng(20)
         with pytest.raises(ConfigurationError):
-            sample_factorized("SD", REAL, (2, 1), (2.0, 1.0), 1e-3, rng)
+            factorized_draw(rng, (2.0, 1.0), 1, (2,), REAL, 1)
 
 
 def test_coordinate_counts():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from divalg.cli import TASK_NAMES, build_parser, main, preset_tasks
-from divalg.linalg import conj_transpose, load_matrix
-from divalg.verify import DEFAULT_ENGINE, REGISTRY
+from divalg.algebra import REAL
+from divalg.linalg import Mat, conj_transpose, load_matrix, save_matrix
+from divalg.verify import THEOREMS
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +167,24 @@ class TestSampleCommand:
         assert code == 2
         assert "conjectural" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["psd", "--m", "2", "--q", "1", "--lambda-hi", "inf"],
+        ["psd", "--m", "2", "--q", "1", "--lambda-lo", "2", "--lambda-hi", "1"],
+        ["psd", "--m", "2", "--q", "1", "--lambda-lo", "-3"],
+        ["rect", "--n", "2", "--m", "2", "--q", "1", "--lambda-lo", "nan"],
+        ["psd", "--m", "2", "--q", "0"],
+    ])
+    def test_bad_box_or_rank_is_usage_error(self, capsys, tmp_path, flags):
+        out_file = tmp_path / "s.json"
+        code, out, err = run_cli(
+            capsys, "sample", *flags, "--beta", "1", "--out", str(out_file)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
 
 class TestVerifyCommand:
     def test_chart_task_passes(self, capsys):
@@ -243,6 +262,49 @@ class TestVerifyCommand:
         assert err.startswith("error: step must be finite and positive")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--task", "sd", "--m", "2", "--q", "1", "--lambda-hi", "inf"], "eigenvalue box"),
+        (["--task", "sd", "--m", "2", "--q", "1", "--lambda-lo", "nan"], "eigenvalue box"),
+        (["--task", "sd", "--m", "2", "--q", "1", "--gap", "nan"], "gap must be finite"),
+        (["--task", "sd", "--m", "2", "--q", "1", "--gap", "inf"], "gap must be finite"),
+        (["--task", "mp-herm", "--m", "3", "--q", "2", "--points", "2", "--rtol", "nan"],
+         "rtol must be finite"),
+        (["--task", "mp-herm", "--m", "3", "--q", "2", "--points", "2", "--rtol", "inf"],
+         "rtol must be finite"),
+        (["--task", "mp-herm", "--m", "3", "--q", "2", "--points", "2", "--rtol=-1e-5"],
+         "rtol must be finite"),
+        (["--task", "w", "--n", "3", "--m", "2", "--q", "2", "--trials", "10000",
+          "--ztol", "nan"], "ztol must be finite"),
+        (["--task", "sd", "--m", "2", "--q", "1", "--cv-tol", "inf"], "cv_tol must be finite"),
+    ])
+    def test_non_finite_box_gap_and_tolerances_are_usage_errors(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "verify", "--beta", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["missing", "not-json", "no-header", "size", "beta"])
+    def test_bad_b_matrix_is_usage_error(self, capsys, tmp_path, case):
+        bfile = tmp_path / "b.json"
+        m, beta = "2", "1"
+        if case == "not-json":
+            bfile.write_text("B = diag(1, 2)\n")
+        elif case == "no-header":
+            bfile.write_text("{}\n")
+        elif case != "missing":
+            save_matrix(Mat(REAL, np.eye(2)[:, :, None]), bfile)
+            m, beta = ("3", "1") if case == "size" else ("2", "2")
+        code, out, err = run_cli(
+            capsys, "verify", "--task", "congruence-ns", "--beta", beta, "--m", m,
+            "--points", "2", "--b-matrix", str(bfile),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(bfile) in err
+        assert err.count("\n") == 1
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--task", "sd", "--beta", "1", "--m", "2", "--q", "1",
@@ -298,7 +360,7 @@ class TestVerifyAll:
         assert tasks == preset_tasks("desk", 42)
         assert len(tasks) > 50
         for task in tasks:
-            assert task.engine in REGISTRY[task.theorem_id]
+            assert task.engine in THEOREMS[task.theorem_id].engines
         names = {t.theorem_id for t in tasks}
         assert names == set(TASK_NAMES.values())
 
@@ -352,7 +414,7 @@ class TestVerifyAll:
 class TestParser:
     def test_every_task_name_maps_to_default_engine(self):
         for cli_name, theorem in TASK_NAMES.items():
-            assert theorem in DEFAULT_ENGINE
+            assert THEOREMS[theorem].default_engine in THEOREMS[theorem].engines
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

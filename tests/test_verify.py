@@ -17,8 +17,6 @@ from divalg.errors import (
 )
 from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank, save_matrix
 from divalg.verify import (
-    DEFAULT_ENGINE,
-    REGISTRY,
     THEOREMS,
     ChartSpec,
     Report,
@@ -45,8 +43,8 @@ class TestTaskSpec:
             if theorem in ("QR", "CHOL_X"):
                 kwargs["q"] = 3
             task = TaskSpec(**kwargs)
-            assert task.engine == DEFAULT_ENGINE[theorem]
-            assert task.engine in REGISTRY[theorem]
+            assert task.engine == THEOREMS[theorem].default_engine
+            assert task.engine in THEOREMS[theorem].engines
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(RegistryError):
@@ -116,6 +114,31 @@ class TestTaskSpec:
         assert TaskSpec(**{**doc, "eigen_box": tuple(doc["eigen_box"])}) == task
 
 
+def test_theorem_table_pins_codes_names_and_engines():
+    # the codes seed every substream: a changed or reordered code reseeds
+    # every report of that theorem
+    expected = {
+        "SVD": (1, "svd", ("MC_RATIO",), "MC_RATIO"),
+        "SD": (2, "sd", ("MC_RATIO",), "MC_RATIO"),
+        "W": (3, "w", ("MC_EQUALITY",), "MC_EQUALITY"),
+        "QR": (4, "qr", ("MC_RATIO",), "MC_RATIO"),
+        "CHOL": (5, "chol", ("CHART",), "CHART"),
+        "CHOL_X": (6, "chol-x", ("MC_RATIO",), "MC_RATIO"),
+        "MP_HERM": (7, "mp-herm", ("CHART", "MC_EQUALITY"), "CHART"),
+        "MP_RECT": (8, "mp-rect", ("CHART", "MC_EQUALITY"), "CHART"),
+        "UHLIG_SVD": (9, "uhlig-svd", ("MC_EQUALITY", "DEMO"), "MC_EQUALITY"),
+        "UHLIG_QR": (10, "uhlig-qr", ("CHART",), "CHART"),
+        "UHLIG_MP": (11, "uhlig-mp", ("MC_EQUALITY",), "MC_EQUALITY"),
+        "CONGRUENCE_NS": (12, "congruence-ns", ("CHART",), "CHART"),
+    }
+    got = {
+        name: (t.code, t.cli_name, t.engines, t.default_engine)
+        for name, t in THEOREMS.items()
+    }
+    assert got == expected
+    assert list(THEOREMS) == list(expected)
+
+
 class TestTestFunctions:
     def test_deterministic(self):
         samples = np.random.default_rng(0).normal(size=(64, 2, 2, 1))
@@ -157,20 +180,20 @@ class TestChartClosedForms:
         s = Mat(REAL, assemble_sd_batch(w1, lam, 1)[0])
         point = extract_psd(s, 1)
         out = ChartSpec("psd", REAL, (3, 1), point.pivot)
-        val = chart_jacobian_logdet(lambda a: a, point, out)
+        val = chart_jacobian_logdet(lambda a: a, point.spec, point.coords, out)
         assert abs(val) < 1e-8
 
     def test_non_finite_map_output_is_rejected(self):
         point = extract_psd(Mat(REAL, np.array([[[2.0]]])), 1)
         out = ChartSpec("psd", REAL, (1, 1), point.pivot)
         with pytest.raises(ValueError, match="finite"):
-            chart_jacobian_logdet(lambda a: a * np.nan, point, out)
+            chart_jacobian_logdet(lambda a: a * np.nan, point.spec, point.coords, out)
 
     def test_scalar_inverse(self):
         s = Mat(REAL, np.array([[[2.0]]]))
         point = extract_psd(s, 1)
         out = ChartSpec("psd", REAL, (1, 1), point.pivot)
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
         assert val == pytest.approx(math.log(0.25), abs=1e-8)
 
     def test_rank_one_pseudo_inverse_quartic_law(self):
@@ -182,7 +205,7 @@ class TestChartClosedForms:
             s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
             point = extract_psd(s, 1)
             out = ChartSpec("psd", REAL, (2, 1), point.pivot)
-            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out)
+            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
             assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
     def test_pseudo_inverse_pivot_invariance(self):
@@ -194,7 +217,8 @@ class TestChartClosedForms:
         for pivot in ((0, 1), (1, 0)):
             point = extract_psd(s, 1, pivot)
             out = ChartSpec("psd", REAL, (2, 1), pivot)
-            vals.append(chart_jacobian_logdet(partial(pinv_batch, beta=1), point, out))
+            inverse = partial(pinv_batch, beta=1)
+            vals.append(chart_jacobian_logdet(inverse, point.spec, point.coords, out))
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
     def test_pseudo_inverse_scale_homogeneity(self):
@@ -207,7 +231,8 @@ class TestChartClosedForms:
             s = Mat(COMPLEX, scale * base)
             point = extract_psd(s, 1)
             out = ChartSpec("psd", COMPLEX, (2, 1), point.pivot)
-            vals.append(chart_jacobian_logdet(partial(pinv_batch, beta=2), point, out))
+            inverse = partial(pinv_batch, beta=2)
+            vals.append(chart_jacobian_logdet(inverse, point.spec, point.coords, out))
         # beta=2, m=2, q=1: exponent beta(-2m+q+1)-2 = -6
         assert vals[1] - vals[0] == pytest.approx(-6.0 * math.log(c), abs=1e-6)
 
@@ -486,13 +511,12 @@ CHART_CASES = [
 @pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
 def test_batched_jacobian_matches_per_perturbation_loop(theorem, sizes):
     task = TaskSpec(theorem_id=theorem, beta=4, points=3, seed=11, **sizes)
-    sample = verify._chart_problem(task)
+    sample = verify._problem(task)
     mat_map = _loop_map(task)
     for i in range(task.points):
-        rng = verify._substream(task.seed, verify.TASK_CODES[theorem], verify._SIDE_POINTS, i)
-        point, map_batch, out_spec, _, _ = sample(rng)
-        in_spec, coords0 = verify._point_spec(point)
-        batched = verify._jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
+        rng = verify._substream(task.seed, THEOREMS[theorem].code, verify._SIDE_POINTS, i)
+        (in_spec, coords0), map_batch, out_spec, _, _ = sample(rng)
+        batched = verify.chart_jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
         looped = _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, task.step)
         assert batched == pytest.approx(looped, abs=1e-8)
 
@@ -506,7 +530,7 @@ def test_one_chart_point_makes_one_completion_and_one_map_call(monkeypatch, theo
         calls["complete"] += 1
         return complete(self, coords)
 
-    problem = verify._chart_problem
+    problem = verify._problem
 
     def counted_problem(task):
         sample = problem(task)
@@ -523,7 +547,7 @@ def test_one_chart_point_makes_one_completion_and_one_map_call(monkeypatch, theo
         return counted_sample
 
     monkeypatch.setattr(ChartSpec, "complete_batch", counted_complete)
-    monkeypatch.setattr(verify, "_chart_problem", counted_problem)
+    monkeypatch.setattr(verify, "_problem", counted_problem)
     rep = run_task(TaskSpec(theorem_id=theorem, beta=4, points=1, seed=12, **sizes))
     assert rep.passed
     assert calls == {"complete": 1, "map": 1}
