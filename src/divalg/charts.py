@@ -11,7 +11,10 @@ the ambient inner product Re tr(A*B)), and samplers for the factorized
 measures (spectrum box x uniform Stiefel frames).
 
 Everything is written batch-first on raw coefficient arrays; the public
-single-point API wraps batches of one.
+single-point API wraps batches of one.  The block inverses of completion
+(S11^{-1}, X11^{-1}) and their positivity and conditioning checks run on the
+blocks' complex form (linalg.complex_raw): side q for beta <= 2 and 2q for
+beta=4, where the real embedding has side beta*q.
 """
 from __future__ import annotations
 
@@ -31,7 +34,15 @@ from .errors import (
     SingularBlockError,
     UnsupportedAlgebraError,
 )
-from .linalg import Mat, conj_raw, ct_raw, embed_raw, fold_raw, mul_raw
+from .linalg import (
+    Mat,
+    complex_fold,
+    complex_raw,
+    conj_raw,
+    ct_raw,
+    hermitian_part,
+    mul_raw,
+)
 from .measures import LOG2, LOGPI, stiefel_volume_log, tau
 
 DEFAULT_FD_STEP = 1e-5
@@ -218,25 +229,25 @@ def _psd_pack(s11, s12, kind: AlgebraKind, m: int, q: int) -> np.ndarray:
 
 
 def _inv_hermitian_block(s11: np.ndarray, beta: int) -> np.ndarray:
-    """Batched inverse of Hermitian PD blocks, with positivity check."""
-    e = embed_raw(s11, beta)
-    e = (e + np.swapaxes(e, -1, -2)) / 2.0
-    eig = np.linalg.eigvalsh(e)
+    """Batched inverse of Hermitian PD blocks on their complex form, with
+    positivity check."""
+    c = hermitian_part(complex_raw(s11, beta))
+    eig = np.linalg.eigvalsh(c)
     top = float(np.abs(eig).max()) if eig.size else 0.0
     if float(eig.min()) <= 1e-12 * max(top, 1.0):
         raise NotPsdError(
             f"S11 block is not positive definite (min eigenvalue {eig.min():.3e})"
         )
-    return fold_raw(np.linalg.inv(e), beta)
+    return complex_fold(np.linalg.inv(c), beta)
 
 
 def _inv_general_block(x11: np.ndarray, beta: int) -> np.ndarray:
-    e = embed_raw(x11, beta)
-    sv = np.linalg.svd(e, compute_uv=False)
+    c = complex_raw(x11, beta)
+    sv = np.linalg.svd(c, compute_uv=False)
     top = np.maximum(sv[..., 0], 1e-300)
     if float((sv[..., -1] / top).min()) <= BLOCK_COND_TOL:
         raise SingularBlockError("X11 block is numerically singular")
-    return fold_raw(np.linalg.inv(e), beta)
+    return complex_fold(np.linalg.inv(c), beta)
 
 
 def complete_psd_batch(

@@ -140,25 +140,31 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None) -> bool:
+    """Write text to the file out, or to stdout when out is None.  A file
+    that cannot be written prints one error line and gives False."""
+    if not out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        _fail_usage(f"cannot write {out}: {exc.strerror or exc}")
+        return False
+    return True
 
 
-def _write_report(report: Report, fmt: str, out: str | None) -> None:
+def _write_report(report: Report, fmt: str, out: str | None) -> bool:
     if fmt == "json":
-        _emit(report.to_json(indent=2) + "\n", out)
-    elif fmt == "csv":
-        _emit(_records_to_csv(list(report.records)), out)
-    else:
-        header = (
-            f"task={report.task.theorem_id} engine={report.engine} "
-            f"beta={report.task.beta} pass={report.passed}\n"
-        )
-        _emit(header + _records_to_table(list(report.records)), out)
+        return _emit(report.to_json(indent=2) + "\n", out)
+    if fmt == "csv":
+        return _emit(_records_to_csv(list(report.records)), out)
+    header = (
+        f"task={report.task.theorem_id} engine={report.engine} "
+        f"beta={report.task.beta} pass={report.passed}\n"
+    )
+    return _emit(header + _records_to_table(list(report.records)), out)
 
 
 def _exit_for_error(exc: Exception) -> int:
@@ -181,7 +187,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = run_task(task, jobs=_jobs_from_args(args))
     except Exception as exc:  # noqa: BLE001 -- mapped to exit codes
         return _exit_for_error(exc)
-    _write_report(report, args.format, args.out)
+    if not _write_report(report, args.format, args.out):
+        return 2
     return 0 if report.passed else 1
 
 
@@ -275,7 +282,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         "runtime_ms": int((time.perf_counter() - start) * 1000),
     }
     if args.format == "json":
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        written = _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     else:
         rows = []
         for item in results:
@@ -295,7 +302,9 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
             )
         text = _records_to_csv(rows) if args.format == "csv" else _records_to_table(rows)
         summary = f"pass={passed} failed={n_fail} inconclusive={n_inconclusive}\n"
-        _emit(text + summary if args.format != "csv" else text, args.out)
+        written = _emit(text + summary if args.format != "csv" else text, args.out)
+    if not written:
+        return 2
     if n_fail:
         return 1
     if n_inconclusive:
@@ -406,7 +415,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
             data = assemble_svd_batch(v1, d, w1, args.beta)[0]
     except DivalgError as exc:
         return _fail_usage(str(exc))
-    save_matrix(Mat(kind, data), args.out)
+    try:
+        save_matrix(Mat(kind, data), args.out)
+    except OSError as exc:
+        return _fail_usage(f"cannot write {args.out}: {exc.strerror or exc}")
     print(f"wrote {args.space} sample to {args.out}")
     return 0
 
@@ -425,7 +437,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         report = run_task(task)
     except Exception as exc:  # noqa: BLE001
         return _exit_for_error(exc)
-    _write_report(report, args.format, args.out)
+    if not _write_report(report, args.format, args.out):
+        return 2
     return 0 if report.passed else 1
 
 

@@ -1,13 +1,16 @@
 """Nonsingular parts of the matrix decompositions.
 
 Rank-q SVD, spectral decomposition, QR with positive diagonal, rank-q
-Cholesky, and the Moore-Penrose inverse, over beta <= 4.  Eigen and singular
-value problems are solved on the real embedding, where each algebra
-eigenvalue appears as a multiplet of beta equal real values; one real
-eigenvector per multiplet folds back to an algebra eigenvector because the
-eigenspace is a right module over the algebra.  QR and Cholesky run natively
-over the algebra (modified Gram-Schmidt and row-by-row elimination), which
-only needs associativity.
+Cholesky, and the Moore-Penrose inverse, over beta <= 4.  The single-matrix
+eigen and singular value problems (eig_hermitian, svd_rank_q) are solved on
+the real embedding, where each algebra eigenvalue appears as a multiplet of
+beta equal real values; one real eigenvector per multiplet folds back to an
+algebra eigenvector because the eigenspace is a right module over the
+algebra.  The batched pinv_batch works on the complex form (complex_raw),
+where the multiplets have size r = complex_multiplicity(beta): 1 for beta
+<= 2 and 2 for the quaternion adjoint.  QR and Cholesky run natively over
+the algebra (modified Gram-Schmidt and row-by-row elimination), which only
+needs associativity.
 """
 from __future__ import annotations
 
@@ -26,11 +29,12 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    complex_fold,
+    complex_multiplicity,
+    complex_raw,
     conj_raw,
     ct_raw,
-    embed_raw,
     embedding_rank,
-    fold_raw,
     is_hermitian,
     mul_raw,
     real_embed,
@@ -94,23 +98,23 @@ def _fold_real_vector(u: np.ndarray, m: int, beta: int) -> np.ndarray:
     return u.reshape(m, beta)
 
 
-def _group_multiplets(values: np.ndarray, beta: int) -> np.ndarray:
-    """Means of consecutive groups of beta values along the last axis (sorted descending)."""
-    if values.shape[-1] % beta:
-        raise InternalConsistencyError("spectrum size is not a multiple of beta")
-    return values.reshape(values.shape[:-1] + (-1, beta)).mean(axis=-1)
+def _group_multiplets(values: np.ndarray, r: int) -> np.ndarray:
+    """Means of consecutive groups of r values along the last axis (sorted descending)."""
+    if values.shape[-1] % r:
+        raise InternalConsistencyError(f"spectrum size is not a multiple of r={r}")
+    return values.reshape(values.shape[:-1] + (-1, r)).mean(axis=-1)
 
 
-def _check_multiplet_spread(values: np.ndarray, beta: int) -> None:
-    """Each row of a (B, r*beta) spectrum splits into multiplets of beta equal values."""
-    groups = values.reshape(values.shape[0], -1, beta)
+def _check_multiplet_spread(values: np.ndarray, r: int) -> None:
+    """Each row of a (B, k*r) spectrum splits into multiplets of r equal values."""
+    groups = values.reshape(values.shape[0], -1, r)
     spread = values.max(axis=1) - values.min(axis=1)
     within = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
     bad = (spread > 0) & (within > MULTIPLET_SPREAD_FACTOR * spread + 1e-12)
     if np.any(bad):
         b = int(np.argmax(bad))
         raise InternalConsistencyError(
-            f"eigenvalue multiplets of size beta={beta} did not separate cleanly "
+            f"eigenvalue multiplets of size r={r} did not separate cleanly "
             f"(within-group spread {within[b]:.3e} vs total {spread[b]:.3e})"
         )
 
@@ -133,26 +137,28 @@ def _check_gaps(
 
 
 def _check_singular_values(
-    sv: np.ndarray, beta: int, q: int | None = None, gap_tol: float | None = None
+    sv: np.ndarray, r: int, q: int | None = None, gap_tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Checks on (B, r*beta) descending singular values of real embeddings.
+    """Checks on (B, k*r) descending singular values of a representation that
+    repeats each algebra singular value r times (beta for the real embedding,
+    complex_multiplicity(beta) for the complex form).
 
-    Returns the ranks q (B,) and the multiplet means d (B, r).  With q None
+    Returns the ranks q (B,) and the multiplet means d (B, k).  With q None
     each rank is counted at 1e-10 (embedding_rank) and must agree with the
     count of multiplets above 1e-8 * largest; a given q must equal that count.
     Kept values must be gapped (DegenerateSpectrumError) and every multiplet
     tight (InternalConsistencyError).
     """
-    d = _group_multiplets(sv, beta)
+    d = _group_multiplets(sv, r)
     top = d[:, 0]
-    qs = embedding_rank(sv, beta) if q is None else np.full(d.shape[0], q)
+    qs = embedding_rank(sv, r) if q is None else np.full(d.shape[0], q)
     positive = np.sum(d > 1e-8 * top[:, None], axis=1)
     wrong = positive != qs
     if np.any(wrong):
         b = int(np.argmax(wrong))
         raise RankError(f"matrix has numerical rank {positive[b]}, expected q={qs[b]}")
     _check_gaps(d, qs, top, gap_tol, "singular value")
-    _check_multiplet_spread(sv, beta)
+    _check_multiplet_spread(sv, r)
     return qs, d
 
 
@@ -193,7 +199,7 @@ def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
         u = vecs[:, i * beta]
         x = _fold_real_vector(u, m, beta)
         cols[:, i, :] = _col_scalar_mul(x, _phase_unit(x), beta)
-    _assert_orthonormal(cols, beta)
+    _assert_orthonormal(complex_raw(cols, beta))
     w1 = Mat(s.kind, cols)
     return EigParts(w1=w1, lam=lam_groups[:q].copy())
 
@@ -220,20 +226,18 @@ def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
         wcols[:, i, :] = wv
         xv = mul_raw(x.data, wv[:, None, :], beta)[:, 0, :]
         vcols[:, i, :] = xv / d[i]
-    _assert_orthonormal(vcols, beta)
-    _assert_orthonormal(wcols, beta)
+    _assert_orthonormal(complex_raw(vcols, beta))
+    _assert_orthonormal(complex_raw(wcols, beta))
     back = mul_raw(vcols * d[None, :, None], ct_raw(wcols), beta)
     _assert_residual(x.data[None], back[None], "SVD")
     return SvdParts(v1=Mat(x.kind, vcols), d=d, w1=Mat(x.kind, wcols))
 
 
-def _assert_orthonormal(u: np.ndarray, beta: int, tol: float = 1e-9) -> None:
-    """Columns of (..., n, q, beta) coefficient arrays are orthonormal over the algebra."""
-    g = mul_raw(ct_raw(u), u, beta)
-    eye = np.zeros(g.shape[-3:])
-    idx = np.arange(g.shape[-3])
-    eye[idx, idx, 0] = 1.0
-    err = float(np.abs(g - eye).max())
+def _assert_orthonormal(u: np.ndarray, tol: float = 1e-9) -> None:
+    """Columns of (..., n, q) real or complex matrices are orthonormal; pass
+    complex_raw(u, beta) for columns over the algebra."""
+    g = np.swapaxes(u.conj(), -1, -2) @ u
+    err = float(np.abs(g - np.eye(g.shape[-1])).max())
     if err > tol:
         raise InternalConsistencyError(f"columns lost orthonormality (error {err:.3e})")
 
@@ -278,7 +282,7 @@ def qr_positive(x: Mat, q: int) -> QrParts:
     for j in range(q, m):
         for i in range(q):
             t[i, j, :] = _col_inner(h[:, i, :], x.data[:, j, :], beta)
-    _assert_orthonormal(h, beta)
+    _assert_orthonormal(complex_raw(h, beta))
     _assert_residual(x.data[None], mul_raw(h, t, beta)[None], "QR")
     return QrParts(h1=Mat(x.kind, h), t=Mat(x.kind, t))
 
@@ -328,23 +332,25 @@ def cholesky_rank_q(s: Mat, q: int) -> Mat:
 def pinv_batch(data: np.ndarray, beta: int, gap_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverses of a batch, (B, n, m, beta) -> (B, m, n, beta).
 
-    One SVD of the stacked real embeddings E = U diag(s) V^T: the embedding
-    of X+ is V diag(1/s) U^T over each matrix's kept singular values (its
-    rank q), folded back with fold_raw.  Every matrix passes the checks of
-    _check_singular_values, the thin singular vectors must be orthonormal and
-    U diag(s) V^T must reproduce E; zero matrices map to zeros.
+    One SVD of the stacked complex forms C = U diag(s) V* (complex_raw, in
+    which each algebra singular value appears r = complex_multiplicity(beta)
+    times): the form of X+ is V diag(1/s) U* over each matrix's kept singular
+    values (its rank q), folded back with complex_fold.  Every matrix passes
+    the checks of _check_singular_values, the thin singular vectors must be
+    orthonormal and U diag(s) V* must reproduce C; zero matrices map to zeros.
     """
     _require_assoc(beta, "pinv")
-    e = embed_raw(data, beta)
-    u, sv, vt = np.linalg.svd(e, full_matrices=False)
-    q, _ = _check_singular_values(sv, beta, gap_tol=gap_tol)
-    v = np.swapaxes(vt, -1, -2)
-    _assert_orthonormal(u[..., None], 1)
-    _assert_orthonormal(v[..., None], 1)
-    kept = np.arange(sv.shape[1]) < beta * q[:, None]
-    _assert_residual(e, (u * np.where(kept, sv, 0.0)[:, None, :]) @ vt, "SVD")
+    r = complex_multiplicity(beta)
+    c = complex_raw(data, beta)
+    u, sv, vh = np.linalg.svd(c, full_matrices=False)
+    q, _ = _check_singular_values(sv, r, gap_tol=gap_tol)
+    v = np.swapaxes(vh, -1, -2).conj()
+    _assert_orthonormal(u)
+    _assert_orthonormal(v)
+    kept = np.arange(sv.shape[1]) < r * q[:, None]
+    _assert_residual(c, (u * np.where(kept, sv, 0.0)[:, None, :]) @ vh, "SVD")
     inv_s = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
-    return fold_raw((v * inv_s[:, None, :]) @ np.swapaxes(u, -1, -2), beta)
+    return complex_fold((v * inv_s[:, None, :]) @ np.swapaxes(u, -1, -2).conj(), beta)
 
 
 def pinv(x: Mat, gap_tol: float | None = None) -> Mat:

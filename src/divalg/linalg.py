@@ -1,11 +1,17 @@
 """Dense matrices over a division algebra.
 
 A matrix is stored as an (n, m, beta) float64 array of coefficients plus an
-algebra tag.  For beta <= 4 the left-regular representation turns each entry
-into a beta x beta real block; determinants, ranks and inverses are computed
-on that embedding and folded back.  Octonion matrices support construction,
-addition, conjugation and entrywise products only: non-associativity breaks
-the embedding.
+algebra tag.  For beta <= 4 two representations turn a matrix into an
+ordinary one.  The left-regular representation (embed_raw) makes each entry
+a beta x beta real block; it is the algebra-product kernel, and the
+single-matrix determinant, rank and inverse below use it.  The complex form
+(complex_raw) is the smallest faithful one: the real matrix for beta=1, the
+n x m complex matrix for beta=2 and the 2n x 2m complex adjoint for beta=4,
+in which every algebra eigenvalue or singular value appears
+complex_multiplicity(beta) times instead of beta times; the batched spectra,
+inverses, Cholesky factors and log-determinants of the engines run on it.
+Octonion matrices support construction, addition, conjugation and entrywise
+products only: non-associativity breaks both representations.
 """
 from __future__ import annotations
 
@@ -67,6 +73,72 @@ def fold_raw(e: np.ndarray, beta: int) -> np.ndarray:
     n, m = e.shape[-2] // beta, e.shape[-1] // beta
     blocks = e.reshape(e.shape[:-2] + (n, beta, m, beta))
     return np.moveaxis(blocks[..., :, :, :, 0], -2, -1)
+
+
+def complex_multiplicity(beta: int) -> int:
+    """How often complex_raw's form repeats each algebra eigenvalue or
+    singular value: 2 for the quaternion adjoint, else 1."""
+    return 2 if beta == 4 else 1
+
+
+def complex_raw(a: np.ndarray, beta: int) -> np.ndarray:
+    """Smallest faithful complex form, (..., n, m, beta) -> (..., r*n, r*m).
+
+    beta=1: the real (n, m) matrix; beta=2: the complex matrix a0 + i a1, a
+    view where the coefficient axis is contiguous; beta=4: the complex
+    adjoint, in embed_raw's interleaved block layout, where the entry
+    p + q j (p = a0 + i a1, q = a2 + i a3) becomes [[p, -q], [conj q, conj p]].
+    It is a homomorphism, complex_raw(mul_raw(a, b)) = complex_raw(a) @
+    complex_raw(b), and it maps ct_raw to the conjugate transpose.
+    """
+    if beta == 1:
+        return a[..., 0]
+    if beta == 2:
+        return _pair_view(a)[..., 0]
+    if beta == 4:
+        n, m = a.shape[-3], a.shape[-2]
+        z = _pair_view(a)
+        p, q = z[..., 0], z[..., 1]
+        out = np.empty(a.shape[:-3] + (n, 2, m, 2), dtype=complex)
+        out[..., 0, :, 0] = p
+        out[..., 0, :, 1] = -q
+        out[..., 1, :, 0] = q.conj()
+        out[..., 1, :, 1] = p.conj()
+        return out.reshape(a.shape[:-3] + (2 * n, 2 * m))
+    raise UnsupportedAlgebraError("complex_raw requires an associative algebra (beta <= 4)")
+
+
+def complex_fold(c: np.ndarray, beta: int) -> np.ndarray:
+    """Inverse of complex_raw; for beta=4 reads the first column of each 2 x 2 block."""
+    if beta == 1:
+        return c[..., None]
+    if beta == 2:
+        return np.ascontiguousarray(c).view(np.float64).reshape(c.shape + (2,))
+    if beta == 4:
+        n, m = c.shape[-2] // 2, c.shape[-1] // 2
+        p, q_conj = c[..., 0::2, 0::2], c[..., 1::2, 0::2]
+        out = np.empty(c.shape[:-2] + (n, m, 4))
+        out[..., 0] = p.real
+        out[..., 1] = p.imag
+        out[..., 2] = q_conj.real
+        # an assignment, not np.negative(..., out=...): numpy 2.4.6 writes
+        # wrong values into some small strided out= views
+        out[..., 3] = -q_conj.imag
+        return out
+    raise UnsupportedAlgebraError("complex_fold requires an associative algebra (beta <= 4)")
+
+
+def hermitian_part(c: np.ndarray) -> np.ndarray:
+    """(C + C*) / 2 of batched real or complex matrices."""
+    return (c + np.swapaxes(c, -1, -2).conj()) / 2.0
+
+
+def _pair_view(a: np.ndarray) -> np.ndarray:
+    """Coefficient pairs (a0 + i a1, a2 + i a3, ...) as complex128, a view
+    where the last axis is contiguous float64."""
+    if a.dtype != np.float64 or a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+    return a.view(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -211,21 +283,23 @@ def numerical_rank(a: Mat, tol: float = 1e-10) -> int:
     return int(embedding_rank(sv[None], a.kind.beta, tol)[0])
 
 
-def embedding_rank(sv: np.ndarray, beta: int, tol: float = 1e-10) -> np.ndarray:
-    """Ranks in algebra units from (B, r) descending real-embedding singular values.
+def embedding_rank(sv: np.ndarray, r: int, tol: float = 1e-10) -> np.ndarray:
+    """Ranks in algebra units from (B, k) descending singular values of a
+    representation that repeats each algebra singular value r times (beta for
+    embed_raw, complex_multiplicity(beta) for complex_raw).
 
     Counts the values above tol * largest (none for a zero matrix); each count
-    must be a multiple of beta, since every algebra singular value is a
-    multiplet of beta equal real ones.
+    must be a multiple of r, since every algebra singular value is a multiplet
+    of r equal ones.
     """
     count = np.sum(sv > tol * sv[:, :1], axis=1)
-    off = count % beta != 0
+    off = count % r != 0
     if np.any(off):
         raise InternalConsistencyError(
-            f"embedding rank {count[off][0]} is not a multiple of beta={beta}; "
+            f"embedding rank {count[off][0]} is not a multiple of r={r}; "
             "rank threshold falls inside a singular-value multiplet"
         )
-    return count // beta
+    return count // r
 
 
 def mat_inv(a: Mat) -> Mat:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -72,10 +71,12 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    complex_fold,
+    complex_multiplicity,
+    complex_raw,
     conj_transpose,
     ct_raw,
-    embed_raw,
-    fold_raw,
+    hermitian_part,
     load_matrix,
     mat_inv,
     mul_raw,
@@ -414,18 +415,18 @@ def _draw_b(task: TaskSpec) -> Mat:
 
 
 def _spectra_batch(data: np.ndarray, kind: AlgebraKind, top: int) -> np.ndarray:
-    """Top eigenvalue multiplet means, descending, of batched Hermitian matrices."""
-    e = embed_raw(data, kind.beta)
-    e = (e + np.swapaxes(e, -1, -2)) / 2.0
-    w = np.linalg.eigvalsh(e)
-    groups = w.reshape(w.shape[0], -1, kind.beta).mean(axis=2)
+    """Top eigenvalue multiplet means, descending, of batched Hermitian
+    matrices, from their complex form."""
+    w = np.linalg.eigvalsh(hermitian_part(complex_raw(data, kind.beta)))
+    groups = w.reshape(w.shape[0], -1, complex_multiplicity(kind.beta)).mean(axis=2)
     return groups[:, ::-1][:, :top]
 
 
 def _sv_batch(data: np.ndarray, kind: AlgebraKind, top: int) -> np.ndarray:
-    """Top singular-value multiplet means, descending, of batched matrices."""
-    sv = np.linalg.svd(embed_raw(data, kind.beta), compute_uv=False)
-    groups = sv.reshape(sv.shape[0], -1, kind.beta).mean(axis=2)
+    """Top singular-value multiplet means, descending, of batched matrices,
+    from their complex form."""
+    sv = np.linalg.svd(complex_raw(data, kind.beta), compute_uv=False)
+    groups = sv.reshape(sv.shape[0], -1, complex_multiplicity(kind.beta)).mean(axis=2)
     return groups[:, :top]
 
 
@@ -443,13 +444,11 @@ def _desc_inverse(spec: np.ndarray) -> np.ndarray:
 
 
 def _min_eig_block(s11: np.ndarray, beta: int) -> np.ndarray:
-    e = embed_raw(s11, beta)
-    e = (e + np.swapaxes(e, -1, -2)) / 2.0
-    return np.linalg.eigvalsh(e)[:, 0]
+    return np.linalg.eigvalsh(hermitian_part(complex_raw(s11, beta)))[:, 0]
 
 
 def _min_sv_block(x11: np.ndarray, beta: int) -> np.ndarray:
-    return np.linalg.svd(embed_raw(x11, beta), compute_uv=False)[:, -1]
+    return np.linalg.svd(complex_raw(x11, beta), compute_uv=False)[:, -1]
 
 
 def _congruence_batch(bct: np.ndarray, data: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
@@ -513,10 +512,14 @@ def _mc_estimate(
 
 def _reference_samples(side_fn, seed: int, task_code: int, count: int = 512) -> np.ndarray:
     rng = _substream(seed, task_code, _SIDE_REFERENCE, 0)
-    data, logw = side_fn(rng, count)
+    return _valid_draws(*side_fn(rng, count), "reference")
+
+
+def _valid_draws(data: np.ndarray, logw: np.ndarray, what: str) -> np.ndarray:
+    """The draws with a finite log-weight; ConfigurationError when none is left."""
     good = np.isfinite(logw)
     if not np.any(good):
-        raise ConfigurationError("no valid reference samples; widen the box or gap")
+        raise ConfigurationError(f"no valid {what} samples; widen the box or gap")
     return data[good]
 
 
@@ -620,6 +623,15 @@ def _spectrum_gap(spec: np.ndarray) -> float:
     return float((extended[:-1] - extended[1:]).min())
 
 
+def _gap_margin(gap_at: float, gap: float) -> float | None:
+    """Smallest spectral gap at a CHART point over the task's gap tolerance;
+    None where the point has no spectral gap (CHOL) or the tolerance is 0.
+    Below about 10 the finite differences may be ill-conditioned."""
+    if math.isinf(gap_at) or gap == 0.0:
+        return None
+    return float(gap_at / gap)
+
+
 def _pivoted_chol_det(s: Mat, rank: int, pivot) -> float:
     """sdet(T1* T1) for the Cholesky factor of the pivoted matrix."""
     pv = np.asarray(pivot, dtype=int)
@@ -641,13 +653,6 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
     def do_point(i: int) -> dict:
         rng = _substream(task.seed, code, _SIDE_POINTS, i)
         (in_spec, coords0), map_batch, out_spec, analytic, gap_at = sampler(rng)
-        if gap_at < 10.0 * task.gap:
-            warnings.warn(
-                f"point {i}: spectral gap {gap_at:.3e} is within 10x the gap "
-                f"tolerance; finite differences may be ill-conditioned",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         numeric = chart_jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
         tol = max(task.rtol * abs(analytic), ABS_LOG_FLOOR)
         err = abs(numeric - analytic)
@@ -657,6 +662,7 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
             "numeric_log": float(numeric),
             "abs_err": float(err),
             "tol": float(tol),
+            "gap_margin": _gap_margin(gap_at, task.gap),
             "pass": bool(err <= tol),
         }
 
@@ -822,34 +828,35 @@ def _uhlig_equality(task: TaskSpec):
     # subspace distribution of image points -- and divides by its density
     # relative to the uniform frame measure,
     #   sdet(Sigma)^{-beta n/2} sdet(H^* Sigma^{-1} H)^{-beta m/2},
-    # with Sigma = B^* B.  With B = I this reduces to uniform frames.
-    ebct = embed_raw(bct, beta)
-    eb_inv_ct = embed_raw(b_inv_ct, beta)
+    # with Sigma = B^* B.  With B = I this reduces to uniform frames.  The
+    # frames are whitened on complex forms; the log-determinant of the real
+    # embedding is beta / r times that of the complex form.
+    cbct = complex_raw(bct, beta)
+    cb_inv_ct = complex_raw(b_inv_ct, beta)
+    ld_scale = beta // complex_multiplicity(beta)
 
     def lhs(rng, count):
         u = rng.uniform(size=(count, n))
         lam_x = box_lo + u * (box_hi - box_lo)
         sorted_ok = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
         g = rng.standard_normal(size=(count, m, n, kind.beta))
-        ez = ebct[None] @ embed_raw(g, beta)
-        gram_z = np.swapaxes(ez, -1, -2) @ ez
-        gram_z = 0.5 * (gram_z + np.swapaxes(gram_z, -1, -2))
-        w_z, u_z = np.linalg.eigh(gram_z)
+        cz = cbct[None] @ complex_raw(g, beta)
+        w_z, u_z = np.linalg.eigh(hermitian_part(np.swapaxes(cz.conj(), -1, -2) @ cz))
         inv_sqrt = (u_z * (1.0 / np.sqrt(w_z))[..., None, :]) @ np.swapaxes(
-            u_z, -1, -2
+            u_z.conj(), -1, -2
         )
-        h = fold_raw(ez @ inv_sqrt, beta)
+        ch = cz @ inv_sqrt
+        h = complex_fold(ch, beta)
         x = assemble_sd_batch(h, lam_x, beta)
         z = _congruence_batch(b_inv_ct, x, b_inv.data, beta)
         z_spec = _spectra_batch(z, kind, n)
         lam_y = _desc_inverse(z_spec) if mp else z_spec
         ok = _in_box_gap(lam_y, lo, hi, gap) & sorted_ok
-        t = eb_inv_ct[None] @ (ez @ inv_sqrt)
-        gram_h = np.swapaxes(t, -1, -2) @ t
-        _, ld = np.linalg.slogdet(gram_h)
+        t = cb_inv_ct[None] @ ch
+        _, ld = np.linalg.slogdet(np.swapaxes(t.conj(), -1, -2) @ t)
         with np.errstate(invalid="ignore"):
             logw = sd_density_log_batch(lam_x, beta, m)
-        logw = logw + beta * n * det_b_log + 0.5 * m * ld
+        logw = logw + beta * n * det_b_log + 0.5 * m * ld_scale * ld
         return x, np.where(ok, logw, -np.inf)
 
     lhs_const = float(np.log(box_hi - box_lo).sum()) + stiefel_volume_log(
@@ -962,9 +969,7 @@ def _sd_ratio(task: TaskSpec):
         logw = sd_density_log_batch(lam, beta, m)
         return s, np.where(_in_box_gap(lam, lo, hi, gap), logw, -np.inf)
 
-    pilot_s, pilot_w = fact_raw(_pilot(task), 4096)
-    good = np.isfinite(pilot_w)
-    pilot_coords = spec.extract_batch(pilot_s[good])
+    pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
     s11_p, _ = _psd_unpack(pilot_coords, kind, m, q)
     eps = 0.9 * float(np.quantile(_min_eig_block(s11_p, beta), 0.05))
@@ -1010,9 +1015,7 @@ def _svd_ratio(task: TaskSpec):
         logw = svd_density_log_batch(d, beta, n, m)
         return x, np.where(_in_box_gap(d, lo, hi, gap), logw, -np.inf)
 
-    pilot_x, pilot_w = fact_raw(_pilot(task), 4096)
-    good = np.isfinite(pilot_w)
-    pilot_coords = spec.extract_batch(pilot_x[good])
+    pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
     if q < min(n, m):
         x11_p = _rect_unpack(pilot_coords, kind, n, m, q)[0]
@@ -1114,8 +1117,10 @@ def _chol_x_ratio(task: TaskSpec):
     eps = 0.9 * float(np.quantile(_spectra_batch(pilot_s, kind, m)[:, -1], 0.05))
 
     def chol_factor(s: np.ndarray) -> np.ndarray:
-        c = np.linalg.cholesky(embed_raw(s, beta))
-        return fold_raw(np.swapaxes(c, -1, -2), beta)
+        """T with S = T*T: the complex form of T is L* for the lower
+        Cholesky factor L of S's complex form."""
+        c = np.linalg.cholesky(complex_raw(s, beta))
+        return complex_fold(np.swapaxes(c.conj(), -1, -2), beta)
 
     def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
         return mul_raw(h1, chol_factor(s), beta)
@@ -1124,8 +1129,8 @@ def _chol_x_ratio(task: TaskSpec):
     x_box = _quantile_box(x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
 
     def s_log_sdet(s: np.ndarray) -> np.ndarray:
-        sign, logabs = np.linalg.slogdet(embed_raw(s, beta))
-        return logabs / beta
+        _, logabs = np.linalg.slogdet(complex_raw(s, beta))
+        return logabs / complex_multiplicity(beta)
 
     def fact_fn(rng, count):
         s_coords = _uniform_in_box(rng, s_box, count)

@@ -284,6 +284,19 @@ class TestVerifyCommand:
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("task", [
+        ["--task", "sd", "--m", "2", "--q", "2"],
+        ["--task", "svd", "--n", "2", "--m", "2", "--q", "2"],
+    ])
+    def test_gap_that_keeps_no_pilot_draw_is_usage_error(self, capsys, task):
+        code, out, err = run_cli(
+            capsys, "verify", *task, "--beta", "1", "--lambda-lo", "1", "--lambda-hi", "1.01",
+            "--gap", "0.5", "--trials", "10000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no valid pilot samples; widen the box or gap\n"
+
     @pytest.mark.parametrize("case", ["missing", "not-json", "no-header", "size", "beta"])
     def test_bad_b_matrix_is_usage_error(self, capsys, tmp_path, case):
         bfile = tmp_path / "b.json"
@@ -409,6 +422,25 @@ class TestVerifyAll:
         with pytest.raises(SystemExit) as exc:
             main(["verify-all", "--preset", "weekly"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--task", "mp-herm", "--beta", "1", "--m", "2", "--q", "1", "--points", "2"],
+    ["verify-all"],
+    ["demo"],
+    ["sample", "psd", "--beta", "1", "--m", "2", "--q", "1"],
+])
+def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    import divalg.cli as cli
+    from divalg.verify import TaskSpec
+
+    tiny = [TaskSpec(theorem_id="CONGRUENCE_NS", beta=1, m=2, points=2, seed=1)]
+    monkeypatch.setattr(cli, "preset_tasks", lambda preset, seed: tiny)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 class TestParser:

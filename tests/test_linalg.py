@@ -13,8 +13,13 @@ from divalg.errors import (
 )
 from divalg.linalg import (
     Mat,
+    complex_fold,
+    complex_multiplicity,
+    complex_raw,
     conj_transpose,
+    ct_raw,
     embed_raw,
+    hermitian_part,
     fold_embedding,
     frobenius_norm,
     inner_re,
@@ -89,6 +94,109 @@ def test_embed_raw_is_bit_identical_to_oracle(beta):
     assert np.array_equal(embed_raw(a, beta), _einsum_embed(a, beta))
     view = a[:, :, ::2]
     assert np.array_equal(embed_raw(view, beta), _einsum_embed(view, beta))
+
+
+# ---------------------------------------------------------------------------
+# the complex form, pinned to embed_raw
+
+EMBED_BETAS = (1, 2, 4)
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((3, 2), (2, 4)),
+        ((6, 3, 3), (3, 3)),
+        ((5, 1, 2, 3), (4, 3, 2)),  # batch axes broadcast to (5, 4)
+    ],
+)
+def test_complex_raw_is_a_homomorphism(beta, a_shape, b_shape):
+    rng = np.random.default_rng(30 + beta)
+    a = rng.normal(size=a_shape + (beta,))
+    b = rng.normal(size=b_shape + (beta,))
+    want = complex_raw(mul_raw(a, b, beta), beta)
+    got = complex_raw(a, beta) @ complex_raw(b, beta)
+    r = complex_multiplicity(beta)
+    assert got.shape[-2:] == (r * a_shape[-2], r * b_shape[-1])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+@pytest.mark.parametrize("shape", [(3, 1, 1), (2, 3, 2), (5, 4, 2, 3)])
+def test_complex_fold_inverts_complex_raw(beta, shape):
+    rng = np.random.default_rng(40 + beta)
+    a = rng.normal(size=shape + (beta,))
+    # the coefficient axis last and contiguous, and moved there from the front
+    moved = np.moveaxis(rng.normal(size=(beta,) + shape), 0, -1)
+    for x in (a, a[..., ::-1, :, :], moved):
+        c = complex_raw(x, beta)
+        assert c.dtype == (np.float64 if beta == 1 else np.complex128)
+        assert np.array_equal(complex_fold(c, beta), x)
+        # a fresh (contiguous) copy of the form folds back too
+        assert np.array_equal(complex_fold(c.copy(), beta), x)
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+def test_complex_raw_maps_ct_raw_to_conjugate_transpose(beta):
+    rng = np.random.default_rng(50 + beta)
+    a = rng.normal(size=(4, 3, 2, beta))
+    want = np.swapaxes(complex_raw(a, beta).conj(), -1, -2)
+    assert np.array_equal(complex_raw(ct_raw(a), beta), want)
+
+
+def _hermitian_pd_batch(rng, batch, m, beta):
+    g = rng.normal(size=(batch, m + 1, m, beta))
+    s = mul_raw(ct_raw(g), g, beta)
+    return (s + ct_raw(s)) / 2.0
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+def test_complex_form_spectra_match_embedding_multiplets(beta):
+    rng = np.random.default_rng(60 + beta)
+    r = complex_multiplicity(beta)
+    s = _hermitian_pd_batch(rng, 6, 3, beta)
+    e = embed_raw(s, beta)
+    w_real = np.linalg.eigvalsh((e + np.swapaxes(e, -1, -2)) / 2.0)
+    w_cx = np.linalg.eigvalsh(hermitian_part(complex_raw(s, beta)))
+    np.testing.assert_allclose(
+        w_cx.reshape(6, 3, r).mean(axis=2), w_real.reshape(6, 3, beta).mean(axis=2),
+        rtol=0, atol=1e-12 * np.abs(w_real).max(),
+    )
+    x = rng.normal(size=(2, 3, 4, 2, beta))  # batch (2, 3) of 4 x 2 matrices
+    sv_real = np.linalg.svd(embed_raw(x, beta), compute_uv=False)
+    sv_cx = np.linalg.svd(complex_raw(x, beta), compute_uv=False)
+    np.testing.assert_allclose(
+        sv_cx.reshape(2, 3, 2, r).mean(axis=-1), sv_real.reshape(2, 3, 2, beta).mean(axis=-1),
+        rtol=0, atol=1e-12 * sv_real.max(),
+    )
+    # the real embedding's log-determinant is beta / r times the complex form's
+    _, ld_real = np.linalg.slogdet(e)
+    _, ld_cx = np.linalg.slogdet(complex_raw(s, beta))
+    np.testing.assert_allclose(beta // r * ld_cx, ld_real, rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+def test_complex_form_cholesky_is_the_upper_factor(beta):
+    rng = np.random.default_rng(70 + beta)
+    m = 3
+    s = _hermitian_pd_batch(rng, 5, m, beta)
+    low = np.linalg.cholesky(complex_raw(s, beta))
+    t = complex_fold(np.swapaxes(low.conj(), -1, -2), beta)
+    scale = np.abs(s).max()
+    np.testing.assert_allclose(mul_raw(ct_raw(t), t, beta), s, rtol=0, atol=1e-12 * scale)
+    below = np.tril_indices(m, -1)
+    assert np.all(t[:, below[0], below[1], :] == 0.0)
+    diag = t[:, np.arange(m), np.arange(m), :]
+    assert np.all(diag[..., 0] > 0.0)
+    np.testing.assert_allclose(diag[..., 1:], 0.0, atol=1e-12 * scale)
+
+
+def test_complex_form_rejects_octonions():
+    with pytest.raises(UnsupportedAlgebraError):
+        complex_raw(np.ones((2, 2, 2, 8)), 8)
+    with pytest.raises(UnsupportedAlgebraError):
+        complex_fold(np.ones((2, 4, 4), dtype=complex), 8)
 
 
 def test_identity_matmul():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -15,7 +16,16 @@ from divalg.errors import (
     RegistryError,
     UnsupportedAlgebraError,
 )
-from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank, save_matrix
+from divalg.charts import rect_coord_count
+from divalg.linalg import (
+    Mat,
+    complex_multiplicity,
+    conj_transpose,
+    ct_raw,
+    mul_raw,
+    numerical_rank,
+    save_matrix,
+)
 from divalg.verify import (
     THEOREMS,
     ChartSpec,
@@ -453,6 +463,57 @@ def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
         TaskSpec(theorem_id="SD", beta=4, m=2, q=1, engine="MC_RATIO", trials=10_000, seed=6)
     )
     assert ratio.records
+
+
+def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
+    """Batched eigenvalue, SVD, inverse, Cholesky and log-determinant calls
+    get the complex form of side r*k, never a real embedding of side beta*k;
+    the one real batched call is the Hausdorff Gram of the chart coordinates."""
+    calls = []
+    for name in ("eigvalsh", "svd", "eigh", "inv", "slogdet", "cholesky"):
+        def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            arr = np.asarray(a)
+            calls.append((_name, arr.dtype.kind, arr.shape))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    tasks = [
+        TaskSpec(theorem_id="SVD", beta=4, n=3, m=2, q=1, engine="MC_RATIO",
+                 trials=10_000, seed=6),
+        TaskSpec(theorem_id="UHLIG_SVD", beta=2, m=3, n=2, b_source="identity",
+                 trials=10_000, seed=7),
+        TaskSpec(theorem_id="MP_HERM", beta=4, m=3, q=2, points=2, seed=5),
+    ]
+    gram_side = rect_coord_count(3, 2, 1, 4)
+    for task in tasks:
+        calls.clear()
+        run_task(task)
+        batched = [c for c in calls if len(c[2]) >= 3]
+        assert batched, task
+        r = complex_multiplicity(task.beta)
+        for name, kind, shape in batched:
+            if kind == "c":
+                assert shape[-2] % r == 0 and shape[-1] % r == 0, (task, name, shape)
+            else:
+                assert task.beta == 4 and task.engine == "MC_RATIO", (task, name, shape)
+                assert (name, shape[-2:]) == ("slogdet", (gram_side, gram_side))
+
+
+def test_chart_records_carry_the_gap_margin():
+    """The margin of each point's spectral gap over the gap tolerance is a
+    record field, in place of a RuntimeWarning (point 1 here sits at 5.9)."""
+    task = TaskSpec(theorem_id="CONGRUENCE_NS", beta=1, m=2, points=2, seed=42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run_task(task)
+    sampler = verify._problem(task)
+    for rec in rep.records:
+        rng = verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, rec["point"])
+        gap_at = sampler(rng)[-1]
+        assert rec["gap_margin"] == gap_at / task.gap
+    assert min(r["gap_margin"] for r in rep.records) < 10.0
+    chol = run_task(TaskSpec(theorem_id="CHOL", beta=1, m=2, q=1, points=2, seed=42))
+    assert all(r["gap_margin"] is None for r in chol.records)
+    json.dumps(chol.to_dict(), allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
