@@ -13,8 +13,8 @@ measures (spectrum box x uniform Stiefel frames).
 Everything is written batch-first on raw coefficient arrays; the public
 single-point API wraps batches of one.  The block inverses of completion
 (S11^{-1}, X11^{-1}) and their positivity and conditioning checks run on the
-blocks' complex form (linalg.complex_raw): side q for beta <= 2 and 2q for
-beta=4, where the real embedding has side beta*q.
+small-block kernels of linalg: closed forms for q = 1 (and q = 2 for S11),
+LAPACK on the blocks' complex form (linalg.complex_raw) otherwise.
 """
 from __future__ import annotations
 
@@ -36,12 +36,13 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    complex_fold,
-    complex_raw,
     conj_raw,
     ct_raw,
-    hermitian_part,
+    eigvalsh_raw,
+    inv_hermitian_raw,
+    inv_raw,
     mul_raw,
+    svdvals_raw,
 )
 from .measures import LOG2, LOGPI, stiefel_volume_log, tau
 
@@ -229,25 +230,22 @@ def _psd_pack(s11, s12, kind: AlgebraKind, m: int, q: int) -> np.ndarray:
 
 
 def _inv_hermitian_block(s11: np.ndarray, beta: int) -> np.ndarray:
-    """Batched inverse of Hermitian PD blocks on their complex form, with
-    positivity check."""
-    c = hermitian_part(complex_raw(s11, beta))
-    eig = np.linalg.eigvalsh(c)
+    """Batched inverse of Hermitian PD blocks, with positivity check."""
+    eig = eigvalsh_raw(s11, beta)
     top = float(np.abs(eig).max()) if eig.size else 0.0
     if float(eig.min()) <= 1e-12 * max(top, 1.0):
         raise NotPsdError(
             f"S11 block is not positive definite (min eigenvalue {eig.min():.3e})"
         )
-    return complex_fold(np.linalg.inv(c), beta)
+    return inv_hermitian_raw(s11, beta)
 
 
 def _inv_general_block(x11: np.ndarray, beta: int) -> np.ndarray:
-    c = complex_raw(x11, beta)
-    sv = np.linalg.svd(c, compute_uv=False)
+    sv = svdvals_raw(x11, beta)
     top = np.maximum(sv[..., 0], 1e-300)
     if float((sv[..., -1] / top).min()) <= BLOCK_COND_TOL:
         raise SingularBlockError("X11 block is numerically singular")
-    return complex_fold(np.linalg.inv(c), beta)
+    return inv_raw(x11, beta)
 
 
 def complete_psd_batch(

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    _group_multiplets,
     complex_fold,
     complex_multiplicity,
     complex_raw,
@@ -96,13 +97,6 @@ def _phase_unit(col: np.ndarray) -> np.ndarray:
 def _fold_real_vector(u: np.ndarray, m: int, beta: int) -> np.ndarray:
     """Reinterpret a real embedding vector of length m*beta as (m, beta) coefficients."""
     return u.reshape(m, beta)
-
-
-def _group_multiplets(values: np.ndarray, r: int) -> np.ndarray:
-    """Means of consecutive groups of r values along the last axis (sorted descending)."""
-    if values.shape[-1] % r:
-        raise InternalConsistencyError(f"spectrum size is not a multiple of r={r}")
-    return values.reshape(values.shape[:-1] + (-1, r)).mean(axis=-1)
 
 
 def _check_multiplet_spread(values: np.ndarray, r: int) -> None:

@@ -8,8 +8,13 @@ single-matrix determinant, rank and inverse below use it.  The complex form
 (complex_raw) is the smallest faithful one: the real matrix for beta=1, the
 n x m complex matrix for beta=2 and the 2n x 2m complex adjoint for beta=4,
 in which every algebra eigenvalue or singular value appears
-complex_multiplicity(beta) times instead of beta times; the batched spectra,
-inverses, Cholesky factors and log-determinants of the engines run on it.
+complex_multiplicity(beta) times instead of beta times.  The small-block
+kernels (eigvalsh_raw, svdvals_raw, inv_raw, inv_hermitian_raw,
+logdet_hermitian_raw, inv_sqrt_hermitian_raw) give the engines' batched
+spectra, inverses, log-determinants and whitening on coefficient arrays:
+closed forms for blocks of side 1 (single rows and columns for singular
+values) and Hermitian blocks of side 2, LAPACK on the complex form for the
+rest (and for the batched Cholesky factors).
 Octonion matrices support construction, addition, conjugation and entrywise
 products only: non-associativity breaks both representations.
 """
@@ -131,6 +136,147 @@ def complex_fold(c: np.ndarray, beta: int) -> np.ndarray:
 def hermitian_part(c: np.ndarray) -> np.ndarray:
     """(C + C*) / 2 of batched real or complex matrices."""
     return (c + np.swapaxes(c, -1, -2).conj()) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Batched small-block kernels on coefficient arrays, (..., n, n, beta) for
+# any beta <= 4.  Blocks of side 1 and 2 take closed forms; larger blocks run
+# LAPACK on complex_raw and average each multiplet of r equal values.  The
+# 2 x 2 Hermitian forms hold over H with the real invariants tr and
+# det = ad - |b|^2 (Zhang 1997, LAA 251), since the diagonal is real.
+
+
+def _abs_raw(x: np.ndarray) -> np.ndarray:
+    """|x| of (..., beta) algebra entries, scaled by the largest coefficient
+    so that entries near 1e+-200 neither overflow nor underflow."""
+    top = np.abs(x).max(axis=-1)
+    safe = np.where(top > 0.0, top, 1.0)
+    return safe * np.sqrt(np.sum((x / safe[..., None]) ** 2, axis=-1))
+
+
+def _herm2(a: np.ndarray):
+    """The Hermitian parts of (..., 2, 2, beta) blocks as scale * [[p, b],
+    [conj b, d]]: returns (scale, p, d, b, |b|^2), scale the largest
+    absolute coefficient (1 for a zero block)."""
+    b = (a[..., 0, 1, :] + conj_raw(a[..., 1, 0, :])) / 2.0
+    p, d = a[..., 0, 0, 0], a[..., 1, 1, 0]
+    scale = np.maximum(np.maximum(np.abs(p), np.abs(d)), np.abs(b).max(axis=-1))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    b = b / scale[..., None]
+    return scale, p / scale, d / scale, b, np.sum(b * b, axis=-1)
+
+
+def _adj2(shape, p, d, b, shift, den) -> np.ndarray:
+    """(adj [[p, b], [conj b, d]] + shift I) / den as (..., 2, 2, beta) blocks."""
+    out = np.zeros(shape)
+    out[..., 0, 0, 0] = (d + shift) / den
+    out[..., 1, 1, 0] = (p + shift) / den
+    out[..., 0, 1, :] = -b / den[..., None]
+    out[..., 1, 0, :] = -conj_raw(b) / den[..., None]
+    return out
+
+
+def _single(values: np.ndarray, beta: int) -> np.ndarray:
+    """(..., 1, 1, beta) blocks holding the real scalars values."""
+    out = np.zeros(values.shape + (1, 1, beta))
+    out[..., 0, 0, 0] = values
+    return out
+
+
+def _group_multiplets(values: np.ndarray, r: int) -> np.ndarray:
+    """Means of consecutive groups of r values along the last axis: the
+    algebra spectrum of a sorted complex_raw spectrum with r = complex_multiplicity."""
+    if values.shape[-1] % r:
+        raise InternalConsistencyError(f"spectrum size is not a multiple of r={r}")
+    return values.reshape(values.shape[:-1] + (-1, r)).mean(axis=-1)
+
+
+def eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
+    """Ascending eigenvalues (..., n) of the Hermitian parts of (..., n, n,
+    beta) blocks.
+
+    Side 2: with s = (p + d)/2 and r = sqrt(((p - d)/2)^2 + |b|^2), the
+    non-cancelling root s + r (s - r when s < 0), and the other one as
+    det / that root; a zero block gives zeros.
+    """
+    n = a.shape[-2]
+    if n == 1:
+        return a[..., 0, :, 0].copy()
+    if n == 2:
+        scale, p, d, _, bb = _herm2(a)
+        s = (p + d) / 2.0
+        r = np.sqrt(((p - d) / 2.0) ** 2 + bb)
+        big = np.where(s >= 0.0, s + r, s - r)
+        small = np.divide(p * d - bb, big, out=np.zeros_like(big), where=big != 0.0)
+        lo, hi = np.where(s >= 0.0, small, big), np.where(s >= 0.0, big, small)
+        return np.stack([lo, hi], axis=-1) * scale[..., None]
+    w = np.linalg.eigvalsh(hermitian_part(complex_raw(a, beta)))
+    return _group_multiplets(w, complex_multiplicity(beta))
+
+
+def svdvals_raw(a: np.ndarray, beta: int) -> np.ndarray:
+    """Descending singular values (..., min(n, m)) of (..., n, m, beta)
+    blocks; a single row or column has one, its norm."""
+    n, m = a.shape[-3], a.shape[-2]
+    if min(n, m) == 1:
+        return _abs_raw(a.reshape(a.shape[:-3] + (n * m * beta,)))[..., None]
+    sv = np.linalg.svd(complex_raw(a, beta), compute_uv=False)
+    return _group_multiplets(sv, complex_multiplicity(beta))
+
+
+def inv_raw(a: np.ndarray, beta: int) -> np.ndarray:
+    """Inverses of nonsingular (..., n, n, beta) blocks; side 1 is
+    conj(x) / |x|^2."""
+    if a.shape[-2] == 1:
+        nrm = _abs_raw(a)[..., None]
+        return conj_raw(a) / nrm / nrm
+    return complex_fold(np.linalg.inv(complex_raw(a, beta)), beta)
+
+
+def inv_hermitian_raw(a: np.ndarray, beta: int) -> np.ndarray:
+    """Inverses of the Hermitian parts of nonsingular (..., n, n, beta)
+    blocks; side 2 is the adjugate [[d, -b], [-conj b, p]] over the
+    determinant."""
+    n = a.shape[-2]
+    if n == 1:
+        return _single(1.0 / a[..., 0, 0, 0], beta)
+    if n == 2:
+        scale, p, d, b, bb = _herm2(a)
+        return _adj2(a.shape, p, d, b, 0.0, (p * d - bb) * scale)
+    return complex_fold(np.linalg.inv(hermitian_part(complex_raw(a, beta))), beta)
+
+
+def logdet_hermitian_raw(a: np.ndarray, beta: int) -> np.ndarray:
+    """log |det| (..., ) of the Hermitian parts of (..., n, n, beta) blocks,
+    in algebra units: the log of the product of the n eigenvalues, so
+    beta times it is the log-determinant of the real embedding."""
+    n = a.shape[-2]
+    if n == 1:
+        return np.log(np.abs(a[..., 0, 0, 0]))
+    if n == 2:
+        scale, p, d, _, bb = _herm2(a)
+        return np.log(np.abs(p * d - bb)) + 2.0 * np.log(scale)
+    _, logabs = np.linalg.slogdet(hermitian_part(complex_raw(a, beta)))
+    return logabs / complex_multiplicity(beta)
+
+
+def inv_sqrt_hermitian_raw(a: np.ndarray, beta: int) -> np.ndarray:
+    """M^(-1/2) of Hermitian positive definite (..., n, n, beta) blocks M.
+
+    Side 2: sqrt(M) = (M + delta I) / sqrt(tr M + 2 delta) with delta =
+    sqrt(det M), so M^(-1/2) = (adj M + delta I) / (delta sqrt(tr M + 2 delta)).
+    """
+    n = a.shape[-2]
+    if n == 1:
+        return _single(1.0 / np.sqrt(a[..., 0, 0, 0]), beta)
+    if n == 2:
+        scale, p, d, b, bb = _herm2(a)
+        delta = np.sqrt(p * d - bb)
+        den = delta * np.sqrt(p + d + 2.0 * delta) * np.sqrt(scale)
+        return _adj2(a.shape, p, d, b, delta, den)
+    w, u = np.linalg.eigh(hermitian_part(complex_raw(a, beta)))
+    c = (u * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+    return complex_fold(c, beta)
 
 
 def _pair_view(a: np.ndarray) -> np.ndarray:

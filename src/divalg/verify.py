@@ -20,6 +20,11 @@ Three engines, each matched to the measure semantics a formula lives in:
   fiber volume for the spectral factorizations, so the reported constant is a
   pure geometric normalization.
 
+The UHLIG MC_EQUALITY samplers never diagonalize an m x m image: a rank-n
+image A A* has the nonzero spectrum of the n x n matrix A* A, so the right
+side takes it from A = B* W Lambda^(1/2) and the left side from
+Lambda_x^(1/2) T* T Lambda_x^(1/2), the Gram its frame weight already forms.
+
 Every theorem is one row of THEOREMS: its fixed RNG code, CLI name, size
 rule, factor family and one problem builder per engine that checks it.
 
@@ -72,16 +77,18 @@ from .errors import (
 from .linalg import (
     Mat,
     complex_fold,
-    complex_multiplicity,
     complex_raw,
     conj_transpose,
     ct_raw,
-    hermitian_part,
+    eigvalsh_raw,
+    inv_sqrt_hermitian_raw,
+    logdet_hermitian_raw,
     load_matrix,
     mat_inv,
     mul_raw,
     sdet,
     sdet_log,
+    svdvals_raw,
 )
 from .measures import (
     FactorInput,
@@ -414,22 +421,6 @@ def _draw_b(task: TaskSpec) -> Mat:
     return b
 
 
-def _spectra_batch(data: np.ndarray, kind: AlgebraKind, top: int) -> np.ndarray:
-    """Top eigenvalue multiplet means, descending, of batched Hermitian
-    matrices, from their complex form."""
-    w = np.linalg.eigvalsh(hermitian_part(complex_raw(data, kind.beta)))
-    groups = w.reshape(w.shape[0], -1, complex_multiplicity(kind.beta)).mean(axis=2)
-    return groups[:, ::-1][:, :top]
-
-
-def _sv_batch(data: np.ndarray, kind: AlgebraKind, top: int) -> np.ndarray:
-    """Top singular-value multiplet means, descending, of batched matrices,
-    from their complex form."""
-    sv = np.linalg.svd(complex_raw(data, kind.beta), compute_uv=False)
-    groups = sv.reshape(sv.shape[0], -1, complex_multiplicity(kind.beta)).mean(axis=2)
-    return groups[:, :top]
-
-
 def _in_box_gap(spec: np.ndarray, lo: float, hi: float, gap: float) -> np.ndarray:
     """Mask: spectra (B, q), descending, inside [lo, hi] with consecutive gaps >= gap."""
     ok = np.all((spec >= lo) & (spec <= hi), axis=1)
@@ -441,14 +432,6 @@ def _in_box_gap(spec: np.ndarray, lo: float, hi: float, gap: float) -> np.ndarra
 def _desc_inverse(spec: np.ndarray) -> np.ndarray:
     """1/spec of a descending positive spectrum, again descending."""
     return (1.0 / spec)[:, ::-1]
-
-
-def _min_eig_block(s11: np.ndarray, beta: int) -> np.ndarray:
-    return np.linalg.eigvalsh(hermitian_part(complex_raw(s11, beta)))[:, 0]
-
-
-def _min_sv_block(x11: np.ndarray, beta: int) -> np.ndarray:
-    return np.linalg.svd(complex_raw(x11, beta), compute_uv=False)[:, -1]
 
 
 def _congruence_batch(bct: np.ndarray, data: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
@@ -474,7 +457,9 @@ def _mc_estimate(
 
     side_fn(rng, count) -> (data, logw).  Returns (means, stderrs), each of
     shape (len(test_fns),).  Blocks are fixed-size and reduced in index
-    order, so results do not depend on the worker count.
+    order, so results do not depend on the worker count.  A mean or stderr
+    that leaves the float range raises InconclusiveStatisticsError: a NaN
+    stderr would pass every stderr gate.
     """
     n_fns = len(test_fns)
     sizes = [BLOCK_SIZE] * (trials // BLOCK_SIZE)
@@ -488,10 +473,11 @@ def _mc_estimate(
         with np.errstate(over="ignore"):
             w = np.exp(logw + log_const)
         out = np.empty((n_fns, 2))
-        for k, fn in enumerate(test_fns):
-            v = fn(data) * w
-            out[k, 0] = v.sum()
-            out[k, 1] = np.dot(v, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, fn in enumerate(test_fns):
+                v = fn(data) * w
+                out[k, 0] = v.sum()
+                out[k, 1] = np.dot(v, v)
         return out
 
     tasks = list(enumerate(sizes))
@@ -505,8 +491,14 @@ def _mc_estimate(
         total += part
     n = float(trials)
     means = total[:, 0] / n
-    var = np.maximum(total[:, 1] - n * means**2, 0.0) / max(n - 1.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.maximum(total[:, 1] - n * means**2, 0.0) / max(n - 1.0, 1.0)
     stderrs = np.sqrt(var / n)
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stderrs))):
+        raise InconclusiveStatisticsError(
+            "Monte Carlo mean or stderr is not finite (the weights leave the "
+            "float range); narrow or rescale the eigenvalue box"
+        )
     return means, stderrs
 
 
@@ -782,21 +774,25 @@ def _uhlig_equality(task: TaskSpec):
     kind, beta, m, n, gap = task.kind, task.beta, task.m, task.n, task.gap
     lo, hi = task.eigen_box
     b = _draw_b(task)
-    b_inv = mat_inv(b)
     det_b_log = sdet_log(b)
     e = beta * (m - n - 1) / 2.0 + 1.0
     mp = task.theorem_id == "UHLIG_MP"
     lam_exp = -(beta * (3 * m - n - 1) / 2.0 + 1.0) if mp else -e
     bct = ct_raw(b.data)
-    b_inv_ct = ct_raw(b_inv.data)
+    b_inv_ct = ct_raw(mat_inv(b).data)
 
     def image_batch(rng, count):
-        """Draw from the right-hand measure; returns (x, delta, lam, gap_ok)."""
+        """Draw from the right-hand measure; returns (x, delta, lam, gap_ok).
+
+        x = B* W Lambda W* B is A A* for A = B* W Lambda^(1/2), so its top n
+        eigenvalues are the spectrum of the n x n matrix A* A."""
         lam, (w1,) = factorized_draw(rng, task.eigen_box, n, (m,), kind, count)
         spectrum = 1.0 / lam if mp else lam
-        y_like = assemble_sd_batch(w1, spectrum, beta)
-        x = _congruence_batch(bct, y_like, b.data, beta)
-        delta = _spectra_batch(x, kind, n)
+        a = mul_raw(bct, w1 * np.sqrt(spectrum)[:, None, :, None], beta)
+        a_ct = ct_raw(a)
+        x = mul_raw(a, a_ct, beta)
+        x = (x + ct_raw(x)) / 2.0
+        delta = eigvalsh_raw(mul_raw(a_ct, a, beta), beta)[:, ::-1]
         return x, delta, lam, _in_box_gap(lam, lo, hi, gap)
 
     # Both sides are additionally restricted to per-position spectral
@@ -829,34 +825,29 @@ def _uhlig_equality(task: TaskSpec):
     # relative to the uniform frame measure,
     #   sdet(Sigma)^{-beta n/2} sdet(H^* Sigma^{-1} H)^{-beta m/2},
     # with Sigma = B^* B.  With B = I this reduces to uniform frames.  The
-    # frames are whitened on complex forms; the log-determinant of the real
-    # embedding is beta / r times that of the complex form.
-    cbct = complex_raw(bct, beta)
-    cb_inv_ct = complex_raw(b_inv_ct, beta)
-    ld_scale = beta // complex_multiplicity(beta)
+    # frame is Z (Z* Z)^(-1/2) for Z = B* G.  With T = B^{-*} H, H^*
+    # Sigma^{-1} H = T* T, and the preimage z = T Lambda_x T* has the
+    # spectrum of the n x n matrix Lambda_x^(1/2) T* T Lambda_x^(1/2).
 
     def lhs(rng, count):
         u = rng.uniform(size=(count, n))
         lam_x = box_lo + u * (box_hi - box_lo)
         sorted_ok = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
         g = rng.standard_normal(size=(count, m, n, kind.beta))
-        cz = cbct[None] @ complex_raw(g, beta)
-        w_z, u_z = np.linalg.eigh(hermitian_part(np.swapaxes(cz.conj(), -1, -2) @ cz))
-        inv_sqrt = (u_z * (1.0 / np.sqrt(w_z))[..., None, :]) @ np.swapaxes(
-            u_z.conj(), -1, -2
-        )
-        ch = cz @ inv_sqrt
-        h = complex_fold(ch, beta)
+        z = mul_raw(bct, g, beta)
+        h = mul_raw(z, inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta), beta)
         x = assemble_sd_batch(h, lam_x, beta)
-        z = _congruence_batch(b_inv_ct, x, b_inv.data, beta)
-        z_spec = _spectra_batch(z, kind, n)
+        t = mul_raw(b_inv_ct, h, beta)
+        tt = mul_raw(ct_raw(t), t, beta)
+        root = np.sqrt(lam_x)
+        z_spec = eigvalsh_raw(
+            tt * (root[:, :, None] * root[:, None, :])[..., None], beta
+        )[:, ::-1]
         lam_y = _desc_inverse(z_spec) if mp else z_spec
         ok = _in_box_gap(lam_y, lo, hi, gap) & sorted_ok
-        t = cb_inv_ct[None] @ ch
-        _, ld = np.linalg.slogdet(np.swapaxes(t.conj(), -1, -2) @ t)
         with np.errstate(invalid="ignore"):
             logw = sd_density_log_batch(lam_x, beta, m)
-        logw = logw + beta * n * det_b_log + 0.5 * m * ld_scale * ld
+        logw = logw + beta * n * det_b_log + 0.5 * m * beta * logdet_hermitian_raw(tt, beta)
         return x, np.where(ok, logw, -np.inf)
 
     lhs_const = float(np.log(box_hi - box_lo).sum()) + stiefel_volume_log(
@@ -972,18 +963,18 @@ def _sd_ratio(task: TaskSpec):
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
     s11_p, _ = _psd_unpack(pilot_coords, kind, m, q)
-    eps = 0.9 * float(np.quantile(_min_eig_block(s11_p, beta), 0.05))
+    eps = 0.9 * float(np.quantile(eigvalsh_raw(s11_p, beta)[:, 0], 0.05))
 
     def common_mask(coords: np.ndarray) -> np.ndarray:
         ok = _coords_in_box(coords, box)
         s11, _ = _psd_unpack(coords, kind, m, q)
-        ok &= _min_eig_block(s11, beta) >= eps
+        ok &= eigvalsh_raw(s11, beta)[:, 0] >= eps
         return ok
 
     def chart_fn(rng, count):
         coords = _uniform_in_box(rng, box, count)
         s11, _ = _psd_unpack(coords, kind, m, q)
-        valid = _min_eig_block(s11, beta) >= eps
+        valid = eigvalsh_raw(s11, beta)[:, 0] >= eps
         data = np.zeros((count, m, m, beta))
         data[:, np.arange(m), np.arange(m), 0] = 1.0
         logw = np.full(count, -np.inf)
@@ -991,7 +982,8 @@ def _sd_ratio(task: TaskSpec):
             sub = coords[valid]
             data[valid] = spec.complete_batch(sub)
             hlog = hausdorff_density_log_batch(spec, sub, task.step)
-            spec_ok = _in_box_gap(_spectra_batch(data[valid], kind, q), lo, hi, gap)
+            top = eigvalsh_raw(data[valid], beta)[:, ::-1][:, :q]
+            spec_ok = _in_box_gap(top, lo, hi, gap)
             logw[valid] = np.where(spec_ok, hlog, -np.inf)
         return data, logw
 
@@ -1019,7 +1011,7 @@ def _svd_ratio(task: TaskSpec):
     box = _quantile_box(pilot_coords)
     if q < min(n, m):
         x11_p = _rect_unpack(pilot_coords, kind, n, m, q)[0]
-        eps = 0.9 * float(np.quantile(_min_sv_block(x11_p, beta), 0.05))
+        eps = 0.9 * float(np.quantile(svdvals_raw(x11_p, beta)[:, -1], 0.05))
     else:
         eps = 0.0
 
@@ -1027,7 +1019,7 @@ def _svd_ratio(task: TaskSpec):
         if q == min(n, m):
             return np.ones(coords.shape[0], dtype=bool)
         x11 = _rect_unpack(coords, kind, n, m, q)[0]
-        return _min_sv_block(x11, beta) >= eps
+        return svdvals_raw(x11, beta)[:, -1] >= eps
 
     def chart_fn(rng, count):
         coords = _uniform_in_box(rng, box, count)
@@ -1038,7 +1030,7 @@ def _svd_ratio(task: TaskSpec):
             sub = coords[valid]
             data[valid] = spec.complete_batch(sub)
             hlog = hausdorff_density_log_batch(spec, sub, task.step)
-            spec_ok = _in_box_gap(_sv_batch(data[valid], kind, q), lo, hi, gap)
+            spec_ok = _in_box_gap(svdvals_raw(data[valid], beta)[:, :q], lo, hi, gap)
             logw[valid] = np.where(spec_ok, hlog, -np.inf)
         return data, logw
 
@@ -1114,7 +1106,7 @@ def _chol_x_ratio(task: TaskSpec):
     lam, (w1,) = factorized_draw(_pilot(task), task.eigen_box, m, (m,), kind, 4096)
     pilot_s = assemble_sd_batch(w1, lam, beta)
     s_box = _quantile_box(s_spec.extract_batch(pilot_s))
-    eps = 0.9 * float(np.quantile(_spectra_batch(pilot_s, kind, m)[:, -1], 0.05))
+    eps = 0.9 * float(np.quantile(eigvalsh_raw(pilot_s, beta)[:, 0], 0.05))
 
     def chol_factor(s: np.ndarray) -> np.ndarray:
         """T with S = T*T: the complex form of T is L* for the lower
@@ -1128,14 +1120,10 @@ def _chol_x_ratio(task: TaskSpec):
     pilot_h = sample_stiefel_batch(n, m, kind, _pilot(task, 1), 4096)
     x_box = _quantile_box(x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
 
-    def s_log_sdet(s: np.ndarray) -> np.ndarray:
-        _, logabs = np.linalg.slogdet(complex_raw(s, beta))
-        return logabs / complex_multiplicity(beta)
-
     def fact_fn(rng, count):
         s_coords = _uniform_in_box(rng, s_box, count)
         s11, _ = _psd_unpack(s_coords, kind, m, m)
-        mineig = _min_eig_block(s11, beta)
+        mineig = eigvalsh_raw(s11, beta)[:, 0]
         valid = mineig >= eps
         h1 = sample_stiefel_batch(n, m, kind, rng, count)
         data = np.zeros((count, n, m, beta))
@@ -1145,7 +1133,7 @@ def _chol_x_ratio(task: TaskSpec):
             x = assemble_x(s_full, h1[valid])
             in_x = _coords_in_box(x_spec.extract_batch(x), x_box)
             data[valid] = x
-            lw = -m * math.log(2.0) + exp_s * s_log_sdet(s_full)
+            lw = -m * math.log(2.0) + exp_s * logdet_hermitian_raw(s_full, beta)
             logw[valid] = np.where(in_x, lw, -np.inf)
         return data, logw
 
@@ -1158,7 +1146,7 @@ def _chol_x_ratio(task: TaskSpec):
         s = mul_raw(ct_raw(data), data, beta)
         s = (s + ct_raw(s)) / 2.0
         ok = _coords_in_box(s_spec.extract_batch(s), s_box)
-        ok &= _spectra_batch(s, kind, m)[:, -1] >= eps
+        ok &= eigvalsh_raw(s, beta)[:, 0] >= eps
         return data, np.where(ok, hlog, -np.inf)
 
     return chart_fn, _box_volume_log(x_box), fact_fn, fact_const, fact_fn

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,22 @@ class TestVerifyCommand:
         )
         assert code == 3
         assert "inconclusive" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--task", "sd", "--m", "2", "--q", "1", "--lambda-lo", "1e150", "--lambda-hi", "1e151"],
+        ["--task", "w", "--n", "3", "--m", "2", "--q", "1",
+         "--lambda-lo", "1e200", "--lambda-hi", "1e201"],
+    ])
+    def test_weights_out_of_float_range_are_inconclusive(self, capsys, flags):
+        """A NaN stderr fails no stderr gate, so a non-finite estimate must
+        stop the task before any verdict (these boxes once passed with NaN)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "verify", "--beta", "1", *flags, "--trials", "10000")
+        assert code == 3
+        assert "NaN" not in out
+        assert err.startswith("inconclusive: Monte Carlo mean or stderr is not finite")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["verify", "verify-all"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -18,8 +18,13 @@ from divalg.linalg import (
     complex_raw,
     conj_transpose,
     ct_raw,
+    eigvalsh_raw,
     embed_raw,
     hermitian_part,
+    inv_hermitian_raw,
+    inv_raw,
+    inv_sqrt_hermitian_raw,
+    logdet_hermitian_raw,
     fold_embedding,
     frobenius_norm,
     inner_re,
@@ -33,6 +38,7 @@ from divalg.linalg import (
     save_matrix,
     sdet,
     sdet_log,
+    svdvals_raw,
 )
 
 EMBED_KINDS = [REAL, COMPLEX, QUATERNION]
@@ -197,6 +203,148 @@ def test_complex_form_rejects_octonions():
         complex_raw(np.ones((2, 2, 2, 8)), 8)
     with pytest.raises(UnsupportedAlgebraError):
         complex_fold(np.ones((2, 4, 4), dtype=complex), 8)
+
+
+# ---------------------------------------------------------------------------
+# small-block kernels: closed forms for side 1 and 2 against LAPACK on the
+# complex form.  The bound is 1e-12 times each matrix's spectral norm, the
+# backward-error level of LAPACK itself, never relative to a tiny eigenvalue.
+
+BATCH = (3, 4)  # broadcast batch axes
+SPECTRA = {
+    "pd": lambda u: 0.5 + 1.5 * u,
+    "indefinite": lambda u: np.stack([-0.3 - u[..., 0], 0.2 + u[..., 1]], axis=-1),
+    "negative": lambda u: -(0.5 + 1.5 * u),
+    "zero": lambda u: 0.0 * u,
+    "near_tied": lambda u: 1.0 + u[..., :1] + np.array([0.0, 1e-8]),
+    "cond_1e10": lambda u: (1.0 + u[..., :1]) * np.array([1.0, 1e-10]),
+}
+SCALES = (1.0, 1e200, 1e-200)
+KIND_OF = {1: REAL, 2: COMPLEX, 4: QUATERNION}
+
+
+def _hermitian_with_spectrum(rng, lam, beta):
+    """U diag(lam) U* over the algebra for Haar U, with BATCH batch axes,
+    plus an anti-Hermitian part that the kernels must ignore."""
+    from divalg.charts import assemble_sd_batch, sample_stiefel_batch
+
+    count, n = int(np.prod(BATCH)), lam.shape[-1]
+    u = sample_stiefel_batch(n, n, KIND_OF[beta], rng, count)
+    s = assemble_sd_batch(u, lam.reshape(count, n), beta)
+    g = rng.normal(size=s.shape) * np.abs(lam).max()
+    skew = (g - ct_raw(g)) / 2.0
+    return (s + skew).reshape(BATCH + s.shape[1:])
+
+
+def _lapack_eigvalsh(a, beta):
+    w = np.linalg.eigvalsh(hermitian_part(complex_raw(a, beta)))
+    r = complex_multiplicity(beta)
+    return w.reshape(w.shape[:-1] + (-1, r)).mean(axis=-1)
+
+
+def _lapack_svdvals(a, beta):
+    sv = np.linalg.svd(complex_raw(a, beta), compute_uv=False)
+    r = complex_multiplicity(beta)
+    return sv.reshape(sv.shape[:-1] + (-1, r)).mean(axis=-1)
+
+
+def _eye_like(a):
+    out = np.zeros(a.shape)
+    n = a.shape[-2]
+    out[..., np.arange(n), np.arange(n), 0] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+@pytest.mark.parametrize("case", sorted(SPECTRA))
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_hermitian_kernels_match_lapack(beta, case, scale, n):
+    rng = np.random.default_rng(80 + beta + 7 * n)
+    u = rng.uniform(size=BATCH + (2,))
+    lam = scale * SPECTRA[case](u)[..., :n]
+    if n == 3:
+        lam = np.concatenate([lam, lam[..., :1] * 0.5], axis=-1)
+    a = _hermitian_with_spectrum(rng, lam, beta)
+    norm = scale * np.abs(SPECTRA[case](u)).max(axis=-1)  # spectral norm per matrix
+    with np.errstate(all="raise"):
+        got = eigvalsh_raw(a, beta)
+    want = _lapack_eigvalsh(a, beta)
+    assert got.shape == BATCH + (n,)
+    assert np.all(np.abs(got - want) <= 1e-12 * norm[..., None])
+    if case == "zero":
+        assert np.all(got == 0.0)
+    if case in ("zero", "indefinite") or n == 1 and case == "cond_1e10":
+        return
+    # nonsingular, and definite where the remaining kernels need it
+    lo, hi = np.abs(want).min(axis=-1), np.abs(want).max(axis=-1)
+    cond = hi / lo
+    h = hermitian_part(complex_raw(a, beta))
+    inv = inv_hermitian_raw(a, beta)
+    resid = np.abs(h @ complex_raw(inv, beta) - np.eye(h.shape[-1])).max(axis=(-1, -2))
+    assert np.all(resid <= 1e-12 * cond)
+    _, ld = np.linalg.slogdet(h)
+    ld_want = ld / complex_multiplicity(beta)
+    assert np.all(np.abs(logdet_hermitian_raw(a, beta) - ld_want) <= 1e-12 * cond)
+    if case == "negative":
+        return
+    w, v = np.linalg.eigh(h)
+    root = complex_fold((v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2),
+                        beta)
+    got_root = inv_sqrt_hermitian_raw(a, beta)
+    err = np.abs(got_root - root).max(axis=(-1, -2, -3))
+    assert np.all(err <= 1e-12 * cond / np.sqrt(lo))
+    if case != "cond_1e10":  # the whitening residual grows as cond^2
+        herm = (a + ct_raw(a)) / 2.0
+        whitened = mul_raw(mul_raw(got_root, herm, beta), got_root, beta)
+        assert np.all(np.abs(whitened - _eye_like(a)).max(axis=(-1, -2, -3)) <= 1e-12)
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2)])
+def test_singular_values_and_inverses_match_lapack(beta, scale, shape):
+    rng = np.random.default_rng(90 + beta)
+    a = scale * rng.normal(size=BATCH + shape + (beta,))
+    a[0, 0] = 0.0  # a zero block gives zero, not NaN
+    with np.errstate(all="raise"):
+        got = svdvals_raw(a, beta)
+    want = _lapack_svdvals(a, beta)
+    assert got.shape == want.shape == BATCH + (min(shape),)
+    assert np.all(np.abs(got - want) <= 1e-12 * want[..., :1])
+    assert np.all(got[0, 0] == 0.0)
+    if shape[0] != shape[1]:
+        return
+    x = a[1:]
+    inv = inv_raw(x, beta)
+    cond = want[1:, ..., 0] / want[1:, ..., -1]
+    resid = np.abs(mul_raw(x, inv, beta) - _eye_like(x)).max(axis=(-1, -2, -3))
+    assert np.all(resid <= 1e-12 * cond)
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+def test_block_checks_keep_their_errors(beta):
+    from divalg.charts import _inv_general_block, _inv_hermitian_block
+    from divalg.errors import NotPsdError
+
+    rng = np.random.default_rng(100 + beta)
+    zero = np.zeros((3, 1, 1, beta))
+    zero[1:, 0, 0, 0] = rng.uniform(1.0, 2.0, size=2)
+    singular = np.zeros((2, 2, 2, beta))
+    singular[:, :, :, 0] = [[1.0, 2.0], [2.0, 4.0]]  # rank one: eigenvalues 0 and 5
+    singular[1] = np.eye(2)[:, :, None] * np.eye(beta)[0]
+    for block in (zero, singular):
+        with pytest.raises(NotPsdError, match=r"^S11 block is not positive definite \(min eigenvalue "):
+            _inv_hermitian_block(block, beta)
+        with pytest.raises(SingularBlockError, match="^X11 block is numerically singular$"):
+            _inv_general_block(block, beta)
+    # the positivity threshold is 1e-12 times the largest eigenvalue of the
+    # whole batch, floored at 1
+    small = np.zeros((2, 1, 1, beta))
+    small[:, 0, 0, 0] = [5e-12, 1e4]
+    with pytest.raises(NotPsdError, match=r"min eigenvalue 5\.000e-12"):
+        _inv_hermitian_block(small, beta)
+    assert np.allclose(_inv_hermitian_block(small[:1], beta)[:, 0, 0, 0], [2e11])
 
 
 def test_identity_matmul():

@@ -16,7 +16,7 @@ from divalg.errors import (
     RegistryError,
     UnsupportedAlgebraError,
 )
-from divalg.charts import rect_coord_count
+from divalg.charts import psd_coord_count, rect_coord_count
 from divalg.linalg import (
     Mat,
     complex_multiplicity,
@@ -465,10 +465,8 @@ def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
     assert ratio.records
 
 
-def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
-    """Batched eigenvalue, SVD, inverse, Cholesky and log-determinant calls
-    get the complex form of side r*k, never a real embedding of side beta*k;
-    the one real batched call is the Hausdorff Gram of the chart coordinates."""
+def _record_lapack(monkeypatch) -> list:
+    """(name, dtype kind, shape) of every numpy.linalg factorization call."""
     calls = []
     for name in ("eigvalsh", "svd", "eigh", "inv", "slogdet", "cholesky"):
         def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -476,11 +474,17 @@ def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
             calls.append((_name, arr.dtype.kind, arr.shape))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
+def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
+    """Batched eigenvalue, SVD, inverse, Cholesky and log-determinant calls
+    get the complex form of side r*k, never a real embedding of side beta*k;
+    the one real batched call is the Hausdorff Gram of the chart coordinates."""
+    calls = _record_lapack(monkeypatch)
     tasks = [
         TaskSpec(theorem_id="SVD", beta=4, n=3, m=2, q=1, engine="MC_RATIO",
                  trials=10_000, seed=6),
-        TaskSpec(theorem_id="UHLIG_SVD", beta=2, m=3, n=2, b_source="identity",
-                 trials=10_000, seed=7),
         TaskSpec(theorem_id="MP_HERM", beta=4, m=3, q=2, points=2, seed=5),
     ]
     gram_side = rect_coord_count(3, 2, 1, 4)
@@ -496,6 +500,44 @@ def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
             else:
                 assert task.beta == 4 and task.engine == "MC_RATIO", (task, name, shape)
                 assert (name, shape[-2:]) == ("slogdet", (gram_side, gram_side))
+
+
+def test_small_blocks_take_closed_forms(monkeypatch):
+    """No batched LAPACK call on a block of algebra side 1, and no batched
+    Hermitian eigvalsh, eigh, slogdet or inv on side 2: those blocks take
+    the closed forms of linalg.  The rank-2 UHLIG images have their spectra
+    taken on the 2 x 2 side, so UHLIG_SVD makes no LAPACK call at all."""
+    calls = _record_lapack(monkeypatch)
+    tasks = [
+        TaskSpec(theorem_id="UHLIG_SVD", beta=2, m=3, n=2, trials=10_000, seed=7),
+        TaskSpec(theorem_id="UHLIG_MP", beta=2, m=2, n=1, trials=10_000, seed=7),
+        TaskSpec(theorem_id="SD", beta=4, m=2, q=1, engine="MC_RATIO",
+                 trials=10_000, seed=6),
+        TaskSpec(theorem_id="MP_HERM", beta=4, m=2, q=1, points=2, seed=5),
+    ]
+    gram_side = psd_coord_count(2, 1, 4)
+    for task in tasks:
+        calls.clear()
+        if task.engine == "CHART":
+            run_task(task)
+        else:
+            # the builder draws the pilots; then one batch from each side
+            sides = verify._problem(task)
+            for side_fn in (sides[0], sides[2]):
+                _, logw = side_fn(np.random.default_rng(task.seed), 1024)
+                assert np.isfinite(logw).any(), task
+        batched = [c for c in calls if len(c[2]) >= 3]
+        if task.theorem_id == "UHLIG_SVD":
+            assert batched == [], task
+        r = complex_multiplicity(task.beta)
+        for name, kind, shape in batched:
+            if kind != "c" and task.beta > 1:  # the real Hausdorff Gram of SD
+                assert (name, shape[-2:]) == ("slogdet", (gram_side, gram_side))
+                continue
+            side = (shape[-2] // r, shape[-1] // r)
+            assert min(side) > 1, (task, name, shape)
+            if name in ("eigvalsh", "eigh", "slogdet", "inv"):
+                assert side != (2, 2), (task, name, shape)
 
 
 def test_chart_records_carry_the_gap_margin():
