@@ -32,11 +32,11 @@ from .errors import (
     RegistryError,
     ShapeMismatchError,
     SingularBlockError,
-    UnsupportedAlgebraError,
 )
+from .decomp import gram_schmidt_batch
 from .linalg import (
     Mat,
-    conj_raw,
+    _require_assoc,
     ct_raw,
     eigvalsh_raw,
     inv_hermitian_raw,
@@ -82,8 +82,7 @@ class RectChartPoint:
     x21: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind.beta > 4:
-            raise UnsupportedAlgebraError("charts require an associative algebra")
+        _require_assoc(self.kind.beta, "a chart")
         n, m, q, beta = self.n, self.m, self.q, self.kind.beta
         if not 1 <= q <= min(n, m):
             raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
@@ -138,8 +137,7 @@ class PsdChartPoint:
     s12: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind.beta > 4:
-            raise UnsupportedAlgebraError("charts require an associative algebra")
+        _require_assoc(self.kind.beta, "a chart")
         m, q, beta = self.m, self.q, self.kind.beta
         if not 1 <= q <= m:
             raise RankError(f"q must lie in [1, {m}], got {q}")
@@ -470,8 +468,7 @@ def choose_pivot(a: Mat, q: int, chart: str = "rect"):
     chart='psd' returns a single symmetric permutation from diagonal pivoting.
     Deterministic: ties break at the lowest flat index.
     """
-    if a.kind.beta > 4:
-        raise UnsupportedAlgebraError("choose_pivot requires an associative algebra")
+    _require_assoc(a.kind.beta, "choose_pivot")
     beta = a.kind.beta
     if chart == "rect":
         n, m = a.rows, a.cols
@@ -565,47 +562,19 @@ def hausdorff_density(p: RectChartPoint | PsdChartPoint, step: float = DEFAULT_F
 # samplers
 
 
-def _batch_col_inner(h: np.ndarray, v: np.ndarray, beta: int) -> np.ndarray:
-    """h* v per batch row, columns given as (b, n, beta) arrays."""
-    return mul_raw(conj_raw(h)[:, None], v[:, :, None], beta)[:, 0, 0]
-
-
-def _batch_col_scale(h: np.ndarray, c: np.ndarray, beta: int) -> np.ndarray:
-    """h c per batch row: a (b, n, beta) column times a (b, beta) scalar."""
-    return mul_raw(h[:, :, None], c[:, None, None], beta)[:, :, 0]
-
-
-def _mgs_batch(x: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched modified Gram-Schmidt (two passes); returns (frames, ok mask)."""
-    b, n, q, _ = x.shape
-    out = np.empty_like(x)
-    ok = np.ones(b, dtype=bool)
-    for k in range(q):
-        v = x[:, :, k, :].copy()
-        for _ in range(2):
-            for i in range(k):
-                coef = _batch_col_inner(out[:, :, i, :], v, beta)
-                v -= _batch_col_scale(out[:, :, i, :], coef, beta)
-        nrm = np.linalg.norm(v.reshape(b, -1), axis=1)
-        ok &= nrm > 1e-12
-        safe = np.where(nrm > 1e-12, nrm, 1.0)
-        out[:, :, k, :] = v / safe[:, None, None]
-    return out, ok
-
-
 def sample_stiefel_batch(
     n: int, q: int, kind: AlgebraKind, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """(count, n, q, beta) frames drawn from the invariant measure on V_{q,n}."""
-    if kind.beta > 4:
-        raise UnsupportedAlgebraError("Stiefel sampling requires an associative algebra")
+    _require_assoc(kind.beta, "Stiefel sampling")
     if q > n:
         raise ShapeMismatchError(f"need q <= n, got q={q} n={n}")
     frames = np.empty((count, n, q, kind.beta))
     remaining = np.arange(count)
     for _ in range(100):
         draw = rng.standard_normal((remaining.size, n, q, kind.beta))
-        got, ok = _mgs_batch(draw, kind.beta)
+        got, norms = gram_schmidt_batch(draw, kind.beta)
+        ok = (norms > 1e-12).all(axis=1)
         frames[remaining[ok]] = got[ok]
         remaining = remaining[~ok]
         if remaining.size == 0:

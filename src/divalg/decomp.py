@@ -1,16 +1,16 @@
 """Nonsingular parts of the matrix decompositions.
 
 Rank-q SVD, spectral decomposition, QR with positive diagonal, rank-q
-Cholesky, and the Moore-Penrose inverse, over beta <= 4.  The single-matrix
-eigen and singular value problems (eig_hermitian, svd_rank_q) are solved on
-the real embedding, where each algebra eigenvalue appears as a multiplet of
-beta equal real values; one real eigenvector per multiplet folds back to an
-algebra eigenvector because the eigenspace is a right module over the
-algebra.  The batched pinv_batch works on the complex form (complex_raw),
-where the multiplets have size r = complex_multiplicity(beta): 1 for beta
-<= 2 and 2 for the quaternion adjoint.  QR and Cholesky run natively over
-the algebra (modified Gram-Schmidt and row-by-row elimination), which only
-needs associativity.
+Cholesky, and the Moore-Penrose inverse, over beta <= 4.  Each runs on the
+complex form (complex_raw), in which every algebra eigenvalue or singular
+value appears as a multiplet of r = complex_multiplicity(beta) equal values:
+1 for beta <= 2 and 2 for the quaternion adjoint.  One eigen or singular
+vector per multiplet folds back to an algebra vector with complex_fold,
+because the eigenspace is a right module over the algebra.  The kernels are
+batched, and the single-matrix functions are batches of one: pinv_batch is
+the one Moore-Penrose kernel, gram_schmidt_batch the one Gram-Schmidt loop
+(QR and the Stiefel sampler) and cholesky_batch the one Cholesky kernel
+(rank-q Cholesky and the CHOL_X sampler).
 """
 from __future__ import annotations
 
@@ -25,20 +25,20 @@ from .errors import (
     PivotRequiredError,
     RankError,
     ShapeMismatchError,
-    UnsupportedAlgebraError,
 )
 from .linalg import (
     Mat,
     _group_multiplets,
+    _require_assoc,
     complex_fold,
     complex_multiplicity,
     complex_raw,
     conj_raw,
     ct_raw,
     embedding_rank,
+    hermitian_part,
     is_hermitian,
     mul_raw,
-    real_embed,
 )
 
 DEFAULT_GAP_FACTOR = 1e-6
@@ -71,32 +71,60 @@ class QrParts:
     t: Mat
 
 
-def _require_assoc(beta: int, what: str) -> None:
-    if beta > 4:
-        raise UnsupportedAlgebraError(f"{what} is not defined for octonion matrices")
+def _col_inner(h: np.ndarray, v: np.ndarray, beta: int) -> np.ndarray:
+    """h* v as algebra scalars (..., beta), columns given as (..., n, beta)."""
+    return mul_raw(conj_raw(h)[..., None, :, :], v[..., :, None, :], beta)[..., 0, 0, :]
 
 
-def _col_scalar_mul(col: np.ndarray, s: np.ndarray, beta: int) -> np.ndarray:
-    """Right-multiply a column of scalars by one scalar: (col . s)_r = col_r s."""
-    return mul_raw(col[:, None, :], s[None, None, :], beta)[:, 0, :]
+def _col_scale(h: np.ndarray, c: np.ndarray, beta: int) -> np.ndarray:
+    """h c: (..., n, beta) columns right-multiplied by (..., beta) scalars."""
+    return mul_raw(h[..., :, None, :], c[..., None, None, :], beta)[..., :, 0, :]
 
 
-def _col_inner(h: np.ndarray, x: np.ndarray, beta: int) -> np.ndarray:
-    """h* x as an algebra scalar, columns given as (n, beta) arrays."""
-    return mul_raw(conj_raw(h)[None], x[:, None, :], beta)[0, 0]
+def gram_schmidt_batch(x: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt over the algebra, run twice, on the columns of
+    (B, n, q, beta) batches.
+
+    Returns the frames and the (B, q) norms each column had before it was
+    normalized; a column of norm 0 stays 0.  Callers judge dependence from
+    the norms against their own threshold.
+    """
+    b, _, q, _ = x.shape
+    out = np.empty_like(x)
+    norms = np.empty((b, q))
+    for k in range(q):
+        v = x[:, :, k, :].copy()
+        for _ in range(2):  # second sweep restores orthogonality lost to rounding
+            for i in range(k):
+                coef = _col_inner(out[:, :, i, :], v, beta)
+                v -= _col_scale(out[:, :, i, :], coef, beta)
+        nrm = np.linalg.norm(v.reshape(b, -1), axis=1)
+        norms[:, k] = nrm
+        out[:, :, k, :] = v / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
+    return out, norms
 
 
-def _phase_unit(col: np.ndarray) -> np.ndarray:
-    """Unit scalar s such that (col . s) has its largest-magnitude entry real > 0."""
-    norms = np.linalg.norm(col, axis=1)
-    i = int(np.argmax(norms))  # ties resolve to the lowest row index
-    a = col[i]
-    return conj_raw(a.reshape(1, 1, -1)).reshape(-1) / norms[i]
+def cholesky_batch(s: np.ndarray, beta: int) -> np.ndarray:
+    """T with S = T*T, T upper triangular with real positive diagonal, for
+    Hermitian positive definite (..., m, m, beta) blocks S: the complex form
+    of T is L* for the lower Cholesky factor L of S's complex form.  Raises
+    np.linalg.LinAlgError when a block is not positive definite."""
+    c = np.linalg.cholesky(complex_raw(s, beta))
+    return complex_fold(np.swapaxes(c.conj(), -1, -2), beta)
 
 
-def _fold_real_vector(u: np.ndarray, m: int, beta: int) -> np.ndarray:
-    """Reinterpret a real embedding vector of length m*beta as (m, beta) coefficients."""
-    return u.reshape(m, beta)
+def _fold_vectors(vecs: np.ndarray, q: int, beta: int) -> np.ndarray:
+    """The first q algebra columns (n, q, beta) from the (r*n, r*k) vectors
+    of the complex form, one per multiplet of r, each phase-fixed so that
+    its largest-magnitude entry is real and positive (ties resolve to the
+    lowest row)."""
+    r = complex_multiplicity(beta)
+    cols = complex_fold(np.repeat(vecs[:, ::r][:, :q], r, axis=1), beta)
+    mags = np.linalg.norm(cols, axis=2)
+    top = np.argmax(mags, axis=0)
+    k = np.arange(q)
+    unit = conj_raw(cols[top, k]) / mags[top, k][:, None]
+    return _col_scale(cols.swapaxes(0, 1), unit, beta).swapaxes(0, 1)
 
 
 def _check_multiplet_spread(values: np.ndarray, r: int) -> None:
@@ -133,9 +161,9 @@ def _check_gaps(
 def _check_singular_values(
     sv: np.ndarray, r: int, q: int | None = None, gap_tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Checks on (B, k*r) descending singular values of a representation that
-    repeats each algebra singular value r times (beta for the real embedding,
-    complex_multiplicity(beta) for the complex form).
+    """Checks on (B, k*r) descending singular values of the complex form,
+    which repeats each algebra singular value r = complex_multiplicity(beta)
+    times.
 
     Returns the ranks q (B,) and the multiplet means d (B, k).  With q None
     each rank is counted at 1e-10 (embedding_rank) and must agree with the
@@ -172,13 +200,12 @@ def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
     m, beta = s.rows, s.kind.beta
     if not 1 <= q <= m:
         raise RankError(f"q must lie in [1, {m}], got {q}")
-    e = real_embed(s)
-    w, vecs = np.linalg.eigh((e + e.T) / 2.0)
-    w = w[::-1]
-    vecs = vecs[:, ::-1]
-    lam_groups = _group_multiplets(w, beta)
-    top = float(abs(lam_groups[0])) if lam_groups.size else 0.0
-    scale = max(top, float(np.abs(lam_groups).max()) if lam_groups.size else 0.0)
+    r = complex_multiplicity(beta)
+    w, vecs = np.linalg.eigh(hermitian_part(complex_raw(s.data, beta)))
+    w, vecs = w[::-1], vecs[:, ::-1]
+    lam_groups = _group_multiplets(w, r)
+    top = float(abs(lam_groups[0]))
+    scale = float(np.abs(lam_groups).max())
     if scale == 0.0:
         raise RankError("zero matrix has no nonsingular spectral part")
     if float(lam_groups.min()) < -1e-8 * scale:
@@ -187,15 +214,10 @@ def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
     if positive != q:
         raise RankError(f"matrix has numerical rank {positive}, expected q={q}")
     _check_gaps(lam_groups[None], np.array([q]), np.array([top]), gap_tol, "eigenvalue")
-    _check_multiplet_spread(w[None], beta)
-    cols = np.empty((m, q, beta))
-    for i in range(q):
-        u = vecs[:, i * beta]
-        x = _fold_real_vector(u, m, beta)
-        cols[:, i, :] = _col_scalar_mul(x, _phase_unit(x), beta)
+    _check_multiplet_spread(w[None], r)
+    cols = _fold_vectors(vecs, q, beta)
     _assert_orthonormal(complex_raw(cols, beta))
-    w1 = Mat(s.kind, cols)
-    return EigParts(w1=w1, lam=lam_groups[:q].copy())
+    return EigParts(w1=Mat(s.kind, cols), lam=lam_groups[:q].copy())
 
 
 def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
@@ -208,18 +230,12 @@ def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
     n, m, beta = x.rows, x.cols, x.kind.beta
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-    _, sv, wt = np.linalg.svd(real_embed(x))
-    _, d_groups = _check_singular_values(sv[None], beta, q=q, gap_tol=gap_tol)
-    d = d_groups[0, :q].copy()
-    wcols = np.empty((m, q, beta))
-    vcols = np.empty((n, q, beta))
-    for i in range(q):
-        u = wt[i * beta, :]
-        wv = _fold_real_vector(u, m, beta)
-        wv = _col_scalar_mul(wv, _phase_unit(wv), beta)
-        wcols[:, i, :] = wv
-        xv = mul_raw(x.data, wv[:, None, :], beta)[:, 0, :]
-        vcols[:, i, :] = xv / d[i]
+    _, sv, vh = np.linalg.svd(complex_raw(x.data, beta), full_matrices=False)
+    r = complex_multiplicity(beta)
+    _, d_groups = _check_singular_values(sv[None], r, q=q, gap_tol=gap_tol)
+    d = d_groups[0, :q]
+    wcols = _fold_vectors(vh.conj().T, q, beta)
+    vcols = mul_raw(x.data, wcols, beta) / d[None, :, None]
     _assert_orthonormal(complex_raw(vcols, beta))
     _assert_orthonormal(complex_raw(wcols, beta))
     back = mul_raw(vcols * d[None, :, None], ct_raw(wcols), beta)
@@ -246,36 +262,27 @@ def _assert_residual(x: np.ndarray, y: np.ndarray, label: str, tol: float = 1e-8
 
 
 def qr_positive(x: Mat, q: int) -> QrParts:
-    """X = H1 T by modified Gram-Schmidt over the algebra, run twice.
+    """X = H1 T: H1 from gram_schmidt_batch on the leading q columns, T = H1* X.
 
     The leading q columns must be independent (pivot first otherwise); the
-    leading q x q block of T comes out upper triangular with real positive
-    diagonal, and the trailing block is H1* X[:, q:].
+    leading q x q block of T is upper triangular with real positive
+    diagonal, the Gram-Schmidt norms, and the trailing block is H1* X[:, q:].
     """
     _require_assoc(x.kind.beta, "qr_positive")
     n, m, beta = x.rows, x.cols, x.kind.beta
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-    scale = float(np.linalg.norm(x.data))
-    h = np.empty((n, q, beta))
-    t = np.zeros((q, m, beta))
-    for k in range(q):
-        v = x.data[:, k, :].copy()
-        for _ in range(2):  # second sweep restores orthogonality lost to rounding
-            for i in range(k):
-                c = _col_inner(h[:, i, :], v, beta)
-                t[i, k, :] += c
-                v = v - _col_scalar_mul(h[:, i, :], c, beta)
-        tkk = float(np.linalg.norm(v))
-        if tkk <= 1e-10 * max(scale, 1e-300):
-            raise PivotRequiredError(
-                f"leading column {k} is numerically dependent on its predecessors"
-            )
-        t[k, k, 0] = tkk
-        h[:, k, :] = v / tkk
-    for j in range(q, m):
-        for i in range(q):
-            t[i, j, :] = _col_inner(h[:, i, :], x.data[:, j, :], beta)
+    frames, norms = gram_schmidt_batch(x.data[None, :, :q], beta)
+    h, norms = frames[0], norms[0]
+    dependent = norms <= 1e-10 * max(float(np.linalg.norm(x.data)), 1e-300)
+    if np.any(dependent):
+        raise PivotRequiredError(
+            f"leading column {int(np.argmax(dependent))} is numerically dependent "
+            "on its predecessors"
+        )
+    t = mul_raw(ct_raw(h), x.data, beta)
+    t[np.tril(np.ones((q, m), dtype=bool))] = 0.0
+    t[np.arange(q), np.arange(q), 0] = norms
     _assert_orthonormal(complex_raw(h, beta))
     _assert_residual(x.data[None], mul_raw(h, t, beta)[None], "QR")
     return QrParts(h1=Mat(x.kind, h), t=Mat(x.kind, t))
@@ -284,8 +291,9 @@ def qr_positive(x: Mat, q: int) -> QrParts:
 def cholesky_rank_q(s: Mat, q: int) -> Mat:
     """Rank-q Cholesky: T (q x m) with S = T*T, T1 upper triangular, t_ii > 0.
 
-    The leading q x q block of S must be positive definite (pivot first
-    otherwise); T2 solves T1* T2 = S12 by forward substitution.
+    T1 is cholesky_batch of the leading q x q block S11, which must be
+    positive definite (pivot first otherwise); T2 solves T1* T2 = S12 on the
+    complex form.
     """
     _require_assoc(s.kind.beta, "cholesky_rank_q")
     if s.rows != s.cols:
@@ -295,24 +303,17 @@ def cholesky_rank_q(s: Mat, q: int) -> Mat:
     m, beta = s.rows, s.kind.beta
     if not 1 <= q <= m:
         raise RankError(f"q must lie in [1, {m}], got {q}")
-    scale = float(np.abs(s.data).max())
-    t = np.zeros((q, m, beta))
-    for i in range(q):
-        radicand = s.data[i, i, 0] - float(np.sum(t[:i, i, :] ** 2))
-        if radicand <= 1e-12 * max(scale, 1e-300):
-            raise PivotRequiredError(f"leading block is not positive definite at row {i}")
-        tii = float(np.sqrt(radicand))
-        t[i, i, 0] = tii
-        for j in range(i + 1, m):
-            acc = s.data[i, j, :].copy()
-            for k in range(i):
-                acc -= mul_raw(
-                    conj_raw(t[k, i, :])[None, None, :], t[k, j, :][None, None, :], beta
-                )[0, 0]
-            t[i, j, :] = acc / tii
-    tm = Mat(s.kind, t)
-    back = Mat(s.kind, mul_raw(ct_raw(t), t, beta))
-    residual = float(np.linalg.norm(back.data - s.data)) / max(
+    try:
+        t1 = cholesky_batch(s.data[:q, :q], beta)
+    except np.linalg.LinAlgError:
+        t1 = np.zeros((q, q, beta))  # read as a zero pivot
+    pivots = t1[np.arange(q), np.arange(q), 0] ** 2
+    if pivots.min() <= 1e-12 * max(float(np.abs(s.data).max()), 1e-300):
+        raise PivotRequiredError(f"leading {q} x {q} block is not positive definite")
+    c2 = np.linalg.solve(complex_raw(ct_raw(t1), beta), complex_raw(s.data[:q, q:], beta))
+    t = np.concatenate([t1, complex_fold(c2, beta)], axis=1)
+    back = mul_raw(ct_raw(t), t, beta)
+    residual = float(np.linalg.norm(back - s.data)) / max(
         1e-300, float(np.linalg.norm(s.data))
     )
     if residual > 1e-8:
@@ -320,7 +321,7 @@ def cholesky_rank_q(s: Mat, q: int) -> Mat:
             f"trailing block is not reproduced (residual {residual:.3e}); "
             f"matrix rank exceeds q={q}"
         )
-    return tm
+    return Mat(s.kind, t)
 
 
 def pinv_batch(data: np.ndarray, beta: int, gap_tol: float | None = None) -> np.ndarray:

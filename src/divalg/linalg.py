@@ -1,22 +1,22 @@
 """Dense matrices over a division algebra.
 
 A matrix is stored as an (n, m, beta) float64 array of coefficients plus an
-algebra tag.  For beta <= 4 two representations turn a matrix into an
-ordinary one.  The left-regular representation (embed_raw) makes each entry
-a beta x beta real block; it is the algebra-product kernel, and the
-single-matrix determinant, rank and inverse below use it.  The complex form
-(complex_raw) is the smallest faithful one: the real matrix for beta=1, the
+algebra tag.  The left-regular representation (embed_raw) makes each entry a
+beta x beta real block; it is only the algebra-product kernel of mul_raw.
+Every spectrum, determinant, rank and inverse runs on the complex form
+(complex_raw), the smallest faithful one: the real matrix for beta=1, the
 n x m complex matrix for beta=2 and the 2n x 2m complex adjoint for beta=4,
 in which every algebra eigenvalue or singular value appears
-complex_multiplicity(beta) times instead of beta times.  The small-block
+r = complex_multiplicity(beta) times.  The single-matrix sdet_log,
+numerical_rank and mat_inv take one LAPACK call on it.  The small-block
 kernels (eigvalsh_raw, svdvals_raw, inv_raw, inv_hermitian_raw,
 logdet_hermitian_raw, inv_sqrt_hermitian_raw) give the engines' batched
 spectra, inverses, log-determinants and whitening on coefficient arrays:
 closed forms for blocks of side 1 (single rows and columns for singular
 values) and Hermitian blocks of side 2, LAPACK on the complex form for the
-rest (and for the batched Cholesky factors).
+rest.
 Octonion matrices support construction, addition, conjugation and entrywise
-products only: non-associativity breaks both representations.
+products only: non-associativity breaks the complex form.
 """
 from __future__ import annotations
 
@@ -73,11 +73,9 @@ def embed_raw(a: np.ndarray, beta: int) -> np.ndarray:
     return blocks.reshape(a.shape[:-3] + (n * beta, m * beta))
 
 
-def fold_raw(e: np.ndarray, beta: int) -> np.ndarray:
-    """Inverse of embed_raw; reads the first column of each beta x beta block."""
-    n, m = e.shape[-2] // beta, e.shape[-1] // beta
-    blocks = e.reshape(e.shape[:-2] + (n, beta, m, beta))
-    return np.moveaxis(blocks[..., :, :, :, 0], -2, -1)
+def _require_assoc(beta: int, what: str) -> None:
+    if beta > 4:
+        raise UnsupportedAlgebraError(f"{what} requires an associative algebra (beta <= 4)")
 
 
 def complex_multiplicity(beta: int) -> int:
@@ -91,46 +89,44 @@ def complex_raw(a: np.ndarray, beta: int) -> np.ndarray:
 
     beta=1: the real (n, m) matrix; beta=2: the complex matrix a0 + i a1, a
     view where the coefficient axis is contiguous; beta=4: the complex
-    adjoint, in embed_raw's interleaved block layout, where the entry
+    adjoint, in an interleaved 2 x 2 block layout, where the entry
     p + q j (p = a0 + i a1, q = a2 + i a3) becomes [[p, -q], [conj q, conj p]].
     It is a homomorphism, complex_raw(mul_raw(a, b)) = complex_raw(a) @
     complex_raw(b), and it maps ct_raw to the conjugate transpose.
     """
+    _require_assoc(beta, "complex_raw")
     if beta == 1:
         return a[..., 0]
     if beta == 2:
         return _pair_view(a)[..., 0]
-    if beta == 4:
-        n, m = a.shape[-3], a.shape[-2]
-        z = _pair_view(a)
-        p, q = z[..., 0], z[..., 1]
-        out = np.empty(a.shape[:-3] + (n, 2, m, 2), dtype=complex)
-        out[..., 0, :, 0] = p
-        out[..., 0, :, 1] = -q
-        out[..., 1, :, 0] = q.conj()
-        out[..., 1, :, 1] = p.conj()
-        return out.reshape(a.shape[:-3] + (2 * n, 2 * m))
-    raise UnsupportedAlgebraError("complex_raw requires an associative algebra (beta <= 4)")
+    n, m = a.shape[-3], a.shape[-2]
+    z = _pair_view(a)
+    p, q = z[..., 0], z[..., 1]
+    out = np.empty(a.shape[:-3] + (n, 2, m, 2), dtype=complex)
+    out[..., 0, :, 0] = p
+    out[..., 0, :, 1] = -q
+    out[..., 1, :, 0] = q.conj()
+    out[..., 1, :, 1] = p.conj()
+    return out.reshape(a.shape[:-3] + (2 * n, 2 * m))
 
 
 def complex_fold(c: np.ndarray, beta: int) -> np.ndarray:
     """Inverse of complex_raw; for beta=4 reads the first column of each 2 x 2 block."""
+    _require_assoc(beta, "complex_fold")
     if beta == 1:
         return c[..., None]
     if beta == 2:
         return np.ascontiguousarray(c).view(np.float64).reshape(c.shape + (2,))
-    if beta == 4:
-        n, m = c.shape[-2] // 2, c.shape[-1] // 2
-        p, q_conj = c[..., 0::2, 0::2], c[..., 1::2, 0::2]
-        out = np.empty(c.shape[:-2] + (n, m, 4))
-        out[..., 0] = p.real
-        out[..., 1] = p.imag
-        out[..., 2] = q_conj.real
-        # an assignment, not np.negative(..., out=...): numpy 2.4.6 writes
-        # wrong values into some small strided out= views
-        out[..., 3] = -q_conj.imag
-        return out
-    raise UnsupportedAlgebraError("complex_fold requires an associative algebra (beta <= 4)")
+    n, m = c.shape[-2] // 2, c.shape[-1] // 2
+    p, q_conj = c[..., 0::2, 0::2], c[..., 1::2, 0::2]
+    out = np.empty(c.shape[:-2] + (n, m, 4))
+    out[..., 0] = p.real
+    out[..., 1] = p.imag
+    out[..., 2] = q_conj.real
+    # an assignment, not np.negative(..., out=...): numpy 2.4.6 writes
+    # wrong values into some small strided out= views
+    out[..., 3] = -q_conj.imag
+    return out
 
 
 def hermitian_part(c: np.ndarray) -> np.ndarray:
@@ -385,54 +381,33 @@ def conj_transpose(a: Mat) -> Mat:
     return Mat(a.kind, ct_raw(a.data))
 
 
-def _require_embeddable(a: Mat, op: str) -> None:
-    if a.kind.beta > 4:
-        raise UnsupportedAlgebraError(f"{op} requires an associative algebra (beta <= 4)")
-
-
-def real_embed(a: Mat) -> np.ndarray:
-    """beta*n x beta*m real matrix of left multiplication by a (beta <= 4)."""
-    _require_embeddable(a, "real_embed")
-    return embed_raw(a.data, a.kind.beta)
-
-
-def fold_embedding(e: np.ndarray, kind: AlgebraKind) -> Mat:
-    """Reassemble a Mat from a real embedding image (does not validate structure)."""
-    if kind.beta > 4:
-        raise UnsupportedAlgebraError("fold_embedding requires beta <= 4")
-    e = np.asarray(e, dtype=float)
-    if e.ndim != 2 or e.shape[0] % kind.beta or e.shape[1] % kind.beta:
-        raise ShapeMismatchError(f"embedding shape {e.shape} not divisible by beta={kind.beta}")
-    return Mat(kind, fold_raw(e, kind.beta))
-
-
 def sdet(a: Mat) -> float:
-    """|det real_embed(A)|^(1/beta): abs det, complex modulus, or Study determinant."""
+    """|det complex_raw(A)|^(1/r): abs det, complex modulus, or Study determinant."""
     lg = sdet_log(a)
     return 0.0 if lg == -np.inf else float(np.exp(lg))
 
 
 def sdet_log(a: Mat) -> float:
-    _require_embeddable(a, "sdet")
+    _require_assoc(a.kind.beta, "sdet")
     if a.rows != a.cols:
         raise ShapeMismatchError(f"sdet requires a square matrix, got {a.shape}")
-    sign, logabs = np.linalg.slogdet(real_embed(a))
+    sign, logabs = np.linalg.slogdet(complex_raw(a.data, a.kind.beta))
     if sign == 0.0:
         return -np.inf
-    return float(logabs) / a.kind.beta
+    return float(logabs) / complex_multiplicity(a.kind.beta)
 
 
 def numerical_rank(a: Mat, tol: float = 1e-10) -> int:
     """Count of singular values above tol * largest, in algebra units."""
-    _require_embeddable(a, "numerical_rank")
-    sv = np.linalg.svd(real_embed(a), compute_uv=False)
-    return int(embedding_rank(sv[None], a.kind.beta, tol)[0])
+    _require_assoc(a.kind.beta, "numerical_rank")
+    sv = np.linalg.svd(complex_raw(a.data, a.kind.beta), compute_uv=False)
+    return int(embedding_rank(sv[None], complex_multiplicity(a.kind.beta), tol)[0])
 
 
 def embedding_rank(sv: np.ndarray, r: int, tol: float = 1e-10) -> np.ndarray:
-    """Ranks in algebra units from (B, k) descending singular values of a
-    representation that repeats each algebra singular value r times (beta for
-    embed_raw, complex_multiplicity(beta) for complex_raw).
+    """Ranks in algebra units from (B, k) descending singular values of the
+    complex form, which repeats each algebra singular value
+    r = complex_multiplicity(beta) times.
 
     Counts the values above tol * largest (none for a zero matrix); each count
     must be a multiple of r, since every algebra singular value is a multiplet
@@ -449,15 +424,15 @@ def embedding_rank(sv: np.ndarray, r: int, tol: float = 1e-10) -> np.ndarray:
 
 
 def mat_inv(a: Mat) -> Mat:
-    """Two-sided inverse computed on the real embedding."""
-    _require_embeddable(a, "mat_inv")
+    """Two-sided inverse computed on the complex form."""
+    _require_assoc(a.kind.beta, "mat_inv")
     if a.rows != a.cols:
         raise ShapeMismatchError(f"mat_inv requires a square matrix, got {a.shape}")
     try:
-        e = np.linalg.inv(real_embed(a))
+        c = np.linalg.inv(complex_raw(a.data, a.kind.beta))
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"matrix is singular: {exc}") from exc
-    return Mat(a.kind, fold_raw(e, a.kind.beta))
+    return Mat(a.kind, complex_fold(c, a.kind.beta))
 
 
 def inner_re(a: Mat, b: Mat) -> float:

@@ -49,7 +49,6 @@ from .algebra import AlgebraKind
 from .charts import (
     ChartSpec,
     _check_box,
-    _mgs_batch,
     _psd_unpack,
     _rect_unpack,
     assemble_sd_batch,
@@ -64,7 +63,13 @@ from .charts import (
     sd_density_log_batch,
     svd_density_log_batch,
 )
-from .decomp import cholesky_rank_q, eig_hermitian, pinv_batch
+from .decomp import (
+    cholesky_batch,
+    cholesky_rank_q,
+    eig_hermitian,
+    gram_schmidt_batch,
+    pinv_batch,
+)
 from .errors import (
     ConfigurationError,
     DivalgError,
@@ -76,8 +81,6 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    complex_fold,
-    complex_raw,
     conj_transpose,
     ct_raw,
     eigvalsh_raw,
@@ -141,6 +144,9 @@ BLOCK_SIZE = 4096
 ABS_LOG_FLOOR = 1e-7
 MIN_TRIALS = 10_000
 INCONCLUSIVE_REL_STDERR = 0.20
+# finite-difference steps outside this range give FD noise or a finite
+# difference across the chart's domain, not a theorem result
+STEP_RANGE = (1e-12, 0.5)
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,11 @@ class TaskSpec:
             )
         if self.points < 1:
             raise ConfigurationError(f"points must be positive, got {self.points}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ConfigurationError(f"step must be finite and positive, got {self.step}")
+        if not STEP_RANGE[0] <= self.step <= STEP_RANGE[1]:
+            raise ConfigurationError(
+                f"step must be finite and positive, within [{STEP_RANGE[0]:g}, "
+                f"{STEP_RANGE[1]:g}], got {self.step}"
+            )
 
     @property
     def kind(self) -> AlgebraKind:
@@ -1069,9 +1078,10 @@ def _qr_ratio(task: TaskSpec):
     box = _quantile_box(spec.extract_batch(pilot_x))
 
     def tri_coords_of(data: np.ndarray) -> np.ndarray:
-        h, t, ok = _qr_coords_batch(data, kind, m)
-        coords = tri_spec.extract_batch(t)
-        coords[~ok] = np.inf
+        """T of the positive-diagonal QR X = H T, in tri chart coordinates."""
+        h, norms = gram_schmidt_batch(data, beta)
+        coords = tri_spec.extract_batch(mul_raw(ct_raw(h), data, beta))
+        coords[~(norms > 1e-12).all(axis=1)] = np.inf
         return coords
 
     def chart_fn(rng, count):
@@ -1108,14 +1118,8 @@ def _chol_x_ratio(task: TaskSpec):
     s_box = _quantile_box(s_spec.extract_batch(pilot_s))
     eps = 0.9 * float(np.quantile(eigvalsh_raw(pilot_s, beta)[:, 0], 0.05))
 
-    def chol_factor(s: np.ndarray) -> np.ndarray:
-        """T with S = T*T: the complex form of T is L* for the lower
-        Cholesky factor L of S's complex form."""
-        c = np.linalg.cholesky(complex_raw(s, beta))
-        return complex_fold(np.swapaxes(c.conj(), -1, -2), beta)
-
     def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
-        return mul_raw(h1, chol_factor(s), beta)
+        return mul_raw(h1, cholesky_batch(s, beta), beta)
 
     pilot_h = sample_stiefel_batch(n, m, kind, _pilot(task, 1), 4096)
     x_box = _quantile_box(x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
@@ -1150,13 +1154,6 @@ def _chol_x_ratio(task: TaskSpec):
         return data, np.where(ok, hlog, -np.inf)
 
     return chart_fn, _box_volume_log(x_box), fact_fn, fact_const, fact_fn
-
-
-def _qr_coords_batch(x: np.ndarray, kind: AlgebraKind, q: int):
-    """Batched positive-diagonal QR via Gram-Schmidt; returns (H, T, ok)."""
-    h, ok = _mgs_batch(x[:, :, :q, :], kind.beta)
-    t = mul_raw(ct_raw(h), x, kind.beta)
-    return h, t, ok
 
 
 def run_mc_ratio_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 5) -> Report:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from divalg.cli import TASK_NAMES, build_parser, main, preset_tasks
 from divalg.algebra import REAL
@@ -20,6 +22,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-strict JSON token {token}")
 
 
 def value_of(out: str) -> float:
@@ -268,16 +274,38 @@ class TestVerifyCommand:
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
-    @pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
-    def test_bad_step_is_usage_error(self, capsys, step):
+    @pytest.mark.parametrize("task,step", [
+        ("mp-herm", "0"), ("mp-herm", "-0.001"), ("mp-herm", "nan"), ("mp-herm", "inf"),
+        ("chol", "1e300"), ("mp-herm", "10"), ("mp-herm", "1e-300"),
+    ], ids=["0", "-0.001", "nan", "inf", "chol-1e300", "10", "1e-300"])
+    def test_bad_step_is_usage_error(self, capsys, task, step):
         code, out, err = run_cli(
-            capsys, "verify", "--task", "mp-herm", "--beta", "1", "--m", "2", "--q", "1",
+            capsys, "verify", "--task", task, "--beta", "1", "--m", "2", "--q", "1",
             "--points", "2", "--step", step,
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error: step must be finite and positive")
         assert err.count("\n") == 1
+
+    @given(task=st.sampled_from(["chol", "mp-herm"]), step=st.floats())
+    @example(task="chol", step=5e-324)
+    @example(task="mp-herm", step=1e-310)
+    @example(task="chol", step=1e300)
+    @example(task="mp-herm", step=math.nan)
+    @example(task="chol", step=-math.inf)
+    @example(task="mp-herm", step=0.5)
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_step_exits_cleanly(self, capsys, task, step):
+        code, out, err = run_cli(
+            capsys, "verify", "--task", task, "--beta", "1", "--m", "2", "--q", "1",
+            "--points", "2", f"--step={step!r}",
+        )
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if out:
+            json.loads(out, parse_constant=_reject_constant)
 
     @pytest.mark.parametrize("flags,message", [
         (["--task", "sd", "--m", "2", "--q", "1", "--lambda-hi", "inf"], "eigenvalue box"),

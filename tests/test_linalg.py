@@ -25,7 +25,6 @@ from divalg.linalg import (
     inv_raw,
     inv_sqrt_hermitian_raw,
     logdet_hermitian_raw,
-    fold_embedding,
     frobenius_norm,
     inner_re,
     is_hermitian,
@@ -34,7 +33,6 @@ from divalg.linalg import (
     matmul,
     mul_raw,
     numerical_rank,
-    real_embed,
     save_matrix,
     sdet,
     sdet_log,
@@ -367,8 +365,8 @@ def test_embedding_is_multiplicative(kind):
     rng = np.random.default_rng(1)
     a = rand_mat(kind, 3, 4, rng)
     b = rand_mat(kind, 4, 2, rng)
-    lhs = real_embed(a @ b)
-    rhs = real_embed(a) @ real_embed(b)
+    lhs = embed_raw((a @ b).data, kind.beta)
+    rhs = embed_raw(a.data, kind.beta) @ embed_raw(b.data, kind.beta)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -376,26 +374,20 @@ def test_embedding_is_multiplicative(kind):
 def test_embedding_respects_conj_transpose(kind):
     rng = np.random.default_rng(2)
     a = rand_mat(kind, 3, 2, rng)
-    np.testing.assert_allclose(real_embed(conj_transpose(a)), real_embed(a).T, atol=1e-12)
+    np.testing.assert_allclose(
+        embed_raw(conj_transpose(a).data, kind.beta), embed_raw(a.data, kind.beta).T, atol=1e-12
+    )
 
 
 def test_complex_embedding_block():
     a = Mat(COMPLEX, np.array([[[2.0, 3.0]]]))
-    np.testing.assert_array_equal(real_embed(a), np.array([[2.0, -3.0], [3.0, 2.0]]))
+    np.testing.assert_array_equal(embed_raw(a.data, 2), np.array([[2.0, -3.0], [3.0, 2.0]]))
 
 
 def test_real_embedding_is_identity_map():
     rng = np.random.default_rng(3)
     a = rand_mat(REAL, 3, 3, rng)
-    np.testing.assert_array_equal(real_embed(a), a.data[:, :, 0])
-
-
-def test_fold_embedding_round_trip():
-    rng = np.random.default_rng(4)
-    for kind in EMBED_KINDS:
-        a = rand_mat(kind, 2, 3, rng)
-        back = fold_embedding(real_embed(a), kind)
-        np.testing.assert_allclose(back.data, a.data, atol=1e-14)
+    np.testing.assert_array_equal(embed_raw(a.data, 1), a.data[:, :, 0])
 
 
 def test_conj_transpose_involution_and_product_rule():
@@ -436,13 +428,18 @@ def test_sdet_is_multiplicative_and_unitary_invariant(kind):
 
 
 def test_sdet_log_singular():
-    z = Mat.zeros(COMPLEX, 2, 2)
-    assert sdet(z) == 0.0
-    assert sdet_log(z) == -np.inf
+    for kind in EMBED_KINDS:
+        for side in (1, 2):
+            z = Mat.zeros(kind, side, side)
+            assert sdet(z) == 0.0
+            assert sdet_log(z) == -np.inf
 
 
 def test_numerical_rank():
     assert numerical_rank(Mat.zeros(COMPLEX, 3, 2)) == 0
+    for kind in EMBED_KINDS:
+        for side in (1, 2):
+            assert numerical_rank(Mat.zeros(kind, side, side)) == 0
     d = Mat.from_real(COMPLEX, np.diag([1.0, 1e-14]))
     assert numerical_rank(d, tol=1e-8) == 1
     rng = np.random.default_rng(7)
@@ -459,8 +456,10 @@ def test_mat_inv():
         a = rand_mat(kind, 3, 3, rng)
         prod = a @ mat_inv(a)
         np.testing.assert_allclose(prod.data, Mat.eye(kind, 3).data, atol=1e-10)
-    with pytest.raises(SingularBlockError):
-        mat_inv(Mat.zeros(REAL, 2, 2))
+    for kind in EMBED_KINDS:
+        for side in (1, 2):
+            with pytest.raises(SingularBlockError):
+                mat_inv(Mat.zeros(kind, side, side))
 
 
 def test_octonion_matrices_limited_support():
@@ -468,7 +467,7 @@ def test_octonion_matrices_limited_support():
     a = rand_mat(OCTONION, 2, 2, rng)
     b = rand_mat(OCTONION, 2, 2, rng)
     (a + b), (-a), conj_transpose(a)  # construction-level ops stay available
-    for op in (real_embed, sdet, numerical_rank, mat_inv):
+    for op in (sdet, numerical_rank, mat_inv):
         with pytest.raises(UnsupportedAlgebraError):
             op(a)
 
@@ -540,4 +539,8 @@ def test_embedding_additivity(data):
     elems = st.floats(min_value=-5, max_value=5, allow_nan=False)
     a = Mat(kind, np.array(data.draw(st.lists(st.lists(st.lists(elems, min_size=kind.beta, max_size=kind.beta), min_size=m, max_size=m), min_size=n, max_size=n))))
     b = Mat(kind, np.array(data.draw(st.lists(st.lists(st.lists(elems, min_size=kind.beta, max_size=kind.beta), min_size=m, max_size=m), min_size=n, max_size=n))))
-    np.testing.assert_allclose(real_embed(a + b), real_embed(a) + real_embed(b), atol=1e-12)
+    np.testing.assert_allclose(
+        embed_raw((a + b).data, kind.beta),
+        embed_raw(a.data, kind.beta) + embed_raw(b.data, kind.beta),
+        atol=1e-12,
+    )

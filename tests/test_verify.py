@@ -6,10 +6,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, REAL, verify
+from divalg import COMPLEX, QUATERNION, REAL, verify
 from divalg.algebra import structure_tensor
 from divalg.charts import assemble_sd_batch, extract_psd, sample_stiefel_batch
-from divalg.decomp import pinv_batch, svd_rank_q
+from divalg.decomp import (
+    cholesky_rank_q,
+    eig_hermitian,
+    pinv_batch,
+    qr_positive,
+    svd_rank_q,
+)
 from divalg.errors import (
     ConfigurationError,
     InconclusiveStatisticsError,
@@ -22,9 +28,11 @@ from divalg.linalg import (
     complex_multiplicity,
     conj_transpose,
     ct_raw,
+    mat_inv,
     mul_raw,
     numerical_rank,
     save_matrix,
+    sdet_log,
 )
 from divalg.verify import (
     THEOREMS,
@@ -468,7 +476,7 @@ def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
 def _record_lapack(monkeypatch) -> list:
     """(name, dtype kind, shape) of every numpy.linalg factorization call."""
     calls = []
-    for name in ("eigvalsh", "svd", "eigh", "inv", "slogdet", "cholesky"):
+    for name in ("eigvalsh", "svd", "eigh", "inv", "slogdet", "cholesky", "solve"):
         def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             arr = np.asarray(a)
             calls.append((_name, arr.dtype.kind, arr.shape))
@@ -500,6 +508,27 @@ def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
             else:
                 assert task.beta == 4 and task.engine == "MC_RATIO", (task, name, shape)
                 assert (name, shape[-2:]) == ("slogdet", (gram_side, gram_side))
+
+
+def test_single_matrix_api_runs_on_the_complex_form(monkeypatch):
+    """At beta=4 every numpy.linalg factorization of the single-matrix API
+    gets the 2m x 2m complex adjoint, never the 4m x 4m real embedding."""
+    calls = _record_lapack(monkeypatch)
+    m = 3
+    x = Mat(QUATERNION, np.random.default_rng(8).normal(size=(m, m, 4)))
+    s = conj_transpose(x) @ x
+    eig_hermitian(s, m)
+    svd_rank_q(x, m)
+    sdet_log(x)
+    numerical_rank(x)
+    mat_inv(x)
+    cholesky_rank_q(s, m)
+    qr_positive(x, m)
+    assert {name for name, _, _ in calls} == {
+        "eigh", "svd", "slogdet", "inv", "cholesky", "solve"
+    }
+    for name, kind, shape in calls:
+        assert (kind, shape[-2:]) == ("c", (2 * m, 2 * m)), (name, kind, shape)
 
 
 def test_small_blocks_take_closed_forms(monkeypatch):
