@@ -6,9 +6,10 @@ X21 X11^{-1} X12) and S11, S12 for Hermitian PSD matrices (S22 = S12* S11^{-1}
 S12).  The modules that integrate over these manifolds need three things
 built here: completion/extraction between chart coordinates and full
 matrices, the density of the chart's Lebesgue measure against the Hausdorff
-surface measure (a Gram determinant of finite-difference tangent vectors in
-the ambient inner product Re tr(A*B)), and samplers for the factorized
-measures (spectrum box x uniform Stiefel frames).
+surface measure (the Gram determinant of the exact differential of
+completion in the ambient inner product Re tr(A*B): a constant for a
+full-rank chart, one block inverse per batch for a rank-q chart), and
+samplers for the factorized measures (spectrum box x uniform Stiefel frames).
 
 Everything is written batch-first on raw coefficient arrays; the public
 single-point API wraps batches of one.  The block inverses of completion
@@ -46,7 +47,6 @@ from .linalg import (
 )
 from .measures import LOG2, LOGPI, stiefel_volume_log, tau
 
-DEFAULT_FD_STEP = 1e-5
 PIVOT_TOL = 1e-10
 BLOCK_COND_TOL = 1e-10
 
@@ -530,32 +530,64 @@ def choose_pivot(a: Mat, q: int, chart: str = "rect"):
 # Hausdorff density
 
 
-def hausdorff_density_log_batch(
-    spec: ChartSpec, coords: np.ndarray, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+def hausdorff_density_log_batch(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
     """log sqrt(det G^T G) per batch row of a chart: the log density of its
-    Lebesgue measure against the Hausdorff measure, with G the central
-    differences of the chart's completion."""
+    Lebesgue measure against the Hausdorff measure (the area formula), with G
+    the exact differential of the chart's completion.
+
+    Completion writes each coordinate into the matrix once, or twice for the
+    off-diagonal S11 entries and S12 of a psd chart (their conjugates fill
+    the lower blocks), and fills X22 = X21 X11^{-1} X12, whose differential is
+        dX22 = dX21 K - L dX11 K + L dX12,  K = X11^{-1} X12,  L = X21 X11^{-1}
+    (S12* for X21 and L = K* for a psd chart).  So G^T G = D + J^T J with D
+    the multiplicity of each coordinate and J the p columns of dX22, and by
+    Sylvester's identity log det G^T G = sum log D + log det(I_p + J D^{-1} J^T).
+    A full-rank chart completes nothing: its density is the constant
+    (1/2) sum log D.
+    """
     b, k = coords.shape
-    h = np.maximum(step, step * np.abs(coords))
-    columns = []
-    for i in range(k):
-        e = np.zeros_like(coords)
-        e[:, i] = h[:, i]
-        fp = spec.complete_batch(coords + e).reshape(b, -1)
-        fm = spec.complete_batch(coords - e).reshape(b, -1)
-        columns.append((fp - fm) / (2.0 * h[:, i])[:, None])
-    g = np.stack(columns, axis=-1)
-    gram = np.swapaxes(g, -1, -2) @ g
+    if k != spec.coord_count():
+        raise ShapeMismatchError(f"expected {spec.coord_count()} coordinates, got {k}")
+    kind, beta = spec.kind, spec.kind.beta
+    if spec.space == "psd":
+        m, q = spec.sizes
+        once, p = q, (m - q) ** 2 * beta
+    elif spec.space == "rect":
+        n, m, q = spec.sizes
+        once, p = k, (n - q) * (m - q) * beta
+    else:  # tri: the coordinates are the matrix entries
+        once, p = k, 0
+    base = 0.5 * (k - once) * LOG2
+    if p == 0:
+        return np.full(b, base)
+    unit = np.eye(k)
+    if spec.space == "psd":
+        s11, s12 = _psd_unpack(coords, kind, m, q)
+        right = mul_raw(_inv_hermitian_block(s11, beta), s12, beta)
+        left = ct_raw(right)
+        d11, d12 = _psd_unpack(unit, kind, m, q)
+        d21 = ct_raw(d12)
+    else:
+        x11, x12, x21 = _rect_unpack(coords, kind, n, m, q)
+        x11_inv = _inv_general_block(x11, beta)
+        right = mul_raw(x11_inv, x12, beta)
+        left = mul_raw(x21, x11_inv, beta)
+        d11, d12, d21 = _rect_unpack(unit, kind, n, m, q)
+    right, left = right[:, None], left[:, None]
+    d22 = mul_raw(d21 - mul_raw(left, d11, beta), right, beta) + mul_raw(left, d12, beta)
+    jt = d22.reshape(b, k, p)
+    inv_mult = np.ones(k)
+    inv_mult[once:] = 0.5
+    gram = np.eye(p) + np.swapaxes(jt, 1, 2) @ (jt * inv_mult[:, None])
     sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0.0):
         raise ConditioningError("chart Gram matrix is numerically singular")
-    return 0.5 * logdet
+    return base + 0.5 * logdet
 
 
-def hausdorff_density(p: RectChartPoint | PsdChartPoint, step: float = DEFAULT_FD_STEP) -> float:
+def hausdorff_density(p: RectChartPoint | PsdChartPoint) -> float:
     """sqrt det(G^T G): density of the chart Lebesgue measure w.r.t. Hausdorff measure."""
-    return float(np.exp(hausdorff_density_log_batch(p.spec, p.coords[None, :], step)[0]))
+    return float(np.exp(hausdorff_density_log_batch(p.spec, p.coords[None, :])[0]))
 
 
 # ---------------------------------------------------------------------------

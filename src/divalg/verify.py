@@ -145,7 +145,8 @@ ABS_LOG_FLOOR = 1e-7
 MIN_TRIALS = 10_000
 INCONCLUSIVE_REL_STDERR = 0.20
 # finite-difference steps outside this range give FD noise or a finite
-# difference across the chart's domain, not a theorem result
+# difference across the chart's domain, not a theorem result; only the
+# CHART engine reads TaskSpec.step (MC_RATIO's Hausdorff density is exact)
 STEP_RANGE = (1e-12, 0.5)
 
 
@@ -474,6 +475,9 @@ def _mc_estimate(
     sizes = [BLOCK_SIZE] * (trials // BLOCK_SIZE)
     if trials % BLOCK_SIZE:
         sizes.append(trials % BLOCK_SIZE)
+    # every TestFunction at once: one pass over each block's data
+    centers = np.stack([fn.center.ravel() for fn in test_fns])
+    two_var = np.array([2.0 * fn.sigma**2 for fn in test_fns])
 
     def work(args):
         idx, size = args
@@ -481,10 +485,13 @@ def _mc_estimate(
         data, logw = side_fn(rng, size)
         with np.errstate(over="ignore"):
             w = np.exp(logw + log_const)
+        flat = data.reshape(data.shape[0], -1)
+        sq = np.sum((flat[:, None] - centers[None]) ** 2, axis=2)
+        vals = np.exp(-sq / two_var)
         out = np.empty((n_fns, 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, fn in enumerate(test_fns):
-                v = fn(data) * w
+            for k in range(n_fns):
+                v = vals[:, k] * w
                 out[k, 0] = v.sum()
                 out[k, 1] = np.dot(v, v)
         return out
@@ -990,7 +997,7 @@ def _sd_ratio(task: TaskSpec):
         if np.any(valid):
             sub = coords[valid]
             data[valid] = spec.complete_batch(sub)
-            hlog = hausdorff_density_log_batch(spec, sub, task.step)
+            hlog = hausdorff_density_log_batch(spec, sub)
             top = eigvalsh_raw(data[valid], beta)[:, ::-1][:, :q]
             spec_ok = _in_box_gap(top, lo, hi, gap)
             logw[valid] = np.where(spec_ok, hlog, -np.inf)
@@ -1038,7 +1045,7 @@ def _svd_ratio(task: TaskSpec):
         if np.any(valid):
             sub = coords[valid]
             data[valid] = spec.complete_batch(sub)
-            hlog = hausdorff_density_log_batch(spec, sub, task.step)
+            hlog = hausdorff_density_log_batch(spec, sub)
             spec_ok = _in_box_gap(svdvals_raw(data[valid], beta)[:, :q], lo, hi, gap)
             logw[valid] = np.where(spec_ok, hlog, -np.inf)
         return data, logw
@@ -1087,7 +1094,7 @@ def _qr_ratio(task: TaskSpec):
     def chart_fn(rng, count):
         coords = _uniform_in_box(rng, box, count)
         data = spec.complete_batch(coords)
-        hlog = hausdorff_density_log_batch(spec, coords, task.step)
+        hlog = hausdorff_density_log_batch(spec, coords)
         ok = _coords_in_box(tri_coords_of(data), tri_box)
         return data, np.where(ok, hlog, -np.inf)
 
@@ -1146,7 +1153,7 @@ def _chol_x_ratio(task: TaskSpec):
     def chart_fn(rng, count):
         coords = _uniform_in_box(rng, x_box, count)
         data = x_spec.complete_batch(coords)
-        hlog = hausdorff_density_log_batch(x_spec, coords, task.step)
+        hlog = hausdorff_density_log_batch(x_spec, coords)
         s = mul_raw(ct_raw(data), data, beta)
         s = (s + ct_raw(s)) / 2.0
         ok = _coords_in_box(s_spec.extract_batch(s), s_box)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, QUATERNION, REAL, verify
+from divalg import COMPLEX, QUATERNION, REAL, charts, verify
 from divalg.charts import (
+    ChartSpec,
     PsdChartPoint,
     RectChartPoint,
     assemble_sd_batch,
@@ -18,6 +19,7 @@ from divalg.charts import (
     factorized_draw,
     factorized_mass_log,
     hausdorff_density,
+    hausdorff_density_log_batch,
     psd_coord_count,
     rect_coord_count,
     sample_stiefel_batch,
@@ -29,6 +31,7 @@ from divalg.errors import (
     ConfigurationError,
     NotPsdError,
     RankError,
+    ShapeMismatchError,
     SingularBlockError,
 )
 from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank
@@ -186,7 +189,116 @@ class TestChoosePivot:
         np.testing.assert_allclose(complete_psd(p).data, s.data, atol=1e-12)
 
 
+def _fd_density_log(spec, coords, step=1e-5):
+    """Oracle for the exact density: log sqrt(det G^T G) with G the central
+    differences of the chart's completion, 2k completions per batch."""
+    b, k = coords.shape
+    h = np.maximum(step, step * np.abs(coords))
+    columns = []
+    for i in range(k):
+        e = np.zeros_like(coords)
+        e[:, i] = h[:, i]
+        fp = spec.complete_batch(coords + e).reshape(b, -1)
+        fm = spec.complete_batch(coords - e).reshape(b, -1)
+        columns.append((fp - fm) / (2.0 * h[:, i])[:, None])
+    g = np.stack(columns, axis=-1)
+    sign, logdet = np.linalg.slogdet(np.swapaxes(g, -1, -2) @ g)
+    assert np.all(sign > 0.0)
+    return 0.5 * logdet
+
+
+def _reversed_chart(space, kind, sizes):
+    """A chart whose pivots reverse every index, so none is the identity."""
+    if space == "psd":
+        return ChartSpec(space, kind, sizes, tuple(range(sizes[0]))[::-1])
+    n, m, _ = sizes
+    return ChartSpec(space, kind, sizes, (tuple(range(n))[::-1], tuple(range(m))[::-1]))
+
+
+def _well_conditioned_coords(spec, rng, rows):
+    """Chart coordinates whose X11 (or S11) block is 3 I plus noise: the FD
+    oracle's error grows as that block nears singularity."""
+    q, beta = spec.sizes[-1], spec.kind.beta
+    if spec.space == "psd":
+        coords = 0.3 * rng.normal(size=(rows, spec.coord_count()))
+        coords[:, :q] += 3.0
+    else:
+        coords = rng.normal(size=(rows, spec.coord_count()))
+        coords[:, [(i * q + i) * beta for i in range(q)]] += 3.0
+    return coords
+
+
 class TestHausdorffDensity:
+    def test_exact_matches_finite_differences(self):
+        rng = np.random.default_rng(20)
+        cases = [("rect", s) for s in [(2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 2)]]
+        cases += [("psd", s) for s in [(2, 1), (3, 2), (4, 2)]]
+        for kind in KINDS:
+            for space, sizes in cases:
+                spec = _reversed_chart(space, kind, sizes)
+                coords = _well_conditioned_coords(spec, rng, 16)
+                np.testing.assert_allclose(
+                    hausdorff_density_log_batch(spec, coords),
+                    _fd_density_log(spec, coords),
+                    rtol=1e-8, err_msg=str(spec),
+                )
+
+    def test_full_rank_charts_are_constants(self):
+        # a full-rank rect chart permutes coordinates; a full-rank psd chart
+        # writes each off-diagonal coordinate twice
+        rng = np.random.default_rng(21)
+        for kind in KINDS:
+            for sizes in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 1, 1)]:
+                spec = _reversed_chart("rect", kind, sizes)
+                coords = rng.normal(size=(8, spec.coord_count()))
+                assert np.all(hausdorff_density_log_batch(spec, coords) == 0.0)
+                with pytest.raises(ShapeMismatchError):
+                    hausdorff_density_log_batch(spec, coords[:, 1:])
+            for q in (1, 2, 3):
+                spec = _reversed_chart("psd", kind, (q, q))
+                coords = rng.normal(size=(8, spec.coord_count()))
+                expected = (kind.beta * q * (q - 1) / 4) * math.log(2.0)
+                assert np.all(hausdorff_density_log_batch(spec, coords) == expected)
+                with pytest.raises(ShapeMismatchError):
+                    hausdorff_density_log_batch(spec, coords[:, 1:])
+
+    def test_block_checks_reject_a_bad_row(self):
+        rect = ChartSpec("rect", REAL, (2, 2, 1), ((0, 1), (0, 1)))
+        with pytest.raises(SingularBlockError):
+            hausdorff_density_log_batch(rect, np.array([[2.0, 3.0, 4.0], [0.0, 3.0, 4.0]]))
+        psd = ChartSpec("psd", REAL, (2, 1), (0, 1))
+        with pytest.raises(NotPsdError):
+            hausdorff_density_log_batch(psd, np.array([[1.0, 2.0], [-1.0, 2.0]]))
+
+    def test_no_completion_and_one_block_inverse(self, monkeypatch):
+        """A rank-q chart inverts its leading block once per call, a full-rank
+        chart not at all, and neither completes a matrix."""
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            ChartSpec, "complete_batch", counting("complete_batch", ChartSpec.complete_batch)
+        )
+        for name in ("_inv_general_block", "_inv_hermitian_block"):
+            monkeypatch.setattr(charts, name, counting(name, getattr(charts, name)))
+        rng = np.random.default_rng(22)
+        for space, sizes, expected in [
+            ("rect", (3, 2, 1), {"_inv_general_block": 1}),
+            ("psd", (3, 2), {"_inv_hermitian_block": 1}),
+            ("rect", (3, 2, 2), {}),
+            ("psd", (2, 2), {}),
+        ]:
+            spec = _reversed_chart(space, COMPLEX, sizes)
+            coords = _well_conditioned_coords(spec, rng, 64)
+            counts.clear()
+            hausdorff_density_log_batch(spec, coords)
+            assert counts == expected, spec
+
     def test_full_rank_rect_is_one(self):
         rng = np.random.default_rng(10)
         for kind in KINDS:

@@ -22,7 +22,6 @@ from divalg.errors import (
     RegistryError,
     UnsupportedAlgebraError,
 )
-from divalg.charts import psd_coord_count, rect_coord_count
 from divalg.linalg import (
     Mat,
     complex_multiplicity,
@@ -181,6 +180,30 @@ class TestTestFunctions:
         for fn in fns:
             dists = np.abs(flat - fn.center.reshape(1, -1)).sum(axis=1)
             assert dists.min() == 0.0
+
+    def test_mc_estimate_sums_each_function_exactly(self):
+        """_mc_estimate evaluates all test functions in one pass; its sums
+        equal those of a block loop over TestFunction.__call__ bit for bit."""
+        samples = np.random.default_rng(5).normal(size=(32, 3, 2, 2))
+        fns = make_test_functions(5, 5, samples)
+
+        def side_fn(rng, count):
+            return rng.normal(size=(count, 3, 2, 2)), rng.normal(size=count)
+
+        sizes = [verify.BLOCK_SIZE, 100]
+        trials = sum(sizes)
+        means, stderrs = verify._mc_estimate(side_fn, 0.3, fns, trials, 1, 2, 3, 1)
+        total = np.zeros((len(fns), 2))
+        for idx, size in enumerate(sizes):
+            data, logw = side_fn(verify._substream(1, 2, 3, idx), size)
+            w = np.exp(logw + 0.3)
+            for k, fn in enumerate(fns):
+                v = fn(data) * w
+                total[k] += (v.sum(), np.dot(v, v))
+        expected = total[:, 0] / trials
+        var = np.maximum(total[:, 1] - trials * expected**2, 0.0) / (trials - 1)
+        assert np.array_equal(means, expected)
+        assert np.array_equal(stderrs, np.sqrt(var / trials))
 
     def test_validation(self):
         samples = np.zeros((4, 2, 2, 1))
@@ -488,14 +511,15 @@ def _record_lapack(monkeypatch) -> list:
 def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
     """Batched eigenvalue, SVD, inverse, Cholesky and log-determinant calls
     get the complex form of side r*k, never a real embedding of side beta*k;
-    the one real batched call is the Hausdorff Gram of the chart coordinates."""
+    the one real batched call is the Hausdorff Gram on the p x p side of the
+    completed block, p = (n - q)(m - q) beta."""
     calls = _record_lapack(monkeypatch)
     tasks = [
         TaskSpec(theorem_id="SVD", beta=4, n=3, m=2, q=1, engine="MC_RATIO",
                  trials=10_000, seed=6),
         TaskSpec(theorem_id="MP_HERM", beta=4, m=3, q=2, points=2, seed=5),
     ]
-    gram_side = rect_coord_count(3, 2, 1, 4)
+    gram_side = (3 - 1) * (2 - 1) * 4
     for task in tasks:
         calls.clear()
         run_task(task)
@@ -544,7 +568,7 @@ def test_small_blocks_take_closed_forms(monkeypatch):
                  trials=10_000, seed=6),
         TaskSpec(theorem_id="MP_HERM", beta=4, m=2, q=1, points=2, seed=5),
     ]
-    gram_side = psd_coord_count(2, 1, 4)
+    gram_side = (2 - 1) * (2 - 1) * 4
     for task in tasks:
         calls.clear()
         if task.engine == "CHART":
