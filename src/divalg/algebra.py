@@ -7,13 +7,16 @@ previous algebra, the multiplication rule used throughout is
     (p, q)(r, s) = (p r - conj(s) q,  s p + q conj(r))
 
 and the basis is ordered so that index b < beta/2 maps to (e_b, 0) and
-index b >= beta/2 maps to (0, e_{b - beta/2}).  The whole product structure
-is captured by the tensor C with  e_p e_q = sum_r C[p, q, r] e_r.  Each basis
-product is a signed basis element, so C is a signed permutation with beta^2
-nonzeros, and kernels do not contract against it: they gather through the
-table (P, S) of `_gather_table`, in which left multiplication by a sends e_q
-to sum_r S[r, q] a_{P[r, q]} e_r.  A product is then that signed gather
-followed by one real matmul.
+index b >= beta/2 maps to (0, e_{b - beta/2}).  Every product in the package,
+of scalars here and of matrices in `linalg.mul_raw`, applies this rule to
+complex views of the coefficients (`_cd_view`, `_cd_mul`): a complex entry
+is its pair (a0 + i a1), a quaternion the complex pair (p, q) with
+p = a0 + i a1, q = a2 + i a3, and an octonion a pair of quaternions.  The
+structure tensor C, with e_p e_q = sum_r C[p, q, r] e_r, is built from the
+same rule; it is a signed permutation with beta^2 nonzeros, and its table
+(P, S) of `_gather_table` gives the left-regular representation
+`linalg.embed_raw`, in which left multiplication by a sends e_q to
+sum_r S[r, q] a_{P[r, q]} e_r.
 """
 from __future__ import annotations
 
@@ -112,6 +115,47 @@ def _gather_table(beta: int) -> tuple[np.ndarray, np.ndarray]:
     return P, S
 
 
+def _pair_view(a: np.ndarray) -> np.ndarray:
+    """Coefficient pairs (a0 + i a1, a2 + i a3, ...) as complex128, a view
+    where the last axis is contiguous float64."""
+    if a.dtype != np.float64 or a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+    return a.view(np.complex128)
+
+
+def _cd_view(a: np.ndarray, beta: int) -> np.ndarray:
+    """(..., beta) coefficients in the form `_cd_mul` takes: the real array
+    for beta=1, the (..., beta/2) complex pairs otherwise.  `.view(np.float64)`
+    of a product returns its (..., beta) coefficients."""
+    return a if beta == 1 else _pair_view(a)
+
+
+def _cd_conj(z: np.ndarray) -> np.ndarray:
+    """Conjugate of `_cd_view` entries: (conj p, -q) on each pair."""
+    if z.shape[-1] == 1:
+        return z.conj()
+    return np.concatenate((z[..., :1].conj(), -z[..., 1:]), axis=-1)
+
+
+def _cd_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Entrywise products x y of `_cd_view` arrays, leading axes broadcast.
+
+    One complex (or real) coefficient is the base case; wider entries split
+    into halves, (p, q)(r, s) = (p r - conj(s) q, s p + q conj(r)).  Each
+    entry product is one application of the rule, so octonion products need
+    no associativity.
+    """
+    h = x.shape[-1]
+    if h == 1:
+        return x * y
+    k = h // 2
+    p, q, r, s = x[..., :k], x[..., k:], y[..., :k], y[..., k:]
+    return np.concatenate(
+        (_cd_mul(p, r) - _cd_mul(_cd_conj(s), q), _cd_mul(s, p) + _cd_mul(q, _cd_conj(r))),
+        axis=-1,
+    )
+
+
 def multiplication_table(beta: int) -> list[list[list[int]]]:
     """Basis product table: entry [i][j] is [sign, k] with e_i e_j = sign * e_k."""
     C = structure_tensor(beta)
@@ -185,8 +229,9 @@ def _check_kinds(a: Scalar, b: Scalar) -> None:
 def mul(a: Scalar, b: Scalar) -> Scalar:
     """Product under the Cayley-Dickson recursion (noncommutative for beta >= 4)."""
     _check_kinds(a, b)
-    P, S = _gather_table(a.kind.beta)
-    return Scalar(a.kind, (a.coeffs[P] * S) @ b.coeffs)
+    beta = a.kind.beta
+    prod = _cd_mul(_cd_view(a.coeffs, beta), _cd_view(b.coeffs, beta))
+    return Scalar(a.kind, prod.view(np.float64))
 
 
 def conj(a: Scalar) -> Scalar:

@@ -228,10 +228,11 @@ def _psd_pack(s11, s12, kind: AlgebraKind, m: int, q: int) -> np.ndarray:
 
 
 def _inv_hermitian_block(s11: np.ndarray, beta: int) -> np.ndarray:
-    """Batched inverse of Hermitian PD blocks, with positivity check."""
+    """Batched inverse of Hermitian PD blocks, with a positivity check
+    relative to the largest eigenvalue (1 for an all-zero batch)."""
     eig = eigvalsh_raw(s11, beta)
     top = float(np.abs(eig).max()) if eig.size else 0.0
-    if float(eig.min()) <= 1e-12 * max(top, 1.0):
+    if float(eig.min()) <= 1e-12 * (top if top > 0.0 else 1.0):
         raise NotPsdError(
             f"S11 block is not positive definite (min eigenvalue {eig.min():.3e})"
         )
@@ -601,12 +602,16 @@ def sample_stiefel_batch(
     _require_assoc(kind.beta, "Stiefel sampling")
     if q > n:
         raise ShapeMismatchError(f"need q <= n, got q={q} n={n}")
-    frames = np.empty((count, n, q, kind.beta))
+    frames = None
     remaining = np.arange(count)
     for _ in range(100):
         draw = rng.standard_normal((remaining.size, n, q, kind.beta))
         got, norms = gram_schmidt_batch(draw, kind.beta)
         ok = (norms > 1e-12).all(axis=1)
+        if frames is None:
+            if ok.all():
+                return got
+            frames = np.empty((count, n, q, kind.beta))
         frames[remaining[ok]] = got[ok]
         remaining = remaining[~ok]
         if remaining.size == 0:

@@ -10,7 +10,8 @@ volume      evaluate a Stiefel manifold volume
 sample      draw a random matrix (stiefel | psd | rect) and write it to a file
 demo        run the congruence-factor discrepancy demonstration
 
-Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive statistics.
+Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive statistics,
+4 internal error (an exception that is not a DivalgError).
 """
 
 from __future__ import annotations
@@ -178,7 +179,12 @@ def _exit_for_error(exc: Exception) -> int:
     if isinstance(exc, DivalgError):
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    raise exc
+    print(f"internal error: {_internal_error(exc)}", file=sys.stderr)
+    return 4
+
+
+def _internal_error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -250,7 +256,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     except Exception as exc:  # noqa: BLE001
         return _exit_for_error(exc)
     results: list[dict] = []
-    n_fail = n_inconclusive = 0
+    n_fail = n_inconclusive = n_internal = 0
     for task in tasks:
         try:
             report = run_task(task, jobs=jobs)
@@ -266,10 +272,18 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
                 {"task": task.to_dict(), "error": str(exc), "pass": False}
             )
             continue
+        except Exception as exc:  # noqa: BLE001 -- one task's bug must not end the grid
+            n_internal += 1
+            message = _internal_error(exc)
+            print(f"internal error: {message}", file=sys.stderr)
+            results.append(
+                {"task": task.to_dict(), "internal_error": message, "pass": False}
+            )
+            continue
         if not report.passed:
             n_fail += 1
         results.append(report.to_dict())
-    passed = n_fail == 0 and n_inconclusive == 0
+    passed = n_fail == 0 and n_inconclusive == 0 and n_internal == 0
     doc = {
         "preset": args.preset,
         "seed": args.seed,
@@ -297,14 +311,21 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
                     "q": task["q"],
                     "b_source": task["b_source"],
                     "pass": item["pass"],
-                    "note": item.get("inconclusive", item.get("error", "")),
+                    "note": item.get(
+                        "inconclusive", item.get("error", item.get("internal_error", ""))
+                    ),
                 }
             )
         text = _records_to_csv(rows) if args.format == "csv" else _records_to_table(rows)
-        summary = f"pass={passed} failed={n_fail} inconclusive={n_inconclusive}\n"
+        summary = (
+            f"pass={passed} failed={n_fail} inconclusive={n_inconclusive} "
+            f"internal_errors={n_internal}\n"
+        )
         written = _emit(text + summary if args.format != "csv" else text, args.out)
     if not written:
         return 2
+    if n_internal:
+        return 4
     if n_fail:
         return 1
     if n_inconclusive:
@@ -551,7 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # noqa: BLE001 -- no traceback reaches a CLI user
+        return _exit_for_error(exc)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Dense matrices over a division algebra.
 
 A matrix is stored as an (n, m, beta) float64 array of coefficients plus an
-algebra tag.  The left-regular representation (embed_raw) makes each entry a
-beta x beta real block; it is only the algebra-product kernel of mul_raw.
-Every spectrum, determinant, rank and inverse runs on the complex form
-(complex_raw), the smallest faithful one: the real matrix for beta=1, the
-n x m complex matrix for beta=2 and the 2n x 2m complex adjoint for beta=4,
-in which every algebra eigenvalue or singular value appears
-r = complex_multiplicity(beta) times.  The single-matrix sdet_log,
+algebra tag.  mul_raw, the one matrix-product kernel, sums the entrywise
+Cayley-Dickson products of algebra.mul over the inner index, on complex
+views of the coefficients.  The left-regular representation (embed_raw)
+makes each entry a beta x beta real block; it is kept as the public real
+representation, and no engine calls it.  Every spectrum, determinant, rank
+and inverse runs on the complex form (complex_raw), the smallest faithful
+one: the real matrix for beta=1, the n x m complex matrix for beta=2 and the
+2n x 2m complex adjoint for beta=4, in which every algebra eigenvalue or
+singular value appears r = complex_multiplicity(beta) times.  The single-matrix sdet_log,
 numerical_rank and mat_inv take one LAPACK call on it.  The small-block
 kernels (eigvalsh_raw, svdvals_raw, inv_raw, inv_hermitian_raw,
 logdet_hermitian_raw, inv_sqrt_hermitian_raw) give the engines' batched
@@ -15,8 +17,8 @@ spectra, inverses, log-determinants and whitening on coefficient arrays:
 closed forms for blocks of side 1 (single rows and columns for singular
 values) and Hermitian blocks of side 2, LAPACK on the complex form for the
 rest.
-Octonion matrices support construction, addition, conjugation and entrywise
-products only: non-associativity breaks the complex form.
+Octonion matrices support construction, addition, conjugation and products
+(mul_raw) only: non-associativity breaks the complex form.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraKind, Scalar, _gather_table
+from .algebra import AlgebraKind, Scalar, _cd_mul, _cd_view, _gather_table, _pair_view
 from .errors import (
     AlgebraMismatchError,
     InternalConsistencyError,
@@ -36,23 +38,27 @@ from .errors import (
 )
 
 # Raw kernels operate on plain coefficient arrays with arbitrary leading batch
-# axes; the Mat wrappers below delegate to them.  Every algebra product goes
-# through embed_raw: a signed gather through the table of
-# algebra._gather_table (the structure tensor C is a signed permutation, so
-# nothing contracts against it), followed for mul_raw by one real matmul.
+# axes; the Mat wrappers below delegate to them.  mul_raw keeps a Python loop
+# over the inner index k: the engines' products have k <= 4, and on
+# 4096-batches at beta=4 one broadcast over (n, k, p) summed over k took
+# 1.1-3x as long as the k broadcast (n, p) terms.
 
 
 def mul_raw(a: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
     """Matrix product over the algebra, (..., n, m, beta) x (..., m, p, beta).
 
-    Row block i of embed_raw(a) applied to column j of b, with b's
-    coefficients moved into its rows, is sum_k a_ik b_kj; this needs no
+    Entry (i, j) is sum_k a_ik b_kj, each term one Cayley-Dickson product
+    (algebra._cd_mul) on complex views of the coefficients; this needs no
     associativity, so it holds for octonions too.  Leading axes broadcast.
     """
-    m, p = b.shape[-3], b.shape[-2]
-    cols = b.swapaxes(-2, -1).reshape(b.shape[:-3] + (m * beta, p))
-    out = embed_raw(a, beta) @ cols
-    return out.reshape(out.shape[:-2] + (a.shape[-3], beta, p)).swapaxes(-2, -1)
+    m = a.shape[-2]
+    if b.shape[-3] != m:
+        raise ShapeMismatchError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    x, y = _cd_view(a, beta), _cd_view(b, beta)
+    out = _cd_mul(x[..., :, 0, None, :], y[..., None, 0, :, :])
+    for k in range(1, m):
+        out += _cd_mul(x[..., :, k, None, :], y[..., None, k, :, :])
+    return out.view(np.float64)
 
 
 def conj_raw(a: np.ndarray) -> np.ndarray:
@@ -66,7 +72,9 @@ def ct_raw(a: np.ndarray) -> np.ndarray:
 
 
 def embed_raw(a: np.ndarray, beta: int) -> np.ndarray:
-    """Left-regular representation, (..., n, m, beta) -> (..., n*beta, m*beta)."""
+    """Left-regular representation, (..., n, m, beta) -> (..., n*beta, m*beta):
+    a signed gather through the table of algebra._gather_table, so that
+    embed_raw(mul_raw(a, b)) = embed_raw(a) @ embed_raw(b) for beta <= 4."""
     P, S = _gather_table(beta)
     n, m = a.shape[-3], a.shape[-2]
     blocks = (a[..., P] * S).swapaxes(-3, -2)
@@ -273,14 +281,6 @@ def inv_sqrt_hermitian_raw(a: np.ndarray, beta: int) -> np.ndarray:
     w, u = np.linalg.eigh(hermitian_part(complex_raw(a, beta)))
     c = (u * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
     return complex_fold(c, beta)
-
-
-def _pair_view(a: np.ndarray) -> np.ndarray:
-    """Coefficient pairs (a0 + i a1, a2 + i a3, ...) as complex128, a view
-    where the last axis is contiguous float64."""
-    if a.dtype != np.float64 or a.strides[-1] != a.itemsize:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-    return a.view(np.complex128)
 
 
 @dataclass(frozen=True)

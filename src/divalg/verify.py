@@ -948,7 +948,8 @@ def _phase_fiber_log(beta: int, q: int) -> float:
 def _quantile_box(coords: np.ndarray, lo_q: float = 0.02, hi_q: float = 0.98) -> np.ndarray:
     box = np.quantile(coords, [lo_q, hi_q], axis=0).T  # (k, 2)
     width = box[:, 1] - box[:, 0]
-    floor = 1e-6 * max(1.0, float(np.abs(box).max()))
+    scale = float(np.abs(box).max())
+    floor = 1e-6 * (scale if scale > 0.0 else 1.0)
     box[:, 1] = np.where(width <= floor, box[:, 0] + floor, box[:, 1])
     return box
 

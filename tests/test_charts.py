@@ -337,6 +337,31 @@ class TestStiefelSampling:
             gram = conj_transpose(h) @ h
             np.testing.assert_allclose(gram.data, Mat.eye(kind, 2).data, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_degenerate_first_draw_is_redrawn(self, kind):
+        class ZeroColumnFirst:
+            """Normal draws, except that frame 1 of the first draw has a
+            zero second column."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(15)
+                self.calls = []
+
+            def standard_normal(self, size):
+                self.calls.append(size)
+                out = self.rng.standard_normal(size)
+                if len(self.calls) == 1:
+                    out[1, :, 1, :] = 0.0
+                return out
+
+        rng = ZeroColumnFirst()
+        frames = sample_stiefel_batch(4, 2, kind, rng, 3)
+        assert rng.calls == [(3, 4, 2, kind.beta), (1, 4, 2, kind.beta)]
+        assert frames.shape == (3, 4, 2, kind.beta)
+        gram = mul_raw(ct_raw(frames), frames, kind.beta)
+        eye = np.broadcast_to(Mat.eye(kind, 2).data, gram.shape)
+        np.testing.assert_allclose(gram, eye, atol=1e-10)
+
     def test_coordinate_exchangeability(self):
         rng = np.random.default_rng(13)
         n, draws = 3, 20000

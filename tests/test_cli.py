@@ -463,6 +463,78 @@ class TestVerifyAll:
         assert doc["n_inconclusive"] == 1
         assert doc["pass"] is False
 
+    def test_internal_error_is_recorded_and_the_grid_goes_on(self, capsys, monkeypatch):
+        import divalg.cli as cli
+        from divalg.verify import TaskSpec
+
+        tiny = [
+            TaskSpec(theorem_id="CONGRUENCE_NS", beta=1, m=2, points=2, seed=1),
+            TaskSpec(theorem_id="MP_HERM", beta=1, m=2, q=1, points=2, seed=1),
+            TaskSpec(theorem_id="CHOL", beta=1, m=2, q=1, points=2, seed=1),
+        ]
+        real_run_task = cli.run_task
+
+        def run_task(task, jobs=1):
+            if task.theorem_id == "MP_HERM":
+                raise RuntimeError("stray numpy failure")
+            return real_run_task(task, jobs=jobs)
+
+        monkeypatch.setattr(cli, "preset_tasks", lambda preset, seed: tiny)
+        monkeypatch.setattr(cli, "run_task", run_task)
+        code, out, err = run_cli(capsys, "verify-all")
+        assert code == 4
+        assert "Traceback" not in err
+        assert err == "internal error: RuntimeError: stray numpy failure\n"
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert [t["task"]["theorem_id"] for t in doc["tasks"]] == [
+            "CONGRUENCE_NS", "MP_HERM", "CHOL",
+        ]
+        broken = doc["tasks"][1]
+        assert broken["internal_error"] == "RuntimeError: stray numpy failure"
+        assert broken["pass"] is False
+        assert doc["tasks"][0]["pass"] is True and doc["tasks"][2]["pass"] is True
+        assert doc["pass"] is False
+
+    def test_internal_error_outranks_failure_and_inconclusive(self, capsys, monkeypatch):
+        import divalg.cli as cli
+        from divalg.errors import InconclusiveStatisticsError, RankError
+        from divalg.verify import TaskSpec
+
+        tiny = [
+            TaskSpec(theorem_id="CONGRUENCE_NS", beta=1, m=2, points=2, seed=1),
+            TaskSpec(theorem_id="MP_HERM", beta=1, m=2, q=1, points=2, seed=1),
+            TaskSpec(theorem_id="CHOL", beta=1, m=2, q=1, points=2, seed=1),
+        ]
+        outcomes = {
+            "CONGRUENCE_NS": RankError("a theorem check failed"),
+            "MP_HERM": InconclusiveStatisticsError("too few draws"),
+            "CHOL": ValueError("stray numpy failure"),
+        }
+
+        def run_task(task, jobs=1):
+            raise outcomes[task.theorem_id]
+
+        monkeypatch.setattr(cli, "preset_tasks", lambda preset, seed: tiny)
+        monkeypatch.setattr(cli, "run_task", run_task)
+        code, out, err = run_cli(capsys, "verify-all", "--format", "table")
+        assert code == 4
+        assert "Traceback" not in err
+        assert "internal_errors=1" in out
+
+    def test_verify_maps_a_stray_exception_to_exit_4(self, capsys, monkeypatch):
+        import divalg.cli as cli
+
+        def run_task(task, jobs=1):
+            raise FloatingPointError("overflow encountered")
+
+        monkeypatch.setattr(cli, "run_task", run_task)
+        code, out, err = run_cli(
+            capsys, "verify", "--task", "mp-herm", "--beta", "1", "--m", "2", "--q", "1",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: FloatingPointError: overflow encountered\n"
+
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify-all", "--preset", "weekly"])

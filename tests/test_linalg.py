@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from divalg import COMPLEX, OCTONION, QUATERNION, REAL, Scalar
 from divalg.algebra import VALID_BETAS, structure_tensor
+from divalg.algebra import mul as algebra_mul
 from divalg.errors import (
     AlgebraMismatchError,
     ShapeMismatchError,
@@ -67,6 +68,11 @@ def _einsum_embed(a, beta):
         ((3, 3), (6, 3, 3)),  # one left factor against a batch
         ((6, 3, 3), (3, 3)),
         ((5, 1, 2, 3), (4, 3, 2)),  # batch axes broadcast to (5, 4)
+        # the engines' hot shapes: inner products, scalings, outer products
+        ((7, 1, 3), (7, 3, 1)),
+        ((7, 3, 1), (7, 1, 1)),
+        ((7, 2, 1), (7, 1, 2)),
+        ((3, 3), (7, 3, 2)),
     ],
 )
 def test_mul_raw_matches_einsum_oracle(beta, a_shape, b_shape):
@@ -89,6 +95,28 @@ def test_mul_raw_non_contiguous_inputs(beta):
     np.testing.assert_allclose(
         mul_raw(a, b, beta), want, rtol=0, atol=1e-13 * np.abs(want).max()
     )
+
+
+@pytest.mark.parametrize("beta", (4, 8))
+@pytest.mark.parametrize("scale", (1e150, 1e-150))
+def test_mul_raw_keeps_relative_accuracy_at_extreme_scales(beta, scale):
+    rng = np.random.default_rng(40 + beta)
+    a = rng.normal(size=(5, 2, 3, beta)) * scale
+    b = rng.normal(size=(5, 3, 2, beta)) * scale
+    want = _einsum_mul(a, b, beta)
+    got = mul_raw(a, b, beta)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("beta", VALID_BETAS)
+def test_scalar_mul_is_the_matrix_kernel_on_one_by_one(beta):
+    kind = {1: REAL, 2: COMPLEX, 4: QUATERNION, 8: OCTONION}[beta]
+    rng = np.random.default_rng(50 + beta)
+    for _ in range(20):
+        x, y = rng.normal(size=(2, beta))
+        want = mul_raw(x[None, None], y[None, None], beta)[0, 0]
+        got = algebra_mul(Scalar(kind, x), Scalar(kind, y)).coeffs
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("beta", VALID_BETAS)

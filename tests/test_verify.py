@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, QUATERNION, REAL, verify
+from divalg import COMPLEX, QUATERNION, REAL, charts, decomp, linalg, verify
 from divalg.algebra import structure_tensor
 from divalg.charts import assemble_sd_batch, extract_psd, sample_stiefel_batch
 from divalg.decomp import (
@@ -436,6 +436,23 @@ class TestRatioEngine:
         rep = run_task(task)
         assert rep.passed
 
+    @pytest.mark.parametrize(
+        "theorem,beta,sizes",
+        [("SD", 1, {"m": 2}), ("SD", 2, {"m": 2}), ("SVD", 1, {"n": 2, "m": 2})],
+    )
+    def test_constant_is_scale_invariant(self, theorem, beta, sizes):
+        """Scaling the eigen box by 1e+-10 scales every coordinate box and
+        every S11 block with it, so the constant moves only by rounding."""
+        constants = [
+            run_task(TaskSpec(
+                theorem_id=theorem, beta=beta, q=1, engine="MC_RATIO",
+                trials=10_000, seed=0, eigen_box=(lo, 2.0 * lo), **sizes,
+            )).constant_estimate
+            for lo in (1e-10, 1.0, 1e10)
+        ]
+        assert constants[0] == pytest.approx(constants[1], rel=1e-12, abs=0.0)
+        assert constants[2] == pytest.approx(constants[1], rel=1e-12, abs=0.0)
+
 
 class TestDeterminism:
     def test_equality_report_independent_of_jobs(self):
@@ -480,8 +497,8 @@ class TestReportShape:
 
 
 def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
-    """Algebra products gather through the signed-permutation table; only the
-    cached structure-tensor build may contract with einsum."""
+    """Algebra products run the Cayley-Dickson rule on complex views; only
+    the cached structure-tensor build may contract with einsum."""
     structure_tensor(4)
 
     def refuse(*args, **kwargs):
@@ -494,6 +511,26 @@ def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
         TaskSpec(theorem_id="SD", beta=4, m=2, q=1, engine="MC_RATIO", trials=10_000, seed=6)
     )
     assert ratio.records
+
+
+def test_engines_never_build_the_real_embedding(monkeypatch):
+    """Every algebra product runs on complex views; embed_raw is kept as the
+    public real representation only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("embed_raw called on the task path")
+
+    for module in (linalg, charts, decomp, verify):
+        if hasattr(module, "embed_raw"):
+            monkeypatch.setattr(module, "embed_raw", refuse)
+    tasks = [
+        TaskSpec(theorem_id="UHLIG_SVD", beta=2, m=2, n=1, engine="MC_EQUALITY",
+                 trials=10_000, seed=7),
+        TaskSpec(theorem_id="SVD", beta=4, n=3, m=2, q=1, engine="MC_RATIO",
+                 trials=10_000, seed=6),
+        TaskSpec(theorem_id="MP_HERM", beta=4, m=3, q=2, points=2, seed=5),
+    ]
+    for task in tasks:
+        assert run_task(task).records, task
 
 
 def _record_lapack(monkeypatch) -> list:
