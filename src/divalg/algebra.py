@@ -13,10 +13,8 @@ complex views of the coefficients (`_cd_view`, `_cd_mul`): a complex entry
 is its pair (a0 + i a1), a quaternion the complex pair (p, q) with
 p = a0 + i a1, q = a2 + i a3, and an octonion a pair of quaternions.  The
 structure tensor C, with e_p e_q = sum_r C[p, q, r] e_r, is built from the
-same rule; it is a signed permutation with beta^2 nonzeros, and its table
-(P, S) of `_gather_table` gives the left-regular representation
-`linalg.embed_raw`, in which left multiplication by a sends e_q to
-sum_r S[r, q] a_{P[r, q]} e_r.
+same rule; it is a signed permutation with beta^2 nonzeros and backs the
+multiplication table and the octonion golden check.
 """
 from __future__ import annotations
 
@@ -100,19 +98,6 @@ def structure_tensor(beta: int) -> np.ndarray:
                 C[i, j, half:] = sp + q_rbar
     C.setflags(write=False)
     return C
-
-
-@lru_cache(maxsize=None)
-def _gather_table(beta: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, S) with C[P[r, q], q, r] = S[r, q] = +-1: the left-regular matrix of a
-    is a[P] * S.  Each (q, r) has exactly one p, since e_p = +-e_r e_q^{-1}."""
-    C = structure_tensor(beta)
-    P = np.argmax(np.abs(C), axis=0).T
-    r, q = np.indices((beta, beta))
-    S = C[P, q, r]
-    P.setflags(write=False)
-    S.setflags(write=False)
-    return P, S
 
 
 def _pair_view(a: np.ndarray) -> np.ndarray:

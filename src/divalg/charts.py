@@ -11,16 +11,18 @@ completion in the ambient inner product Re tr(A*B): a constant for a
 full-rank chart, one block inverse per batch for a rank-q chart), and
 samplers for the factorized measures (spectrum box x uniform Stiefel frames).
 
-Everything is written batch-first on raw coefficient arrays; the public
-single-point API wraps batches of one.  The block inverses of completion
-(S11^{-1}, X11^{-1}) and their positivity and conditioning checks run on the
-small-block kernels of linalg: closed forms for q = 1 (and q = 2 for S11),
-LAPACK on the blocks' complex form (linalg.complex_raw) otherwise.
+A chart is a ChartSpec, which validates its sizes and pivots; a chart point
+is a (spec, coords) pair, and chart_at gives the chart at one matrix.
+Everything is written batch-first on raw coefficient arrays.  The block
+inverses of completion (S11^{-1}, X11^{-1}) and their positivity and
+conditioning checks run on the small-block kernels of linalg: closed forms
+for q = 1 (and q = 2 for S11), LAPACK on the blocks' complex form
+(linalg.complex_raw) otherwise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,112 +63,10 @@ def psd_coord_count(m: int, q: int, beta: int) -> int:
 
 
 def _check_perm(perm, size: int, label: str) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(int(p) for p in np.ravel(perm))
     if sorted(perm) != list(range(size)):
         raise ShapeMismatchError(f"{label} must be a permutation of range({size}), got {perm}")
     return perm
-
-
-@dataclass(frozen=True)
-class RectChartPoint:
-    """Chart coordinates of a rank-q n x m matrix: pivoted X11, X12, X21 blocks."""
-
-    kind: AlgebraKind
-    n: int
-    m: int
-    q: int
-    row_pivot: tuple[int, ...]
-    col_pivot: tuple[int, ...]
-    x11: np.ndarray = field(repr=False)
-    x12: np.ndarray = field(repr=False)
-    x21: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        _require_assoc(self.kind.beta, "a chart")
-        n, m, q, beta = self.n, self.m, self.q, self.kind.beta
-        if not 1 <= q <= min(n, m):
-            raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-        object.__setattr__(self, "row_pivot", _check_perm(self.row_pivot, n, "row_pivot"))
-        object.__setattr__(self, "col_pivot", _check_perm(self.col_pivot, m, "col_pivot"))
-        for name, shape in (
-            ("x11", (q, q, beta)),
-            ("x12", (q, m - q, beta)),
-            ("x21", (n - q, q, beta)),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(shape)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate(
-            [self.x11.ravel(), self.x12.ravel(), self.x21.ravel()]
-        )
-
-    @property
-    def spec(self) -> "ChartSpec":
-        return ChartSpec(
-            "rect", self.kind, (self.n, self.m, self.q), (self.row_pivot, self.col_pivot)
-        )
-
-    @staticmethod
-    def from_coords(
-        kind: AlgebraKind,
-        n: int,
-        m: int,
-        q: int,
-        row_pivot,
-        col_pivot,
-        coords: np.ndarray,
-    ) -> "RectChartPoint":
-        x11, x12, x21 = _rect_unpack(np.asarray(coords, dtype=float)[None, :], kind, n, m, q)
-        return RectChartPoint(kind, n, m, q, tuple(row_pivot), tuple(col_pivot),
-                              x11[0], x12[0], x21[0])
-
-
-@dataclass(frozen=True)
-class PsdChartPoint:
-    """Chart coordinates of a rank-q Hermitian PSD matrix: pivoted S11, S12."""
-
-    kind: AlgebraKind
-    m: int
-    q: int
-    pivot: tuple[int, ...]
-    s11: np.ndarray = field(repr=False)
-    s12: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        _require_assoc(self.kind.beta, "a chart")
-        m, q, beta = self.m, self.q, self.kind.beta
-        if not 1 <= q <= m:
-            raise RankError(f"q must lie in [1, {m}], got {q}")
-        object.__setattr__(self, "pivot", _check_perm(self.pivot, m, "pivot"))
-        s11 = np.asarray(self.s11, dtype=float).reshape(q, q, beta)
-        herm_err = float(np.abs(s11 - ct_raw(s11)).max())
-        if herm_err > 1e-10 * max(1.0, float(np.abs(s11).max())):
-            raise NotPsdError(f"S11 block is not Hermitian (error {herm_err:.3e})")
-        s11 = (s11 + ct_raw(s11)) / 2.0
-        s11.setflags(write=False)
-        object.__setattr__(self, "s11", s11)
-        s12 = np.asarray(self.s12, dtype=float).reshape(q, m - q, beta).copy()
-        s12.setflags(write=False)
-        object.__setattr__(self, "s12", s12)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return _psd_pack(self.s11[None], self.s12[None], self.kind, self.m, self.q)[0]
-
-    @property
-    def spec(self) -> "ChartSpec":
-        return ChartSpec("psd", self.kind, (self.m, self.q), self.pivot)
-
-    @staticmethod
-    def from_coords(
-        kind: AlgebraKind, m: int, q: int, pivot, coords: np.ndarray
-    ) -> "PsdChartPoint":
-        s11, s12 = _psd_unpack(np.asarray(coords, dtype=float)[None, :], kind, m, q)
-        return PsdChartPoint(kind, m, q, tuple(pivot), s11[0], s12[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +85,6 @@ def _rect_unpack(coords: np.ndarray, kind: AlgebraKind, n: int, m: int, q: int):
     x12 = coords[:, a : a + c].reshape(b, q, m - q, beta)
     x21 = coords[:, a + c :].reshape(b, n - q, q, beta)
     return x11, x12, x21
-
-
-def _rect_pack(x11, x12, x21) -> np.ndarray:
-    b = x11.shape[0]
-    return np.concatenate(
-        [x11.reshape(b, -1), x12.reshape(b, -1), x21.reshape(b, -1)], axis=1
-    )
 
 
 def _psd_unpack(coords: np.ndarray, kind: AlgebraKind, m: int, q: int):
@@ -216,9 +109,8 @@ def _psd_unpack(coords: np.ndarray, kind: AlgebraKind, m: int, q: int):
     return s11, s12
 
 
-def _psd_pack(s11, s12, kind: AlgebraKind, m: int, q: int) -> np.ndarray:
-    beta = kind.beta
-    b = s11.shape[0]
+def _psd_pack(s11: np.ndarray, s12: np.ndarray) -> np.ndarray:
+    b, q = s11.shape[:2]
     parts = [s11[:, i, i, 0][:, None] for i in range(q)]
     for i in range(q):
         for j in range(i + 1, q):
@@ -272,13 +164,6 @@ def complete_psd_batch(
     return out
 
 
-def extract_psd_batch(data: np.ndarray, m: int, q: int, pivot, kind: AlgebraKind) -> np.ndarray:
-    pv = np.asarray(pivot, dtype=int)
-    sp = data[:, pv[:, None], pv[None, :], :]
-    s11 = (sp[:, :q, :q] + ct_raw(sp[:, :q, :q])) / 2.0
-    return _psd_pack(s11, sp[:, :q, q:], kind, m, q)
-
-
 def complete_rect_batch(
     coords: np.ndarray, kind: AlgebraKind, n: int, m: int, q: int, row_pivot, col_pivot
 ) -> np.ndarray:
@@ -298,15 +183,6 @@ def complete_rect_batch(
     out = np.empty_like(xp)
     out[:, rp[:, None], cp[None, :], :] = xp
     return out
-
-
-def extract_rect_batch(
-    data: np.ndarray, q: int, row_pivot, col_pivot
-) -> np.ndarray:
-    rp = np.asarray(row_pivot, dtype=int)
-    cp = np.asarray(col_pivot, dtype=int)
-    xp = data[:, rp[:, None], cp[None, :], :]
-    return _rect_pack(xp[:, :q, :q], xp[:, :q, q:], xp[:, q:, :q])
 
 
 def _tri_unpack(coords: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
@@ -332,15 +208,21 @@ def _tri_pack(t: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
+# sizes each chart space takes
+_SIZE_COUNT = {"psd": 2, "rect": 3, "tri": 2}
+
+
 @dataclass(frozen=True)
 class ChartSpec:
     """A chart of a rank-q manifold, the package's one chart type; a chart
-    point is a (spec, coords) pair.
+    point is a (spec, coords) pair, and chart_at gives the chart at a matrix.
 
     space 'psd': sizes (m, q), pivots one symmetric permutation of range(m);
     'rect': sizes (n, m, q), pivots (row_pivot, col_pivot);
     'tri': sizes (q, m), q x m upper-triangular-leading factors with real
-    positive diagonal, no pivots.
+    positive diagonal, no pivots.  Construction checks beta <= 4, 1 <= q <=
+    the size limit (RankError) and that each pivot is a permutation
+    (ShapeMismatchError), and stores sizes and pivots as tuples of ints.
     """
 
     space: str
@@ -349,8 +231,35 @@ class ChartSpec:
     pivots: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.space not in ("psd", "rect", "tri"):
+        if self.space not in _SIZE_COUNT:
             raise RegistryError(f"unknown chart space {self.space!r}")
+        _require_assoc(self.kind.beta, "a chart")
+        sizes = tuple(int(s) for s in self.sizes)
+        if len(sizes) != _SIZE_COUNT[self.space]:
+            raise ShapeMismatchError(
+                f"a {self.space} chart takes {_SIZE_COUNT[self.space]} sizes, got {sizes}"
+            )
+        if self.space == "psd":
+            m, q = sizes
+            limit, pivots = m, _check_perm(self.pivots, m, "pivot")
+        elif self.space == "rect":
+            n, m, q = sizes
+            if len(self.pivots) != 2:
+                raise ShapeMismatchError("a rect chart takes pivots (row_pivot, col_pivot)")
+            limit = min(n, m)
+            pivots = (
+                _check_perm(self.pivots[0], n, "row_pivot"),
+                _check_perm(self.pivots[1], m, "col_pivot"),
+            )
+        else:
+            q, limit = sizes
+            if len(self.pivots):
+                raise ShapeMismatchError("a tri chart takes no pivots")
+            pivots = ()
+        if not 1 <= q <= limit:
+            raise RankError(f"q must lie in [1, {limit}], got {q}")
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "pivots", pivots)
 
     def coord_count(self) -> int:
         beta = self.kind.beta
@@ -373,86 +282,29 @@ class ChartSpec:
         return _tri_unpack(coords, self.kind, *self.sizes)
 
     def extract_batch(self, data: np.ndarray) -> np.ndarray:
-        """(B, rows, cols, beta) matrices -> (B, k) chart coordinates."""
+        """(B, rows, cols, beta) matrices -> (B, k) chart coordinates: the
+        independent entries of the pivoted leading rows and columns."""
+        if self.space == "tri":
+            return _tri_pack(data, self.kind, *self.sizes)
+        q = self.sizes[-1]
         if self.space == "psd":
-            m, q = self.sizes
-            return extract_psd_batch(data, m, q, self.pivots, self.kind)
+            pv = np.asarray(self.pivots, dtype=int)
+            sp = data[:, pv[:, None], pv[None, :], :]
+            s11 = (sp[:, :q, :q] + ct_raw(sp[:, :q, :q])) / 2.0
+            return _psd_pack(s11, sp[:, :q, q:])
+        rp, cp = (np.asarray(p, dtype=int) for p in self.pivots)
+        xp = data[:, rp[:, None], cp[None, :], :]
+        blocks = (xp[:, :q, :q], xp[:, :q, q:], xp[:, q:, :q])
+        return np.concatenate([x.reshape(data.shape[0], -1) for x in blocks], axis=1)
+
+    def leading_block(self, coords: np.ndarray) -> np.ndarray:
+        """(B, k) chart coordinates -> (B, q, q, beta) pivoted leading blocks,
+        the blocks completion inverts: S11 (psd, Hermitian) or X11 (rect)."""
+        if self.space == "psd":
+            return _psd_unpack(coords, self.kind, *self.sizes)[0]
         if self.space == "rect":
-            rp, cp = self.pivots
-            return extract_rect_batch(data, self.sizes[2], rp, cp)
-        return _tri_pack(data, self.kind, *self.sizes)
-
-
-# ---------------------------------------------------------------------------
-# single-point API
-
-
-def complete_rect(p: RectChartPoint) -> Mat:
-    """Fill in X22 = X21 X11^{-1} X12 and undo the pivot permutations."""
-    coords = p.coords[None, :]
-    data = complete_rect_batch(coords, p.kind, p.n, p.m, p.q, p.row_pivot, p.col_pivot)
-    return Mat(p.kind, data[0])
-
-
-def complete_psd(p: PsdChartPoint) -> Mat:
-    """Fill in S22 = S12* S11^{-1} S12 and undo the pivot permutation."""
-    coords = p.coords[None, :]
-    data = complete_psd_batch(coords, p.kind, p.m, p.q, p.pivot)
-    return Mat(p.kind, data[0])
-
-
-def extract_rect(a: Mat, q: int, row_pivot=None, col_pivot=None) -> RectChartPoint:
-    if row_pivot is None or col_pivot is None:
-        row_pivot, col_pivot = choose_pivot(a, q, chart="rect")
-    p = RectChartPoint(
-        a.kind,
-        a.rows,
-        a.cols,
-        q,
-        tuple(row_pivot),
-        tuple(col_pivot),
-        *(_rect_unpack(
-            extract_rect_batch(a.data[None], q, row_pivot, col_pivot),
-            a.kind, a.rows, a.cols, q,
-        )[i][0] for i in range(3)),
-    )
-    back = complete_rect(p)
-    err = float(np.linalg.norm(back.data - a.data))
-    if err > 1e-9 * max(1.0, float(np.linalg.norm(a.data))):
-        raise RankError(
-            f"matrix is not rank {q} under this pivot (completion error {err:.3e})"
-        )
-    return p
-
-
-def extract_psd(a: Mat, q: int, pivot=None) -> PsdChartPoint:
-    if pivot is None:
-        pivot = choose_pivot(a, q, chart="psd")
-    coords = extract_psd_batch(a.data[None], a.rows, q, pivot, a.kind)
-    p = PsdChartPoint.from_coords(a.kind, a.rows, q, tuple(pivot), coords[0])
-    back = complete_psd(p)
-    err = float(np.linalg.norm(back.data - a.data))
-    if err > 1e-9 * max(1.0, float(np.linalg.norm(a.data))):
-        raise RankError(
-            f"matrix is not PSD rank {q} under this pivot (completion error {err:.3e})"
-        )
-    return p
-
-
-def extract(a: Mat, q: int, pivot=None, chart: str | None = None):
-    """Inverse of completion. chart='rect'|'psd'; defaults to 'psd' for Hermitian input."""
-    from .linalg import is_hermitian
-
-    if chart is None:
-        chart = "psd" if is_hermitian(a) else "rect"
-    if chart == "psd":
-        return extract_psd(a, q, pivot)
-    if chart == "rect":
-        if pivot is None:
-            return extract_rect(a, q)
-        row_pivot, col_pivot = pivot
-        return extract_rect(a, q, row_pivot, col_pivot)
-    raise RegistryError(f"unknown chart {chart!r}; expected 'rect' or 'psd'")
+            return _rect_unpack(coords, self.kind, *self.sizes)[0]
+        raise RegistryError("a tri chart has no pivoted leading block")
 
 
 def _entry_inv(p: np.ndarray) -> np.ndarray:
@@ -527,6 +379,32 @@ def choose_pivot(a: Mat, q: int, chart: str = "rect"):
     raise RegistryError(f"unknown chart {chart!r}; expected 'rect' or 'psd'")
 
 
+def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.ndarray]:
+    """The rank-q chart of `space` ('psd' or 'rect') at the matrix a, and a's
+    coordinates in it.  pivots default to choose_pivot's; RankError when the
+    completion of the coordinates misses a by more than 1e-9 relative."""
+    if space not in ("psd", "rect"):
+        raise RegistryError(f"unknown chart {space!r}; expected 'rect' or 'psd'")
+    if pivots is None:
+        pivots = choose_pivot(a, q, chart=space)
+    if space == "psd":
+        if a.rows != a.cols:
+            raise ShapeMismatchError("a psd chart needs a square matrix")
+        spec = ChartSpec(space, a.kind, (a.rows, q), pivots)
+        coords = spec.extract_batch(a.data[None])
+        back = complete_psd_batch(coords, a.kind, a.rows, q, spec.pivots)
+    else:
+        spec = ChartSpec(space, a.kind, (a.rows, a.cols, q), pivots)
+        coords = spec.extract_batch(a.data[None])
+        back = complete_rect_batch(coords, a.kind, *spec.sizes, *spec.pivots)
+    err = float(np.linalg.norm(back[0] - a.data))
+    if err > 1e-9 * max(1.0, float(np.linalg.norm(a.data))):
+        raise RankError(
+            f"matrix is not rank {q} in this {space} chart (completion error {err:.3e})"
+        )
+    return spec, coords[0]
+
+
 # ---------------------------------------------------------------------------
 # Hausdorff density
 
@@ -584,11 +462,6 @@ def hausdorff_density_log_batch(spec: ChartSpec, coords: np.ndarray) -> np.ndarr
     if np.any(sign <= 0.0):
         raise ConditioningError("chart Gram matrix is numerically singular")
     return base + 0.5 * logdet
-
-
-def hausdorff_density(p: RectChartPoint | PsdChartPoint) -> float:
-    """sqrt det(G^T G): density of the chart Lebesgue measure w.r.t. Hausdorff measure."""
-    return float(np.exp(hausdorff_density_log_batch(p.spec, p.coords[None, :])[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,13 @@
 A matrix is stored as an (n, m, beta) float64 array of coefficients plus an
 algebra tag.  mul_raw, the one matrix-product kernel, sums the entrywise
 Cayley-Dickson products of algebra.mul over the inner index, on complex
-views of the coefficients.  The left-regular representation (embed_raw)
-makes each entry a beta x beta real block; it is kept as the public real
-representation, and no engine calls it.  Every spectrum, determinant, rank
-and inverse runs on the complex form (complex_raw), the smallest faithful
-one: the real matrix for beta=1, the n x m complex matrix for beta=2 and the
-2n x 2m complex adjoint for beta=4, in which every algebra eigenvalue or
-singular value appears r = complex_multiplicity(beta) times.  The single-matrix sdet_log,
-numerical_rank and mat_inv take one LAPACK call on it.  The small-block
+views of the coefficients.  Every spectrum, determinant, rank and inverse
+runs on the complex form (complex_raw), the smallest faithful matrix
+representation: the real matrix for beta=1, the n x m complex matrix for
+beta=2 and the 2n x 2m complex adjoint for beta=4, in which every algebra
+eigenvalue or singular value appears r = complex_multiplicity(beta) times.
+The single-matrix sdet_log, numerical_rank and mat_inv take one LAPACK call
+on it.  The small-block
 kernels (eigvalsh_raw, svdvals_raw, inv_raw, inv_hermitian_raw,
 logdet_hermitian_raw, inv_sqrt_hermitian_raw) give the engines' batched
 spectra, inverses, log-determinants and whitening on coefficient arrays:
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraKind, Scalar, _cd_mul, _cd_view, _gather_table, _pair_view
+from .algebra import AlgebraKind, Scalar, _cd_mul, _cd_view, _pair_view
 from .errors import (
     AlgebraMismatchError,
     InternalConsistencyError,
@@ -69,16 +68,6 @@ def conj_raw(a: np.ndarray) -> np.ndarray:
 
 def ct_raw(a: np.ndarray) -> np.ndarray:
     return conj_raw(np.swapaxes(a, -3, -2))
-
-
-def embed_raw(a: np.ndarray, beta: int) -> np.ndarray:
-    """Left-regular representation, (..., n, m, beta) -> (..., n*beta, m*beta):
-    a signed gather through the table of algebra._gather_table, so that
-    embed_raw(mul_raw(a, b)) = embed_raw(a) @ embed_raw(b) for beta <= 4."""
-    P, S = _gather_table(beta)
-    n, m = a.shape[-3], a.shape[-2]
-    blocks = (a[..., P] * S).swapaxes(-3, -2)
-    return blocks.reshape(a.shape[:-3] + (n * beta, m * beta))
 
 
 def _require_assoc(beta: int, what: str) -> None:

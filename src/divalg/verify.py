@@ -49,13 +49,10 @@ from .algebra import AlgebraKind
 from .charts import (
     ChartSpec,
     _check_box,
-    _psd_unpack,
-    _rect_unpack,
     assemble_sd_batch,
     assemble_svd_batch,
+    chart_at,
     choose_pivot,
-    extract_psd,
-    extract_rect,
     factorized_draw,
     factorized_mass_log,
     hausdorff_density_log_batch,
@@ -311,6 +308,30 @@ def _substream(seed: int, task_code: int, side: int, index: int) -> np.random.Ge
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _report(task: TaskSpec, records, passed: bool, constant: float | None, start: float) -> Report:
+    """The task's Report, timed from the perf_counter reading `start`."""
+    return Report(
+        task=task,
+        engine=task.engine,
+        records=tuple(records),
+        passed=passed,
+        constant_estimate=constant,
+        seed=task.seed,
+        runtime_ms=int((time.perf_counter() - start) * 1000),
+        version=__version__,
+    )
+
+
+def _require_conclusive(worst_rel: float) -> None:
+    """InconclusiveStatisticsError when the largest relative stderr of a
+    Monte-Carlo mean is too large for its test to mean anything."""
+    if worst_rel > INCONCLUSIVE_REL_STDERR:
+        raise InconclusiveStatisticsError(
+            f"relative stderr {worst_rel:.1%} exceeds "
+            f"{INCONCLUSIVE_REL_STDERR:.0%}; raise trials"
+        )
+
+
 # ---------------------------------------------------------------------------
 # test functions
 
@@ -551,11 +572,11 @@ def _mp_herm_chart(task: TaskSpec):
 
     def sample(rng):
         lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, 1)
-        point = extract_psd(Mat(kind, assemble_sd_batch(w1, lam, beta)[0]), q)
+        spec, coords = chart_at(Mat(kind, assemble_sd_batch(w1, lam, beta)[0]), q, "psd")
         analytic = transform_factor_log(
             "MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(lam[0]))
         )
-        return (point.spec, point.coords), inverse, point.spec, analytic, _spectrum_gap(lam[0])
+        return (spec, coords), inverse, spec, analytic, _spectrum_gap(lam[0])
     return sample
 
 
@@ -565,12 +586,12 @@ def _mp_rect_chart(task: TaskSpec):
 
     def sample(rng):
         d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, 1)
-        point = extract_rect(Mat(kind, assemble_svd_batch(v1, d, w1, beta)[0]), q)
-        out_spec = ChartSpec("rect", kind, (m, n, q), (point.col_pivot, point.row_pivot))
+        spec, coords = chart_at(Mat(kind, assemble_svd_batch(v1, d, w1, beta)[0]), q, "rect")
+        out_spec = ChartSpec("rect", kind, (m, n, q), spec.pivots[::-1])
         analytic = transform_factor_log(
             "MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(d[0]))
         )
-        return (point.spec, point.coords), inverse, out_spec, analytic, _spectrum_gap(d[0])
+        return (spec, coords), inverse, out_spec, analytic, _spectrum_gap(d[0])
     return sample
 
 
@@ -603,7 +624,7 @@ def _congruence_chart(task: TaskSpec):
     def sample(rng):
         lam, (w1,) = factorized_draw(rng, task.eigen_box, rank, (m,), kind, 1)
         y = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
-        point = extract_psd(y, rank)
+        in_spec, coords = chart_at(y, rank, "psd")
         x = Mat(kind, congruence(y.data[None])[0])
         out_pivot = choose_pivot(x, rank, chart="psd")
         out_spec = ChartSpec("psd", kind, (m, rank), out_pivot)
@@ -613,7 +634,7 @@ def _congruence_chart(task: TaskSpec):
             )
         else:
             det_t = _pivoted_chol_det(x, rank, out_pivot)
-            det_l = _pivoted_chol_det(y, rank, point.pivot)
+            det_l = _pivoted_chol_det(y, rank, in_spec.pivots)
             analytic = transform_factor_log(
                 "UHLIG_QR",
                 FactorInput(
@@ -621,7 +642,7 @@ def _congruence_chart(task: TaskSpec):
                     det_t1t1=det_t, det_l1l1=det_l, det_b=sdet(b),
                 ),
             )
-        return (point.spec, point.coords), congruence, out_spec, analytic, _spectrum_gap(lam[0])
+        return (in_spec, coords), congruence, out_spec, analytic, _spectrum_gap(lam[0])
     return sample
 
 
@@ -649,7 +670,7 @@ def _pivoted_chol_det(s: Mat, rank: int, pivot) -> float:
     return math.exp(2.0 * sdet_log(t1))
 
 
-def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
+def run_chart_task(task: TaskSpec) -> Report:
     """Compare finite-difference chart Jacobians with the analytic factor."""
     start = time.perf_counter()
     if task.engine != "CHART":
@@ -657,14 +678,13 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
     sampler = _problem(task)
     code = task.theorem.code
     records = []
-
-    def do_point(i: int) -> dict:
+    for i in range(task.points):
         rng = _substream(task.seed, code, _SIDE_POINTS, i)
         (in_spec, coords0), map_batch, out_spec, analytic, gap_at = sampler(rng)
         numeric = chart_jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
         tol = max(task.rtol * abs(analytic), ABS_LOG_FLOOR)
         err = abs(numeric - analytic)
-        return {
+        records.append({
             "point": i,
             "analytic_log": float(analytic),
             "numeric_log": float(numeric),
@@ -672,25 +692,8 @@ def run_chart_task(task: TaskSpec, jobs: int = 1) -> Report:
             "tol": float(tol),
             "gap_margin": _gap_margin(gap_at, task.gap),
             "pass": bool(err <= tol),
-        }
-
-    indices = list(range(task.points))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(do_point, indices))
-    else:
-        records = [do_point(i) for i in indices]
-    passed = all(r["pass"] for r in records)
-    return Report(
-        task=task,
-        engine="CHART",
-        records=tuple(records),
-        passed=passed,
-        constant_estimate=None,
-        seed=task.seed,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-        version=__version__,
-    )
+        })
+    return _report(task, records, all(r["pass"] for r in records), None, start)
 
 
 # ---------------------------------------------------------------------------
@@ -913,22 +916,8 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 
                 "pass": bool(z <= task.ztol),
             }
         )
-    if worst_rel > INCONCLUSIVE_REL_STDERR:
-        raise InconclusiveStatisticsError(
-            f"relative stderr {worst_rel:.1%} exceeds "
-            f"{INCONCLUSIVE_REL_STDERR:.0%}; raise trials"
-        )
-    passed = all(r["pass"] for r in records)
-    return Report(
-        task=task,
-        engine="MC_EQUALITY",
-        records=tuple(records),
-        passed=passed,
-        constant_estimate=None,
-        seed=task.seed,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-        version=__version__,
-    )
+    _require_conclusive(worst_rel)
+    return _report(task, records, all(r["pass"] for r in records), None, start)
 
 
 # ---------------------------------------------------------------------------
@@ -979,19 +968,17 @@ def _sd_ratio(task: TaskSpec):
 
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
-    s11_p, _ = _psd_unpack(pilot_coords, kind, m, q)
+    s11_p = spec.leading_block(pilot_coords)
     eps = 0.9 * float(np.quantile(eigvalsh_raw(s11_p, beta)[:, 0], 0.05))
 
     def common_mask(coords: np.ndarray) -> np.ndarray:
         ok = _coords_in_box(coords, box)
-        s11, _ = _psd_unpack(coords, kind, m, q)
-        ok &= eigvalsh_raw(s11, beta)[:, 0] >= eps
+        ok &= eigvalsh_raw(spec.leading_block(coords), beta)[:, 0] >= eps
         return ok
 
     def chart_fn(rng, count):
         coords = _uniform_in_box(rng, box, count)
-        s11, _ = _psd_unpack(coords, kind, m, q)
-        valid = eigvalsh_raw(s11, beta)[:, 0] >= eps
+        valid = eigvalsh_raw(spec.leading_block(coords), beta)[:, 0] >= eps
         data = np.zeros((count, m, m, beta))
         data[:, np.arange(m), np.arange(m), 0] = 1.0
         logw = np.full(count, -np.inf)
@@ -1027,7 +1014,7 @@ def _svd_ratio(task: TaskSpec):
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
     if q < min(n, m):
-        x11_p = _rect_unpack(pilot_coords, kind, n, m, q)[0]
+        x11_p = spec.leading_block(pilot_coords)
         eps = 0.9 * float(np.quantile(svdvals_raw(x11_p, beta)[:, -1], 0.05))
     else:
         eps = 0.0
@@ -1035,8 +1022,7 @@ def _svd_ratio(task: TaskSpec):
     def block_ok(coords: np.ndarray) -> np.ndarray:
         if q == min(n, m):
             return np.ones(coords.shape[0], dtype=bool)
-        x11 = _rect_unpack(coords, kind, n, m, q)[0]
-        return svdvals_raw(x11, beta)[:, -1] >= eps
+        return svdvals_raw(spec.leading_block(coords), beta)[:, -1] >= eps
 
     def chart_fn(rng, count):
         coords = _uniform_in_box(rng, box, count)
@@ -1134,8 +1120,7 @@ def _chol_x_ratio(task: TaskSpec):
 
     def fact_fn(rng, count):
         s_coords = _uniform_in_box(rng, s_box, count)
-        s11, _ = _psd_unpack(s_coords, kind, m, m)
-        mineig = eigvalsh_raw(s11, beta)[:, 0]
+        mineig = eigvalsh_raw(s_spec.leading_block(s_coords), beta)[:, 0]
         valid = mineig >= eps
         h1 = sample_stiefel_batch(n, m, kind, rng, count)
         data = np.zeros((count, n, m, beta))
@@ -1203,26 +1188,13 @@ def run_mc_ratio_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 5) 
                 "ratio": float(ratio),
             }
         )
-    if worst_rel > INCONCLUSIVE_REL_STDERR:
-        raise InconclusiveStatisticsError(
-            f"relative stderr {worst_rel:.1%} exceeds "
-            f"{INCONCLUSIVE_REL_STDERR:.0%}; raise trials"
-        )
+    _require_conclusive(worst_rel)
     ratios_arr = np.asarray(ratios)
     constant = float(ratios_arr.mean())
     cv = float(ratios_arr.std(ddof=1) / constant) if len(ratios) > 1 else 0.0
     passed = cv <= task.cv_tol
     records.append({"summary": True, "cv": cv, "constant": constant, "pass": bool(passed)})
-    return Report(
-        task=task,
-        engine="MC_RATIO",
-        records=tuple(records),
-        passed=passed,
-        constant_estimate=constant,
-        seed=task.seed,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-        version=__version__,
-    )
+    return _report(task, records, passed, constant, start)
 
 
 # ---------------------------------------------------------------------------
@@ -1264,12 +1236,10 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     b, y, lam = _problem(task)
     congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
     x = Mat(kind, congruence(y.data[None])[0])
-    in_point = extract_psd(y, n)
+    in_spec, coords = chart_at(y, n, "psd")
     out_pivot = choose_pivot(x, n, chart="psd")
     out_spec = ChartSpec("psd", kind, (m, n), out_pivot)
-    chart_log = chart_jacobian_logdet(
-        congruence, in_point.spec, in_point.coords, out_spec, task.step
-    )
+    chart_log = chart_jacobian_logdet(congruence, in_spec, coords, out_spec, task.step)
     det_b = sdet(b)
     delta = eig_hermitian(x, n).lam
     fi = FactorInput(
@@ -1277,7 +1247,7 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     )
     svd_log = transform_factor_log("UHLIG_SVD", fi)
     det_t = _pivoted_chol_det(x, n, out_pivot)
-    det_l = _pivoted_chol_det(y, n, in_point.pivot)
+    det_l = _pivoted_chol_det(y, n, in_spec.pivots)
     qr_log = transform_factor_log(
         "UHLIG_QR",
         FactorInput(beta=beta, m=m, n=n, det_t1t1=det_t, det_l1l1=det_l, det_b=det_b),
@@ -1293,29 +1263,18 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     qr_matches = abs(chart_log - qr_log) <= tol
     svd_differs = abs(chart_log - svd_log) > tol
     passed = qr_matches and (svd_differs if expected_mismatch else not svd_differs)
-    records = (
-        {
-            "chart_det": float(math.exp(chart_log)),
-            "chart_logdet": float(chart_log),
-            "uhlig_qr_factor": float(math.exp(qr_log)),
-            "uhlig_svd_factor": float(math.exp(svd_log)),
-            "uhlig_svd_alt_factor": float(math.exp(alt_log)),
-            "expected_mismatch": bool(expected_mismatch),
-            "qr_matches_chart": bool(qr_matches),
-            "svd_differs_from_chart": bool(svd_differs),
-            "pass": bool(passed),
-        },
-    )
-    return Report(
-        task=task,
-        engine="DEMO",
-        records=records,
-        passed=passed,
-        constant_estimate=None,
-        seed=task.seed,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-        version=__version__,
-    )
+    record = {
+        "chart_det": float(math.exp(chart_log)),
+        "chart_logdet": float(chart_log),
+        "uhlig_qr_factor": float(math.exp(qr_log)),
+        "uhlig_svd_factor": float(math.exp(svd_log)),
+        "uhlig_svd_alt_factor": float(math.exp(alt_log)),
+        "expected_mismatch": bool(expected_mismatch),
+        "qr_matches_chart": bool(qr_matches),
+        "svd_differs_from_chart": bool(svd_differs),
+        "pass": bool(passed),
+    }
+    return _report(task, [record], passed, None, start)
 
 
 # ---------------------------------------------------------------------------
@@ -1348,8 +1307,10 @@ THEOREMS: dict[str, Theorem] = {
 
 
 def run_task(task: TaskSpec, jobs: int = 1) -> Report:
+    """Run the task on its engine; jobs threads share the Monte-Carlo blocks
+    (the CHART engine and the demo run serially)."""
     if task.engine == "CHART":
-        return run_chart_task(task, jobs=jobs)
+        return run_chart_task(task)
     if task.engine == "MC_EQUALITY":
         return run_mc_equality_task(task, jobs=jobs)
     if task.engine == "MC_RATIO":

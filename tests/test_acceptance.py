@@ -19,8 +19,7 @@ from divalg.algebra import structure_tensor
 from divalg.charts import (
     assemble_sd_batch,
     assemble_svd_batch,
-    extract_psd,
-    extract_rect,
+    chart_at,
     sample_stiefel_batch,
 )
 from divalg.cli import main as cli_main
@@ -208,9 +207,9 @@ def test_criterion_04_chart_pseudo_inverse_hermitian():
         lam = 1.6
         w1 = sample_stiefel_batch(2, 1, REAL, rng, 1)
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
-        point = extract_psd(s, 1)
-        out = ChartSpec("psd", REAL, (2, 1), point.pivot)
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
+        spec, coords = chart_at(s, 1, "psd")
+        out = ChartSpec("psd", REAL, (2, 1), spec.pivots)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
         assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
 
@@ -231,9 +230,9 @@ def test_criterion_05_chart_pseudo_inverse_general():
                     ), (beta, n, m, q, rec)
         # vector oracle: inverting x in R^2 has Jacobian determinant |x|**-4
         x = Mat(REAL, np.array([[[1.2]], [[0.9]]]))
-        point = extract_rect(x, 1)
-        out = ChartSpec("rect", REAL, (1, 2, 1), (point.col_pivot, point.row_pivot))
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
+        spec, coords = chart_at(x, 1, "rect")
+        out = ChartSpec("rect", REAL, (1, 2, 1), spec.pivots[::-1])
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
         assert val == pytest.approx(-4.0 * math.log(1.5), abs=1e-6)
 
 
@@ -289,9 +288,9 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         expected = math.log(
             x.data[0, 0, 0] / y.data[0, 0, 0] * abs(1.0 * 1.4 - 0.7 * 0.3)
         )
-        point = extract_psd(y, 1, (0, 1))
+        spec, coords = chart_at(y, 1, "psd", (0, 1))
         out = ChartSpec("psd", REAL, (2, 1), (0, 1))
-        val = chart_jacobian_logdet(congruence, point.spec, point.coords, out)
+        val = chart_jacobian_logdet(congruence, spec, coords, out)
         assert val == pytest.approx(expected, abs=1e-6)
 
         # diagonal oracle: b = diag(1, 2) gives a constant determinant of 8

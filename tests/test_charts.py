@@ -3,22 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, QUATERNION, REAL, charts, verify
+from divalg import COMPLEX, OCTONION, QUATERNION, REAL, charts, verify
 from divalg.charts import (
     ChartSpec,
-    PsdChartPoint,
-    RectChartPoint,
     assemble_sd_batch,
     assemble_svd_batch,
+    chart_at,
     choose_pivot,
-    complete_psd,
-    complete_rect,
-    extract,
-    extract_psd,
-    extract_rect,
     factorized_draw,
     factorized_mass_log,
-    hausdorff_density,
     hausdorff_density_log_batch,
     psd_coord_count,
     rect_coord_count,
@@ -31,8 +24,10 @@ from divalg.errors import (
     ConfigurationError,
     NotPsdError,
     RankError,
+    RegistryError,
     ShapeMismatchError,
     SingularBlockError,
+    UnsupportedAlgebraError,
 )
 from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank
 from divalg.measures import FactorInput, decomposition_density_log, stiefel_volume_log
@@ -48,53 +43,72 @@ def rand_rank_q(kind, n, m, q, rng):
     return rand_mat(kind, n, q, rng) @ rand_mat(kind, q, m, rng)
 
 
+def _complete(spec, coords):
+    """The matrix of one chart point."""
+    return Mat(spec.kind, spec.complete_batch(np.asarray(coords, dtype=float)[None])[0])
+
+
+def _density(spec, coords):
+    """sqrt det(G^T G) at one chart point."""
+    return float(np.exp(hausdorff_density_log_batch(spec, coords[None])[0]))
+
+
+def _psd_coords(s11, s12):
+    """psd chart coordinates of the blocks S11 (q x q, Hermitian) and S12:
+    the q real diagonals, the entries above the diagonal, then S12."""
+    q = s11.shape[0]
+    parts = [s11[np.arange(q), np.arange(q), 0]]
+    parts += [s11[i, j] for i in range(q) for j in range(i + 1, q)]
+    parts.append(s12.ravel())
+    return np.concatenate(parts)
+
+
 class TestCompletion:
     def test_rect_example(self):
-        p = RectChartPoint(
-            REAL, 2, 2, 1, (0, 1), (0, 1),
-            np.array([[[2.0]]]), np.array([[[3.0]]]), np.array([[[4.0]]]),
-        )
-        x = complete_rect(p)
+        spec = ChartSpec("rect", REAL, (2, 2, 1), ((0, 1), (0, 1)))
+        x = _complete(spec, [2.0, 3.0, 4.0])
         assert x.data[1, 1, 0] == pytest.approx(6.0, abs=1e-12)
 
     def test_rect_full_rank_no_completion(self):
         rng = np.random.default_rng(0)
         a = rand_mat(COMPLEX, 3, 2, rng)
-        p = extract_rect(a, 2, (0, 1, 2), (0, 1))
-        np.testing.assert_allclose(complete_rect(p).data, a.data, atol=1e-12)
+        spec, coords = chart_at(a, 2, "rect", ((0, 1, 2), (0, 1)))
+        np.testing.assert_allclose(_complete(spec, coords).data, a.data, atol=1e-12)
 
     def test_rect_rank_property(self):
         rng = np.random.default_rng(1)
         for kind in KINDS:
             for _ in range(10):
                 n, m, q = 4, 3, 2
-                p = RectChartPoint(
-                    kind, n, m, q, tuple(rng.permutation(n)), tuple(rng.permutation(m)),
+                spec = ChartSpec(
+                    "rect", kind, (n, m, q),
+                    (tuple(rng.permutation(n)), tuple(rng.permutation(m))),
+                )
+                x11, x12, x21 = (
                     rng.normal(size=(q, q, kind.beta)),
                     rng.normal(size=(q, m - q, kind.beta)),
                     rng.normal(size=(n - q, q, kind.beta)),
                 )
-                assert numerical_rank(complete_rect(p)) == q
+                coords = np.concatenate([x11.ravel(), x12.ravel(), x21.ravel()])
+                assert numerical_rank(_complete(spec, coords)) == q
+                np.testing.assert_array_equal(spec.leading_block(coords[None])[0], x11)
 
     def test_rect_singular_block_rejected(self):
-        p = RectChartPoint(
-            REAL, 2, 2, 1, (0, 1), (0, 1),
-            np.array([[[0.0]]]), np.array([[[3.0]]]), np.array([[[4.0]]]),
-        )
+        spec = ChartSpec("rect", REAL, (2, 2, 1), ((0, 1), (0, 1)))
         with pytest.raises(SingularBlockError):
-            complete_rect(p)
+            _complete(spec, [0.0, 3.0, 4.0])
 
     def test_psd_example(self):
-        p = PsdChartPoint(REAL, 2, 1, (0, 1), np.array([[[1.0]]]), np.array([[[2.0]]]))
-        s = complete_psd(p)
+        spec = ChartSpec("psd", REAL, (2, 1), (0, 1))
+        s = _complete(spec, [1.0, 2.0])
         assert s.data[1, 1, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_psd_full_rank_returns_s11(self):
         rng = np.random.default_rng(2)
         a = rand_mat(QUATERNION, 2, 2, rng)
         s = a @ conj_transpose(a)
-        p = extract_psd(s, 2, (0, 1))
-        np.testing.assert_allclose(complete_psd(p).data, s.data, atol=1e-10)
+        spec, coords = chart_at(s, 2, "psd", (0, 1))
+        np.testing.assert_allclose(_complete(spec, coords).data, s.data, atol=1e-10)
 
     def test_psd_rank_property(self):
         rng = np.random.default_rng(3)
@@ -102,19 +116,66 @@ class TestCompletion:
             m, q = 4, 2
             base = rand_mat(kind, q, q, rng)
             s11m = base @ conj_transpose(base) + 0.5 * Mat.eye(kind, q)
-            p = PsdChartPoint(
-                kind, m, q, tuple(rng.permutation(m)),
-                s11m.data, rng.normal(size=(q, m - q, kind.beta)),
-            )
-            s = complete_psd(p)
+            spec = ChartSpec("psd", kind, (m, q), tuple(rng.permutation(m)))
+            coords = _psd_coords(s11m.data, rng.normal(size=(q, m - q, kind.beta)))
+            s = _complete(spec, coords)
             parts = eig_hermitian(s, q)
             assert parts.lam.size == q
             assert numerical_rank(s) == q
+            np.testing.assert_allclose(
+                spec.leading_block(coords[None])[0], s11m.data, rtol=0, atol=1e-14
+            )
 
     def test_psd_not_pd_rejected(self):
-        p = PsdChartPoint(REAL, 2, 1, (0, 1), np.array([[[-1.0]]]), np.array([[[2.0]]]))
+        spec = ChartSpec("psd", REAL, (2, 1), (0, 1))
         with pytest.raises(NotPsdError):
-            complete_psd(p)
+            _complete(spec, [-1.0, 2.0])
+
+
+class TestChartSpecValidation:
+    def test_non_permutation_pivot_rejected(self):
+        # a repeated row pivot used to complete to [[4, 6], [0, 0]] silently
+        with pytest.raises(ShapeMismatchError):
+            ChartSpec("rect", REAL, (2, 2, 1), ((0, 0), (0, 1)))
+        with pytest.raises(ShapeMismatchError):
+            ChartSpec("rect", REAL, (2, 3, 1), ((0, 1), (0, 1)))
+        with pytest.raises(ShapeMismatchError):
+            ChartSpec("rect", REAL, (2, 2, 1), (0, 1))
+        with pytest.raises(ShapeMismatchError):
+            ChartSpec("psd", REAL, (3, 1), (0, 1, 1))
+        with pytest.raises(ShapeMismatchError):
+            ChartSpec("tri", REAL, (1, 2), (0, 1))
+
+    def test_rank_out_of_range_rejected(self):
+        # q = 5 on a 2 x 2 psd chart used to fail later with an IndexError
+        with pytest.raises(RankError):
+            ChartSpec("psd", REAL, (2, 5), (0, 1))
+        with pytest.raises(RankError):
+            ChartSpec("psd", REAL, (2, 0), (0, 1))
+        with pytest.raises(RankError):
+            ChartSpec("rect", COMPLEX, (3, 2, 3), ((0, 1, 2), (0, 1)))
+        with pytest.raises(RankError):
+            ChartSpec("tri", REAL, (3, 2))
+
+    def test_octonion_rejected(self):
+        with pytest.raises(UnsupportedAlgebraError):
+            ChartSpec("psd", OCTONION, (2, 1), (0, 1))
+        with pytest.raises(UnsupportedAlgebraError):
+            ChartSpec("tri", OCTONION, (1, 2))
+
+    def test_bad_space_and_sizes_rejected(self):
+        with pytest.raises(RegistryError):
+            ChartSpec("band", REAL, (2, 1), (0, 1))
+        with pytest.raises(ShapeMismatchError):
+            ChartSpec("rect", REAL, (2, 2), ((0, 1), (0, 1)))
+        with pytest.raises(RegistryError):
+            ChartSpec("tri", REAL, (1, 2)).leading_block(np.ones((1, 2)))
+
+    def test_sizes_and_pivots_are_int_tuples(self):
+        spec = ChartSpec("psd", REAL, np.array([3, 1]), np.array([2, 0, 1]))
+        assert spec.sizes == (3, 1) and spec.pivots == (2, 0, 1)
+        assert all(type(v) is int for v in spec.sizes + spec.pivots)
+        assert spec == ChartSpec("psd", REAL, (3, 1), (2, 0, 1))
 
 
 class TestExtract:
@@ -122,41 +183,53 @@ class TestExtract:
         rng = np.random.default_rng(4)
         for kind in KINDS:
             x = rand_rank_q(kind, 4, 3, 2, rng)
-            p = extract_rect(x, 2)
-            np.testing.assert_allclose(complete_rect(p).data, x.data, atol=1e-9)
-            p2 = extract_rect(complete_rect(p), 2, p.row_pivot, p.col_pivot)
-            np.testing.assert_allclose(p2.coords, p.coords, atol=1e-10)
+            spec, coords = chart_at(x, 2, "rect")
+            back = _complete(spec, coords)
+            np.testing.assert_allclose(back.data, x.data, atol=1e-9)
+            spec2, coords2 = chart_at(back, 2, "rect", spec.pivots)
+            assert spec2 == spec
+            np.testing.assert_allclose(coords2, coords, atol=1e-10)
 
     def test_round_trip_psd(self):
         rng = np.random.default_rng(5)
         for kind in KINDS:
             base = rand_rank_q(kind, 4, 4, 2, rng)
             s = base @ conj_transpose(base)
-            p = extract_psd(s, 2)
-            np.testing.assert_allclose(complete_psd(p).data, s.data, atol=1e-9)
-            p2 = extract_psd(complete_psd(p), 2, p.pivot)
-            np.testing.assert_allclose(p2.coords, p.coords, atol=1e-10)
+            spec, coords = chart_at(s, 2, "psd")
+            back = _complete(spec, coords)
+            np.testing.assert_allclose(back.data, s.data, atol=1e-9)
+            spec2, coords2 = chart_at(back, 2, "psd", spec.pivots)
+            assert spec2 == spec
+            np.testing.assert_allclose(coords2, coords, atol=1e-10)
 
     def test_full_rank_square_coords_are_whole_matrix(self):
         rng = np.random.default_rng(6)
         a = rand_mat(COMPLEX, 2, 2, rng)
-        p = extract_rect(a, 2, (0, 1), (0, 1))
+        _, coords = chart_at(a, 2, "rect", ((0, 1), (0, 1)))
         np.testing.assert_allclose(
-            p.coords, a.data[np.ix_((0, 1), (0, 1))].ravel(), atol=1e-12
+            coords, a.data[np.ix_((0, 1), (0, 1))].ravel(), atol=1e-12
         )
-
-    def test_extract_dispatcher(self):
-        rng = np.random.default_rng(7)
-        x = rand_rank_q(REAL, 3, 3, 1, rng)
-        s = x @ conj_transpose(x)
-        assert isinstance(extract(s, 1), PsdChartPoint)
-        assert isinstance(extract(rand_rank_q(REAL, 3, 2, 1, rng), 1), RectChartPoint)
 
     def test_wrong_rank_rejected(self):
         rng = np.random.default_rng(8)
         a = rand_mat(REAL, 3, 3, rng)
         with pytest.raises(RankError):
-            extract_rect(a, 1)
+            chart_at(a, 1, "rect")
+        # given pivots skip choose_pivot's own rank check; completion catches it
+        with pytest.raises(RankError):
+            chart_at(a, 1, "rect", ((0, 1, 2), (0, 1, 2)))
+        with pytest.raises(RankError):
+            chart_at(a @ conj_transpose(a), 1, "psd", (0, 1, 2))
+
+    def test_chart_at_checks_its_arguments(self):
+        rng = np.random.default_rng(7)
+        x = rand_rank_q(REAL, 3, 2, 1, rng)
+        with pytest.raises(RegistryError):
+            chart_at(x, 1, "tri")
+        with pytest.raises(ShapeMismatchError):
+            chart_at(x, 1, "psd", (0, 1, 2))
+        with pytest.raises(ShapeMismatchError):
+            chart_at(x, 1, "rect", ((0, 0, 1), (0, 1)))
 
 
 class TestChoosePivot:
@@ -181,12 +254,11 @@ class TestChoosePivot:
         assert choose_pivot(a, 1, chart="psd") == (1, 0)
 
     def test_pivoted_extraction_handles_zero_leading_entry(self):
-        rng = np.random.default_rng(9)
         v = np.array([[0.0], [1.0], [2.0]])
         s = Mat.from_real(REAL, v @ v.T)
-        p = extract_psd(s, 1)
-        assert p.pivot[0] == 2  # largest diagonal first
-        np.testing.assert_allclose(complete_psd(p).data, s.data, atol=1e-12)
+        spec, coords = chart_at(s, 1, "psd")
+        assert spec.pivots[0] == 2  # largest diagonal first
+        np.testing.assert_allclose(_complete(spec, coords).data, s.data, atol=1e-12)
 
 
 def _fd_density_log(spec, coords, step=1e-5):
@@ -303,16 +375,16 @@ class TestHausdorffDensity:
         rng = np.random.default_rng(10)
         for kind in KINDS:
             a = rand_mat(kind, 2, 3, rng)
-            p = extract_rect(a, 2, (0, 1), (0, 1, 2))
-            assert hausdorff_density(p) == pytest.approx(1.0, rel=1e-8)
+            spec, coords = chart_at(a, 2, "rect", ((0, 1), (0, 1, 2)))
+            assert _density(spec, coords) == pytest.approx(1.0, rel=1e-8)
 
     def test_psd_closed_form(self):
+        spec = ChartSpec("psd", REAL, (2, 1), (0, 1))
         for s11, s12 in [(1.0, 0.0), (1.3, 0.7), (0.8, -1.1)]:
-            p = PsdChartPoint(REAL, 2, 1, (0, 1), np.array([[[s11]]]), np.array([[[s12]]]))
             g1 = -((s12 / s11) ** 2)
             g2 = 2 * s12 / s11
             expected = math.sqrt(2.0 + 2.0 * g1 * g1 + g2 * g2)
-            assert hausdorff_density(p) == pytest.approx(expected, rel=1e-7)
+            assert _density(spec, np.array([s11, s12])) == pytest.approx(expected, rel=1e-7)
 
     def test_invariant_under_symmetric_relabeling(self):
         # permuting the ambient basis is an orthogonal map, so the density of
@@ -320,13 +392,13 @@ class TestHausdorffDensity:
         rng = np.random.default_rng(11)
         base = rand_rank_q(COMPLEX, 4, 4, 2, rng)
         s = base @ conj_transpose(base)
-        p = extract_psd(s, 2)
+        spec, coords = chart_at(s, 2, "psd")
         perm = np.array([2, 0, 3, 1])
         s_rot = Mat(COMPLEX, s.data[np.ix_(perm, perm)])
-        inv = tuple(int(np.argwhere(perm == p.pivot[i])[0, 0]) for i in range(4))
-        p_rot = extract_psd(s_rot, 2, inv)
-        np.testing.assert_allclose(p_rot.coords, p.coords, atol=1e-12)
-        assert hausdorff_density(p_rot) == pytest.approx(hausdorff_density(p), rel=1e-8)
+        inv = tuple(int(np.argwhere(perm == spec.pivots[i])[0, 0]) for i in range(4))
+        spec_rot, coords_rot = chart_at(s_rot, 2, "psd", inv)
+        np.testing.assert_allclose(coords_rot, coords, atol=1e-12)
+        assert _density(spec_rot, coords_rot) == pytest.approx(_density(spec, coords), rel=1e-8)
 
 
 class TestStiefelSampling:
@@ -501,23 +573,9 @@ def test_coordinate_counts():
     rng = np.random.default_rng(21)
     for kind in KINDS:
         x = rand_rank_q(kind, 4, 3, 2, rng)
-        p = extract_rect(x, 2)
-        assert p.coords.size == rect_coord_count(4, 3, 2, kind.beta)
+        spec, coords = chart_at(x, 2, "rect")
+        assert coords.shape == (rect_coord_count(4, 3, 2, kind.beta),) == (spec.coord_count(),)
         s = x @ conj_transpose(x)
-        ps = extract_psd(s, 2)
-        assert ps.coords.size == psd_coord_count(4, 2, kind.beta)
+        spec, coords = chart_at(s, 2, "psd")
+        assert coords.shape == (psd_coord_count(4, 2, kind.beta),) == (spec.coord_count(),)
 
-
-def test_from_coords_round_trip():
-    rng = np.random.default_rng(22)
-    for kind in KINDS:
-        x = rand_rank_q(kind, 3, 4, 2, rng)
-        p = extract_rect(x, 2)
-        p2 = RectChartPoint.from_coords(
-            kind, 3, 4, 2, p.row_pivot, p.col_pivot, p.coords
-        )
-        np.testing.assert_array_equal(p2.coords, p.coords)
-        s = conj_transpose(x) @ x
-        ps = extract_psd(s, 2)
-        ps2 = PsdChartPoint.from_coords(kind, 4, 2, ps.pivot, ps.coords)
-        np.testing.assert_allclose(ps2.coords, ps.coords, atol=1e-14)

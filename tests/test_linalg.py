@@ -20,7 +20,6 @@ from divalg.linalg import (
     conj_transpose,
     ct_raw,
     eigvalsh_raw,
-    embed_raw,
     hermitian_part,
     inv_hermitian_raw,
     inv_raw,
@@ -53,6 +52,8 @@ def _einsum_mul(a, b, beta):
 
 
 def _einsum_embed(a, beta):
+    """Reference left-regular representation: each entry becomes the
+    beta x beta real matrix of left multiplication by it."""
     n, m = a.shape[-3], a.shape[-2]
     blocks = np.einsum("...ijp,pqr->...irjq", a, structure_tensor(beta))
     return blocks.reshape(a.shape[:-3] + (n * beta, m * beta))
@@ -119,17 +120,8 @@ def test_scalar_mul_is_the_matrix_kernel_on_one_by_one(beta):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("beta", VALID_BETAS)
-def test_embed_raw_is_bit_identical_to_oracle(beta):
-    rng = np.random.default_rng(20 + beta)
-    a = rng.normal(size=(3, 2, 4, beta))
-    assert np.array_equal(embed_raw(a, beta), _einsum_embed(a, beta))
-    view = a[:, :, ::2]
-    assert np.array_equal(embed_raw(view, beta), _einsum_embed(view, beta))
-
-
 # ---------------------------------------------------------------------------
-# the complex form, pinned to embed_raw
+# the complex form, pinned to the left-regular oracle _einsum_embed
 
 EMBED_BETAS = (1, 2, 4)
 
@@ -188,7 +180,7 @@ def test_complex_form_spectra_match_embedding_multiplets(beta):
     rng = np.random.default_rng(60 + beta)
     r = complex_multiplicity(beta)
     s = _hermitian_pd_batch(rng, 6, 3, beta)
-    e = embed_raw(s, beta)
+    e = _einsum_embed(s, beta)
     w_real = np.linalg.eigvalsh((e + np.swapaxes(e, -1, -2)) / 2.0)
     w_cx = np.linalg.eigvalsh(hermitian_part(complex_raw(s, beta)))
     np.testing.assert_allclose(
@@ -196,7 +188,7 @@ def test_complex_form_spectra_match_embedding_multiplets(beta):
         rtol=0, atol=1e-12 * np.abs(w_real).max(),
     )
     x = rng.normal(size=(2, 3, 4, 2, beta))  # batch (2, 3) of 4 x 2 matrices
-    sv_real = np.linalg.svd(embed_raw(x, beta), compute_uv=False)
+    sv_real = np.linalg.svd(_einsum_embed(x, beta), compute_uv=False)
     sv_cx = np.linalg.svd(complex_raw(x, beta), compute_uv=False)
     np.testing.assert_allclose(
         sv_cx.reshape(2, 3, 2, r).mean(axis=-1), sv_real.reshape(2, 3, 2, beta).mean(axis=-1),
@@ -393,8 +385,8 @@ def test_embedding_is_multiplicative(kind):
     rng = np.random.default_rng(1)
     a = rand_mat(kind, 3, 4, rng)
     b = rand_mat(kind, 4, 2, rng)
-    lhs = embed_raw((a @ b).data, kind.beta)
-    rhs = embed_raw(a.data, kind.beta) @ embed_raw(b.data, kind.beta)
+    lhs = _einsum_embed((a @ b).data, kind.beta)
+    rhs = _einsum_embed(a.data, kind.beta) @ _einsum_embed(b.data, kind.beta)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -403,19 +395,21 @@ def test_embedding_respects_conj_transpose(kind):
     rng = np.random.default_rng(2)
     a = rand_mat(kind, 3, 2, rng)
     np.testing.assert_allclose(
-        embed_raw(conj_transpose(a).data, kind.beta), embed_raw(a.data, kind.beta).T, atol=1e-12
+        _einsum_embed(conj_transpose(a).data, kind.beta),
+        _einsum_embed(a.data, kind.beta).T,
+        atol=1e-12,
     )
 
 
 def test_complex_embedding_block():
     a = Mat(COMPLEX, np.array([[[2.0, 3.0]]]))
-    np.testing.assert_array_equal(embed_raw(a.data, 2), np.array([[2.0, -3.0], [3.0, 2.0]]))
+    np.testing.assert_array_equal(_einsum_embed(a.data, 2), np.array([[2.0, -3.0], [3.0, 2.0]]))
 
 
 def test_real_embedding_is_identity_map():
     rng = np.random.default_rng(3)
     a = rand_mat(REAL, 3, 3, rng)
-    np.testing.assert_array_equal(embed_raw(a.data, 1), a.data[:, :, 0])
+    np.testing.assert_array_equal(_einsum_embed(a.data, 1), a.data[:, :, 0])
 
 
 def test_conj_transpose_involution_and_product_rule():
@@ -568,7 +562,7 @@ def test_embedding_additivity(data):
     a = Mat(kind, np.array(data.draw(st.lists(st.lists(st.lists(elems, min_size=kind.beta, max_size=kind.beta), min_size=m, max_size=m), min_size=n, max_size=n))))
     b = Mat(kind, np.array(data.draw(st.lists(st.lists(st.lists(elems, min_size=kind.beta, max_size=kind.beta), min_size=m, max_size=m), min_size=n, max_size=n))))
     np.testing.assert_allclose(
-        embed_raw((a + b).data, kind.beta),
-        embed_raw(a.data, kind.beta) + embed_raw(b.data, kind.beta),
+        _einsum_embed((a + b).data, kind.beta),
+        _einsum_embed(a.data, kind.beta) + _einsum_embed(b.data, kind.beta),
         atol=1e-12,
     )

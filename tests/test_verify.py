@@ -6,9 +6,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, QUATERNION, REAL, charts, decomp, linalg, verify
+from divalg import COMPLEX, QUATERNION, REAL, verify
 from divalg.algebra import structure_tensor
-from divalg.charts import assemble_sd_batch, extract_psd, sample_stiefel_batch
+from divalg.charts import assemble_sd_batch, chart_at, sample_stiefel_batch
 from divalg.decomp import (
     cholesky_rank_q,
     eig_hermitian,
@@ -219,22 +219,22 @@ class TestChartClosedForms:
         lam = np.array([[1.7]])
         w1 = sample_stiefel_batch(3, 1, REAL, rng, 1)
         s = Mat(REAL, assemble_sd_batch(w1, lam, 1)[0])
-        point = extract_psd(s, 1)
-        out = ChartSpec("psd", REAL, (3, 1), point.pivot)
-        val = chart_jacobian_logdet(lambda a: a, point.spec, point.coords, out)
+        spec, coords = chart_at(s, 1, "psd")
+        out = ChartSpec("psd", REAL, (3, 1), spec.pivots)
+        val = chart_jacobian_logdet(lambda a: a, spec, coords, out)
         assert abs(val) < 1e-8
 
     def test_non_finite_map_output_is_rejected(self):
-        point = extract_psd(Mat(REAL, np.array([[[2.0]]])), 1)
-        out = ChartSpec("psd", REAL, (1, 1), point.pivot)
+        spec, coords = chart_at(Mat(REAL, np.array([[[2.0]]])), 1, "psd")
+        out = ChartSpec("psd", REAL, (1, 1), spec.pivots)
         with pytest.raises(ValueError, match="finite"):
-            chart_jacobian_logdet(lambda a: a * np.nan, point.spec, point.coords, out)
+            chart_jacobian_logdet(lambda a: a * np.nan, spec, coords, out)
 
     def test_scalar_inverse(self):
         s = Mat(REAL, np.array([[[2.0]]]))
-        point = extract_psd(s, 1)
-        out = ChartSpec("psd", REAL, (1, 1), point.pivot)
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
+        spec, coords = chart_at(s, 1, "psd")
+        out = ChartSpec("psd", REAL, (1, 1), spec.pivots)
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
         assert val == pytest.approx(math.log(0.25), abs=1e-8)
 
     def test_rank_one_pseudo_inverse_quartic_law(self):
@@ -244,9 +244,9 @@ class TestChartClosedForms:
             lam = float(rng.uniform(0.6, 2.5))
             w1 = sample_stiefel_batch(2, 1, REAL, rng, 1)
             s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
-            point = extract_psd(s, 1)
-            out = ChartSpec("psd", REAL, (2, 1), point.pivot)
-            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), point.spec, point.coords, out)
+            spec, coords = chart_at(s, 1, "psd")
+            out = ChartSpec("psd", REAL, (2, 1), spec.pivots)
+            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
             assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
     def test_pseudo_inverse_pivot_invariance(self):
@@ -256,10 +256,10 @@ class TestChartClosedForms:
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
         vals = []
         for pivot in ((0, 1), (1, 0)):
-            point = extract_psd(s, 1, pivot)
+            spec, coords = chart_at(s, 1, "psd", pivot)
             out = ChartSpec("psd", REAL, (2, 1), pivot)
             inverse = partial(pinv_batch, beta=1)
-            vals.append(chart_jacobian_logdet(inverse, point.spec, point.coords, out))
+            vals.append(chart_jacobian_logdet(inverse, spec, coords, out))
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
     def test_pseudo_inverse_scale_homogeneity(self):
@@ -270,10 +270,10 @@ class TestChartClosedForms:
         vals = []
         for scale in (1.0, c):
             s = Mat(COMPLEX, scale * base)
-            point = extract_psd(s, 1)
-            out = ChartSpec("psd", COMPLEX, (2, 1), point.pivot)
+            spec, coords = chart_at(s, 1, "psd")
+            out = ChartSpec("psd", COMPLEX, (2, 1), spec.pivots)
             inverse = partial(pinv_batch, beta=2)
-            vals.append(chart_jacobian_logdet(inverse, point.spec, point.coords, out))
+            vals.append(chart_jacobian_logdet(inverse, spec, coords, out))
         # beta=2, m=2, q=1: exponent beta(-2m+q+1)-2 = -6
         assert vals[1] - vals[0] == pytest.approx(-6.0 * math.log(c), abs=1e-6)
 
@@ -473,6 +473,15 @@ class TestDeterminism:
         task = TaskSpec(theorem_id="MP_HERM", beta=2, m=2, q=1, points=6, seed=33)
         assert canonical(run_task(task, jobs=1)) == canonical(run_task(task, jobs=4))
 
+    def test_chart_points_run_without_a_pool(self, monkeypatch):
+        """jobs reaches only the Monte-Carlo blocks; CHART points run serially."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread pool started for a CHART task")
+
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", refuse)
+        task = TaskSpec(theorem_id="MP_HERM", beta=2, m=2, q=1, points=3, seed=33)
+        assert run_task(task, jobs=4).passed
+
     def test_repeat_runs_identical(self):
         task = TaskSpec(
             theorem_id="W", beta=1, n=2, m=2, q=1, trials=20_000, seed=34,
@@ -511,26 +520,6 @@ def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
         TaskSpec(theorem_id="SD", beta=4, m=2, q=1, engine="MC_RATIO", trials=10_000, seed=6)
     )
     assert ratio.records
-
-
-def test_engines_never_build_the_real_embedding(monkeypatch):
-    """Every algebra product runs on complex views; embed_raw is kept as the
-    public real representation only."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("embed_raw called on the task path")
-
-    for module in (linalg, charts, decomp, verify):
-        if hasattr(module, "embed_raw"):
-            monkeypatch.setattr(module, "embed_raw", refuse)
-    tasks = [
-        TaskSpec(theorem_id="UHLIG_SVD", beta=2, m=2, n=1, engine="MC_EQUALITY",
-                 trials=10_000, seed=7),
-        TaskSpec(theorem_id="SVD", beta=4, n=3, m=2, q=1, engine="MC_RATIO",
-                 trials=10_000, seed=6),
-        TaskSpec(theorem_id="MP_HERM", beta=4, m=3, q=2, points=2, seed=5),
-    ]
-    for task in tasks:
-        assert run_task(task).records, task
 
 
 def _record_lapack(monkeypatch) -> list:
