@@ -37,12 +37,11 @@ from .linalg import (
     sdet_log,
 )
 from .measures import (
+    FACTORS,
     FactorInput,
-    coupling_factor_log,
-    decomposition_density_log,
+    factor_log,
     mv_gamma_log,
     stiefel_volume_log,
-    transform_factor_log,
 )
 from .verify import (
     THEOREMS,
@@ -77,12 +76,11 @@ __all__ = [
     "qr_positive",
     "cholesky_rank_q",
     "pinv",
+    "FACTORS",
     "FactorInput",
+    "factor_log",
     "mv_gamma_log",
     "stiefel_volume_log",
-    "decomposition_density_log",
-    "transform_factor_log",
-    "coupling_factor_log",
     "THEOREMS",
     "TaskSpec",
     "Report",

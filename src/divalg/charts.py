@@ -47,7 +47,7 @@ from .linalg import (
     mul_raw,
     svdvals_raw,
 )
-from .measures import LOG2, LOGPI, stiefel_volume_log, tau
+from .measures import LOG2, stiefel_volume_log
 
 PIVOT_TOL = 1e-10
 BLOCK_COND_TOL = 1e-10
@@ -532,32 +532,6 @@ def factorized_mass_log(
     out = q * math.log(hi - lo) - math.lgamma(q + 1)
     for d in dims:
         out += stiefel_volume_log(q, d, beta)
-    return out
-
-
-def sd_density_log_batch(lam: np.ndarray, beta: int, m: int) -> np.ndarray:
-    """Vectorized spectral-decomposition density over (B, q) spectra."""
-    q = lam.shape[1]
-    logs = np.log(lam)
-    out = -q * LOG2 + tau(beta, q) * LOGPI + beta * (m - q) * logs.sum(axis=1)
-    iu, ju = np.triu_indices(q, k=1)
-    if iu.size:
-        out = out + beta * np.log(lam[:, iu] - lam[:, ju]).sum(axis=1)
-    return out
-
-
-def svd_density_log_batch(d: np.ndarray, beta: int, n: int, m: int) -> np.ndarray:
-    """Vectorized SVD density over (B, q) spectra."""
-    q = d.shape[1]
-    logs = np.log(d)
-    out = (
-        -q * LOG2
-        + tau(beta, q) * LOGPI
-        + (beta * (n + m - 2 * q + 1) - 1) * logs.sum(axis=1)
-    )
-    iu, ju = np.triu_indices(q, k=1)
-    if iu.size:
-        out = out + beta * np.log(d[:, iu] ** 2 - d[:, ju] ** 2).sum(axis=1)
     return out
 
 

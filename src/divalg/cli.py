@@ -43,26 +43,21 @@ from .errors import (
 from .linalg import Mat, save_matrix
 from .measures import (
     FactorInput,
-    coupling_factor_log,
-    decomposition_density_log,
+    factor_log,
     mv_gamma_log,
     stiefel_volume_log,
     tau,
-    transform_factor_log,
     uhlig_svd_alternative_log,
 )
-from .verify import ENGINES, THEOREMS, Report, TaskSpec, run_task
+from .verify import ENGINES, THEOREMS, Report, TaskSpec, check_sizes, run_task
 
 TASK_NAMES = {t.cli_name: name for name, t in THEOREMS.items()}
 
 ENGINE_NAMES = {e.lower().replace("_", "-"): e for e in ENGINES}
 
-# (family, theorem): every theorem's own factor, plus two that belong to none
-FACTOR_KINDS = {
-    "tau": ("tau", None),
-    **{t.cli_name: (t.factor, name) for name, t in THEOREMS.items()},
-    "uhlig-svd-alt": ("alternative", None),
-}
+# every theorem's own factor, plus the pi exponent tau and the cross-check
+# form of the UHLIG_SVD factor
+FACTOR_KINDS = ("tau", *TASK_NAMES, "uhlig-svd-alt")
 
 TABLE_DISCLAIMER = (
     "# table view is a reading convenience; field layout is not stable -- "
@@ -337,10 +332,48 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 # factor / gamma / volume / sample
 
 
-def _spectrum_arg(raw: str | None) -> tuple[float, ...] | None:
+def _spectrum_arg(raw: str | None, flag: str) -> tuple[float, ...] | None:
     if raw is None:
         return None
-    return tuple(float(v) for v in raw.split(","))
+    try:
+        return tuple(float(v) for v in raw.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} must be a comma-separated list of finite and positive numbers, "
+            f"got {raw!r}"
+        ) from None
+
+
+def _print_log_value(evaluate) -> int:
+    """Print `log:` and `value:` lines for the log value evaluate() gives
+    (value: inf when exp overflows); a DivalgError is a usage error."""
+    try:
+        log_value = evaluate()
+    except DivalgError as exc:
+        return _fail_usage(str(exc))
+    with np.errstate(over="ignore"):
+        value = np.exp(log_value)
+    print(f"log: {log_value:.10g}")
+    print(f"value: {value:.10g}")
+    return 0
+
+
+def _evaluate_factor(args: argparse.Namespace) -> float:
+    """The log factor `divalg factor` prints, after the theorem's size rule."""
+    name = "UHLIG_SVD" if args.kind == "uhlig-svd-alt" else TASK_NAMES[args.kind]
+    n, q = check_sizes(name, args.m, args.n, args.q)
+    fi = FactorInput(
+        beta=args.beta, m=args.m, n=n, q=q,
+        d=_spectrum_arg(args.d, "--d"),
+        lam=_spectrum_arg(getattr(args, "lambda"), "--lambda"),
+        delta=_spectrum_arg(args.delta, "--delta"),
+        t_diag=_spectrum_arg(args.t_diag, "--t-diag"),
+        det_b=args.det_b, det_t1t1=args.det_t1t1, det_l1l1=args.det_l1l1,
+        det_s11=args.det_s11, det_gbh=args.det_gbh,
+    )
+    if args.kind == "uhlig-svd-alt":
+        return uhlig_svd_alternative_log(fi)
+    return factor_log(name, fi)
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
@@ -348,60 +381,22 @@ def cmd_factor(args: argparse.Namespace) -> int:
         return _fail_usage(
             f"unknown factor kind {args.kind!r}; expected one of {sorted(FACTOR_KINDS)}"
         )
-    family, name = FACTOR_KINDS[args.kind]
-    try:
-        if family == "tau":
+    if args.kind == "tau":
+        try:
             value = tau(args.beta, args.q)
-            print(f"value: {value:.10g}")
-            return 0
-        fi = FactorInput(
-            beta=args.beta,
-            m=args.m,
-            n=args.n,
-            q=args.q,
-            d=_spectrum_arg(args.d),
-            lam=_spectrum_arg(getattr(args, "lambda")),
-            delta=_spectrum_arg(args.delta),
-            t_diag=_spectrum_arg(args.t_diag),
-            det_b=args.det_b,
-            det_t1t1=args.det_t1t1,
-            det_l1l1=args.det_l1l1,
-            det_s11=args.det_s11,
-            det_gbh=args.det_gbh,
-        )
-        if family == "density":
-            log_value = decomposition_density_log(name, fi)
-        elif family == "transform":
-            log_value = transform_factor_log(name, fi)
-        elif family == "coupling":
-            log_value = coupling_factor_log(name, fi)
-        else:
-            log_value = uhlig_svd_alternative_log(fi)
-    except DivalgError as exc:
-        return _fail_usage(str(exc))
-    print(f"log: {log_value:.10g}")
-    print(f"value: {np.exp(log_value):.10g}")
-    return 0
+        except DivalgError as exc:
+            return _fail_usage(str(exc))
+        print(f"value: {value:.10g}")
+        return 0
+    return _print_log_value(lambda: _evaluate_factor(args))
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    try:
-        log_value = mv_gamma_log(args.m, args.beta, args.a)
-    except DivalgError as exc:
-        return _fail_usage(str(exc))
-    print(f"log: {log_value:.10g}")
-    print(f"value: {np.exp(log_value):.10g}")
-    return 0
+    return _print_log_value(lambda: mv_gamma_log(args.m, args.beta, args.a))
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
-    try:
-        log_value = stiefel_volume_log(args.m, args.n, args.beta)
-    except DivalgError as exc:
-        return _fail_usage(str(exc))
-    print(f"log: {log_value:.10g}")
-    print(f"value: {np.exp(log_value):.10g}")
-    return 0
+    return _print_log_value(lambda: stiefel_volume_log(args.m, args.n, args.beta))
 
 
 def cmd_sample(args: argparse.Namespace) -> int:

@@ -1,11 +1,18 @@
 """Closed-form density and Jacobian factors, evaluated in the log domain.
 
 Every analytic factor the verification engines compare against lives here:
-the multivariate gamma function, Stiefel manifold volumes, the densities
-attached to the SVD / spectral / QR / Cholesky decompositions, and the
-transform factors for Moore-Penrose inversion and congruence maps.  Signs
-are discarded throughout; products of eigenvalue differences overflow
-quickly, so everything is a sum of logs.
+the multivariate gamma function, Stiefel manifold volumes, and FACTORS, the
+one table of theorem factors keyed like verify.THEOREMS: the densities
+attached to the SVD / spectral / QR / Cholesky decompositions, the Gram
+couplings, and the transform factors for Moore-Penrose inversion and
+congruence maps.  Signs are discarded throughout; products of eigenvalue
+differences overflow quickly, so everything is a sum of logs.
+
+Each factor is written once, batch-first: its entry maps spectra of shape
+(..., k) and log-determinants of shape (...) to log factors of shape (...).
+The Monte-Carlo samplers call the entries on whole blocks; factor_log
+evaluates one entry at a validated FactorInput (CHART points, the demo and
+`divalg factor`).
 
 Size conventions follow the congruence theorems: m is the ambient matrix
 size and, for the congruence factors, n is the rank of the positive
@@ -14,13 +21,12 @@ semidefinite operands (spectra have length n there, q elsewhere).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigurationError, DomainError, RegistryError
-
-DENSITY_KINDS = ("SVD", "SD", "QR", "CHOL")
-TRANSFORM_KINDS = ("MP_HERM", "MP_RECT", "UHLIG_SVD", "UHLIG_QR", "UHLIG_MP", "CONGRUENCE_NS")
-COUPLING_KINDS = ("W", "CHOL_X")
 
 LOG2 = math.log(2.0)
 LOGPI = math.log(math.pi)
@@ -62,7 +68,7 @@ def stiefel_volume_log(m: int, n: int, beta: int) -> float:
 
 @dataclass(frozen=True)
 class FactorInput:
-    """Arguments for the factor evaluators; only the fields a kind reads are required.
+    """One point for factor_log; only the fields the factor reads are required.
 
     Spectra (d, lam, delta) must be strictly decreasing and positive; t_diag
     entries must be positive (triangular diagonals are not sorted);
@@ -107,15 +113,6 @@ class FactorInput:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
-def _spectrum(fi: FactorInput, name: str, length: int) -> tuple[float, ...]:
-    value = getattr(fi, name)
-    if value is None:
-        raise ConfigurationError(f"factor requires spectrum '{name}'")
-    if len(value) != length:
-        raise ConfigurationError(f"'{name}' must have length {length}, got {len(value)}")
-    return value
-
-
 def _det(fi: FactorInput, name: str) -> float:
     value = getattr(fi, name)
     if value is None:
@@ -123,96 +120,129 @@ def _det(fi: FactorInput, name: str) -> float:
     return float(value)
 
 
-def _log_sum(values) -> float:
-    return float(sum(math.log(v) for v in values))
+def _log_sum(x: np.ndarray) -> np.ndarray:
+    return np.log(x).sum(axis=-1)
 
 
-def _vandermonde_log(values, power: float, squared: bool) -> float:
-    out = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            diff = values[i] ** 2 - values[j] ** 2 if squared else values[i] - values[j]
-            out += power * math.log(diff)
-    return out
+def _vandermonde_log(x: np.ndarray, power: float, squared: bool = False) -> np.ndarray:
+    """power * sum_{i<j} log(x_i - x_j), or log(x_i^2 - x_j^2) when squared
+    (as log(x_i - x_j) + log(x_i + x_j), which does not overflow), over the
+    last axis of a descending positive x."""
+    iu, ju = np.triu_indices(x.shape[-1], k=1)
+    a, b = x[..., iu], x[..., ju]
+    logs = np.log(a - b) + np.log(a + b) if squared else np.log(a - b)
+    return power * logs.sum(axis=-1)
 
 
-def decomposition_density_log(kind: str, fi: FactorInput) -> float:
-    """log density attached to a factorization: SVD, SD, QR, or CHOL."""
-    beta, m, n, q = fi.beta, fi.m, fi.n, fi.q
-    if kind == "SVD":
-        d = _spectrum(fi, "d", q)
-        return (
-            -q * LOG2
-            + tau(beta, q) * LOGPI
-            + (beta * (n + m - 2 * q + 1) - 1) * _log_sum(d)
-            + _vandermonde_log(d, beta, squared=True)
-        )
-    if kind == "SD":
-        lam = _spectrum(fi, "lam", q)
-        return (
-            -q * LOG2
-            + tau(beta, q) * LOGPI
-            + beta * (m - q) * _log_sum(lam)
-            + _vandermonde_log(lam, beta, squared=False)
-        )
-    if kind == "QR":
-        t = _spectrum(fi, "t_diag", q)
-        return sum((beta * (n - i + 1) - 1) * math.log(t[i - 1]) for i in range(1, q + 1))
-    if kind == "CHOL":
-        t = _spectrum(fi, "t_diag", q)
-        return q * LOG2 + sum(
-            (beta * (m - i) + 1) * math.log(t[i - 1]) for i in range(1, q + 1)
-        )
-    raise RegistryError(f"unknown density kind {kind!r}; expected one of {DENSITY_KINDS}")
+# ---------------------------------------------------------------------------
+# the factor table: each entry is log(beta, m, n, q, **inputs), with every
+# spectrum a (..., k) array and every det_* input a log-determinant (...)
 
 
-def transform_factor_log(kind: str, fi: FactorInput) -> float:
-    """log Jacobian factor of a matrix transform (Moore-Penrose or congruence)."""
-    beta, m, n, q = fi.beta, fi.m, fi.n, fi.q
-    if kind == "MP_HERM":
-        lam = _spectrum(fi, "lam", q)
-        return (beta * (-2 * m + q + 1) - 2) * _log_sum(lam)
-    if kind == "MP_RECT":
-        d = _spectrum(fi, "d", q)
-        return -2 * beta * (m + n - q) * _log_sum(d)
-    if kind == "UHLIG_SVD":
-        delta = _spectrum(fi, "delta", n)
-        lam = _spectrum(fi, "lam", n)
-        e = beta * (m - n - 1) / 2.0 + 1.0
-        return beta * n * math.log(_det(fi, "det_b")) + e * (_log_sum(delta) - _log_sum(lam))
-    if kind == "UHLIG_QR":
-        e = beta * (m - n - 1) / 2.0 + 1.0
-        return (
-            e * math.log(_det(fi, "det_t1t1"))
-            - e * math.log(_det(fi, "det_l1l1"))
-            + beta * n * math.log(_det(fi, "det_b"))
-        )
-    if kind == "UHLIG_MP":
-        delta = _spectrum(fi, "delta", n)
-        lam = _spectrum(fi, "lam", n)
-        return (
-            beta * n * math.log(_det(fi, "det_b"))
-            + (beta * (m - n - 1) / 2.0 + 1.0) * _log_sum(delta)
-            - (beta * (3 * m - n - 1) / 2.0 + 1.0) * _log_sum(lam)
-        )
-    if kind == "CONGRUENCE_NS":
-        return (beta * (m - 1) + 2) * math.log(_det(fi, "det_b"))
-    raise RegistryError(
-        f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}"
-    )
+def _svd(beta, m, n, q, d):
+    return (-q * LOG2 + tau(beta, q) * LOGPI + (beta * (n + m - 2 * q + 1) - 1) * _log_sum(d)
+            + _vandermonde_log(d, beta, squared=True))
 
 
-def coupling_factor_log(kind: str, fi: FactorInput) -> float:
-    """log factor coupling a matrix measure to the measure of its Gram form."""
-    beta, m, n, q = fi.beta, fi.m, fi.n, fi.q
-    if kind == "W":
-        lam = _spectrum(fi, "lam", q)
-        return -q * LOG2 + (beta * (n - m + 1) / 2.0 - 1.0) * _log_sum(lam)
-    if kind == "CHOL_X":
-        return -q * LOG2 + (beta * (n - m + 1) / 2.0 - 1.0) * math.log(
-            _det(fi, "det_s11")
-        )
-    raise RegistryError(f"unknown coupling kind {kind!r}; expected one of {COUPLING_KINDS}")
+def _sd(beta, m, n, q, lam):
+    return (-q * LOG2 + tau(beta, q) * LOGPI + beta * (m - q) * _log_sum(lam)
+            + _vandermonde_log(lam, beta))
+
+
+def _w(beta, m, n, q, lam):
+    return -q * LOG2 + (beta * (n - m + 1) / 2.0 - 1.0) * _log_sum(lam)
+
+
+def _chol_x(beta, m, n, q, det_s11):
+    return -q * LOG2 + (beta * (n - m + 1) / 2.0 - 1.0) * det_s11
+
+
+def _qr(beta, m, n, q, t_diag):
+    # exponent beta (n - i + 1) - 1 on t_i, i = 1..q
+    return (np.log(t_diag) * (beta * (n - np.arange(q)) - 1.0)).sum(axis=-1)
+
+
+def _chol(beta, m, n, q, t_diag):
+    # exponent beta (m - i) + 1 on t_i, i = 1..q
+    return q * LOG2 + (np.log(t_diag) * (beta * (m - 1 - np.arange(q)) + 1.0)).sum(axis=-1)
+
+
+def _mp_herm(beta, m, n, q, lam):
+    return (beta * (-2 * m + q + 1) - 2) * _log_sum(lam)
+
+
+def _mp_rect(beta, m, n, q, d):
+    return -2 * beta * (m + n - q) * _log_sum(d)
+
+
+def _uhlig_svd(beta, m, n, q, delta, lam, det_b):
+    e = beta * (m - n - 1) / 2.0 + 1.0
+    return beta * n * det_b + e * (_log_sum(delta) - _log_sum(lam))
+
+
+def _uhlig_qr(beta, m, n, q, det_t1t1, det_l1l1, det_b):
+    e = beta * (m - n - 1) / 2.0 + 1.0
+    return e * det_t1t1 - e * det_l1l1 + beta * n * det_b
+
+
+def _uhlig_mp(beta, m, n, q, delta, lam, det_b):
+    e_lam = beta * (3 * m - n - 1) / 2.0 + 1.0
+    e_delta = beta * (m - n - 1) / 2.0 + 1.0
+    return beta * n * det_b + e_delta * _log_sum(delta) - e_lam * _log_sum(lam)
+
+
+def _congruence_ns(beta, m, n, q, det_b):
+    return (beta * (m - 1) + 2) * det_b
+
+
+@dataclass(frozen=True)
+class Factor:
+    """One theorem's log factor.  log(beta, m, n, q, **inputs) -> (...) log
+    factors; spectra maps each FactorInput spectrum it reads to the size
+    field giving its length, dets names the determinants it reads (as logs)."""
+
+    log: Callable[..., np.ndarray]
+    spectra: dict[str, str] = field(default_factory=dict)
+    dets: tuple[str, ...] = ()
+
+
+FACTORS: dict[str, Factor] = {
+    "SVD": Factor(_svd, {"d": "q"}),
+    "SD": Factor(_sd, {"lam": "q"}),
+    "W": Factor(_w, {"lam": "q"}),
+    "QR": Factor(_qr, {"t_diag": "q"}),
+    "CHOL": Factor(_chol, {"t_diag": "q"}),
+    "CHOL_X": Factor(_chol_x, dets=("det_s11",)),
+    "MP_HERM": Factor(_mp_herm, {"lam": "q"}),
+    "MP_RECT": Factor(_mp_rect, {"d": "q"}),
+    "UHLIG_SVD": Factor(_uhlig_svd, {"delta": "n", "lam": "n"}, ("det_b",)),
+    "UHLIG_QR": Factor(_uhlig_qr, dets=("det_t1t1", "det_l1l1", "det_b")),
+    "UHLIG_MP": Factor(_uhlig_mp, {"delta": "n", "lam": "n"}, ("det_b",)),
+    "CONGRUENCE_NS": Factor(_congruence_ns, dets=("det_b",)),
+}
+
+
+def factor_log(name: str, fi: FactorInput) -> float:
+    """log factor of the theorem `name` at one point: FACTORS[name] on the
+    spectra of fi (each checked for presence and length) and the logs of
+    its determinants."""
+    if name not in FACTORS:
+        raise RegistryError(f"unknown factor {name!r}; expected one of {tuple(FACTORS)}")
+    entry = FACTORS[name]
+    inputs = {}
+    for spectrum, size in entry.spectra.items():
+        value = getattr(fi, spectrum)
+        if value is None:
+            raise ConfigurationError(f"factor requires spectrum '{spectrum}'")
+        length = getattr(fi, size)
+        if len(value) != length:
+            raise ConfigurationError(
+                f"'{spectrum}' must have length {length}, got {len(value)}"
+            )
+        inputs[spectrum] = np.asarray(value, dtype=float)
+    for det in entry.dets:
+        inputs[det] = math.log(_det(fi, det))
+    return float(entry.log(fi.beta, fi.m, fi.n, fi.q, **inputs))
 
 
 def uhlig_svd_alternative_log(fi: FactorInput) -> float:

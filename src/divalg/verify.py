@@ -26,7 +26,10 @@ side takes it from A = B* W Lambda^(1/2) and the left side from
 Lambda_x^(1/2) T* T Lambda_x^(1/2), the Gram its frame weight already forms.
 
 Every theorem is one row of THEOREMS: its fixed RNG code, CLI name, size
-rule, factor family and one problem builder per engine that checks it.
+rule and one problem builder per engine that checks it.  Its factor is the
+entry of measures.FACTORS under the same name, which every engine reads:
+CHART and the demo at single points through factor_log, the Monte-Carlo
+samplers on whole blocks.
 
 Determinism contract: every random block derives its generator from
 (seed, theorem code, side code, block index) and block partial sums are
@@ -57,8 +60,6 @@ from .charts import (
     factorized_mass_log,
     hausdorff_density_log_batch,
     sample_stiefel_batch,
-    sd_density_log_batch,
-    svd_density_log_batch,
 )
 from .decomp import (
     cholesky_batch,
@@ -91,10 +92,10 @@ from .linalg import (
     svdvals_raw,
 )
 from .measures import (
+    FACTORS,
     FactorInput,
-    decomposition_density_log,
+    factor_log,
     stiefel_volume_log,
-    transform_factor_log,
     uhlig_svd_alternative_log,
 )
 
@@ -109,15 +110,14 @@ class Theorem:
     code is the task term of every SeedSequence the theorem's tasks draw
     from, so it never changes.  sizes names the TaskSpec size fields the
     theorem reads: ("m", "q"), ("n", "m", "q"), ("m", "n") for a congruence
-    of rank n <= m, or ("m",).  factor is the measures family of its factor
-    (density, transform or coupling).  builders maps each engine that checks
-    the theorem to its problem builder, task -> problem.
+    of rank n <= m, or ("m",); check_sizes applies the rule.  builders maps
+    each engine that checks the theorem to its problem builder, task ->
+    problem.
     """
 
     code: int
     cli_name: str
     sizes: tuple[str, ...]
-    factor: str
     builders: dict[str, Callable]
 
     @property
@@ -194,33 +194,14 @@ class TaskSpec:
             )
         if self.beta not in (1, 2, 4):
             raise ConfigurationError(f"beta must be 1, 2 or 4, got {self.beta}")
-        if self.m < 1:
-            raise ConfigurationError(f"m must be positive, got {self.m}")
-        n = self.n if "n" in theorem.sizes else 0
-        q = self.q if "q" in theorem.sizes else 0
-        if "n" in theorem.sizes and n < 1:
-            raise ConfigurationError(f"{self.theorem_id} requires n >= 1, got {n}")
-        if theorem.sizes == _CONGRUENCE and n > self.m:
+        n, q = check_sizes(self.theorem_id, self.m, self.n, self.q)
+        # q <= min(n, m) already holds, so q = m also gives m <= n
+        if self.theorem_id in ("QR", "CHOL_X") and self.engine == "MC_RATIO" and q != self.m:
             raise ConfigurationError(
-                f"{self.theorem_id} requires rank n <= m, got n={n} m={self.m}"
+                f"{self.theorem_id} ratio comparison requires full column rank "
+                f"q = m (at q < m the surface-to-factorized ratio is not a "
+                f"constant); got q={q}, m={self.m}"
             )
-        if "q" in theorem.sizes:
-            limit = min(i for i in (n or 10**9, self.m))
-            if not 1 <= q <= limit:
-                raise ConfigurationError(
-                    f"{self.theorem_id} requires 1 <= q <= {limit}, got {q}"
-                )
-        if self.theorem_id in ("QR", "CHOL_X") and self.engine == "MC_RATIO":
-            if q != self.m:
-                raise ConfigurationError(
-                    f"{self.theorem_id} ratio comparison requires full column rank "
-                    f"q = m (at q < m the surface-to-factorized ratio is not a "
-                    f"constant); got q={q}, m={self.m}"
-                )
-            if self.m > n:
-                raise ConfigurationError(
-                    f"{self.theorem_id} requires m <= n, got m={self.m} n={n}"
-                )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
         lo, hi = _check_box(self.eigen_box)
@@ -301,6 +282,27 @@ class Report:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+
+def check_sizes(theorem_id: str, m: int, n: int, q: int) -> tuple[int, int]:
+    """The theorem's size rule: m >= 1, 1 <= n <= m for a congruence of
+    rank n, n >= 1 otherwise where it reads n, and 1 <= q <= min(n, m) where
+    it reads q.  Returns (n, q), with a size the theorem does not read set to
+    0; ConfigurationError when a rule fails."""
+    sizes = THEOREMS[theorem_id].sizes
+    if m < 1:
+        raise ConfigurationError(f"m must be positive, got {m}")
+    n = n if "n" in sizes else 0
+    q = q if "q" in sizes else 0
+    if "n" in sizes and n < 1:
+        raise ConfigurationError(f"{theorem_id} requires n >= 1, got {n}")
+    if sizes == _CONGRUENCE and n > m:
+        raise ConfigurationError(f"{theorem_id} requires rank n <= m, got n={n} m={m}")
+    if "q" in sizes:
+        limit = min(n, m) if "n" in sizes else m
+        if not 1 <= q <= limit:
+            raise ConfigurationError(f"{theorem_id} requires 1 <= q <= {limit}, got {q}")
+    return n, q
 
 
 def _substream(seed: int, task_code: int, side: int, index: int) -> np.random.Generator:
@@ -573,9 +575,7 @@ def _mp_herm_chart(task: TaskSpec):
     def sample(rng):
         lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, 1)
         spec, coords = chart_at(Mat(kind, assemble_sd_batch(w1, lam, beta)[0]), q, "psd")
-        analytic = transform_factor_log(
-            "MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(lam[0]))
-        )
+        analytic = factor_log("MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(lam[0])))
         return (spec, coords), inverse, spec, analytic, _spectrum_gap(lam[0])
     return sample
 
@@ -588,9 +588,7 @@ def _mp_rect_chart(task: TaskSpec):
         d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, 1)
         spec, coords = chart_at(Mat(kind, assemble_svd_batch(v1, d, w1, beta)[0]), q, "rect")
         out_spec = ChartSpec("rect", kind, (m, n, q), spec.pivots[::-1])
-        analytic = transform_factor_log(
-            "MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(d[0]))
-        )
+        analytic = factor_log("MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(d[0])))
         return (spec, coords), inverse, out_spec, analytic, _spectrum_gap(d[0])
     return sample
 
@@ -607,9 +605,7 @@ def _chol_chart(task: TaskSpec):
         coords = np.zeros(tri_spec.coord_count())
         coords[:q] = rng.uniform(0.5, 2.0, size=q)
         coords[q:] = 0.7 * rng.standard_normal(coords.size - q)
-        analytic = decomposition_density_log(
-            "CHOL", FactorInput(beta=beta, m=m, q=q, t_diag=tuple(coords[:q]))
-        )
+        analytic = factor_log("CHOL", FactorInput(beta=beta, m=m, q=q, t_diag=tuple(coords[:q])))
         return (tri_spec, coords), gram, out_spec, analytic, math.inf
     return sample
 
@@ -629,19 +625,14 @@ def _congruence_chart(task: TaskSpec):
         out_pivot = choose_pivot(x, rank, chart="psd")
         out_spec = ChartSpec("psd", kind, (m, rank), out_pivot)
         if task.theorem_id == "CONGRUENCE_NS":
-            analytic = transform_factor_log(
-                "CONGRUENCE_NS", FactorInput(beta=beta, m=m, det_b=sdet(b))
-            )
+            fi = FactorInput(beta=beta, m=m, det_b=sdet(b))
         else:
-            det_t = _pivoted_chol_det(x, rank, out_pivot)
-            det_l = _pivoted_chol_det(y, rank, in_spec.pivots)
-            analytic = transform_factor_log(
-                "UHLIG_QR",
-                FactorInput(
-                    beta=beta, m=m, n=rank,
-                    det_t1t1=det_t, det_l1l1=det_l, det_b=sdet(b),
-                ),
+            fi = FactorInput(
+                beta=beta, m=m, n=rank, det_b=sdet(b),
+                det_t1t1=_pivoted_chol_det(x, rank, out_pivot),
+                det_l1l1=_pivoted_chol_det(y, rank, in_spec.pivots),
             )
+        analytic = factor_log(task.theorem_id, fi)
         return (in_spec, coords), congruence, out_spec, analytic, _spectrum_gap(lam[0])
     return sample
 
@@ -709,11 +700,12 @@ def _w_equality(task: TaskSpec):
     kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
     lo, hi = task.eigen_box
     root_box = (math.sqrt(lo), math.sqrt(hi))
+    sizes = (beta, m, n, q)
 
     def lhs(rng, count):
         d, (v1, w1) = factorized_draw(rng, root_box, q, (n, m), kind, count)
         x = assemble_svd_batch(v1, d, w1, beta)
-        logw = svd_density_log_batch(d, beta, n, m)
+        logw = FACTORS["SVD"].log(*sizes, d=d)
         lam = d * d
         ok = _in_box_gap(lam, lo, hi, gap)
         return x, np.where(ok, logw, -np.inf)
@@ -721,10 +713,7 @@ def _w_equality(task: TaskSpec):
     def rhs(rng, count):
         lam, (w1, v1) = factorized_draw(rng, task.eigen_box, q, (m, n), kind, count)
         x = assemble_svd_batch(v1, np.sqrt(lam), w1, beta)
-        logw = sd_density_log_batch(lam, beta, m)
-        logw = logw - q * math.log(2.0) + (
-            beta * (n - m + 1) / 2.0 - 1.0
-        ) * np.log(lam).sum(axis=1)
+        logw = FACTORS["SD"].log(*sizes, lam=lam) + FACTORS["W"].log(*sizes, lam=lam)
         ok = _in_box_gap(lam, lo, hi, gap)
         return x, np.where(ok, logw, -np.inf)
 
@@ -738,11 +727,12 @@ def _mp_herm_equality(task: TaskSpec):
     kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
     lo, hi = task.eigen_box
     inverse_box = (1.0 / hi, 1.0 / lo)
+    sizes = (beta, m, 0, q)
 
     def lhs(rng, count):
         lam_v, (w1,) = factorized_draw(rng, inverse_box, q, (m,), kind, count)
         v = assemble_sd_batch(w1, lam_v, beta)
-        logw = sd_density_log_batch(lam_v, beta, m)
+        logw = FACTORS["SD"].log(*sizes, lam=lam_v)
         lam_s = _desc_inverse(lam_v)
         ok = _in_box_gap(lam_s, lo, hi, gap)
         return v, np.where(ok, logw, -np.inf)
@@ -750,8 +740,7 @@ def _mp_herm_equality(task: TaskSpec):
     def rhs(rng, count):
         lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, count)
         v = assemble_sd_batch(w1, 1.0 / lam, beta)
-        logw = sd_density_log_batch(lam, beta, m)
-        logw = logw + (beta * (-2 * m + q + 1) - 2) * np.log(lam).sum(axis=1)
+        logw = FACTORS["SD"].log(*sizes, lam=lam) + FACTORS["MP_HERM"].log(*sizes, lam=lam)
         ok = _in_box_gap(lam, lo, hi, gap)
         return v, np.where(ok, logw, -np.inf)
 
@@ -765,11 +754,12 @@ def _mp_rect_equality(task: TaskSpec):
     kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
     lo, hi = task.eigen_box
     inverse_box = (1.0 / hi, 1.0 / lo)
+    sizes = (beta, m, n, q)  # the SVD density is symmetric in n and m
 
     def lhs(rng, count):
         d_y, (v1, w1) = factorized_draw(rng, inverse_box, q, (m, n), kind, count)
         y = assemble_svd_batch(v1, d_y, w1, beta)
-        logw = svd_density_log_batch(d_y, beta, m, n)
+        logw = FACTORS["SVD"].log(*sizes, d=d_y)
         d_x = _desc_inverse(d_y)
         ok = _in_box_gap(d_x, lo, hi, gap)
         return y, np.where(ok, logw, -np.inf)
@@ -777,8 +767,7 @@ def _mp_rect_equality(task: TaskSpec):
     def rhs(rng, count):
         d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, count)
         y = assemble_svd_batch(w1, 1.0 / d, v1, beta)
-        logw = svd_density_log_batch(d, beta, n, m)
-        logw = logw - 2 * beta * (m + n - q) * np.log(d).sum(axis=1)
+        logw = FACTORS["SVD"].log(*sizes, d=d) + FACTORS["MP_RECT"].log(*sizes, d=d)
         ok = _in_box_gap(d, lo, hi, gap)
         return y, np.where(ok, logw, -np.inf)
 
@@ -794,9 +783,9 @@ def _uhlig_equality(task: TaskSpec):
     lo, hi = task.eigen_box
     b = _draw_b(task)
     det_b_log = sdet_log(b)
-    e = beta * (m - n - 1) / 2.0 + 1.0
     mp = task.theorem_id == "UHLIG_MP"
-    lam_exp = -(beta * (3 * m - n - 1) / 2.0 + 1.0) if mp else -e
+    factor = FACTORS[task.theorem_id]
+    sizes = (beta, m, n, n)  # the spectra have length n
     bct = ct_raw(b.data)
     b_inv_ct = ct_raw(mat_inv(b).data)
 
@@ -830,9 +819,8 @@ def _uhlig_equality(task: TaskSpec):
 
     def rhs(rng, count):
         x, delta, lam, ok = image_batch(rng, count)
-        logw = sd_density_log_batch(lam, beta, m)
-        logw = logw + beta * n * det_b_log
-        logw = logw + e * np.log(delta).sum(axis=1) + lam_exp * np.log(lam).sum(axis=1)
+        logw = FACTORS["SD"].log(*sizes, lam=lam)
+        logw = logw + factor.log(*sizes, delta=delta, lam=lam, det_b=det_b_log)
         ok &= np.all((delta >= box_lo) & (delta <= box_hi), axis=1)
         return x, np.where(ok, logw, -np.inf)
 
@@ -865,7 +853,7 @@ def _uhlig_equality(task: TaskSpec):
         lam_y = _desc_inverse(z_spec) if mp else z_spec
         ok = _in_box_gap(lam_y, lo, hi, gap) & sorted_ok
         with np.errstate(invalid="ignore"):
-            logw = sd_density_log_batch(lam_x, beta, m)
+            logw = FACTORS["SD"].log(*sizes, lam=lam_x)
         logw = logw + beta * n * det_b_log + 0.5 * m * beta * logdet_hermitian_raw(tt, beta)
         return x, np.where(ok, logw, -np.inf)
 
@@ -963,7 +951,7 @@ def _sd_ratio(task: TaskSpec):
     def fact_raw(rng, count):
         lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, count)
         s = assemble_sd_batch(w1, lam, beta)
-        logw = sd_density_log_batch(lam, beta, m)
+        logw = FACTORS["SD"].log(beta, m, 0, q, lam=lam)
         return s, np.where(_in_box_gap(lam, lo, hi, gap), logw, -np.inf)
 
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
@@ -1008,7 +996,7 @@ def _svd_ratio(task: TaskSpec):
     def fact_raw(rng, count):
         d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, count)
         x = assemble_svd_batch(v1, d, w1, beta)
-        logw = svd_density_log_batch(d, beta, n, m)
+        logw = FACTORS["SVD"].log(beta, m, n, q, d=d)
         return x, np.where(_in_box_gap(d, lo, hi, gap), logw, -np.inf)
 
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
@@ -1058,14 +1046,13 @@ def _qr_ratio(task: TaskSpec):
     tri_box[:m, 1] = hi
     tri_box[m:, 0] = -hi
     tri_box[m:, 1] = hi
-    qr_exponents = np.array([beta * (n - i + 1) - 1 for i in range(1, m + 1)], dtype=float)
 
     def fact_raw(rng, count):
         tcoords = _uniform_in_box(rng, tri_box, count)
         t = tri_spec.complete_batch(tcoords)
         h1 = sample_stiefel_batch(n, m, kind, rng, count)
         x = mul_raw(h1, t, beta)
-        logw = (np.log(tcoords[:, :m]) * qr_exponents[None, :]).sum(axis=1)
+        logw = FACTORS["QR"].log(beta, m, n, m, t_diag=tcoords[:, :m])
         return x, logw, tcoords
 
     pilot_x, _, _ = fact_raw(_pilot(task), 4096)
@@ -1105,7 +1092,6 @@ def _chol_x_ratio(task: TaskSpec):
     kind, beta, m, n = task.kind, task.beta, task.m, task.n
     x_spec = ChartSpec("rect", kind, (n, m, m), (tuple(range(n)), tuple(range(m))))
     s_spec = ChartSpec("psd", kind, (m, m), tuple(range(m)))
-    exp_s = beta * (n - m + 1) / 2.0 - 1.0
 
     lam, (w1,) = factorized_draw(_pilot(task), task.eigen_box, m, (m,), kind, 4096)
     pilot_s = assemble_sd_batch(w1, lam, beta)
@@ -1130,7 +1116,9 @@ def _chol_x_ratio(task: TaskSpec):
             x = assemble_x(s_full, h1[valid])
             in_x = _coords_in_box(x_spec.extract_batch(x), x_box)
             data[valid] = x
-            lw = -m * math.log(2.0) + exp_s * logdet_hermitian_raw(s_full, beta)
+            lw = FACTORS["CHOL_X"].log(
+                beta, m, n, m, det_s11=logdet_hermitian_raw(s_full, beta)
+            )
             logw[valid] = np.where(in_x, lw, -np.inf)
         return data, logw
 
@@ -1240,24 +1228,17 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     out_pivot = choose_pivot(x, n, chart="psd")
     out_spec = ChartSpec("psd", kind, (m, n), out_pivot)
     chart_log = chart_jacobian_logdet(congruence, in_spec, coords, out_spec, task.step)
-    det_b = sdet(b)
-    delta = eig_hermitian(x, n).lam
+    x_eig = eig_hermitian(x, n)
+    gbh = conj_transpose(x_eig.w1) @ conj_transpose(b) @ eig_hermitian(y, n).w1
     fi = FactorInput(
-        beta=beta, m=m, n=n, lam=tuple(lam), delta=tuple(delta), det_b=det_b
+        beta=beta, m=m, n=n, lam=tuple(lam), delta=tuple(x_eig.lam), det_b=sdet(b),
+        det_t1t1=_pivoted_chol_det(x, n, out_pivot),
+        det_l1l1=_pivoted_chol_det(y, n, in_spec.pivots),
+        det_gbh=sdet(gbh),
     )
-    svd_log = transform_factor_log("UHLIG_SVD", fi)
-    det_t = _pivoted_chol_det(x, n, out_pivot)
-    det_l = _pivoted_chol_det(y, n, in_spec.pivots)
-    qr_log = transform_factor_log(
-        "UHLIG_QR",
-        FactorInput(beta=beta, m=m, n=n, det_t1t1=det_t, det_l1l1=det_l, det_b=det_b),
-    )
-    g1 = eig_hermitian(x, n).w1
-    h1 = eig_hermitian(y, n).w1
-    gbh = conj_transpose(g1) @ conj_transpose(b) @ h1
-    alt_log = uhlig_svd_alternative_log(
-        FactorInput(beta=beta, m=m, n=n, det_b=det_b, det_gbh=sdet(gbh))
-    )
+    svd_log = factor_log("UHLIG_SVD", fi)
+    qr_log = factor_log("UHLIG_QR", fi)
+    alt_log = uhlig_svd_alternative_log(fi)
     expected_mismatch = m != n
     tol = max(task.rtol * abs(qr_log), ABS_LOG_FLOOR)
     qr_matches = abs(chart_log - qr_log) <= tol
@@ -1285,24 +1266,21 @@ _MQ, _NMQ, _CONGRUENCE, _M = ("m", "q"), ("n", "m", "q"), ("m", "n"), ("m",)
 # A theorem's code seeds every substream of its tasks: renumbering one would
 # reseed all of its reports, so the codes stay as written.
 THEOREMS: dict[str, Theorem] = {
-    "SVD": Theorem(1, "svd", _NMQ, "density", {"MC_RATIO": _svd_ratio}),
-    "SD": Theorem(2, "sd", _MQ, "density", {"MC_RATIO": _sd_ratio}),
-    "W": Theorem(3, "w", _NMQ, "coupling", {"MC_EQUALITY": _w_equality}),
-    "QR": Theorem(4, "qr", _NMQ, "density", {"MC_RATIO": _qr_ratio}),
-    "CHOL": Theorem(5, "chol", _MQ, "density", {"CHART": _chol_chart}),
-    "CHOL_X": Theorem(6, "chol-x", _NMQ, "coupling", {"MC_RATIO": _chol_x_ratio}),
-    "MP_HERM": Theorem(7, "mp-herm", _MQ, "transform",
+    "SVD": Theorem(1, "svd", _NMQ, {"MC_RATIO": _svd_ratio}),
+    "SD": Theorem(2, "sd", _MQ, {"MC_RATIO": _sd_ratio}),
+    "W": Theorem(3, "w", _NMQ, {"MC_EQUALITY": _w_equality}),
+    "QR": Theorem(4, "qr", _NMQ, {"MC_RATIO": _qr_ratio}),
+    "CHOL": Theorem(5, "chol", _MQ, {"CHART": _chol_chart}),
+    "CHOL_X": Theorem(6, "chol-x", _NMQ, {"MC_RATIO": _chol_x_ratio}),
+    "MP_HERM": Theorem(7, "mp-herm", _MQ,
                        {"CHART": _mp_herm_chart, "MC_EQUALITY": _mp_herm_equality}),
-    "MP_RECT": Theorem(8, "mp-rect", _NMQ, "transform",
+    "MP_RECT": Theorem(8, "mp-rect", _NMQ,
                        {"CHART": _mp_rect_chart, "MC_EQUALITY": _mp_rect_equality}),
-    "UHLIG_SVD": Theorem(9, "uhlig-svd", _CONGRUENCE, "transform",
+    "UHLIG_SVD": Theorem(9, "uhlig-svd", _CONGRUENCE,
                          {"MC_EQUALITY": _uhlig_equality, "DEMO": _demo_problem}),
-    "UHLIG_QR": Theorem(10, "uhlig-qr", _CONGRUENCE, "transform",
-                        {"CHART": _congruence_chart}),
-    "UHLIG_MP": Theorem(11, "uhlig-mp", _CONGRUENCE, "transform",
-                        {"MC_EQUALITY": _uhlig_equality}),
-    "CONGRUENCE_NS": Theorem(12, "congruence-ns", _M, "transform",
-                             {"CHART": _congruence_chart}),
+    "UHLIG_QR": Theorem(10, "uhlig-qr", _CONGRUENCE, {"CHART": _congruence_chart}),
+    "UHLIG_MP": Theorem(11, "uhlig-mp", _CONGRUENCE, {"MC_EQUALITY": _uhlig_equality}),
+    "CONGRUENCE_NS": Theorem(12, "congruence-ns", _M, {"CHART": _congruence_chart}),
 }
 
 

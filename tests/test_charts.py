@@ -16,8 +16,6 @@ from divalg.charts import (
     psd_coord_count,
     rect_coord_count,
     sample_stiefel_batch,
-    sd_density_log_batch,
-    svd_density_log_batch,
 )
 from divalg.decomp import eig_hermitian, qr_positive
 from divalg.errors import (
@@ -30,7 +28,7 @@ from divalg.errors import (
     UnsupportedAlgebraError,
 )
 from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank
-from divalg.measures import FactorInput, decomposition_density_log, stiefel_volume_log
+from divalg.measures import FACTORS, stiefel_volume_log
 
 KINDS = [REAL, COMPLEX, QUATERNION]
 
@@ -464,7 +462,7 @@ def _sd_draws(kind, m, q, box, gap, rng, count):
     """Spectral-decomposition draws from the factorized sampler, weighted as
     the engines weigh them: (matrices, log-weights, log-mass)."""
     lam, (w1,) = factorized_draw(rng, box, q, (m,), kind, count)
-    logw = sd_density_log_batch(lam, kind.beta, m)
+    logw = FACTORS["SD"].log(kind.beta, m, 0, q, lam=lam)
     ok = verify._in_box_gap(lam, box[0], box[1], gap)
     const = factorized_mass_log(box, q, (m,), kind.beta)
     return assemble_sd_batch(w1, lam, kind.beta), np.where(ok, logw, -np.inf), const
@@ -497,7 +495,7 @@ class TestFactorizedSampling:
         rng = np.random.default_rng(17)
         d, (v1, w1) = factorized_draw(rng, (1.0, 2.0), 1, (2, 1), REAL, 40000)
         data = assemble_svd_batch(v1, d, w1, 1)
-        logw = svd_density_log_batch(d, 1, 2, 1)
+        logw = FACTORS["SVD"].log(1, 1, 2, 1, d=d)
         const = factorized_mass_log((1.0, 2.0), 1, (2, 1), 1)
         r2 = np.sum(data[:, :, 0, 0] ** 2, axis=1)
         vals = np.exp(-r2) * np.exp(logw + const)
@@ -540,26 +538,6 @@ class TestFactorizedSampling:
             + stiefel_volume_log(q, 3, 2) + stiefel_volume_log(q, 2, 2)
         )
         assert factorized_mass_log(box, q, dims, 2) == expected
-
-    def test_batch_density_matches_measures(self):
-        lam = np.array([[2.0, 1.0], [1.7, 0.4]])
-        for beta, kind in ((1, REAL), (2, COMPLEX), (4, QUATERNION)):
-            got = sd_density_log_batch(lam, beta, 3)
-            expected = [
-                decomposition_density_log(
-                    "SD", FactorInput(beta=beta, m=3, q=2, lam=tuple(row))
-                )
-                for row in lam
-            ]
-            np.testing.assert_allclose(got, expected, rtol=1e-12)
-            got_svd = svd_density_log_batch(lam, beta, 4, 3)
-            expected_svd = [
-                decomposition_density_log(
-                    "SVD", FactorInput(beta=beta, n=4, m=3, q=2, d=tuple(row))
-                )
-                for row in lam
-            ]
-            np.testing.assert_allclose(got_svd, expected_svd, rtol=1e-12)
 
     def test_bad_box_rejected(self):
         rng = np.random.default_rng(20)

@@ -77,7 +77,8 @@ class TestFactorCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda", "inf"),
-                                            ("--det-b", "nan")])
+                                            ("--det-b", "nan"), ("--lambda", "abc"),
+                                            ("--lambda", "2,,1")])
     def test_non_finite_input_is_usage_error(self, capsys, flag, value):
         kind = "mp-herm" if flag == "--lambda" else "congruence-ns"
         code, out, err = run_cli(
@@ -88,6 +89,21 @@ class TestFactorCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite and positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "sd", "--m", "2", "--q", "3", "--lambda", "3,2,1"),
+        ("--kind", "sd", "--m", "-2", "--q", "1", "--lambda", "3"),
+        ("--kind", "uhlig-svd", "--m", "1", "--n", "3", "--delta", "3,2,1",
+         "--lambda", "3,2,1", "--det-b", "1"),
+        ("--kind", "chol", "--m", "1", "--q", "3", "--t-diag", "1,2,3"),
+        ("--kind", "qr", "--n", "1", "--m", "1", "--q", "3", "--t-diag", "1,2,3"),
+    ], ids=["sd-q-above-m", "sd-negative-m", "uhlig-n-above-m", "chol-q-above-m",
+            "qr-q-above-n"])
+    def test_sizes_a_task_rejects_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "factor", "--beta", "1", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGammaVolumeCommands:
@@ -108,6 +124,16 @@ class TestGammaVolumeCommands:
     def test_volume_domain_violation(self, capsys):
         code, _, err = run_cli(capsys, "volume", "--m", "3", "--n", "1", "--beta", "1")
         assert code == 2
+
+    def test_overflowing_value_prints_inf_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "gamma", "--m", "1", "--beta", "1", "--a", "200")
+        assert code == 0 and err == ""
+        assert float(re.search(r"^log: (\S+)$", out, re.MULTILINE).group(1)) == pytest.approx(
+            math.lgamma(200.0), rel=1e-9
+        )
+        assert value_of(out) == math.inf
 
 
 class TestSampleCommand:

@@ -3,9 +3,6 @@ import pytest
 
 from divalg import COMPLEX, QUATERNION, REAL
 from divalg.decomp import (
-    EigParts,
-    QrParts,
-    SvdParts,
     cholesky_rank_q,
     eig_hermitian,
     pinv,
@@ -25,7 +22,6 @@ from divalg.linalg import (
     conj_transpose,
     frobenius_norm,
     mat_inv,
-    matmul,
     numerical_rank,
 )
 

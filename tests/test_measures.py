@@ -5,15 +5,15 @@ import pytest
 
 from divalg.errors import ConfigurationError, DomainError, RegistryError
 from divalg.measures import (
+    FACTORS,
     FactorInput,
-    coupling_factor_log,
-    decomposition_density_log,
+    factor_log,
     mv_gamma_log,
     stiefel_volume_log,
     tau,
-    transform_factor_log,
     uhlig_svd_alternative_log,
 )
+from divalg.verify import THEOREMS
 
 
 class TestTau:
@@ -84,20 +84,20 @@ class TestStiefelVolume:
 class TestDecompositionDensity:
     def test_sd_example(self):
         fi = FactorInput(beta=1, m=2, q=1, lam=(3.0,))
-        assert decomposition_density_log("SD", fi) == pytest.approx(math.log(1.5), abs=1e-12)
+        assert factor_log("SD", fi) == pytest.approx(math.log(1.5), abs=1e-12)
 
     def test_chol_example(self):
         fi = FactorInput(beta=1, m=2, q=1, t_diag=(3.0,))
-        assert decomposition_density_log("CHOL", fi) == pytest.approx(math.log(18.0), abs=1e-12)
+        assert factor_log("CHOL", fi) == pytest.approx(math.log(18.0), abs=1e-12)
 
     def test_svd_polar_example(self):
         fi = FactorInput(beta=1, n=2, m=1, q=1, d=(4.0,))
-        assert decomposition_density_log("SVD", fi) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert factor_log("SVD", fi) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_qr_full_rank_real(self):
         # beta=1, n=3, q=m=2: exponents are n-i, i.e. 2 and 1
         fi = FactorInput(beta=1, n=3, m=2, q=2, t_diag=(2.0, 3.0))
-        assert decomposition_density_log("QR", fi) == pytest.approx(
+        assert factor_log("QR", fi) == pytest.approx(
             2 * math.log(2.0) + 1 * math.log(3.0), abs=1e-12
         )
 
@@ -109,7 +109,14 @@ class TestDecompositionDensity:
             + (2 * (3 + 2 - 4 + 1) - 1) * (math.log(2.0) + math.log(1.0))
             + 2 * math.log(4.0 - 1.0)
         )
-        assert decomposition_density_log("SVD", fi) == pytest.approx(expected, rel=1e-12)
+        assert factor_log("SVD", fi) == pytest.approx(expected, rel=1e-12)
+
+    def test_svd_vandermonde_does_not_overflow(self):
+        # d_1^2 - d_2^2 overflows a float; its log, about 400 ln 10, does not
+        fi = FactorInput(beta=1, n=2, m=2, q=2, d=(1e200, 1e-200))
+        assert factor_log("SVD", fi) == pytest.approx(
+            -2 * math.log(2.0) + 400 * math.log(10.0), rel=1e-12
+        )
 
     def test_unsorted_spectrum_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -121,25 +128,25 @@ class TestDecompositionDensity:
 
     def test_unknown_kind(self):
         with pytest.raises(RegistryError):
-            decomposition_density_log("LU", FactorInput(beta=1))
+            factor_log("LU", FactorInput(beta=1))
 
     def test_missing_field(self):
         with pytest.raises(ConfigurationError):
-            decomposition_density_log("SD", FactorInput(beta=1, m=2, q=1))
+            factor_log("SD", FactorInput(beta=1, m=2, q=1))
 
 
 class TestTransformFactors:
     def test_mp_herm_example(self):
         fi = FactorInput(beta=1, m=2, q=1, lam=(2.0,))
-        assert transform_factor_log("MP_HERM", fi) == pytest.approx(-4 * math.log(2.0), abs=1e-12)
+        assert factor_log("MP_HERM", fi) == pytest.approx(-4 * math.log(2.0), abs=1e-12)
 
     def test_mp_rect_example(self):
         fi = FactorInput(beta=1, n=2, m=1, q=1, d=(1.7,))
-        assert transform_factor_log("MP_RECT", fi) == pytest.approx(-4 * math.log(1.7), abs=1e-12)
+        assert factor_log("MP_RECT", fi) == pytest.approx(-4 * math.log(1.7), abs=1e-12)
 
     def test_congruence_ns_example(self):
         fi = FactorInput(beta=1, m=2, det_b=2.0)
-        assert transform_factor_log("CONGRUENCE_NS", fi) == pytest.approx(
+        assert factor_log("CONGRUENCE_NS", fi) == pytest.approx(
             math.log(8.0), abs=1e-12
         )
 
@@ -149,15 +156,15 @@ class TestTransformFactors:
         expected = 2 * 2 * math.log(1.5) + e * (
             math.log(4.0) + math.log(1.0) - math.log(3.0) - math.log(2.0)
         )
-        assert transform_factor_log("UHLIG_SVD", fi) == pytest.approx(expected, rel=1e-12)
+        assert factor_log("UHLIG_SVD", fi) == pytest.approx(expected, rel=1e-12)
 
     def test_uhlig_qr_reduces_to_congruence_when_square(self):
         # m = n plus the determinant identity sdet(B)^2 = |T1*T1| / |L1*L1|
         beta, m, det_b, det_l = 2, 3, 1.7, 2.3
         det_t = det_b**2 * det_l
         fi = FactorInput(beta=beta, m=m, n=m, det_b=det_b, det_t1t1=det_t, det_l1l1=det_l)
-        lhs = transform_factor_log("UHLIG_QR", fi)
-        rhs = transform_factor_log("CONGRUENCE_NS", FactorInput(beta=beta, m=m, det_b=det_b))
+        lhs = factor_log("UHLIG_QR", fi)
+        rhs = factor_log("CONGRUENCE_NS", FactorInput(beta=beta, m=m, det_b=det_b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_uhlig_mp_scalar_case(self):
@@ -165,9 +172,9 @@ class TestTransformFactors:
         # b^2 / lam^2 when delta = b^2 / lam -- the derivative of x = b^2 / lam
         fi = FactorInput(beta=1, m=1, n=1, delta=(5.0,), lam=(3.0,), det_b=2.0)
         expected = math.log(2.0) + 0.5 * math.log(5.0) - 1.5 * math.log(3.0)
-        assert transform_factor_log("UHLIG_MP", fi) == pytest.approx(expected, rel=1e-12)
+        assert factor_log("UHLIG_MP", fi) == pytest.approx(expected, rel=1e-12)
         collapsed = FactorInput(beta=1, m=1, n=1, delta=(4.0 / 3.0,), lam=(3.0,), det_b=2.0)
-        assert transform_factor_log("UHLIG_MP", collapsed) == pytest.approx(
+        assert factor_log("UHLIG_MP", collapsed) == pytest.approx(
             math.log(4.0 / 9.0), rel=1e-12
         )
 
@@ -177,34 +184,34 @@ class TestTransformFactors:
         c = 1.7
         scaled = FactorInput(beta=4, m=3, q=2, lam=tuple(c * v for v in lam))
         exponent = 2 * (4 * (-6 + 2 + 1) - 2)
-        assert transform_factor_log("MP_HERM", scaled) - transform_factor_log(
+        assert factor_log("MP_HERM", scaled) - factor_log(
             "MP_HERM", base
         ) == pytest.approx(exponent * math.log(c), rel=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(RegistryError):
-            transform_factor_log("SD", FactorInput(beta=1))
+            factor_log("mp-herm", FactorInput(beta=1))
 
 
 class TestCouplingFactors:
     def test_w_scalar_example(self):
         s = 2.4
         fi = FactorInput(beta=1, n=1, m=1, q=1, lam=(s,))
-        assert coupling_factor_log("W", fi) == pytest.approx(
+        assert factor_log("W", fi) == pytest.approx(
             math.log(0.5 / math.sqrt(s)), rel=1e-12
         )
 
     def test_chol_x_example(self):
         fi = FactorInput(beta=2, n=1, m=1, q=1, det_s11=4.0)
-        assert coupling_factor_log("CHOL_X", fi) == pytest.approx(math.log(0.5), abs=1e-12)
+        assert factor_log("CHOL_X", fi) == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_empty_spectrum(self):
         fi = FactorInput(beta=1, n=3, m=2, q=0, lam=())
-        assert coupling_factor_log("W", fi) == 0.0
+        assert factor_log("W", fi) == 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(RegistryError):
-            coupling_factor_log("QR", FactorInput(beta=1))
+            factor_log("WISHART", FactorInput(beta=1))
 
 
 def test_uhlig_svd_alternative_matches_primary_when_diagonal():
@@ -217,17 +224,17 @@ def test_uhlig_svd_alternative_matches_primary_when_diagonal():
         beta=beta, m=m, n=n, lam=lam, delta=delta, det_b=c**m, det_gbh=c**n
     )
     # det_b = sdet(cI_m) = c^m
-    primary = transform_factor_log("UHLIG_SVD", fi)
+    primary = factor_log("UHLIG_SVD", fi)
     alt = uhlig_svd_alternative_log(fi)
     assert primary == pytest.approx(alt, rel=1e-12)
 
 
 def test_q_zero_edge_cases():
     fi = FactorInput(beta=2, n=3, m=2, q=0, d=(), lam=(), t_diag=())
-    assert decomposition_density_log("SVD", fi) == 0.0
-    assert decomposition_density_log("SD", fi) == 0.0
-    assert decomposition_density_log("QR", fi) == 0.0
-    assert decomposition_density_log("CHOL", fi) == 0.0
+    assert factor_log("SVD", fi) == 0.0
+    assert factor_log("SD", fi) == 0.0
+    assert factor_log("QR", fi) == 0.0
+    assert factor_log("CHOL", fi) == 0.0
 
 
 def test_homogeneity_grid():
@@ -239,6 +246,46 @@ def test_homogeneity_grid():
             scaled = tuple(c * v for v in lam)
             base = FactorInput(beta=beta, m=m, n=n, q=q, lam=lam)
             up = FactorInput(beta=beta, m=m, n=n, q=q, lam=scaled)
-            got = transform_factor_log("MP_HERM", up) - transform_factor_log("MP_HERM", base)
+            got = factor_log("MP_HERM", up) - factor_log("MP_HERM", base)
             expected = q * (beta * (-2 * m + q + 1) - 2) * math.log(c)
             assert got == pytest.approx(expected, rel=1e-10)
+
+
+class TestFactorTable:
+    def test_one_entry_per_theorem(self):
+        assert list(FACTORS) == list(THEOREMS)
+
+    def test_batch_matches_row_by_row_factor_log(self):
+        # each entry on (B, k) spectra and (B,) log-determinants equals
+        # factor_log on each row, for every theorem and beta
+        rng = np.random.default_rng(3)
+        sizes = {"m": 4, "n": 3, "q": 2}
+        count = 6
+        for name, entry in FACTORS.items():
+            for beta in (1, 2, 4):
+                spectra = {
+                    s: -np.sort(-rng.uniform(0.3, 3.0, size=(count, sizes[length])), axis=1)
+                    for s, length in entry.spectra.items()
+                }
+                dets = {d: rng.uniform(0.3, 3.0, size=count) for d in entry.dets}
+                got = entry.log(
+                    beta, sizes["m"], sizes["n"], sizes["q"],
+                    **spectra, **{d: np.log(v) for d, v in dets.items()},
+                )
+                assert got.shape == (count,)
+                expected = [
+                    factor_log(name, FactorInput(
+                        beta=beta, **sizes,
+                        **{s: tuple(v[i]) for s, v in spectra.items()},
+                        **{d: float(v[i]) for d, v in dets.items()},
+                    ))
+                    for i in range(count)
+                ]
+                np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_spectrum_length_follows_the_declared_size(self):
+        # the UHLIG spectra have length n, every other spectrum length q
+        fi = FactorInput(beta=1, m=3, n=2, q=1, delta=(2.0, 1.0), lam=(2.0, 1.0), det_b=1.0)
+        factor_log("UHLIG_SVD", fi)
+        with pytest.raises(ConfigurationError, match="length 1"):
+            factor_log("MP_HERM", fi)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -33,6 +34,7 @@ from divalg.linalg import (
     save_matrix,
     sdet_log,
 )
+from divalg.measures import FACTORS
 from divalg.verify import (
     THEOREMS,
     ChartSpec,
@@ -733,3 +735,81 @@ def test_one_chart_point_makes_one_completion_and_one_map_call(monkeypatch, theo
     rep = run_task(TaskSpec(theorem_id=theorem, beta=4, points=1, seed=12, **sizes))
     assert rep.passed
     assert calls == {"complete": 1, "map": 1}
+
+
+# ---------------------------------------------------------------------------
+# the factor table is what the engines check
+
+
+EQUALITY_CASES = [
+    ("W", dict(n=3, m=2, q=1)),
+    ("W", dict(n=3, m=3, q=2)),
+    ("MP_HERM", dict(m=2, q=1)),
+    ("MP_RECT", dict(n=3, m=2, q=1)),
+    ("UHLIG_SVD", dict(m=2, n=1)),
+    ("UHLIG_SVD", dict(m=3, n=2)),
+    ("UHLIG_MP", dict(m=2, n=1)),
+    ("UHLIG_MP", dict(m=3, n=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem,sizes", EQUALITY_CASES,
+    ids=[f"{t}-" + "-".join(f"{k}{v}" for k, v in s.items()) for t, s in EQUALITY_CASES],
+)
+def test_factor_error_of_e_fails_its_equality_task(monkeypatch, theorem, sizes):
+    # the desk sizes at beta=2: the task passes with the table's factor and
+    # fails once FACTORS[theorem] is off by a factor of e
+    b = {"b_source": "identity"} if theorem.startswith("UHLIG") else {}
+    task = TaskSpec(
+        theorem_id=theorem, beta=2, engine="MC_EQUALITY", trials=10_000, seed=42, **sizes, **b
+    )
+    assert run_task(task).passed
+    entry = FACTORS[theorem]
+    shifted = dataclasses.replace(entry, log=lambda *a, **kw: entry.log(*a, **kw) + 1.0)
+    monkeypatch.setitem(FACTORS, theorem, shifted)
+    assert not run_task(task).passed
+
+
+ENGINE_CASES = [
+    ("SVD", "MC_RATIO", dict(n=2, m=2, q=1)),
+    ("SD", "MC_RATIO", dict(m=2, q=1)),
+    ("W", "MC_EQUALITY", dict(n=3, m=2, q=1)),
+    ("QR", "MC_RATIO", dict(n=2, m=2, q=2)),
+    ("CHOL", "CHART", dict(m=2, q=1)),
+    ("CHOL_X", "MC_RATIO", dict(n=3, m=2, q=2)),
+    ("MP_HERM", "CHART", dict(m=2, q=1)),
+    ("MP_HERM", "MC_EQUALITY", dict(m=2, q=1)),
+    ("MP_RECT", "CHART", dict(n=3, m=2, q=1)),
+    ("MP_RECT", "MC_EQUALITY", dict(n=3, m=2, q=1)),
+    ("UHLIG_SVD", "MC_EQUALITY", dict(m=2, n=1, b_source="identity")),
+    ("UHLIG_SVD", "DEMO", dict(m=2, n=1, b_source="demo")),
+    ("UHLIG_QR", "CHART", dict(m=2, n=1)),
+    ("UHLIG_MP", "MC_EQUALITY", dict(m=2, n=1, b_source="identity")),
+    ("CONGRUENCE_NS", "CHART", dict(m=2)),
+]
+
+
+def test_engine_cases_cover_every_theorem_and_engine():
+    assert {(t, e) for t, e, _ in ENGINE_CASES} == {
+        (name, engine) for name, theorem in THEOREMS.items() for engine in theorem.engines
+    }
+
+
+@pytest.mark.parametrize(
+    "theorem,engine,sizes", ENGINE_CASES, ids=[f"{t}-{e}" for t, e, _ in ENGINE_CASES]
+)
+def test_every_engine_reads_its_theorems_own_factor(monkeypatch, theorem, engine, sizes):
+    # a wrong shape in a factor need not move the MC_RATIO cv, so this pins
+    # the wiring itself: the task evaluates FACTORS[theorem]
+    called = set()
+    for name, entry in list(FACTORS.items()):
+        def log(*args, _name=name, _log=entry.log, **kw):
+            called.add(_name)
+            return _log(*args, **kw)
+        monkeypatch.setitem(FACTORS, name, dataclasses.replace(entry, log=log))
+    task = TaskSpec(
+        theorem_id=theorem, beta=1, engine=engine, trials=10_000, points=1, seed=42, **sizes
+    )
+    run_task(task)
+    assert theorem in called
