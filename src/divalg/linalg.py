@@ -14,8 +14,8 @@ kernels (eigvalsh_raw, svdvals_raw, inv_raw, inv_hermitian_raw,
 logdet_hermitian_raw, inv_sqrt_hermitian_raw) give the engines' batched
 spectra, inverses, log-determinants and whitening on coefficient arrays:
 closed forms for blocks of side 1 (single rows and columns for singular
-values) and Hermitian blocks of side 2, LAPACK on the complex form for the
-rest.
+values), Hermitian blocks of side 2 and the singular values of 2 x 2
+blocks, LAPACK on the complex form for the rest.
 Octonion matrices support construction, addition, conjugation and products
 (mul_raw) only: non-associativity breaks the complex form.
 """
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraKind, Scalar, _cd_mul, _cd_view, _pair_view
+from .algebra import AlgebraKind, Scalar, _cd_mul, _cd_view, _pair_view, conj_raw
 from .errors import (
     AlgebraMismatchError,
     InternalConsistencyError,
@@ -58,12 +58,6 @@ def mul_raw(a: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
     for k in range(1, m):
         out += _cd_mul(x[..., :, k, None, :], y[..., None, k, :, :])
     return out.view(np.float64)
-
-
-def conj_raw(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
 
 
 def ct_raw(a: np.ndarray) -> np.ndarray:
@@ -139,12 +133,22 @@ def hermitian_part(c: np.ndarray) -> np.ndarray:
 # det = ad - |b|^2 (Zhang 1997, LAA 251), since the diagonal is real.
 
 
+def _sq_abs(x: np.ndarray) -> np.ndarray:
+    """|x|^2 of (..., k) coefficient rows, summed slice by slice in
+    coefficient order: a numpy reduction over so short an axis costs
+    several times as much (for k < 8 it adds in the same order)."""
+    out = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * x[..., i]
+    return out
+
+
 def _abs_raw(x: np.ndarray) -> np.ndarray:
     """|x| of (..., beta) algebra entries, scaled by the largest coefficient
     so that entries near 1e+-200 neither overflow nor underflow."""
     top = np.abs(x).max(axis=-1)
     safe = np.where(top > 0.0, top, 1.0)
-    return safe * np.sqrt(np.sum((x / safe[..., None]) ** 2, axis=-1))
+    return safe * np.sqrt(_sq_abs(x / safe[..., None]))
 
 
 def _herm2(a: np.ndarray):
@@ -156,7 +160,7 @@ def _herm2(a: np.ndarray):
     scale = np.maximum(np.maximum(np.abs(p), np.abs(d)), np.abs(b).max(axis=-1))
     scale = np.where(scale > 0.0, scale, 1.0)
     b = b / scale[..., None]
-    return scale, p / scale, d / scale, b, np.sum(b * b, axis=-1)
+    return scale, p / scale, d / scale, b, _sq_abs(b)
 
 
 def _adj2(shape, p, d, b, shift, den) -> np.ndarray:
@@ -207,12 +211,54 @@ def eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
     return _group_multiplets(w, complex_multiplicity(beta))
 
 
+def _entry_mul(x: np.ndarray, y: np.ndarray, beta: int) -> np.ndarray:
+    """Products x y of (..., beta) algebra entries."""
+    return _cd_mul(_cd_view(x, beta), _cd_view(y, beta)).view(np.float64)
+
+
+def _svdvals2(a: np.ndarray, beta: int) -> np.ndarray:
+    """Descending singular values (..., 2) of (..., 2, 2, beta) blocks.
+
+    Entries are divided by the largest absolute coefficient, and a row and a
+    column swap bring the largest entry a to the corner of [[a, b], [c, d]].
+    sigma_1^2 is the top eigenvalue of A* A, (F^2 + sqrt(g^2 + 4 |conj(a) b
+    + conj(c) d|^2)) / 2 with F the Frobenius norm and g the difference of
+    the squared column norms: a sum of non-negative terms, so it keeps its
+    accuracy when sigma_1 and sigma_2 are close.  sigma_2 = |Delta| /
+    sigma_1, with |Delta| = |a| |d - c a^-1 b| the product of the singular
+    values (the Study determinant over H), accurate when sigma_2 is tiny.
+    """
+    e = a.reshape(-1, 4, beta)
+    top = np.abs(e).max(axis=(1, 2))
+    scale = np.where(top > 0.0, top, 1.0)
+    e = e / scale[:, None, None]
+    sq = _sq_abs(e)
+    # entry (i, j) sits at 2 i + j, so the swaps put a, b, c, d at k ^ 0, 1, 2, 3
+    rows = np.arange(e.shape[0])[:, None]
+    perm = np.argmax(sq, axis=1)[:, None] ^ np.arange(4)
+    e, sq = e[rows, perm], sq[rows, perm]
+    pa, pb, pc, pd = e[:, 0], e[:, 1], e[:, 2], e[:, 3]
+    frob = (sq[:, 0] + sq[:, 2]) + (sq[:, 1] + sq[:, 3])
+    gap = (sq[:, 0] + sq[:, 2]) - (sq[:, 1] + sq[:, 3])
+    off = _entry_mul(conj_raw(pa), pb, beta) + _entry_mul(conj_raw(pc), pd, beta)
+    s1 = np.sqrt((frob + np.sqrt(gap * gap + 4.0 * _sq_abs(off))) / 2.0)
+    a_sq = np.where(sq[:, 0] > 0.0, sq[:, 0], 1.0)
+    schur = a_sq[:, None] * pd - _entry_mul(_entry_mul(pc, conj_raw(pa), beta), pb, beta)
+    det = np.sqrt(_sq_abs(schur) / a_sq)
+    s2 = np.minimum(det / np.where(s1 > 0.0, s1, 1.0), s1)
+    return (np.stack([s1, s2], axis=-1) * scale[:, None]).reshape(a.shape[:-3] + (2,))
+
+
 def svdvals_raw(a: np.ndarray, beta: int) -> np.ndarray:
     """Descending singular values (..., min(n, m)) of (..., n, m, beta)
-    blocks; a single row or column has one, its norm."""
+    blocks; a single row or column has one, its norm, and 2 x 2 blocks take
+    the closed form of _svdvals2."""
     n, m = a.shape[-3], a.shape[-2]
     if min(n, m) == 1:
         return _abs_raw(a.reshape(a.shape[:-3] + (n * m * beta,)))[..., None]
+    if n == m == 2:
+        _require_assoc(beta, "svdvals_raw")
+        return _svdvals2(a, beta)
     sv = np.linalg.svd(complex_raw(a, beta), compute_uv=False)
     return _group_multiplets(sv, complex_multiplicity(beta))
 

@@ -85,7 +85,6 @@ from .linalg import (
     inv_sqrt_hermitian_raw,
     logdet_hermitian_raw,
     load_matrix,
-    mat_inv,
     mul_raw,
     sdet,
     sdet_log,
@@ -488,7 +487,9 @@ def _mc_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate E[f * weight] * exp(log_const) per test function.
 
-    side_fn(rng, count) -> (data, logw).  Returns (means, stderrs), each of
+    side_fn(rng, count) -> (data, logw).  Only the live rows, those with
+    logw > -inf, are scored: a side may leave the data of its -inf rows
+    zero, and they are never read.  Returns (means, stderrs), each of
     shape (len(test_fns),).  Blocks are fixed-size and reduced in index
     order, so results do not depend on the worker count.  A mean or stderr
     that leaves the float range raises InconclusiveStatisticsError: a NaN
@@ -506,9 +507,10 @@ def _mc_estimate(
         idx, size = args
         rng = _substream(seed, task_code, side_code, idx)
         data, logw = side_fn(rng, size)
+        live = ~np.isneginf(logw)  # NaN and +inf stay, to fail the finiteness check
         with np.errstate(over="ignore"):
-            w = np.exp(logw + log_const)
-        flat = data.reshape(data.shape[0], -1)
+            w = np.exp(logw[live] + log_const)
+        flat = data.reshape(data.shape[0], -1)[live]
         sq = np.sum((flat[:, None] - centers[None]) ** 2, axis=2)
         vals = np.exp(-sq / two_var)
         out = np.empty((n_fns, 2))
@@ -693,7 +695,9 @@ def run_chart_task(task: TaskSpec) -> Report:
 # An MC_EQUALITY builder returns (lhs_fn, lhs_const, rhs_fn, rhs_const).
 # Each side_fn(rng, count) -> (data, logw); logw already contains density,
 # transform factor, and region indicators (log 0 = -inf for excluded draws).
-# The constants carry box volumes and Stiefel masses.
+# _mc_estimate never reads the data of a -inf row, so a side may skip the
+# work for such rows and leave their data zero.  The constants carry box
+# volumes and Stiefel masses.
 
 
 def _w_equality(task: TaskSpec):
@@ -777,17 +781,13 @@ def _mp_rect_equality(task: TaskSpec):
     )
 
 
-def _uhlig_equality(task: TaskSpec):
-    """UHLIG_SVD and UHLIG_MP: the image laws of a rank-n congruence."""
+def _uhlig_image(task: TaskSpec, b: Mat):
+    """The image sampler of the UHLIG theorems and the spectral boxes of the
+    left side: returns (image_batch, box_lo, box_hi)."""
     kind, beta, m, n, gap = task.kind, task.beta, task.m, task.n, task.gap
     lo, hi = task.eigen_box
-    b = _draw_b(task)
-    det_b_log = sdet_log(b)
     mp = task.theorem_id == "UHLIG_MP"
-    factor = FACTORS[task.theorem_id]
-    sizes = (beta, m, n, n)  # the spectra have length n
     bct = ct_raw(b.data)
-    b_inv_ct = ct_raw(mat_inv(b).data)
 
     def image_batch(rng, count):
         """Draw from the right-hand measure; returns (x, delta, lam, gap_ok).
@@ -816,6 +816,20 @@ def _uhlig_equality(task: TaskSpec):
         )
     box_lo = 0.95 * np.quantile(pilot_delta, 0.01, axis=0)
     box_hi = 1.05 * np.quantile(pilot_delta, 0.99, axis=0)
+    return image_batch, box_lo, box_hi
+
+
+def _uhlig_equality(task: TaskSpec):
+    """UHLIG_SVD and UHLIG_MP: the image laws of a rank-n congruence."""
+    beta, m, n, gap = task.beta, task.m, task.n, task.gap
+    lo, hi = task.eigen_box
+    b = _draw_b(task)
+    det_b_log = sdet_log(b)
+    mp = task.theorem_id == "UHLIG_MP"
+    factor = FACTORS[task.theorem_id]
+    sizes = (beta, m, n, n)  # the spectra have length n
+    bct = ct_raw(b.data)
+    image_batch, box_lo, box_hi = _uhlig_image(task, b)
 
     def rhs(rng, count):
         x, delta, lam, ok = image_batch(rng, count)
@@ -832,30 +846,39 @@ def _uhlig_equality(task: TaskSpec):
     # relative to the uniform frame measure,
     #   sdet(Sigma)^{-beta n/2} sdet(H^* Sigma^{-1} H)^{-beta m/2},
     # with Sigma = B^* B.  With B = I this reduces to uniform frames.  The
-    # frame is Z (Z* Z)^(-1/2) for Z = B* G.  With T = B^{-*} H, H^*
-    # Sigma^{-1} H = T* T, and the preimage z = T Lambda_x T* has the
-    # spectrum of the n x n matrix Lambda_x^(1/2) T* T Lambda_x^(1/2).
+    # frame is H = Z W for Z = B* G and W = (Z* Z)^(-1/2).  Then T = B^{-*} H
+    # = G W, H^* Sigma^{-1} H = T* T, and the preimage z = T Lambda_x T* has
+    # the spectrum of the n x n matrix Lambda_x^(1/2) T* T Lambda_x^(1/2).
+    # A draw whose Lambda_x is not strictly descending has weight 0, so the
+    # frame work runs on the descending rows only and X is assembled for the
+    # accepted ones; every row's u and G are still drawn, which keeps the
+    # random stream of each block.
 
     def lhs(rng, count):
         u = rng.uniform(size=(count, n))
         lam_x = box_lo + u * (box_hi - box_lo)
-        sorted_ok = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
-        g = rng.standard_normal(size=(count, m, n, kind.beta))
+        g = rng.standard_normal(size=(count, m, n, beta))
+        rows = np.flatnonzero(np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1))
+        lam_x, g = lam_x[rows], g[rows]
         z = mul_raw(bct, g, beta)
-        h = mul_raw(z, inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta), beta)
-        x = assemble_sd_batch(h, lam_x, beta)
-        t = mul_raw(b_inv_ct, h, beta)
+        w = inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta)
+        t = mul_raw(g, w, beta)
         tt = mul_raw(ct_raw(t), t, beta)
         root = np.sqrt(lam_x)
         z_spec = eigvalsh_raw(
             tt * (root[:, :, None] * root[:, None, :])[..., None], beta
         )[:, ::-1]
         lam_y = _desc_inverse(z_spec) if mp else z_spec
-        ok = _in_box_gap(lam_y, lo, hi, gap) & sorted_ok
-        with np.errstate(invalid="ignore"):
-            logw = FACTORS["SD"].log(*sizes, lam=lam_x)
-        logw = logw + beta * n * det_b_log + 0.5 * m * beta * logdet_hermitian_raw(tt, beta)
-        return x, np.where(ok, logw, -np.inf)
+        ok = _in_box_gap(lam_y, lo, hi, gap)
+        x = np.zeros((count, m, m, beta))
+        logw = np.full(count, -np.inf)
+        h = mul_raw(z[ok], w[ok], beta)
+        x[rows[ok]] = assemble_sd_batch(h, lam_x[ok], beta)
+        logw[rows[ok]] = (
+            FACTORS["SD"].log(*sizes, lam=lam_x[ok]) + beta * n * det_b_log
+            + 0.5 * m * beta * logdet_hermitian_raw(tt[ok], beta)
+        )
+        return x, logw
 
     lhs_const = float(np.log(box_hi - box_lo).sum()) + stiefel_volume_log(
         n, m, beta
@@ -914,7 +937,8 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 
 # An MC_RATIO builder returns (chart_fn, chart_const, fact_fn, fact_const,
 # reference_fn): the surface side samples chart coordinates uniformly in a
 # box and weighs them by the chart's Hausdorff density, the factorized side
-# samples the factorization.
+# samples the factorization.  Sides keep the MC_EQUALITY contract: the data
+# of a -inf row is never read.
 
 
 def _phase_fiber_log(beta: int, q: int) -> float:

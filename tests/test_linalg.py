@@ -17,6 +17,7 @@ from divalg.linalg import (
     complex_fold,
     complex_multiplicity,
     complex_raw,
+    conj_raw,
     conj_transpose,
     ct_raw,
     eigvalsh_raw,
@@ -221,6 +222,8 @@ def test_complex_form_rejects_octonions():
         complex_raw(np.ones((2, 2, 2, 8)), 8)
     with pytest.raises(UnsupportedAlgebraError):
         complex_fold(np.ones((2, 4, 4), dtype=complex), 8)
+    with pytest.raises(UnsupportedAlgebraError):
+        svdvals_raw(np.ones((3, 2, 2, 8)), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +341,41 @@ def test_singular_values_and_inverses_match_lapack(beta, scale, shape):
     cond = want[1:, ..., 0] / want[1:, ..., -1]
     resid = np.abs(mul_raw(x, inv, beta) - _eye_like(x)).max(axis=(-1, -2, -3))
     assert np.all(resid <= 1e-12 * cond)
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("ratio", [0.0, 1e-10, 1.0 - 1e-7, 1.0])
+def test_two_by_two_singular_values_hold_at_rank_one_and_near_ties(beta, scale, ratio):
+    """The 2 x 2 closed form on V diag(1, ratio) W* for Haar V, W: rank one,
+    near singular, nearly and exactly tied, against LAPACK on the complex
+    form, with every floating-point exception raised."""
+    from divalg.charts import assemble_svd_batch, sample_stiefel_batch
+
+    rng = np.random.default_rng(110 + beta)
+    count = int(np.prod(BATCH))
+    v, w = (sample_stiefel_batch(2, 2, KIND_OF[beta], rng, count) for _ in range(2))
+    d = np.tile([scale, scale * ratio], (count, 1))
+    a = assemble_svd_batch(v, d, w, beta).reshape(BATCH + (2, 2, beta))
+    with np.errstate(all="raise"):
+        got = svdvals_raw(a, beta)
+    want = _lapack_svdvals(a, beta)
+    assert np.all(np.abs(got - want) <= 1e-12 * want[..., :1])
+    assert np.all(np.abs(got - d.reshape(BATCH + (2,))) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("beta", VALID_BETAS)
+@pytest.mark.parametrize("shape", [(3, 2), (1, 1), (4, 3, 3)])
+def test_conj_raw_matches_copy_then_negate(beta, shape):
+    """Bytes, order and signed zeros as a copy with the imaginary
+    coefficients negated, also on the swapped views ct_raw passes."""
+    a = np.random.default_rng(beta).normal(size=shape + (beta,))
+    a[..., 0, :] = 0.0
+    for x in (a, np.swapaxes(a, -3, -2)):
+        want = x.copy()
+        want[..., 1:] = -want[..., 1:]
+        got = conj_raw(x)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("beta", EMBED_BETAS)

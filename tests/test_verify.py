@@ -28,6 +28,9 @@ from divalg.linalg import (
     complex_multiplicity,
     conj_transpose,
     ct_raw,
+    eigvalsh_raw,
+    inv_sqrt_hermitian_raw,
+    logdet_hermitian_raw,
     mat_inv,
     mul_raw,
     numerical_rank,
@@ -206,6 +209,39 @@ class TestTestFunctions:
         var = np.maximum(total[:, 1] - trials * expected**2, 0.0) / (trials - 1)
         assert np.array_equal(means, expected)
         assert np.array_equal(stderrs, np.sqrt(var / trials))
+
+    def test_mc_estimate_keeps_nan_and_inf_log_weights(self):
+        """Only -inf rows are dropped: a NaN or +inf log-weight still makes
+        the estimate inconclusive, where an isfinite filter would hide it."""
+        fns = make_test_functions(5, 3, np.random.default_rng(5).normal(size=(8, 2, 2, 1)))
+        for bad in (np.nan, np.inf):
+            def side_fn(rng, count, bad=bad):
+                logw = rng.normal(size=count)
+                logw[::7] = -np.inf
+                logw[3] = bad
+                return rng.normal(size=(count, 2, 2, 1)), logw
+
+            with pytest.raises(InconclusiveStatisticsError):
+                verify._mc_estimate(side_fn, 0.0, fns, 500, 1, 2, 3, 1)
+
+    def test_mc_estimate_never_reads_dead_rows(self):
+        """The data of -inf rows is never read: NaN there gives the same
+        means and stderrs as zeros, also in a block with no live row."""
+        fns = make_test_functions(5, 4, np.random.default_rng(6).normal(size=(8, 3, 2, 2)))
+
+        def side_fn(rng, count, fill):
+            data = rng.normal(size=(count, 3, 2, 2))
+            logw = rng.normal(size=count)
+            dead = rng.uniform(size=count) < (0.4 if count == verify.BLOCK_SIZE else 1.0)
+            data[dead] = fill
+            return data, np.where(dead, -np.inf, logw)
+
+        trials = verify.BLOCK_SIZE + 300
+        with np.errstate(invalid="raise"):
+            got = verify._mc_estimate(partial(side_fn, fill=np.nan), 0.2, fns, trials, 1, 2, 3, 1)
+        want = verify._mc_estimate(partial(side_fn, fill=0.0), 0.2, fns, trials, 1, 2, 3, 1)
+        assert np.all(np.isfinite(got[0])) and np.all(got[1] > 0.0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_validation(self):
         samples = np.zeros((4, 2, 2, 1))
@@ -408,6 +444,60 @@ class TestEqualityEngine:
             run_task(task)
 
 
+def _uhlig_lhs_oracle(task: TaskSpec, b: Mat, rng, count):
+    """The UHLIG left side as one full batch: every row through the frame H,
+    T = B^{-*} H with an explicit inverse, and the spectra, masked at the end.
+    Sizes come from the task, the boxes from the sampler's own pilot."""
+    beta, m, n, mp = task.beta, task.m, task.n, task.theorem_id == "UHLIG_MP"
+    _, box_lo, box_hi = verify._uhlig_image(task, b)
+    u = rng.uniform(size=(count, n))
+    lam_x = box_lo + u * (box_hi - box_lo)
+    sorted_ok = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
+    g = rng.standard_normal(size=(count, m, n, beta))
+    z = mul_raw(ct_raw(b.data), g, beta)
+    h = mul_raw(z, inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta), beta)
+    x = assemble_sd_batch(h, lam_x, beta)
+    t = mul_raw(ct_raw(mat_inv(b).data), h, beta)
+    tt = mul_raw(ct_raw(t), t, beta)
+    root = np.sqrt(lam_x)
+    z_spec = eigvalsh_raw(tt * (root[:, :, None] * root[:, None, :])[..., None], beta)[:, ::-1]
+    lam_y = (1.0 / z_spec)[:, ::-1] if mp else z_spec
+    lo, hi = task.eigen_box
+    ok = verify._in_box_gap(lam_y, lo, hi, task.gap) & sorted_ok
+    with np.errstate(invalid="ignore", divide="ignore"):
+        logw = FACTORS["SD"].log(beta, m, n, n, lam=lam_x)
+    logw = logw + beta * n * sdet_log(b) + 0.5 * m * beta * logdet_hermitian_raw(tt, beta)
+    return x, np.where(ok, logw, -np.inf), g, h
+
+
+@pytest.mark.parametrize("beta", (1, 2, 4))
+@pytest.mark.parametrize("theorem", ("UHLIG_SVD", "UHLIG_MP"))
+@pytest.mark.parametrize("b_source", ("random", "identity"))
+def test_uhlig_left_side_matches_full_batch_oracle(beta, theorem, b_source):
+    """The left side works on descending rows only and takes T = G W: the
+    accepted set equals the full-batch oracle's, and so do the accepted
+    rows' log-weights and data; B^{-*} H equals G (Z* Z)^(-1/2)."""
+    task = TaskSpec(theorem_id=theorem, beta=beta, m=3, n=2, b_source=b_source,
+                    trials=10_000, seed=42)
+    lhs = verify._problem(task)[0]
+    b = verify._draw_b(task)
+    count = 4096
+    x, logw = lhs(np.random.default_rng(9), count)
+    x_o, logw_o, g, h = _uhlig_lhs_oracle(task, b, np.random.default_rng(9), count)
+    t_inv = mul_raw(ct_raw(mat_inv(b).data), h, beta)
+    z = mul_raw(ct_raw(b.data), g, beta)
+    t_gw = mul_raw(g, inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta), beta)
+    assert np.abs(t_gw - t_inv).max() <= 1e-12 * np.abs(t_inv).max()
+    live = ~np.isneginf(logw)
+    assert np.array_equal(live, ~np.isneginf(logw_o))
+    assert live.any()
+    if b_source == "identity":
+        assert live.mean() > 0.2
+    assert np.all(np.abs(logw[live] - logw_o[live]) <= 1e-12 * np.maximum(1.0, np.abs(logw_o[live])))
+    assert np.array_equal(x[live], x_o[live])
+    assert not np.any(x[~live])
+
+
 class TestRatioEngine:
     def test_spectral_ratio_constant(self):
         task = TaskSpec(
@@ -584,15 +674,18 @@ def test_single_matrix_api_runs_on_the_complex_form(monkeypatch):
 
 
 def test_small_blocks_take_closed_forms(monkeypatch):
-    """No batched LAPACK call on a block of algebra side 1, and no batched
-    Hermitian eigvalsh, eigh, slogdet or inv on side 2: those blocks take
-    the closed forms of linalg.  The rank-2 UHLIG images have their spectra
+    """No batched LAPACK call on a block of algebra side 1, no batched
+    Hermitian eigvalsh, eigh, slogdet or inv on side 2, and no singular
+    values of a 2 x 2 block in a Monte-Carlo side: those blocks take the
+    closed forms of linalg.  The rank-2 UHLIG images have their spectra
     taken on the 2 x 2 side, so UHLIG_SVD makes no LAPACK call at all."""
     calls = _record_lapack(monkeypatch)
     tasks = [
         TaskSpec(theorem_id="UHLIG_SVD", beta=2, m=3, n=2, trials=10_000, seed=7),
         TaskSpec(theorem_id="UHLIG_MP", beta=2, m=2, n=1, trials=10_000, seed=7),
         TaskSpec(theorem_id="SD", beta=4, m=2, q=1, engine="MC_RATIO",
+                 trials=10_000, seed=6),
+        TaskSpec(theorem_id="SVD", beta=4, n=2, m=2, q=1, engine="MC_RATIO",
                  trials=10_000, seed=6),
         TaskSpec(theorem_id="MP_HERM", beta=4, m=2, q=1, points=2, seed=5),
     ]
@@ -612,12 +705,14 @@ def test_small_blocks_take_closed_forms(monkeypatch):
             assert batched == [], task
         r = complex_multiplicity(task.beta)
         for name, kind, shape in batched:
-            if kind != "c" and task.beta > 1:  # the real Hausdorff Gram of SD
+            if kind != "c" and task.beta > 1:  # the real Hausdorff Gram of SD and SVD
                 assert (name, shape[-2:]) == ("slogdet", (gram_side, gram_side))
                 continue
             side = (shape[-2] // r, shape[-1] // r)
             assert min(side) > 1, (task, name, shape)
             if name in ("eigvalsh", "eigh", "slogdet", "inv"):
+                assert side != (2, 2), (task, name, shape)
+            if name == "svd" and task.engine != "CHART":  # CHART's pinv takes full SVDs
                 assert side != (2, 2), (task, name, shape)
 
 
