@@ -42,6 +42,7 @@ from .linalg import (
     _require_assoc,
     ct_raw,
     eigvalsh_raw,
+    frobenius_raw,
     inv_hermitian_raw,
     inv_raw,
     mul_raw,
@@ -261,6 +262,11 @@ class ChartSpec:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "pivots", pivots)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, cols) of the matrices the chart completes."""
+        return (self.sizes[0],) * 2 if self.space == "psd" else self.sizes[:2]
+
     def coord_count(self) -> int:
         beta = self.kind.beta
         if self.space == "psd":
@@ -308,10 +314,14 @@ class ChartSpec:
 
 
 def _entry_inv(p: np.ndarray) -> np.ndarray:
-    n2 = float(np.dot(p, p))
-    out = p.copy()
-    out[1:] = -out[1:]
-    return out / n2
+    """conj(p) / |p|^2 of one nonzero (beta,) entry, divided by its largest
+    coefficient first so that entries near 1e+-200 neither overflow nor
+    underflow."""
+    c = p.tolist()  # Python floats: a few coefficients cost less than numpy calls
+    top = max(map(abs, c))
+    c = [x / top for x in c]
+    n2 = sum(x * x for x in c) * top
+    return np.array([c[0] / n2] + [-x / n2 for x in c[1:]])
 
 
 def choose_pivot(a: Mat, q: int, chart: str = "rect"):
@@ -397,8 +407,8 @@ def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.nda
         spec = ChartSpec(space, a.kind, (a.rows, a.cols, q), pivots)
         coords = spec.extract_batch(a.data[None])
         back = complete_rect_batch(coords, a.kind, *spec.sizes, *spec.pivots)
-    err = float(np.linalg.norm(back[0] - a.data))
-    if err > 1e-9 * max(1.0, float(np.linalg.norm(a.data))):
+    err = frobenius_raw(back[0] - a.data)
+    if err > 1e-9 * max(1.0, frobenius_raw(a.data)):
         raise RankError(
             f"matrix is not rank {q} in this {space} chart (completion error {err:.3e})"
         )

@@ -291,7 +291,8 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         "runtime_ms": int((time.perf_counter() - start) * 1000),
     }
     if args.format == "json":
-        written = _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        written = _emit(text + "\n", args.out)
     else:
         rows = []
         for item in results:
@@ -408,6 +409,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return _fail_usage(
             "octonion results conjectural -- sampling supports beta in {1,2,4}"
         )
+    if args.seed < 0:
+        return _fail_usage(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([args.seed, 0x5A])))
     box = (args.lambda_lo, args.lambda_hi)
     try:

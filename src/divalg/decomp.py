@@ -36,6 +36,7 @@ from .linalg import (
     conj_raw,
     ct_raw,
     embedding_rank,
+    frobenius_raw,
     hermitian_part,
     is_hermitian,
     mul_raw,
@@ -313,9 +314,7 @@ def cholesky_rank_q(s: Mat, q: int) -> Mat:
     c2 = np.linalg.solve(complex_raw(ct_raw(t1), beta), complex_raw(s.data[:q, q:], beta))
     t = np.concatenate([t1, complex_fold(c2, beta)], axis=1)
     back = mul_raw(ct_raw(t), t, beta)
-    residual = float(np.linalg.norm(back - s.data)) / max(
-        1e-300, float(np.linalg.norm(s.data))
-    )
+    residual = frobenius_raw(back - s.data) / max(1e-300, frobenius_raw(s.data))
     if residual > 1e-8:
         raise RankError(
             f"trailing block is not reproduced (residual {residual:.3e}); "

@@ -22,6 +22,7 @@ Octonion matrices support construction, addition, conjugation and products
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -476,15 +477,22 @@ def inner_re(a: Mat, b: Mat) -> float:
     return float(np.sum(a.data * b.data))
 
 
+def frobenius_raw(x: np.ndarray) -> float:
+    """Frobenius norm of a coefficient array.  math.hypot scales internally,
+    so entries near 1e+-200 neither overflow nor underflow (np.linalg.norm
+    overflows above about 1e154), and on a single matrix it is the faster."""
+    return math.hypot(*x.ravel().tolist())
+
+
 def frobenius_norm(a: Mat) -> float:
-    return float(np.linalg.norm(a.data))
+    return frobenius_raw(a.data)
 
 
 def is_hermitian(a: Mat, tol: float = 1e-10) -> bool:
     if a.rows != a.cols:
         return False
-    diff = np.linalg.norm(a.data - ct_raw(a.data))
-    return diff <= tol * max(1.0, float(np.linalg.norm(a.data)))
+    diff = frobenius_raw(a.data - ct_raw(a.data))
+    return diff <= tol * max(1.0, frobenius_raw(a.data))
 
 
 def save_matrix(a: Mat, path: str | Path) -> None:
@@ -495,7 +503,7 @@ def save_matrix(a: Mat, path: str | Path) -> None:
         "cols": a.cols,
         "entries": a.data.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def load_matrix(path: str | Path) -> Mat:

@@ -20,6 +20,11 @@ Three engines, each matched to the measure semantics a formula lives in:
   fiber volume for the spectral factorizations, so the reported constant is a
   pure geometric normalization.
 
+Both Monte-Carlo engines run one driver, _mc_sides, on one builder
+contract (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn); a runner
+keeps only its records and its verdict.  One helper builds every MC_RATIO
+surface side.
+
 The UHLIG MC_EQUALITY samplers never diagonalize an m x m image: a rank-n
 image A A* has the nonzero spectrum of the n x n matrix A* A, so the right
 side takes it from A = B* W Lambda^(1/2) and the left side from
@@ -137,6 +142,10 @@ _SIDE_B = 7
 _SIDE_REFERENCE = 9
 
 BLOCK_SIZE = 4096
+# the test-function centres are chosen among REFERENCE_COUNT reference draws
+REFERENCE_COUNT = 512
+EQUALITY_TEST_FUNCTIONS = 3
+RATIO_TEST_FUNCTIONS = 5
 ABS_LOG_FLOOR = 1e-7
 MIN_TRIALS = 10_000
 INCONCLUSIVE_REL_STDERR = 0.20
@@ -219,6 +228,8 @@ class TaskSpec:
             )
         if self.points < 1:
             raise ConfigurationError(f"points must be positive, got {self.points}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if not STEP_RANGE[0] <= self.step <= STEP_RANGE[1]:
             raise ConfigurationError(
                 f"step must be finite and positive, within [{STEP_RANGE[0]:g}, "
@@ -280,7 +291,8 @@ class Report:
         }
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+        """Canonical JSON; ValueError when a field is NaN or infinite."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent, allow_nan=False)
 
 
 def check_sizes(theorem_id: str, m: int, n: int, q: int) -> tuple[int, int]:
@@ -543,9 +555,9 @@ def _mc_estimate(
     return means, stderrs
 
 
-def _reference_samples(side_fn, seed: int, task_code: int, count: int = 512) -> np.ndarray:
+def _reference_samples(side_fn, seed: int, task_code: int) -> np.ndarray:
     rng = _substream(seed, task_code, _SIDE_REFERENCE, 0)
-    return _valid_draws(*side_fn(rng, count), "reference")
+    return _valid_draws(*side_fn(rng, REFERENCE_COUNT), "reference")
 
 
 def _valid_draws(data: np.ndarray, logw: np.ndarray, what: str) -> np.ndarray:
@@ -554,6 +566,19 @@ def _valid_draws(data: np.ndarray, logw: np.ndarray, what: str) -> np.ndarray:
     if not np.any(good):
         raise ConfigurationError(f"no valid {what} samples; widen the box or gap")
     return data[good]
+
+
+def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
+    """The pipeline both Monte-Carlo engines run: build the task's problem
+    (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn), centre n_fns test
+    functions on reference_fn's draws and estimate both sides.  Returns
+    ((lhs_means, lhs_stderrs), (rhs_means, rhs_stderrs))."""
+    lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn = _problem(task)
+    seed, code = task.seed, task.theorem.code
+    test_fns = make_test_functions(seed, n_fns, _reference_samples(reference_fn, seed, code))
+    common = (test_fns, task.trials, seed, code)
+    return (_mc_estimate(lhs_fn, lhs_const, *common, _SIDE_LHS, jobs),
+            _mc_estimate(rhs_fn, rhs_const, *common, _SIDE_RHS, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +644,8 @@ def _congruence_chart(task: TaskSpec):
     rank = task.n if task.theorem_id == "UHLIG_QR" else m
     congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
 
+    factor, det_b = FACTORS[task.theorem_id], sdet_log(b)
+
     def sample(rng):
         lam, (w1,) = factorized_draw(rng, task.eigen_box, rank, (m,), kind, 1)
         y = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
@@ -626,15 +653,13 @@ def _congruence_chart(task: TaskSpec):
         x = Mat(kind, congruence(y.data[None])[0])
         out_pivot = choose_pivot(x, rank, chart="psd")
         out_spec = ChartSpec("psd", kind, (m, rank), out_pivot)
-        if task.theorem_id == "CONGRUENCE_NS":
-            fi = FactorInput(beta=beta, m=m, det_b=sdet(b))
-        else:
-            fi = FactorInput(
-                beta=beta, m=m, n=rank, det_b=sdet(b),
-                det_t1t1=_pivoted_chol_det(x, rank, out_pivot),
-                det_l1l1=_pivoted_chol_det(y, rank, in_spec.pivots),
-            )
-        analytic = factor_log(task.theorem_id, fi)
+        dets = {"det_b": det_b}
+        if task.theorem_id == "UHLIG_QR":
+            dets["det_t1t1"] = _pivoted_chol_logdet(x, rank, out_pivot)
+            dets["det_l1l1"] = _pivoted_chol_logdet(y, rank, in_spec.pivots)
+        # log-determinants throughout: the determinants of a box near 1e+-200
+        # leave the float range
+        analytic = float(factor.log(beta, m, task.n, 0, **dets))
         return (in_spec, coords), congruence, out_spec, analytic, _spectrum_gap(lam[0])
     return sample
 
@@ -654,13 +679,11 @@ def _gap_margin(gap_at: float, gap: float) -> float | None:
     return float(gap_at / gap)
 
 
-def _pivoted_chol_det(s: Mat, rank: int, pivot) -> float:
-    """sdet(T1* T1) for the Cholesky factor of the pivoted matrix."""
+def _pivoted_chol_logdet(s: Mat, rank: int, pivot) -> float:
+    """log sdet(T1* T1) for the Cholesky factor of the pivoted matrix."""
     pv = np.asarray(pivot, dtype=int)
-    sp = Mat(s.kind, s.data[np.ix_(pv, pv)])
-    t = cholesky_rank_q(sp, rank)
-    t1 = Mat(s.kind, t.data[:, :rank, :])
-    return math.exp(2.0 * sdet_log(t1))
+    t = cholesky_rank_q(Mat(s.kind, s.data[np.ix_(pv, pv)]), rank)
+    return 2.0 * sdet_log(Mat(s.kind, t.data[:, :rank, :]))
 
 
 def run_chart_task(task: TaskSpec) -> Report:
@@ -692,12 +715,15 @@ def run_chart_task(task: TaskSpec) -> Report:
 # ---------------------------------------------------------------------------
 # MC_EQUALITY engine
 #
-# An MC_EQUALITY builder returns (lhs_fn, lhs_const, rhs_fn, rhs_const).
-# Each side_fn(rng, count) -> (data, logw); logw already contains density,
-# transform factor, and region indicators (log 0 = -inf for excluded draws).
-# _mc_estimate never reads the data of a -inf row, so a side may skip the
-# work for such rows and leave their data zero.  The constants carry box
-# volumes and Stiefel masses.
+# Every Monte-Carlo builder, MC_EQUALITY and MC_RATIO alike, returns
+# (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn), and _mc_sides runs
+# it.  Each side_fn(rng, count) -> (data, logw); logw already contains
+# density, transform factor, and region indicators (log 0 = -inf for
+# excluded draws).  _mc_estimate never reads the data of a -inf row, so a
+# side may skip the work for such rows and leave their data zero.  The
+# constants carry box volumes and Stiefel masses; the test functions are
+# centred on reference_fn's draws.  An MC_EQUALITY builder's sides are the
+# two sides of its identity, and its reference is the right side.
 
 
 def _w_equality(task: TaskSpec):
@@ -723,7 +749,7 @@ def _w_equality(task: TaskSpec):
 
     return (
         lhs, factorized_mass_log(root_box, q, (n, m), beta),
-        rhs, factorized_mass_log(task.eigen_box, q, (m, n), beta),
+        rhs, factorized_mass_log(task.eigen_box, q, (m, n), beta), rhs,
     )
 
 
@@ -750,7 +776,7 @@ def _mp_herm_equality(task: TaskSpec):
 
     return (
         lhs, factorized_mass_log(inverse_box, q, (m,), beta),
-        rhs, factorized_mass_log(task.eigen_box, q, (m,), beta),
+        rhs, factorized_mass_log(task.eigen_box, q, (m,), beta), rhs,
     )
 
 
@@ -777,7 +803,7 @@ def _mp_rect_equality(task: TaskSpec):
 
     return (
         lhs, factorized_mass_log(inverse_box, q, (m, n), beta),
-        rhs, factorized_mass_log(task.eigen_box, q, (n, m), beta),
+        rhs, factorized_mass_log(task.eigen_box, q, (n, m), beta), rhs,
     )
 
 
@@ -883,31 +909,20 @@ def _uhlig_equality(task: TaskSpec):
     lhs_const = float(np.log(box_hi - box_lo).sum()) + stiefel_volume_log(
         n, m, beta
     )
-    return lhs, lhs_const, rhs, rhs_const
+    return lhs, lhs_const, rhs, rhs_const, rhs
 
 
-def run_mc_equality_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 3) -> Report:
+def run_mc_equality_task(task: TaskSpec, jobs: int = 1) -> Report:
     """Estimate both sides of the factorized-measure identity and z-test them."""
     start = time.perf_counter()
     if task.engine != "MC_EQUALITY":
         raise RegistryError(
             f"run_mc_equality_task needs engine MC_EQUALITY, got {task.engine}"
         )
-    if n_test_functions < 2:
-        raise ConfigurationError("equality tasks need at least 2 test functions")
-    lhs_fn, lhs_const, rhs_fn, rhs_const = _problem(task)
-    code = task.theorem.code
-    reference = _reference_samples(rhs_fn, task.seed, code)
-    test_fns = make_test_functions(task.seed, n_test_functions, reference)
-    lhs_mean, lhs_se = _mc_estimate(
-        lhs_fn, lhs_const, test_fns, task.trials, task.seed, code, _SIDE_LHS, jobs
-    )
-    rhs_mean, rhs_se = _mc_estimate(
-        rhs_fn, rhs_const, test_fns, task.trials, task.seed, code, _SIDE_RHS, jobs
-    )
+    (lhs_mean, lhs_se), (rhs_mean, rhs_se) = _mc_sides(task, jobs, EQUALITY_TEST_FUNCTIONS)
     records = []
     worst_rel = 0.0
-    for k in range(len(test_fns)):
+    for k in range(EQUALITY_TEST_FUNCTIONS):
         se = math.sqrt(lhs_se[k] ** 2 + rhs_se[k] ** 2)
         z = abs(lhs_mean[k] - rhs_mean[k]) / se if se > 0 else math.inf
         rel = max(
@@ -934,11 +949,11 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 
 # ---------------------------------------------------------------------------
 # MC_RATIO engine
 #
-# An MC_RATIO builder returns (chart_fn, chart_const, fact_fn, fact_const,
-# reference_fn): the surface side samples chart coordinates uniformly in a
-# box and weighs them by the chart's Hausdorff density, the factorized side
-# samples the factorization.  Sides keep the MC_EQUALITY contract: the data
-# of a -inf row is never read.
+# An MC_RATIO builder's left side is the surface side (_surface_side): chart
+# coordinates drawn uniformly in a box and weighed by the chart's Hausdorff
+# density.  Its right side samples the factorization, restricted to the same
+# region (_restricted_side for SD, SVD and QR), and its reference is the
+# unrestricted factorized draw.
 
 
 def _phase_fiber_log(beta: int, q: int) -> float:
@@ -967,6 +982,64 @@ def _uniform_in_box(rng: np.random.Generator, box: np.ndarray, count: int) -> np
     return rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
 
 
+def _leading_min(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue (psd chart) or singular value (rect chart) of each
+    row's pivoted leading block, the block that completion inverts."""
+    block = spec.leading_block(coords)
+    if spec.space == "psd":
+        return eigvalsh_raw(block, spec.kind.beta)[:, 0]
+    return svdvals_raw(block, spec.kind.beta)[:, -1]
+
+
+def _leading_floor(spec: ChartSpec, pilot_coords: np.ndarray) -> float:
+    """The floor of the leading-block test: 0.9 times the 5% quantile of the
+    pilot draws' _leading_min."""
+    return 0.9 * float(np.quantile(_leading_min(spec, pilot_coords), 0.05))
+
+
+def _passes_floor(spec: ChartSpec, coords: np.ndarray, floor: float | None) -> np.ndarray:
+    """Mask: rows whose leading block reaches the floor; every row when floor
+    is None (a chart that completes nothing)."""
+    if floor is None:
+        return np.ones(coords.shape[0], dtype=bool)
+    return _leading_min(spec, coords) >= floor
+
+
+def _surface_side(spec: ChartSpec, box: np.ndarray, accept, floor: float | None = None):
+    """The surface side of an MC_RATIO builder: coordinates uniform in box,
+    weighed by the chart's Hausdorff density.
+
+    A row is live when its leading block passes the floor (_passes_floor).
+    Only the live rows are completed and weighed, so a block with no live
+    row completes nothing; accept(data) -> mask is the builder's restriction
+    on the completed matrices.  Dead rows keep zero data and weight -inf.
+    """
+    def side(rng, count):
+        coords = _uniform_in_box(rng, box, count)
+        data = np.zeros((count, *spec.shape, spec.kind.beta))
+        logw = np.full(count, -np.inf)
+        live = _passes_floor(spec, coords, floor)
+        if live.any():
+            sub = coords[live]
+            full = spec.complete_batch(sub)
+            data[live] = full
+            hlog = hausdorff_density_log_batch(spec, sub)
+            logw[live] = np.where(accept(full), hlog, -np.inf)
+        return data, logw
+    return side
+
+
+def _restricted_side(raw_fn, spec: ChartSpec, box: np.ndarray, floor: float | None = None):
+    """The factorized side raw_fn restricted to the surface side's region:
+    chart coordinates in box and a leading block that passes the floor."""
+    def side(rng, count):
+        data, logw = raw_fn(rng, count)
+        coords = spec.extract_batch(data)
+        ok = _coords_in_box(coords, box) & _passes_floor(spec, coords, floor)
+        return data, np.where(ok, logw, -np.inf)
+    return side
+
+
 def _sd_ratio(task: TaskSpec):
     kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
     lo, hi = task.eigen_box
@@ -980,36 +1053,16 @@ def _sd_ratio(task: TaskSpec):
 
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
-    s11_p = spec.leading_block(pilot_coords)
-    eps = 0.9 * float(np.quantile(eigvalsh_raw(s11_p, beta)[:, 0], 0.05))
+    floor = _leading_floor(spec, pilot_coords)
 
-    def common_mask(coords: np.ndarray) -> np.ndarray:
-        ok = _coords_in_box(coords, box)
-        ok &= eigvalsh_raw(spec.leading_block(coords), beta)[:, 0] >= eps
-        return ok
-
-    def chart_fn(rng, count):
-        coords = _uniform_in_box(rng, box, count)
-        valid = eigvalsh_raw(spec.leading_block(coords), beta)[:, 0] >= eps
-        data = np.zeros((count, m, m, beta))
-        data[:, np.arange(m), np.arange(m), 0] = 1.0
-        logw = np.full(count, -np.inf)
-        if np.any(valid):
-            sub = coords[valid]
-            data[valid] = spec.complete_batch(sub)
-            hlog = hausdorff_density_log_batch(spec, sub)
-            top = eigvalsh_raw(data[valid], beta)[:, ::-1][:, :q]
-            spec_ok = _in_box_gap(top, lo, hi, gap)
-            logw[valid] = np.where(spec_ok, hlog, -np.inf)
-        return data, logw
-
-    def fact_fn(rng, count):
-        s, logw = fact_raw(rng, count)
-        coords = spec.extract_batch(s)
-        return s, np.where(common_mask(coords), logw, -np.inf)
+    def spectrum_ok(s: np.ndarray) -> np.ndarray:
+        return _in_box_gap(eigvalsh_raw(s, beta)[:, ::-1][:, :q], lo, hi, gap)
 
     fact_const = factorized_mass_log(task.eigen_box, q, (m,), beta) - _phase_fiber_log(beta, q)
-    return chart_fn, _box_volume_log(box), fact_fn, fact_const, fact_raw
+    return (
+        _surface_side(spec, box, spectrum_ok, floor), _box_volume_log(box),
+        _restricted_side(fact_raw, spec, box, floor), fact_const, fact_raw,
+    )
 
 
 def _svd_ratio(task: TaskSpec):
@@ -1025,38 +1078,16 @@ def _svd_ratio(task: TaskSpec):
 
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
-    if q < min(n, m):
-        x11_p = spec.leading_block(pilot_coords)
-        eps = 0.9 * float(np.quantile(svdvals_raw(x11_p, beta)[:, -1], 0.05))
-    else:
-        eps = 0.0
+    floor = _leading_floor(spec, pilot_coords) if q < min(n, m) else None
 
-    def block_ok(coords: np.ndarray) -> np.ndarray:
-        if q == min(n, m):
-            return np.ones(coords.shape[0], dtype=bool)
-        return svdvals_raw(spec.leading_block(coords), beta)[:, -1] >= eps
-
-    def chart_fn(rng, count):
-        coords = _uniform_in_box(rng, box, count)
-        valid = block_ok(coords)
-        data = np.zeros((count, n, m, beta))
-        logw = np.full(count, -np.inf)
-        if np.any(valid):
-            sub = coords[valid]
-            data[valid] = spec.complete_batch(sub)
-            hlog = hausdorff_density_log_batch(spec, sub)
-            spec_ok = _in_box_gap(svdvals_raw(data[valid], beta)[:, :q], lo, hi, gap)
-            logw[valid] = np.where(spec_ok, hlog, -np.inf)
-        return data, logw
-
-    def fact_fn(rng, count):
-        x, logw = fact_raw(rng, count)
-        coords = spec.extract_batch(x)
-        ok = _coords_in_box(coords, box) & block_ok(coords)
-        return x, np.where(ok, logw, -np.inf)
+    def spectrum_ok(x: np.ndarray) -> np.ndarray:
+        return _in_box_gap(svdvals_raw(x, beta)[:, :q], lo, hi, gap)
 
     fact_const = factorized_mass_log(task.eigen_box, q, (n, m), beta) - _phase_fiber_log(beta, q)
-    return chart_fn, _box_volume_log(box), fact_fn, fact_const, fact_raw
+    return (
+        _surface_side(spec, box, spectrum_ok, floor), _box_volume_log(box),
+        _restricted_side(fact_raw, spec, box, floor), fact_const, fact_raw,
+    )
 
 
 def _qr_ratio(task: TaskSpec):
@@ -1075,40 +1106,21 @@ def _qr_ratio(task: TaskSpec):
         tcoords = _uniform_in_box(rng, tri_box, count)
         t = tri_spec.complete_batch(tcoords)
         h1 = sample_stiefel_batch(n, m, kind, rng, count)
-        x = mul_raw(h1, t, beta)
-        logw = FACTORS["QR"].log(beta, m, n, m, t_diag=tcoords[:, :m])
-        return x, logw, tcoords
+        return mul_raw(h1, t, beta), FACTORS["QR"].log(beta, m, n, m, t_diag=tcoords[:, :m])
 
-    pilot_x, _, _ = fact_raw(_pilot(task), 4096)
-    box = _quantile_box(spec.extract_batch(pilot_x))
+    box = _quantile_box(spec.extract_batch(fact_raw(_pilot(task), 4096)[0]))
 
-    def tri_coords_of(data: np.ndarray) -> np.ndarray:
-        """T of the positive-diagonal QR X = H T, in tri chart coordinates."""
+    def triangle_ok(data: np.ndarray) -> np.ndarray:
+        """T of the positive-diagonal QR X = H T lies in tri_box."""
         h, norms = gram_schmidt_batch(data, beta)
         coords = tri_spec.extract_batch(mul_raw(ct_raw(h), data, beta))
-        coords[~(norms > 1e-12).all(axis=1)] = np.inf
-        return coords
-
-    def chart_fn(rng, count):
-        coords = _uniform_in_box(rng, box, count)
-        data = spec.complete_batch(coords)
-        hlog = hausdorff_density_log_batch(spec, coords)
-        ok = _coords_in_box(tri_coords_of(data), tri_box)
-        return data, np.where(ok, hlog, -np.inf)
-
-    def fact_fn(rng, count):
-        x, logw, tcoords = fact_raw(rng, count)
-        ok = _coords_in_box(spec.extract_batch(x), box)
-        ok &= _coords_in_box(tcoords, tri_box)
-        return x, np.where(ok, logw, -np.inf)
+        return _coords_in_box(coords, tri_box) & (norms > 1e-12).all(axis=1)
 
     fact_const = _box_volume_log(tri_box) + stiefel_volume_log(m, n, beta)
-
-    def reference_fn(rng, count):
-        x, logw, _ = fact_raw(rng, count)
-        return x, logw
-
-    return chart_fn, _box_volume_log(box), fact_fn, fact_const, reference_fn
+    return (
+        _surface_side(spec, box, triangle_ok), _box_volume_log(box),
+        _restricted_side(fact_raw, spec, box), fact_const, fact_raw,
+    )
 
 
 def _chol_x_ratio(task: TaskSpec):
@@ -1119,8 +1131,9 @@ def _chol_x_ratio(task: TaskSpec):
 
     lam, (w1,) = factorized_draw(_pilot(task), task.eigen_box, m, (m,), kind, 4096)
     pilot_s = assemble_sd_batch(w1, lam, beta)
-    s_box = _quantile_box(s_spec.extract_batch(pilot_s))
-    eps = 0.9 * float(np.quantile(eigvalsh_raw(pilot_s, beta)[:, 0], 0.05))
+    pilot_coords = s_spec.extract_batch(pilot_s)
+    s_box = _quantile_box(pilot_coords)
+    floor = _leading_floor(s_spec, pilot_coords)
 
     def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
         return mul_raw(h1, cholesky_batch(s, beta), beta)
@@ -1130,8 +1143,7 @@ def _chol_x_ratio(task: TaskSpec):
 
     def fact_fn(rng, count):
         s_coords = _uniform_in_box(rng, s_box, count)
-        mineig = eigvalsh_raw(s_spec.leading_block(s_coords), beta)[:, 0]
-        valid = mineig >= eps
+        valid = _passes_floor(s_spec, s_coords, floor)
         h1 = sample_stiefel_batch(n, m, kind, rng, count)
         data = np.zeros((count, n, m, beta))
         logw = np.full(count, -np.inf)
@@ -1146,42 +1158,28 @@ def _chol_x_ratio(task: TaskSpec):
             logw[valid] = np.where(in_x, lw, -np.inf)
         return data, logw
 
+    def gram_ok(x: np.ndarray) -> np.ndarray:
+        s = mul_raw(ct_raw(x), x, beta)
+        coords = s_spec.extract_batch((s + ct_raw(s)) / 2.0)
+        return _coords_in_box(coords, s_box) & _passes_floor(s_spec, coords, floor)
+
     fact_const = _box_volume_log(s_box) + stiefel_volume_log(m, n, beta)
-
-    def chart_fn(rng, count):
-        coords = _uniform_in_box(rng, x_box, count)
-        data = x_spec.complete_batch(coords)
-        hlog = hausdorff_density_log_batch(x_spec, coords)
-        s = mul_raw(ct_raw(data), data, beta)
-        s = (s + ct_raw(s)) / 2.0
-        ok = _coords_in_box(s_spec.extract_batch(s), s_box)
-        ok &= eigvalsh_raw(s, beta)[:, 0] >= eps
-        return data, np.where(ok, hlog, -np.inf)
-
-    return chart_fn, _box_volume_log(x_box), fact_fn, fact_const, fact_fn
+    return (
+        _surface_side(x_spec, x_box, gram_ok), _box_volume_log(x_box),
+        fact_fn, fact_const, fact_fn,
+    )
 
 
-def run_mc_ratio_task(task: TaskSpec, jobs: int = 1, n_test_functions: int = 5) -> Report:
+def run_mc_ratio_task(task: TaskSpec, jobs: int = 1) -> Report:
     """Check that surface-to-factorized integral ratios are test-function independent."""
     start = time.perf_counter()
     if task.engine != "MC_RATIO":
         raise RegistryError(f"run_mc_ratio_task needs engine MC_RATIO, got {task.engine}")
-    if n_test_functions < 5:
-        raise ConfigurationError("ratio tasks need at least 5 test functions")
-    chart_fn, chart_const, fact_fn, fact_const, reference_fn = _problem(task)
-    code = task.theorem.code
-    reference = _reference_samples(reference_fn, task.seed, code)
-    test_fns = make_test_functions(task.seed, n_test_functions, reference)
-    h_mean, h_se = _mc_estimate(
-        chart_fn, chart_const, test_fns, task.trials, task.seed, code, _SIDE_LHS, jobs
-    )
-    f_mean, f_se = _mc_estimate(
-        fact_fn, fact_const, test_fns, task.trials, task.seed, code, _SIDE_RHS, jobs
-    )
+    (h_mean, h_se), (f_mean, f_se) = _mc_sides(task, jobs, RATIO_TEST_FUNCTIONS)
     records = []
     ratios = []
     worst_rel = 0.0
-    for k in range(len(test_fns)):
+    for k in range(RATIO_TEST_FUNCTIONS):
         if f_mean[k] <= 0 or h_mean[k] <= 0:
             raise InconclusiveStatisticsError(
                 f"test function {k} has nonpositive mass; widen the boxes"
@@ -1256,8 +1254,8 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     gbh = conj_transpose(x_eig.w1) @ conj_transpose(b) @ eig_hermitian(y, n).w1
     fi = FactorInput(
         beta=beta, m=m, n=n, lam=tuple(lam), delta=tuple(x_eig.lam), det_b=sdet(b),
-        det_t1t1=_pivoted_chol_det(x, n, out_pivot),
-        det_l1l1=_pivoted_chol_det(y, n, in_spec.pivots),
+        det_t1t1=math.exp(_pivoted_chol_logdet(x, n, out_pivot)),
+        det_l1l1=math.exp(_pivoted_chol_logdet(y, n, in_spec.pivots)),
         det_gbh=sdet(gbh),
     )
     svd_log = factor_log("UHLIG_SVD", fi)

@@ -586,6 +586,52 @@ def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--task", "sd", "--beta", "1", "--m", "2", "--q", "1", "--trials", "10000"],
+    ["sample", "psd", "--beta", "1", "--m", "2", "--q", "1"],
+    ["demo", "--b-matrix", "random"],
+    ["verify-all", "--preset", "desk"],
+])
+def test_negative_seed_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    """SeedSequence takes no negative entry: this was exit 4, and verify-all
+    recorded the internal error for every task it ran."""
+    import divalg.cli as cli
+
+    def run_task(task, jobs=1):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "run_task", run_task)
+    target = tmp_path / "x.json"
+    extra = ["--out", str(target)] if argv[0] == "sample" else []
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
+    assert not target.exists()
+
+
+def test_non_finite_report_field_is_an_internal_error(capsys, monkeypatch):
+    """The JSON writers refuse NaN and inf, so a stray one never reaches the
+    output as a non-standard token."""
+    import dataclasses
+
+    import divalg.cli as cli
+
+    real_run_task = cli.run_task
+
+    def run_task(task, jobs=1):
+        return dataclasses.replace(real_run_task(task, jobs=jobs), records=({"z": math.nan},))
+
+    monkeypatch.setattr(cli, "run_task", run_task)
+    code, out, err = run_cli(
+        capsys, "verify", "--task", "congruence-ns", "--beta", "1", "--m", "2", "--points", "1",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ValueError: Out of range float values")
+    assert err.count("\n") == 1
+
+
 class TestParser:
     def test_every_task_name_maps_to_default_engine(self):
         for cli_name, theorem in TASK_NAMES.items():

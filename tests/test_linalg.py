@@ -563,6 +563,16 @@ def test_is_hermitian():
     assert is_hermitian(s)
     assert not is_hermitian(a)
     assert not is_hermitian(rand_mat(REAL, 2, 3, rng))
+    # the norms are scaled: at 1e200 they once compared inf <= inf
+    assert is_hermitian(s * 1e200)
+    assert not is_hermitian(a * 1e200)
+
+
+def test_frobenius_norm_is_scale_safe():
+    a = rand_mat(COMPLEX, 3, 2, np.random.default_rng(14))
+    for scale in (1e-200, 1e200):
+        assert frobenius_norm(a * scale) == pytest.approx(scale * frobenius_norm(a), rel=1e-14)
+    assert frobenius_norm(Mat.zeros(REAL, 2, 2)) == 0.0
 
 
 def test_matrix_json_round_trip(tmp_path):

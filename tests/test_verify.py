@@ -127,6 +127,11 @@ class TestTaskSpec:
         task = TaskSpec(theorem_id="UHLIG_SVD", beta=1, m=3, n=2, q=5)
         assert task.q == 0
 
+    def test_negative_seed_rejected(self):
+        # SeedSequence takes only nonnegative entries
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            TaskSpec(theorem_id="SD", beta=1, m=2, q=1, engine="MC_RATIO", seed=-1)
+
     def test_to_dict_roundtrip_fields(self):
         task = TaskSpec(theorem_id="W", beta=2, m=3, n=3, q=2, seed=5)
         doc = task.to_dict()
@@ -366,6 +371,26 @@ class TestChartClosedForms:
         assert all(set(r) >= {"analytic_log", "numeric_log", "abs_err", "tol"}
                    for r in rep.records)
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("theorem,sizes", [
+        ("UHLIG_QR", dict(m=3, n=2)), ("CONGRUENCE_NS", dict(m=3)),
+    ])
+    def test_congruence_charts_at_extreme_scale(self, theorem, sizes, beta):
+        """The factor is taken from log-determinants and the pivots and
+        norms are scaled, so a box near 1e200 neither overflows nor warns."""
+        boxes = [(1e200, 2e200)]
+        if theorem == "CONGRUENCE_NS":
+            # UHLIG_QR at 1e-200 still meets the absolute finite-difference step
+            boxes.append((1e-200, 2e-200))
+        for box in boxes:
+            task = TaskSpec(theorem_id=theorem, beta=beta, points=2, seed=42,
+                            eigen_box=box, **sizes)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = run_task(task)
+            assert rep.passed, box
+            json.dumps(rep.to_dict(), allow_nan=False)
+
 
 class TestDiscrepancyDemo:
     def test_pinned_rectangular_case(self):
@@ -590,6 +615,12 @@ class TestReportShape:
         assert doc["task"]["theorem_id"] == "CONGRUENCE_NS"
         assert doc["pass"] is True
         assert isinstance(doc["version"], str) and doc["version"]
+
+    def test_json_rejects_non_finite_fields(self):
+        task = TaskSpec(theorem_id="CONGRUENCE_NS", beta=1, m=2, points=1, seed=41)
+        rep = dataclasses.replace(run_task(task), records=({"abs_err": math.nan},))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            rep.to_json()
 
     def test_pass_flag_consistent_with_records(self):
         task = TaskSpec(theorem_id="MP_HERM", beta=1, m=2, q=1, points=3, seed=42)
@@ -908,3 +939,63 @@ def test_every_engine_reads_its_theorems_own_factor(monkeypatch, theorem, engine
     )
     run_task(task)
     assert theorem in called
+
+
+# ---------------------------------------------------------------------------
+# the MC_RATIO surface side completes and weighs only its live rows
+
+
+@pytest.mark.parametrize("theorem,sizes", [
+    ("SD", dict(m=3, q=1)),  # a leading-block test
+    ("QR", dict(n=3, m=2, q=2)),  # a full-rank chart: every row live
+])
+def test_surface_side_completes_and_weighs_only_live_rows(monkeypatch, theorem, sizes):
+    task = TaskSpec(theorem_id=theorem, beta=2, engine="MC_RATIO", trials=10_000,
+                    seed=3, **sizes)
+    surface = verify._problem(task)[0]
+    seen = {"complete": [], "hausdorff": []}
+    passes_floor = verify._passes_floor
+    complete = ChartSpec.complete_batch
+    hausdorff = verify.hausdorff_density_log_batch
+
+    def spy_passes_floor(spec, coords, floor):
+        seen["coords"], seen["live"] = coords, passes_floor(spec, coords, floor)
+        return seen["live"]
+
+    def spy_complete(self, coords):
+        seen["complete"].append(coords.copy())
+        return complete(self, coords)
+
+    def spy_hausdorff(spec, coords):
+        seen["hausdorff"].append(coords.copy())
+        return hausdorff(spec, coords)
+
+    monkeypatch.setattr(verify, "_passes_floor", spy_passes_floor)
+    monkeypatch.setattr(ChartSpec, "complete_batch", spy_complete)
+    monkeypatch.setattr(verify, "hausdorff_density_log_batch", spy_hausdorff)
+    data, logw = surface(np.random.default_rng(5), 2048)
+    live = seen["live"]
+    if theorem == "QR":
+        assert live.all()
+    else:
+        assert 0 < live.sum() < live.size
+    for name in ("complete", "hausdorff"):
+        (rows,) = seen[name]
+        np.testing.assert_array_equal(rows, seen["coords"][live])
+    assert np.isneginf(logw[~live]).all() and not data[~live].any()
+    assert np.isfinite(logw[live]).any()
+
+
+def test_surface_side_with_no_live_row_completes_nothing(monkeypatch):
+    def never(*args):
+        raise AssertionError("a dead row was completed or weighed")
+
+    monkeypatch.setattr(ChartSpec, "complete_batch", never)
+    monkeypatch.setattr(verify, "hausdorff_density_log_batch", never)
+    spec = ChartSpec("psd", COMPLEX, (3, 1), (0, 1, 2))
+    box = np.array([[1.0, 2.0]] + [[-0.5, 0.5]] * (spec.coord_count() - 1))
+    # S11 lies in [1, 2], so no row reaches the floor 3
+    side = verify._surface_side(spec, box, lambda data: np.ones(len(data), bool), floor=3.0)
+    data, logw = side(np.random.default_rng(0), 64)
+    assert np.isneginf(logw).all()
+    assert data.shape == (64, 3, 3, 2) and not data.any()
