@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Time the algebra product linalg.mul_raw, in microseconds per call.
+
+    python3 scripts/bench_kernels.py [--beta 1 2 4] [--shape 3,2,3 ...]
+        [--rows 1 64 256 512 1024 4096] [--repeats 7] [--src DIR]
+
+For every beta, product shape n,m,p ((n, m) times (m, p)) and batch size,
+mul_raw multiplies two seeded standard normal batches of that many rows;
+rows 1 is a single matrix with no batch axis.  Each repeat times
+max(1, 256 // rows) calls, and the minimum over the repeats is printed, as
+one JSON document on stdout, with the machine it ran on.
+divalg is imported from --src, by default the `src/` of this checkout;
+pointing it at another checkout times that one instead.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the engines' hot shapes (n, m, p): outer products, inner products, scalings
+HOT_SHAPES = ((3, 2, 3), (2, 3, 2), (3, 3, 2), (2, 1, 2), (2, 2, 1), (1, 3, 1), (3, 1, 1))
+
+
+def _shape(text: str) -> tuple[int, int, int]:
+    dims = tuple(int(v) for v in text.split(","))
+    if len(dims) != 3 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"expected n,m,p with positive sizes, got {text!r}")
+    return dims
+
+
+def time_call(mul_raw, beta: int, shape: tuple[int, int, int], rows: int, repeats: int) -> float:
+    """Minimum over the repeats of the microseconds per mul_raw call."""
+    n, m, p = shape
+    lead = () if rows == 1 else (rows,)
+    rng = np.random.default_rng(rows * 100 + beta)
+    a = rng.normal(size=lead + (n, m, beta))
+    b = rng.normal(size=lead + (m, p, beta))
+    number = max(1, 256 // rows)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            mul_raw(a, b, beta)
+        best = min(best, (time.perf_counter() - start) / number)
+    return best * 1e6
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--beta", type=int, nargs="+", choices=(1, 2, 4), default=[1, 2, 4])
+    parser.add_argument("--shape", type=_shape, nargs="+", default=list(HOT_SHAPES))
+    parser.add_argument("--rows", type=int, nargs="+", default=[1, 64, 256, 512, 1024, 4096])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--src", type=Path, default=SRC)
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or min(args.rows) < 1:
+        parser.error("--repeats and --rows must be positive")
+    sys.path.insert(0, str(args.src))
+    from divalg.linalg import mul_raw
+
+    results = [
+        {"beta": beta, "shape": list(shape), "rows": rows,
+         "us": round(time_call(mul_raw, beta, shape, rows, args.repeats), 2)}
+        for beta in args.beta for shape in args.shape for rows in args.rows
+    ]
+    doc = {
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "repeats": args.repeats,
+        "results": results,
+    }
+    print(json.dumps(doc, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

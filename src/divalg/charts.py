@@ -408,7 +408,7 @@ def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.nda
         coords = spec.extract_batch(a.data[None])
         back = complete_rect_batch(coords, a.kind, *spec.sizes, *spec.pivots)
     err = frobenius_raw(back[0] - a.data)
-    if err > 1e-9 * max(1.0, frobenius_raw(a.data)):
+    if err > 1e-9 * frobenius_raw(a.data):
         raise RankError(
             f"matrix is not rank {q} in this {space} chart (completion error {err:.3e})"
         )

@@ -38,10 +38,31 @@ from .errors import (
 )
 
 # Raw kernels operate on plain coefficient arrays with arbitrary leading batch
-# axes; the Mat wrappers below delegate to them.  mul_raw keeps a Python loop
-# over the inner index k: the engines' products have k <= 4, and on
-# 4096-batches at beta=4 one broadcast over (n, k, p) summed over k took
-# 1.1-3x as long as the k broadcast (n, p) terms.
+# axes; the Mat wrappers below delegate to them.
+#
+# mul_raw has two loop orders for the one product rule, chosen by the batch
+# row count.  Below _ENTRY_ROWS rows it loops over the inner index k, each
+# term one broadcast over (n, p): cheap for a single matrix, but on a large
+# batch numpy's inner loop runs over only p elements per row.  From
+# _ENTRY_ROWS rows on, _mul_entries loops over the output entries (i, j) and
+# k, each step one ufunc on whole (rows,) planes, with no transposing copy.
+# Both sum the same terms in the same order, so they agree bit for bit.
+# Microseconds per call, k loop -> entry loop (scripts/bench_kernels.py,
+# minimum of 3 runs x 7 repeats, 2-core x86-64 with AVX-512, numpy 2.4.6):
+#
+#   (n, m, p)   beta=1: 512 rows  4096       beta=2: 512  4096       beta=4: 512  4096
+#   (3, 2, 3)       46->55     314->203       51->58     728->263      246->209   3420->1916
+#   (2, 3, 2)       52->36     322->106       51->43     323->163      227->144   1714->1369
+#   (3, 3, 2)       64->54     438->187       66->62     484->254      314->208   2523->1946
+#   (2, 1, 2)       16->12      98->26        18->16     103->44        78->55     478->245
+#   (2, 2, 1)       11->13      45->28        15->16      54->40        67->56     336->216
+#   (1, 3, 1)        9->10      18->21        12->13      27->29        59->42     183->139
+#   (3, 1, 1)        6->10      23->20         8->13      33->29        38->40     210->149
+#
+# At 512 rows the seven shapes sum to 425 -> 412 us at beta <= 2 and 1028 ->
+# 753 us at beta=4; at 256 rows to 264 -> 313 and 628 -> 548.  Octonions
+# (beta=8, Mat products only) keep the k loop.
+_ENTRY_ROWS = 512
 
 
 def mul_raw(a: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
@@ -50,15 +71,58 @@ def mul_raw(a: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
     Entry (i, j) is sum_k a_ik b_kj, each term one Cayley-Dickson product
     (algebra._cd_mul) on complex views of the coefficients; this needs no
     associativity, so it holds for octonions too.  Leading axes broadcast.
+    From _ENTRY_ROWS batch rows on (beta <= 4), _mul_entries gives the same
+    bits in the batch-inner loop order.
     """
     m = a.shape[-2]
     if b.shape[-3] != m:
         raise ShapeMismatchError(f"inner dimensions differ: {a.shape} @ {b.shape}")
     x, y = _cd_view(a, beta), _cd_view(b, beta)
+    if beta <= 4 and (
+        math.prod(a.shape[:-3]) >= _ENTRY_ROWS or math.prod(b.shape[:-3]) >= _ENTRY_ROWS
+    ):
+        return _mul_entries(x, y).view(np.float64)
     out = _cd_mul(x[..., :, 0, None, :], y[..., None, 0, :, :])
     for k in range(1, m):
         out += _cd_mul(x[..., :, k, None, :], y[..., None, k, :, :])
     return out.view(np.float64)
+
+
+def _mul_entries(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mul_raw on _cd_view arrays of beta <= 4, entry by entry.
+
+    Each step is one ufunc on whole (rows,) planes of the batch.  A term is
+    written into the scratch planes t, u and then added to its entry, so it
+    rounds as the broadcast term does; at beta=4, with x = (P, Q) and
+    y = (R, S), its halves are P R - conj(S) Q and S P + Q conj(R), the
+    right factor conjugated once.
+    """
+    n, m, h = x.shape[-3:]
+    p = y.shape[-2]
+    lead = x.shape[:-3]
+    if lead != y.shape[:-3]:
+        lead = np.broadcast_shapes(lead, y.shape[:-3])
+    out = np.empty(lead + (n, p, h), np.result_type(x, y))
+    t, u = np.empty(lead, out.dtype), np.empty(lead, out.dtype)
+    y_bar = y.conj() if h == 2 else y
+    for i in range(n):
+        for j in range(p):
+            for c in range(h):
+                acc = out[..., i, j, c]
+                for k in range(m):
+                    dst = acc if k == 0 else t
+                    if c == 0:
+                        np.multiply(x[..., i, k, 0], y[..., k, j, 0], out=dst)
+                        if h == 2:
+                            np.multiply(y_bar[..., k, j, 1], x[..., i, k, 1], out=u)
+                            np.subtract(dst, u, out=dst)
+                    else:
+                        np.multiply(y[..., k, j, 1], x[..., i, k, 0], out=dst)
+                        np.multiply(x[..., i, k, 1], y_bar[..., k, j, 0], out=u)
+                        np.add(dst, u, out=dst)
+                    if k:
+                        acc += t
+    return out
 
 
 def ct_raw(a: np.ndarray) -> np.ndarray:
@@ -489,10 +553,11 @@ def frobenius_norm(a: Mat) -> float:
 
 
 def is_hermitian(a: Mat, tol: float = 1e-10) -> bool:
+    """A = A* to within tol relative to the Frobenius norm of A, at any scale."""
     if a.rows != a.cols:
         return False
     diff = frobenius_raw(a.data - ct_raw(a.data))
-    return diff <= tol * max(1.0, frobenius_raw(a.data))
+    return diff <= tol * frobenius_raw(a.data)
 
 
 def save_matrix(a: Mat, path: str | Path) -> None:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -534,8 +535,9 @@ def _mc_estimate(
         return out
 
     tasks = list(enumerate(sizes))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_workers(jobs, len(tasks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(work, tasks))
     else:
         partials = [work(t) for t in tasks]
@@ -553,6 +555,13 @@ def _mc_estimate(
             "float range); narrow or rescale the eigenvalue box"
         )
     return means, stderrs
+
+
+def _pool_workers(jobs: int, blocks: int) -> int:
+    """Threads for a side's blocks: pool.map submits every block at once and
+    the pool starts a thread per submit while none is idle, so jobs is
+    capped by the CPU count and the block count."""
+    return min(jobs, os.cpu_count() or 1, blocks)
 
 
 def _reference_samples(side_fn, seed: int, task_code: int) -> np.ndarray:
@@ -1307,8 +1316,9 @@ THEOREMS: dict[str, Theorem] = {
 
 
 def run_task(task: TaskSpec, jobs: int = 1) -> Report:
-    """Run the task on its engine; jobs threads share the Monte-Carlo blocks
-    (the CHART engine and the demo run serially)."""
+    """Run the task on its engine; up to jobs threads, at most one per CPU
+    and per block, share the Monte-Carlo blocks (the CHART engine and the
+    demo run serially)."""
     if task.engine == "CHART":
         return run_chart_task(task)
     if task.engine == "MC_EQUALITY":

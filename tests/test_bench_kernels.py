@@ -1,0 +1,28 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernels.py"
+_spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+bench_kernels = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_kernels)
+
+
+def test_one_shape_at_one_repeat(capsys):
+    argv = ["--beta", "4", "--shape", "3,2,3", "--rows", "1", "64", "--repeats", "1"]
+    assert bench_kernels.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["repeats"] == 1 and set(doc["machine"]) == {"nproc", "python", "numpy"}
+    assert [(r["beta"], r["shape"], r["rows"]) for r in doc["results"]] == [
+        (4, [3, 2, 3], 1), (4, [3, 2, 3], 64)
+    ]
+    assert all(r["us"] > 0.0 for r in doc["results"])
+
+
+def test_bad_shape_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_kernels.main(["--shape", "3,2"])
+    assert exc.value.code == 2
+    assert "expected n,m,p" in capsys.readouterr().err

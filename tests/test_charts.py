@@ -219,6 +219,19 @@ class TestExtract:
         with pytest.raises(RankError):
             chart_at(a @ conj_transpose(a), 1, "psd", (0, 1, 2))
 
+    @pytest.mark.parametrize("scale", (1e-200, 1.0, 1e200))
+    def test_completion_check_is_relative(self, scale):
+        """The completion error is compared with the norm of the matrix, not
+        with 1: a rank-3 matrix is not rank 1 at any scale, a rank-1 one is."""
+        rng = np.random.default_rng(8)
+        a = rand_mat(REAL, 3, 3, rng) * scale
+        with pytest.raises(RankError):
+            chart_at(a, 1, "rect", ((0, 1, 2), (0, 1, 2)))
+        x = rand_rank_q(REAL, 3, 3, 1, rng)
+        spec, coords = chart_at(x, 1, "rect")
+        _, coords_s = chart_at(x * scale, 1, "rect", spec.pivots)
+        np.testing.assert_allclose(coords_s, coords * scale, rtol=1e-13, atol=0)
+
     def test_chart_at_checks_its_arguments(self):
         rng = np.random.default_rng(7)
         x = rand_rank_q(REAL, 3, 2, 1, rng)

@@ -39,8 +39,10 @@ from divalg.linalg import (
     sdet_log,
     svdvals_raw,
 )
+from divalg.linalg import _ENTRY_ROWS
 
 EMBED_KINDS = [REAL, COMPLEX, QUATERNION]
+EMBED_BETAS = (1, 2, 4)
 
 
 def rand_mat(kind, n, m, rng):
@@ -60,6 +62,12 @@ def _einsum_embed(a, beta):
     return blocks.reshape(a.shape[:-3] + (n * beta, m * beta))
 
 
+# batch sizes on both sides of mul_raw's switch to the entry loop
+ROWS = (_ENTRY_ROWS - 1, _ENTRY_ROWS, 4096)
+# the engines' hot shapes (n, m, p): outer products, inner products, scalings
+HOT_SHAPES = ((3, 2, 3), (2, 3, 2), (3, 3, 2), (2, 1, 2), (2, 2, 1), (1, 3, 1), (3, 1, 1))
+
+
 @pytest.mark.parametrize("beta", VALID_BETAS)
 @pytest.mark.parametrize(
     "a_shape,b_shape",
@@ -75,7 +83,9 @@ def _einsum_embed(a, beta):
         ((7, 3, 1), (7, 1, 1)),
         ((7, 2, 1), (7, 1, 2)),
         ((3, 3), (7, 3, 2)),
-    ],
+    ]
+    + [((rows, 3, 2), (rows, 2, 3)) for rows in ROWS]
+    + [((2, 3), (rows, 3, 1)) for rows in ROWS],
 )
 def test_mul_raw_matches_einsum_oracle(beta, a_shape, b_shape):
     rng = np.random.default_rng(beta)
@@ -87,11 +97,15 @@ def test_mul_raw_matches_einsum_oracle(beta, a_shape, b_shape):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("beta", VALID_BETAS)
-def test_mul_raw_non_contiguous_inputs(beta):
+@pytest.mark.parametrize(
+    "beta,rows",
+    [pytest.param(beta, 2, id=str(beta)) for beta in VALID_BETAS]
+    + [pytest.param(beta, rows, id=f"{rows}-{beta}") for rows in ROWS for beta in VALID_BETAS],
+)
+def test_mul_raw_non_contiguous_inputs(beta, rows):
     rng = np.random.default_rng(10 + beta)
-    a = np.swapaxes(rng.normal(size=(4, 3, 5, beta)), 1, 2)[::2]  # (2, 5, 3, beta)
-    b = rng.normal(size=(2, 3, 8, beta))[:, :, ::2]  # (2, 3, 4, beta)
+    a = np.swapaxes(rng.normal(size=(2 * rows, 3, 5, beta)), 1, 2)[::2]  # (rows, 5, 3, beta)
+    b = rng.normal(size=(rows, 3, 8, beta))[:, :, ::2]  # (rows, 3, 4, beta)
     assert not a.flags.c_contiguous and not b.flags.c_contiguous
     want = _einsum_mul(a, b, beta)
     np.testing.assert_allclose(
@@ -100,14 +114,77 @@ def test_mul_raw_non_contiguous_inputs(beta):
 
 
 @pytest.mark.parametrize("beta", (4, 8))
-@pytest.mark.parametrize("scale", (1e150, 1e-150))
-def test_mul_raw_keeps_relative_accuracy_at_extreme_scales(beta, scale):
+@pytest.mark.parametrize(
+    "scale,rows",
+    [pytest.param(scale, 5, id=str(scale)) for scale in (1e150, 1e-150)]
+    + [
+        pytest.param(scale, rows, id=f"{rows}-{scale}")
+        for rows in ROWS
+        for scale in (1e150, 1e-150)
+    ],
+)
+def test_mul_raw_keeps_relative_accuracy_at_extreme_scales(beta, scale, rows):
     rng = np.random.default_rng(40 + beta)
-    a = rng.normal(size=(5, 2, 3, beta)) * scale
-    b = rng.normal(size=(5, 3, 2, beta)) * scale
+    a = rng.normal(size=(rows, 2, 3, beta)) * scale
+    b = rng.normal(size=(rows, 3, 2, beta)) * scale
     want = _einsum_mul(a, b, beta)
     got = mul_raw(a, b, beta)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("beta", EMBED_BETAS)
+@pytest.mark.parametrize("shape", HOT_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("leads", ["both", "left-single", "right-one", "two-axes"])
+def test_mul_raw_large_batch_is_the_small_batch_product_bit_for_bit(beta, shape, leads):
+    """A 4096-row product equals, bit for bit, the concatenation of the same
+    product on chunks of fewer than _ENTRY_ROWS rows: the entry loop sums
+    the same Cayley-Dickson terms in the same order as the k loop."""
+    n, m, p = shape
+    rows, chunk = 4096, _ENTRY_ROWS - 1
+    a_lead, b_lead = {
+        "both": ((rows,), (rows,)),
+        "left-single": ((), (rows,)),  # an unbatched B* against a batch
+        "right-one": ((rows,), (1,)),
+        "two-axes": ((rows // 4, 1), (1, 4)),
+    }[leads]
+    rng = np.random.default_rng(beta * 100 + n * 9 + m * 3 + p)
+    a = rng.normal(size=a_lead + (n, m, beta))
+    b = rng.normal(size=b_lead + (m, p, beta))
+    got = mul_raw(a, b, beta)
+
+    def cut(x, i):  # rows i.. of a factor batched along the first axis
+        return x[i : i + chunk] if x.ndim > 3 and x.shape[0] > 1 else x
+
+    want = np.concatenate(
+        [mul_raw(cut(a, i), cut(b, i), beta) for i in range(0, got.shape[0], chunk)]
+    )
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("beta", VALID_BETAS)
+@pytest.mark.parametrize("rows", (1, 4096))
+def test_mul_raw_rejects_mismatched_inner_dimensions(beta, rows):
+    a = np.zeros((rows, 2, 3, beta))
+    with pytest.raises(ShapeMismatchError):
+        mul_raw(a, a, beta)
+
+
+def test_single_matrices_and_chart_points_keep_the_k_loop(monkeypatch):
+    """Mat products and a CHART point's map batches stay below _ENTRY_ROWS
+    rows, so they never take the entry loop."""
+    from divalg import linalg, verify
+
+    def refuse(*args):
+        raise AssertionError("a single matrix or CHART batch took the entry loop")
+
+    monkeypatch.setattr(linalg, "_mul_entries", refuse)
+    rng = np.random.default_rng(3)
+    for kind in (REAL, COMPLEX, QUATERNION, OCTONION):
+        a, b = rand_mat(kind, 3, 2, rng), rand_mat(kind, 2, 3, rng)
+        assert (a @ b).shape == (3, 3)
+    task = verify.TaskSpec(theorem_id="MP_RECT", beta=4, m=3, n=3, q=2, points=1, seed=5)
+    assert verify.run_task(task).passed
 
 
 @pytest.mark.parametrize("beta", VALID_BETAS)
@@ -123,8 +200,6 @@ def test_scalar_mul_is_the_matrix_kernel_on_one_by_one(beta):
 
 # ---------------------------------------------------------------------------
 # the complex form, pinned to the left-regular oracle _einsum_embed
-
-EMBED_BETAS = (1, 2, 4)
 
 
 @pytest.mark.parametrize("beta", EMBED_BETAS)
@@ -566,6 +641,12 @@ def test_is_hermitian():
     # the norms are scaled: at 1e200 they once compared inf <= inf
     assert is_hermitian(s * 1e200)
     assert not is_hermitian(a * 1e200)
+    # and relative to the norm below scale 1, where an absolute floor of 1
+    # once passed anything
+    assert is_hermitian(s * 1e-200)
+    assert not is_hermitian(a * 1e-200)
+    assert not is_hermitian(Mat(REAL, [[[1.0], [2.0]], [[0.0], [1.0]]]) * 1e-200)
+    assert is_hermitian(Mat.zeros(QUATERNION, 2, 2))
 
 
 def test_frobenius_norm_is_scale_safe():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 import warnings
 from functools import partial
 
@@ -246,6 +247,47 @@ class TestTestFunctions:
             got = verify._mc_estimate(partial(side_fn, fill=np.nan), 0.2, fns, trials, 1, 2, 3, 1)
         want = verify._mc_estimate(partial(side_fn, fill=0.0), 0.2, fns, trials, 1, 2, 3, 1)
         assert np.all(np.isfinite(got[0])) and np.all(got[1] > 0.0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_pool_workers_is_capped_by_cpus_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        assert verify._pool_workers(10**6, 13) == 4
+        assert verify._pool_workers(10**6, 2) == 2
+        assert verify._pool_workers(3, 13) == 3
+        assert verify._pool_workers(1, 13) == 1
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert verify._pool_workers(8, 13) == 1
+
+    def test_mc_estimate_starts_no_thread_per_job(self, monkeypatch):
+        """A huge jobs value asks the pool for at most one worker per CPU
+        and per block, and the estimate equals the serial one."""
+        fns = make_test_functions(5, 3, np.random.default_rng(7).normal(size=(8, 2, 2, 1)))
+
+        def side_fn(rng, count):
+            return rng.normal(size=(count, 2, 2, 1)), rng.normal(size=count)
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        threads = threading.active_count()
+        trials = 3 * verify.BLOCK_SIZE + 10
+        got = verify._mc_estimate(side_fn, 0.1, fns, trials, 1, 2, 3, 10**6)
+        assert asked == [2] and threading.active_count() == threads
+        want = verify._mc_estimate(side_fn, 0.1, fns, trials, 1, 2, 3, 1)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_validation(self):
