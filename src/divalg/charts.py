@@ -13,11 +13,15 @@ samplers for the factorized measures (spectrum box x uniform Stiefel frames).
 
 A chart is a ChartSpec, which validates its sizes and pivots; a chart point
 is a (spec, coords) pair, and chart_at gives the chart at one matrix.
-Everything is written batch-first on raw coefficient arrays.  The block
-inverses of completion (S11^{-1}, X11^{-1}) and their positivity and
-conditioning checks run on the small-block kernels of linalg: closed forms
-for q = 1 (and q = 2 for S11), LAPACK on the blocks' complex form
-(linalg.complex_raw) otherwise.
+Everything is written batch-first on raw coefficient arrays.  psd and rect
+charts share one kernel: one helper unpacks the pivoted leading blocks
+(A11, A12, A21; A21 = A12* for psd), which completion, the leading block,
+chart_at and the Hausdorff density all read, and one completion body fills
+A22 = (A21 A11^{-1}) A12.  The block inverses (S11^{-1}, X11^{-1}) and their
+positivity and conditioning checks run on the small-block kernels of
+linalg: closed forms for q = 1 (and q = 2 for S11), LAPACK on the blocks'
+complex form (linalg.complex_raw) otherwise.  choose_pivot runs one
+elimination loop for both spaces.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ from .errors import (
 from .decomp import gram_schmidt_batch
 from .linalg import (
     Mat,
+    _abs_raw,
     _require_assoc,
     ct_raw,
     eigvalsh_raw,
@@ -140,47 +145,41 @@ def _inv_general_block(x11: np.ndarray, beta: int) -> np.ndarray:
     return inv_raw(x11, beta)
 
 
-def complete_psd_batch(
-    coords: np.ndarray, kind: AlgebraKind, m: int, q: int, pivot
-) -> np.ndarray:
-    """(B, k) chart coordinates -> (B, m, m, beta) full PSD matrices."""
-    beta = kind.beta
-    s11, s12 = _psd_unpack(coords, kind, m, q)
-    b = coords.shape[0]
-    if m == q:
-        sp = s11
-    else:
-        s11_inv = _inv_hermitian_block(s11, beta)
-        s21 = ct_raw(s12)
-        s22 = mul_raw(mul_raw(s21, s11_inv, beta), s12, beta)
-        s22 = (s22 + ct_raw(s22)) / 2.0
-        sp = np.empty((b, m, m, beta))
-        sp[:, :q, :q] = s11
-        sp[:, :q, q:] = s12
-        sp[:, q:, :q] = s21
-        sp[:, q:, q:] = s22
-    pv = np.asarray(pivot, dtype=int)
-    out = np.empty_like(sp)
-    out[:, pv[:, None], pv[None, :], :] = sp
-    return out
+def _blocks(spec: ChartSpec, coords: np.ndarray):
+    """(A11, A12, A21) pivoted leading blocks of (B, k) coordinates of a psd
+    chart (S11, S12 and S12*) or a rect chart (X11, X12, X21)."""
+    if spec.space == "psd":
+        s11, s12 = _psd_unpack(coords, spec.kind, *spec.sizes)
+        return s11, s12, ct_raw(s12)
+    if spec.space == "rect":
+        return _rect_unpack(coords, spec.kind, *spec.sizes)
+    raise RegistryError("a tri chart has no pivoted leading block")
 
 
-def complete_rect_batch(
-    coords: np.ndarray, kind: AlgebraKind, n: int, m: int, q: int, row_pivot, col_pivot
-) -> np.ndarray:
-    """(B, k) chart coordinates -> (B, n, m, beta) full rank-q matrices."""
-    beta = kind.beta
-    x11, x12, x21 = _rect_unpack(coords, kind, n, m, q)
-    b = coords.shape[0]
-    xp = np.empty((b, n, m, beta))
-    xp[:, :q, :q] = x11
-    xp[:, :q, q:] = x12
-    xp[:, q:, :q] = x21
-    if n > q and m > q:
-        x11_inv = _inv_general_block(x11, beta)
-        xp[:, q:, q:] = mul_raw(mul_raw(x21, x11_inv, beta), x12, beta)
-    rp = np.asarray(row_pivot, dtype=int)
-    cp = np.asarray(col_pivot, dtype=int)
+def _inv_leading(spec: ChartSpec, a11: np.ndarray) -> np.ndarray:
+    if spec.space == "psd":
+        return _inv_hermitian_block(a11, spec.kind.beta)
+    return _inv_general_block(a11, spec.kind.beta)
+
+
+def _complete(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
+    """(B, k) coordinates of a psd or rect chart -> (B, rows, cols, beta)
+    matrices: the leading blocks, A22 = (A21 A11^{-1}) A12 (symmetrized for
+    psd), then the pivots undone."""
+    beta, q = spec.kind.beta, spec.sizes[-1]
+    rows, cols = spec.shape
+    a11, a12, a21 = _blocks(spec, coords)
+    xp = np.empty((coords.shape[0], rows, cols, beta))
+    xp[:, :q, :q] = a11
+    xp[:, :q, q:] = a12
+    xp[:, q:, :q] = a21
+    if rows > q and cols > q:
+        a22 = mul_raw(mul_raw(a21, _inv_leading(spec, a11), beta), a12, beta)
+        if spec.space == "psd":
+            a22 = (a22 + ct_raw(a22)) / 2.0
+        xp[:, q:, q:] = a22
+    rp, cp = spec.pivots if spec.space == "rect" else (spec.pivots,) * 2
+    rp, cp = np.asarray(rp, dtype=int), np.asarray(cp, dtype=int)
     out = np.empty_like(xp)
     out[:, rp[:, None], cp[None, :], :] = xp
     return out
@@ -278,14 +277,9 @@ class ChartSpec:
 
     def complete_batch(self, coords: np.ndarray) -> np.ndarray:
         """(B, k) chart coordinates -> (B, rows, cols, beta) matrices."""
-        if self.space == "psd":
-            m, q = self.sizes
-            return complete_psd_batch(coords, self.kind, m, q, self.pivots)
-        if self.space == "rect":
-            n, m, q = self.sizes
-            rp, cp = self.pivots
-            return complete_rect_batch(coords, self.kind, n, m, q, rp, cp)
-        return _tri_unpack(coords, self.kind, *self.sizes)
+        if self.space == "tri":
+            return _tri_unpack(coords, self.kind, *self.sizes)
+        return _complete(self, coords)
 
     def extract_batch(self, data: np.ndarray) -> np.ndarray:
         """(B, rows, cols, beta) matrices -> (B, k) chart coordinates: the
@@ -306,11 +300,7 @@ class ChartSpec:
     def leading_block(self, coords: np.ndarray) -> np.ndarray:
         """(B, k) chart coordinates -> (B, q, q, beta) pivoted leading blocks,
         the blocks completion inverts: S11 (psd, Hermitian) or X11 (rect)."""
-        if self.space == "psd":
-            return _psd_unpack(coords, self.kind, *self.sizes)[0]
-        if self.space == "rect":
-            return _rect_unpack(coords, self.kind, *self.sizes)[0]
-        raise RegistryError("a tri chart has no pivoted leading block")
+        return _blocks(self, coords)[0]
 
 
 def _entry_inv(p: np.ndarray) -> np.ndarray:
@@ -327,66 +317,46 @@ def _entry_inv(p: np.ndarray) -> np.ndarray:
 def choose_pivot(a: Mat, q: int, chart: str = "rect"):
     """Greedy max-magnitude pivoting on successive Schur complements.
 
-    chart='rect' returns (row_pivot, col_pivot) from complete pivoting;
-    chart='psd' returns a single symmetric permutation from diagonal pivoting.
-    Deterministic: ties break at the lowest flat index.
+    chart='rect' returns (row_pivot, col_pivot) from complete pivoting on the
+    entries' magnitudes; chart='psd' returns a single symmetric permutation
+    from pivoting on the real diagonal.  Deterministic: ties break at the
+    lowest flat index.
     """
     _require_assoc(a.kind.beta, "choose_pivot")
-    beta = a.kind.beta
-    if chart == "rect":
-        n, m = a.rows, a.cols
-        if not 1 <= q <= min(n, m):
-            raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-        work = a.data.copy()
-        rows: list[int] = []
-        cols: list[int] = []
-        initial = None
-        for _ in range(q):
-            norms = np.linalg.norm(work, axis=2)
-            norms[rows, :] = -1.0
-            norms[:, cols] = -1.0
-            i, j = np.unravel_index(int(np.argmax(norms)), norms.shape)
-            best = norms[i, j]
-            if initial is None:
-                initial = best
-            if best <= PIVOT_TOL * max(initial, 1e-300):
-                raise RankError(f"matrix rank is below q={q} (pivot {best:.3e})")
-            piv_inv = _entry_inv(work[i, j])
-            colv = mul_raw(
-                work[:, j].reshape(n, 1, beta), piv_inv.reshape(1, 1, beta), beta
-            )
-            work = work - mul_raw(colv, work[i].reshape(1, m, beta), beta)
-            rows.append(int(i))
-            cols.append(int(j))
-        row_pivot = tuple(rows + [i for i in range(n) if i not in rows])
-        col_pivot = tuple(cols + [j for j in range(m) if j not in cols])
-        return row_pivot, col_pivot
+    if chart not in ("rect", "psd"):
+        raise RegistryError(f"unknown chart {chart!r}; expected 'rect' or 'psd'")
+    beta, n, m = a.kind.beta, a.rows, a.cols
+    if chart == "psd" and n != m:
+        raise ShapeMismatchError("psd pivoting requires a square matrix")
+    if not 1 <= q <= min(n, m):
+        raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
+    work = a.data.copy()
+    rows: list[int] = []
+    cols: list[int] = []
+    initial = None
+    for _ in range(q):
+        if chart == "rect":
+            score = _abs_raw(work)
+        else:
+            score = np.where(np.eye(m, dtype=bool), work[..., 0], -np.inf)
+        score[rows, :] = -np.inf
+        score[:, cols] = -np.inf
+        i, j = np.unravel_index(int(np.argmax(score)), score.shape)
+        best = score[i, j]
+        if initial is None:
+            initial = best
+        if not best > PIVOT_TOL * max(initial, 1e-300):
+            what = "matrix rank" if chart == "rect" else "PSD rank"
+            raise RankError(f"{what} is below q={q} (pivot {best:.3e})")
+        piv_inv = _entry_inv(work[i, j])
+        colv = mul_raw(work[:, j].reshape(n, 1, beta), piv_inv.reshape(1, 1, beta), beta)
+        work = work - mul_raw(colv, work[i].reshape(1, m, beta), beta)
+        rows.append(int(i))
+        cols.append(int(j))
+    row_pivot = tuple(rows + [i for i in range(n) if i not in rows])
     if chart == "psd":
-        m = a.rows
-        if a.rows != a.cols:
-            raise ShapeMismatchError("psd pivoting requires a square matrix")
-        if not 1 <= q <= m:
-            raise RankError(f"q must lie in [1, {m}], got {q}")
-        work = a.data.copy()
-        sel: list[int] = []
-        initial = None
-        for _ in range(q):
-            diag = work[np.arange(m), np.arange(m), 0].copy()
-            diag[sel] = -np.inf
-            i = int(np.argmax(diag))
-            best = diag[i]
-            if initial is None:
-                initial = best
-            if not best > PIVOT_TOL * max(initial, 1e-300):
-                raise RankError(f"PSD rank is below q={q} (pivot {best:.3e})")
-            piv_inv = _entry_inv(work[i, i])
-            colv = mul_raw(
-                work[:, i].reshape(m, 1, beta), piv_inv.reshape(1, 1, beta), beta
-            )
-            work = work - mul_raw(colv, work[i].reshape(1, m, beta), beta)
-            sel.append(i)
-        return tuple(sel + [i for i in range(m) if i not in sel])
-    raise RegistryError(f"unknown chart {chart!r}; expected 'rect' or 'psd'")
+        return row_pivot
+    return row_pivot, tuple(cols + [j for j in range(m) if j not in cols])
 
 
 def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.ndarray]:
@@ -397,17 +367,12 @@ def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.nda
         raise RegistryError(f"unknown chart {space!r}; expected 'rect' or 'psd'")
     if pivots is None:
         pivots = choose_pivot(a, q, chart=space)
-    if space == "psd":
-        if a.rows != a.cols:
-            raise ShapeMismatchError("a psd chart needs a square matrix")
-        spec = ChartSpec(space, a.kind, (a.rows, q), pivots)
-        coords = spec.extract_batch(a.data[None])
-        back = complete_psd_batch(coords, a.kind, a.rows, q, spec.pivots)
-    else:
-        spec = ChartSpec(space, a.kind, (a.rows, a.cols, q), pivots)
-        coords = spec.extract_batch(a.data[None])
-        back = complete_rect_batch(coords, a.kind, *spec.sizes, *spec.pivots)
-    err = frobenius_raw(back[0] - a.data)
+    if space == "psd" and a.rows != a.cols:
+        raise ShapeMismatchError("a psd chart needs a square matrix")
+    sizes = (a.rows, q) if space == "psd" else (a.rows, a.cols, q)
+    spec = ChartSpec(space, a.kind, sizes, pivots)
+    coords = spec.extract_batch(a.data[None])
+    err = frobenius_raw(_complete(spec, coords)[0] - a.data)
     if err > 1e-9 * frobenius_raw(a.data):
         raise RankError(
             f"matrix is not rank {q} in this {space} chart (completion error {err:.3e})"
@@ -437,31 +402,21 @@ def hausdorff_density_log_batch(spec: ChartSpec, coords: np.ndarray) -> np.ndarr
     b, k = coords.shape
     if k != spec.coord_count():
         raise ShapeMismatchError(f"expected {spec.coord_count()} coordinates, got {k}")
-    kind, beta = spec.kind, spec.kind.beta
-    if spec.space == "psd":
-        m, q = spec.sizes
-        once, p = q, (m - q) ** 2 * beta
-    elif spec.space == "rect":
-        n, m, q = spec.sizes
-        once, p = k, (n - q) * (m - q) * beta
-    else:  # tri: the coordinates are the matrix entries
+    beta = spec.kind.beta
+    if spec.space == "tri":  # the coordinates are the matrix entries
         once, p = k, 0
+    else:
+        q, (rows, cols) = spec.sizes[-1], spec.shape
+        once, p = (q if spec.space == "psd" else k), (rows - q) * (cols - q) * beta
     base = 0.5 * (k - once) * LOG2
     if p == 0:
         return np.full(b, base)
     unit = np.eye(k)
-    if spec.space == "psd":
-        s11, s12 = _psd_unpack(coords, kind, m, q)
-        right = mul_raw(_inv_hermitian_block(s11, beta), s12, beta)
-        left = ct_raw(right)
-        d11, d12 = _psd_unpack(unit, kind, m, q)
-        d21 = ct_raw(d12)
-    else:
-        x11, x12, x21 = _rect_unpack(coords, kind, n, m, q)
-        x11_inv = _inv_general_block(x11, beta)
-        right = mul_raw(x11_inv, x12, beta)
-        left = mul_raw(x21, x11_inv, beta)
-        d11, d12, d21 = _rect_unpack(unit, kind, n, m, q)
+    a11, a12, a21 = _blocks(spec, coords)
+    a11_inv = _inv_leading(spec, a11)
+    right = mul_raw(a11_inv, a12, beta)
+    left = ct_raw(right) if spec.space == "psd" else mul_raw(a21, a11_inv, beta)
+    d11, d12, d21 = _blocks(spec, unit)
     right, left = right[:, None], left[:, None]
     d22 = mul_raw(d21 - mul_raw(left, d11, beta), right, beta) + mul_raw(left, d12, beta)
     jt = d22.reshape(b, k, p)

@@ -254,10 +254,16 @@ def _assert_orthonormal(u: np.ndarray, tol: float = 1e-9) -> None:
 
 
 def _assert_residual(x: np.ndarray, y: np.ndarray, label: str, tol: float = 1e-8) -> None:
-    """Relative Frobenius residual ||x - y|| / ||x|| of each member of a batch."""
+    """Relative Frobenius residual ||x - y|| / ||x|| of each member of a batch.
+    Both are divided by x's largest absolute coefficient first, so members
+    near 1e+-200 neither overflow (inf / inf is NaN, which passes any test)
+    nor underflow to a residual of 0."""
     flat_x = x.reshape(x.shape[0], -1)
+    top = np.abs(flat_x).max(axis=1, keepdims=True)
+    top = np.where(top > 0.0, top, 1.0)
+    flat_x, flat_y = flat_x / top, y.reshape(flat_x.shape) / top
     scale = np.maximum(1e-300, np.linalg.norm(flat_x, axis=1))
-    err = float((np.linalg.norm(flat_x - y.reshape(flat_x.shape), axis=1) / scale).max())
+    err = float((np.linalg.norm(flat_x - flat_y, axis=1) / scale).max())
     if err > tol:
         raise InternalConsistencyError(f"{label} residual {err:.3e} exceeds {tol:.0e}")
 

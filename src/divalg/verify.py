@@ -61,7 +61,6 @@ from .charts import (
     assemble_sd_batch,
     assemble_svd_batch,
     chart_at,
-    choose_pivot,
     factorized_draw,
     factorized_mass_log,
     hausdorff_density_log_batch,
@@ -69,7 +68,6 @@ from .charts import (
 )
 from .decomp import (
     cholesky_batch,
-    cholesky_rank_q,
     eig_hermitian,
     gram_schmidt_batch,
     pinv_batch,
@@ -646,30 +644,40 @@ def _chol_chart(task: TaskSpec):
     return sample
 
 
+def _congruence_point(b: Mat, y: Mat, rank: int):
+    """The CHART point of the congruence Y -> B*YB at the rank-`rank` matrix
+    y: ((in_spec, coords), map, out_spec, x, dets), with x = B*YB, the psd
+    charts at y and at x, and dets the log-determinants det_l1l1 and
+    det_t1t1 of their leading blocks (T1*T1 = S11 for the Cholesky factor T
+    of the pivoted matrix)."""
+    beta = y.kind.beta
+    congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
+    in_spec, coords = chart_at(y, rank, "psd")
+    x = Mat(y.kind, congruence(y.data[None])[0])
+    out_spec, out_coords = chart_at(x, rank, "psd")
+    dets = {
+        name: float(logdet_hermitian_raw(spec.leading_block(c[None]), beta)[0])
+        for name, spec, c in (("det_t1t1", out_spec, out_coords), ("det_l1l1", in_spec, coords))
+    }
+    return (in_spec, coords), congruence, out_spec, x, dets
+
+
 def _congruence_chart(task: TaskSpec):
     """UHLIG_QR (a rank-n congruence) and CONGRUENCE_NS (rank m)."""
     kind, beta, m = task.kind, task.beta, task.m
     b = _draw_b(task)
     rank = task.n if task.theorem_id == "UHLIG_QR" else m
-    congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
-
     factor, det_b = FACTORS[task.theorem_id], sdet_log(b)
 
     def sample(rng):
         lam, (w1,) = factorized_draw(rng, task.eigen_box, rank, (m,), kind, 1)
         y = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
-        in_spec, coords = chart_at(y, rank, "psd")
-        x = Mat(kind, congruence(y.data[None])[0])
-        out_pivot = choose_pivot(x, rank, chart="psd")
-        out_spec = ChartSpec("psd", kind, (m, rank), out_pivot)
-        dets = {"det_b": det_b}
-        if task.theorem_id == "UHLIG_QR":
-            dets["det_t1t1"] = _pivoted_chol_logdet(x, rank, out_pivot)
-            dets["det_l1l1"] = _pivoted_chol_logdet(y, rank, in_spec.pivots)
+        point, congruence, out_spec, _, dets = _congruence_point(b, y, rank)
+        dets["det_b"] = det_b
         # log-determinants throughout: the determinants of a box near 1e+-200
         # leave the float range
-        analytic = float(factor.log(beta, m, task.n, 0, **dets))
-        return (in_spec, coords), congruence, out_spec, analytic, _spectrum_gap(lam[0])
+        analytic = float(factor.log(beta, m, task.n, 0, **{d: dets[d] for d in factor.dets}))
+        return point, congruence, out_spec, analytic, _spectrum_gap(lam[0])
     return sample
 
 
@@ -686,13 +694,6 @@ def _gap_margin(gap_at: float, gap: float) -> float | None:
     if math.isinf(gap_at) or gap == 0.0:
         return None
     return float(gap_at / gap)
-
-
-def _pivoted_chol_logdet(s: Mat, rank: int, pivot) -> float:
-    """log sdet(T1* T1) for the Cholesky factor of the pivoted matrix."""
-    pv = np.asarray(pivot, dtype=int)
-    t = cholesky_rank_q(Mat(s.kind, s.data[np.ix_(pv, pv)]), rank)
-    return 2.0 * sdet_log(Mat(s.kind, t.data[:, :rank, :]))
 
 
 def run_chart_task(task: TaskSpec) -> Report:
@@ -1250,21 +1251,15 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
         raise RegistryError(
             "the discrepancy demo runs the UHLIG_SVD theorem with engine DEMO"
         )
-    kind, beta = task.kind, task.beta
-    m, n = task.m, task.n
+    beta, m, n = task.beta, task.m, task.n
     b, y, lam = _problem(task)
-    congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
-    x = Mat(kind, congruence(y.data[None])[0])
-    in_spec, coords = chart_at(y, n, "psd")
-    out_pivot = choose_pivot(x, n, chart="psd")
-    out_spec = ChartSpec("psd", kind, (m, n), out_pivot)
+    (in_spec, coords), congruence, out_spec, x, dets = _congruence_point(b, y, n)
     chart_log = chart_jacobian_logdet(congruence, in_spec, coords, out_spec, task.step)
     x_eig = eig_hermitian(x, n)
     gbh = conj_transpose(x_eig.w1) @ conj_transpose(b) @ eig_hermitian(y, n).w1
     fi = FactorInput(
         beta=beta, m=m, n=n, lam=tuple(lam), delta=tuple(x_eig.lam), det_b=sdet(b),
-        det_t1t1=math.exp(_pivoted_chol_logdet(x, n, out_pivot)),
-        det_l1l1=math.exp(_pivoted_chol_logdet(y, n, in_spec.pivots)),
+        det_t1t1=math.exp(dets["det_t1t1"]), det_l1l1=math.exp(dets["det_l1l1"]),
         det_gbh=sdet(gbh),
     )
     svd_log = factor_log("UHLIG_SVD", fi)

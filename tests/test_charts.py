@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,8 +258,26 @@ class TestChoosePivot:
 
     def test_rank_deficit_detected(self):
         a = Mat.from_real(REAL, np.array([[1.0, 2.0], [2.0, 4.0]]))
-        with pytest.raises(RankError):
+        with pytest.raises(RankError, match="matrix rank is below q=2"):
             choose_pivot(a, 2, chart="rect")
+        with pytest.raises(RankError, match="PSD rank is below q=2"):
+            choose_pivot(a, 2, chart="psd")
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
+    def test_pivots_are_scale_invariant(self, kind):
+        """Rect scores are magnitudes scaled by the largest coefficient, so
+        entries near 1e+-200 neither overflow nor underflow to a zero pivot."""
+        rng = np.random.default_rng(30 + kind.beta)
+        x = rand_mat(kind, 4, 3, rng)
+        s = rand_mat(kind, 4, 4, rng)
+        s = s @ conj_transpose(s)
+        expected = choose_pivot(x, 3, chart="rect"), choose_pivot(s, 3, chart="psd")
+        for scale in (1e200, 1e-200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = (choose_pivot(x * scale, 3, chart="rect"),
+                       choose_pivot(s * scale, 3, chart="psd"))
+            assert got == expected, scale
 
     def test_psd_diagonal_pivot(self):
         a = Mat.from_real(REAL, np.array([[1.0, 0.0], [0.0, 5.0]]))

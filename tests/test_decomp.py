@@ -3,6 +3,7 @@ import pytest
 
 from divalg import COMPLEX, QUATERNION, REAL
 from divalg.decomp import (
+    _assert_residual,
     cholesky_rank_q,
     eig_hermitian,
     pinv,
@@ -12,6 +13,7 @@ from divalg.decomp import (
 )
 from divalg.errors import (
     DegenerateSpectrumError,
+    InternalConsistencyError,
     NotPsdError,
     PivotRequiredError,
     RankError,
@@ -359,3 +361,13 @@ def test_round_trip_grid():
             parts = svd_rank_q(x, q)
             residual = frobenius_norm(x - assemble_svd(parts.v1, parts.d, parts.w1))
             assert residual <= 1e-8 * frobenius_norm(x)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_residual_check_fails_at_any_scale(scale):
+    """A 50% residual is caught near 1e+-200 too, where the plain norms
+    overflow to NaN or underflow to 0."""
+    x = np.random.default_rng(31).normal(size=(2, 3, 2)) * scale
+    with pytest.raises(InternalConsistencyError, match="SVD residual"):
+        _assert_residual(x, 1.5 * x, "SVD")
+    _assert_residual(x, x, "SVD")

@@ -10,7 +10,12 @@ import pytest
 
 from divalg import COMPLEX, QUATERNION, REAL, verify
 from divalg.algebra import structure_tensor
-from divalg.charts import assemble_sd_batch, chart_at, sample_stiefel_batch
+from divalg.charts import (
+    assemble_sd_batch,
+    chart_at,
+    factorized_draw,
+    sample_stiefel_batch,
+)
 from divalg.decomp import (
     cholesky_rank_q,
     eig_hermitian,
@@ -432,6 +437,25 @@ class TestChartClosedForms:
                 rep = run_task(task)
             assert rep.passed, box
             json.dumps(rep.to_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 2)])
+    def test_leading_block_logdets_match_pivoted_cholesky(self, beta, m, n):
+        """det_t1t1 and det_l1l1 of a congruence point are the log-determinants
+        of the charts' leading blocks S11 = T1*T1: 2 sdet_log(T1) for the
+        rank-n Cholesky factor T of the pivoted matrix."""
+        task = TaskSpec(theorem_id="UHLIG_QR", beta=beta, m=m, n=n, points=3, seed=9)
+        b = verify._draw_b(task)
+        for i in range(task.points):
+            rng = verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
+            lam, (w1,) = factorized_draw(rng, task.eigen_box, n, (m,), task.kind, 1)
+            y = Mat(task.kind, assemble_sd_batch(w1, lam, beta)[0])
+            (in_spec, _), _, out_spec, x, dets = verify._congruence_point(b, y, n)
+            for name, spec, s in (("det_t1t1", out_spec, x), ("det_l1l1", in_spec, y)):
+                pv = np.asarray(spec.pivots)
+                t = cholesky_rank_q(Mat(s.kind, s.data[np.ix_(pv, pv)]), n)
+                expected = 2.0 * sdet_log(Mat(s.kind, t.data[:, :n]))
+                assert dets[name] == pytest.approx(expected, rel=1e-12), (name, i)
 
 
 class TestDiscrepancyDemo:
