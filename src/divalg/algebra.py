@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import AlgebraMismatchError, ScalarDivisionError
+from .errors import AlgebraMismatchError, ConfigurationError, ScalarDivisionError
 
 VALID_BETAS = (1, 2, 4, 8)
 
@@ -55,6 +55,9 @@ class AlgebraKind:
 
     @staticmethod
     def from_beta(beta: int) -> "AlgebraKind":
+        """The kind of beta; ConfigurationError when beta is not 1, 2, 4 or 8."""
+        if beta not in _KINDS:
+            raise ConfigurationError(f"beta must be one of {VALID_BETAS}, got {beta}")
         return _KINDS[beta]
 
 

@@ -13,8 +13,12 @@ samplers for the factorized measures (spectrum box x uniform Stiefel frames).
 
 A chart is a ChartSpec, which validates its sizes and pivots; a chart point
 is a (spec, coords) pair, and chart_at gives the chart at one matrix.
-Everything is written batch-first on raw coefficient arrays.  psd and rect
-charts share one kernel: one helper unpacks the pivoted leading blocks
+Everything is written batch-first on raw coefficient arrays.  psd and tri
+charts share one upper-triangle coordinate layout (the q real diagonals,
+the strict upper entries of the leading q x q block row by row, then the
+q x (m - q) block row-major): psd fills S11's lower triangle by conjugation
+and tri completes to the upper trapezoid.  psd and rect charts share one
+kernel: one helper unpacks the pivoted leading blocks
 (A11, A12, A21; A21 = A12* for psd), which completion, the leading block,
 chart_at and the Hausdorff density all read, and one completion body fills
 A22 = (A21 A11^{-1}) A12.  The block inverses (S11^{-1}, X11^{-1}) and their
@@ -93,35 +97,38 @@ def _rect_unpack(coords: np.ndarray, kind: AlgebraKind, n: int, m: int, q: int):
     return x11, x12, x21
 
 
-def _psd_unpack(coords: np.ndarray, kind: AlgebraKind, m: int, q: int):
+def _upper_unpack(coords: np.ndarray, kind: AlgebraKind, m: int, q: int):
+    """(B, k) coordinates in the upper-triangle layout psd and tri charts
+    share -> (U11, U12), the leading q rows of an m-column matrix.  The
+    layout: the q real diagonals, then the strict upper entries of the
+    leading q x q block row by row, then the q x (m - q) block row-major.
+    U11 (B, q, q, beta) is zero below its diagonal."""
     beta = kind.beta
     k = psd_coord_count(m, q, beta)
     if coords.shape[1] != k:
         raise ShapeMismatchError(f"expected {k} coordinates, got {coords.shape[1]}")
     b = coords.shape[0]
-    s11 = np.zeros((b, q, q, beta))
+    u11 = np.zeros((b, q, q, beta))
     pos = 0
     for i in range(q):
-        s11[:, i, i, 0] = coords[:, pos]
+        u11[:, i, i, 0] = coords[:, pos]
         pos += 1
     for i in range(q):
         for j in range(i + 1, q):
-            v = coords[:, pos : pos + beta]
-            s11[:, i, j, :] = v
-            s11[:, j, i, 0] = v[:, 0]
-            s11[:, j, i, 1:] = -v[:, 1:]
+            u11[:, i, j, :] = coords[:, pos : pos + beta]
             pos += beta
-    s12 = coords[:, pos:].reshape(b, q, m - q, beta)
-    return s11, s12
+    return u11, coords[:, pos:].reshape(b, q, m - q, beta)
 
 
-def _psd_pack(s11: np.ndarray, s12: np.ndarray) -> np.ndarray:
-    b, q = s11.shape[:2]
-    parts = [s11[:, i, i, 0][:, None] for i in range(q)]
+def _upper_pack(u11: np.ndarray, u12: np.ndarray) -> np.ndarray:
+    """The inverse of _upper_unpack: (B, k) coordinates of the diagonal and
+    strict upper entries of U11 (B, q, q, beta) and of U12."""
+    b, q = u11.shape[:2]
+    parts = [u11[:, i, i, 0][:, None] for i in range(q)]
     for i in range(q):
         for j in range(i + 1, q):
-            parts.append(s11[:, i, j, :])
-    parts.append(s12.reshape(b, -1))
+            parts.append(u11[:, i, j, :])
+    parts.append(u12.reshape(b, -1))
     return np.concatenate(parts, axis=1)
 
 
@@ -149,7 +156,12 @@ def _blocks(spec: ChartSpec, coords: np.ndarray):
     """(A11, A12, A21) pivoted leading blocks of (B, k) coordinates of a psd
     chart (S11, S12 and S12*) or a rect chart (X11, X12, X21)."""
     if spec.space == "psd":
-        s11, s12 = _psd_unpack(coords, spec.kind, *spec.sizes)
+        s11, s12 = _upper_unpack(coords, spec.kind, *spec.sizes)
+        q = spec.sizes[1]
+        for i in range(q):  # the lower triangle of S11 by conjugation
+            for j in range(i + 1, q):
+                s11[:, j, i, 0] = s11[:, i, j, 0]
+                s11[:, j, i, 1:] = -s11[:, i, j, 1:]
         return s11, s12, ct_raw(s12)
     if spec.space == "rect":
         return _rect_unpack(coords, spec.kind, *spec.sizes)
@@ -183,29 +195,6 @@ def _complete(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
     out = np.empty_like(xp)
     out[:, rp[:, None], cp[None, :], :] = xp
     return out
-
-
-def _tri_unpack(coords: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
-    beta = kind.beta
-    b = coords.shape[0]
-    t = np.zeros((b, q, m, beta))
-    pos = 0
-    for i in range(q):
-        t[:, i, i, 0] = coords[:, pos]
-        pos += 1
-    for i in range(q):
-        for j in range(i + 1, m):
-            t[:, i, j, :] = coords[:, pos : pos + beta]
-            pos += beta
-    return t
-
-
-def _tri_pack(t: np.ndarray, kind: AlgebraKind, q: int, m: int) -> np.ndarray:
-    parts = [t[:, i, i, 0][:, None] for i in range(q)]
-    for i in range(q):
-        for j in range(i + 1, m):
-            parts.append(t[:, i, j, :])
-    return np.concatenate(parts, axis=1)
 
 
 # sizes each chart space takes
@@ -267,31 +256,33 @@ class ChartSpec:
         return (self.sizes[0],) * 2 if self.space == "psd" else self.sizes[:2]
 
     def coord_count(self) -> int:
-        beta = self.kind.beta
-        if self.space == "psd":
-            return psd_coord_count(*self.sizes, beta)
         if self.space == "rect":
-            return rect_coord_count(*self.sizes, beta)
-        q, m = self.sizes
-        return q + beta * (q * (q - 1) // 2 + q * (m - q))
+            return rect_coord_count(*self.sizes, self.kind.beta)
+        return psd_coord_count(*self._upper_sizes, self.kind.beta)
+
+    @property
+    def _upper_sizes(self) -> tuple[int, int]:
+        """(m, q) of the upper-triangle layout of a psd or tri chart."""
+        return self.sizes if self.space == "psd" else self.sizes[::-1]
 
     def complete_batch(self, coords: np.ndarray) -> np.ndarray:
         """(B, k) chart coordinates -> (B, rows, cols, beta) matrices."""
         if self.space == "tri":
-            return _tri_unpack(coords, self.kind, *self.sizes)
+            return np.concatenate(_upper_unpack(coords, self.kind, *self._upper_sizes), axis=2)
         return _complete(self, coords)
 
     def extract_batch(self, data: np.ndarray) -> np.ndarray:
         """(B, rows, cols, beta) matrices -> (B, k) chart coordinates: the
         independent entries of the pivoted leading rows and columns."""
         if self.space == "tri":
-            return _tri_pack(data, self.kind, *self.sizes)
+            q = self.sizes[0]
+            return _upper_pack(data[:, :, :q], data[:, :, q:])
         q = self.sizes[-1]
         if self.space == "psd":
             pv = np.asarray(self.pivots, dtype=int)
             sp = data[:, pv[:, None], pv[None, :], :]
             s11 = (sp[:, :q, :q] + ct_raw(sp[:, :q, :q])) / 2.0
-            return _psd_pack(s11, sp[:, :q, q:])
+            return _upper_pack(s11, sp[:, :q, q:])
         rp, cp = (np.asarray(p, dtype=int) for p in self.pivots)
         xp = data[:, rp[:, None], cp[None, :], :]
         blocks = (xp[:, :q, :q], xp[:, :q, q:], xp[:, q:, :q])

@@ -142,15 +142,13 @@ def _check_multiplet_spread(values: np.ndarray, r: int) -> None:
         )
 
 
-def _check_gaps(
-    d: np.ndarray, q: np.ndarray, top: np.ndarray, gap_tol: float | None, what: str
-) -> None:
+def _check_gaps(d: np.ndarray, q: np.ndarray, top: np.ndarray, what: str) -> None:
     """The leading q[b] values of each descending row d[b], and the gap from
-    the last of them to 0, are at least the gap tolerance apart."""
+    the last of them to 0, are at least DEFAULT_GAP_FACTOR * top[b] apart."""
     kept = np.arange(d.shape[1]) < q[:, None]
     extended = np.pad(np.where(kept, d, 0.0), ((0, 0), (0, 1)))
     gaps = np.where(kept, extended[:, :-1] - extended[:, 1:], np.inf).min(axis=1)
-    gtol = DEFAULT_GAP_FACTOR * top if gap_tol is None else np.full(top.shape, float(gap_tol))
+    gtol = DEFAULT_GAP_FACTOR * top
     low = gaps < gtol
     if np.any(low):
         b = int(np.argmax(low))
@@ -160,7 +158,7 @@ def _check_gaps(
 
 
 def _check_singular_values(
-    sv: np.ndarray, r: int, q: int | None = None, gap_tol: float | None = None
+    sv: np.ndarray, r: int, q: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checks on (B, k*r) descending singular values of the complex form,
     which repeats each algebra singular value r = complex_multiplicity(beta)
@@ -180,12 +178,12 @@ def _check_singular_values(
     if np.any(wrong):
         b = int(np.argmax(wrong))
         raise RankError(f"matrix has numerical rank {positive[b]}, expected q={qs[b]}")
-    _check_gaps(d, qs, top, gap_tol, "singular value")
+    _check_gaps(d, qs, top, "singular value")
     _check_multiplet_spread(sv, r)
     return qs, d
 
 
-def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
+def eig_hermitian(s: Mat, q: int) -> EigParts:
     """Nonsingular part of the spectral decomposition of a PSD Hermitian matrix.
 
     Returns the q strictly decreasing positive eigenvalues and phase-fixed
@@ -214,14 +212,14 @@ def eig_hermitian(s: Mat, q: int, gap_tol: float | None = None) -> EigParts:
     positive = int(np.sum(lam_groups > 1e-8 * scale))
     if positive != q:
         raise RankError(f"matrix has numerical rank {positive}, expected q={q}")
-    _check_gaps(lam_groups[None], np.array([q]), np.array([top]), gap_tol, "eigenvalue")
+    _check_gaps(lam_groups[None], np.array([q]), np.array([top]), "eigenvalue")
     _check_multiplet_spread(w[None], r)
     cols = _fold_vectors(vecs, q, beta)
     _assert_orthonormal(complex_raw(cols, beta))
     return EigParts(w1=Mat(s.kind, cols), lam=lam_groups[:q].copy())
 
 
-def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
+def svd_rank_q(x: Mat, q: int) -> SvdParts:
     """Nonsingular part of the SVD: X = V1 diag(d) W1* with d strictly decreasing.
 
     W1 columns are phase-fixed; each V1 column is the paired image X w / d, so
@@ -233,7 +231,7 @@ def svd_rank_q(x: Mat, q: int, gap_tol: float | None = None) -> SvdParts:
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
     _, sv, vh = np.linalg.svd(complex_raw(x.data, beta), full_matrices=False)
     r = complex_multiplicity(beta)
-    _, d_groups = _check_singular_values(sv[None], r, q=q, gap_tol=gap_tol)
+    _, d_groups = _check_singular_values(sv[None], r, q=q)
     d = d_groups[0, :q]
     wcols = _fold_vectors(vh.conj().T, q, beta)
     vcols = mul_raw(x.data, wcols, beta) / d[None, :, None]
@@ -329,7 +327,7 @@ def cholesky_rank_q(s: Mat, q: int) -> Mat:
     return Mat(s.kind, t)
 
 
-def pinv_batch(data: np.ndarray, beta: int, gap_tol: float | None = None) -> np.ndarray:
+def pinv_batch(data: np.ndarray, beta: int) -> np.ndarray:
     """Moore-Penrose inverses of a batch, (B, n, m, beta) -> (B, m, n, beta).
 
     One SVD of the stacked complex forms C = U diag(s) V* (complex_raw, in
@@ -343,7 +341,7 @@ def pinv_batch(data: np.ndarray, beta: int, gap_tol: float | None = None) -> np.
     r = complex_multiplicity(beta)
     c = complex_raw(data, beta)
     u, sv, vh = np.linalg.svd(c, full_matrices=False)
-    q, _ = _check_singular_values(sv, r, gap_tol=gap_tol)
+    q, _ = _check_singular_values(sv, r)
     v = np.swapaxes(vh, -1, -2).conj()
     _assert_orthonormal(u)
     _assert_orthonormal(v)
@@ -353,6 +351,6 @@ def pinv_batch(data: np.ndarray, beta: int, gap_tol: float | None = None) -> np.
     return complex_fold((v * inv_s[:, None, :]) @ np.swapaxes(u, -1, -2).conj(), beta)
 
 
-def pinv(x: Mat, gap_tol: float | None = None) -> Mat:
+def pinv(x: Mat) -> Mat:
     """Moore-Penrose inverse of one matrix: pinv_batch on a batch of one."""
-    return Mat(x.kind, pinv_batch(x.data[None], x.kind.beta, gap_tol=gap_tol)[0])
+    return Mat(x.kind, pinv_batch(x.data[None], x.kind.beta)[0])

@@ -32,10 +32,14 @@ LOG2 = math.log(2.0)
 LOGPI = math.log(math.pi)
 
 
-def tau(beta: int, q: int) -> float:
-    """Exponent of pi in the factorization densities: 0 for beta=1, else -beta*q/2."""
+def _check_beta(beta: int) -> None:
     if beta not in (1, 2, 4, 8):
         raise DomainError(f"beta must be in {{1,2,4,8}}, got {beta}")
+
+
+def tau(beta: int, q: int) -> float:
+    """Exponent of pi in the factorization densities: 0 for beta=1, else -beta*q/2."""
+    _check_beta(beta)
     if q < 0:
         raise DomainError(f"q must be nonnegative, got {q}")
     return 0.0 if beta == 1 else -beta * q / 2.0
@@ -43,6 +47,7 @@ def tau(beta: int, q: int) -> float:
 
 def mv_gamma_log(m: int, beta: int, a: float) -> float:
     """log of the multivariate gamma: pi^{m(m-1)beta/4} prod_i Gamma(a-(i-1)beta/2)."""
+    _check_beta(beta)
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
     if m == 0:
@@ -59,6 +64,7 @@ def mv_gamma_log(m: int, beta: int, a: float) -> float:
 
 def stiefel_volume_log(m: int, n: int, beta: int) -> float:
     """log volume of the Stiefel manifold of m orthonormal frames in F^n."""
+    _check_beta(beta)
     if m > n:
         raise DomainError(f"stiefel_volume_log requires m <= n, got m={m} n={n}")
     if m == 0:

@@ -22,8 +22,12 @@ Three engines, each matched to the measure semantics a formula lives in:
 
 Both Monte-Carlo engines run one driver, _mc_sides, on one builder
 contract (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn); a runner
-keeps only its records and its verdict.  One helper builds every MC_RATIO
-surface side.
+keeps only its records and its verdict.  One helper, _factorized_side,
+builds the factorized sides of W, MP_HERM, MP_RECT, SD and SVD from a box,
+frame dimensions, a placement, the names of their FACTORS entries and the
+image whose spectrum must lie in the task's box; it returns each side with
+the log-mass of its own draw.  One helper builds every MC_RATIO surface
+side.
 
 The UHLIG MC_EQUALITY samplers never diagonalize an m x m image: a rank-n
 image A A* has the nonzero spectrum of the n x n matrix A* A, so the right
@@ -736,85 +740,78 @@ def run_chart_task(task: TaskSpec) -> Report:
 # two sides of its identity, and its reference is the right side.
 
 
+def _factorized_side(task: TaskSpec, box, dims, place, factors, image=None):
+    """A factorized side and its log-mass: (side_fn, log_mass).
+
+    side_fn draws factorized_draw(rng, box, q, dims, kind, count), places
+    the matrices as place(spectrum, *frames) and weighs each draw by the sum,
+    left to right, of the FACTORS entries named in factors, each reading the
+    spectrum under the one name its Factor.spectra declares.  A draw is kept
+    where image(spectrum), or the spectrum itself when image is None, lies in
+    the task's eigen box with its gap.  log_mass is factorized_mass_log of
+    the same box, q and dims, so the constant cannot drift from the sampler.
+    """
+    kind, q, gap = task.kind, task.q, task.gap
+    lo, hi = task.eigen_box
+    sizes = (task.beta, task.m, task.n, q)  # n is 0 where the theorem reads none
+
+    def side(rng, count):
+        spectrum, frames = factorized_draw(rng, box, q, dims, kind, count)
+        logw = None
+        for name in factors:
+            factor = FACTORS[name]
+            (label,) = factor.spectra
+            term = factor.log(*sizes, **{label: spectrum})
+            logw = term if logw is None else logw + term
+        ok = _in_box_gap(spectrum if image is None else image(spectrum), lo, hi, gap)
+        return place(spectrum, *frames), np.where(ok, logw, -np.inf)
+
+    return side, factorized_mass_log(box, q, dims, task.beta)
+
+
 def _w_equality(task: TaskSpec):
-    kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
+    beta, m, n = task.beta, task.m, task.n
     lo, hi = task.eigen_box
     root_box = (math.sqrt(lo), math.sqrt(hi))
-    sizes = (beta, m, n, q)
-
-    def lhs(rng, count):
-        d, (v1, w1) = factorized_draw(rng, root_box, q, (n, m), kind, count)
-        x = assemble_svd_batch(v1, d, w1, beta)
-        logw = FACTORS["SVD"].log(*sizes, d=d)
-        lam = d * d
-        ok = _in_box_gap(lam, lo, hi, gap)
-        return x, np.where(ok, logw, -np.inf)
-
-    def rhs(rng, count):
-        lam, (w1, v1) = factorized_draw(rng, task.eigen_box, q, (m, n), kind, count)
-        x = assemble_svd_batch(v1, np.sqrt(lam), w1, beta)
-        logw = FACTORS["SD"].log(*sizes, lam=lam) + FACTORS["W"].log(*sizes, lam=lam)
-        ok = _in_box_gap(lam, lo, hi, gap)
-        return x, np.where(ok, logw, -np.inf)
-
-    return (
-        lhs, factorized_mass_log(root_box, q, (n, m), beta),
-        rhs, factorized_mass_log(task.eigen_box, q, (m, n), beta), rhs,
+    lhs = _factorized_side(
+        task, root_box, (n, m), lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta),
+        ("SVD",), image=lambda d: d * d,
     )
+    rhs = _factorized_side(
+        task, task.eigen_box, (m, n),
+        lambda lam, w1, v1: assemble_svd_batch(v1, np.sqrt(lam), w1, beta), ("SD", "W"),
+    )
+    return (*lhs, *rhs, rhs[0])
 
 
 def _mp_herm_equality(task: TaskSpec):
-    kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
+    beta, m = task.beta, task.m
     lo, hi = task.eigen_box
-    inverse_box = (1.0 / hi, 1.0 / lo)
-    sizes = (beta, m, 0, q)
-
-    def lhs(rng, count):
-        lam_v, (w1,) = factorized_draw(rng, inverse_box, q, (m,), kind, count)
-        v = assemble_sd_batch(w1, lam_v, beta)
-        logw = FACTORS["SD"].log(*sizes, lam=lam_v)
-        lam_s = _desc_inverse(lam_v)
-        ok = _in_box_gap(lam_s, lo, hi, gap)
-        return v, np.where(ok, logw, -np.inf)
-
-    def rhs(rng, count):
-        lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, count)
-        v = assemble_sd_batch(w1, 1.0 / lam, beta)
-        logw = FACTORS["SD"].log(*sizes, lam=lam) + FACTORS["MP_HERM"].log(*sizes, lam=lam)
-        ok = _in_box_gap(lam, lo, hi, gap)
-        return v, np.where(ok, logw, -np.inf)
-
-    return (
-        lhs, factorized_mass_log(inverse_box, q, (m,), beta),
-        rhs, factorized_mass_log(task.eigen_box, q, (m,), beta), rhs,
+    lhs = _factorized_side(
+        task, (1.0 / hi, 1.0 / lo), (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta),
+        ("SD",), image=_desc_inverse,
     )
+    rhs = _factorized_side(
+        task, task.eigen_box, (m,), lambda lam, w1: assemble_sd_batch(w1, 1.0 / lam, beta),
+        ("SD", "MP_HERM"),
+    )
+    return (*lhs, *rhs, rhs[0])
 
 
 def _mp_rect_equality(task: TaskSpec):
-    kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
+    beta, m, n = task.beta, task.m, task.n
     lo, hi = task.eigen_box
-    inverse_box = (1.0 / hi, 1.0 / lo)
-    sizes = (beta, m, n, q)  # the SVD density is symmetric in n and m
-
-    def lhs(rng, count):
-        d_y, (v1, w1) = factorized_draw(rng, inverse_box, q, (m, n), kind, count)
-        y = assemble_svd_batch(v1, d_y, w1, beta)
-        logw = FACTORS["SVD"].log(*sizes, d=d_y)
-        d_x = _desc_inverse(d_y)
-        ok = _in_box_gap(d_x, lo, hi, gap)
-        return y, np.where(ok, logw, -np.inf)
-
-    def rhs(rng, count):
-        d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, count)
-        y = assemble_svd_batch(w1, 1.0 / d, v1, beta)
-        logw = FACTORS["SVD"].log(*sizes, d=d) + FACTORS["MP_RECT"].log(*sizes, d=d)
-        ok = _in_box_gap(d, lo, hi, gap)
-        return y, np.where(ok, logw, -np.inf)
-
-    return (
-        lhs, factorized_mass_log(inverse_box, q, (m, n), beta),
-        rhs, factorized_mass_log(task.eigen_box, q, (n, m), beta), rhs,
+    # the left side draws m x n matrices and reads SVD at the task's (m, n):
+    # the SVD density is symmetric in n and m
+    lhs = _factorized_side(
+        task, (1.0 / hi, 1.0 / lo), (m, n),
+        lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta), ("SVD",), image=_desc_inverse,
     )
+    rhs = _factorized_side(
+        task, task.eigen_box, (n, m),
+        lambda d, v1, w1: assemble_svd_batch(w1, 1.0 / d, v1, beta), ("SVD", "MP_RECT"),
+    )
+    return (*lhs, *rhs, rhs[0])
 
 
 def _uhlig_image(task: TaskSpec, b: Mat):
@@ -971,8 +968,10 @@ def _phase_fiber_log(beta: int, q: int) -> float:
     return q * stiefel_volume_log(1, 1, beta)
 
 
-def _quantile_box(coords: np.ndarray, lo_q: float = 0.02, hi_q: float = 0.98) -> np.ndarray:
-    box = np.quantile(coords, [lo_q, hi_q], axis=0).T  # (k, 2)
+def _quantile_box(coords: np.ndarray) -> np.ndarray:
+    """(k, 2) box of the 2% and 98% quantiles of each coordinate, each width
+    floored at 1e-6 times the box's largest magnitude."""
+    box = np.quantile(coords, [0.02, 0.98], axis=0).T  # (k, 2)
     width = box[:, 1] - box[:, 0]
     scale = float(np.abs(box).max())
     floor = 1e-6 * (scale if scale > 0.0 else 1.0)
@@ -1054,13 +1053,9 @@ def _sd_ratio(task: TaskSpec):
     kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
     lo, hi = task.eigen_box
     spec = ChartSpec("psd", kind, (m, q), tuple(range(m)))
-
-    def fact_raw(rng, count):
-        lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, count)
-        s = assemble_sd_batch(w1, lam, beta)
-        logw = FACTORS["SD"].log(beta, m, 0, q, lam=lam)
-        return s, np.where(_in_box_gap(lam, lo, hi, gap), logw, -np.inf)
-
+    fact_raw, fact_mass = _factorized_side(
+        task, task.eigen_box, (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta), ("SD",)
+    )
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
     floor = _leading_floor(spec, pilot_coords)
@@ -1068,7 +1063,7 @@ def _sd_ratio(task: TaskSpec):
     def spectrum_ok(s: np.ndarray) -> np.ndarray:
         return _in_box_gap(eigvalsh_raw(s, beta)[:, ::-1][:, :q], lo, hi, gap)
 
-    fact_const = factorized_mass_log(task.eigen_box, q, (m,), beta) - _phase_fiber_log(beta, q)
+    fact_const = fact_mass - _phase_fiber_log(beta, q)
     return (
         _surface_side(spec, box, spectrum_ok, floor), _box_volume_log(box),
         _restricted_side(fact_raw, spec, box, floor), fact_const, fact_raw,
@@ -1079,13 +1074,10 @@ def _svd_ratio(task: TaskSpec):
     kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
     lo, hi = task.eigen_box
     spec = ChartSpec("rect", kind, (n, m, q), (tuple(range(n)), tuple(range(m))))
-
-    def fact_raw(rng, count):
-        d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, count)
-        x = assemble_svd_batch(v1, d, w1, beta)
-        logw = FACTORS["SVD"].log(beta, m, n, q, d=d)
-        return x, np.where(_in_box_gap(d, lo, hi, gap), logw, -np.inf)
-
+    fact_raw, fact_mass = _factorized_side(
+        task, task.eigen_box, (n, m), lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta),
+        ("SVD",),
+    )
     pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
     box = _quantile_box(pilot_coords)
     floor = _leading_floor(spec, pilot_coords) if q < min(n, m) else None
@@ -1093,7 +1085,7 @@ def _svd_ratio(task: TaskSpec):
     def spectrum_ok(x: np.ndarray) -> np.ndarray:
         return _in_box_gap(svdvals_raw(x, beta)[:, :q], lo, hi, gap)
 
-    fact_const = factorized_mass_log(task.eigen_box, q, (n, m), beta) - _phase_fiber_log(beta, q)
+    fact_const = fact_mass - _phase_fiber_log(beta, q)
     return (
         _surface_side(spec, box, spectrum_ok, floor), _box_volume_log(box),
         _restricted_side(fact_raw, spec, box, floor), fact_const, fact_raw,

@@ -10,7 +10,7 @@ from divalg.algebra import (
     multiplication_table,
     structure_tensor,
 )
-from divalg.errors import AlgebraMismatchError, ScalarDivisionError
+from divalg.errors import AlgebraMismatchError, ConfigurationError, ScalarDivisionError
 
 ALL_KINDS = [REAL, COMPLEX, QUATERNION, OCTONION]
 
@@ -29,6 +29,12 @@ def test_kind_properties():
     assert AlgebraKind.from_beta(4) is QUATERNION
     with pytest.raises(ValueError):
         AlgebraKind(3)
+
+
+@pytest.mark.parametrize("beta", [0, -1, 3])
+def test_from_beta_rejects_other_dimensions_with_a_package_error(beta):
+    with pytest.raises(ConfigurationError, match=f"got {beta}"):
+        AlgebraKind.from_beta(beta)
 
 
 def test_quaternion_basis_relations():

@@ -244,6 +244,78 @@ class TestExtract:
             chart_at(x, 1, "rect", ((0, 0, 1), (0, 1)))
 
 
+def _coded(entries, beta, rows, cols, hermitian):
+    """A (rows, cols, beta) matrix whose listed (i, j) entries hold distinct
+    codes (the real diagonal large, so a leading psd block is positive
+    definite), their mirror the conjugate when hermitian, and the coordinate
+    vector that lists those codes in the order given."""
+    data = np.zeros((rows, cols, beta))
+    coords = []
+    for i, j in entries:
+        if i == j:
+            data[i, i, 0] = 10.0 + i
+            coords.append(data[i, i, 0])
+            continue
+        data[i, j] = 0.01 * (10 * i + j + 1) + 0.001 * np.arange(beta)
+        coords.extend(data[i, j])
+        if hermitian and j < rows:
+            data[j, i] = data[i, j] * np.r_[1.0, -np.ones(beta - 1)]
+    return data, np.array(coords)
+
+
+class TestUpperTriangleLayout:
+    """psd and tri charts share one coordinate layout: the q real diagonals,
+    the strict upper entries of the leading q x q block row by row, then the
+    q x (m - q) block row-major."""
+
+    PSD_4_3 = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    TRI = {
+        (2, 3): [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2)],
+        (2, 2): [(0, 0), (1, 1), (0, 1)],
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_psd_order(self, kind):
+        data, coords = _coded(self.PSD_4_3, kind.beta, 4, 4, hermitian=True)
+        data[3, 3, 0] = 1.0
+        spec = ChartSpec("psd", kind, (4, 3), (0, 1, 2, 3))
+        np.testing.assert_array_equal(spec.extract_batch(data[None])[0], coords)
+        np.testing.assert_array_equal(spec.complete_batch(coords[None])[0, :3], data[:3])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 2)])
+    def test_tri_order(self, kind, sizes):
+        q, m = sizes
+        data, coords = _coded(self.TRI[sizes], kind.beta, q, m, hermitian=False)
+        spec = ChartSpec("tri", kind, (q, m))
+        np.testing.assert_array_equal(spec.extract_batch(data[None])[0], coords)
+        np.testing.assert_array_equal(spec.complete_batch(coords[None])[0], data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("space,sizes,pivots", [
+        ("psd", (4, 3), (2, 0, 3, 1)),
+        ("tri", (3, 4), ()),
+    ])
+    def test_round_trip_is_bit_exact(self, kind, space, sizes, pivots):
+        spec = ChartSpec(space, kind, sizes, pivots)
+        rng = np.random.default_rng(12)
+        coords = 0.3 * rng.normal(size=(16, spec.coord_count()))
+        coords[:, :3] = rng.uniform(3.0, 4.0, size=(16, 3))
+        np.testing.assert_array_equal(spec.extract_batch(spec.complete_batch(coords)), coords)
+
+    @pytest.mark.parametrize("space,sizes,pivots", [
+        ("psd", (3, 2), (0, 1, 2)),
+        ("tri", (2, 3), ()),
+    ])
+    def test_wrong_coordinate_count_rejected(self, space, sizes, pivots):
+        spec = ChartSpec(space, REAL, sizes, pivots)
+        k = spec.coord_count()
+        for count in (k - 1, k + 1):
+            coords = np.ones((2, count))
+            with pytest.raises(ShapeMismatchError, match=f"expected {k} coordinates"):
+                spec.complete_batch(coords)
+
+
 class TestChoosePivot:
     def test_dominant_leading_block_identity(self):
         a = Mat.from_real(REAL, np.array([[4.0, 1.0], [1.0, 2.0]]))

@@ -135,6 +135,23 @@ class TestGammaVolumeCommands:
         )
         assert value_of(out) == math.inf
 
+    @pytest.mark.parametrize("beta", ["0", "-1", "3"])
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--m", "2", "--a", "5"],
+        ["volume", "--m", "1", "--n", "2"],
+        ["volume", "--m", "0", "--n", "2"],
+    ])
+    def test_beta_outside_the_algebras_is_usage_error(self, capsys, argv, beta):
+        code, out, err = run_cli(capsys, *argv, "--beta", beta)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_octonion_gamma_and_volume_still_evaluate(self, capsys):
+        for argv in (["gamma", "--m", "2", "--a", "5"], ["volume", "--m", "1", "--n", "2"]):
+            code, out, _ = run_cli(capsys, *argv, "--beta", "8")
+            assert code == 0 and math.isfinite(value_of(out))
+
 
 class TestSampleCommand:
     def test_stiefel_sample_is_orthonormal(self, capsys, tmp_path):
@@ -199,6 +216,16 @@ class TestSampleCommand:
         )
         assert code == 2
         assert "conjectural" in err
+
+    @pytest.mark.parametrize("beta", ["0", "-1", "3"])
+    def test_beta_outside_the_algebras_is_usage_error(self, capsys, tmp_path, beta):
+        out_file = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "sample", "psd", "--beta", beta, "--m", "2", "--out", str(out_file)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: beta must be one of (1, 2, 4, 8), got {beta}\n"
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("flags", [
         ["psd", "--m", "2", "--q", "1", "--lambda-hi", "inf"],

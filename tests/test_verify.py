@@ -14,6 +14,7 @@ from divalg.charts import (
     assemble_sd_batch,
     chart_at,
     factorized_draw,
+    factorized_mass_log,
     sample_stiefel_batch,
 )
 from divalg.decomp import (
@@ -1005,6 +1006,69 @@ def test_every_engine_reads_its_theorems_own_factor(monkeypatch, theorem, engine
     )
     run_task(task)
     assert theorem in called
+
+
+# ---------------------------------------------------------------------------
+# the factorized sides: draw, keep, weigh and mass from one helper
+
+
+def _kept(image, lo, hi, gap):
+    """Rows of a descending spectrum image inside [lo, hi] with gaps >= gap."""
+    inside = np.all((image >= lo) & (image <= hi), axis=1)
+    return inside & np.all(image[:, :-1] - image[:, 1:] >= gap, axis=1)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("theorem,sizes", [
+    ("W", dict(n=3, m=2, q=2)),
+    ("MP_HERM", dict(m=3, q=2)),
+])
+def test_factorized_sides_keep_weigh_and_mass(theorem, sizes, beta):
+    task = TaskSpec(theorem_id=theorem, beta=beta, engine="MC_EQUALITY", trials=10_000,
+                    seed=7, gap=0.2, **sizes)
+    lo, hi = task.eigen_box
+    m, n, q = task.m, task.n, task.q
+    lhs, lhs_const, rhs, rhs_const, reference = verify._problem(task)
+    assert reference is rhs
+
+    def log(name, **spectrum):
+        return FACTORS[name].log(beta, m, n, q, **spectrum)
+
+    if theorem == "W":
+        cases = [  # (side, its mass, box, dims, image of the draw, expected log-weight)
+            (lhs, lhs_const, (math.sqrt(lo), math.sqrt(hi)), (n, m), lambda d: d * d,
+             lambda d: log("SVD", d=d)),
+            (rhs, rhs_const, (lo, hi), (m, n), lambda lam: lam,
+             lambda lam: log("SD", lam=lam) + log("W", lam=lam)),
+        ]
+    else:
+        cases = [
+            (lhs, lhs_const, (1.0 / hi, 1.0 / lo), (m,), lambda lam: (1.0 / lam)[:, ::-1],
+             lambda lam: log("SD", lam=lam)),
+            (rhs, rhs_const, (lo, hi), (m,), lambda lam: lam,
+             lambda lam: log("SD", lam=lam) + log("MP_HERM", lam=lam)),
+        ]
+    for side, mass, box, dims, image, expected in cases:
+        assert mass == factorized_mass_log(box, q, dims, beta)
+        _, logw = side(np.random.default_rng(11), 2048)
+        spectrum, _ = factorized_draw(np.random.default_rng(11), box, q, dims, task.kind, 2048)
+        kept = _kept(image(spectrum), lo, hi, task.gap)
+        assert 0 < kept.sum() < kept.size
+        assert np.isneginf(logw[~kept]).all()
+        np.testing.assert_array_equal(logw[kept], expected(spectrum)[kept])
+
+    # a draw whose spectrum leaves the task's box weighs -inf
+    wide = (0.5 * lo, 2.0 * hi)
+    side, mass = verify._factorized_side(
+        task, wide, (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta), ("SD",)
+    )
+    assert mass == factorized_mass_log(wide, q, (m,), beta)
+    _, logw = side(np.random.default_rng(13), 2048)
+    spectrum, _ = factorized_draw(np.random.default_rng(13), wide, q, (m,), task.kind, 2048)
+    outside = ~np.all((spectrum >= lo) & (spectrum <= hi), axis=1)
+    assert outside.any() and np.isneginf(logw[outside]).all()
+    kept = _kept(spectrum, lo, hi, task.gap)
+    np.testing.assert_array_equal(logw[kept], log("SD", lam=spectrum)[kept])
 
 
 # ---------------------------------------------------------------------------
