@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Time the algebra product linalg.mul_raw, in microseconds per call.
+"""Time the algebra product linalg.mul_raw, in microseconds per call, or
+one CHART point, in microseconds per point.
 
     python3 scripts/bench_kernels.py [--beta 1 2 4] [--shape 3,2,3 ...]
         [--rows 1 64 256 512 1024 4096] [--repeats 7] [--src DIR]
+    python3 scripts/bench_kernels.py --chart [--beta 1 2 4] [--repeats 7]
 
 For every beta, product shape n,m,p ((n, m) times (m, p)) and batch size,
 mul_raw multiplies two seeded standard normal batches of that many rows;
 rows 1 is a single matrix with no batch axis.  Each repeat times
-max(1, 256 // rows) calls, and the minimum over the repeats is printed, as
-one JSON document on stdout, with the machine it ran on.
+max(1, 256 // rows) calls.  With --chart, every theorem the CHART engine
+checks runs one task per beta, the `full` preset's first at that theorem
+and beta, at CHART_POINTS points and seed 42; each repeat times one
+run_task call and divides by the points.  The minimum over the repeats is
+printed, as one JSON document on stdout, with the machine it ran on.
 divalg is imported from --src, by default the `src/` of this checkout;
 pointing it at another checkout times that one instead.
 """
@@ -27,6 +32,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 # the engines' hot shapes (n, m, p): outer products, inner products, scalings
 HOT_SHAPES = ((3, 2, 3), (2, 3, 2), (3, 3, 2), (2, 1, 2), (2, 2, 1), (1, 3, 1), (3, 1, 1))
+CHART_POINTS = 20  # the `full` preset's points per CHART task
 
 
 def _shape(text: str) -> tuple[int, int, int]:
@@ -53,6 +59,39 @@ def time_call(mul_raw, beta: int, shape: tuple[int, int, int], rows: int, repeat
     return best * 1e6
 
 
+def time_chart(task, repeats: int) -> float:
+    """Minimum over the repeats of the microseconds per point of run_task."""
+    from divalg.verify import run_task
+
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run_task(task)
+        best = min(best, time.perf_counter() - start)
+    return best / task.points * 1e6
+
+
+def chart_results(betas: list[int], repeats: int) -> list[dict]:
+    """One timing per CHART theorem and beta, in theorem-table order."""
+    import dataclasses
+
+    from divalg.cli import preset_tasks
+    from divalg.verify import THEOREMS
+
+    tasks = {}
+    for task in preset_tasks("full", 42):
+        if task.engine == "CHART" and task.beta in betas:
+            tasks.setdefault((task.theorem_id, task.beta), task)
+    return [
+        {"theorem": name, "beta": beta, "m": task.m, "n": task.n, "q": task.q,
+         "points": CHART_POINTS,
+         "us_per_point": round(time_chart(
+             dataclasses.replace(task, points=CHART_POINTS), repeats), 1)}
+        for name in THEOREMS for beta in betas
+        if (task := tasks.get((name, beta))) is not None
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--beta", type=int, nargs="+", choices=(1, 2, 4), default=[1, 2, 4])
@@ -60,17 +99,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rows", type=int, nargs="+", default=[1, 64, 256, 512, 1024, 4096])
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--src", type=Path, default=SRC)
+    parser.add_argument("--chart", action="store_true",
+                        help="time one CHART point per theorem and beta instead")
     args = parser.parse_args(argv)
     if args.repeats < 1 or min(args.rows) < 1:
         parser.error("--repeats and --rows must be positive")
     sys.path.insert(0, str(args.src))
     from divalg.linalg import mul_raw
 
-    results = [
-        {"beta": beta, "shape": list(shape), "rows": rows,
-         "us": round(time_call(mul_raw, beta, shape, rows, args.repeats), 2)}
-        for beta in args.beta for shape in args.shape for rows in args.rows
-    ]
+    if args.chart:
+        results = chart_results(args.beta, args.repeats)
+    else:
+        results = [
+            {"beta": beta, "shape": list(shape), "rows": rows,
+             "us": round(time_call(mul_raw, beta, shape, rows, args.repeats), 2)}
+            for beta in args.beta for shape in args.shape for rows in args.rows
+        ]
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},

@@ -12,8 +12,13 @@ full-rank chart, one block inverse per batch for a rank-q chart), and
 samplers for the factorized measures (spectrum box x uniform Stiefel frames).
 
 A chart is a ChartSpec, which validates its sizes and pivots; a chart point
-is a (spec, coords) pair, and chart_at gives the chart at one matrix.
-Everything is written batch-first on raw coefficient arrays.  psd and tri
+is a (spec, coords) pair.  A pivot only scatters a completed matrix (and
+gathers one for extraction), so completion and extraction also take one
+pivot pair per batch row in place of the spec's: a batch of points in
+different pivoted charts of the same sizes completes in one call.
+chart_at_batch gives each matrix of a batch its own chart (choose_pivot
+pivots a whole batch in one elimination loop), and chart_at is its batch of
+one.  Everything is written batch-first on raw coefficient arrays.  psd and tri
 charts share one upper-triangle coordinate layout (the q real diagonals,
 the strict upper entries of the leading q x q block row by row, then the
 q x (m - q) block row-major): psd fills S11's lower triangle by conjugation
@@ -49,6 +54,7 @@ from .linalg import (
     Mat,
     _abs_raw,
     _require_assoc,
+    _sq_abs,
     ct_raw,
     eigvalsh_raw,
     frobenius_raw,
@@ -174,12 +180,35 @@ def _inv_leading(spec: ChartSpec, a11: np.ndarray) -> np.ndarray:
     return _inv_general_block(a11, spec.kind.beta)
 
 
-def _complete(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
+def _pivot_index(spec: ChartSpec, pivots, rows: int):
+    """Index of the pivoted layout of `rows` matrices: x[index] puts the
+    pivoted rows and columns first.  pivots None takes the spec's own;
+    otherwise they are each row's own, (row_pivots (B, rows), col_pivots
+    (B, cols)) int arrays, a psd pair being one symmetric permutation twice."""
+    if spec.space == "tri":
+        if pivots is not None:
+            raise ShapeMismatchError("a tri chart takes no pivots")
+        return None
+    if pivots is None:
+        rp, cp = spec.pivots if spec.space == "rect" else (spec.pivots,) * 2
+        rp, cp = np.asarray(rp, dtype=int), np.asarray(cp, dtype=int)
+        return slice(None), rp[:, None], cp[None, :]
+    rp, cp = (np.asarray(p, dtype=int) for p in pivots)
+    if rp.shape != (rows, spec.shape[0]) or cp.shape != (rows, spec.shape[1]):
+        raise ShapeMismatchError(
+            f"per-row pivots must be ({rows}, {spec.shape[0]}) and ({rows}, "
+            f"{spec.shape[1]}), got {rp.shape} and {cp.shape}"
+        )
+    return np.arange(rows)[:, None, None], rp[:, :, None], cp[:, None, :]
+
+
+def _complete(spec: ChartSpec, coords: np.ndarray, pivots=None) -> np.ndarray:
     """(B, k) coordinates of a psd or rect chart -> (B, rows, cols, beta)
     matrices: the leading blocks, A22 = (A21 A11^{-1}) A12 (symmetrized for
-    psd), then the pivots undone."""
+    psd), then the pivots (_pivot_index) undone."""
     beta, q = spec.kind.beta, spec.sizes[-1]
     rows, cols = spec.shape
+    index = _pivot_index(spec, pivots, coords.shape[0])
     a11, a12, a21 = _blocks(spec, coords)
     xp = np.empty((coords.shape[0], rows, cols, beta))
     xp[:, :q, :q] = a11
@@ -190,10 +219,8 @@ def _complete(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
         if spec.space == "psd":
             a22 = (a22 + ct_raw(a22)) / 2.0
         xp[:, q:, q:] = a22
-    rp, cp = spec.pivots if spec.space == "rect" else (spec.pivots,) * 2
-    rp, cp = np.asarray(rp, dtype=int), np.asarray(cp, dtype=int)
     out = np.empty_like(xp)
-    out[:, rp[:, None], cp[None, :], :] = xp
+    out[index] = xp
     return out
 
 
@@ -209,9 +236,10 @@ class ChartSpec:
     space 'psd': sizes (m, q), pivots one symmetric permutation of range(m);
     'rect': sizes (n, m, q), pivots (row_pivot, col_pivot);
     'tri': sizes (q, m), q x m upper-triangular-leading factors with real
-    positive diagonal, no pivots.  Construction checks beta <= 4, 1 <= q <=
-    the size limit (RankError) and that each pivot is a permutation
-    (ShapeMismatchError), and stores sizes and pivots as tuples of ints.
+    positive diagonal, no pivots.  Empty pivots of a psd or rect chart are
+    the identity.  Construction checks beta <= 4, 1 <= q <= the size limit
+    (RankError) and that each pivot is a permutation (ShapeMismatchError),
+    and stores sizes and pivots as tuples of ints.
     """
 
     space: str
@@ -228,18 +256,17 @@ class ChartSpec:
             raise ShapeMismatchError(
                 f"a {self.space} chart takes {_SIZE_COUNT[self.space]} sizes, got {sizes}"
             )
+        given = len(self.pivots) > 0
         if self.space == "psd":
             m, q = sizes
-            limit, pivots = m, _check_perm(self.pivots, m, "pivot")
+            limit, pivots = m, _check_perm(self.pivots if given else range(m), m, "pivot")
         elif self.space == "rect":
             n, m, q = sizes
-            if len(self.pivots) != 2:
+            if given and len(self.pivots) != 2:
                 raise ShapeMismatchError("a rect chart takes pivots (row_pivot, col_pivot)")
+            rp, cp = self.pivots if given else (range(n), range(m))
             limit = min(n, m)
-            pivots = (
-                _check_perm(self.pivots[0], n, "row_pivot"),
-                _check_perm(self.pivots[1], m, "col_pivot"),
-            )
+            pivots = (_check_perm(rp, n, "row_pivot"), _check_perm(cp, m, "col_pivot"))
         else:
             q, limit = sizes
             if len(self.pivots):
@@ -265,26 +292,29 @@ class ChartSpec:
         """(m, q) of the upper-triangle layout of a psd or tri chart."""
         return self.sizes if self.space == "psd" else self.sizes[::-1]
 
-    def complete_batch(self, coords: np.ndarray) -> np.ndarray:
-        """(B, k) chart coordinates -> (B, rows, cols, beta) matrices."""
+    def complete_batch(self, coords: np.ndarray, pivots=None) -> np.ndarray:
+        """(B, k) chart coordinates -> (B, rows, cols, beta) matrices.  With
+        pivots, each row completes in its own pivoted chart of these sizes:
+        (row_pivots (B, rows), col_pivots (B, cols)) int arrays, in place of
+        the spec's pivots (a pivot only scatters the completed matrix)."""
         if self.space == "tri":
+            _pivot_index(self, pivots, coords.shape[0])
             return np.concatenate(_upper_unpack(coords, self.kind, *self._upper_sizes), axis=2)
-        return _complete(self, coords)
+        return _complete(self, coords, pivots)
 
-    def extract_batch(self, data: np.ndarray) -> np.ndarray:
+    def extract_batch(self, data: np.ndarray, pivots=None) -> np.ndarray:
         """(B, rows, cols, beta) matrices -> (B, k) chart coordinates: the
-        independent entries of the pivoted leading rows and columns."""
+        independent entries of the pivoted leading rows and columns, with
+        each row's own pivots when given (as in complete_batch)."""
+        index = _pivot_index(self, pivots, data.shape[0])
         if self.space == "tri":
             q = self.sizes[0]
             return _upper_pack(data[:, :, :q], data[:, :, q:])
         q = self.sizes[-1]
+        xp = data[index]
         if self.space == "psd":
-            pv = np.asarray(self.pivots, dtype=int)
-            sp = data[:, pv[:, None], pv[None, :], :]
-            s11 = (sp[:, :q, :q] + ct_raw(sp[:, :q, :q])) / 2.0
-            return _upper_pack(s11, sp[:, :q, q:])
-        rp, cp = (np.asarray(p, dtype=int) for p in self.pivots)
-        xp = data[:, rp[:, None], cp[None, :], :]
+            s11 = (xp[:, :q, :q] + ct_raw(xp[:, :q, :q])) / 2.0
+            return _upper_pack(s11, xp[:, :q, q:])
         blocks = (xp[:, :q, :q], xp[:, :q, q:], xp[:, q:, :q])
         return np.concatenate([x.reshape(data.shape[0], -1) for x in blocks], axis=1)
 
@@ -295,59 +325,74 @@ class ChartSpec:
 
 
 def _entry_inv(p: np.ndarray) -> np.ndarray:
-    """conj(p) / |p|^2 of one nonzero (beta,) entry, divided by its largest
-    coefficient first so that entries near 1e+-200 neither overflow nor
-    underflow."""
-    c = p.tolist()  # Python floats: a few coefficients cost less than numpy calls
-    top = max(map(abs, c))
-    c = [x / top for x in c]
-    n2 = sum(x * x for x in c) * top
-    return np.array([c[0] / n2] + [-x / n2 for x in c[1:]])
+    """conj(p) / |p|^2 of nonzero (..., beta) entries, each divided by its
+    largest coefficient first so that entries near 1e+-200 neither overflow
+    nor underflow."""
+    top = np.abs(p).max(axis=-1)
+    c = p / top[..., None]
+    n2 = _sq_abs(c) * top
+    out = -c / n2[..., None]
+    out[..., 0] = c[..., 0] / n2
+    return out
 
 
-def choose_pivot(a: Mat, q: int, chart: str = "rect"):
+def choose_pivot(a, q: int, chart: str = "rect"):
     """Greedy max-magnitude pivoting on successive Schur complements.
 
     chart='rect' returns (row_pivot, col_pivot) from complete pivoting on the
     entries' magnitudes; chart='psd' returns a single symmetric permutation
     from pivoting on the real diagonal.  Deterministic: ties break at the
-    lowest flat index.
+    lowest flat index.  a is a Mat, or a batch (B, n, m, beta) of coefficient
+    arrays, each pivoted on its own: a batch gets (row_pivots (B, n),
+    col_pivots (B, m)) int arrays for either chart, a psd pair being one
+    array twice.  A Mat is the batch of one; RankError names the first row
+    whose pivot falls below PIVOT_TOL times its first.
     """
-    _require_assoc(a.kind.beta, "choose_pivot")
+    data = a.data[None] if isinstance(a, Mat) else np.asarray(a, dtype=float)
+    beta = data.shape[-1]
+    _require_assoc(beta, "choose_pivot")
     if chart not in ("rect", "psd"):
         raise RegistryError(f"unknown chart {chart!r}; expected 'rect' or 'psd'")
-    beta, n, m = a.kind.beta, a.rows, a.cols
+    count, n, m = data.shape[:3]
     if chart == "psd" and n != m:
         raise ShapeMismatchError("psd pivoting requires a square matrix")
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-    work = a.data.copy()
-    rows: list[int] = []
-    cols: list[int] = []
+    work = data.copy()
+    batch = np.arange(count)
+    order = (np.empty((count, q), dtype=int), np.empty((count, q), dtype=int))
     initial = None
-    for _ in range(q):
+    for t in range(q):
         if chart == "rect":
             score = _abs_raw(work)
         else:
             score = np.where(np.eye(m, dtype=bool), work[..., 0], -np.inf)
-        score[rows, :] = -np.inf
-        score[:, cols] = -np.inf
-        i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-        best = score[i, j]
+        for b in range(t):  # the rows and columns taken so far
+            score[batch, order[0][:, b], :] = -np.inf
+            score[batch, :, order[1][:, b]] = -np.inf
+        i, j = np.divmod(np.argmax(score.reshape(count, -1), axis=1), m)
+        best = score[batch, i, j]
         if initial is None:
             initial = best
-        if not best > PIVOT_TOL * max(initial, 1e-300):
+        low = ~(best > PIVOT_TOL * np.maximum(initial, 1e-300))
+        if low.any():
             what = "matrix rank" if chart == "rect" else "PSD rank"
-            raise RankError(f"{what} is below q={q} (pivot {best:.3e})")
-        piv_inv = _entry_inv(work[i, j])
-        colv = mul_raw(work[:, j].reshape(n, 1, beta), piv_inv.reshape(1, 1, beta), beta)
-        work = work - mul_raw(colv, work[i].reshape(1, m, beta), beta)
-        rows.append(int(i))
-        cols.append(int(j))
-    row_pivot = tuple(rows + [i for i in range(n) if i not in rows])
+            raise RankError(f"{what} is below q={q} (pivot {best[np.argmax(low)]:.3e})")
+        piv_inv = _entry_inv(work[batch, i, j])
+        colv = mul_raw(work[batch, :, j][:, :, None], piv_inv[:, None, None], beta)
+        work = work - mul_raw(colv, work[batch, i][:, None], beta)
+        order[0][:, t], order[1][:, t] = i, j
+    pivots = []
+    for taken, size in zip(order, (n, m)):  # taken in order, then the rest ascending
+        rest = np.ones((count, size), dtype=bool)
+        rest[batch[:, None], taken] = False
+        pivots.append(np.concatenate([taken, np.nonzero(rest)[1].reshape(count, -1)], axis=1))
     if chart == "psd":
-        return row_pivot
-    return row_pivot, tuple(cols + [j for j in range(m) if j not in cols])
+        pivots[1] = pivots[0]
+    if isinstance(a, Mat):
+        single = tuple(tuple(int(v) for v in p[0]) for p in pivots)
+        return single[0] if chart == "psd" else single
+    return tuple(pivots)
 
 
 def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.ndarray]:
@@ -362,13 +407,44 @@ def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.nda
         raise ShapeMismatchError("a psd chart needs a square matrix")
     sizes = (a.rows, q) if space == "psd" else (a.rows, a.cols, q)
     spec = ChartSpec(space, a.kind, sizes, pivots)
-    coords = spec.extract_batch(a.data[None])
-    err = frobenius_raw(_complete(spec, coords)[0] - a.data)
-    if err > 1e-9 * frobenius_raw(a.data):
-        raise RankError(
-            f"matrix is not rank {q} in this {space} chart (completion error {err:.3e})"
-        )
-    return spec, coords[0]
+    return spec, _coords_at(spec, a.data[None], None)[0]
+
+
+def chart_at_batch(data: np.ndarray, q: int, space: str):
+    """The rank-q charts of `space` ('psd' or 'rect') at each of a batch of
+    (B, rows, cols, beta) matrices: (spec, pivots, coords) with spec the
+    identity-pivot chart of their sizes, pivots each row's own from
+    choose_pivot, as complete_batch and extract_batch take them, and coords
+    (B, k) each row's coordinates in its pivoted chart.  ValueError for a
+    non-finite coefficient, and RankError when a row's completion misses it
+    by more than 1e-9 relative; chart_at does the same for one matrix.  As
+    in every completion, a psd chart's S11 positivity check is relative to
+    the largest eigenvalue of the whole batch."""
+    if space not in ("psd", "rect"):
+        raise RegistryError(f"unknown chart {space!r}; expected 'rect' or 'psd'")
+    data = np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("matrix coefficients must be finite")
+    pivots = choose_pivot(data, q, chart=space)
+    rows, cols, beta = data.shape[1:]
+    sizes = (rows, q) if space == "psd" else (rows, cols, q)
+    spec = ChartSpec(space, AlgebraKind.from_beta(beta), sizes)
+    return spec, pivots, _coords_at(spec, data, pivots)
+
+
+def _coords_at(spec: ChartSpec, data: np.ndarray, pivots) -> np.ndarray:
+    """(B, k) coordinates of the matrices data in spec's chart (each row's
+    own pivoted chart with pivots); RankError at the first row whose
+    completion misses it by more than 1e-9 relative."""
+    coords = spec.extract_batch(data, pivots)
+    for full, x in zip(_complete(spec, coords, pivots), data):
+        err = frobenius_raw(full - x)
+        if err > 1e-9 * frobenius_raw(x):
+            raise RankError(
+                f"matrix is not rank {spec.sizes[-1]} in this {spec.space} chart "
+                f"(completion error {err:.3e})"
+            )
+    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,10 @@ from .errors import (
 #   (3, 1, 1)        6->10      23->20         8->13      33->29        38->40     210->149
 #
 # At 512 rows the seven shapes sum to 425 -> 412 us at beta <= 2 and 1028 ->
-# 753 us at beta=4; at 256 rows to 264 -> 313 and 628 -> 548.  Octonions
-# (beta=8, Mat products only) keep the k loop.
+# 753 us at beta=4; at 256 rows to 264 -> 313 and 628 -> 548.  Inner
+# products and column scalings (n = p = 1) at beta <= 2 keep the k loop at
+# any batch size: it is already batch-inner there, and the entry loop only
+# adds its setup.  Octonions (beta=8, Mat products only) keep the k loop.
 _ENTRY_ROWS = 512
 
 
@@ -71,14 +73,15 @@ def mul_raw(a: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
     Entry (i, j) is sum_k a_ik b_kj, each term one Cayley-Dickson product
     (algebra._cd_mul) on complex views of the coefficients; this needs no
     associativity, so it holds for octonions too.  Leading axes broadcast.
-    From _ENTRY_ROWS batch rows on (beta <= 4), _mul_entries gives the same
-    bits in the batch-inner loop order.
+    From _ENTRY_ROWS batch rows on (beta <= 4, except n = p = 1 at beta <=
+    2), _mul_entries gives the same bits in the batch-inner loop order.
     """
     m = a.shape[-2]
     if b.shape[-3] != m:
         raise ShapeMismatchError(f"inner dimensions differ: {a.shape} @ {b.shape}")
     x, y = _cd_view(a, beta), _cd_view(b, beta)
-    if beta <= 4 and (
+    inner = beta <= 2 and a.shape[-3] == b.shape[-2] == 1
+    if beta <= 4 and not inner and (
         math.prod(a.shape[:-3]) >= _ENTRY_ROWS or math.prod(b.shape[:-3]) >= _ENTRY_ROWS
     ):
         return _mul_entries(x, y).view(np.float64)

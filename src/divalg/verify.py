@@ -6,6 +6,13 @@ Three engines, each matched to the measure semantics a formula lives in:
   plain Jacobian determinant in independent-entry coordinates (Moore-Penrose
   maps, Cholesky, the QR-based and nonsingular congruence identities).  The
   oracle is a central finite-difference Jacobian of extract(map(complete())).
+  A task's points run in chunks of consecutive points, as many as keep the
+  chunk's completed input matrices within CHART_CHUNK_BYTES: each point
+  draws from its own substream, then the chunk's geometry (assembly,
+  pivoting, extraction) and its finite differences (one completion, one map
+  call, one extraction) run on the stacked points, in each point's own
+  pivoted charts.  Every row's arithmetic is its point's alone, so the
+  records do not depend on the chunking.
 
 * MC_EQUALITY: for identities between factorized measures carrying frame
   differentials (the Gram coupling, the SVD-based congruence identities).
@@ -64,7 +71,7 @@ from .charts import (
     _check_box,
     assemble_sd_batch,
     assemble_svd_batch,
-    chart_at,
+    chart_at_batch,
     factorized_draw,
     factorized_mass_log,
     hausdorff_density_log_batch,
@@ -402,26 +409,53 @@ def chart_jacobian_logdet(
     """log |det| of the coordinate Jacobian of extract(map(complete(coords0))).
 
     map_batch is the map on a batch of coefficient arrays, (B, n, m, beta) ->
-    (B, n', m', beta), row by row (e.g. pinv_batch with beta bound).  Central
-    differences at all 2k perturbations of the k coordinates in one pass:
-    rows coords0 + h_i e_i, then coords0 - h_i e_i, through one completion,
-    one map call and one extraction.
+    (B, n', m', beta), row by row (e.g. pinv_batch with beta bound).  The
+    chunk kernel _chart_jacobian_logdets on one point.
     """
-    k = coords0.size
+    return float(_chart_jacobian_logdets(map_batch, in_spec, coords0[None], out_spec, step)[0])
+
+
+def _chart_jacobian_logdets(
+    map_batch, in_spec: ChartSpec, coords: np.ndarray, out_spec: ChartSpec, step: float,
+    in_pivots=None, out_pivots=None,
+) -> np.ndarray:
+    """(P,) log |det| of the coordinate Jacobians at P points (P, k), point
+    i in its own pivoted charts (in_pivots[.][i], out_pivots[.][i]; the
+    specs' own pivots where None, see ChartSpec.complete_batch).
+
+    Central differences at all 2k perturbations of each point in one pass:
+    per point, rows coords + h_i e_i, then coords - h_i e_i, through one
+    completion, one map call and one extraction for the whole chunk.  Each
+    row's arithmetic is that of its point alone, so the chunk gives the
+    same bits as P single points; slogdet is taken per point.
+    """
+    p, k = coords.shape
     k_out = out_spec.coord_count()
     if k_out != k:
         raise InternalConsistencyError(
             f"chart dimensions differ: input {k}, output {k_out}"
         )
-    h = np.maximum(step, step * np.abs(coords0))
-    coords = np.concatenate([coords0 + np.diag(h), coords0 - np.diag(h)])
-    mapped = map_batch(_require_finite(in_spec.complete_batch(coords)))
-    f = out_spec.extract_batch(_require_finite(mapped))
-    jac = ((f[:k] - f[k:]) / (2.0 * h[:, None])).T
-    sign, logdet = np.linalg.slogdet(jac)
-    if sign == 0.0:
-        raise SingularBlockError("chart Jacobian is singular")
-    return float(logdet)
+    h = np.maximum(step, step * np.abs(coords))
+    shift = h[:, :, None] * np.eye(k)  # diag(h) of each point
+    rows = np.concatenate([coords[:, None] + shift, coords[:, None] - shift], axis=1)
+    owner = np.repeat(np.arange(p), 2 * k)
+    full = in_spec.complete_batch(rows.reshape(p * 2 * k, k), _rows_of(in_pivots, owner))
+    mapped = map_batch(_require_finite(full))
+    f = out_spec.extract_batch(_require_finite(mapped), _rows_of(out_pivots, owner))
+    f = f.reshape(p, 2 * k, k)
+    jac = (f[:, :k] - f[:, k:]) / (2.0 * h[:, :, None])
+    out = np.empty(p)
+    for i in range(p):
+        sign, out[i] = np.linalg.slogdet(jac[i].T)
+        if sign == 0.0:
+            raise SingularBlockError("chart Jacobian is singular")
+    return out
+
+
+def _rows_of(pivots, owner: np.ndarray):
+    """Per-point pivots (a pair of (P, size) arrays) taken for each row of
+    owner, the point each row belongs to; None stays None."""
+    return None if pivots is None else tuple(p[owner] for p in pivots)
 
 
 def _require_finite(data: np.ndarray) -> np.ndarray:
@@ -595,9 +629,15 @@ def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
 # ---------------------------------------------------------------------------
 # CHART engine
 #
-# A CHART builder returns point_sampler(rng) -> ((in_spec, coords0),
-# map_batch, out_spec, analytic_log, gap_at_point); map_batch is the map on a
-# batch of coefficient arrays (see chart_jacobian_logdet).
+# A CHART builder returns (in_spec, out_spec, map_batch, sample): the input
+# and output charts of the task's sizes with identity pivots, the map on a
+# batch of coefficient arrays (see chart_jacobian_logdet), and
+# sample(rngs) -> (in_pivots, coords, out_pivots, analytic, gap_at), which
+# draws one point from each generator, in order, and returns the points'
+# own pivots (see ChartSpec.complete_batch; None for the specs' own), their
+# (P, k) coordinates, analytic factors and spectral gaps.  Only the random
+# draws run per point; assembly, pivoting, extraction and the completion
+# check run on the stacked points.
 #
 # For the pseudo-inverse maps the output chart must be the input chart
 # transported through the map: permutations commute with pinv, so tying the
@@ -605,65 +645,96 @@ def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
 # charts.  Untied pivots would insert a nonconstant chart-transition Jacobian
 # that is not part of the transform factor.
 
+# the completed input matrices of one chunk of CHART points, in bytes
+CHART_CHUNK_BYTES = 64 * 1024
+
+
+def _chunk_points(spec: ChartSpec, points: int) -> int:
+    """Points per chunk: as many as keep the 2k completed input matrices of
+    each within CHART_CHUNK_BYTES, at least 1 and at most points."""
+    rows, cols = spec.shape
+    per_point = 2 * spec.coord_count() * rows * cols * spec.kind.beta * 8
+    return min(points, max(1, CHART_CHUNK_BYTES // per_point))
+
+
+def _point_draws(rngs, box, q: int, dims: tuple[int, ...], kind: AlgebraKind):
+    """factorized_draw of one point from each generator, stacked:
+    ((P, q) spectra, one (P, d, q, beta) frame array per d in dims)."""
+    draws = [factorized_draw(rng, box, q, dims, kind, 1) for rng in rngs]
+    spectra = np.concatenate([spectrum for spectrum, _ in draws])
+    return spectra, tuple(np.concatenate(f) for f in zip(*(frames for _, frames in draws)))
+
 
 def _mp_herm_chart(task: TaskSpec):
     kind, beta, m, q = task.kind, task.beta, task.m, task.q
-    inverse = partial(pinv_batch, beta=beta)
+    spec = ChartSpec("psd", kind, (m, q))
 
-    def sample(rng):
-        lam, (w1,) = factorized_draw(rng, task.eigen_box, q, (m,), kind, 1)
-        spec, coords = chart_at(Mat(kind, assemble_sd_batch(w1, lam, beta)[0]), q, "psd")
-        analytic = factor_log("MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(lam[0])))
-        return (spec, coords), inverse, spec, analytic, _spectrum_gap(lam[0])
-    return sample
+    def sample(rngs):
+        lam, (w1,) = _point_draws(rngs, task.eigen_box, q, (m,), kind)
+        _, pivots, coords = chart_at_batch(assemble_sd_batch(w1, lam, beta), q, "psd")
+        analytic = [
+            factor_log("MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(row))) for row in lam
+        ]
+        return pivots, coords, pivots, analytic, _spectrum_gaps(lam)
+    return spec, spec, partial(pinv_batch, beta=beta), sample
 
 
 def _mp_rect_chart(task: TaskSpec):
     kind, beta, m, n, q = task.kind, task.beta, task.m, task.n, task.q
-    inverse = partial(pinv_batch, beta=beta)
+    in_spec = ChartSpec("rect", kind, (n, m, q))
+    out_spec = ChartSpec("rect", kind, (m, n, q))
 
-    def sample(rng):
-        d, (v1, w1) = factorized_draw(rng, task.eigen_box, q, (n, m), kind, 1)
-        spec, coords = chart_at(Mat(kind, assemble_svd_batch(v1, d, w1, beta)[0]), q, "rect")
-        out_spec = ChartSpec("rect", kind, (m, n, q), spec.pivots[::-1])
-        analytic = factor_log("MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(d[0])))
-        return (spec, coords), inverse, out_spec, analytic, _spectrum_gap(d[0])
-    return sample
+    def sample(rngs):
+        d, (v1, w1) = _point_draws(rngs, task.eigen_box, q, (n, m), kind)
+        _, pivots, coords = chart_at_batch(assemble_svd_batch(v1, d, w1, beta), q, "rect")
+        analytic = [
+            factor_log("MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(row))) for row in d
+        ]
+        return pivots, coords, pivots[::-1], analytic, _spectrum_gaps(d)
+    return in_spec, out_spec, partial(pinv_batch, beta=beta), sample
 
 
 def _chol_chart(task: TaskSpec):
     kind, beta, m, q = task.kind, task.beta, task.m, task.q
     tri_spec = ChartSpec("tri", kind, (q, m))
-    out_spec = ChartSpec("psd", kind, (m, q), tuple(range(m)))
+    out_spec = ChartSpec("psd", kind, (m, q))
 
     def gram(t: np.ndarray) -> np.ndarray:
         return mul_raw(ct_raw(t), t, beta)
 
-    def sample(rng):
-        coords = np.zeros(tri_spec.coord_count())
-        coords[:q] = rng.uniform(0.5, 2.0, size=q)
-        coords[q:] = 0.7 * rng.standard_normal(coords.size - q)
-        analytic = factor_log("CHOL", FactorInput(beta=beta, m=m, q=q, t_diag=tuple(coords[:q])))
-        return (tri_spec, coords), gram, out_spec, analytic, math.inf
-    return sample
+    def sample(rngs):
+        coords = np.zeros((len(rngs), tri_spec.coord_count()))
+        for row, rng in zip(coords, rngs):
+            row[:q] = rng.uniform(0.5, 2.0, size=q)
+            row[q:] = 0.7 * rng.standard_normal(row.size - q)
+        analytic = [
+            factor_log("CHOL", FactorInput(beta=beta, m=m, q=q, t_diag=tuple(row[:q])))
+            for row in coords
+        ]
+        return None, coords, None, analytic, np.full(len(rngs), math.inf)
+    return tri_spec, out_spec, gram, sample
 
 
-def _congruence_point(b: Mat, y: Mat, rank: int):
-    """The CHART point of the congruence Y -> B*YB at the rank-`rank` matrix
-    y: ((in_spec, coords), map, out_spec, x, dets), with x = B*YB, the psd
-    charts at y and at x, and dets the log-determinants det_l1l1 and
-    det_t1t1 of their leading blocks (T1*T1 = S11 for the Cholesky factor T
-    of the pivoted matrix)."""
-    beta = y.kind.beta
-    congruence = partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=beta)
-    in_spec, coords = chart_at(y, rank, "psd")
-    x = Mat(y.kind, congruence(y.data[None])[0])
-    out_spec, out_coords = chart_at(x, rank, "psd")
+def _congruence_map(b: Mat):
+    """Y -> B*YB on a batch of coefficient arrays, symmetrized."""
+    return partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=b.kind.beta)
+
+
+def _congruence_points(congruence, y: np.ndarray, rank: int):
+    """The CHART points of the congruence Y -> B*YB at the rank-`rank`
+    matrices y (P, m, m, beta): ((in_spec, in_pivots, coords), (out_spec,
+    out_pivots), x, dets), with x = B*YB, the psd charts at y and at x, and
+    dets the (P,) log-determinants det_l1l1 and det_t1t1 of their leading
+    blocks (T1*T1 = S11 for the Cholesky factor T of the pivoted matrix)."""
+    beta = y.shape[-1]
+    in_spec, in_pivots, coords = chart_at_batch(y, rank, "psd")
+    x = congruence(y)
+    out_spec, out_pivots, out_coords = chart_at_batch(x, rank, "psd")
     dets = {
-        name: float(logdet_hermitian_raw(spec.leading_block(c[None]), beta)[0])
+        name: logdet_hermitian_raw(spec.leading_block(c), beta)
         for name, spec, c in (("det_t1t1", out_spec, out_coords), ("det_l1l1", in_spec, coords))
     }
-    return (in_spec, coords), congruence, out_spec, x, dets
+    return (in_spec, in_pivots, coords), (out_spec, out_pivots), x, dets
 
 
 def _congruence_chart(task: TaskSpec):
@@ -672,23 +743,30 @@ def _congruence_chart(task: TaskSpec):
     b = _draw_b(task)
     rank = task.n if task.theorem_id == "UHLIG_QR" else m
     factor, det_b = FACTORS[task.theorem_id], sdet_log(b)
+    spec = ChartSpec("psd", kind, (m, rank))
+    congruence = _congruence_map(b)
 
-    def sample(rng):
-        lam, (w1,) = factorized_draw(rng, task.eigen_box, rank, (m,), kind, 1)
-        y = Mat(kind, assemble_sd_batch(w1, lam, beta)[0])
-        point, congruence, out_spec, _, dets = _congruence_point(b, y, rank)
-        dets["det_b"] = det_b
+    def sample(rngs):
+        lam, (w1,) = _point_draws(rngs, task.eigen_box, rank, (m,), kind)
+        (_, in_pivots, coords), (_, out_pivots), _, dets = _congruence_points(
+            congruence, assemble_sd_batch(w1, lam, beta), rank
+        )
+        dets["det_b"] = np.full(len(rngs), det_b)
         # log-determinants throughout: the determinants of a box near 1e+-200
         # leave the float range
-        analytic = float(factor.log(beta, m, task.n, 0, **{d: dets[d] for d in factor.dets}))
-        return point, congruence, out_spec, analytic, _spectrum_gap(lam[0])
-    return sample
+        analytic = [
+            float(factor.log(beta, m, task.n, 0, **{d: float(dets[d][i]) for d in factor.dets}))
+            for i in range(len(rngs))
+        ]
+        return in_pivots, coords, out_pivots, analytic, _spectrum_gaps(lam)
+    return spec, spec, congruence, sample
 
 
-def _spectrum_gap(spec: np.ndarray) -> float:
-    """Smallest gap among a descending positive spectrum, including the gap to 0."""
-    extended = np.concatenate([spec, [0.0]])
-    return float((extended[:-1] - extended[1:]).min())
+def _spectrum_gaps(spec: np.ndarray) -> np.ndarray:
+    """Smallest gap of each descending positive spectrum (P, q), including
+    the gap to 0."""
+    extended = np.concatenate([spec, np.zeros((spec.shape[0], 1))], axis=1)
+    return (extended[:, :-1] - extended[:, 1:]).min(axis=1)
 
 
 def _gap_margin(gap_at: float, gap: float) -> float | None:
@@ -700,29 +778,50 @@ def _gap_margin(gap_at: float, gap: float) -> float | None:
     return float(gap_at / gap)
 
 
+def _chart_chunk(task: TaskSpec, problem, points: range):
+    """(analytic, numeric, gap_at) of the CHART points `points`, each drawn
+    from its own substream: one sample call and one Jacobian chunk.  When
+    the chunk raises, its points run again one at a time, so a task raises
+    its lowest failing point's own error, and a check that is relative to
+    the whole chunk cannot fail a point that passes alone."""
+    in_spec, out_spec, map_batch, sample = problem
+    try:
+        rngs = [_substream(task.seed, task.theorem.code, _SIDE_POINTS, i) for i in points]
+        in_pivots, coords, out_pivots, analytic, gap_at = sample(rngs)
+        numeric = _chart_jacobian_logdets(
+            map_batch, in_spec, coords, out_spec, task.step, in_pivots, out_pivots
+        )
+        return list(analytic), list(numeric), list(gap_at)
+    except Exception:  # noqa: BLE001 -- replayed point by point below
+        if len(points) == 1:
+            raise
+    parts = [_chart_chunk(task, problem, range(i, i + 1)) for i in points]
+    return tuple(sum(column, []) for column in zip(*parts))
+
+
 def run_chart_task(task: TaskSpec) -> Report:
-    """Compare finite-difference chart Jacobians with the analytic factor."""
+    """Compare finite-difference chart Jacobians with the analytic factor,
+    on chunks of consecutive points (_chunk_points)."""
     start = time.perf_counter()
     if task.engine != "CHART":
         raise RegistryError(f"run_chart_task needs engine CHART, got {task.engine}")
-    sampler = _problem(task)
-    code = task.theorem.code
+    problem = _problem(task)
+    size = _chunk_points(problem[0], task.points)
     records = []
-    for i in range(task.points):
-        rng = _substream(task.seed, code, _SIDE_POINTS, i)
-        (in_spec, coords0), map_batch, out_spec, analytic, gap_at = sampler(rng)
-        numeric = chart_jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
-        tol = max(task.rtol * abs(analytic), ABS_LOG_FLOOR)
-        err = abs(numeric - analytic)
-        records.append({
-            "point": i,
-            "analytic_log": float(analytic),
-            "numeric_log": float(numeric),
-            "abs_err": float(err),
-            "tol": float(tol),
-            "gap_margin": _gap_margin(gap_at, task.gap),
-            "pass": bool(err <= tol),
-        })
+    for first in range(0, task.points, size):
+        points = range(first, min(first + size, task.points))
+        for i, analytic, numeric, gap_at in zip(points, *_chart_chunk(task, problem, points)):
+            tol = max(task.rtol * abs(analytic), ABS_LOG_FLOOR)
+            err = abs(numeric - analytic)
+            records.append({
+                "point": i,
+                "analytic_log": float(analytic),
+                "numeric_log": float(numeric),
+                "abs_err": float(err),
+                "tol": float(tol),
+                "gap_margin": _gap_margin(float(gap_at), task.gap),
+                "pass": bool(err <= tol),
+            })
     return _report(task, records, all(r["pass"] for r in records), None, start)
 
 
@@ -1052,7 +1151,7 @@ def _restricted_side(raw_fn, spec: ChartSpec, box: np.ndarray, floor: float | No
 def _sd_ratio(task: TaskSpec):
     kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
     lo, hi = task.eigen_box
-    spec = ChartSpec("psd", kind, (m, q), tuple(range(m)))
+    spec = ChartSpec("psd", kind, (m, q))
     fact_raw, fact_mass = _factorized_side(
         task, task.eigen_box, (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta), ("SD",)
     )
@@ -1073,7 +1172,7 @@ def _sd_ratio(task: TaskSpec):
 def _svd_ratio(task: TaskSpec):
     kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
     lo, hi = task.eigen_box
-    spec = ChartSpec("rect", kind, (n, m, q), (tuple(range(n)), tuple(range(m))))
+    spec = ChartSpec("rect", kind, (n, m, q))
     fact_raw, fact_mass = _factorized_side(
         task, task.eigen_box, (n, m), lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta),
         ("SVD",),
@@ -1096,7 +1195,7 @@ def _qr_ratio(task: TaskSpec):
     # q = m (enforced): the chart is the whole n x m space
     kind, beta, m, n = task.kind, task.beta, task.m, task.n
     lo, hi = task.eigen_box
-    spec = ChartSpec("rect", kind, (n, m, m), (tuple(range(n)), tuple(range(m))))
+    spec = ChartSpec("rect", kind, (n, m, m))
     tri_spec = ChartSpec("tri", kind, (m, m))
     tri_box = np.empty((tri_spec.coord_count(), 2))
     tri_box[:m, 0] = lo
@@ -1128,8 +1227,8 @@ def _qr_ratio(task: TaskSpec):
 def _chol_x_ratio(task: TaskSpec):
     # q = m (enforced): S = X*X is m x m positive definite
     kind, beta, m, n = task.kind, task.beta, task.m, task.n
-    x_spec = ChartSpec("rect", kind, (n, m, m), (tuple(range(n)), tuple(range(m))))
-    s_spec = ChartSpec("psd", kind, (m, m), tuple(range(m)))
+    x_spec = ChartSpec("rect", kind, (n, m, m))
+    s_spec = ChartSpec("psd", kind, (m, m))
 
     lam, (w1,) = factorized_draw(_pilot(task), task.eigen_box, m, (m,), kind, 4096)
     pilot_s = assemble_sd_batch(w1, lam, beta)
@@ -1245,13 +1344,18 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
         )
     beta, m, n = task.beta, task.m, task.n
     b, y, lam = _problem(task)
-    (in_spec, coords), congruence, out_spec, x, dets = _congruence_point(b, y, n)
-    chart_log = chart_jacobian_logdet(congruence, in_spec, coords, out_spec, task.step)
-    x_eig = eig_hermitian(x, n)
+    congruence = _congruence_map(b)
+    (in_spec, in_pivots, coords), (out_spec, out_pivots), x, dets = _congruence_points(
+        congruence, y.data[None], n
+    )
+    chart_log = float(_chart_jacobian_logdets(
+        congruence, in_spec, coords, out_spec, task.step, in_pivots, out_pivots
+    )[0])
+    x_eig = eig_hermitian(Mat(y.kind, x[0]), n)
     gbh = conj_transpose(x_eig.w1) @ conj_transpose(b) @ eig_hermitian(y, n).w1
     fi = FactorInput(
         beta=beta, m=m, n=n, lam=tuple(lam), delta=tuple(x_eig.lam), det_b=sdet(b),
-        det_t1t1=math.exp(dets["det_t1t1"]), det_l1l1=math.exp(dets["det_l1l1"]),
+        det_t1t1=math.exp(dets["det_t1t1"][0]), det_l1l1=math.exp(dets["det_l1l1"][0]),
         det_gbh=sdet(gbh),
     )
     svd_log = factor_log("UHLIG_SVD", fi)

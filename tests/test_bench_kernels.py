@@ -26,3 +26,12 @@ def test_bad_shape_is_a_usage_error(capsys):
         bench_kernels.main(["--shape", "3,2"])
     assert exc.value.code == 2
     assert "expected n,m,p" in capsys.readouterr().err
+
+
+def test_chart_times_one_task_per_theorem_and_beta(capsys):
+    assert bench_kernels.main(["--chart", "--beta", "1", "--repeats", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["theorem"], r["beta"], r["points"]) for r in doc["results"]] == [
+        (name, 1, 20) for name in ("CHOL", "MP_HERM", "MP_RECT", "UHLIG_QR", "CONGRUENCE_NS")
+    ]
+    assert all(r["us_per_point"] > 0.0 for r in doc["results"])

@@ -10,6 +10,7 @@ from divalg.charts import (
     assemble_sd_batch,
     assemble_svd_batch,
     chart_at,
+    chart_at_batch,
     choose_pivot,
     factorized_draw,
     factorized_mass_log,
@@ -28,7 +29,7 @@ from divalg.errors import (
     SingularBlockError,
     UnsupportedAlgebraError,
 )
-from divalg.linalg import Mat, conj_transpose, ct_raw, mul_raw, numerical_rank
+from divalg.linalg import Mat, _abs_raw, conj_transpose, ct_raw, mul_raw, numerical_rank
 from divalg.measures import FACTORS, stiefel_volume_log
 
 KINDS = [REAL, COMPLEX, QUATERNION]
@@ -169,6 +170,10 @@ class TestChartSpecValidation:
             ChartSpec("rect", REAL, (2, 2), ((0, 1), (0, 1)))
         with pytest.raises(RegistryError):
             ChartSpec("tri", REAL, (1, 2)).leading_block(np.ones((1, 2)))
+
+    def test_empty_pivots_are_the_identity(self):
+        assert ChartSpec("psd", REAL, (3, 1)) == ChartSpec("psd", REAL, (3, 1), (0, 1, 2))
+        assert ChartSpec("rect", COMPLEX, (3, 2, 1)).pivots == ((0, 1, 2), (0, 1))
 
     def test_sizes_and_pivots_are_int_tuples(self):
         spec = ChartSpec("psd", REAL, np.array([3, 1]), np.array([2, 0, 1]))
@@ -316,6 +321,35 @@ class TestUpperTriangleLayout:
                 spec.complete_batch(coords)
 
 
+def _loop_pivot(a: Mat, q: int, chart: str):
+    """choose_pivot's greedy elimination on one matrix, with the entry
+    inverse in Python floats: the form choose_pivot runs on whole batches."""
+    beta, n, m = a.kind.beta, a.rows, a.cols
+    work = a.data.copy()
+    rows, cols = [], []
+    for _ in range(q):
+        if chart == "rect":
+            score = _abs_raw(work)
+        else:
+            score = np.where(np.eye(m, dtype=bool), work[..., 0], -np.inf)
+        score[rows, :] = -np.inf
+        score[:, cols] = -np.inf
+        i, j = np.unravel_index(int(np.argmax(score)), score.shape)
+        c = work[i, j].tolist()
+        top = max(map(abs, c))
+        c = [x / top for x in c]
+        n2 = sum(x * x for x in c) * top
+        inv = np.array([c[0] / n2] + [-x / n2 for x in c[1:]])
+        colv = mul_raw(work[:, j].reshape(n, 1, beta), inv.reshape(1, 1, beta), beta)
+        work = work - mul_raw(colv, work[i].reshape(1, m, beta), beta)
+        rows.append(int(i))
+        cols.append(int(j))
+    row_pivot = tuple(rows + [i for i in range(n) if i not in rows])
+    if chart == "psd":
+        return row_pivot
+    return row_pivot, tuple(cols + [j for j in range(m) if j not in cols])
+
+
 class TestChoosePivot:
     def test_dominant_leading_block_identity(self):
         a = Mat.from_real(REAL, np.array([[4.0, 1.0], [1.0, 2.0]]))
@@ -350,6 +384,50 @@ class TestChoosePivot:
                 got = (choose_pivot(x * scale, 3, chart="rect"),
                        choose_pivot(s * scale, 3, chart="psd"))
             assert got == expected, scale
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
+    @pytest.mark.parametrize("space", ["rect", "psd"])
+    def test_a_batch_pivots_and_charts_each_matrix_alone(self, kind, space):
+        """choose_pivot and chart_at_batch on a batch give each row, bit for
+        bit, the pivots of the per-matrix elimination and the chart and
+        completion of chart_at on that matrix alone, ties and extreme
+        scales included."""
+        rng = np.random.default_rng(60 + kind.beta)
+        tie = np.zeros((4, 3, kind.beta))
+        tie[0, 0, 0] = tie[1, 1, 0] = tie[2, 0, 0] = 1.0  # equal magnitudes
+        base = [rand_rank_q(kind, 4, 3, 2, rng) for _ in range(4)] + [Mat(kind, tie)]
+        if space == "psd":
+            base = [x @ conj_transpose(x) for x in base]
+        # one scale per batch: S11's positivity check is relative to its batch
+        for scale in (1.0, 1e200, 1e-200):
+            mats = [x * scale for x in base]
+            batch = np.stack([x.data for x in mats])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows, cols = choose_pivot(batch, 2, chart=space)
+                spec, pivots, coords = chart_at_batch(batch, 2, space)
+                full = spec.complete_batch(coords, pivots)
+            for b, x in enumerate(mats):
+                want = _loop_pivot(x, 2, space)
+                got = (tuple(rows[b]), tuple(cols[b]))
+                assert (got[0] if space == "psd" else got) == want, (scale, b)
+                one_spec, one_coords = chart_at(x, 2, space)
+                assert one_spec.pivots == want, (scale, b)
+                assert np.array_equal(coords[b], one_coords), (scale, b)
+                assert np.array_equal(full[b], one_spec.complete_batch(one_coords[None])[0])
+                assert np.array_equal(spec.extract_batch(full, pivots)[b],
+                                      one_spec.extract_batch(full[b][None])[0])
+
+    def test_a_batch_rank_error_names_its_first_failing_row(self):
+        rng = np.random.default_rng(70)
+        u = rand_mat(REAL, 3, 1, rng)
+        near = [u @ conj_transpose(u) + Mat.from_real(REAL, eps * np.eye(3)) for eps in (1e-12, 1e-13)]
+        batch = np.stack([rand_rank_q(REAL, 3, 3, 2, rng).data] + [x.data for x in near])
+        with pytest.raises(RankError) as alone:
+            choose_pivot(near[0], 2, chart="rect")
+        with pytest.raises(RankError) as batched:
+            choose_pivot(batch, 2, chart="rect")
+        assert str(batched.value) == str(alone.value)
 
     def test_psd_diagonal_pivot(self):
         a = Mat.from_real(REAL, np.array([[1.0, 0.0], [0.0, 5.0]]))

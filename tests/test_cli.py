@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from divalg.cli import TASK_NAMES, build_parser, main, preset_tasks
 from divalg.algebra import REAL
 from divalg.linalg import Mat, conj_transpose, load_matrix, save_matrix
-from divalg.verify import THEOREMS
+from divalg.verify import STEP_RANGE, THEOREMS
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +359,34 @@ class TestVerifyCommand:
         assert "Traceback" not in err
         if out:
             json.loads(out, parse_constant=_reject_constant)
+
+    @given(
+        task=st.sampled_from([
+            ("chol", "1", "--m", "3", "--q", "2"),
+            ("mp-herm", "2", "--m", "2", "--q", "1"),
+            ("mp-rect", "1", "--n", "3", "--m", "2", "--q", "1"),
+            ("uhlig-qr", "4", "--m", "2", "--n", "1"),
+            ("congruence-ns", "1", "--m", "2"),
+        ]),
+        points=st.integers(1, 40),
+        log_step=st.floats(math.log10(STEP_RANGE[0]), math.log10(STEP_RANGE[1])),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_chart_points_and_steps_exit_cleanly(self, capsys, task, points, log_step):
+        """Any point count (across chunk boundaries) and any admissible step
+        gives an exit code, one error line at most and strict JSON."""
+        name, beta, *sizes = task
+        step = min(max(10.0**log_step, STEP_RANGE[0]), STEP_RANGE[1])
+        code, out, err = run_cli(
+            capsys, "verify", "--task", name, "--beta", beta, *sizes,
+            "--points", str(points), f"--step={step!r}",
+        )
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if out:
+            doc = json.loads(out, parse_constant=_reject_constant)
+            assert [r["point"] for r in doc["records"]] == list(range(points))
 
     @pytest.mark.parametrize("flags,message", [
         (["--task", "sd", "--m", "2", "--q", "1", "--lambda-hi", "inf"], "eigenvalue box"),

@@ -171,8 +171,9 @@ def test_mul_raw_rejects_mismatched_inner_dimensions(beta, rows):
 
 
 def test_single_matrices_and_chart_points_keep_the_k_loop(monkeypatch):
-    """Mat products and a CHART point's map batches stay below _ENTRY_ROWS
-    rows, so they never take the entry loop."""
+    """Mat products and the map batches of a single CHART point stay below
+    _ENTRY_ROWS rows, so they never take the entry loop (a chunk of several
+    points may take it, which gives the same bits)."""
     from divalg import linalg, verify
 
     def refuse(*args):
@@ -185,6 +186,23 @@ def test_single_matrices_and_chart_points_keep_the_k_loop(monkeypatch):
         assert (a @ b).shape == (3, 3)
     task = verify.TaskSpec(theorem_id="MP_RECT", beta=4, m=3, n=3, q=2, points=1, seed=5)
     assert verify.run_task(task).passed
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("shape", [(1, 3, 1), (1, 1, 1)], ids=["1x3x1", "1x1x1"])
+def test_inner_products_keep_the_k_loop_at_any_batch(monkeypatch, beta, shape):
+    """n = p = 1 products at beta <= 2 never take the entry loop: the k loop
+    is already batch-inner there."""
+    from divalg import linalg
+
+    def refuse(*args):
+        raise AssertionError("an inner product took the entry loop")
+
+    monkeypatch.setattr(linalg, "_mul_entries", refuse)
+    n, m, p = shape
+    rng = np.random.default_rng(beta)
+    a, b = rng.normal(size=(4096, n, m, beta)), rng.normal(size=(4096, m, p, beta))
+    assert mul_raw(a, b, beta).shape == (4096, 1, 1, beta)
 
 
 @pytest.mark.parametrize("beta", VALID_BETAS)

@@ -28,6 +28,7 @@ from divalg.errors import (
     ConfigurationError,
     InconclusiveStatisticsError,
     RegistryError,
+    SingularBlockError,
     UnsupportedAlgebraError,
 )
 from divalg.linalg import (
@@ -446,17 +447,18 @@ class TestChartClosedForms:
         of the charts' leading blocks S11 = T1*T1: 2 sdet_log(T1) for the
         rank-n Cholesky factor T of the pivoted matrix."""
         task = TaskSpec(theorem_id="UHLIG_QR", beta=beta, m=m, n=n, points=3, seed=9)
-        b = verify._draw_b(task)
+        rngs = [verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
+                for i in range(task.points)]
+        lam, (w1,) = verify._point_draws(rngs, task.eigen_box, n, (m,), task.kind)
+        y = assemble_sd_batch(w1, lam, beta)
+        congruence = verify._congruence_map(verify._draw_b(task))
+        (_, in_pivots, _), (_, out_pivots), x, dets = verify._congruence_points(congruence, y, n)
         for i in range(task.points):
-            rng = verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
-            lam, (w1,) = factorized_draw(rng, task.eigen_box, n, (m,), task.kind, 1)
-            y = Mat(task.kind, assemble_sd_batch(w1, lam, beta)[0])
-            (in_spec, _), _, out_spec, x, dets = verify._congruence_point(b, y, n)
-            for name, spec, s in (("det_t1t1", out_spec, x), ("det_l1l1", in_spec, y)):
-                pv = np.asarray(spec.pivots)
-                t = cholesky_rank_q(Mat(s.kind, s.data[np.ix_(pv, pv)]), n)
-                expected = 2.0 * sdet_log(Mat(s.kind, t.data[:, :n]))
-                assert dets[name] == pytest.approx(expected, rel=1e-12), (name, i)
+            for name, pivots, s in (("det_t1t1", out_pivots, x), ("det_l1l1", in_pivots, y)):
+                pv = pivots[0][i]
+                t = cholesky_rank_q(Mat(task.kind, s[i][np.ix_(pv, pv)]), n)
+                expected = 2.0 * sdet_log(Mat(task.kind, t.data[:, :n]))
+                assert dets[name][i] == pytest.approx(expected, rel=1e-12), (name, i)
 
 
 class TestDiscrepancyDemo:
@@ -821,10 +823,10 @@ def test_chart_records_carry_the_gap_margin():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = run_task(task)
-    sampler = verify._problem(task)
+    sample = verify._problem(task)[3]
     for rec in rep.records:
         rng = verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, rec["point"])
-        gap_at = sampler(rng)[-1]
+        (gap_at,) = sample([rng])[-1]
         assert rec["gap_margin"] == gap_at / task.gap
     assert min(r["gap_margin"] for r in rep.records) < 10.0
     chol = run_task(TaskSpec(theorem_id="CHOL", beta=1, m=2, q=1, points=2, seed=42))
@@ -885,14 +887,29 @@ CHART_CASES = [
 ]
 
 
+def _pivoted(spec: ChartSpec, pivots) -> ChartSpec:
+    """The chart of spec's sizes with row 0's pivots of a sample (spec for None)."""
+    if pivots is None:
+        return spec
+    rows, cols = (tuple(int(v) for v in p[0]) for p in pivots)
+    return ChartSpec(spec.space, spec.kind, spec.sizes, rows if spec.space == "psd" else (rows, cols))
+
+
+def _chart_point(task: TaskSpec, i: int):
+    """(map_batch, in_spec, coords0, out_spec) of the task's CHART point i,
+    drawn alone, in its own pivoted charts."""
+    in_spec, out_spec, map_batch, sample = verify._problem(task)
+    rng = verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
+    in_pivots, coords, out_pivots, _, _ = sample([rng])
+    return map_batch, _pivoted(in_spec, in_pivots), coords[0], _pivoted(out_spec, out_pivots)
+
+
 @pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
 def test_batched_jacobian_matches_per_perturbation_loop(theorem, sizes):
     task = TaskSpec(theorem_id=theorem, beta=4, points=3, seed=11, **sizes)
-    sample = verify._problem(task)
     mat_map = _loop_map(task)
     for i in range(task.points):
-        rng = verify._substream(task.seed, THEOREMS[theorem].code, verify._SIDE_POINTS, i)
-        (in_spec, coords0), map_batch, out_spec, _, _ = sample(rng)
+        map_batch, in_spec, coords0, out_spec = _chart_point(task, i)
         batched = verify.chart_jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
         looped = _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, task.step)
         assert batched == pytest.approx(looped, abs=1e-8)
@@ -900,34 +917,97 @@ def test_batched_jacobian_matches_per_perturbation_loop(theorem, sizes):
 
 @pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
 def test_one_chart_point_makes_one_completion_and_one_map_call(monkeypatch, theorem, sizes):
+    """Five points in one chunk: one completion and one map call for all."""
     calls = {"complete": 0, "map": 0}
     complete = ChartSpec.complete_batch
 
-    def counted_complete(self, coords):
+    def counted_complete(self, coords, pivots=None):
         calls["complete"] += 1
-        return complete(self, coords)
+        return complete(self, coords, pivots)
 
     problem = verify._problem
 
     def counted_problem(task):
-        sample = problem(task)
+        in_spec, out_spec, map_fn, sample = problem(task)
+        assert verify._chunk_points(in_spec, task.points) == task.points
 
-        def counted_sample(rng):
-            point, map_fn, *rest = sample(rng)
+        def counted_map(data):
+            calls["map"] += 1
+            return map_fn(data)
 
-            def counted_map(data):
-                calls["map"] += 1
-                return map_fn(data)
-
-            return (point, counted_map, *rest)
-
-        return counted_sample
+        return in_spec, out_spec, counted_map, sample
 
     monkeypatch.setattr(ChartSpec, "complete_batch", counted_complete)
     monkeypatch.setattr(verify, "_problem", counted_problem)
-    rep = run_task(TaskSpec(theorem_id=theorem, beta=4, points=1, seed=12, **sizes))
-    assert rep.passed
+    rep = run_task(TaskSpec(theorem_id=theorem, beta=4, points=5, seed=12, **sizes))
+    assert rep.passed and len(rep.records) == 5
     assert calls == {"complete": 1, "map": 1}
+
+
+def _two_chunk_task(theorem: str, sizes: dict, beta: int, seed: int) -> TaskSpec:
+    """A task whose points fill one chunk and spill two into a second."""
+    task = TaskSpec(theorem_id=theorem, beta=beta, seed=seed, **sizes)
+    size = verify._chunk_points(verify._problem(task)[0], 10**8)
+    return dataclasses.replace(task, points=size + 2)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
+def test_chunked_points_are_the_points_alone(theorem, sizes, beta):
+    """Every record of a task spanning two chunks reads, bit for bit, the
+    Jacobian of its point drawn and differentiated alone."""
+    task = _two_chunk_task(theorem, sizes, beta, seed=13)
+    rep = run_task(task)
+    assert rep.passed and len(rep.records) == task.points
+    for rec in rep.records:
+        point = _chart_point(task, rec["point"])
+        assert rec["numeric_log"] == verify.chart_jacobian_logdet(*point, task.step)
+
+
+@pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
+def test_first_points_do_not_depend_on_the_point_count(theorem, sizes):
+    task = _two_chunk_task(theorem, sizes, 2, seed=14)
+    short = run_task(dataclasses.replace(task, points=3))
+    assert short.records == run_task(task).records[:3]
+
+
+def test_chunk_size_is_a_pure_function_of_the_chart():
+    """The chunk size bounds the completed input of a chunk by the byte
+    budget at any point count, and is at least one point."""
+    for theorem, sizes in CHART_CASES:
+        for beta in (1, 2, 4):
+            task = TaskSpec(theorem_id=theorem, beta=beta, points=10**8, seed=1, **sizes)
+            spec = verify._problem(task)[0]
+            size = verify._chunk_points(spec, task.points)
+            rows, cols = spec.shape
+            per_point = 2 * spec.coord_count() * rows * cols * beta * 8
+            assert size == verify._chunk_points(spec, task.points)
+            assert 1 <= size < task.points
+            assert size * per_point <= verify.CHART_CHUNK_BYTES < (size + 1) * per_point
+            assert verify._chunk_points(spec, 3) == min(3, size)
+    wide = ChartSpec("rect", QUATERNION, (40, 40, 20), (tuple(range(40)), tuple(range(40))))
+    assert verify._chunk_points(wide, 10**8) == 1
+
+
+def test_a_chunk_wide_failure_reruns_its_points_alone(monkeypatch):
+    """A map that fails on any batch wider than one point's perturbations
+    gives the report of a run with one point per chunk."""
+    task = TaskSpec(theorem_id="MP_HERM", beta=2, m=3, q=2, points=6, seed=15)
+    want = run_task(task)
+    problem = verify._problem
+
+    def one_point_only(task):
+        in_spec, out_spec, map_fn, sample = problem(task)
+
+        def strict(data):
+            if data.shape[0] > 2 * in_spec.coord_count():
+                raise SingularBlockError("a check relative to the whole chunk")
+            return map_fn(data)
+
+        return in_spec, out_spec, strict, sample
+
+    monkeypatch.setattr(verify, "_problem", one_point_only)
+    assert run_task(task).records == want.records
 
 
 # ---------------------------------------------------------------------------
