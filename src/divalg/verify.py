@@ -6,13 +6,9 @@ Three engines, each matched to the measure semantics a formula lives in:
   plain Jacobian determinant in independent-entry coordinates (Moore-Penrose
   maps, Cholesky, the QR-based and nonsingular congruence identities).  The
   oracle is a central finite-difference Jacobian of extract(map(complete())).
-  A task's points run in chunks of consecutive points, as many as keep the
-  chunk's completed input matrices within CHART_CHUNK_BYTES: each point
-  draws from its own substream, then the chunk's geometry (assembly,
-  pivoting, extraction) and its finite differences (one completion, one map
-  call, one extraction) run on the stacked points, in each point's own
-  pivoted charts.  Every row's arithmetic is its point's alone, so the
-  records do not depend on the chunking.
+  A task's points run in chunks (see the CHART engine section); each point
+  draws from its own substream and each row's arithmetic is its point's
+  alone, so the records do not depend on the chunking.
 
 * MC_EQUALITY: for identities between factorized measures carrying frame
   differentials (the Gram coupling, the SVD-based congruence identities).
@@ -636,8 +632,10 @@ def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
 # draws one point from each generator, in order, and returns the points'
 # own pivots (see ChartSpec.complete_batch; None for the specs' own), their
 # (P, k) coordinates, analytic factors and spectral gaps.  Only the random
-# draws run per point; assembly, pivoting, extraction and the completion
-# check run on the stacked points.
+# draws and the analytic factors run per point; assembly, pivoting,
+# extraction and the completion check run on the stacked points, and the
+# finite differences of a chunk of points take one completion, one map call
+# and one extraction.
 #
 # For the pseudo-inverse maps the output chart must be the input chart
 # transported through the map: permutations commute with pinv, so tying the
