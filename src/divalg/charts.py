@@ -11,26 +11,26 @@ completion in the ambient inner product Re tr(A*B): a constant for a
 full-rank chart, one block inverse per batch for a rank-q chart), and
 samplers for the factorized measures (spectrum box x uniform Stiefel frames).
 
-A chart is a ChartSpec, which validates its sizes and pivots; a chart point
-is a (spec, coords) pair.  A pivot only scatters a completed matrix (and
-gathers one for extraction), so completion and extraction also take one
-pivot pair per batch row in place of the spec's: a batch of points in
-different pivoted charts of the same sizes completes in one call.
-chart_at_batch gives each matrix of a batch its own chart (choose_pivot
-pivots a whole batch in one elimination loop), and chart_at is its batch of
-one.  Everything is written batch-first on raw coefficient arrays.  psd and tri
-charts share one upper-triangle coordinate layout (the q real diagonals,
-the strict upper entries of the leading q x q block row by row, then the
-q x (m - q) block row-major): psd fills S11's lower triangle by conjugation
-and tri completes to the upper trapezoid.  psd and rect charts share one
-kernel: one helper unpacks the pivoted leading blocks
-(A11, A12, A21; A21 = A12* for psd), which completion, the leading block,
-chart_at and the Hausdorff density all read, and one completion body fills
-A22 = (A21 A11^{-1}) A12.  The block inverses (S11^{-1}, X11^{-1}) and their
-positivity and conditioning checks run on the small-block kernels of
+A chart is a ChartSpec, which validates its sizes; a chart point is a
+(spec, coords) pair.  Pivots are per-row arrays, never part of a spec: a
+pivot only scatters a completed matrix (and gathers one for extraction), so
+completion and extraction take one pivot pair per batch row, or none for
+the unpivoted chart, and a batch of points in different pivoted charts of
+the same sizes completes in one call.  chart_at_batch gives each matrix of
+a batch its own chart, from given pivots or from choose_pivot, which pivots
+a whole batch in one elimination loop for both spaces.  Everything is
+written batch-first on raw coefficient arrays.  psd and tri charts share
+one upper-triangle coordinate layout (the q real diagonals, the strict
+upper entries of the leading q x q block row by row, then the q x (m - q)
+block row-major): psd fills S11's lower triangle by conjugation and tri
+completes to the upper trapezoid.  psd and rect charts share one kernel:
+one helper unpacks the pivoted leading blocks (A11, A12, A21; A21 = A12*
+for psd), which completion, the leading block and the Hausdorff density
+all read, and one completion body fills A22 = (A21 A11^{-1}) A12.  The
+block inverses (S11^{-1}, X11^{-1}) and their positivity and conditioning
+checks, each relative to its own row, run on the small-block kernels of
 linalg: closed forms for q = 1 (and q = 2 for S11), LAPACK on the blocks'
-complex form (linalg.complex_raw) otherwise.  choose_pivot runs one
-elimination loop for both spaces.
+complex form (linalg.complex_raw) otherwise.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ from .errors import (
 )
 from .decomp import gram_schmidt_batch
 from .linalg import (
-    Mat,
     _abs_raw,
     _require_assoc,
     _sq_abs,
@@ -76,13 +75,6 @@ def rect_coord_count(n: int, m: int, q: int, beta: int) -> int:
 def psd_coord_count(m: int, q: int, beta: int) -> int:
     # q real diagonals, full off-diagonals above them, and the S12 block
     return q + beta * q * (q - 1) // 2 + beta * q * (m - q)
-
-
-def _check_perm(perm, size: int, label: str) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in np.ravel(perm))
-    if sorted(perm) != list(range(size)):
-        raise ShapeMismatchError(f"{label} must be a permutation of range({size}), got {perm}")
-    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +131,16 @@ def _upper_pack(u11: np.ndarray, u12: np.ndarray) -> np.ndarray:
 
 
 def _inv_hermitian_block(s11: np.ndarray, beta: int) -> np.ndarray:
-    """Batched inverse of Hermitian PD blocks, with a positivity check
-    relative to the largest eigenvalue (1 for an all-zero batch)."""
+    """Batched inverse of Hermitian PD blocks, with a positivity check of
+    each block relative to its own largest eigenvalue (1 for a zero block);
+    NotPsdError names the first failing block's smallest eigenvalue."""
     eig = eigvalsh_raw(s11, beta)
-    top = float(np.abs(eig).max()) if eig.size else 0.0
-    if float(eig.min()) <= 1e-12 * (top if top > 0.0 else 1.0):
+    top = np.abs(eig).max(axis=-1)
+    low = eig.min(axis=-1)
+    bad = low <= 1e-12 * np.where(top > 0.0, top, 1.0)
+    if bad.any():
         raise NotPsdError(
-            f"S11 block is not positive definite (min eigenvalue {eig.min():.3e})"
+            f"S11 block is not positive definite (min eigenvalue {low[np.argmax(bad)]:.3e})"
         )
     return inv_hermitian_raw(s11, beta)
 
@@ -182,17 +177,15 @@ def _inv_leading(spec: ChartSpec, a11: np.ndarray) -> np.ndarray:
 
 def _pivot_index(spec: ChartSpec, pivots, rows: int):
     """Index of the pivoted layout of `rows` matrices: x[index] puts the
-    pivoted rows and columns first.  pivots None takes the spec's own;
-    otherwise they are each row's own, (row_pivots (B, rows), col_pivots
-    (B, cols)) int arrays, a psd pair being one symmetric permutation twice."""
-    if spec.space == "tri":
-        if pivots is not None:
-            raise ShapeMismatchError("a tri chart takes no pivots")
-        return None
+    pivoted rows and columns first.  pivots are each row's own,
+    (row_pivots (B, rows), col_pivots (B, cols)) int arrays, a psd pair
+    being one symmetric permutation twice; None (no permutation) gives
+    None.  Only their shapes are checked here (chart_at_batch checks that
+    given pivots are permutations)."""
     if pivots is None:
-        rp, cp = spec.pivots if spec.space == "rect" else (spec.pivots,) * 2
-        rp, cp = np.asarray(rp, dtype=int), np.asarray(cp, dtype=int)
-        return slice(None), rp[:, None], cp[None, :]
+        return None
+    if spec.space == "tri":
+        raise ShapeMismatchError("a tri chart takes no pivots")
     rp, cp = (np.asarray(p, dtype=int) for p in pivots)
     if rp.shape != (rows, spec.shape[0]) or cp.shape != (rows, spec.shape[1]):
         raise ShapeMismatchError(
@@ -205,7 +198,7 @@ def _pivot_index(spec: ChartSpec, pivots, rows: int):
 def _complete(spec: ChartSpec, coords: np.ndarray, pivots=None) -> np.ndarray:
     """(B, k) coordinates of a psd or rect chart -> (B, rows, cols, beta)
     matrices: the leading blocks, A22 = (A21 A11^{-1}) A12 (symmetrized for
-    psd), then the pivots (_pivot_index) undone."""
+    psd), then the pivots (_pivot_index), if any, undone."""
     beta, q = spec.kind.beta, spec.sizes[-1]
     rows, cols = spec.shape
     index = _pivot_index(spec, pivots, coords.shape[0])
@@ -219,6 +212,8 @@ def _complete(spec: ChartSpec, coords: np.ndarray, pivots=None) -> np.ndarray:
         if spec.space == "psd":
             a22 = (a22 + ct_raw(a22)) / 2.0
         xp[:, q:, q:] = a22
+    if index is None:
+        return xp
     out = np.empty_like(xp)
     out[index] = xp
     return out
@@ -231,21 +226,19 @@ _SIZE_COUNT = {"psd": 2, "rect": 3, "tri": 2}
 @dataclass(frozen=True)
 class ChartSpec:
     """A chart of a rank-q manifold, the package's one chart type; a chart
-    point is a (spec, coords) pair, and chart_at gives the chart at a matrix.
+    point is a (spec, coords) pair, and chart_at_batch gives the charts at a
+    batch of matrices.
 
-    space 'psd': sizes (m, q), pivots one symmetric permutation of range(m);
-    'rect': sizes (n, m, q), pivots (row_pivot, col_pivot);
-    'tri': sizes (q, m), q x m upper-triangular-leading factors with real
-    positive diagonal, no pivots.  Empty pivots of a psd or rect chart are
-    the identity.  Construction checks beta <= 4, 1 <= q <= the size limit
-    (RankError) and that each pivot is a permutation (ShapeMismatchError),
-    and stores sizes and pivots as tuples of ints.
+    space 'psd': sizes (m, q); 'rect': sizes (n, m, q); 'tri': sizes (q, m),
+    q x m upper-triangular-leading factors with real positive diagonal.  A
+    spec has no pivots: completion and extraction take each row's own (see
+    complete_batch).  Construction checks beta <= 4 and 1 <= q <= the size
+    limit (RankError), and stores sizes as a tuple of ints.
     """
 
     space: str
     kind: AlgebraKind
     sizes: tuple[int, ...]
-    pivots: tuple = ()
 
     def __post_init__(self) -> None:
         if self.space not in _SIZE_COUNT:
@@ -256,26 +249,10 @@ class ChartSpec:
             raise ShapeMismatchError(
                 f"a {self.space} chart takes {_SIZE_COUNT[self.space]} sizes, got {sizes}"
             )
-        given = len(self.pivots) > 0
-        if self.space == "psd":
-            m, q = sizes
-            limit, pivots = m, _check_perm(self.pivots if given else range(m), m, "pivot")
-        elif self.space == "rect":
-            n, m, q = sizes
-            if given and len(self.pivots) != 2:
-                raise ShapeMismatchError("a rect chart takes pivots (row_pivot, col_pivot)")
-            rp, cp = self.pivots if given else (range(n), range(m))
-            limit = min(n, m)
-            pivots = (_check_perm(rp, n, "row_pivot"), _check_perm(cp, m, "col_pivot"))
-        else:
-            q, limit = sizes
-            if len(self.pivots):
-                raise ShapeMismatchError("a tri chart takes no pivots")
-            pivots = ()
+        q, limit = sizes if self.space == "tri" else (sizes[-1], min(sizes[:-1]))
         if not 1 <= q <= limit:
             raise RankError(f"q must lie in [1, {limit}], got {q}")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "pivots", pivots)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -295,8 +272,9 @@ class ChartSpec:
     def complete_batch(self, coords: np.ndarray, pivots=None) -> np.ndarray:
         """(B, k) chart coordinates -> (B, rows, cols, beta) matrices.  With
         pivots, each row completes in its own pivoted chart of these sizes:
-        (row_pivots (B, rows), col_pivots (B, cols)) int arrays, in place of
-        the spec's pivots (a pivot only scatters the completed matrix)."""
+        (row_pivots (B, rows), col_pivots (B, cols)) int arrays, as
+        choose_pivot gives them (a pivot only scatters the completed
+        matrix); without, in the unpivoted chart."""
         if self.space == "tri":
             _pivot_index(self, pivots, coords.shape[0])
             return np.concatenate(_upper_unpack(coords, self.kind, *self._upper_sizes), axis=2)
@@ -311,7 +289,7 @@ class ChartSpec:
             q = self.sizes[0]
             return _upper_pack(data[:, :, :q], data[:, :, q:])
         q = self.sizes[-1]
-        xp = data[index]
+        xp = data if index is None else data[index]
         if self.space == "psd":
             s11 = (xp[:, :q, :q] + ct_raw(xp[:, :q, :q])) / 2.0
             return _upper_pack(s11, xp[:, :q, q:])
@@ -336,19 +314,19 @@ def _entry_inv(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def choose_pivot(a, q: int, chart: str = "rect"):
-    """Greedy max-magnitude pivoting on successive Schur complements.
+def choose_pivot(data: np.ndarray, q: int, chart: str = "rect"):
+    """Greedy max-magnitude pivoting on successive Schur complements, each
+    matrix of a (B, n, m, beta) batch on its own.
 
-    chart='rect' returns (row_pivot, col_pivot) from complete pivoting on the
-    entries' magnitudes; chart='psd' returns a single symmetric permutation
-    from pivoting on the real diagonal.  Deterministic: ties break at the
-    lowest flat index.  a is a Mat, or a batch (B, n, m, beta) of coefficient
-    arrays, each pivoted on its own: a batch gets (row_pivots (B, n),
-    col_pivots (B, m)) int arrays for either chart, a psd pair being one
-    array twice.  A Mat is the batch of one; RankError names the first row
-    whose pivot falls below PIVOT_TOL times its first.
+    Returns (row_pivots (B, n), col_pivots (B, m)) int arrays: chart='rect'
+    pivots completely on the entries' magnitudes, chart='psd' symmetrically
+    on the real diagonal (one array twice).  Deterministic: ties break at
+    the lowest flat index.  RankError names the first row whose pivot falls
+    below PIVOT_TOL times its first.
     """
-    data = a.data[None] if isinstance(a, Mat) else np.asarray(a, dtype=float)
+    data = np.asarray(data)
+    if data.ndim != 4:
+        raise ShapeMismatchError(f"choose_pivot takes a (B, n, m, beta) batch, got {data.shape}")
     beta = data.shape[-1]
     _require_assoc(beta, "choose_pivot")
     if chart not in ("rect", "psd"):
@@ -358,7 +336,7 @@ def choose_pivot(a, q: int, chart: str = "rect"):
         raise ShapeMismatchError("psd pivoting requires a square matrix")
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-    work = data.copy()
+    work = data.astype(float)
     batch = np.arange(count)
     order = (np.empty((count, q), dtype=int), np.empty((count, q), dtype=int))
     initial = None
@@ -389,46 +367,44 @@ def choose_pivot(a, q: int, chart: str = "rect"):
         pivots.append(np.concatenate([taken, np.nonzero(rest)[1].reshape(count, -1)], axis=1))
     if chart == "psd":
         pivots[1] = pivots[0]
-    if isinstance(a, Mat):
-        single = tuple(tuple(int(v) for v in p[0]) for p in pivots)
-        return single[0] if chart == "psd" else single
     return tuple(pivots)
 
 
-def chart_at(a: Mat, q: int, space: str, pivots=None) -> tuple[ChartSpec, np.ndarray]:
-    """The rank-q chart of `space` ('psd' or 'rect') at the matrix a, and a's
-    coordinates in it.  pivots default to choose_pivot's; RankError when the
-    completion of the coordinates misses a by more than 1e-9 relative."""
-    if space not in ("psd", "rect"):
-        raise RegistryError(f"unknown chart {space!r}; expected 'rect' or 'psd'")
-    if pivots is None:
-        pivots = choose_pivot(a, q, chart=space)
-    if space == "psd" and a.rows != a.cols:
-        raise ShapeMismatchError("a psd chart needs a square matrix")
-    sizes = (a.rows, q) if space == "psd" else (a.rows, a.cols, q)
-    spec = ChartSpec(space, a.kind, sizes, pivots)
-    return spec, _coords_at(spec, a.data[None], None)[0]
-
-
-def chart_at_batch(data: np.ndarray, q: int, space: str):
+def chart_at_batch(data: np.ndarray, q: int, space: str, pivots=None):
     """The rank-q charts of `space` ('psd' or 'rect') at each of a batch of
     (B, rows, cols, beta) matrices: (spec, pivots, coords) with spec the
-    identity-pivot chart of their sizes, pivots each row's own from
-    choose_pivot, as complete_batch and extract_batch take them, and coords
-    (B, k) each row's coordinates in its pivoted chart.  ValueError for a
-    non-finite coefficient, and RankError when a row's completion misses it
-    by more than 1e-9 relative; chart_at does the same for one matrix.  As
-    in every completion, a psd chart's S11 positivity check is relative to
-    the largest eigenvalue of the whole batch."""
+    chart of their sizes, pivots each row's own, as complete_batch and
+    extract_batch take them, and coords (B, k) each row's coordinates in
+    its pivoted chart.  pivots default to choose_pivot's; given ones skip
+    it, and ShapeMismatchError names the first row whose pivots are not
+    permutations of its rows and columns (one permutation twice for psd).
+    ValueError for a non-finite coefficient, and RankError when a row's
+    completion misses it by more than 1e-9 relative.  As in every
+    completion, a psd chart's S11 positivity check is relative to each
+    row's own largest eigenvalue, so a row charts as it does alone."""
     if space not in ("psd", "rect"):
         raise RegistryError(f"unknown chart {space!r}; expected 'rect' or 'psd'")
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("matrix coefficients must be finite")
-    pivots = choose_pivot(data, q, chart=space)
-    rows, cols, beta = data.shape[1:]
+    count, rows, cols, beta = data.shape
+    if space == "psd" and rows != cols:
+        raise ShapeMismatchError("a psd chart needs a square matrix")
     sizes = (rows, q) if space == "psd" else (rows, cols, q)
     spec = ChartSpec(space, AlgebraKind.from_beta(beta), sizes)
+    if pivots is None:
+        pivots = choose_pivot(data, q, chart=space)
+    else:
+        pivots = tuple(np.asarray(p, dtype=int) for p in pivots)
+        _pivot_index(spec, pivots, count)  # their shapes
+        for label, p in zip(("row", "column"), pivots):
+            bad = np.any(np.sort(p, axis=1) != np.arange(p.shape[1]), axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ShapeMismatchError(f"{label} pivot {i} must be a permutation of "
+                                         f"range({p.shape[1]}), got {p[i].tolist()}")
+        if space == "psd" and not np.array_equal(*pivots):
+            raise ShapeMismatchError("a psd chart takes one symmetric permutation per row")
     return spec, pivots, _coords_at(spec, data, pivots)
 
 

@@ -42,12 +42,12 @@ from .errors import (
 )
 from .linalg import Mat, save_matrix
 from .measures import (
+    UHLIG_SVD_ALT,
     FactorInput,
     factor_log,
     mv_gamma_log,
     stiefel_volume_log,
     tau,
-    uhlig_svd_alternative_log,
 )
 from .verify import ENGINES, THEOREMS, Report, TaskSpec, check_sizes, run_task
 
@@ -372,9 +372,7 @@ def _evaluate_factor(args: argparse.Namespace) -> float:
         det_b=args.det_b, det_t1t1=args.det_t1t1, det_l1l1=args.det_l1l1,
         det_s11=args.det_s11, det_gbh=args.det_gbh,
     )
-    if args.kind == "uhlig-svd-alt":
-        return uhlig_svd_alternative_log(fi)
-    return factor_log(name, fi)
+    return factor_log(UHLIG_SVD_ALT if args.kind == "uhlig-svd-alt" else name, fi)
 
 
 def cmd_factor(args: argparse.Namespace) -> int:

@@ -10,9 +10,11 @@ differences overflow quickly, so everything is a sum of logs.
 
 Each factor is written once, batch-first: its entry maps spectra of shape
 (..., k) and log-determinants of shape (...) to log factors of shape (...).
-The Monte-Carlo samplers call the entries on whole blocks; factor_log
-evaluates one entry at a validated FactorInput (CHART points, the demo and
-`divalg factor`).
+Every engine calls the entries on whole batches: the Monte-Carlo samplers
+on blocks, CHART on the stacked points of a chunk (checking its spectra
+with check_spectra first) and the demo on its one point.  factor_log
+evaluates one entry, or the cross-check form UHLIG_SVD_ALT, at a validated
+FactorInput; it serves `divalg factor` only.
 
 Size conventions follow the congruence theorems: m is the ambient matrix
 size and, for the congruence factors, n is the rank of the positive
@@ -105,18 +107,24 @@ class FactorInput:
                 continue
             value = tuple(float(v) for v in value)
             object.__setattr__(self, name, value)
-            if not all(0.0 < v < math.inf for v in value):
-                raise ConfigurationError(
-                    f"{name} entries must be finite and positive, got {value}"
-                )
-            if name != "t_diag" and any(
-                value[i] <= value[i + 1] for i in range(len(value) - 1)
-            ):
-                raise ConfigurationError(f"{name} must be strictly decreasing, got {value}")
+            check_spectra(name, np.array(value, dtype=float)[None])
         for name in ("det_b", "det_t1t1", "det_l1l1", "det_s11", "det_gbh"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+
+
+def check_spectra(name: str, rows: np.ndarray) -> None:
+    """FactorInput's checks of its spectrum `name` on (P, k) rows:
+    ConfigurationError for the first row whose entries are not finite and
+    positive or, but for t_diag (triangular diagonals are not sorted), not
+    strictly decreasing."""
+    positive = np.all((rows > 0.0) & (rows < math.inf), axis=1)
+    ok = positive & (name == "t_diag" or np.all(rows[:, :-1] > rows[:, 1:], axis=1))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        what = "must be strictly decreasing" if positive[i] else "entries must be finite and positive"
+        raise ConfigurationError(f"{name} {what}, got {tuple(float(v) for v in rows[i])}")
 
 
 def _det(fi: FactorInput, name: str) -> float:
@@ -228,13 +236,24 @@ FACTORS: dict[str, Factor] = {
 }
 
 
-def factor_log(name: str, fi: FactorInput) -> float:
-    """log factor of the theorem `name` at one point: FACTORS[name] on the
-    spectra of fi (each checked for presence and length) and the logs of
-    its determinants."""
-    if name not in FACTORS:
+def uhlig_svd_alternative_log(beta, m, n, q, det_b, det_gbh):
+    """Cross-check form of the SVD congruence factor, read like a FACTORS
+    entry: the log-determinants of B and of G1* B* H1 in place of the
+    spectra."""
+    return beta * n * det_b + (beta * (m - n - 1) + 2) * det_gbh
+
+
+UHLIG_SVD_ALT = Factor(uhlig_svd_alternative_log, dets=("det_b", "det_gbh"))
+
+
+def factor_log(name: str | Factor, fi: FactorInput) -> float:
+    """log factor at one point of the theorem `name` (or of the Factor
+    given, such as UHLIG_SVD_ALT): its entry on the spectra of fi (each
+    checked for presence and length) and the logs of its determinants.
+    `divalg factor` is its one caller in the package."""
+    entry = name if isinstance(name, Factor) else FACTORS.get(name)
+    if entry is None:
         raise RegistryError(f"unknown factor {name!r}; expected one of {tuple(FACTORS)}")
-    entry = FACTORS[name]
     inputs = {}
     for spectrum, size in entry.spectra.items():
         value = getattr(fi, spectrum)
@@ -249,11 +268,3 @@ def factor_log(name: str, fi: FactorInput) -> float:
     for det in entry.dets:
         inputs[det] = math.log(_det(fi, det))
     return float(entry.log(fi.beta, fi.m, fi.n, fi.q, **inputs))
-
-
-def uhlig_svd_alternative_log(fi: FactorInput) -> float:
-    """Cross-check form of the SVD congruence factor, using sdet(G1* B* H1)."""
-    beta, m, n = fi.beta, fi.m, fi.n
-    return beta * n * math.log(_det(fi, "det_b")) + (
-        beta * (m - n - 1) + 2
-    ) * math.log(_det(fi, "det_gbh"))

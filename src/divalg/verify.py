@@ -39,9 +39,10 @@ Lambda_x^(1/2) T* T Lambda_x^(1/2), the Gram its frame weight already forms.
 
 Every theorem is one row of THEOREMS: its fixed RNG code, CLI name, size
 rule and one problem builder per engine that checks it.  Its factor is the
-entry of measures.FACTORS under the same name, which every engine reads:
-CHART and the demo at single points through factor_log, the Monte-Carlo
-samplers on whole blocks.
+entry of measures.FACTORS under the same name, which every engine calls
+batch-first on log-domain inputs: the Monte-Carlo samplers on whole
+blocks, CHART on the stacked points of a chunk and the demo on its one
+point.
 
 Determinism contract: every random block derives its generator from
 (seed, theorem code, side code, block index) and block partial sums are
@@ -103,10 +104,9 @@ from .linalg import (
 )
 from .measures import (
     FACTORS,
-    FactorInput,
-    factor_log,
+    UHLIG_SVD_ALT,
+    check_spectra,
     stiefel_volume_log,
-    uhlig_svd_alternative_log,
 )
 
 # engines in the order a theorem's default engine is chosen
@@ -400,15 +400,19 @@ def make_test_functions(
 
 def chart_jacobian_logdet(
     map_batch, in_spec: ChartSpec, coords0: np.ndarray, out_spec: ChartSpec,
-    step: float = 1e-5,
+    step: float = 1e-5, in_pivots=None, out_pivots=None,
 ) -> float:
     """log |det| of the coordinate Jacobian of extract(map(complete(coords0))).
 
     map_batch is the map on a batch of coefficient arrays, (B, n, m, beta) ->
     (B, n', m', beta), row by row (e.g. pinv_batch with beta bound).  The
-    chunk kernel _chart_jacobian_logdets on one point.
+    point's pivoted charts take in_pivots and out_pivots, the per-row pivots
+    of a batch of one as chart_at_batch gives them, or None for no
+    permutation.  The chunk kernel _chart_jacobian_logdets on one point.
     """
-    return float(_chart_jacobian_logdets(map_batch, in_spec, coords0[None], out_spec, step)[0])
+    return float(_chart_jacobian_logdets(
+        map_batch, in_spec, coords0[None], out_spec, step, in_pivots, out_pivots
+    )[0])
 
 
 def _chart_jacobian_logdets(
@@ -416,8 +420,8 @@ def _chart_jacobian_logdets(
     in_pivots=None, out_pivots=None,
 ) -> np.ndarray:
     """(P,) log |det| of the coordinate Jacobians at P points (P, k), point
-    i in its own pivoted charts (in_pivots[.][i], out_pivots[.][i]; the
-    specs' own pivots where None, see ChartSpec.complete_batch).
+    i in its own pivoted charts (in_pivots[.][i], out_pivots[.][i]; no
+    permutation where None, see ChartSpec.complete_batch).
 
     Central differences at all 2k perturbations of each point in one pass:
     per point, rows coords + h_i e_i, then coords - h_i e_i, through one
@@ -626,16 +630,16 @@ def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
 # CHART engine
 #
 # A CHART builder returns (in_spec, out_spec, map_batch, sample): the input
-# and output charts of the task's sizes with identity pivots, the map on a
-# batch of coefficient arrays (see chart_jacobian_logdet), and
-# sample(rngs) -> (in_pivots, coords, out_pivots, analytic, gap_at), which
-# draws one point from each generator, in order, and returns the points'
-# own pivots (see ChartSpec.complete_batch; None for the specs' own), their
-# (P, k) coordinates, analytic factors and spectral gaps.  Only the random
-# draws and the analytic factors run per point; assembly, pivoting,
-# extraction and the completion check run on the stacked points, and the
-# finite differences of a chunk of points take one completion, one map call
-# and one extraction.
+# and output charts of the task's sizes, the map on a batch of coefficient
+# arrays (see chart_jacobian_logdet), and sample(rngs) -> (in_pivots,
+# coords, out_pivots, analytic, gap_at), which draws one point from each
+# generator, in order, and returns the points' own pivots (see
+# ChartSpec.complete_batch; None for no permutation), their (P, k)
+# coordinates, analytic factors and spectral gaps.  Only the random draws
+# run per point; assembly, pivoting, extraction, the completion check, the
+# checks of the factor's inputs and the factor itself (one FACTORS call)
+# run on the stacked points, and the finite differences of a chunk of
+# points take one completion, one map call and one extraction.
 #
 # For the pseudo-inverse maps the output chart must be the input chart
 # transported through the map: permutations commute with pinv, so tying the
@@ -663,6 +667,15 @@ def _point_draws(rngs, box, q: int, dims: tuple[int, ...], kind: AlgebraKind):
     return spectra, tuple(np.concatenate(f) for f in zip(*(frames for _, frames in draws)))
 
 
+def _chart_factor(task: TaskSpec, spectrum: np.ndarray) -> np.ndarray:
+    """The theorem's factor at a chunk's points from its one spectrum input
+    (P, q), after the checks FactorInput makes of it (check_spectra)."""
+    factor = FACTORS[task.theorem_id]
+    (label,) = factor.spectra
+    check_spectra(label, spectrum)
+    return factor.log(task.beta, task.m, task.n, task.q, **{label: spectrum})
+
+
 def _mp_herm_chart(task: TaskSpec):
     kind, beta, m, q = task.kind, task.beta, task.m, task.q
     spec = ChartSpec("psd", kind, (m, q))
@@ -670,10 +683,7 @@ def _mp_herm_chart(task: TaskSpec):
     def sample(rngs):
         lam, (w1,) = _point_draws(rngs, task.eigen_box, q, (m,), kind)
         _, pivots, coords = chart_at_batch(assemble_sd_batch(w1, lam, beta), q, "psd")
-        analytic = [
-            factor_log("MP_HERM", FactorInput(beta=beta, m=m, q=q, lam=tuple(row))) for row in lam
-        ]
-        return pivots, coords, pivots, analytic, _spectrum_gaps(lam)
+        return pivots, coords, pivots, _chart_factor(task, lam), _spectrum_gaps(lam)
     return spec, spec, partial(pinv_batch, beta=beta), sample
 
 
@@ -685,10 +695,7 @@ def _mp_rect_chart(task: TaskSpec):
     def sample(rngs):
         d, (v1, w1) = _point_draws(rngs, task.eigen_box, q, (n, m), kind)
         _, pivots, coords = chart_at_batch(assemble_svd_batch(v1, d, w1, beta), q, "rect")
-        analytic = [
-            factor_log("MP_RECT", FactorInput(beta=beta, n=n, m=m, q=q, d=tuple(row))) for row in d
-        ]
-        return pivots, coords, pivots[::-1], analytic, _spectrum_gaps(d)
+        return pivots, coords, pivots[::-1], _chart_factor(task, d), _spectrum_gaps(d)
     return in_spec, out_spec, partial(pinv_batch, beta=beta), sample
 
 
@@ -705,10 +712,7 @@ def _chol_chart(task: TaskSpec):
         for row, rng in zip(coords, rngs):
             row[:q] = rng.uniform(0.5, 2.0, size=q)
             row[q:] = 0.7 * rng.standard_normal(row.size - q)
-        analytic = [
-            factor_log("CHOL", FactorInput(beta=beta, m=m, q=q, t_diag=tuple(row[:q])))
-            for row in coords
-        ]
+        analytic = _chart_factor(task, coords[:, :q])
         return None, coords, None, analytic, np.full(len(rngs), math.inf)
     return tri_spec, out_spec, gram, sample
 
@@ -752,10 +756,7 @@ def _congruence_chart(task: TaskSpec):
         dets["det_b"] = np.full(len(rngs), det_b)
         # log-determinants throughout: the determinants of a box near 1e+-200
         # leave the float range
-        analytic = [
-            float(factor.log(beta, m, task.n, 0, **{d: float(dets[d][i]) for d in factor.dets}))
-            for i in range(len(rngs))
-        ]
+        analytic = factor.log(beta, m, task.n, 0, **{d: dets[d] for d in factor.dets})
         return in_pivots, coords, out_pivots, analytic, _spectrum_gaps(lam)
     return spec, spec, congruence, sample
 
@@ -780,8 +781,7 @@ def _chart_chunk(task: TaskSpec, problem, points: range):
     """(analytic, numeric, gap_at) of the CHART points `points`, each drawn
     from its own substream: one sample call and one Jacobian chunk.  When
     the chunk raises, its points run again one at a time, so a task raises
-    its lowest failing point's own error, and a check that is relative to
-    the whole chunk cannot fail a point that passes alone."""
+    its lowest failing point's own error."""
     in_spec, out_spec, map_batch, sample = problem
     try:
         rngs = [_substream(task.seed, task.theorem.code, _SIDE_POINTS, i) for i in points]
@@ -1327,6 +1327,15 @@ def _demo_problem(task: TaskSpec) -> tuple[Mat, Mat, np.ndarray]:
     return b, Mat(kind, y_data), lam
 
 
+def _exp_or_none(log_value: float) -> float | None:
+    """exp(log_value), or None where it overflows or underflows to 0."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        return None
+    return value if value > 0.0 else None
+
+
 def run_discrepancy_demo(task: TaskSpec) -> Report:
     """Show that the SVD-congruence factor is not an entry-chart Jacobian.
 
@@ -1351,25 +1360,25 @@ def run_discrepancy_demo(task: TaskSpec) -> Report:
     )[0])
     x_eig = eig_hermitian(Mat(y.kind, x[0]), n)
     gbh = conj_transpose(x_eig.w1) @ conj_transpose(b) @ eig_hermitian(y, n).w1
-    fi = FactorInput(
-        beta=beta, m=m, n=n, lam=tuple(lam), delta=tuple(x_eig.lam), det_b=sdet(b),
-        det_t1t1=math.exp(dets["det_t1t1"][0]), det_l1l1=math.exp(dets["det_l1l1"][0]),
-        det_gbh=sdet(gbh),
+    # log-determinants throughout: at a B near 1e60 the determinants and the
+    # factors leave the float range
+    inputs = {"lam": lam, "delta": np.asarray(x_eig.lam), "det_b": sdet_log(b),
+              "det_gbh": sdet_log(gbh), **{d: float(v[0]) for d, v in dets.items()}}
+    svd_log, qr_log, alt_log = (
+        float(f.log(beta, m, n, 0, **{k: inputs[k] for k in (*f.spectra, *f.dets)}))
+        for f in (FACTORS["UHLIG_SVD"], FACTORS["UHLIG_QR"], UHLIG_SVD_ALT)
     )
-    svd_log = factor_log("UHLIG_SVD", fi)
-    qr_log = factor_log("UHLIG_QR", fi)
-    alt_log = uhlig_svd_alternative_log(fi)
     expected_mismatch = m != n
     tol = max(task.rtol * abs(qr_log), ABS_LOG_FLOOR)
     qr_matches = abs(chart_log - qr_log) <= tol
     svd_differs = abs(chart_log - svd_log) > tol
     passed = qr_matches and (svd_differs if expected_mismatch else not svd_differs)
     record = {
-        "chart_det": float(math.exp(chart_log)),
+        "chart_det": _exp_or_none(chart_log),
         "chart_logdet": float(chart_log),
-        "uhlig_qr_factor": float(math.exp(qr_log)),
-        "uhlig_svd_factor": float(math.exp(svd_log)),
-        "uhlig_svd_alt_factor": float(math.exp(alt_log)),
+        "uhlig_qr_factor": _exp_or_none(qr_log),
+        "uhlig_svd_factor": _exp_or_none(svd_log),
+        "uhlig_svd_alt_factor": _exp_or_none(alt_log),
         "expected_mismatch": bool(expected_mismatch),
         "qr_matches_chart": bool(qr_matches),
         "svd_differs_from_chart": bool(svd_differs),

@@ -19,7 +19,7 @@ from divalg.algebra import structure_tensor
 from divalg.charts import (
     assemble_sd_batch,
     assemble_svd_batch,
-    chart_at,
+    chart_at_batch,
     sample_stiefel_batch,
 )
 from divalg.cli import main as cli_main
@@ -207,9 +207,10 @@ def test_criterion_04_chart_pseudo_inverse_hermitian():
         lam = 1.6
         w1 = sample_stiefel_batch(2, 1, REAL, rng, 1)
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
-        spec, coords = chart_at(s, 1, "psd")
-        out = ChartSpec("psd", REAL, (2, 1), spec.pivots)
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
+        spec, piv, coords = chart_at_batch(s.data[None], 1, "psd")
+        out = ChartSpec("psd", REAL, (2, 1))
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords[0], out,
+                                    in_pivots=piv, out_pivots=piv)
         assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
 
@@ -230,9 +231,10 @@ def test_criterion_05_chart_pseudo_inverse_general():
                     ), (beta, n, m, q, rec)
         # vector oracle: inverting x in R^2 has Jacobian determinant |x|**-4
         x = Mat(REAL, np.array([[[1.2]], [[0.9]]]))
-        spec, coords = chart_at(x, 1, "rect")
-        out = ChartSpec("rect", REAL, (1, 2, 1), spec.pivots[::-1])
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
+        spec, piv, coords = chart_at_batch(x.data[None], 1, "rect")
+        out = ChartSpec("rect", REAL, (1, 2, 1))
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords[0], out,
+                                    in_pivots=piv, out_pivots=piv[::-1])
         assert val == pytest.approx(-4.0 * math.log(1.5), abs=1e-6)
 
 
@@ -265,7 +267,7 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         # hand oracle: gram map t -> t*t at m=2, q=1 has determinant 2*t11**2
         tri_spec = ChartSpec("tri", REAL, (1, 2))
         coords = np.array([1.3, 0.4])
-        out = ChartSpec("psd", REAL, (2, 1), (0, 1))
+        out = ChartSpec("psd", REAL, (2, 1))
 
         def gram(t: np.ndarray) -> np.ndarray:
             return mul_raw(ct_raw(t), t, 1)
@@ -288,9 +290,10 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         expected = math.log(
             x.data[0, 0, 0] / y.data[0, 0, 0] * abs(1.0 * 1.4 - 0.7 * 0.3)
         )
-        spec, coords = chart_at(y, 1, "psd", (0, 1))
-        out = ChartSpec("psd", REAL, (2, 1), (0, 1))
-        val = chart_jacobian_logdet(congruence, spec, coords, out)
+        identity = (np.array([[0, 1]]),) * 2
+        spec, _, coords = chart_at_batch(y.data[None], 1, "psd", identity)
+        out = ChartSpec("psd", REAL, (2, 1))
+        val = chart_jacobian_logdet(congruence, spec, coords[0], out)
         assert val == pytest.approx(expected, abs=1e-6)
 
         # diagonal oracle: b = diag(1, 2) gives a constant determinant of 8

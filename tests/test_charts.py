@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,7 +10,6 @@ from divalg.charts import (
     ChartSpec,
     assemble_sd_batch,
     assemble_svd_batch,
-    chart_at,
     chart_at_batch,
     choose_pivot,
     factorized_draw,
@@ -43,9 +43,23 @@ def rand_rank_q(kind, n, m, q, rng):
     return rand_mat(kind, n, q, rng) @ rand_mat(kind, q, m, rng)
 
 
-def _complete(spec, coords):
-    """The matrix of one chart point."""
-    return Mat(spec.kind, spec.complete_batch(np.asarray(coords, dtype=float)[None])[0])
+def _per_row(pivots):
+    """One point's pivot pair (row_pivot, col_pivot) as the per-row arrays
+    of a batch of one; None stays None."""
+    return None if pivots is None else tuple(np.asarray(p)[None] for p in pivots)
+
+
+def _at(a, q, space, pivots=None):
+    """chart_at_batch on the batch of the one matrix a, with its one pivot
+    pair when given: (spec, per-row pivots, coords (k,))."""
+    spec, piv, coords = chart_at_batch(a.data[None], q, space, _per_row(pivots))
+    return spec, piv, coords[0]
+
+
+def _complete(spec, coords, pivots=None):
+    """The matrix of one chart point, in its pivoted chart when given the
+    per-row pivots of a batch of one."""
+    return Mat(spec.kind, spec.complete_batch(np.asarray(coords, dtype=float)[None], pivots)[0])
 
 
 def _density(spec, coords):
@@ -65,41 +79,39 @@ def _psd_coords(s11, s12):
 
 class TestCompletion:
     def test_rect_example(self):
-        spec = ChartSpec("rect", REAL, (2, 2, 1), ((0, 1), (0, 1)))
+        spec = ChartSpec("rect", REAL, (2, 2, 1))
         x = _complete(spec, [2.0, 3.0, 4.0])
         assert x.data[1, 1, 0] == pytest.approx(6.0, abs=1e-12)
 
     def test_rect_full_rank_no_completion(self):
         rng = np.random.default_rng(0)
         a = rand_mat(COMPLEX, 3, 2, rng)
-        spec, coords = chart_at(a, 2, "rect", ((0, 1, 2), (0, 1)))
-        np.testing.assert_allclose(_complete(spec, coords).data, a.data, atol=1e-12)
+        spec, piv, coords = _at(a, 2, "rect", ((0, 1, 2), (0, 1)))
+        np.testing.assert_allclose(_complete(spec, coords, piv).data, a.data, atol=1e-12)
 
     def test_rect_rank_property(self):
         rng = np.random.default_rng(1)
         for kind in KINDS:
             for _ in range(10):
                 n, m, q = 4, 3, 2
-                spec = ChartSpec(
-                    "rect", kind, (n, m, q),
-                    (tuple(rng.permutation(n)), tuple(rng.permutation(m))),
-                )
+                spec = ChartSpec("rect", kind, (n, m, q))
+                piv = _per_row((rng.permutation(n), rng.permutation(m)))
                 x11, x12, x21 = (
                     rng.normal(size=(q, q, kind.beta)),
                     rng.normal(size=(q, m - q, kind.beta)),
                     rng.normal(size=(n - q, q, kind.beta)),
                 )
                 coords = np.concatenate([x11.ravel(), x12.ravel(), x21.ravel()])
-                assert numerical_rank(_complete(spec, coords)) == q
+                assert numerical_rank(_complete(spec, coords, piv)) == q
                 np.testing.assert_array_equal(spec.leading_block(coords[None])[0], x11)
 
     def test_rect_singular_block_rejected(self):
-        spec = ChartSpec("rect", REAL, (2, 2, 1), ((0, 1), (0, 1)))
+        spec = ChartSpec("rect", REAL, (2, 2, 1))
         with pytest.raises(SingularBlockError):
             _complete(spec, [0.0, 3.0, 4.0])
 
     def test_psd_example(self):
-        spec = ChartSpec("psd", REAL, (2, 1), (0, 1))
+        spec = ChartSpec("psd", REAL, (2, 1))
         s = _complete(spec, [1.0, 2.0])
         assert s.data[1, 1, 0] == pytest.approx(4.0, abs=1e-12)
 
@@ -107,8 +119,8 @@ class TestCompletion:
         rng = np.random.default_rng(2)
         a = rand_mat(QUATERNION, 2, 2, rng)
         s = a @ conj_transpose(a)
-        spec, coords = chart_at(s, 2, "psd", (0, 1))
-        np.testing.assert_allclose(_complete(spec, coords).data, s.data, atol=1e-10)
+        spec, piv, coords = _at(s, 2, "psd", ((0, 1), (0, 1)))
+        np.testing.assert_allclose(_complete(spec, coords, piv).data, s.data, atol=1e-10)
 
     def test_psd_rank_property(self):
         rng = np.random.default_rng(3)
@@ -116,9 +128,10 @@ class TestCompletion:
             m, q = 4, 2
             base = rand_mat(kind, q, q, rng)
             s11m = base @ conj_transpose(base) + 0.5 * Mat.eye(kind, q)
-            spec = ChartSpec("psd", kind, (m, q), tuple(rng.permutation(m)))
+            spec = ChartSpec("psd", kind, (m, q))
+            perm = rng.permutation(m)
             coords = _psd_coords(s11m.data, rng.normal(size=(q, m - q, kind.beta)))
-            s = _complete(spec, coords)
+            s = _complete(spec, coords, _per_row((perm, perm)))
             parts = eig_hermitian(s, q)
             assert parts.lam.size == q
             assert numerical_rank(s) == q
@@ -127,59 +140,62 @@ class TestCompletion:
             )
 
     def test_psd_not_pd_rejected(self):
-        spec = ChartSpec("psd", REAL, (2, 1), (0, 1))
+        spec = ChartSpec("psd", REAL, (2, 1))
         with pytest.raises(NotPsdError):
             _complete(spec, [-1.0, 2.0])
 
 
 class TestChartSpecValidation:
     def test_non_permutation_pivot_rejected(self):
-        # a repeated row pivot used to complete to [[4, 6], [0, 0]] silently
+        # given pivots are checked where chart_at_batch takes them; a
+        # repeated row pivot used to complete to [[4, 6], [0, 0]] silently
+        ones = np.ones((1, 3, 3, 1))
+        with pytest.raises(ShapeMismatchError, match=r"row pivot 0 .* got \[0, 0\]"):
+            chart_at_batch(ones[:, :2, :2], 1, "rect", _per_row(((0, 0), (0, 1))))
         with pytest.raises(ShapeMismatchError):
-            ChartSpec("rect", REAL, (2, 2, 1), ((0, 0), (0, 1)))
+            chart_at_batch(ones[:, :2], 1, "rect", _per_row(((0, 1), (0, 1))))
         with pytest.raises(ShapeMismatchError):
-            ChartSpec("rect", REAL, (2, 3, 1), ((0, 1), (0, 1)))
+            chart_at_batch(ones[:, :2, :2], 1, "rect", (0, 1))
         with pytest.raises(ShapeMismatchError):
-            ChartSpec("rect", REAL, (2, 2, 1), (0, 1))
+            chart_at_batch(ones, 1, "psd", _per_row(((0, 1, 1), (0, 1, 1))))
+        with pytest.raises(ShapeMismatchError, match="one symmetric permutation"):
+            chart_at_batch(ones, 1, "psd", _per_row(((0, 1, 2), (2, 1, 0))))
         with pytest.raises(ShapeMismatchError):
-            ChartSpec("psd", REAL, (3, 1), (0, 1, 1))
-        with pytest.raises(ShapeMismatchError):
-            ChartSpec("tri", REAL, (1, 2), (0, 1))
+            ChartSpec("tri", REAL, (1, 2)).complete_batch(np.ones((1, 2)), _per_row(((0,), (0, 1))))
 
     def test_rank_out_of_range_rejected(self):
         # q = 5 on a 2 x 2 psd chart used to fail later with an IndexError
         with pytest.raises(RankError):
-            ChartSpec("psd", REAL, (2, 5), (0, 1))
+            ChartSpec("psd", REAL, (2, 5))
         with pytest.raises(RankError):
-            ChartSpec("psd", REAL, (2, 0), (0, 1))
+            ChartSpec("psd", REAL, (2, 0))
         with pytest.raises(RankError):
-            ChartSpec("rect", COMPLEX, (3, 2, 3), ((0, 1, 2), (0, 1)))
+            ChartSpec("rect", COMPLEX, (3, 2, 3))
         with pytest.raises(RankError):
             ChartSpec("tri", REAL, (3, 2))
 
     def test_octonion_rejected(self):
         with pytest.raises(UnsupportedAlgebraError):
-            ChartSpec("psd", OCTONION, (2, 1), (0, 1))
+            ChartSpec("psd", OCTONION, (2, 1))
         with pytest.raises(UnsupportedAlgebraError):
             ChartSpec("tri", OCTONION, (1, 2))
 
     def test_bad_space_and_sizes_rejected(self):
         with pytest.raises(RegistryError):
-            ChartSpec("band", REAL, (2, 1), (0, 1))
+            ChartSpec("band", REAL, (2, 1))
         with pytest.raises(ShapeMismatchError):
-            ChartSpec("rect", REAL, (2, 2), ((0, 1), (0, 1)))
+            ChartSpec("rect", REAL, (2, 2))
         with pytest.raises(RegistryError):
             ChartSpec("tri", REAL, (1, 2)).leading_block(np.ones((1, 2)))
 
-    def test_empty_pivots_are_the_identity(self):
-        assert ChartSpec("psd", REAL, (3, 1)) == ChartSpec("psd", REAL, (3, 1), (0, 1, 2))
-        assert ChartSpec("rect", COMPLEX, (3, 2, 1)).pivots == ((0, 1, 2), (0, 1))
+    def test_sizes_are_int_tuples(self):
+        spec = ChartSpec("psd", REAL, np.array([3, 1]))
+        assert spec.sizes == (3, 1)
+        assert all(type(v) is int for v in spec.sizes)
+        assert spec == ChartSpec("psd", REAL, (3, 1))
 
-    def test_sizes_and_pivots_are_int_tuples(self):
-        spec = ChartSpec("psd", REAL, np.array([3, 1]), np.array([2, 0, 1]))
-        assert spec.sizes == (3, 1) and spec.pivots == (2, 0, 1)
-        assert all(type(v) is int for v in spec.sizes + spec.pivots)
-        assert spec == ChartSpec("psd", REAL, (3, 1), (2, 0, 1))
+    def test_a_spec_is_its_space_kind_and_sizes(self):
+        assert [f.name for f in dataclasses.fields(ChartSpec)] == ["space", "kind", "sizes"]
 
 
 class TestExtract:
@@ -187,29 +203,29 @@ class TestExtract:
         rng = np.random.default_rng(4)
         for kind in KINDS:
             x = rand_rank_q(kind, 4, 3, 2, rng)
-            spec, coords = chart_at(x, 2, "rect")
-            back = _complete(spec, coords)
+            spec, piv, coords = _at(x, 2, "rect")
+            back = _complete(spec, coords, piv)
             np.testing.assert_allclose(back.data, x.data, atol=1e-9)
-            spec2, coords2 = chart_at(back, 2, "rect", spec.pivots)
+            spec2, _, coords2 = chart_at_batch(back.data[None], 2, "rect", piv)
             assert spec2 == spec
-            np.testing.assert_allclose(coords2, coords, atol=1e-10)
+            np.testing.assert_allclose(coords2[0], coords, atol=1e-10)
 
     def test_round_trip_psd(self):
         rng = np.random.default_rng(5)
         for kind in KINDS:
             base = rand_rank_q(kind, 4, 4, 2, rng)
             s = base @ conj_transpose(base)
-            spec, coords = chart_at(s, 2, "psd")
-            back = _complete(spec, coords)
+            spec, piv, coords = _at(s, 2, "psd")
+            back = _complete(spec, coords, piv)
             np.testing.assert_allclose(back.data, s.data, atol=1e-9)
-            spec2, coords2 = chart_at(back, 2, "psd", spec.pivots)
+            spec2, _, coords2 = chart_at_batch(back.data[None], 2, "psd", piv)
             assert spec2 == spec
-            np.testing.assert_allclose(coords2, coords, atol=1e-10)
+            np.testing.assert_allclose(coords2[0], coords, atol=1e-10)
 
     def test_full_rank_square_coords_are_whole_matrix(self):
         rng = np.random.default_rng(6)
         a = rand_mat(COMPLEX, 2, 2, rng)
-        _, coords = chart_at(a, 2, "rect", ((0, 1), (0, 1)))
+        _, _, coords = _at(a, 2, "rect", ((0, 1), (0, 1)))
         np.testing.assert_allclose(
             coords, a.data[np.ix_((0, 1), (0, 1))].ravel(), atol=1e-12
         )
@@ -218,12 +234,12 @@ class TestExtract:
         rng = np.random.default_rng(8)
         a = rand_mat(REAL, 3, 3, rng)
         with pytest.raises(RankError):
-            chart_at(a, 1, "rect")
+            _at(a, 1, "rect")
         # given pivots skip choose_pivot's own rank check; completion catches it
         with pytest.raises(RankError):
-            chart_at(a, 1, "rect", ((0, 1, 2), (0, 1, 2)))
+            _at(a, 1, "rect", ((0, 1, 2), (0, 1, 2)))
         with pytest.raises(RankError):
-            chart_at(a @ conj_transpose(a), 1, "psd", (0, 1, 2))
+            _at(a @ conj_transpose(a), 1, "psd", ((0, 1, 2), (0, 1, 2)))
 
     @pytest.mark.parametrize("scale", (1e-200, 1.0, 1e200))
     def test_completion_check_is_relative(self, scale):
@@ -232,21 +248,27 @@ class TestExtract:
         rng = np.random.default_rng(8)
         a = rand_mat(REAL, 3, 3, rng) * scale
         with pytest.raises(RankError):
-            chart_at(a, 1, "rect", ((0, 1, 2), (0, 1, 2)))
+            _at(a, 1, "rect", ((0, 1, 2), (0, 1, 2)))
         x = rand_rank_q(REAL, 3, 3, 1, rng)
-        spec, coords = chart_at(x, 1, "rect")
-        _, coords_s = chart_at(x * scale, 1, "rect", spec.pivots)
-        np.testing.assert_allclose(coords_s, coords * scale, rtol=1e-13, atol=0)
+        _, piv, coords = _at(x, 1, "rect")
+        _, _, coords_s = chart_at_batch((x * scale).data[None], 1, "rect", piv)
+        np.testing.assert_allclose(coords_s[0], coords * scale, rtol=1e-13, atol=0)
 
     def test_chart_at_checks_its_arguments(self):
         rng = np.random.default_rng(7)
         x = rand_rank_q(REAL, 3, 2, 1, rng)
         with pytest.raises(RegistryError):
-            chart_at(x, 1, "tri")
+            _at(x, 1, "tri")
+        with pytest.raises(ShapeMismatchError, match="square"):
+            _at(x, 1, "psd", ((0, 1, 2), (0, 1, 2)))
         with pytest.raises(ShapeMismatchError):
-            chart_at(x, 1, "psd", (0, 1, 2))
-        with pytest.raises(ShapeMismatchError):
-            chart_at(x, 1, "rect", ((0, 0, 1), (0, 1)))
+            _at(x, 1, "rect", ((0, 0, 1), (0, 1)))
+
+
+def _tiled(pivot, rows):
+    """One symmetric permutation for each of `rows` rows, as the per-row
+    pair complete_batch takes; None for an empty one."""
+    return (np.tile(pivot, (rows, 1)),) * 2 if len(pivot) else None
 
 
 def _coded(entries, beta, rows, cols, hermitian):
@@ -283,7 +305,7 @@ class TestUpperTriangleLayout:
     def test_psd_order(self, kind):
         data, coords = _coded(self.PSD_4_3, kind.beta, 4, 4, hermitian=True)
         data[3, 3, 0] = 1.0
-        spec = ChartSpec("psd", kind, (4, 3), (0, 1, 2, 3))
+        spec = ChartSpec("psd", kind, (4, 3))
         np.testing.assert_array_equal(spec.extract_batch(data[None])[0], coords)
         np.testing.assert_array_equal(spec.complete_batch(coords[None])[0, :3], data[:3])
 
@@ -302,23 +324,26 @@ class TestUpperTriangleLayout:
         ("tri", (3, 4), ()),
     ])
     def test_round_trip_is_bit_exact(self, kind, space, sizes, pivots):
-        spec = ChartSpec(space, kind, sizes, pivots)
+        spec = ChartSpec(space, kind, sizes)
+        piv = _tiled(pivots, 16)
         rng = np.random.default_rng(12)
         coords = 0.3 * rng.normal(size=(16, spec.coord_count()))
         coords[:, :3] = rng.uniform(3.0, 4.0, size=(16, 3))
-        np.testing.assert_array_equal(spec.extract_batch(spec.complete_batch(coords)), coords)
+        np.testing.assert_array_equal(
+            spec.extract_batch(spec.complete_batch(coords, piv), piv), coords
+        )
 
     @pytest.mark.parametrize("space,sizes,pivots", [
         ("psd", (3, 2), (0, 1, 2)),
         ("tri", (2, 3), ()),
     ])
     def test_wrong_coordinate_count_rejected(self, space, sizes, pivots):
-        spec = ChartSpec(space, REAL, sizes, pivots)
+        spec = ChartSpec(space, REAL, sizes)
         k = spec.coord_count()
         for count in (k - 1, k + 1):
             coords = np.ones((2, count))
             with pytest.raises(ShapeMismatchError, match=f"expected {k} coordinates"):
-                spec.complete_batch(coords)
+                spec.complete_batch(coords, _tiled(pivots, 2))
 
 
 def _loop_pivot(a: Mat, q: int, chart: str):
@@ -350,24 +375,42 @@ def _loop_pivot(a: Mat, q: int, chart: str):
     return row_pivot, tuple(cols + [j for j in range(m) if j not in cols])
 
 
+def _as_tuples(pivots, space, row=0):
+    """Row `row` of per-row pivots as tuples: (row_pivot, col_pivot), or the
+    one symmetric permutation for psd."""
+    rows, cols = (tuple(int(v) for v in p[row]) for p in pivots)
+    return rows if space == "psd" else (rows, cols)
+
+
+def _pivot_one(a: Mat, q: int, chart: str):
+    """choose_pivot on the batch of the one matrix a, as tuples."""
+    return _as_tuples(choose_pivot(a.data[None], q, chart=chart), chart)
+
+
 class TestChoosePivot:
     def test_dominant_leading_block_identity(self):
         a = Mat.from_real(REAL, np.array([[4.0, 1.0], [1.0, 2.0]]))
-        rows, cols = choose_pivot(a, 1, chart="rect")
+        rows, cols = _pivot_one(a, 1, chart="rect")
         assert rows == (0, 1) and cols == (0, 1)
-        assert choose_pivot(a, 1, chart="psd") == (0, 1)
+        assert _pivot_one(a, 1, chart="psd") == (0, 1)
 
     def test_offdiagonal_unit_swapped(self):
         a = Mat.from_real(REAL, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        rows, cols = choose_pivot(a, 1, chart="rect")
+        rows, cols = _pivot_one(a, 1, chart="rect")
         assert rows == (0, 1) and cols == (1, 0)
 
     def test_rank_deficit_detected(self):
         a = Mat.from_real(REAL, np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(RankError, match="matrix rank is below q=2"):
-            choose_pivot(a, 2, chart="rect")
+            _pivot_one(a, 2, chart="rect")
         with pytest.raises(RankError, match="PSD rank is below q=2"):
-            choose_pivot(a, 2, chart="psd")
+            _pivot_one(a, 2, chart="psd")
+
+    def test_only_a_batch_is_pivoted(self):
+        a = Mat.from_real(REAL, np.array([[4.0, 1.0], [1.0, 2.0]]))
+        for one in (a, a.data):
+            with pytest.raises(ShapeMismatchError, match=r"\(B, n, m, beta\) batch"):
+                choose_pivot(one, 1, chart="rect")
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
     def test_pivots_are_scale_invariant(self, kind):
@@ -377,12 +420,12 @@ class TestChoosePivot:
         x = rand_mat(kind, 4, 3, rng)
         s = rand_mat(kind, 4, 4, rng)
         s = s @ conj_transpose(s)
-        expected = choose_pivot(x, 3, chart="rect"), choose_pivot(s, 3, chart="psd")
+        expected = _pivot_one(x, 3, chart="rect"), _pivot_one(s, 3, chart="psd")
         for scale in (1e200, 1e-200):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = (choose_pivot(x * scale, 3, chart="rect"),
-                       choose_pivot(s * scale, 3, chart="psd"))
+                got = (_pivot_one(x * scale, 3, chart="rect"),
+                       _pivot_one(s * scale, 3, chart="psd"))
             assert got == expected, scale
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
@@ -390,7 +433,7 @@ class TestChoosePivot:
     def test_a_batch_pivots_and_charts_each_matrix_alone(self, kind, space):
         """choose_pivot and chart_at_batch on a batch give each row, bit for
         bit, the pivots of the per-matrix elimination and the chart and
-        completion of chart_at on that matrix alone, ties and extreme
+        completion of chart_at_batch on that matrix alone, ties and extreme
         scales included."""
         rng = np.random.default_rng(60 + kind.beta)
         tie = np.zeros((4, 3, kind.beta))
@@ -398,7 +441,7 @@ class TestChoosePivot:
         base = [rand_rank_q(kind, 4, 3, 2, rng) for _ in range(4)] + [Mat(kind, tie)]
         if space == "psd":
             base = [x @ conj_transpose(x) for x in base]
-        # one scale per batch: S11's positivity check is relative to its batch
+        # one scale per batch (test_mixed_scales_chart_each_row_alone mixes them)
         for scale in (1.0, 1e200, 1e-200):
             mats = [x * scale for x in base]
             batch = np.stack([x.data for x in mats])
@@ -411,12 +454,35 @@ class TestChoosePivot:
                 want = _loop_pivot(x, 2, space)
                 got = (tuple(rows[b]), tuple(cols[b]))
                 assert (got[0] if space == "psd" else got) == want, (scale, b)
-                one_spec, one_coords = chart_at(x, 2, space)
-                assert one_spec.pivots == want, (scale, b)
-                assert np.array_equal(coords[b], one_coords), (scale, b)
-                assert np.array_equal(full[b], one_spec.complete_batch(one_coords[None])[0])
+                one_spec, one_piv, one_coords = chart_at_batch(x.data[None], 2, space)
+                assert _as_tuples(one_piv, space) == want, (scale, b)
+                assert np.array_equal(coords[b], one_coords[0]), (scale, b)
+                assert np.array_equal(full[b], one_spec.complete_batch(one_coords, one_piv)[0])
                 assert np.array_equal(spec.extract_batch(full, pivots)[b],
-                                      one_spec.extract_batch(full[b][None])[0])
+                                      one_spec.extract_batch(full[b][None], one_piv)[0])
+
+    def test_mixed_scales_chart_each_row_alone(self):
+        """S11's positivity check is relative to each row's own largest
+        eigenvalue: a rank-2 psd batch at scales 1, 1e200 and 1e-200 charts
+        and completes row by row as each row does alone."""
+        rng = np.random.default_rng(64)
+        base = rand_rank_q(REAL, 4, 4, 2, rng)
+        mats = [base @ conj_transpose(base) * scale for scale in (1.0, 1e200, 1e-200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec, pivots, coords = chart_at_batch(np.stack([x.data for x in mats]), 2, "psd")
+            full = spec.complete_batch(coords, pivots)
+            for b, x in enumerate(mats):
+                one_spec, one_piv, one_coords = chart_at_batch(x.data[None], 2, "psd")
+                assert _as_tuples(pivots, "psd", b) == _as_tuples(one_piv, "psd")
+                assert np.array_equal(coords[b], one_coords[0]), b
+                assert np.array_equal(full[b], one_spec.complete_batch(one_coords, one_piv)[0])
+
+    def test_a_positivity_error_names_its_first_failing_row(self):
+        s11 = np.zeros((3, 1, 1, 1))
+        s11[:, 0, 0, 0] = (1e-200, -2.0, -3.0)
+        with pytest.raises(NotPsdError, match=r"min eigenvalue -2\.000e\+00"):
+            charts._inv_hermitian_block(s11, 1)
 
     def test_a_batch_rank_error_names_its_first_failing_row(self):
         rng = np.random.default_rng(70)
@@ -424,34 +490,35 @@ class TestChoosePivot:
         near = [u @ conj_transpose(u) + Mat.from_real(REAL, eps * np.eye(3)) for eps in (1e-12, 1e-13)]
         batch = np.stack([rand_rank_q(REAL, 3, 3, 2, rng).data] + [x.data for x in near])
         with pytest.raises(RankError) as alone:
-            choose_pivot(near[0], 2, chart="rect")
+            choose_pivot(near[0].data[None], 2, chart="rect")
         with pytest.raises(RankError) as batched:
             choose_pivot(batch, 2, chart="rect")
         assert str(batched.value) == str(alone.value)
 
     def test_psd_diagonal_pivot(self):
         a = Mat.from_real(REAL, np.array([[1.0, 0.0], [0.0, 5.0]]))
-        assert choose_pivot(a, 1, chart="psd") == (1, 0)
+        assert _pivot_one(a, 1, chart="psd") == (1, 0)
 
     def test_pivoted_extraction_handles_zero_leading_entry(self):
         v = np.array([[0.0], [1.0], [2.0]])
         s = Mat.from_real(REAL, v @ v.T)
-        spec, coords = chart_at(s, 1, "psd")
-        assert spec.pivots[0] == 2  # largest diagonal first
-        np.testing.assert_allclose(_complete(spec, coords).data, s.data, atol=1e-12)
+        spec, piv, coords = _at(s, 1, "psd")
+        assert piv[0][0, 0] == 2  # largest diagonal first
+        np.testing.assert_allclose(_complete(spec, coords, piv).data, s.data, atol=1e-12)
 
 
-def _fd_density_log(spec, coords, step=1e-5):
+def _fd_density_log(spec, coords, pivots=None, step=1e-5):
     """Oracle for the exact density: log sqrt(det G^T G) with G the central
-    differences of the chart's completion, 2k completions per batch."""
+    differences of the chart's completion (in the per-row pivoted charts
+    when given), 2k completions per batch."""
     b, k = coords.shape
     h = np.maximum(step, step * np.abs(coords))
     columns = []
     for i in range(k):
         e = np.zeros_like(coords)
         e[:, i] = h[:, i]
-        fp = spec.complete_batch(coords + e).reshape(b, -1)
-        fm = spec.complete_batch(coords - e).reshape(b, -1)
+        fp = spec.complete_batch(coords + e, pivots).reshape(b, -1)
+        fm = spec.complete_batch(coords - e, pivots).reshape(b, -1)
         columns.append((fp - fm) / (2.0 * h[:, i])[:, None])
     g = np.stack(columns, axis=-1)
     sign, logdet = np.linalg.slogdet(np.swapaxes(g, -1, -2) @ g)
@@ -459,12 +526,10 @@ def _fd_density_log(spec, coords, step=1e-5):
     return 0.5 * logdet
 
 
-def _reversed_chart(space, kind, sizes):
-    """A chart whose pivots reverse every index, so none is the identity."""
-    if space == "psd":
-        return ChartSpec(space, kind, sizes, tuple(range(sizes[0]))[::-1])
-    n, m, _ = sizes
-    return ChartSpec(space, kind, sizes, (tuple(range(n))[::-1], tuple(range(m))[::-1]))
+def _reversed_pivots(spec, rows):
+    """Per-row pivots for `rows` rows that reverse every index, so none is
+    the identity (a psd pair is one permutation twice)."""
+    return tuple(np.tile(np.arange(size)[::-1], (rows, 1)) for size in spec.shape)
 
 
 def _well_conditioned_coords(spec, rng, rows):
@@ -487,11 +552,13 @@ class TestHausdorffDensity:
         cases += [("psd", s) for s in [(2, 1), (3, 2), (4, 2)]]
         for kind in KINDS:
             for space, sizes in cases:
-                spec = _reversed_chart(space, kind, sizes)
+                # the density takes no pivots: a pivot permutes the ambient
+                # basis, an isometry, so the pivoted charts' density is the same
+                spec = ChartSpec(space, kind, sizes)
                 coords = _well_conditioned_coords(spec, rng, 16)
                 np.testing.assert_allclose(
                     hausdorff_density_log_batch(spec, coords),
-                    _fd_density_log(spec, coords),
+                    _fd_density_log(spec, coords, _reversed_pivots(spec, 16)),
                     rtol=1e-8, err_msg=str(spec),
                 )
 
@@ -501,13 +568,13 @@ class TestHausdorffDensity:
         rng = np.random.default_rng(21)
         for kind in KINDS:
             for sizes in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 1, 1)]:
-                spec = _reversed_chart("rect", kind, sizes)
+                spec = ChartSpec("rect", kind, sizes)
                 coords = rng.normal(size=(8, spec.coord_count()))
                 assert np.all(hausdorff_density_log_batch(spec, coords) == 0.0)
                 with pytest.raises(ShapeMismatchError):
                     hausdorff_density_log_batch(spec, coords[:, 1:])
             for q in (1, 2, 3):
-                spec = _reversed_chart("psd", kind, (q, q))
+                spec = ChartSpec("psd", kind, (q, q))
                 coords = rng.normal(size=(8, spec.coord_count()))
                 expected = (kind.beta * q * (q - 1) / 4) * math.log(2.0)
                 assert np.all(hausdorff_density_log_batch(spec, coords) == expected)
@@ -515,10 +582,10 @@ class TestHausdorffDensity:
                     hausdorff_density_log_batch(spec, coords[:, 1:])
 
     def test_block_checks_reject_a_bad_row(self):
-        rect = ChartSpec("rect", REAL, (2, 2, 1), ((0, 1), (0, 1)))
+        rect = ChartSpec("rect", REAL, (2, 2, 1))
         with pytest.raises(SingularBlockError):
             hausdorff_density_log_batch(rect, np.array([[2.0, 3.0, 4.0], [0.0, 3.0, 4.0]]))
-        psd = ChartSpec("psd", REAL, (2, 1), (0, 1))
+        psd = ChartSpec("psd", REAL, (2, 1))
         with pytest.raises(NotPsdError):
             hausdorff_density_log_batch(psd, np.array([[1.0, 2.0], [-1.0, 2.0]]))
 
@@ -545,7 +612,7 @@ class TestHausdorffDensity:
             ("rect", (3, 2, 2), {}),
             ("psd", (2, 2), {}),
         ]:
-            spec = _reversed_chart(space, COMPLEX, sizes)
+            spec = ChartSpec(space, COMPLEX, sizes)
             coords = _well_conditioned_coords(spec, rng, 64)
             counts.clear()
             hausdorff_density_log_batch(spec, coords)
@@ -555,11 +622,11 @@ class TestHausdorffDensity:
         rng = np.random.default_rng(10)
         for kind in KINDS:
             a = rand_mat(kind, 2, 3, rng)
-            spec, coords = chart_at(a, 2, "rect", ((0, 1), (0, 1, 2)))
+            spec, _, coords = _at(a, 2, "rect", ((0, 1), (0, 1, 2)))
             assert _density(spec, coords) == pytest.approx(1.0, rel=1e-8)
 
     def test_psd_closed_form(self):
-        spec = ChartSpec("psd", REAL, (2, 1), (0, 1))
+        spec = ChartSpec("psd", REAL, (2, 1))
         for s11, s12 in [(1.0, 0.0), (1.3, 0.7), (0.8, -1.1)]:
             g1 = -((s12 / s11) ** 2)
             g2 = 2 * s12 / s11
@@ -572,11 +639,11 @@ class TestHausdorffDensity:
         rng = np.random.default_rng(11)
         base = rand_rank_q(COMPLEX, 4, 4, 2, rng)
         s = base @ conj_transpose(base)
-        spec, coords = chart_at(s, 2, "psd")
+        spec, piv, coords = _at(s, 2, "psd")
         perm = np.array([2, 0, 3, 1])
         s_rot = Mat(COMPLEX, s.data[np.ix_(perm, perm)])
-        inv = tuple(int(np.argwhere(perm == spec.pivots[i])[0, 0]) for i in range(4))
-        spec_rot, coords_rot = chart_at(s_rot, 2, "psd", inv)
+        inv = tuple(int(np.argwhere(perm == piv[0][0, i])[0, 0]) for i in range(4))
+        spec_rot, _, coords_rot = _at(s_rot, 2, "psd", (inv, inv))
         np.testing.assert_allclose(coords_rot, coords, atol=1e-12)
         assert _density(spec_rot, coords_rot) == pytest.approx(_density(spec, coords), rel=1e-8)
 
@@ -733,9 +800,9 @@ def test_coordinate_counts():
     rng = np.random.default_rng(21)
     for kind in KINDS:
         x = rand_rank_q(kind, 4, 3, 2, rng)
-        spec, coords = chart_at(x, 2, "rect")
+        spec, _, coords = _at(x, 2, "rect")
         assert coords.shape == (rect_coord_count(4, 3, 2, kind.beta),) == (spec.coord_count(),)
         s = x @ conj_transpose(x)
-        spec, coords = chart_at(s, 2, "psd")
+        spec, _, coords = _at(s, 2, "psd")
         assert coords.shape == (psd_coord_count(4, 2, kind.beta),) == (spec.coord_count(),)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from divalg.cli import TASK_NAMES, build_parser, main, preset_tasks
+from divalg.cli import FACTOR_KINDS, TASK_NAMES, build_parser, main, preset_tasks
 from divalg.algebra import REAL
 from divalg.linalg import Mat, conj_transpose, load_matrix, save_matrix
 from divalg.verify import STEP_RANGE, THEOREMS
@@ -104,6 +104,50 @@ class TestFactorCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    ENTRIES = st.sampled_from(["0", "-1", "1e308", "nan", "inf", "", "0.5", "1", "2", "3"])
+    DETS = st.none() | st.sampled_from(["0", "-1", "1e308", "nan", "inf", "0.5", "2"])
+
+    @given(
+        kind=st.sampled_from([*FACTOR_KINDS, "lu"]),
+        beta=st.sampled_from([1, 2, 4, 8, 3, 0, -1]),
+        sizes=st.tuples(*[st.integers(-1, 5)] * 3),
+        spectra=st.tuples(*[st.none() | st.lists(ENTRIES, min_size=1, max_size=4)] * 4),
+        dets=st.tuples(*[DETS] * 5),
+    )
+    @example(kind="mp-herm", beta=1, sizes=(2, 0, 1), spectra=(["2"], None, None, None),
+             dets=(None,) * 5)
+    @example(kind="mp-herm", beta=2, sizes=(3, 0, 2), spectra=(["2", "", "1"], None, None, None),
+             dets=(None,) * 5)
+    @example(kind="svd", beta=4, sizes=(2, 3, 2), spectra=(None, ["1e308", "3"], None, None),
+             dets=(None,) * 5)
+    @example(kind="uhlig-svd-alt", beta=1, sizes=(3, 1, 0), spectra=(None,) * 4,
+             dets=("1e308", None, None, None, "0.5"))
+    @example(kind="tau", beta=8, sizes=(0, 0, 5), spectra=(None,) * 4, dets=(None,) * 5)
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_factor_input_exits_cleanly(self, capsys, kind, beta, sizes, spectra, dets):
+        """`divalg factor` is the one FactorInput boundary: any kind, beta,
+        sizes, spectra and determinants exit 0 with float `log:`/`value:`
+        lines or 2 with one error line."""
+        argv = ["factor", "--kind", kind, f"--beta={beta}"]
+        argv += [f"--{name}={v}" for name, v in zip(("m", "n", "q"), sizes)]
+        argv += [f"--{flag}={','.join(v)}" for flag, v in
+                 zip(("lambda", "d", "delta", "t-diag"), spectra) if v is not None]
+        argv += [f"--{flag}={v}" for flag, v in
+                 zip(("det-b", "det-t1t1", "det-l1l1", "det-s11", "det-gbh"), dets) if v is not None]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 0:
+            lines = out.splitlines()
+            assert err == "" and lines, argv
+            for line in lines:
+                label, value = line.split(": ")
+                assert label in ("log", "value"), line
+                float(value)
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 class TestGammaVolumeCommands:
@@ -472,6 +516,21 @@ class TestVerifyCommand:
         assert len(lines) == 4  # header + 3 records
         assert "analytic_log" in lines[0]
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--task", "mp-herm", "--beta", "1", "--m", "3", "--q", "2"],
+         "lam must be strictly decreasing, got (1.0, 1.0)"),
+        (["--task", "mp-rect", "--beta", "2", "--n", "3", "--m", "2", "--q", "2"],
+         "d must be strictly decreasing, got (1.0000000000000002, 1.0000000000000002)"),
+    ], ids=["mp-herm", "mp-rect"])
+    def test_tied_chart_spectra_are_usage_errors(self, capsys, flags, message):
+        """A box one ulp wide ties the drawn spectra: the CHART factor's
+        input check names the first tied point's spectrum."""
+        code, out, err = run_cli(
+            capsys, "verify", *flags, "--points", "20",
+            "--lambda-lo", "1", "--lambda-hi", "1.0000000000000002",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_table_output_carries_disclaimer(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--task", "congruence-ns", "--beta", "1", "--m", "2",
@@ -491,6 +550,25 @@ class TestDemoCommand:
         assert rec["uhlig_qr_factor"] == pytest.approx(1.0, abs=1e-6)
         assert rec["uhlig_svd_factor"] == pytest.approx(2.0, abs=1e-6)
         assert rec["expected_mismatch"] is True
+
+    @pytest.mark.parametrize("scale", [1e60, 1e120])
+    def test_factors_out_of_float_range_are_null(self, capsys, tmp_path, scale):
+        """The demo compares logs; a determinant or factor whose exp leaves
+        the float range is written as null, with no warning."""
+        bd = np.zeros((3, 3, 1))
+        bd[:, :, 0] = scale * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        save_matrix(Mat(REAL, bd), tmp_path / "b.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "demo", "--m", "3", "--n", "1", "--b-matrix", str(tmp_path / "b.json")
+            )
+        assert (code, err) == (0, "")
+        (rec,) = json.loads(out, parse_constant=_reject_constant)["records"]
+        for field in ("chart_det", "uhlig_qr_factor", "uhlig_svd_factor", "uhlig_svd_alt_factor"):
+            assert rec[field] is None, field
+        assert rec["chart_logdet"] > 700.0
+        assert rec["qr_matches_chart"] and rec["svd_differs_from_chart"]
 
 
 class TestVerifyAll:

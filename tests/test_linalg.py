@@ -487,12 +487,16 @@ def test_block_checks_keep_their_errors(beta):
             _inv_hermitian_block(block, beta)
         with pytest.raises(SingularBlockError, match="^X11 block is numerically singular$"):
             _inv_general_block(block, beta)
-    # the positivity threshold is 1e-12 times the largest eigenvalue of the
-    # whole batch, floored at 1
+    # the positivity threshold is 1e-12 times each block's own largest
+    # eigenvalue (1 for a zero block): a block with eigenvalues 1e4 and 5e-12
+    # fails, while 1x1 blocks 5e-12 and 1e4 pass in one batch as alone
+    spread = np.zeros((1, 2, 2, beta))
+    spread[0, :, :, 0] = np.diag([1e4, 5e-12])
+    with pytest.raises(NotPsdError, match=r"min eigenvalue 5\.000e-12"):
+        _inv_hermitian_block(spread, beta)
     small = np.zeros((2, 1, 1, beta))
     small[:, 0, 0, 0] = [5e-12, 1e4]
-    with pytest.raises(NotPsdError, match=r"min eigenvalue 5\.000e-12"):
-        _inv_hermitian_block(small, beta)
+    assert np.allclose(_inv_hermitian_block(small, beta)[:, 0, 0, 0], [2e11, 1e-4])
     assert np.allclose(_inv_hermitian_block(small[:1], beta)[:, 0, 0, 0], [2e11])
 
 

@@ -6,12 +6,13 @@ import pytest
 from divalg.errors import ConfigurationError, DomainError, RegistryError
 from divalg.measures import (
     FACTORS,
+    UHLIG_SVD_ALT,
     FactorInput,
+    check_spectra,
     factor_log,
     mv_gamma_log,
     stiefel_volume_log,
     tau,
-    uhlig_svd_alternative_log,
 )
 from divalg.verify import THEOREMS
 
@@ -225,8 +226,20 @@ def test_uhlig_svd_alternative_matches_primary_when_diagonal():
     )
     # det_b = sdet(cI_m) = c^m
     primary = factor_log("UHLIG_SVD", fi)
-    alt = uhlig_svd_alternative_log(fi)
+    alt = factor_log(UHLIG_SVD_ALT, fi)
     assert primary == pytest.approx(alt, rel=1e-12)
+
+
+def test_check_spectra_raises_factor_input_text_for_the_first_failing_row():
+    rows = np.array([[3.0, 2.0], [1.0, 1.0], [-1.0, 2.0], [np.nan, 1.0]])
+    for name, first in (("lam", 1), ("t_diag", 2)):
+        with pytest.raises(ConfigurationError) as batch:
+            check_spectra(name, rows)
+        with pytest.raises(ConfigurationError) as alone:
+            FactorInput(beta=1, **{name: tuple(rows[first])})
+        assert str(batch.value) == str(alone.value)
+    check_spectra("t_diag", rows[:2])
+    check_spectra("d", rows[:1])
 
 
 def test_q_zero_edge_cases():

@@ -12,7 +12,7 @@ from divalg import COMPLEX, QUATERNION, REAL, verify
 from divalg.algebra import structure_tensor
 from divalg.charts import (
     assemble_sd_batch,
-    chart_at,
+    chart_at_batch,
     factorized_draw,
     factorized_mass_log,
     sample_stiefel_batch,
@@ -305,28 +305,38 @@ class TestTestFunctions:
             make_test_functions(0, 1, np.zeros((0, 2, 2, 1)))
 
 
+def _chart_at_one(a: Mat, q: int, space: str, pivots=None):
+    """chart_at_batch at the one matrix a, with its pivot pair when given:
+    (spec, coords (k,), the per-row pivots of the batch of one)."""
+    given = None if pivots is None else tuple(np.asarray(p)[None] for p in pivots)
+    spec, piv, coords = chart_at_batch(a.data[None], q, space, given)
+    return spec, coords[0], piv
+
+
 class TestChartClosedForms:
     def test_identity_map_has_zero_logdet(self):
         rng = np.random.default_rng(3)
         lam = np.array([[1.7]])
         w1 = sample_stiefel_batch(3, 1, REAL, rng, 1)
         s = Mat(REAL, assemble_sd_batch(w1, lam, 1)[0])
-        spec, coords = chart_at(s, 1, "psd")
-        out = ChartSpec("psd", REAL, (3, 1), spec.pivots)
-        val = chart_jacobian_logdet(lambda a: a, spec, coords, out)
+        spec, coords, piv = _chart_at_one(s, 1, "psd")
+        out = ChartSpec("psd", REAL, (3, 1))
+        val = chart_jacobian_logdet(lambda a: a, spec, coords, out, in_pivots=piv, out_pivots=piv)
         assert abs(val) < 1e-8
 
     def test_non_finite_map_output_is_rejected(self):
-        spec, coords = chart_at(Mat(REAL, np.array([[[2.0]]])), 1, "psd")
-        out = ChartSpec("psd", REAL, (1, 1), spec.pivots)
+        spec, coords, piv = _chart_at_one(Mat(REAL, np.array([[[2.0]]])), 1, "psd")
+        out = ChartSpec("psd", REAL, (1, 1))
         with pytest.raises(ValueError, match="finite"):
-            chart_jacobian_logdet(lambda a: a * np.nan, spec, coords, out)
+            chart_jacobian_logdet(lambda a: a * np.nan, spec, coords, out,
+                                  in_pivots=piv, out_pivots=piv)
 
     def test_scalar_inverse(self):
         s = Mat(REAL, np.array([[[2.0]]]))
-        spec, coords = chart_at(s, 1, "psd")
-        out = ChartSpec("psd", REAL, (1, 1), spec.pivots)
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
+        spec, coords, piv = _chart_at_one(s, 1, "psd")
+        out = ChartSpec("psd", REAL, (1, 1))
+        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out,
+                                    in_pivots=piv, out_pivots=piv)
         assert val == pytest.approx(math.log(0.25), abs=1e-8)
 
     def test_rank_one_pseudo_inverse_quartic_law(self):
@@ -336,9 +346,10 @@ class TestChartClosedForms:
             lam = float(rng.uniform(0.6, 2.5))
             w1 = sample_stiefel_batch(2, 1, REAL, rng, 1)
             s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
-            spec, coords = chart_at(s, 1, "psd")
-            out = ChartSpec("psd", REAL, (2, 1), spec.pivots)
-            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out)
+            spec, coords, piv = _chart_at_one(s, 1, "psd")
+            out = ChartSpec("psd", REAL, (2, 1))
+            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out,
+                                        in_pivots=piv, out_pivots=piv)
             assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
     def test_pseudo_inverse_pivot_invariance(self):
@@ -348,10 +359,11 @@ class TestChartClosedForms:
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
         vals = []
         for pivot in ((0, 1), (1, 0)):
-            spec, coords = chart_at(s, 1, "psd", pivot)
-            out = ChartSpec("psd", REAL, (2, 1), pivot)
+            spec, coords, piv = _chart_at_one(s, 1, "psd", (pivot, pivot))
+            out = ChartSpec("psd", REAL, (2, 1))
             inverse = partial(pinv_batch, beta=1)
-            vals.append(chart_jacobian_logdet(inverse, spec, coords, out))
+            vals.append(chart_jacobian_logdet(inverse, spec, coords, out,
+                                              in_pivots=piv, out_pivots=piv))
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
     def test_pseudo_inverse_scale_homogeneity(self):
@@ -362,10 +374,11 @@ class TestChartClosedForms:
         vals = []
         for scale in (1.0, c):
             s = Mat(COMPLEX, scale * base)
-            spec, coords = chart_at(s, 1, "psd")
-            out = ChartSpec("psd", COMPLEX, (2, 1), spec.pivots)
+            spec, coords, piv = _chart_at_one(s, 1, "psd")
+            out = ChartSpec("psd", COMPLEX, (2, 1))
             inverse = partial(pinv_batch, beta=2)
-            vals.append(chart_jacobian_logdet(inverse, spec, coords, out))
+            vals.append(chart_jacobian_logdet(inverse, spec, coords, out,
+                                              in_pivots=piv, out_pivots=piv))
         # beta=2, m=2, q=1: exponent beta(-2m+q+1)-2 = -6
         assert vals[1] - vals[0] == pytest.approx(-6.0 * math.log(c), abs=1e-6)
 
@@ -845,8 +858,9 @@ def _loop_pinv(x: Mat) -> Mat:
     return Mat(x.kind, mul_raw(scaled, ct_raw(parts.v1.data), x.kind.beta))
 
 
-def _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, step):
-    """One completion, one single-Mat map and one extraction per perturbation."""
+def _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, step, in_pivots, out_pivots):
+    """One completion, one single-Mat map and one extraction per perturbation,
+    in the point's pivoted charts (per-row pivots of a batch of one, or None)."""
     k = coords0.size
     jac = np.empty((k, k))
     h = np.maximum(step, step * np.abs(coords0))
@@ -857,7 +871,8 @@ def _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, step):
         cm[i] -= h[i]
         f = [
             out_spec.extract_batch(
-                mat_map(Mat(in_spec.kind, in_spec.complete_batch(c[None])[0])).data[None]
+                mat_map(Mat(in_spec.kind, in_spec.complete_batch(c[None], in_pivots)[0])).data[None],
+                out_pivots,
             )[0]
             for c in (cp, cm)
         ]
@@ -887,21 +902,14 @@ CHART_CASES = [
 ]
 
 
-def _pivoted(spec: ChartSpec, pivots) -> ChartSpec:
-    """The chart of spec's sizes with row 0's pivots of a sample (spec for None)."""
-    if pivots is None:
-        return spec
-    rows, cols = (tuple(int(v) for v in p[0]) for p in pivots)
-    return ChartSpec(spec.space, spec.kind, spec.sizes, rows if spec.space == "psd" else (rows, cols))
-
-
 def _chart_point(task: TaskSpec, i: int):
-    """(map_batch, in_spec, coords0, out_spec) of the task's CHART point i,
-    drawn alone, in its own pivoted charts."""
+    """(map_batch, in_spec, coords0, out_spec, in_pivots, out_pivots) of the
+    task's CHART point i, drawn alone, with the pivots of its own pivoted
+    charts (per-row pivots of a batch of one, or None)."""
     in_spec, out_spec, map_batch, sample = verify._problem(task)
     rng = verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
     in_pivots, coords, out_pivots, _, _ = sample([rng])
-    return map_batch, _pivoted(in_spec, in_pivots), coords[0], _pivoted(out_spec, out_pivots)
+    return map_batch, in_spec, coords[0], out_spec, in_pivots, out_pivots
 
 
 @pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
@@ -909,9 +917,13 @@ def test_batched_jacobian_matches_per_perturbation_loop(theorem, sizes):
     task = TaskSpec(theorem_id=theorem, beta=4, points=3, seed=11, **sizes)
     mat_map = _loop_map(task)
     for i in range(task.points):
-        map_batch, in_spec, coords0, out_spec = _chart_point(task, i)
-        batched = verify.chart_jacobian_logdet(map_batch, in_spec, coords0, out_spec, task.step)
-        looped = _loop_jacobian_logdet(mat_map, in_spec, coords0, out_spec, task.step)
+        map_batch, in_spec, coords0, out_spec, in_piv, out_piv = _chart_point(task, i)
+        batched = verify.chart_jacobian_logdet(
+            map_batch, in_spec, coords0, out_spec, task.step, in_piv, out_piv
+        )
+        looped = _loop_jacobian_logdet(
+            mat_map, in_spec, coords0, out_spec, task.step, in_piv, out_piv
+        )
         assert batched == pytest.approx(looped, abs=1e-8)
 
 
@@ -960,8 +972,10 @@ def test_chunked_points_are_the_points_alone(theorem, sizes, beta):
     rep = run_task(task)
     assert rep.passed and len(rep.records) == task.points
     for rec in rep.records:
-        point = _chart_point(task, rec["point"])
-        assert rec["numeric_log"] == verify.chart_jacobian_logdet(*point, task.step)
+        map_batch, in_spec, coords0, out_spec, in_piv, out_piv = _chart_point(task, rec["point"])
+        assert rec["numeric_log"] == verify.chart_jacobian_logdet(
+            map_batch, in_spec, coords0, out_spec, task.step, in_piv, out_piv
+        )
 
 
 @pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
@@ -985,7 +999,7 @@ def test_chunk_size_is_a_pure_function_of_the_chart():
             assert 1 <= size < task.points
             assert size * per_point <= verify.CHART_CHUNK_BYTES < (size + 1) * per_point
             assert verify._chunk_points(spec, 3) == min(3, size)
-    wide = ChartSpec("rect", QUATERNION, (40, 40, 20), (tuple(range(40)), tuple(range(40))))
+    wide = ChartSpec("rect", QUATERNION, (40, 40, 20))
     assert verify._chunk_points(wide, 10**8) == 1
 
 
@@ -1202,7 +1216,7 @@ def test_surface_side_with_no_live_row_completes_nothing(monkeypatch):
 
     monkeypatch.setattr(ChartSpec, "complete_batch", never)
     monkeypatch.setattr(verify, "hausdorff_density_log_batch", never)
-    spec = ChartSpec("psd", COMPLEX, (3, 1), (0, 1, 2))
+    spec = ChartSpec("psd", COMPLEX, (3, 1))
     box = np.array([[1.0, 2.0]] + [[-0.5, 0.5]] * (spec.coord_count() - 1))
     # S11 lies in [1, 2], so no row reaches the floor 3
     side = verify._surface_side(spec, box, lambda data: np.ones(len(data), bool), floor=3.0)
