@@ -398,6 +398,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
     return _print_log_value(lambda: stiefel_volume_log(args.m, args.n, args.beta))
 
 
+# a draw that leaves the float range is refused below, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_sample(args: argparse.Namespace) -> int:
     try:
         kind = AlgebraKind.from_beta(args.beta)
@@ -432,6 +434,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
             data = assemble_svd_batch(v1, d, w1, args.beta)[0]
     except DivalgError as exc:
         return _fail_usage(str(exc))
+    if not np.all(np.isfinite(data)):
+        return _fail_usage(f"the {args.space} sample leaves the float range; lower --lambda-hi")
     try:
         save_matrix(Mat(kind, data), args.out)
     except OSError as exc:

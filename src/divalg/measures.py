@@ -48,10 +48,15 @@ def tau(beta: int, q: int) -> float:
 
 
 def mv_gamma_log(m: int, beta: int, a: float) -> float:
-    """log of the multivariate gamma: pi^{m(m-1)beta/4} prod_i Gamma(a-(i-1)beta/2)."""
+    """log of the multivariate gamma: pi^{m(m-1)beta/4} prod_i Gamma(a-(i-1)beta/2).
+
+    DomainError for a non-finite a and for a log that leaves the float range.
+    """
     _check_beta(beta)
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
+    if not math.isfinite(a):
+        raise DomainError(f"a must be finite, got {a}")
     if m == 0:
         return 0.0
     if a <= (m - 1) * beta / 2.0:
@@ -59,8 +64,13 @@ def mv_gamma_log(m: int, beta: int, a: float) -> float:
             f"mv_gamma_log requires a > (m-1)*beta/2 = {(m - 1) * beta / 2.0}, got a={a}"
         )
     out = m * (m - 1) * beta / 4.0 * LOGPI
-    for i in range(1, m + 1):
-        out += math.lgamma(a - (i - 1) * beta / 2.0)
+    try:
+        for i in range(1, m + 1):
+            out += math.lgamma(a - (i - 1) * beta / 2.0)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"the log of the multivariate gamma at a={a} leaves the float range")
     return out
 
 
@@ -140,12 +150,20 @@ def _log_sum(x: np.ndarray) -> np.ndarray:
 
 def _vandermonde_log(x: np.ndarray, power: float, squared: bool = False) -> np.ndarray:
     """power * sum_{i<j} log(x_i - x_j), or log(x_i^2 - x_j^2) when squared
-    (as log(x_i - x_j) + log(x_i + x_j), which does not overflow), over the
-    last axis of a descending positive x."""
+    (as log(x_i - x_j) + log(x_i + x_j), with log(x_i + x_j) taken as
+    log(x_i) + log1p(x_j / x_i) only where the sum overflows), over the last
+    axis of a descending positive x."""
     iu, ju = np.triu_indices(x.shape[-1], k=1)
     a, b = x[..., iu], x[..., ju]
-    logs = np.log(a - b) + np.log(a + b) if squared else np.log(a - b)
-    return power * logs.sum(axis=-1)
+    if not squared:
+        return power * np.log(a - b).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        total = a + b
+    log_total = np.log(total)
+    big = np.isinf(total)
+    if big.any():
+        log_total[big] = np.log(a[big]) + np.log1p(b[big] / a[big])
+    return power * (np.log(a - b) + log_total).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,11 @@ keeps only its records and its verdict.  One helper, _factorized_side,
 builds the factorized sides of W, MP_HERM, MP_RECT, SD and SVD from a box,
 frame dimensions, a placement, the names of their FACTORS entries and the
 image whose spectrum must lie in the task's box; it returns each side with
-the log-mass of its own draw.  One helper builds every MC_RATIO surface
-side.
+the log-mass of its own draw.  Every MC_RATIO builder restricts its
+surface side and its factorized side to one _Region, a box of chart
+coordinates and a floor on the leading block laid around pilot draws of
+the factorization; _ratio_problem runs that pilot -> region -> sides
+sequence for SD, SVD and QR.
 
 The UHLIG MC_EQUALITY samplers never diagonalize an m x m image: a rank-n
 image A A* has the nonzero spectrum of the n x n matrix A* A, so the right
@@ -1053,39 +1056,18 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1) -> Report:
 # ---------------------------------------------------------------------------
 # MC_RATIO engine
 #
-# An MC_RATIO builder's left side is the surface side (_surface_side): chart
-# coordinates drawn uniformly in a box and weighed by the chart's Hausdorff
-# density.  Its right side samples the factorization, restricted to the same
-# region (_restricted_side for SD, SVD and QR), and its reference is the
-# unrestricted factorized draw.
+# An MC_RATIO builder restricts both of its sides to one _Region of chart
+# coordinates laid around pilot draws of the factorization; any common
+# restriction keeps the identity.  The left side is the surface side
+# (_surface_side), the right side the factorized side restricted to the
+# region (_restricted_side).  SD, SVD and QR build both through
+# _ratio_problem, with the unrestricted draw as reference; CHOL_X draws S in
+# a region of its own and its reference is its restricted side.
 
 
 def _phase_fiber_log(beta: int, q: int) -> float:
     """Per-column unit-scalar gauge volume of the spectral factorizations."""
     return q * stiefel_volume_log(1, 1, beta)
-
-
-def _quantile_box(coords: np.ndarray) -> np.ndarray:
-    """(k, 2) box of the 2% and 98% quantiles of each coordinate, each width
-    floored at 1e-6 times the box's largest magnitude."""
-    box = np.quantile(coords, [0.02, 0.98], axis=0).T  # (k, 2)
-    width = box[:, 1] - box[:, 0]
-    scale = float(np.abs(box).max())
-    floor = 1e-6 * (scale if scale > 0.0 else 1.0)
-    box[:, 1] = np.where(width <= floor, box[:, 0] + floor, box[:, 1])
-    return box
-
-
-def _coords_in_box(coords: np.ndarray, box: np.ndarray) -> np.ndarray:
-    return np.all((coords >= box[:, 0]) & (coords <= box[:, 1]), axis=1)
-
-
-def _box_volume_log(box: np.ndarray) -> float:
-    return float(np.log(box[:, 1] - box[:, 0]).sum())
-
-
-def _uniform_in_box(rng: np.random.Generator, box: np.ndarray, count: int) -> np.ndarray:
-    return rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
 
 
 def _leading_min(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
@@ -1097,34 +1079,69 @@ def _leading_min(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
     return svdvals_raw(block, spec.kind.beta)[:, -1]
 
 
-def _leading_floor(spec: ChartSpec, pilot_coords: np.ndarray) -> float:
-    """The floor of the leading-block test: 0.9 times the 5% quantile of the
-    pilot draws' _leading_min."""
-    return 0.9 * float(np.quantile(_leading_min(spec, pilot_coords), 0.05))
+@dataclass(frozen=True, eq=False)
+class _Region:
+    """The common restriction of an MC_RATIO identity in one chart: chart
+    coordinates inside box, a (k, 2) array of lower and upper bounds, whose
+    leading block reaches floor (_leading_min; None for no floor)."""
+
+    spec: ChartSpec
+    box: np.ndarray
+    floor: float | None = None
+
+    @classmethod
+    def around(cls, spec: ChartSpec, pilot_coords: np.ndarray) -> _Region:
+        """The region of pilot draws: the 2% and 98% quantiles of each
+        coordinate, each width floored at 1e-6 times the box's largest
+        magnitude, and a floor of 0.9 times the 5% quantile of the draws'
+        _leading_min.  A full-rank rect chart completes nothing and has no
+        floor; every psd chart has one, because a psd box can leave the
+        positive cone."""
+        box = np.quantile(pilot_coords, [0.02, 0.98], axis=0).T  # (k, 2)
+        width = box[:, 1] - box[:, 0]
+        scale = float(np.abs(box).max())
+        tiny = 1e-6 * (scale if scale > 0.0 else 1.0)
+        box[:, 1] = np.where(width <= tiny, box[:, 0] + tiny, box[:, 1])
+        if spec.space == "rect" and spec.sizes[-1] == min(spec.shape):
+            return cls(spec, box)
+        return cls(spec, box, 0.9 * float(np.quantile(_leading_min(spec, pilot_coords), 0.05)))
+
+    def log_volume(self) -> float:
+        return float(np.log(self.box[:, 1] - self.box[:, 0]).sum())
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """(count, k) coordinates uniform in the box."""
+        return rng.uniform(self.box[:, 0], self.box[:, 1], size=(count, self.box.shape[0]))
+
+    def live(self, coords: np.ndarray) -> np.ndarray:
+        """Mask: rows whose leading block reaches the floor; every row when
+        there is none."""
+        if self.floor is None:
+            return np.ones(coords.shape[0], dtype=bool)
+        return _leading_min(self.spec, coords) >= self.floor
+
+    def holds(self, coords: np.ndarray) -> np.ndarray:
+        """Mask: rows inside the box that are live."""
+        in_box = (coords >= self.box[:, 0]) & (coords <= self.box[:, 1])
+        return np.all(in_box, axis=1) & self.live(coords)
 
 
-def _passes_floor(spec: ChartSpec, coords: np.ndarray, floor: float | None) -> np.ndarray:
-    """Mask: rows whose leading block reaches the floor; every row when floor
-    is None (a chart that completes nothing)."""
-    if floor is None:
-        return np.ones(coords.shape[0], dtype=bool)
-    return _leading_min(spec, coords) >= floor
+def _surface_side(region: _Region, accept):
+    """The surface side of an MC_RATIO builder: coordinates uniform in the
+    region's box, weighed by the chart's Hausdorff density.
 
-
-def _surface_side(spec: ChartSpec, box: np.ndarray, accept, floor: float | None = None):
-    """The surface side of an MC_RATIO builder: coordinates uniform in box,
-    weighed by the chart's Hausdorff density.
-
-    A row is live when its leading block passes the floor (_passes_floor).
-    Only the live rows are completed and weighed, so a block with no live
-    row completes nothing; accept(data) -> mask is the builder's restriction
-    on the completed matrices.  Dead rows keep zero data and weight -inf.
+    Only the live rows (region.live) are completed and weighed, so a block
+    with no live row completes nothing; accept(data) -> mask is the
+    builder's restriction on the completed matrices.  Dead rows keep zero
+    data and weight -inf.
     """
+    spec = region.spec
+
     def side(rng, count):
-        coords = _uniform_in_box(rng, box, count)
+        coords = region.draw(rng, count)
         data = np.zeros((count, *spec.shape, spec.kind.beta))
         logw = np.full(count, -np.inf)
-        live = _passes_floor(spec, coords, floor)
+        live = region.live(coords)
         if live.any():
             sub = coords[live]
             full = spec.complete_batch(sub)
@@ -1135,91 +1152,83 @@ def _surface_side(spec: ChartSpec, box: np.ndarray, accept, floor: float | None 
     return side
 
 
-def _restricted_side(raw_fn, spec: ChartSpec, box: np.ndarray, floor: float | None = None):
-    """The factorized side raw_fn restricted to the surface side's region:
-    chart coordinates in box and a leading block that passes the floor."""
+def _restricted_side(raw_fn, region: _Region):
+    """The factorized side raw_fn restricted to the region: its draws'
+    chart coordinates must hold (region.holds)."""
     def side(rng, count):
         data, logw = raw_fn(rng, count)
-        coords = spec.extract_batch(data)
-        ok = _coords_in_box(coords, box) & _passes_floor(spec, coords, floor)
+        ok = region.holds(region.spec.extract_batch(data))
         return data, np.where(ok, logw, -np.inf)
     return side
 
 
+def _ratio_problem(task: TaskSpec, spec: ChartSpec, fact_raw, fact_const: float, accept):
+    """The MC_RATIO problem of a factorized side fact_raw in chart spec: the
+    region lies around 4096 pilot draws of fact_raw, both sides are
+    restricted to it, and fact_raw is the reference."""
+    pilot = _valid_draws(*fact_raw(_pilot(task), 4096), "pilot")
+    region = _Region.around(spec, spec.extract_batch(pilot))
+    return (
+        _surface_side(region, accept), region.log_volume(),
+        _restricted_side(fact_raw, region), fact_const, fact_raw,
+    )
+
+
 def _sd_ratio(task: TaskSpec):
-    kind, beta, m, q, gap = task.kind, task.beta, task.m, task.q, task.gap
+    beta, m, q, gap = task.beta, task.m, task.q, task.gap
     lo, hi = task.eigen_box
-    spec = ChartSpec("psd", kind, (m, q))
     fact_raw, fact_mass = _factorized_side(
         task, task.eigen_box, (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta), ("SD",)
     )
-    pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
-    box = _quantile_box(pilot_coords)
-    floor = _leading_floor(spec, pilot_coords)
 
     def spectrum_ok(s: np.ndarray) -> np.ndarray:
         return _in_box_gap(eigvalsh_raw(s, beta)[:, ::-1][:, :q], lo, hi, gap)
 
     fact_const = fact_mass - _phase_fiber_log(beta, q)
-    return (
-        _surface_side(spec, box, spectrum_ok, floor), _box_volume_log(box),
-        _restricted_side(fact_raw, spec, box, floor), fact_const, fact_raw,
-    )
+    return _ratio_problem(task, ChartSpec("psd", task.kind, (m, q)), fact_raw, fact_const,
+                          spectrum_ok)
 
 
 def _svd_ratio(task: TaskSpec):
-    kind, beta, m, n, q, gap = task.kind, task.beta, task.m, task.n, task.q, task.gap
+    beta, m, n, q, gap = task.beta, task.m, task.n, task.q, task.gap
     lo, hi = task.eigen_box
-    spec = ChartSpec("rect", kind, (n, m, q))
     fact_raw, fact_mass = _factorized_side(
         task, task.eigen_box, (n, m), lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta),
         ("SVD",),
     )
-    pilot_coords = spec.extract_batch(_valid_draws(*fact_raw(_pilot(task), 4096), "pilot"))
-    box = _quantile_box(pilot_coords)
-    floor = _leading_floor(spec, pilot_coords) if q < min(n, m) else None
 
     def spectrum_ok(x: np.ndarray) -> np.ndarray:
         return _in_box_gap(svdvals_raw(x, beta)[:, :q], lo, hi, gap)
 
     fact_const = fact_mass - _phase_fiber_log(beta, q)
-    return (
-        _surface_side(spec, box, spectrum_ok, floor), _box_volume_log(box),
-        _restricted_side(fact_raw, spec, box, floor), fact_const, fact_raw,
-    )
+    return _ratio_problem(task, ChartSpec("rect", task.kind, (n, m, q)), fact_raw, fact_const,
+                          spectrum_ok)
 
 
 def _qr_ratio(task: TaskSpec):
     # q = m (enforced): the chart is the whole n x m space
     kind, beta, m, n = task.kind, task.beta, task.m, task.n
     lo, hi = task.eigen_box
-    spec = ChartSpec("rect", kind, (n, m, m))
     tri_spec = ChartSpec("tri", kind, (m, m))
-    tri_box = np.empty((tri_spec.coord_count(), 2))
-    tri_box[:m, 0] = lo
-    tri_box[:m, 1] = hi
-    tri_box[m:, 0] = -hi
-    tri_box[m:, 1] = hi
+    # the diagonal of T lies in [lo, hi] and its other coefficients in [-hi, hi]
+    off = tri_spec.coord_count() - m
+    t_region = _Region(tri_spec, np.array([[lo, hi]] * m + [[-hi, hi]] * off))
 
     def fact_raw(rng, count):
-        tcoords = _uniform_in_box(rng, tri_box, count)
+        tcoords = t_region.draw(rng, count)
         t = tri_spec.complete_batch(tcoords)
         h1 = sample_stiefel_batch(n, m, kind, rng, count)
         return mul_raw(h1, t, beta), FACTORS["QR"].log(beta, m, n, m, t_diag=tcoords[:, :m])
 
-    box = _quantile_box(spec.extract_batch(fact_raw(_pilot(task), 4096)[0]))
-
     def triangle_ok(data: np.ndarray) -> np.ndarray:
-        """T of the positive-diagonal QR X = H T lies in tri_box."""
+        """T of the positive-diagonal QR X = H T lies in the T region."""
         h, norms = gram_schmidt_batch(data, beta)
         coords = tri_spec.extract_batch(mul_raw(ct_raw(h), data, beta))
-        return _coords_in_box(coords, tri_box) & (norms > 1e-12).all(axis=1)
+        return t_region.holds(coords) & (norms > 1e-12).all(axis=1)
 
-    fact_const = _box_volume_log(tri_box) + stiefel_volume_log(m, n, beta)
-    return (
-        _surface_side(spec, box, triangle_ok), _box_volume_log(box),
-        _restricted_side(fact_raw, spec, box), fact_const, fact_raw,
-    )
+    fact_const = t_region.log_volume() + stiefel_volume_log(m, n, beta)
+    return _ratio_problem(task, ChartSpec("rect", kind, (n, m, m)), fact_raw, fact_const,
+                          triangle_ok)
 
 
 def _chol_x_ratio(task: TaskSpec):
@@ -1230,43 +1239,35 @@ def _chol_x_ratio(task: TaskSpec):
 
     lam, (w1,) = factorized_draw(_pilot(task), task.eigen_box, m, (m,), kind, 4096)
     pilot_s = assemble_sd_batch(w1, lam, beta)
-    pilot_coords = s_spec.extract_batch(pilot_s)
-    s_box = _quantile_box(pilot_coords)
-    floor = _leading_floor(s_spec, pilot_coords)
+    s_region = _Region.around(s_spec, s_spec.extract_batch(pilot_s))
 
     def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
         return mul_raw(h1, cholesky_batch(s, beta), beta)
 
     pilot_h = sample_stiefel_batch(n, m, kind, _pilot(task, 1), 4096)
-    x_box = _quantile_box(x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
+    x_region = _Region.around(x_spec, x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
 
-    def fact_fn(rng, count):
-        s_coords = _uniform_in_box(rng, s_box, count)
-        valid = _passes_floor(s_spec, s_coords, floor)
+    def fact_raw(rng, count):
+        s_coords = s_region.draw(rng, count)
+        valid = s_region.live(s_coords)
         h1 = sample_stiefel_batch(n, m, kind, rng, count)
         data = np.zeros((count, n, m, beta))
         logw = np.full(count, -np.inf)
         if np.any(valid):
             s_full = s_spec.complete_batch(s_coords[valid])
-            x = assemble_x(s_full, h1[valid])
-            in_x = _coords_in_box(x_spec.extract_batch(x), x_box)
-            data[valid] = x
-            lw = FACTORS["CHOL_X"].log(
+            data[valid] = assemble_x(s_full, h1[valid])
+            logw[valid] = FACTORS["CHOL_X"].log(
                 beta, m, n, m, det_s11=logdet_hermitian_raw(s_full, beta)
             )
-            logw[valid] = np.where(in_x, lw, -np.inf)
         return data, logw
 
     def gram_ok(x: np.ndarray) -> np.ndarray:
         s = mul_raw(ct_raw(x), x, beta)
-        coords = s_spec.extract_batch((s + ct_raw(s)) / 2.0)
-        return _coords_in_box(coords, s_box) & _passes_floor(s_spec, coords, floor)
+        return s_region.holds(s_spec.extract_batch((s + ct_raw(s)) / 2.0))
 
-    fact_const = _box_volume_log(s_box) + stiefel_volume_log(m, n, beta)
-    return (
-        _surface_side(x_spec, x_box, gram_ok), _box_volume_log(x_box),
-        fact_fn, fact_const, fact_fn,
-    )
+    fact_fn = _restricted_side(fact_raw, x_region)
+    fact_const = s_region.log_volume() + stiefel_volume_log(m, n, beta)
+    return _surface_side(x_region, gram_ok), x_region.log_volume(), fact_fn, fact_const, fact_fn
 
 
 def run_mc_ratio_task(task: TaskSpec, jobs: int = 1) -> Report:

@@ -150,6 +150,46 @@ class TestFactorCommand:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+    def test_svd_factor_past_the_float_range_sum(self, capsys):
+        """d_1 + d_2 overflows a float, the factor's log does not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "factor", "--kind", "svd", "--beta", "1", "--n", "2", "--m", "2",
+                "--q", "2", "--d", "1.5e308,1e308",
+            )
+        assert code == 0 and err == ""
+        # -q ln 2 plus the squared Vandermonde term log(d_1^2 - d_2^2)
+        expected = 1418.6155608356464 - 2 * math.log(2.0)
+        assert log_of(out) == pytest.approx(expected, rel=1e-9)  # printed to 10 digits
+
+
+def log_of(out: str) -> float:
+    match = re.search(r"^log: (\S+)$", out, re.MULTILINE)
+    assert match, out
+    return float(match.group(1))
+
+
+def _assert_log_value_lines(code: int, out: str, err: str, argv) -> None:
+    """Exit 0 with float `log:` and `value:` lines, or 2 with one error line."""
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        lines = out.splitlines()
+        assert err == "" and [line.split(": ")[0] for line in lines] == ["log", "value"], argv
+        for line in lines:
+            float(line.split(": ")[1])
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+# values for --a and the sample box, the float range's edges among them
+CLI_FLOATS = st.sampled_from(["0", "-1", "-2.5", "0.5", "1", "2", "3.5", "40", "1e-300",
+                              "1e308", "nan", "inf", "-inf"])
+CLI_BETAS = st.sampled_from([1, 2, 4, 8, 3, 0, -1])
+CLI_SIZES = st.integers(-1, 5)
+
+
 class TestGammaVolumeCommands:
     def test_gamma_sqrt_pi(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--m", "1", "--beta", "1", "--a", "0.5")
@@ -195,6 +235,34 @@ class TestGammaVolumeCommands:
         for argv in (["gamma", "--m", "2", "--a", "5"], ["volume", "--m", "1", "--n", "2"]):
             code, out, _ = run_cli(capsys, *argv, "--beta", "8")
             assert code == 0 and math.isfinite(value_of(out))
+
+    @given(m=CLI_SIZES, beta=CLI_BETAS, a=CLI_FLOATS)
+    @example(m=3, beta=1, a="nan")
+    @example(m=3, beta=1, a="inf")
+    @example(m=2, beta=2, a="3e307")
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_gamma_input_exits_cleanly(self, capsys, m, beta, a):
+        argv = ["gamma", f"--m={m}", f"--beta={beta}", f"--a={a}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        _assert_log_value_lines(code, out, err, argv)
+        if a in ("nan", "inf", "-inf", "3e307"):
+            assert code == 2, argv
+
+    @given(m=CLI_SIZES, n=CLI_SIZES, beta=CLI_BETAS)
+    @example(m=1, n=10**306, beta=1)
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_volume_input_exits_cleanly(self, capsys, m, n, beta):
+        argv = ["volume", f"--m={m}", f"--n={n}", f"--beta={beta}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        _assert_log_value_lines(code, out, err, argv)
+        if n == 10**306:
+            assert code == 2 and "float range" in err
 
 
 class TestSampleCommand:
@@ -288,6 +356,40 @@ class TestSampleCommand:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert not out_file.exists()
+
+
+    @given(
+        space=st.sampled_from(["stiefel", "psd", "rect"]),
+        beta=CLI_BETAS,
+        sizes=st.tuples(CLI_SIZES, CLI_SIZES, CLI_SIZES),
+        box=st.tuples(CLI_FLOATS, CLI_FLOATS),
+    )
+    @example(space="psd", beta=1, sizes=(0, 2, 1), box=("1.7e308", "1.79e308"))
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_sample_input_exits_cleanly(self, capsys, tmp_path, space, beta, sizes, box):
+        """`divalg sample` exits 0 with a strict-JSON matrix file or 2 with
+        one error line and no file."""
+        out_file = tmp_path / "sample.json"
+        out_file.unlink(missing_ok=True)
+        argv = ["sample", space, f"--beta={beta}", f"--lambda-lo={box[0]}",
+                f"--lambda-hi={box[1]}", f"--out={out_file}"]
+        argv += [f"--{name}={v}" for name, v in zip(("n", "m", "q"), sizes)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "" and out == f"wrote {space} sample to {out_file}\n"
+            doc = json.loads(out_file.read_text(), parse_constant=_reject_constant)
+            assert doc["beta"] == beta
+            assert np.all(np.isfinite(load_matrix(out_file).data))
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            assert not out_file.exists()
+        if box == ("1.7e308", "1.79e308") and space != "stiefel":
+            assert code == 2, argv
 
 
 class TestVerifyCommand:

@@ -8,6 +8,7 @@ from divalg.measures import (
     FACTORS,
     UHLIG_SVD_ALT,
     FactorInput,
+    _vandermonde_log,
     check_spectra,
     factor_log,
     mv_gamma_log,
@@ -57,6 +58,15 @@ class TestMvGamma:
 
     def test_empty_product(self):
         assert mv_gamma_log(0, 2, 1.0) == 0.0
+
+    @pytest.mark.parametrize("m,beta,a", [
+        (3, 1, math.nan), (3, 1, math.inf), (0, 2, math.nan),  # a non-finite a
+        (2, 2, 3e307),  # lgamma overflows
+        (2, 1, 2e305),  # each lgamma is finite, their sum is not
+    ])
+    def test_non_finite_a_or_log_is_a_domain_error(self, m, beta, a):
+        with pytest.raises(DomainError):
+            mv_gamma_log(m, beta, a)
 
 
 class TestStiefelVolume:
@@ -118,6 +128,18 @@ class TestDecompositionDensity:
         assert factor_log("SVD", fi) == pytest.approx(
             -2 * math.log(2.0) + 400 * math.log(10.0), rel=1e-12
         )
+
+    def test_svd_vandermonde_sum_past_the_float_range(self):
+        # d_1 + d_2 overflows a float; log(d_1 + d_2), about 710, does not
+        logs = _vandermonde_log(np.array([[1.5e308, 1e308]]), 1.0, squared=True)
+        assert logs[0] == pytest.approx(1418.6155608356464, rel=1e-12)
+
+    def test_squared_vandermonde_in_range_is_the_plain_sum_of_logs(self):
+        x = -np.sort(-np.random.default_rng(4).uniform(1e-3, 1e3, size=(256, 4)), axis=1)
+        iu, ju = np.triu_indices(4, k=1)
+        a, b = x[:, iu], x[:, ju]
+        expected = 2.0 * (np.log(a - b) + np.log(a + b)).sum(axis=-1)
+        np.testing.assert_array_equal(_vandermonde_log(x, 2.0, squared=True), expected)
 
     def test_unsorted_spectrum_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1178,13 +1178,15 @@ def test_surface_side_completes_and_weighs_only_live_rows(monkeypatch, theorem, 
                     seed=3, **sizes)
     surface = verify._problem(task)[0]
     seen = {"complete": [], "hausdorff": []}
-    passes_floor = verify._passes_floor
+    region_live = verify._Region.live
     complete = ChartSpec.complete_batch
     hausdorff = verify.hausdorff_density_log_batch
 
-    def spy_passes_floor(spec, coords, floor):
-        seen["coords"], seen["live"] = coords, passes_floor(spec, coords, floor)
-        return seen["live"]
+    def spy_live(self, coords):
+        live = region_live(self, coords)
+        if "live" not in seen:  # the side's own call; QR's accept calls live again
+            seen["coords"], seen["live"] = coords, live
+        return live
 
     def spy_complete(self, coords):
         seen["complete"].append(coords.copy())
@@ -1194,7 +1196,7 @@ def test_surface_side_completes_and_weighs_only_live_rows(monkeypatch, theorem, 
         seen["hausdorff"].append(coords.copy())
         return hausdorff(spec, coords)
 
-    monkeypatch.setattr(verify, "_passes_floor", spy_passes_floor)
+    monkeypatch.setattr(verify._Region, "live", spy_live)
     monkeypatch.setattr(ChartSpec, "complete_batch", spy_complete)
     monkeypatch.setattr(verify, "hausdorff_density_log_batch", spy_hausdorff)
     data, logw = surface(np.random.default_rng(5), 2048)
@@ -1219,7 +1221,50 @@ def test_surface_side_with_no_live_row_completes_nothing(monkeypatch):
     spec = ChartSpec("psd", COMPLEX, (3, 1))
     box = np.array([[1.0, 2.0]] + [[-0.5, 0.5]] * (spec.coord_count() - 1))
     # S11 lies in [1, 2], so no row reaches the floor 3
-    side = verify._surface_side(spec, box, lambda data: np.ones(len(data), bool), floor=3.0)
+    region = verify._Region(spec, box, 3.0)
+    side = verify._surface_side(region, lambda data: np.ones(len(data), bool))
     data, logw = side(np.random.default_rng(0), 64)
     assert np.isneginf(logw).all()
     assert data.shape == (64, 3, 3, 2) and not data.any()
+
+
+# ---------------------------------------------------------------------------
+# both sides of a ratio identity are restricted to one region
+
+RATIO_CASES = [
+    (theorem, sizes, beta)
+    for beta in (1, 2, 4)
+    for theorem, sizes in (
+        ("SD", dict(m=2, q=1)),
+        ("SVD", dict(n=2, m=2, q=1)),
+        ("QR", dict(n=2, m=2, q=2)),
+        ("CHOL_X", dict(n=3, m=2, q=2)),
+    )
+] + [("SVD", dict(n=3, m=3, q=2), 2)]
+
+
+@pytest.mark.parametrize("theorem,sizes,beta", RATIO_CASES)
+def test_both_ratio_sides_share_one_region(monkeypatch, theorem, sizes, beta):
+    task = TaskSpec(theorem_id=theorem, beta=beta, engine="MC_RATIO", trials=10_000,
+                    seed=3, **sizes)
+    received = {"surface": [], "restricted": []}
+    surface_side, restricted_side = verify._surface_side, verify._restricted_side
+
+    def spy_surface(region, accept):
+        received["surface"].append(region)
+        return surface_side(region, accept)
+
+    def spy_restricted(raw_fn, region):
+        received["restricted"].append(region)
+        return restricted_side(raw_fn, region)
+
+    monkeypatch.setattr(verify, "_surface_side", spy_surface)
+    monkeypatch.setattr(verify, "_restricted_side", spy_restricted)
+    lhs_fn, _, rhs_fn, _, _ = verify._problem(task)
+    (region,), (other,) = received["surface"], received["restricted"]
+    assert region is other
+    for side in (lhs_fn, rhs_fn):
+        data, logw = side(np.random.default_rng(5), 4096)
+        live = ~np.isneginf(logw)
+        assert live.any()
+        assert region.holds(region.spec.extract_batch(data[live])).all()
