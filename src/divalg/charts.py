@@ -9,7 +9,10 @@ matrices, the density of the chart's Lebesgue measure against the Hausdorff
 surface measure (the Gram determinant of the exact differential of
 completion in the ambient inner product Re tr(A*B): a constant for a
 full-rank chart, one block inverse per batch for a rank-q chart), and
-samplers for the factorized measures (spectrum box x uniform Stiefel frames).
+samplers for the factorized measures (spectrum box x uniform Stiefel frames):
+factorized_draw draws a batch from one generator, and factorized_rows one
+point from each of a sequence of generators, each with the bits of its own
+one-point draw, while the sort and Gram-Schmidt run on all the points.
 
 A chart is a ChartSpec, which validates its sizes; a chart point is a
 (spec, coords) pair.  Pivots are per-row arrays, never part of a spec: a
@@ -476,19 +479,34 @@ def hausdorff_density_log_batch(spec: ChartSpec, coords: np.ndarray) -> np.ndarr
 # samplers
 
 
+# a frame column this short before normalization is taken as dependent, and
+# the frame is drawn again
+FRAME_NORM_TOL = 1e-12
+
+
+def _frames_ok(norms: np.ndarray) -> np.ndarray:
+    """(B,) True where every column norm of a gram_schmidt_batch call is
+    above FRAME_NORM_TOL."""
+    return (norms > FRAME_NORM_TOL).all(axis=1)
+
+
+def _check_frame(n: int, q: int, kind: AlgebraKind) -> None:
+    _require_assoc(kind.beta, "Stiefel sampling")
+    if q > n:
+        raise ShapeMismatchError(f"need q <= n, got q={q} n={n}")
+
+
 def sample_stiefel_batch(
     n: int, q: int, kind: AlgebraKind, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """(count, n, q, beta) frames drawn from the invariant measure on V_{q,n}."""
-    _require_assoc(kind.beta, "Stiefel sampling")
-    if q > n:
-        raise ShapeMismatchError(f"need q <= n, got q={q} n={n}")
+    _check_frame(n, q, kind)
     frames = None
     remaining = np.arange(count)
     for _ in range(100):
         draw = rng.standard_normal((remaining.size, n, q, kind.beta))
         got, norms = gram_schmidt_batch(draw, kind.beta)
-        ok = (norms > 1e-12).all(axis=1)
+        ok = _frames_ok(norms)
         if frames is None:
             if ok.all():
                 return got
@@ -509,6 +527,12 @@ def _check_box(box) -> tuple[float, float]:
     return lo, hi
 
 
+def _descending(spectrum: np.ndarray) -> np.ndarray:
+    """(count, q) spectra sorted descending, row by row, as a new array."""
+    spectrum.sort(axis=1)
+    return spectrum[:, ::-1].copy()
+
+
 def factorized_draw(
     rng: np.random.Generator,
     box: tuple[float, float],
@@ -524,10 +548,52 @@ def factorized_draw(
     The measure's total mass is exp(factorized_mass_log(box, q, dims, beta)).
     """
     lo, hi = _check_box(box)
-    spectrum = rng.uniform(lo, hi, size=(count, q))
-    spectrum.sort(axis=1)
+    spectrum = _descending(rng.uniform(lo, hi, size=(count, q)))
     frames = tuple(sample_stiefel_batch(d, q, kind, rng, count) for d in dims)
-    return spectrum[:, ::-1].copy(), frames
+    return spectrum, frames
+
+
+def factorized_rows(
+    rngs,
+    box: tuple[float, float],
+    q: int,
+    dims: tuple[int, ...],
+    kind: AlgebraKind,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """factorized_draw(rng, box, q, dims, kind, 1) of each of a sequence of
+    P unused generators rngs, stacked, bit for bit: ((P, q) spectra, one
+    (P, d, q, beta) frame array per d in dims).
+
+    Each row's generator makes the same calls in the same order as its own
+    one-point draw (the uniform spectrum, then one standard normal frame per
+    d), while the sort and one gram_schmidt_batch per d run on all P rows,
+    which treat each row alone.  A row whose frame is degenerate replays
+    its one-point draw, which redraws that frame before the next, on a
+    fresh copy of its generator (so each must arrive unused).
+    """
+    lo, hi = _check_box(box)
+    for d in dims:
+        _check_frame(d, q, kind)
+    spectrum = np.empty((len(rngs), q))
+    normals = tuple(np.empty((len(rngs), d, q, kind.beta)) for d in dims)
+    for i, rng in enumerate(rngs):
+        spectrum[i] = rng.uniform(lo, hi, size=q)
+        for normal in normals:
+            normal[i] = rng.standard_normal(normal.shape[1:])
+    spectrum = _descending(spectrum)
+    frames, ok = [], np.ones(len(rngs), dtype=bool)
+    for normal in normals:
+        frame, norms = gram_schmidt_batch(normal, kind.beta)
+        frames.append(frame)
+        ok &= _frames_ok(norms)
+    for i in np.flatnonzero(~ok):
+        bits = rngs[i].bit_generator
+        fresh = np.random.Generator(type(bits)(bits.seed_seq))
+        row_spectrum, row_frames = factorized_draw(fresh, box, q, dims, kind, 1)
+        spectrum[i] = row_spectrum[0]
+        for frame, row in zip(frames, row_frames):
+            frame[i] = row[0]
+    return spectrum, tuple(frames)
 
 
 def factorized_mass_log(

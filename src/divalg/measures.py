@@ -47,6 +47,16 @@ def tau(beta: int, q: int) -> float:
     return 0.0 if beta == 1 else -beta * q / 2.0
 
 
+def _half(size: int, label: str) -> float:
+    """The integer size / 2 as a float, divided before it is converted (so
+    it is exact wherever the float of size is); DomainError when the
+    quotient leaves the float range."""
+    try:
+        return size / 2
+    except OverflowError:
+        raise DomainError(f"{label}/2 leaves the float range") from None
+
+
 def mv_gamma_log(m: int, beta: int, a: float) -> float:
     """log of the multivariate gamma: pi^{m(m-1)beta/4} prod_i Gamma(a-(i-1)beta/2).
 
@@ -59,11 +69,10 @@ def mv_gamma_log(m: int, beta: int, a: float) -> float:
         raise DomainError(f"a must be finite, got {a}")
     if m == 0:
         return 0.0
-    if a <= (m - 1) * beta / 2.0:
-        raise DomainError(
-            f"mv_gamma_log requires a > (m-1)*beta/2 = {(m - 1) * beta / 2.0}, got a={a}"
-        )
-    out = m * (m - 1) * beta / 4.0 * LOGPI
+    bound = _half((m - 1) * beta, "(m-1)*beta")
+    if a <= bound:
+        raise DomainError(f"mv_gamma_log requires a > (m-1)*beta/2 = {bound}, got a={a}")
+    out = _half(m * (m - 1) * beta, "m*(m-1)*beta") / 2.0 * LOGPI
     try:
         for i in range(1, m + 1):
             out += math.lgamma(a - (i - 1) * beta / 2.0)
@@ -81,7 +90,8 @@ def stiefel_volume_log(m: int, n: int, beta: int) -> float:
         raise DomainError(f"stiefel_volume_log requires m <= n, got m={m} n={n}")
     if m == 0:
         return 0.0
-    return m * LOG2 + m * n * beta / 2.0 * LOGPI - mv_gamma_log(m, beta, n * beta / 2.0)
+    half_mn = _half(m * n * beta, "m*n*beta")  # first, so that m below fits a float
+    return m * LOG2 + half_mn * LOGPI - mv_gamma_log(m, beta, _half(n * beta, "n*beta"))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,7 @@ from .charts import (
     chart_at_batch,
     factorized_draw,
     factorized_mass_log,
+    factorized_rows,
     hausdorff_density_log_batch,
     sample_stiefel_batch,
 )
@@ -638,11 +639,13 @@ def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
 # coords, out_pivots, analytic, gap_at), which draws one point from each
 # generator, in order, and returns the points' own pivots (see
 # ChartSpec.complete_batch; None for no permutation), their (P, k)
-# coordinates, analytic factors and spectral gaps.  Only the random draws
-# run per point; assembly, pivoting, extraction, the completion check, the
-# checks of the factor's inputs and the factor itself (one FACTORS call)
-# run on the stacked points, and the finite differences of a chunk of
-# points take one completion, one map call and one extraction.
+# coordinates, analytic factors and spectral gaps.  Only the generator
+# calls run per point: charts.factorized_rows sorts the spectra and runs
+# Gram-Schmidt on the stacked points, with the bits of one draw per point.
+# Assembly, pivoting, extraction, the completion check, the checks of the
+# factor's inputs and the factor itself (one FACTORS call) run on the
+# stacked points too, and the finite differences of a chunk of points take
+# one completion, one map call and one extraction.
 #
 # For the pseudo-inverse maps the output chart must be the input chart
 # transported through the map: permutations commute with pinv, so tying the
@@ -662,14 +665,6 @@ def _chunk_points(spec: ChartSpec, points: int) -> int:
     return min(points, max(1, CHART_CHUNK_BYTES // per_point))
 
 
-def _point_draws(rngs, box, q: int, dims: tuple[int, ...], kind: AlgebraKind):
-    """factorized_draw of one point from each generator, stacked:
-    ((P, q) spectra, one (P, d, q, beta) frame array per d in dims)."""
-    draws = [factorized_draw(rng, box, q, dims, kind, 1) for rng in rngs]
-    spectra = np.concatenate([spectrum for spectrum, _ in draws])
-    return spectra, tuple(np.concatenate(f) for f in zip(*(frames for _, frames in draws)))
-
-
 def _chart_factor(task: TaskSpec, spectrum: np.ndarray) -> np.ndarray:
     """The theorem's factor at a chunk's points from its one spectrum input
     (P, q), after the checks FactorInput makes of it (check_spectra)."""
@@ -684,7 +679,7 @@ def _mp_herm_chart(task: TaskSpec):
     spec = ChartSpec("psd", kind, (m, q))
 
     def sample(rngs):
-        lam, (w1,) = _point_draws(rngs, task.eigen_box, q, (m,), kind)
+        lam, (w1,) = factorized_rows(rngs, task.eigen_box, q, (m,), kind)
         _, pivots, coords = chart_at_batch(assemble_sd_batch(w1, lam, beta), q, "psd")
         return pivots, coords, pivots, _chart_factor(task, lam), _spectrum_gaps(lam)
     return spec, spec, partial(pinv_batch, beta=beta), sample
@@ -696,7 +691,7 @@ def _mp_rect_chart(task: TaskSpec):
     out_spec = ChartSpec("rect", kind, (m, n, q))
 
     def sample(rngs):
-        d, (v1, w1) = _point_draws(rngs, task.eigen_box, q, (n, m), kind)
+        d, (v1, w1) = factorized_rows(rngs, task.eigen_box, q, (n, m), kind)
         _, pivots, coords = chart_at_batch(assemble_svd_batch(v1, d, w1, beta), q, "rect")
         return pivots, coords, pivots[::-1], _chart_factor(task, d), _spectrum_gaps(d)
     return in_spec, out_spec, partial(pinv_batch, beta=beta), sample
@@ -752,7 +747,7 @@ def _congruence_chart(task: TaskSpec):
     congruence = _congruence_map(b)
 
     def sample(rngs):
-        lam, (w1,) = _point_draws(rngs, task.eigen_box, rank, (m,), kind)
+        lam, (w1,) = factorized_rows(rngs, task.eigen_box, rank, (m,), kind)
         (_, in_pivots, coords), (_, out_pivots), _, dets = _congruence_points(
             congruence, assemble_sd_batch(w1, lam, beta), rank
         )
@@ -782,9 +777,10 @@ def _gap_margin(gap_at: float, gap: float) -> float | None:
 
 def _chart_chunk(task: TaskSpec, problem, points: range):
     """(analytic, numeric, gap_at) of the CHART points `points`, each drawn
-    from its own substream: one sample call and one Jacobian chunk.  When
-    the chunk raises, its points run again one at a time, so a task raises
-    its lowest failing point's own error."""
+    from its own substream: one sample call and one Jacobian chunk.  The
+    substreams are built here, unused, as factorized_rows needs them to be
+    to replay a point.  When the chunk raises, its points run again one at
+    a time, so a task raises its lowest failing point's own error."""
     in_spec, out_spec, map_batch, sample = problem
     try:
         rngs = [_substream(task.seed, task.theorem.code, _SIDE_POINTS, i) for i in points]

@@ -35,3 +35,19 @@ def test_chart_times_one_task_per_theorem_and_beta(capsys):
         (name, 1, 20) for name in ("CHOL", "MP_HERM", "MP_RECT", "UHLIG_QR", "CONGRUENCE_NS")
     ]
     assert all(r["us_per_point"] > 0.0 for r in doc["results"])
+
+
+def test_stiefel_times_every_desk_frame_shape(capsys):
+    argv = ["--stiefel", "--beta", "2", "--rows", "1", "8", "--repeats", "1"]
+    assert bench_kernels.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["beta"], r["n"], r["q"], r["rows"]) for r in doc["results"]] == [
+        (2, n, q, rows) for n, q in bench_kernels.STIEFEL_SHAPES for rows in (1, 8)
+    ]
+    assert all(r["us"] > 0.0 for r in doc["results"])
+
+
+def test_stiefel_and_chart_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_kernels.main(["--stiefel", "--chart"])
+    assert exc.value.code == 2

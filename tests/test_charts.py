@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, OCTONION, QUATERNION, REAL, charts, verify
+from divalg import COMPLEX, OCTONION, QUATERNION, REAL, charts, linalg, verify
 from divalg.charts import (
     ChartSpec,
     assemble_sd_batch,
@@ -14,12 +14,13 @@ from divalg.charts import (
     choose_pivot,
     factorized_draw,
     factorized_mass_log,
+    factorized_rows,
     hausdorff_density_log_batch,
     psd_coord_count,
     rect_coord_count,
     sample_stiefel_batch,
 )
-from divalg.decomp import eig_hermitian, qr_positive
+from divalg.decomp import eig_hermitian, gram_schmidt_batch, qr_positive
 from divalg.errors import (
     ConfigurationError,
     NotPsdError,
@@ -792,6 +793,99 @@ class TestFactorizedSampling:
         rng = np.random.default_rng(20)
         with pytest.raises(ConfigurationError):
             factorized_draw(rng, (2.0, 1.0), 1, (2,), REAL, 1)
+
+
+# (q, dims) of the CHART builders that draw spectra and frames, two sizes
+# each: MP_HERM (q, (m,)), MP_RECT (q, (n, m)), UHLIG_QR (n, (m,)) and
+# CONGRUENCE_NS (m, (m,))
+CHART_DRAWS = [
+    ("MP_HERM", 1, (2,)), ("MP_HERM", 2, (3,)),
+    ("MP_RECT", 1, (3, 2)), ("MP_RECT", 2, (3, 3)),
+    ("UHLIG_QR", 1, (2,)), ("UHLIG_QR", 2, (3,)),
+    ("CONGRUENCE_NS", 2, (2,)), ("CONGRUENCE_NS", 3, (3,)),
+]
+
+
+def _point_rngs(points, seed=42):
+    """Fresh point substreams, as the CHART engine builds them."""
+    return [verify._substream(seed, 7, verify._SIDE_POINTS, i) for i in range(points)]
+
+
+def _stacked_draws(rngs, box, q, dims, kind):
+    """factorized_draw of one point from each generator, stacked."""
+    draws = [factorized_draw(rng, box, q, dims, kind, 1) for rng in rngs]
+    spectra = np.concatenate([spectrum for spectrum, _ in draws])
+    return spectra, tuple(np.concatenate(f) for f in zip(*(frames for _, frames in draws)))
+
+
+def _assert_same_draws(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for frame, expected in zip(got[1], want[1]):
+        np.testing.assert_array_equal(frame, expected)
+
+
+class TestFactorizedRows:
+    @pytest.mark.parametrize("points", [1, 20, 600])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
+    @pytest.mark.parametrize("theorem,q,dims", CHART_DRAWS,
+                             ids=[f"{t}-q{q}-{dims}" for t, q, dims in CHART_DRAWS])
+    def test_rows_are_the_one_point_draws_bit_for_bit(self, monkeypatch, theorem, q, dims,
+                                                       kind, points):
+        """From linalg._ENTRY_ROWS points on, the chunk's Gram-Schmidt takes
+        the entry loop of mul_raw; the bits are those of one point alone."""
+        entry_calls = []
+        entries = linalg._mul_entries
+
+        def spy_entries(x, y):
+            entry_calls.append(x.shape)
+            return entries(x, y)
+
+        monkeypatch.setattr(linalg, "_mul_entries", spy_entries)
+        box = (1.0, 2.0)
+        got = factorized_rows(_point_rngs(points), box, q, dims, kind)
+        big = bool(entry_calls)
+        _assert_same_draws(got, _stacked_draws(_point_rngs(points), box, q, dims, kind))
+        assert got[0].shape == (points, q)
+        assert [f.shape for f in got[1]] == [(points, d, q, kind.beta) for d in dims]
+        assert big == (q > 1 and points >= linalg._ENTRY_ROWS)
+
+    def test_a_degenerate_frame_replays_its_point(self, monkeypatch):
+        """With a frame-norm threshold that some of the chunk's first frames
+        miss, the rows are still each point's own one-point draw, which
+        redraws a degenerate frame from the same generator."""
+        monkeypatch.setattr(charts, "FRAME_NORM_TOL", 0.6)
+        box, q, dims, points = (1.0, 2.0), 2, (3, 2), 8
+        degenerate = []
+        for rng in _point_rngs(points):
+            rng.uniform(*box, size=(1, q))
+            first = rng.standard_normal((1, dims[0], q, 1))
+            degenerate.append(not charts._frames_ok(gram_schmidt_batch(first, 1)[1])[0])
+        assert 1 <= sum(degenerate) < points
+        replays = []
+        draw = charts.factorized_draw
+
+        def spy_draw(rng, *args):
+            replays.append(args)
+            return draw(rng, *args)
+
+        monkeypatch.setattr(charts, "factorized_draw", spy_draw)
+        got = factorized_rows(_point_rngs(points), box, q, dims, REAL)
+        assert sum(degenerate) <= len(replays) < points
+        monkeypatch.setattr(charts, "factorized_draw", draw)
+        _assert_same_draws(got, _stacked_draws(_point_rngs(points), box, q, dims, REAL))
+
+    def test_bad_box_rejected(self):
+        with pytest.raises(ConfigurationError):
+            factorized_rows(_point_rngs(2), (2.0, 1.0), 1, (2,), REAL)
+        with pytest.raises(ConfigurationError):
+            factorized_rows(_point_rngs(2), (0.0, math.inf), 1, (2,), REAL)
+
+    def test_frame_checks_match_the_one_point_draw(self):
+        with pytest.raises(ShapeMismatchError):
+            factorized_rows(_point_rngs(2), (1.0, 2.0), 3, (2,), REAL)
+        with pytest.raises(ShapeMismatchError):
+            factorized_draw(_point_rngs(1)[0], (1.0, 2.0), 3, (2,), REAL, 1)
 
 
 def test_coordinate_counts():

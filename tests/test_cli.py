@@ -240,6 +240,7 @@ class TestGammaVolumeCommands:
     @example(m=3, beta=1, a="nan")
     @example(m=3, beta=1, a="inf")
     @example(m=2, beta=2, a="3e307")
+    @example(m=10**400, beta=1, a="1")  # (m-1)*beta/2 leaves the float range
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_gamma_input_exits_cleanly(self, capsys, m, beta, a):
@@ -248,11 +249,12 @@ class TestGammaVolumeCommands:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         _assert_log_value_lines(code, out, err, argv)
-        if a in ("nan", "inf", "-inf", "3e307"):
+        if a in ("nan", "inf", "-inf", "3e307") or m == 10**400:
             assert code == 2, argv
 
     @given(m=CLI_SIZES, n=CLI_SIZES, beta=CLI_BETAS)
     @example(m=1, n=10**306, beta=1)
+    @example(m=1, n=10**400, beta=1)  # m*n*beta/2 leaves the float range
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_volume_input_exits_cleanly(self, capsys, m, n, beta):
@@ -261,7 +263,7 @@ class TestGammaVolumeCommands:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         _assert_log_value_lines(code, out, err, argv)
-        if n == 10**306:
+        if n in (10**306, 10**400):
             assert code == 2 and "float range" in err
 
 

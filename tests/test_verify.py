@@ -8,13 +8,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from divalg import COMPLEX, QUATERNION, REAL, verify
+from divalg import COMPLEX, QUATERNION, REAL, charts, verify
 from divalg.algebra import structure_tensor
 from divalg.charts import (
     assemble_sd_batch,
     chart_at_batch,
     factorized_draw,
     factorized_mass_log,
+    factorized_rows,
     sample_stiefel_batch,
 )
 from divalg.decomp import (
@@ -462,7 +463,7 @@ class TestChartClosedForms:
         task = TaskSpec(theorem_id="UHLIG_QR", beta=beta, m=m, n=n, points=3, seed=9)
         rngs = [verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
                 for i in range(task.points)]
-        lam, (w1,) = verify._point_draws(rngs, task.eigen_box, n, (m,), task.kind)
+        lam, (w1,) = factorized_rows(rngs, task.eigen_box, n, (m,), task.kind)
         y = assemble_sd_batch(w1, lam, beta)
         congruence = verify._congruence_map(verify._draw_b(task))
         (_, in_pivots, _), (_, out_pivots), x, dets = verify._congruence_points(congruence, y, n)
@@ -983,6 +984,30 @@ def test_first_points_do_not_depend_on_the_point_count(theorem, sizes):
     task = _two_chunk_task(theorem, sizes, 2, seed=14)
     short = run_task(dataclasses.replace(task, points=3))
     assert short.records == run_task(task).records[:3]
+
+
+@pytest.mark.parametrize("theorem,sizes,dims", [
+    ("MP_HERM", dict(m=3, q=2), 1),
+    ("MP_RECT", dict(n=3, m=2, q=1), 2),
+    ("UHLIG_QR", dict(m=3, n=2), 1),
+    ("CONGRUENCE_NS", dict(m=2), 1),
+])
+def test_each_chunk_runs_one_gram_schmidt_per_frame_dimension(monkeypatch, theorem, sizes,
+                                                               dims):
+    """The draws of a task spanning two chunks: one gram_schmidt_batch call
+    per frame dimension and chunk, on all of the chunk's points."""
+    task = _two_chunk_task(theorem, sizes, 2, seed=16)
+    size = task.points - 2
+    calls = []
+    gram_schmidt = charts.gram_schmidt_batch
+
+    def spy(x, beta):
+        calls.append(x.shape[0])
+        return gram_schmidt(x, beta)
+
+    monkeypatch.setattr(charts, "gram_schmidt_batch", spy)
+    assert run_task(task).passed
+    assert calls == [size] * dims + [2] * dims
 
 
 def test_chunk_size_is_a_pure_function_of_the_chart():
