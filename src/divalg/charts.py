@@ -13,6 +13,8 @@ samplers for the factorized measures (spectrum box x uniform Stiefel frames):
 factorized_draw draws a batch from one generator, and factorized_rows one
 point from each of a sequence of generators, each with the bits of its own
 one-point draw, while the sort and Gram-Schmidt run on all the points.
+Both draw their frames through one retry loop, which redraws a degenerate
+frame from the generator that drew it.
 
 A chart is a ChartSpec, which validates its sizes; a chart point is a
 (spec, coords) pair.  Pivots are per-row arrays, never part of a spec: a
@@ -490,22 +492,18 @@ def _frames_ok(norms: np.ndarray) -> np.ndarray:
     return (norms > FRAME_NORM_TOL).all(axis=1)
 
 
-def _check_frame(n: int, q: int, kind: AlgebraKind) -> None:
+def _stiefel(normals, count: int, n: int, q: int, kind: AlgebraKind) -> np.ndarray:
+    """(count, n, q, beta) uniform frames on V_{q,n}, the one degenerate-frame
+    rule: normals(rows, shape) gives standard normals (rows.size, *shape) for
+    the batch rows `rows`, and a degenerate row's frame is drawn again, for
+    at most 100 rounds."""
     _require_assoc(kind.beta, "Stiefel sampling")
     if q > n:
         raise ShapeMismatchError(f"need q <= n, got q={q} n={n}")
-
-
-def sample_stiefel_batch(
-    n: int, q: int, kind: AlgebraKind, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """(count, n, q, beta) frames drawn from the invariant measure on V_{q,n}."""
-    _check_frame(n, q, kind)
     frames = None
     remaining = np.arange(count)
     for _ in range(100):
-        draw = rng.standard_normal((remaining.size, n, q, kind.beta))
-        got, norms = gram_schmidt_batch(draw, kind.beta)
+        got, norms = gram_schmidt_batch(normals(remaining, (n, q, kind.beta)), kind.beta)
         ok = _frames_ok(norms)
         if frames is None:
             if ok.all():
@@ -516,6 +514,14 @@ def sample_stiefel_batch(
         if remaining.size == 0:
             return frames
     raise ConfigurationError("Stiefel sampling kept drawing degenerate frames")
+
+
+def sample_stiefel_batch(
+    n: int, q: int, kind: AlgebraKind, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """(count, n, q, beta) frames drawn from the invariant measure on V_{q,n}."""
+    return _stiefel(lambda rows, shape: rng.standard_normal((rows.size, *shape)),
+                    count, n, q, kind)
 
 
 def _check_box(box) -> tuple[float, float]:
@@ -561,39 +567,27 @@ def factorized_rows(
     kind: AlgebraKind,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """factorized_draw(rng, box, q, dims, kind, 1) of each of a sequence of
-    P unused generators rngs, stacked, bit for bit: ((P, q) spectra, one
+    P generators rngs, stacked, bit for bit: ((P, q) spectra, one
     (P, d, q, beta) frame array per d in dims).
 
-    Each row's generator makes the same calls in the same order as its own
-    one-point draw (the uniform spectrum, then one standard normal frame per
-    d), while the sort and one gram_schmidt_batch per d run on all P rows,
-    which treat each row alone.  A row whose frame is degenerate replays
-    its one-point draw, which redraws that frame before the next, on a
-    fresh copy of its generator (so each must arrive unused).
+    Each row's generator makes its own one-point draw's calls in order: the
+    uniform spectrum, then one standard normal frame per d, a degenerate one
+    drawn again (_stiefel) before the next.  The sort and each round's
+    gram_schmidt_batch run on all P rows, which treat each row alone.
     """
     lo, hi = _check_box(box)
-    for d in dims:
-        _check_frame(d, q, kind)
     spectrum = np.empty((len(rngs), q))
-    normals = tuple(np.empty((len(rngs), d, q, kind.beta)) for d in dims)
     for i, rng in enumerate(rngs):
         spectrum[i] = rng.uniform(lo, hi, size=q)
-        for normal in normals:
-            normal[i] = rng.standard_normal(normal.shape[1:])
-    spectrum = _descending(spectrum)
-    frames, ok = [], np.ones(len(rngs), dtype=bool)
-    for normal in normals:
-        frame, norms = gram_schmidt_batch(normal, kind.beta)
-        frames.append(frame)
-        ok &= _frames_ok(norms)
-    for i in np.flatnonzero(~ok):
-        bits = rngs[i].bit_generator
-        fresh = np.random.Generator(type(bits)(bits.seed_seq))
-        row_spectrum, row_frames = factorized_draw(fresh, box, q, dims, kind, 1)
-        spectrum[i] = row_spectrum[0]
-        for frame, row in zip(frames, row_frames):
-            frame[i] = row[0]
-    return spectrum, tuple(frames)
+
+    def normals(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        out = np.empty((rows.size, *shape))
+        for j, i in enumerate(rows):
+            out[j] = rngs[i].standard_normal(shape)
+        return out
+
+    frames = tuple(_stiefel(normals, len(rngs), d, q, kind) for d in dims)
+    return _descending(spectrum), frames
 
 
 def factorized_mass_log(

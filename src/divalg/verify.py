@@ -58,7 +58,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
 
@@ -255,24 +255,10 @@ class TaskSpec:
         return THEOREMS[self.theorem_id]
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "engine": self.engine,
-            "beta": self.beta,
-            "m": self.m,
-            "n": self.n,
-            "q": self.q,
-            "b_source": self.b_source,
-            "trials": self.trials,
-            "points": self.points,
-            "step": self.step,
-            "eigen_box": list(self.eigen_box),
-            "gap": self.gap,
-            "rtol": self.rtol,
-            "ztol": self.ztol,
-            "cv_tol": self.cv_tol,
-            "seed": self.seed,
-        }
+        """Every field, with eigen_box as a list."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["eigen_box"] = list(self.eigen_box)
+        return out
 
 
 @dataclass(frozen=True)
@@ -777,10 +763,9 @@ def _gap_margin(gap_at: float, gap: float) -> float | None:
 
 def _chart_chunk(task: TaskSpec, problem, points: range):
     """(analytic, numeric, gap_at) of the CHART points `points`, each drawn
-    from its own substream: one sample call and one Jacobian chunk.  The
-    substreams are built here, unused, as factorized_rows needs them to be
-    to replay a point.  When the chunk raises, its points run again one at
-    a time, so a task raises its lowest failing point's own error."""
+    from its own substream: one sample call and one Jacobian chunk.  When
+    the chunk raises, its points run again one at a time, so a task raises
+    its lowest failing point's own error."""
     in_spec, out_spec, map_batch, sample = problem
     try:
         rngs = [_substream(task.seed, task.theorem.code, _SIDE_POINTS, i) for i in points]
@@ -1217,10 +1202,12 @@ def _qr_ratio(task: TaskSpec):
         return mul_raw(h1, t, beta), FACTORS["QR"].log(beta, m, n, m, t_diag=tcoords[:, :m])
 
     def triangle_ok(data: np.ndarray) -> np.ndarray:
-        """T of the positive-diagonal QR X = H T lies in the T region."""
+        """T of the positive-diagonal QR X = H T lies in the T region, and
+        every Gram-Schmidt norm of X exceeds 1e-12 times its row's scale."""
         h, norms = gram_schmidt_batch(data, beta)
         coords = tri_spec.extract_batch(mul_raw(ct_raw(h), data, beta))
-        return t_region.holds(coords) & (norms > 1e-12).all(axis=1)
+        scale = np.abs(data).max(axis=(1, 2, 3))
+        return t_region.holds(coords) & (norms > 1e-12 * scale[:, None]).all(axis=1)
 
     fact_const = t_region.log_volume() + stiefel_volume_log(m, n, beta)
     return _ratio_problem(task, ChartSpec("rect", kind, (n, m, m)), fact_raw, fact_const,

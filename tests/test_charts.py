@@ -825,6 +825,17 @@ def _assert_same_draws(got, want):
         np.testing.assert_array_equal(frame, expected)
 
 
+def _degenerate_first_frames(rngs, box, q, d, beta):
+    """How many of the generators' one-point draws miss FRAME_NORM_TOL on
+    their first (d, q, beta) frame."""
+    count = 0
+    for rng in rngs:
+        rng.uniform(*box, size=(1, q))
+        first = rng.standard_normal((1, d, q, beta))
+        count += not charts._frames_ok(gram_schmidt_batch(first, beta)[1])[0]
+    return count
+
+
 class TestFactorizedRows:
     @pytest.mark.parametrize("points", [1, 20, 600])
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
@@ -850,30 +861,33 @@ class TestFactorizedRows:
         assert [f.shape for f in got[1]] == [(points, d, q, kind.beta) for d in dims]
         assert big == (q > 1 and points >= linalg._ENTRY_ROWS)
 
-    def test_a_degenerate_frame_replays_its_point(self, monkeypatch):
+    def test_a_degenerate_frame_is_redrawn_from_its_points_generator(self, monkeypatch):
         """With a frame-norm threshold that some of the chunk's first frames
         miss, the rows are still each point's own one-point draw, which
         redraws a degenerate frame from the same generator."""
         monkeypatch.setattr(charts, "FRAME_NORM_TOL", 0.6)
         box, q, dims, points = (1.0, 2.0), 2, (3, 2), 8
-        degenerate = []
-        for rng in _point_rngs(points):
-            rng.uniform(*box, size=(1, q))
-            first = rng.standard_normal((1, dims[0], q, 1))
-            degenerate.append(not charts._frames_ok(gram_schmidt_batch(first, 1)[1])[0])
-        assert 1 <= sum(degenerate) < points
-        replays = []
-        draw = charts.factorized_draw
-
-        def spy_draw(rng, *args):
-            replays.append(args)
-            return draw(rng, *args)
-
-        monkeypatch.setattr(charts, "factorized_draw", spy_draw)
+        assert 1 <= _degenerate_first_frames(_point_rngs(points), box, q, dims[0], 1) < points
         got = factorized_rows(_point_rngs(points), box, q, dims, REAL)
-        assert sum(degenerate) <= len(replays) < points
-        monkeypatch.setattr(charts, "factorized_draw", draw)
         _assert_same_draws(got, _stacked_draws(_point_rngs(points), box, q, dims, REAL))
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
+    def test_used_generators_keep_their_own_draws(self, monkeypatch, kind):
+        """Generators that have already drawn give the rows of their one-point
+        draws from where they stand, a degenerate frame included."""
+        # about half of the first frames miss these thresholds
+        monkeypatch.setattr(charts, "FRAME_NORM_TOL", {1: 1.0, 2: 1.2, 4: 2.4}[kind.beta])
+        box, q, dims, points = (1.0, 2.0), 2, (3, 2), 8
+
+        def used_rngs():
+            rngs = _point_rngs(points)
+            for rng in rngs:
+                rng.standard_normal(3)
+            return rngs
+
+        assert 1 <= _degenerate_first_frames(used_rngs(), box, q, dims[0], kind.beta) < points
+        got = factorized_rows(used_rngs(), box, q, dims, kind)
+        _assert_same_draws(got, _stacked_draws(used_rngs(), box, q, dims, kind))
 
     def test_bad_box_rejected(self):
         with pytest.raises(ConfigurationError):

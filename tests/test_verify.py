@@ -638,20 +638,26 @@ class TestRatioEngine:
 
     @pytest.mark.parametrize(
         "theorem,beta,sizes",
-        [("SD", 1, {"m": 2}), ("SD", 2, {"m": 2}), ("SVD", 1, {"n": 2, "m": 2})],
+        [
+            ("SD", 1, {"m": 2, "q": 1}), ("SD", 2, {"m": 2, "q": 1}),
+            ("SVD", 1, {"n": 2, "m": 2, "q": 1}),
+            ("QR", 1, {"n": 2, "m": 2, "q": 2}), ("QR", 2, {"n": 2, "m": 2, "q": 2}),
+            ("CHOL_X", 1, {"n": 3, "m": 2, "q": 2}),
+        ],
     )
     def test_constant_is_scale_invariant(self, theorem, beta, sizes):
-        """Scaling the eigen box by 1e+-10 scales every coordinate box and
-        every S11 block with it, so the constant moves only by rounding."""
+        """Scaling the eigen box by 1e-13 to 1e10 scales every coordinate box,
+        every S11 block and QR's Gram-Schmidt norm test with it, so the
+        constant moves only by rounding."""
         constants = [
             run_task(TaskSpec(
-                theorem_id=theorem, beta=beta, q=1, engine="MC_RATIO",
+                theorem_id=theorem, beta=beta, engine="MC_RATIO",
                 trials=10_000, seed=0, eigen_box=(lo, 2.0 * lo), **sizes,
             )).constant_estimate
-            for lo in (1e-10, 1.0, 1e10)
+            for lo in (1e-13, 1e-10, 1.0, 1e10)
         ]
-        assert constants[0] == pytest.approx(constants[1], rel=1e-12, abs=0.0)
-        assert constants[2] == pytest.approx(constants[1], rel=1e-12, abs=0.0)
+        for constant in constants[:2] + constants[3:]:
+            assert constant == pytest.approx(constants[2], rel=1e-12, abs=0.0)
 
 
 class TestDeterminism:
