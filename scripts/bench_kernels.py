@@ -12,14 +12,16 @@ mul_raw multiplies two seeded standard normal batches of that many rows;
 rows 1 is a single matrix with no batch axis.  Each repeat times
 max(1, 256 // rows) calls.  With --stiefel, every frame shape (n, q) the
 `desk` preset draws is timed as one charts.sample_stiefel_batch(n, q, kind,
-rng, rows) call, by default at rows 1 and 4096, in the same way.  With
+(rng,), rows) call, by default at rows 1 and 4096, in the same way.  With
 --chart, every theorem the CHART engine checks runs one task per beta, the
 `full` preset's first at that theorem and beta, at CHART_POINTS points and
 seed 42; each repeat times one run_task call and divides by the points.
 The minimum over the repeats is printed, as one JSON document on stdout,
 with the machine it ran on.
 divalg is imported from --src, by default the `src/` of this checkout;
-pointing it at another checkout times that one instead.
+pointing it at another checkout times that one instead (--stiefel needs
+one whose sample_stiefel_batch takes a sequence of generators; time an
+older checkout with its own copy of this script).
 """
 from __future__ import annotations
 
@@ -83,7 +85,7 @@ def stiefel_results(betas: list[int], rows: list[int], repeats: int) -> list[dic
         for n, q in STIEFEL_SHAPES:
             for count in rows:
                 rng = np.random.default_rng(count * 100 + beta)
-                us = _best_us(lambda: sample_stiefel_batch(n, q, kind, rng, count), count, repeats)
+                us = _best_us(lambda: sample_stiefel_batch(n, q, kind, (rng,), count), count, repeats)
                 results.append({"beta": beta, "n": n, "q": q, "rows": count, "us": round(us, 2)})
     return results
 

@@ -9,12 +9,14 @@ matrices, the density of the chart's Lebesgue measure against the Hausdorff
 surface measure (the Gram determinant of the exact differential of
 completion in the ambient inner product Re tr(A*B): a constant for a
 full-rank chart, one block inverse per batch for a rank-q chart), and
-samplers for the factorized measures (spectrum box x uniform Stiefel frames):
-factorized_draw draws a batch from one generator, and factorized_rows one
-point from each of a sequence of generators, each with the bits of its own
-one-point draw, while the sort and Gram-Schmidt run on all the points.
-Both draw their frames through one retry loop, which redraws a degenerate
-frame from the generator that drew it.
+the one sampler for the factorized measures (spectrum box x uniform Stiefel
+frames): factorized_draw draws a block of rows from each of a sequence of
+generators (one generator and a Monte-Carlo block, or one generator per
+CHART point and one row), each block with the bits of its own generator's
+draw, while the sort and Gram-Schmidt run on all the rows.  Its frames
+come from sample_stiefel_batch, the one retry loop, which takes the same
+sequence of generators and redraws a degenerate frame from the generator
+that drew it.
 
 A chart is a ChartSpec, which validates its sizes; a chart point is a
 (spec, coords) pair.  Pivots are per-row arrays, never part of a spec: a
@@ -486,42 +488,41 @@ def hausdorff_density_log_batch(spec: ChartSpec, coords: np.ndarray) -> np.ndarr
 FRAME_NORM_TOL = 1e-12
 
 
-def _frames_ok(norms: np.ndarray) -> np.ndarray:
-    """(B,) True where every column norm of a gram_schmidt_batch call is
-    above FRAME_NORM_TOL."""
-    return (norms > FRAME_NORM_TOL).all(axis=1)
+def sample_stiefel_batch(
+    n: int, q: int, kind: AlgebraKind, rngs, count: int
+) -> np.ndarray:
+    """(count, n, q, beta) frames drawn from the invariant measure on V_{q,n},
+    in len(rngs) equal blocks of consecutive rows, block g from rngs[g].
 
-
-def _stiefel(normals, count: int, n: int, q: int, kind: AlgebraKind) -> np.ndarray:
-    """(count, n, q, beta) uniform frames on V_{q,n}, the one degenerate-frame
-    rule: normals(rows, shape) gives standard normals (rows.size, *shape) for
-    the batch rows `rows`, and a degenerate row's frame is drawn again, for
-    at most 100 rounds."""
+    The one degenerate-frame rule: a row whose Gram-Schmidt leaves a column
+    norm at or below FRAME_NORM_TOL has its frame drawn again, for at most
+    100 rounds.  Each round every generator, in order, makes one
+    standard_normal((k, n, q, beta)) call for the k rows of its block still
+    to draw (k = 0 draws nothing), so each block is its generator's own
+    draw bit for bit; gram_schmidt_batch treats each row alone."""
     _require_assoc(kind.beta, "Stiefel sampling")
     if q > n:
         raise ShapeMismatchError(f"need q <= n, got q={q} n={n}")
+    per, left = divmod(count, len(rngs))
+    if left:
+        raise ShapeMismatchError(f"need count a multiple of {len(rngs)}, got {count}")
+    shape = (n, q, kind.beta)
     frames = None
     remaining = np.arange(count)
     for _ in range(100):
-        got, norms = gram_schmidt_batch(normals(remaining, (n, q, kind.beta)), kind.beta)
-        ok = _frames_ok(norms)
+        owned = np.bincount(remaining // per, minlength=len(rngs))
+        normals = np.concatenate([rng.standard_normal((k, *shape)) for rng, k in zip(rngs, owned)])
+        got, norms = gram_schmidt_batch(normals, kind.beta)
+        ok = (norms > FRAME_NORM_TOL).all(axis=1)
         if frames is None:
             if ok.all():
                 return got
-            frames = np.empty((count, n, q, kind.beta))
+            frames = np.empty((count, *shape))
         frames[remaining[ok]] = got[ok]
         remaining = remaining[~ok]
         if remaining.size == 0:
             return frames
     raise ConfigurationError("Stiefel sampling kept drawing degenerate frames")
-
-
-def sample_stiefel_batch(
-    n: int, q: int, kind: AlgebraKind, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """(count, n, q, beta) frames drawn from the invariant measure on V_{q,n}."""
-    return _stiefel(lambda rows, shape: rng.standard_normal((rows.size, *shape)),
-                    count, n, q, kind)
 
 
 def _check_box(box) -> tuple[float, float]:
@@ -533,61 +534,34 @@ def _check_box(box) -> tuple[float, float]:
     return lo, hi
 
 
-def _descending(spectrum: np.ndarray) -> np.ndarray:
-    """(count, q) spectra sorted descending, row by row, as a new array."""
-    spectrum.sort(axis=1)
-    return spectrum[:, ::-1].copy()
-
-
 def factorized_draw(
-    rng: np.random.Generator,
+    rngs,
     box: tuple[float, float],
     q: int,
     dims: tuple[int, ...],
     kind: AlgebraKind,
     count: int,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """A draw from a factorized measure: a (count, q) spectrum, uniform on
-    the box [lo, hi) and sorted descending, then one uniform Stiefel frame
-    (count, d, q, beta) per d in dims, drawn in the order given.
+    """A draw from a factorized measure, `count` rows from each of a sequence
+    of P generators rngs, stacked in order: a (P*count, q) spectrum, uniform
+    on the box [lo, hi) and sorted descending, then one uniform Stiefel frame
+    (P*count, d, q, beta) per d in dims, drawn in the order given.
+
+    Each generator makes the calls of its own draw, in order: its
+    uniform((count, q)) spectrum, then one standard normal batch per frame,
+    a degenerate frame drawn again (sample_stiefel_batch, one call per d
+    for all the rows) before the next.  So its rows are those of its own
+    draw bit for bit, whatever the other generators: the sort and each
+    round's gram_schmidt_batch run on all the rows, which treat each row
+    alone.
 
     The measure's total mass is exp(factorized_mass_log(box, q, dims, beta)).
     """
     lo, hi = _check_box(box)
-    spectrum = _descending(rng.uniform(lo, hi, size=(count, q)))
-    frames = tuple(sample_stiefel_batch(d, q, kind, rng, count) for d in dims)
-    return spectrum, frames
-
-
-def factorized_rows(
-    rngs,
-    box: tuple[float, float],
-    q: int,
-    dims: tuple[int, ...],
-    kind: AlgebraKind,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """factorized_draw(rng, box, q, dims, kind, 1) of each of a sequence of
-    P generators rngs, stacked, bit for bit: ((P, q) spectra, one
-    (P, d, q, beta) frame array per d in dims).
-
-    Each row's generator makes its own one-point draw's calls in order: the
-    uniform spectrum, then one standard normal frame per d, a degenerate one
-    drawn again (_stiefel) before the next.  The sort and each round's
-    gram_schmidt_batch run on all P rows, which treat each row alone.
-    """
-    lo, hi = _check_box(box)
-    spectrum = np.empty((len(rngs), q))
-    for i, rng in enumerate(rngs):
-        spectrum[i] = rng.uniform(lo, hi, size=q)
-
-    def normals(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.empty((rows.size, *shape))
-        for j, i in enumerate(rows):
-            out[j] = rngs[i].standard_normal(shape)
-        return out
-
-    frames = tuple(_stiefel(normals, len(rngs), d, q, kind) for d in dims)
-    return _descending(spectrum), frames
+    spectrum = np.concatenate([rng.uniform(lo, hi, size=(count, q)) for rng in rngs])
+    spectrum.sort(axis=1)
+    frames = tuple(sample_stiefel_batch(d, q, kind, rngs, len(rngs) * count) for d in dims)
+    return spectrum[:, ::-1].copy(), frames
 
 
 def factorized_mass_log(

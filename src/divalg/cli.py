@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -419,18 +420,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.space == "stiefel":
             if args.n < args.q:
                 raise ConfigurationError(f"stiefel needs n >= q, got n={args.n} q={args.q}")
-            data = sample_stiefel_batch(args.n, args.q, kind, rng, 1)[0]
+            data = sample_stiefel_batch(args.n, args.q, kind, (rng,), 1)[0]
         elif args.space == "psd":
             if args.m < args.q:
                 raise ConfigurationError(f"psd needs m >= q, got m={args.m} q={args.q}")
-            lam, (w1,) = factorized_draw(rng, box, args.q, (args.m,), kind, 1)
+            lam, (w1,) = factorized_draw((rng,), box, args.q, (args.m,), kind, 1)
             data = assemble_sd_batch(w1, lam, args.beta)[0]
         else:
             if min(args.n, args.m) < args.q:
                 raise ConfigurationError(
                     f"rect needs q <= min(n, m), got n={args.n} m={args.m} q={args.q}"
                 )
-            d, (v1, w1) = factorized_draw(rng, box, args.q, (args.n, args.m), kind, 1)
+            d, (v1, w1) = factorized_draw((rng,), box, args.q, (args.n, args.m), kind, 1)
             data = assemble_svd_batch(v1, d, w1, args.beta)[0]
     except DivalgError as exc:
         return _fail_usage(str(exc))
@@ -470,19 +471,15 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=int, required=True, help="algebra dimension: 1, 2 or 4")
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--q", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200_000)
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--rtol", type=float, default=1e-5)
-    p.add_argument("--ztol", type=float, default=3.0)
-    p.add_argument("--cv-tol", type=float, default=0.02)
-    p.add_argument("--lambda-lo", type=float, default=1.0)
-    p.add_argument("--lambda-hi", type=float, default=2.0)
-    p.add_argument("--gap", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--b-matrix", default="random",
+    # the other defaults are TaskSpec's own (m has none there)
+    default = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
+    default["lambda_lo"], default["lambda_hi"] = default["eigen_box"]
+    for flag, kind in (("n", int), ("q", int), ("trials", int), ("points", int),
+                       ("step", float), ("rtol", float), ("ztol", float), ("cv-tol", float),
+                       ("lambda-lo", float), ("lambda-hi", float), ("gap", float),
+                       ("seed", int)):
+        p.add_argument(f"--{flag}", type=kind, default=default[flag.replace("-", "_")])
+    p.add_argument("--b-matrix", default=default["b_source"],
                    help="'random', 'identity', 'demo', or a matrix file path")
 
 

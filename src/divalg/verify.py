@@ -74,7 +74,6 @@ from .charts import (
     chart_at_batch,
     factorized_draw,
     factorized_mass_log,
-    factorized_rows,
     hausdorff_density_log_batch,
     sample_stiefel_batch,
 )
@@ -102,6 +101,7 @@ from .linalg import (
     logdet_hermitian_raw,
     load_matrix,
     mul_raw,
+    numerical_rank,
     sdet,
     sdet_log,
     svdvals_raw,
@@ -489,6 +489,9 @@ def _draw_b(task: TaskSpec) -> Mat:
             f"B matrix {source} is {b.rows}x{b.cols} with beta={b.kind.beta}; "
             f"the task needs {m}x{m} with beta={kind.beta}"
         )
+    rank = numerical_rank(b)
+    if rank < m:
+        raise ConfigurationError(f"B matrix {source} is singular (numerical rank {rank} < {m})")
     return b
 
 
@@ -626,8 +629,9 @@ def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
 # generator, in order, and returns the points' own pivots (see
 # ChartSpec.complete_batch; None for no permutation), their (P, k)
 # coordinates, analytic factors and spectral gaps.  Only the generator
-# calls run per point: charts.factorized_rows sorts the spectra and runs
-# Gram-Schmidt on the stacked points, with the bits of one draw per point.
+# calls run per point: charts.factorized_draw, given the points' generators
+# and one row each, sorts the spectra and runs Gram-Schmidt on the stacked
+# points, with the bits of one draw per point.
 # Assembly, pivoting, extraction, the completion check, the checks of the
 # factor's inputs and the factor itself (one FACTORS call) run on the
 # stacked points too, and the finite differences of a chunk of points take
@@ -665,7 +669,7 @@ def _mp_herm_chart(task: TaskSpec):
     spec = ChartSpec("psd", kind, (m, q))
 
     def sample(rngs):
-        lam, (w1,) = factorized_rows(rngs, task.eigen_box, q, (m,), kind)
+        lam, (w1,) = factorized_draw(rngs, task.eigen_box, q, (m,), kind, 1)
         _, pivots, coords = chart_at_batch(assemble_sd_batch(w1, lam, beta), q, "psd")
         return pivots, coords, pivots, _chart_factor(task, lam), _spectrum_gaps(lam)
     return spec, spec, partial(pinv_batch, beta=beta), sample
@@ -677,7 +681,7 @@ def _mp_rect_chart(task: TaskSpec):
     out_spec = ChartSpec("rect", kind, (m, n, q))
 
     def sample(rngs):
-        d, (v1, w1) = factorized_rows(rngs, task.eigen_box, q, (n, m), kind)
+        d, (v1, w1) = factorized_draw(rngs, task.eigen_box, q, (n, m), kind, 1)
         _, pivots, coords = chart_at_batch(assemble_svd_batch(v1, d, w1, beta), q, "rect")
         return pivots, coords, pivots[::-1], _chart_factor(task, d), _spectrum_gaps(d)
     return in_spec, out_spec, partial(pinv_batch, beta=beta), sample
@@ -733,7 +737,7 @@ def _congruence_chart(task: TaskSpec):
     congruence = _congruence_map(b)
 
     def sample(rngs):
-        lam, (w1,) = factorized_rows(rngs, task.eigen_box, rank, (m,), kind)
+        lam, (w1,) = factorized_draw(rngs, task.eigen_box, rank, (m,), kind, 1)
         (_, in_pivots, coords), (_, out_pivots), _, dets = _congruence_points(
             congruence, assemble_sd_batch(w1, lam, beta), rank
         )
@@ -824,7 +828,7 @@ def run_chart_task(task: TaskSpec) -> Report:
 def _factorized_side(task: TaskSpec, box, dims, place, factors, image=None):
     """A factorized side and its log-mass: (side_fn, log_mass).
 
-    side_fn draws factorized_draw(rng, box, q, dims, kind, count), places
+    side_fn draws factorized_draw((rng,), box, q, dims, kind, count), places
     the matrices as place(spectrum, *frames) and weighs each draw by the sum,
     left to right, of the FACTORS entries named in factors, each reading the
     spectrum under the one name its Factor.spectra declares.  A draw is kept
@@ -837,7 +841,7 @@ def _factorized_side(task: TaskSpec, box, dims, place, factors, image=None):
     sizes = (task.beta, task.m, task.n, q)  # n is 0 where the theorem reads none
 
     def side(rng, count):
-        spectrum, frames = factorized_draw(rng, box, q, dims, kind, count)
+        spectrum, frames = factorized_draw((rng,), box, q, dims, kind, count)
         logw = None
         for name in factors:
             factor = FACTORS[name]
@@ -908,7 +912,7 @@ def _uhlig_image(task: TaskSpec, b: Mat):
 
         x = B* W Lambda W* B is A A* for A = B* W Lambda^(1/2), so its top n
         eigenvalues are the spectrum of the n x n matrix A* A."""
-        lam, (w1,) = factorized_draw(rng, task.eigen_box, n, (m,), kind, count)
+        lam, (w1,) = factorized_draw((rng,), task.eigen_box, n, (m,), kind, count)
         spectrum = 1.0 / lam if mp else lam
         a = mul_raw(bct, w1 * np.sqrt(spectrum)[:, None, :, None], beta)
         a_ct = ct_raw(a)
@@ -1198,7 +1202,7 @@ def _qr_ratio(task: TaskSpec):
     def fact_raw(rng, count):
         tcoords = t_region.draw(rng, count)
         t = tri_spec.complete_batch(tcoords)
-        h1 = sample_stiefel_batch(n, m, kind, rng, count)
+        h1 = sample_stiefel_batch(n, m, kind, (rng,), count)
         return mul_raw(h1, t, beta), FACTORS["QR"].log(beta, m, n, m, t_diag=tcoords[:, :m])
 
     def triangle_ok(data: np.ndarray) -> np.ndarray:
@@ -1220,20 +1224,20 @@ def _chol_x_ratio(task: TaskSpec):
     x_spec = ChartSpec("rect", kind, (n, m, m))
     s_spec = ChartSpec("psd", kind, (m, m))
 
-    lam, (w1,) = factorized_draw(_pilot(task), task.eigen_box, m, (m,), kind, 4096)
+    lam, (w1,) = factorized_draw((_pilot(task),), task.eigen_box, m, (m,), kind, 4096)
     pilot_s = assemble_sd_batch(w1, lam, beta)
     s_region = _Region.around(s_spec, s_spec.extract_batch(pilot_s))
 
     def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
         return mul_raw(h1, cholesky_batch(s, beta), beta)
 
-    pilot_h = sample_stiefel_batch(n, m, kind, _pilot(task, 1), 4096)
+    pilot_h = sample_stiefel_batch(n, m, kind, (_pilot(task, 1),), 4096)
     x_region = _Region.around(x_spec, x_spec.extract_batch(assemble_x(pilot_s, pilot_h)))
 
     def fact_raw(rng, count):
         s_coords = s_region.draw(rng, count)
         valid = s_region.live(s_coords)
-        h1 = sample_stiefel_batch(n, m, kind, rng, count)
+        h1 = sample_stiefel_batch(n, m, kind, (rng,), count)
         data = np.zeros((count, n, m, beta))
         logw = np.full(count, -np.inf)
         if np.any(valid):

@@ -147,8 +147,8 @@ def test_criterion_03_decomposition_round_trips():
                 q = int(rng.integers(1, min(m, 3) + 1))
 
                 d = _spread_spectrum(rng, q)
-                v1 = sample_stiefel_batch(n, q, kind, rng, 1)
-                w1 = sample_stiefel_batch(m, q, kind, rng, 1)
+                v1 = sample_stiefel_batch(n, q, kind, (rng,), 1)
+                w1 = sample_stiefel_batch(m, q, kind, (rng,), 1)
                 x = Mat(kind, assemble_svd_batch(v1, d[None], w1, beta)[0])
 
                 parts = svd_rank_q(x, q)
@@ -169,7 +169,7 @@ def test_criterion_03_decomposition_round_trips():
                 mh = int(rng.integers(1, 6))
                 qh = int(rng.integers(1, min(mh, 3) + 1))
                 lam = _spread_spectrum(rng, qh)
-                h1 = sample_stiefel_batch(mh, qh, kind, rng, 1)
+                h1 = sample_stiefel_batch(mh, qh, kind, (rng,), 1)
                 s = Mat(kind, assemble_sd_batch(h1, lam[None], beta)[0])
                 eig = eig_hermitian(s, qh)
                 recon = Mat(
@@ -205,7 +205,7 @@ def test_criterion_04_chart_pseudo_inverse_hermitian():
         # rank-1 real oracle: the Jacobian determinant is exactly lam**-4
         rng = np.random.default_rng(42)
         lam = 1.6
-        w1 = sample_stiefel_batch(2, 1, REAL, rng, 1)
+        w1 = sample_stiefel_batch(2, 1, REAL, (rng,), 1)
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
         spec, piv, coords = chart_at_batch(s.data[None], 1, "psd")
         out = ChartSpec("psd", REAL, (2, 1))

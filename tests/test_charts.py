@@ -14,7 +14,6 @@ from divalg.charts import (
     choose_pivot,
     factorized_draw,
     factorized_mass_log,
-    factorized_rows,
     hausdorff_density_log_batch,
     psd_coord_count,
     rect_coord_count,
@@ -653,7 +652,7 @@ class TestStiefelSampling:
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(12)
         for kind in KINDS:
-            h = Mat(kind, sample_stiefel_batch(4, 2, kind, rng, 1)[0])
+            h = Mat(kind, sample_stiefel_batch(4, 2, kind, (rng,), 1)[0])
             gram = conj_transpose(h) @ h
             np.testing.assert_allclose(gram.data, Mat.eye(kind, 2).data, atol=1e-10)
 
@@ -675,17 +674,45 @@ class TestStiefelSampling:
                 return out
 
         rng = ZeroColumnFirst()
-        frames = sample_stiefel_batch(4, 2, kind, rng, 3)
+        frames = sample_stiefel_batch(4, 2, kind, (rng,), 3)
         assert rng.calls == [(3, 4, 2, kind.beta), (1, 4, 2, kind.beta)]
         assert frames.shape == (3, 4, 2, kind.beta)
         gram = mul_raw(ct_raw(frames), frames, kind.beta)
         eye = np.broadcast_to(Mat.eye(kind, 2).data, gram.shape)
         np.testing.assert_allclose(gram, eye, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blocks_are_each_generators_own_draw(self, kind):
+        """With two generators, each block of rows is its generator's own
+        draw; a degenerate frame of one block is drawn again from its own
+        generator, the other making an empty call."""
+        class ZeroColumnFirst:
+            def __init__(self, seed, zero):
+                self.rng = np.random.default_rng(seed)
+                self.zero = zero
+                self.calls = []
+
+            def standard_normal(self, size):
+                self.calls.append(size)
+                out = self.rng.standard_normal(size)
+                if self.zero and len(self.calls) == 1:
+                    out[1, :, 1, :] = 0.0
+                return out
+
+        rngs = [ZeroColumnFirst(16, True), ZeroColumnFirst(17, False)]
+        got = sample_stiefel_batch(4, 2, kind, rngs, 6)
+        assert rngs[0].calls == [(3, 4, 2, kind.beta), (1, 4, 2, kind.beta)]
+        assert rngs[1].calls == [(3, 4, 2, kind.beta), (0, 4, 2, kind.beta)]
+        alone = [ZeroColumnFirst(16, True), ZeroColumnFirst(17, False)]
+        want = np.concatenate([sample_stiefel_batch(4, 2, kind, (rng,), 3) for rng in alone])
+        np.testing.assert_array_equal(got, want)
+        with pytest.raises(ShapeMismatchError):
+            sample_stiefel_batch(4, 2, kind, rngs, 5)
+
     def test_coordinate_exchangeability(self):
         rng = np.random.default_rng(13)
         n, draws = 3, 20000
-        frames = sample_stiefel_batch(n, 2, COMPLEX, rng, draws)
+        frames = sample_stiefel_batch(n, 2, COMPLEX, (rng,), draws)
         sq = np.sum(frames[:, 0, 0, :] ** 2, axis=1)
         se = sq.std(ddof=1) / math.sqrt(draws)
         assert abs(sq.mean() - 1.0 / n) <= 3 * se
@@ -694,8 +721,8 @@ class TestStiefelSampling:
         rng = np.random.default_rng(14)
         n, q, draws = 3, 2, 4000
         u = qr_positive(rand_mat(COMPLEX, n, n, np.random.default_rng(99)), n).h1
-        a = sample_stiefel_batch(n, q, COMPLEX, rng, draws)
-        b = sample_stiefel_batch(n, q, COMPLEX, rng, draws)
+        a = sample_stiefel_batch(n, q, COMPLEX, (rng,), draws)
+        b = sample_stiefel_batch(n, q, COMPLEX, (rng,), draws)
         rotated = mul_raw(np.broadcast_to(u.data, (draws, n, n, 2)), b, 2)
         x = np.sort(a[:, 0, 0, 0])
         y = np.sort(rotated[:, 0, 0, 0])
@@ -711,7 +738,7 @@ class TestStiefelSampling:
 def _sd_draws(kind, m, q, box, gap, rng, count):
     """Spectral-decomposition draws from the factorized sampler, weighted as
     the engines weigh them: (matrices, log-weights, log-mass)."""
-    lam, (w1,) = factorized_draw(rng, box, q, (m,), kind, count)
+    lam, (w1,) = factorized_draw((rng,), box, q, (m,), kind, count)
     logw = FACTORS["SD"].log(kind.beta, m, 0, q, lam=lam)
     ok = verify._in_box_gap(lam, box[0], box[1], gap)
     const = factorized_mass_log(box, q, (m,), kind.beta)
@@ -743,7 +770,7 @@ class TestFactorizedSampling:
         # n=2, m=1, q=1, beta=1: the factorized measure with its Stiefel
         # masses integrates f over the annulus 1 <= |x| <= 2 in the plane
         rng = np.random.default_rng(17)
-        d, (v1, w1) = factorized_draw(rng, (1.0, 2.0), 1, (2, 1), REAL, 40000)
+        d, (v1, w1) = factorized_draw((rng,), (1.0, 2.0), 1, (2, 1), REAL, 40000)
         data = assemble_svd_batch(v1, d, w1, 1)
         logw = FACTORS["SVD"].log(1, 1, 2, 1, d=d)
         const = factorized_mass_log((1.0, 2.0), 1, (2, 1), 1)
@@ -767,7 +794,7 @@ class TestFactorizedSampling:
 
     def test_single_draw_api(self):
         rng = np.random.default_rng(19)
-        d, frames = factorized_draw(rng, (1.0, 2.0), 2, (3, 2), QUATERNION, 1)
+        d, frames = factorized_draw((rng,), (1.0, 2.0), 2, (3, 2), QUATERNION, 1)
         assert d.shape == (1, 2) and d[0, 0] >= d[0, 1]
         assert [f.shape for f in frames] == [(1, 3, 2, 4), (1, 2, 2, 4)]
         assert isinstance(factorized_mass_log((1.0, 2.0), 2, (3, 2), 4), float)
@@ -776,13 +803,13 @@ class TestFactorizedSampling:
         # spectrum first, then one frame per dimension in the order given;
         # the mass adds the Stiefel volumes in that same order
         box, q, dims = (1.0, 2.0), 2, (3, 2)
-        spec, frames = factorized_draw(np.random.default_rng(23), box, q, dims, COMPLEX, 5)
+        spec, frames = factorized_draw((np.random.default_rng(23),), box, q, dims, COMPLEX, 5)
         rng = np.random.default_rng(23)
         x = rng.uniform(1.0, 2.0, size=(5, q))
         x.sort(axis=1)
         np.testing.assert_array_equal(spec, x[:, ::-1])
         for d, frame in zip(dims, frames):
-            np.testing.assert_array_equal(frame, sample_stiefel_batch(d, q, COMPLEX, rng, 5))
+            np.testing.assert_array_equal(frame, sample_stiefel_batch(d, q, COMPLEX, (rng,), 5))
         expected = (
             q * math.log(1.0) - math.lgamma(q + 1)
             + stiefel_volume_log(q, 3, 2) + stiefel_volume_log(q, 2, 2)
@@ -792,7 +819,7 @@ class TestFactorizedSampling:
     def test_bad_box_rejected(self):
         rng = np.random.default_rng(20)
         with pytest.raises(ConfigurationError):
-            factorized_draw(rng, (2.0, 1.0), 1, (2,), REAL, 1)
+            factorized_draw((rng,), (2.0, 1.0), 1, (2,), REAL, 1)
 
 
 # (q, dims) of the CHART builders that draw spectra and frames, two sizes
@@ -811,9 +838,9 @@ def _point_rngs(points, seed=42):
     return [verify._substream(seed, 7, verify._SIDE_POINTS, i) for i in range(points)]
 
 
-def _stacked_draws(rngs, box, q, dims, kind):
-    """factorized_draw of one point from each generator, stacked."""
-    draws = [factorized_draw(rng, box, q, dims, kind, 1) for rng in rngs]
+def _stacked_draws(rngs, box, q, dims, kind, count=1):
+    """factorized_draw of `count` rows from each generator alone, stacked."""
+    draws = [factorized_draw((rng,), box, q, dims, kind, count) for rng in rngs]
     spectra = np.concatenate([spectrum for spectrum, _ in draws])
     return spectra, tuple(np.concatenate(f) for f in zip(*(frames for _, frames in draws)))
 
@@ -825,15 +852,16 @@ def _assert_same_draws(got, want):
         np.testing.assert_array_equal(frame, expected)
 
 
-def _degenerate_first_frames(rngs, box, q, d, beta):
-    """How many of the generators' one-point draws miss FRAME_NORM_TOL on
-    their first (d, q, beta) frame."""
-    count = 0
+def _degenerate_first_frames(rngs, box, q, d, beta, count=1):
+    """How many rows of the generators' `count`-row draws miss FRAME_NORM_TOL
+    on their first (d, q, beta) frame."""
+    missed = 0
     for rng in rngs:
-        rng.uniform(*box, size=(1, q))
-        first = rng.standard_normal((1, d, q, beta))
-        count += not charts._frames_ok(gram_schmidt_batch(first, beta)[1])[0]
-    return count
+        rng.uniform(*box, size=(count, q))
+        first = rng.standard_normal((count, d, q, beta))
+        norms = gram_schmidt_batch(first, beta)[1]
+        missed += int((~(norms > charts.FRAME_NORM_TOL).all(axis=1)).sum())
+    return missed
 
 
 class TestFactorizedRows:
@@ -854,7 +882,7 @@ class TestFactorizedRows:
 
         monkeypatch.setattr(linalg, "_mul_entries", spy_entries)
         box = (1.0, 2.0)
-        got = factorized_rows(_point_rngs(points), box, q, dims, kind)
+        got = factorized_draw(_point_rngs(points), box, q, dims, kind, 1)
         big = bool(entry_calls)
         _assert_same_draws(got, _stacked_draws(_point_rngs(points), box, q, dims, kind))
         assert got[0].shape == (points, q)
@@ -868,7 +896,7 @@ class TestFactorizedRows:
         monkeypatch.setattr(charts, "FRAME_NORM_TOL", 0.6)
         box, q, dims, points = (1.0, 2.0), 2, (3, 2), 8
         assert 1 <= _degenerate_first_frames(_point_rngs(points), box, q, dims[0], 1) < points
-        got = factorized_rows(_point_rngs(points), box, q, dims, REAL)
+        got = factorized_draw(_point_rngs(points), box, q, dims, REAL, 1)
         _assert_same_draws(got, _stacked_draws(_point_rngs(points), box, q, dims, REAL))
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
@@ -886,20 +914,51 @@ class TestFactorizedRows:
             return rngs
 
         assert 1 <= _degenerate_first_frames(used_rngs(), box, q, dims[0], kind.beta) < points
-        got = factorized_rows(used_rngs(), box, q, dims, kind)
+        got = factorized_draw(used_rngs(), box, q, dims, kind, 1)
         _assert_same_draws(got, _stacked_draws(used_rngs(), box, q, dims, kind))
+
+    @pytest.mark.parametrize("tol", [None, 1.2], ids=["default-tol", "raised-tol"])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"beta{k.beta}")
+    def test_blocks_of_rows_are_each_generators_own_draw(self, monkeypatch, kind, tol):
+        """Two generators x 3 rows are each generator's own 3-row draw,
+        stacked; at the raised threshold some first frames are degenerate
+        and are drawn again from their own generator."""
+        if tol is not None:
+            monkeypatch.setattr(charts, "FRAME_NORM_TOL", tol * math.sqrt(kind.beta))
+        box, q, dims, count = (1.0, 2.0), 2, (3, 2), 3
+        missed = _degenerate_first_frames(_point_rngs(2), box, q, dims[0], kind.beta, count)
+        assert (missed == 0) if tol is None else (1 <= missed < 2 * count)
+        got = factorized_draw(_point_rngs(2), box, q, dims, kind, count)
+        _assert_same_draws(got, _stacked_draws(_point_rngs(2), box, q, dims, kind, count))
+        assert got[0].shape == (2 * count, q)
+        assert [f.shape for f in got[1]] == [(2 * count, d, q, kind.beta) for d in dims]
+
+    def test_frames_are_drawn_through_sample_stiefel_batch(self, monkeypatch):
+        """Every frame dimension is one call of the module's
+        sample_stiefel_batch for all the rows, so a wrapper of that binding
+        (perfbench's layer trace) sees every frame."""
+        calls = []
+        sample = charts.sample_stiefel_batch
+
+        def spy(n, q, kind, rngs, count):
+            calls.append((n, len(rngs), count))
+            return sample(n, q, kind, rngs, count)
+
+        monkeypatch.setattr(charts, "sample_stiefel_batch", spy)
+        factorized_draw(_point_rngs(4), (1.0, 2.0), 2, (3, 2), REAL, 5)
+        assert calls == [(3, 4, 20), (2, 4, 20)]
 
     def test_bad_box_rejected(self):
         with pytest.raises(ConfigurationError):
-            factorized_rows(_point_rngs(2), (2.0, 1.0), 1, (2,), REAL)
+            factorized_draw(_point_rngs(2), (2.0, 1.0), 1, (2,), REAL, 1)
         with pytest.raises(ConfigurationError):
-            factorized_rows(_point_rngs(2), (0.0, math.inf), 1, (2,), REAL)
+            factorized_draw(_point_rngs(2), (0.0, math.inf), 1, (2,), REAL, 1)
 
     def test_frame_checks_match_the_one_point_draw(self):
         with pytest.raises(ShapeMismatchError):
-            factorized_rows(_point_rngs(2), (1.0, 2.0), 3, (2,), REAL)
+            factorized_draw(_point_rngs(2), (1.0, 2.0), 3, (2,), REAL, 1)
         with pytest.raises(ShapeMismatchError):
-            factorized_draw(_point_rngs(1)[0], (1.0, 2.0), 3, (2,), REAL, 1)
+            factorized_draw(_point_rngs(1), (1.0, 2.0), 3, (2,), REAL, 1)
 
 
 def test_coordinate_counts():

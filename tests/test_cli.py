@@ -419,6 +419,19 @@ MC_VALID = dict(task=MC_TASKS[3], beta="1", trials="10000", box=("1", "2"), gap=
 
 
 class TestVerifyCommand:
+    def test_flag_defaults_are_the_task_specs(self):
+        from dataclasses import fields
+
+        from divalg.verify import TaskSpec
+
+        args = build_parser().parse_args(["verify", "--task", "sd", "--beta", "1"])
+        default = {f.name: f.default for f in fields(TaskSpec)}
+        flags = ("n", "q", "trials", "points", "step", "rtol", "ztol", "cv_tol", "gap", "seed")
+        for name in flags:
+            assert getattr(args, name) == default[name], name
+        assert (args.lambda_lo, args.lambda_hi) == default["eigen_box"]
+        assert args.b_matrix == default["b_source"]
+
     def test_chart_task_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--task", "mp-herm", "--beta", "2", "--m", "3",
@@ -680,6 +693,22 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
         assert str(bfile) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--task", "congruence-ns", "--beta", "1", "--m", "2", "--points", "2"],
+        ["verify", "--task", "uhlig-qr", "--beta", "1", "--m", "2", "--n", "1", "--points", "2"],
+        ["verify", "--task", "uhlig-svd", "--beta", "1", "--m", "2", "--n", "1",
+         "--trials", "10000"],
+        ["demo"],
+    ], ids=["congruence-ns", "uhlig-qr", "uhlig-svd", "demo"])
+    def test_singular_b_matrix_is_usage_error(self, capsys, tmp_path, argv):
+        """Every congruence theorem assumes a nonsingular B."""
+        bfile = tmp_path / "b.json"
+        save_matrix(Mat(REAL, np.array([[1.0, 0.0], [0.0, 0.0]])[:, :, None]), bfile)
+        code, out, err = run_cli(capsys, *argv, "--b-matrix", str(bfile))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: B matrix {bfile} is singular (numerical rank 1 < 2)\n"
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -343,7 +343,7 @@ def _hermitian_with_spectrum(rng, lam, beta):
     from divalg.charts import assemble_sd_batch, sample_stiefel_batch
 
     count, n = int(np.prod(BATCH)), lam.shape[-1]
-    u = sample_stiefel_batch(n, n, KIND_OF[beta], rng, count)
+    u = sample_stiefel_batch(n, n, KIND_OF[beta], (rng,), count)
     s = assemble_sd_batch(u, lam.reshape(count, n), beta)
     g = rng.normal(size=s.shape) * np.abs(lam).max()
     skew = (g - ct_raw(g)) / 2.0
@@ -447,7 +447,7 @@ def test_two_by_two_singular_values_hold_at_rank_one_and_near_ties(beta, scale, 
 
     rng = np.random.default_rng(110 + beta)
     count = int(np.prod(BATCH))
-    v, w = (sample_stiefel_batch(2, 2, KIND_OF[beta], rng, count) for _ in range(2))
+    v, w = (sample_stiefel_batch(2, 2, KIND_OF[beta], (rng,), count) for _ in range(2))
     d = np.tile([scale, scale * ratio], (count, 1))
     a = assemble_svd_batch(v, d, w, beta).reshape(BATCH + (2, 2, beta))
     with np.errstate(all="raise"):

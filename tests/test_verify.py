@@ -15,7 +15,6 @@ from divalg.charts import (
     chart_at_batch,
     factorized_draw,
     factorized_mass_log,
-    factorized_rows,
     sample_stiefel_batch,
 )
 from divalg.decomp import (
@@ -318,7 +317,7 @@ class TestChartClosedForms:
     def test_identity_map_has_zero_logdet(self):
         rng = np.random.default_rng(3)
         lam = np.array([[1.7]])
-        w1 = sample_stiefel_batch(3, 1, REAL, rng, 1)
+        w1 = sample_stiefel_batch(3, 1, REAL, (rng,), 1)
         s = Mat(REAL, assemble_sd_batch(w1, lam, 1)[0])
         spec, coords, piv = _chart_at_one(s, 1, "psd")
         out = ChartSpec("psd", REAL, (3, 1))
@@ -345,7 +344,7 @@ class TestChartClosedForms:
         rng = np.random.default_rng(8)
         for _ in range(3):
             lam = float(rng.uniform(0.6, 2.5))
-            w1 = sample_stiefel_batch(2, 1, REAL, rng, 1)
+            w1 = sample_stiefel_batch(2, 1, REAL, (rng,), 1)
             s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
             spec, coords, piv = _chart_at_one(s, 1, "psd")
             out = ChartSpec("psd", REAL, (2, 1))
@@ -356,7 +355,7 @@ class TestChartClosedForms:
     def test_pseudo_inverse_pivot_invariance(self):
         rng = np.random.default_rng(5)
         lam = 1.3
-        w1 = sample_stiefel_batch(2, 1, REAL, rng, 1)
+        w1 = sample_stiefel_batch(2, 1, REAL, (rng,), 1)
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
         vals = []
         for pivot in ((0, 1), (1, 0)):
@@ -370,7 +369,7 @@ class TestChartClosedForms:
     def test_pseudo_inverse_scale_homogeneity(self):
         rng = np.random.default_rng(6)
         lam, c = 1.4, 1.9
-        w1 = sample_stiefel_batch(2, 1, COMPLEX, rng, 1)
+        w1 = sample_stiefel_batch(2, 1, COMPLEX, (rng,), 1)
         base = assemble_sd_batch(w1, np.array([[lam]]), 2)[0]
         vals = []
         for scale in (1.0, c):
@@ -463,7 +462,7 @@ class TestChartClosedForms:
         task = TaskSpec(theorem_id="UHLIG_QR", beta=beta, m=m, n=n, points=3, seed=9)
         rngs = [verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
                 for i in range(task.points)]
-        lam, (w1,) = factorized_rows(rngs, task.eigen_box, n, (m,), task.kind)
+        lam, (w1,) = factorized_draw(rngs, task.eigen_box, n, (m,), task.kind, 1)
         y = assemble_sd_batch(w1, lam, beta)
         congruence = verify._congruence_map(verify._draw_b(task))
         (_, in_pivots, _), (_, out_pivots), x, dets = verify._congruence_points(congruence, y, n)
@@ -1176,7 +1175,7 @@ def test_factorized_sides_keep_weigh_and_mass(theorem, sizes, beta):
     for side, mass, box, dims, image, expected in cases:
         assert mass == factorized_mass_log(box, q, dims, beta)
         _, logw = side(np.random.default_rng(11), 2048)
-        spectrum, _ = factorized_draw(np.random.default_rng(11), box, q, dims, task.kind, 2048)
+        spectrum, _ = factorized_draw((np.random.default_rng(11),), box, q, dims, task.kind, 2048)
         kept = _kept(image(spectrum), lo, hi, task.gap)
         assert 0 < kept.sum() < kept.size
         assert np.isneginf(logw[~kept]).all()
@@ -1189,7 +1188,7 @@ def test_factorized_sides_keep_weigh_and_mass(theorem, sizes, beta):
     )
     assert mass == factorized_mass_log(wide, q, (m,), beta)
     _, logw = side(np.random.default_rng(13), 2048)
-    spectrum, _ = factorized_draw(np.random.default_rng(13), wide, q, (m,), task.kind, 2048)
+    spectrum, _ = factorized_draw((np.random.default_rng(13),), wide, q, (m,), task.kind, 2048)
     outside = ~np.all((spectrum >= lo) & (spectrum <= hi), axis=1)
     assert outside.any() and np.isneginf(logw[outside]).all()
     kept = _kept(spectrum, lo, hi, task.gap)
