@@ -22,8 +22,9 @@ Monte-Carlo threads).  The JSON document holds:
 - `tasks`: per task of the grid (its spec without the seed), the counts of
   pass, fail and inconclusive runs, the causes, the root mean square and
   largest z, the quantiles (0, 25, 50, 75, 100%) of cv, and the median over
-  its conclusive runs of the largest relative stderr of its means (the
-  figure the engines' inconclusive check reads).
+  its conclusive runs of the largest `rel_stderr` of its records (the
+  figure both Monte-Carlo engines report and their inconclusive check
+  reads).
 
 The same seeds give the same document apart from the `runtime_ms` keys, so
 `scripts/compare_reports.py` compares two sweeps too.  divalg is imported
@@ -80,12 +81,9 @@ def cause(item: dict) -> str | None:
 
 
 def worst_rel_stderr(records: list[dict]) -> float | None:
-    """The largest relative stderr of a Monte-Carlo run's means."""
+    """The largest `rel_stderr` of a Monte-Carlo run's records: the figure
+    its engine's inconclusive check read."""
     rels = [rec["rel_stderr"] for rec in records if "rel_stderr" in rec]
-    for rec in records:
-        if "hausdorff_stderr" in rec:
-            rels.append(max(rec["hausdorff_stderr"] / rec["hausdorff"],
-                            rec["factorized_stderr"] / rec["factorized"]))
     return max(rels) if rels else None
 
 

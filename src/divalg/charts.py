@@ -42,6 +42,7 @@ complex form (linalg.complex_raw) otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -527,9 +528,11 @@ def sample_stiefel_batch(
 
 def _check_box(box) -> tuple[float, float]:
     lo, hi = float(box[0]), float(box[1])
-    if not 0.0 < lo < hi < math.inf:
+    # a subnormal lo loses the precision every spectrum and factor needs
+    if not sys.float_info.min <= lo < hi < math.inf:
         raise ConfigurationError(
-            f"eigenvalue box must be finite with 0 < lo < hi, got ({lo}, {hi})"
+            f"eigenvalue box must be finite with 0 < lo < hi and lo normal "
+            f"(>= {sys.float_info.min}), got ({lo}, {hi})"
         )
     return lo, hi
 

@@ -89,24 +89,11 @@ def _task_from_args(args: argparse.Namespace) -> TaskSpec:
                 f"unknown engine {args.engine!r}; expected one of {sorted(ENGINE_NAMES)}"
             )
         engine = ENGINE_NAMES[args.engine]
-    return TaskSpec(
-        theorem_id=TASK_NAMES[args.task],
-        beta=args.beta,
-        m=args.m,
-        n=args.n,
-        q=args.q,
-        engine=engine,
-        b_source=args.b_matrix,
-        trials=args.trials,
-        points=args.points,
-        step=args.step,
-        eigen_box=(args.lambda_lo, args.lambda_hi),
-        gap=args.gap,
-        rtol=args.rtol,
-        ztol=args.ztol,
-        cv_tol=args.cv_tol,
-        seed=args.seed,
-    )
+    # every other field has a flag of its own name (see _add_task_flags)
+    renamed = {"theorem_id": TASK_NAMES[args.task], "engine": engine,
+               "b_source": args.b_matrix, "eigen_box": (args.lambda_lo, args.lambda_hi)}
+    return TaskSpec(**renamed, **{f.name: getattr(args, f.name)
+                                  for f in dataclasses.fields(TaskSpec) if f.name not in renamed})
 
 
 def _records_to_csv(records: list[dict]) -> str:

@@ -24,8 +24,12 @@ Three engines, each matched to the measure semantics a formula lives in:
   pure geometric normalization.
 
 Both Monte-Carlo engines run one driver, _mc_sides, on one builder
-contract (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn); a runner
-keeps only its records and its verdict.  One helper, _factorized_side,
+contract (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn).  The driver
+also takes the one statistics step: each test function's relative stderr
+max(lhs_se / lhs, rhs_se / rhs), which both engines report as rel_stderr,
+and the inconclusive rule (zero mass on a side, or a largest relative
+stderr above INCONCLUSIVE_REL_STDERR).  A runner keeps only its own test
+and records.  One helper, _factorized_side,
 builds the factorized sides of W, MP_HERM, MP_RECT, SD and SVD from a box,
 frame dimensions, a placement, the names of their FACTORS entries and the
 image whose spectrum must lie in the task's box; it returns each side with
@@ -331,16 +335,6 @@ def _report(task: TaskSpec, records, passed: bool, constant: float | None, start
     )
 
 
-def _require_conclusive(worst_rel: float) -> None:
-    """InconclusiveStatisticsError when the largest relative stderr of a
-    Monte-Carlo mean is too large for its test to mean anything."""
-    if worst_rel > INCONCLUSIVE_REL_STDERR:
-        raise InconclusiveStatisticsError(
-            f"relative stderr {worst_rel:.1%} exceeds "
-            f"{INCONCLUSIVE_REL_STDERR:.0%}; raise trials"
-        )
-
-
 # ---------------------------------------------------------------------------
 # test functions
 
@@ -388,30 +382,16 @@ def make_test_functions(
 # the finite-difference Jacobian
 
 
-def chart_jacobian_logdet(
-    map_batch, in_spec: ChartSpec, coords0: np.ndarray, out_spec: ChartSpec,
-    step: float = 1e-5, in_pivots=None, out_pivots=None,
-) -> float:
-    """log |det| of the coordinate Jacobian of extract(map(complete(coords0))).
-
-    map_batch is the map on a batch of coefficient arrays, (B, n, m, beta) ->
-    (B, n', m', beta), row by row (e.g. pinv_batch with beta bound).  The
-    point's pivoted charts take in_pivots and out_pivots, the per-row pivots
-    of a batch of one as chart_at_batch gives them, or None for no
-    permutation.  The chunk kernel _chart_jacobian_logdets on one point.
-    """
-    return float(_chart_jacobian_logdets(
-        map_batch, in_spec, coords0[None], out_spec, step, in_pivots, out_pivots
-    )[0])
-
-
 def _chart_jacobian_logdets(
     map_batch, in_spec: ChartSpec, coords: np.ndarray, out_spec: ChartSpec, step: float,
     in_pivots=None, out_pivots=None,
 ) -> np.ndarray:
-    """(P,) log |det| of the coordinate Jacobians at P points (P, k), point
-    i in its own pivoted charts (in_pivots[.][i], out_pivots[.][i]; no
-    permutation where None, see ChartSpec.complete_batch).
+    """(P,) log |det| of the coordinate Jacobians of
+    extract(map_batch(complete(coords))) at P points (P, k), point i in its
+    own pivoted charts (in_pivots[.][i], out_pivots[.][i]; no permutation
+    where None, see ChartSpec.complete_batch).  map_batch is the map on a
+    batch of coefficient arrays, (B, n, m, beta) -> (B, n', m', beta), row
+    by row (e.g. pinv_batch with beta bound).
 
     Central differences at all 2k perturbations of each point in one pass:
     per point, rows coords + h_i e_i, then coords - h_i e_i, through one
@@ -607,16 +587,32 @@ def _valid_draws(data: np.ndarray, logw: np.ndarray, what: str) -> np.ndarray:
 
 
 def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
-    """The pipeline both Monte-Carlo engines run: build the task's problem
-    (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn), centre n_fns test
-    functions on reference_fn's draws and estimate both sides.  Returns
-    ((lhs_means, lhs_stderrs), (rhs_means, rhs_stderrs))."""
+    """The pipeline and statistics step both Monte-Carlo engines run: build
+    the task's problem (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn),
+    centre n_fns test functions on reference_fn's draws and estimate both
+    sides.  Returns (lhs, lhs_se, rhs, rhs_se, rel), arrays over the test
+    functions, where rel = max(lhs_se / lhs, rhs_se / rhs) is each one's
+    relative stderr.  InconclusiveStatisticsError when a test function has
+    no mass on a side, or when the largest rel exceeds
+    INCONCLUSIVE_REL_STDERR: no test on such means can mean anything."""
     lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn = _problem(task)
     seed, code = task.seed, task.theorem.code
     test_fns = make_test_functions(seed, n_fns, _reference_samples(reference_fn, seed, code))
     common = (test_fns, task.trials, seed, code)
-    return (_mc_estimate(lhs_fn, lhs_const, *common, _SIDE_LHS, jobs),
-            _mc_estimate(rhs_fn, rhs_const, *common, _SIDE_RHS, jobs))
+    lhs, lhs_se = _mc_estimate(lhs_fn, lhs_const, *common, _SIDE_LHS, jobs)
+    rhs, rhs_se = _mc_estimate(rhs_fn, rhs_const, *common, _SIDE_RHS, jobs)
+    empty = np.flatnonzero((lhs <= 0) | (rhs <= 0))
+    if empty.size:
+        raise InconclusiveStatisticsError(
+            f"test function {empty[0]} has nonpositive mass; widen the boxes"
+        )
+    rel = np.maximum(lhs_se / lhs, rhs_se / rhs)
+    if rel.max() > INCONCLUSIVE_REL_STDERR:
+        raise InconclusiveStatisticsError(
+            f"relative stderr {rel.max():.1%} exceeds "
+            f"{INCONCLUSIVE_REL_STDERR:.0%}; raise trials"
+        )
+    return lhs, lhs_se, rhs, rhs_se, rel
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +620,7 @@ def _mc_sides(task: TaskSpec, jobs: int, n_fns: int):
 #
 # A CHART builder returns (in_spec, out_spec, map_batch, sample): the input
 # and output charts of the task's sizes, the map on a batch of coefficient
-# arrays (see chart_jacobian_logdet), and sample(rngs) -> (in_pivots,
+# arrays (see _chart_jacobian_logdets), and sample(rngs) -> (in_pivots,
 # coords, out_pivots, analytic, gap_at), which draws one point from each
 # generator, in order, and returns the points' own pivots (see
 # ChartSpec.complete_batch; None for no permutation), their (P, k)
@@ -1011,30 +1007,23 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1) -> Report:
         raise RegistryError(
             f"run_mc_equality_task needs engine MC_EQUALITY, got {task.engine}"
         )
-    (lhs_mean, lhs_se), (rhs_mean, rhs_se) = _mc_sides(task, jobs, EQUALITY_TEST_FUNCTIONS)
+    lhs, lhs_se, rhs, rhs_se, rel = _mc_sides(task, jobs, EQUALITY_TEST_FUNCTIONS)
     records = []
-    worst_rel = 0.0
     for k in range(EQUALITY_TEST_FUNCTIONS):
         se = math.sqrt(lhs_se[k] ** 2 + rhs_se[k] ** 2)
-        z = abs(lhs_mean[k] - rhs_mean[k]) / se if se > 0 else math.inf
-        rel = max(
-            lhs_se[k] / abs(lhs_mean[k]) if lhs_mean[k] else math.inf,
-            rhs_se[k] / abs(rhs_mean[k]) if rhs_mean[k] else math.inf,
-        )
-        worst_rel = max(worst_rel, rel)
+        z = abs(lhs[k] - rhs[k]) / se if se > 0 else math.inf
         records.append(
             {
                 "test_function": k,
-                "lhs": float(lhs_mean[k]),
+                "lhs": float(lhs[k]),
                 "lhs_stderr": float(lhs_se[k]),
-                "rhs": float(rhs_mean[k]),
+                "rhs": float(rhs[k]),
                 "rhs_stderr": float(rhs_se[k]),
                 "z": float(z),
-                "rel_stderr": float(rel),
+                "rel_stderr": float(rel[k]),
                 "pass": bool(z <= task.ztol),
             }
         )
-    _require_conclusive(worst_rel)
     return _report(task, records, all(r["pass"] for r in records), None, start)
 
 
@@ -1262,33 +1251,22 @@ def run_mc_ratio_task(task: TaskSpec, jobs: int = 1) -> Report:
     start = time.perf_counter()
     if task.engine != "MC_RATIO":
         raise RegistryError(f"run_mc_ratio_task needs engine MC_RATIO, got {task.engine}")
-    (h_mean, h_se), (f_mean, f_se) = _mc_sides(task, jobs, RATIO_TEST_FUNCTIONS)
-    records = []
-    ratios = []
-    worst_rel = 0.0
-    for k in range(RATIO_TEST_FUNCTIONS):
-        if f_mean[k] <= 0 or h_mean[k] <= 0:
-            raise InconclusiveStatisticsError(
-                f"test function {k} has nonpositive mass; widen the boxes"
-            )
-        ratio = h_mean[k] / f_mean[k]
-        rel = max(h_se[k] / h_mean[k], f_se[k] / f_mean[k])
-        worst_rel = max(worst_rel, rel)
-        ratios.append(ratio)
-        records.append(
-            {
-                "test_function": k,
-                "hausdorff": float(h_mean[k]),
-                "hausdorff_stderr": float(h_se[k]),
-                "factorized": float(f_mean[k]),
-                "factorized_stderr": float(f_se[k]),
-                "ratio": float(ratio),
-            }
-        )
-    _require_conclusive(worst_rel)
-    ratios_arr = np.asarray(ratios)
-    constant = float(ratios_arr.mean())
-    cv = float(ratios_arr.std(ddof=1) / constant) if len(ratios) > 1 else 0.0
+    h, h_se, f, f_se, rel = _mc_sides(task, jobs, RATIO_TEST_FUNCTIONS)
+    ratios = h / f
+    records = [
+        {
+            "test_function": k,
+            "hausdorff": float(h[k]),
+            "hausdorff_stderr": float(h_se[k]),
+            "factorized": float(f[k]),
+            "factorized_stderr": float(f_se[k]),
+            "ratio": float(ratios[k]),
+            "rel_stderr": float(rel[k]),
+        }
+        for k in range(RATIO_TEST_FUNCTIONS)
+    ]
+    constant = float(ratios.mean())
+    cv = float(ratios.std(ddof=1) / constant)
     passed = cv <= task.cv_tol
     records.append({"summary": True, "cv": cv, "constant": constant, "pass": bool(passed)})
     return _report(task, records, passed, constant, start)

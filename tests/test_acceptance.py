@@ -36,7 +36,7 @@ from divalg.measures import mv_gamma_log, stiefel_volume_log
 from divalg.verify import (
     ChartSpec,
     TaskSpec,
-    chart_jacobian_logdet,
+    _chart_jacobian_logdets,
     run_discrepancy_demo,
     run_task,
 )
@@ -209,8 +209,8 @@ def test_criterion_04_chart_pseudo_inverse_hermitian():
         s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
         spec, piv, coords = chart_at_batch(s.data[None], 1, "psd")
         out = ChartSpec("psd", REAL, (2, 1))
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords[0], out,
-                                    in_pivots=piv, out_pivots=piv)
+        val = _chart_jacobian_logdets(partial(pinv_batch, beta=1), spec, coords, out, 1e-5,
+                                      piv, piv)[0]
         assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
 
@@ -233,8 +233,8 @@ def test_criterion_05_chart_pseudo_inverse_general():
         x = Mat(REAL, np.array([[[1.2]], [[0.9]]]))
         spec, piv, coords = chart_at_batch(x.data[None], 1, "rect")
         out = ChartSpec("rect", REAL, (1, 2, 1))
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords[0], out,
-                                    in_pivots=piv, out_pivots=piv[::-1])
+        val = _chart_jacobian_logdets(partial(pinv_batch, beta=1), spec, coords, out, 1e-5,
+                                      piv, piv[::-1])[0]
         assert val == pytest.approx(-4.0 * math.log(1.5), abs=1e-6)
 
 
@@ -272,7 +272,7 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         def gram(t: np.ndarray) -> np.ndarray:
             return mul_raw(ct_raw(t), t, 1)
 
-        val = chart_jacobian_logdet(gram, tri_spec, coords, out)
+        val = _chart_jacobian_logdets(gram, tri_spec, coords[None], out, 1e-5)[0]
         assert val == pytest.approx(math.log(2.0 * 1.3**2), abs=1e-6)
 
         # hand oracle: rank-1 congruence x = b*yb has determinant (x11/y11)|det b|
@@ -293,7 +293,7 @@ def test_criterion_06_chart_triangular_and_congruence(tmp_path):
         identity = (np.array([[0, 1]]),) * 2
         spec, _, coords = chart_at_batch(y.data[None], 1, "psd", identity)
         out = ChartSpec("psd", REAL, (2, 1))
-        val = chart_jacobian_logdet(congruence, spec, coords[0], out)
+        val = _chart_jacobian_logdets(congruence, spec, coords, out, 1e-5)[0]
         assert val == pytest.approx(expected, abs=1e-6)
 
         # diagonal oracle: b = diag(1, 2) gives a constant determinant of 8

@@ -432,6 +432,31 @@ class TestVerifyCommand:
         assert (args.lambda_lo, args.lambda_hi) == default["eigen_box"]
         assert args.b_matrix == default["b_source"]
 
+    def test_every_task_flag_reaches_the_task_spec(self):
+        from dataclasses import MISSING, fields
+
+        from divalg.cli import _task_from_args
+        from divalg.verify import TaskSpec
+
+        args = build_parser().parse_args([
+            "verify", "--task", "mp-rect", "--engine", "mc-equality", "--beta", "2",
+            "--m", "2", "--n", "3", "--q", "1", "--b-matrix", "identity", "--trials", "12345",
+            "--points", "7", "--step", "1e-4", "--lambda-lo", "0.5", "--lambda-hi", "3",
+            "--gap", "0.01", "--rtol", "1e-4", "--ztol", "2.5", "--cv-tol", "0.05",
+            "--seed", "9",
+        ])
+        expected = {
+            "theorem_id": "MP_RECT", "beta": 2, "m": 2, "n": 3, "q": 1,
+            "engine": "MC_EQUALITY", "b_source": "identity", "trials": 12345, "points": 7,
+            "step": 1e-4, "eigen_box": [0.5, 3.0], "gap": 0.01, "rtol": 1e-4, "ztol": 2.5,
+            "cv_tol": 0.05, "seed": 9,
+        }
+        assert _task_from_args(args).to_dict() == expected
+        for f in fields(TaskSpec):  # every flag is set away from its default
+            if f.default is not MISSING:
+                default = list(f.default) if f.name == "eigen_box" else f.default
+                assert expected[f.name] != default, f.name
+
     def test_chart_task_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--task", "mp-herm", "--beta", "2", "--m", "3",
@@ -641,6 +666,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flags,message", [
         (["--task", "sd", "--m", "2", "--q", "1", "--lambda-hi", "inf"], "eigenvalue box"),
         (["--task", "sd", "--m", "2", "--q", "1", "--lambda-lo", "nan"], "eigenvalue box"),
+        # a subnormal box once ran to a singular X11 block: exit 1, no theorem failure
+        (["--task", "svd", "--n", "2", "--m", "2", "--q", "1", "--trials", "10000",
+          "--lambda-lo", "1e-310", "--lambda-hi", "2e-310"], "eigenvalue box"),
         (["--task", "sd", "--m", "2", "--q", "1", "--gap", "nan"], "gap must be finite"),
         (["--task", "sd", "--m", "2", "--q", "1", "--gap", "inf"], "gap must be finite"),
         (["--task", "mp-herm", "--m", "3", "--q", "2", "--points", "2", "--rtol", "nan"],

@@ -2,10 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import divalg.cli as cli
-from divalg.verify import EQUALITY_TEST_FUNCTIONS, TaskSpec
+from divalg.verify import EQUALITY_TEST_FUNCTIONS, TaskSpec, run_task
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
 _spec = importlib.util.spec_from_file_location("seed_sweep", SCRIPT)
@@ -44,6 +45,10 @@ def test_sweep_counts_runs_and_causes(monkeypatch, tmp_path, capsys):
     cv = sd["cv_quantiles"]
     assert 0.0 < cv["0"] <= cv["50"] <= cv["100"]
     assert sd["z_rms"] is None and sd["rel_stderr_median"] > 0.0
+    # the median of each run's largest record rel_stderr, as the engine gave it
+    sd_runs = [run_task(_two_small_tasks("desk", seed)[0]) for seed in (4, 5)]
+    largest = [max(rec["rel_stderr"] for rec in run.records[:-1]) for run in sd_runs]
+    assert sd["rel_stderr_median"] == float(np.median(largest))
     assert mp_herm["pass"] + mp_herm["fail"] + mp_herm["inconclusive"] == 2
     assert mp_herm["cv_quantiles"] is None
     assert 0.0 < mp_herm["z_rms"] <= mp_herm["z_max"]

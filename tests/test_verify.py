@@ -51,7 +51,7 @@ from divalg.verify import (
     ChartSpec,
     Report,
     TaskSpec,
-    chart_jacobian_logdet,
+    _chart_jacobian_logdets,
     make_test_functions,
     run_discrepancy_demo,
     run_task,
@@ -321,22 +321,22 @@ class TestChartClosedForms:
         s = Mat(REAL, assemble_sd_batch(w1, lam, 1)[0])
         spec, coords, piv = _chart_at_one(s, 1, "psd")
         out = ChartSpec("psd", REAL, (3, 1))
-        val = chart_jacobian_logdet(lambda a: a, spec, coords, out, in_pivots=piv, out_pivots=piv)
+        val = _chart_jacobian_logdets(lambda a: a, spec, coords[None], out, 1e-5, piv, piv)[0]
         assert abs(val) < 1e-8
 
     def test_non_finite_map_output_is_rejected(self):
         spec, coords, piv = _chart_at_one(Mat(REAL, np.array([[[2.0]]])), 1, "psd")
         out = ChartSpec("psd", REAL, (1, 1))
         with pytest.raises(ValueError, match="finite"):
-            chart_jacobian_logdet(lambda a: a * np.nan, spec, coords, out,
-                                  in_pivots=piv, out_pivots=piv)
+            _chart_jacobian_logdets(lambda a: a * np.nan, spec, coords[None], out, 1e-5,
+                                    piv, piv)
 
     def test_scalar_inverse(self):
         s = Mat(REAL, np.array([[[2.0]]]))
         spec, coords, piv = _chart_at_one(s, 1, "psd")
         out = ChartSpec("psd", REAL, (1, 1))
-        val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out,
-                                    in_pivots=piv, out_pivots=piv)
+        val = _chart_jacobian_logdets(partial(pinv_batch, beta=1), spec, coords[None], out,
+                                      1e-5, piv, piv)[0]
         assert val == pytest.approx(math.log(0.25), abs=1e-8)
 
     def test_rank_one_pseudo_inverse_quartic_law(self):
@@ -348,8 +348,8 @@ class TestChartClosedForms:
             s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
             spec, coords, piv = _chart_at_one(s, 1, "psd")
             out = ChartSpec("psd", REAL, (2, 1))
-            val = chart_jacobian_logdet(partial(pinv_batch, beta=1), spec, coords, out,
-                                        in_pivots=piv, out_pivots=piv)
+            val = _chart_jacobian_logdets(partial(pinv_batch, beta=1), spec, coords[None], out,
+                                          1e-5, piv, piv)[0]
             assert val == pytest.approx(-4.0 * math.log(lam), abs=1e-6)
 
     def test_pseudo_inverse_pivot_invariance(self):
@@ -362,8 +362,8 @@ class TestChartClosedForms:
             spec, coords, piv = _chart_at_one(s, 1, "psd", (pivot, pivot))
             out = ChartSpec("psd", REAL, (2, 1))
             inverse = partial(pinv_batch, beta=1)
-            vals.append(chart_jacobian_logdet(inverse, spec, coords, out,
-                                              in_pivots=piv, out_pivots=piv))
+            vals.append(_chart_jacobian_logdets(inverse, spec, coords[None], out, 1e-5,
+                                                piv, piv)[0])
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
     def test_pseudo_inverse_scale_homogeneity(self):
@@ -377,8 +377,8 @@ class TestChartClosedForms:
             spec, coords, piv = _chart_at_one(s, 1, "psd")
             out = ChartSpec("psd", COMPLEX, (2, 1))
             inverse = partial(pinv_batch, beta=2)
-            vals.append(chart_jacobian_logdet(inverse, spec, coords, out,
-                                              in_pivots=piv, out_pivots=piv))
+            vals.append(_chart_jacobian_logdets(inverse, spec, coords[None], out, 1e-5,
+                                                piv, piv)[0])
         # beta=2, m=2, q=1: exponent beta(-2m+q+1)-2 = -6
         assert vals[1] - vals[0] == pytest.approx(-6.0 * math.log(c), abs=1e-6)
 
@@ -659,6 +659,39 @@ class TestRatioEngine:
             assert constant == pytest.approx(constants[2], rel=1e-12, abs=0.0)
 
 
+def test_ratio_records_carry_the_rel_stderr_the_gate_read():
+    """At every desk MC_RATIO configuration, bit for bit."""
+    from divalg.cli import preset_tasks
+
+    tasks = [task for task in preset_tasks("desk", 42) if task.engine == "MC_RATIO"]
+    assert len(tasks) == 8
+    for task in tasks:
+        for rec in run_task(task).records[:-1]:
+            assert rec["rel_stderr"] == max(rec["hausdorff_stderr"] / rec["hausdorff"],
+                                            rec["factorized_stderr"] / rec["factorized"])
+
+
+@pytest.mark.parametrize("task", [
+    TaskSpec(theorem_id="MP_HERM", beta=1, m=2, q=1, engine="MC_EQUALITY", trials=10_000),
+    TaskSpec(theorem_id="SD", beta=1, m=2, q=1, engine="MC_RATIO", trials=10_000),
+], ids=["MC_EQUALITY", "MC_RATIO"])
+def test_a_test_function_with_no_mass_is_inconclusive(monkeypatch, task):
+    """Both engines stop at one statistics step, whichever side is empty."""
+    estimate = verify._mc_estimate
+
+    def one_empty(side_fn, log_const, test_fns, trials, seed, task_code, side_code, jobs):
+        means, stderrs = estimate(side_fn, log_const, test_fns, trials, seed, task_code,
+                                  side_code, jobs)
+        if side_code == verify._SIDE_RHS:
+            means[1] = stderrs[1] = 0.0
+        return means, stderrs
+
+    monkeypatch.setattr(verify, "_mc_estimate", one_empty)
+    with pytest.raises(InconclusiveStatisticsError,
+                       match="test function 1 has nonpositive mass; widen the boxes"):
+        run_task(task)
+
+
 class TestDeterminism:
     def test_equality_report_independent_of_jobs(self):
         task = TaskSpec(
@@ -924,9 +957,9 @@ def test_batched_jacobian_matches_per_perturbation_loop(theorem, sizes):
     mat_map = _loop_map(task)
     for i in range(task.points):
         map_batch, in_spec, coords0, out_spec, in_piv, out_piv = _chart_point(task, i)
-        batched = verify.chart_jacobian_logdet(
-            map_batch, in_spec, coords0, out_spec, task.step, in_piv, out_piv
-        )
+        batched = verify._chart_jacobian_logdets(
+            map_batch, in_spec, coords0[None], out_spec, task.step, in_piv, out_piv
+        )[0]
         looped = _loop_jacobian_logdet(
             mat_map, in_spec, coords0, out_spec, task.step, in_piv, out_piv
         )
@@ -979,9 +1012,9 @@ def test_chunked_points_are_the_points_alone(theorem, sizes, beta):
     assert rep.passed and len(rep.records) == task.points
     for rec in rep.records:
         map_batch, in_spec, coords0, out_spec, in_piv, out_piv = _chart_point(task, rec["point"])
-        assert rec["numeric_log"] == verify.chart_jacobian_logdet(
-            map_batch, in_spec, coords0, out_spec, task.step, in_piv, out_piv
-        )
+        assert rec["numeric_log"] == verify._chart_jacobian_logdets(
+            map_batch, in_spec, coords0[None], out_spec, task.step, in_piv, out_piv
+        )[0]
 
 
 @pytest.mark.parametrize("theorem,sizes", CHART_CASES, ids=[c[0] for c in CHART_CASES])
