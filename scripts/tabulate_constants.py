@@ -9,16 +9,18 @@ has been derived (the rank-1 spectral case on 2x2 real matrices equals
 2*sqrt(2)).
 
 A task that raises a divalg error gives a row with no constant and the
-error in its note column (`inconclusive: ...` for statistics too weak to
-conclude), and the table goes on.  A --beta, --trials, --seed or --jobs that
-no task accepts exits 2 with one `error:` line before the header.  Exit 1
-when some row has no constant, else 0.
+error in its note column, labelled with the record key `divalg verify-all`
+gives it (`inconclusive: ...` for statistics too weak to conclude, else
+`error: ...`), and the table goes on.  A --beta, --trials, --seed or --jobs
+that no task accepts exits 2 with one `error:` line before the header.
+Exit 1 when some row has no constant, else 0.
 """
 import argparse
 import math
 import sys
 
-from divalg.errors import DivalgError, InconclusiveStatisticsError
+from divalg.cli import task_outcome
+from divalg.errors import DivalgError
 from divalg.verify import TaskSpec, run_task
 
 CONFIGS = [
@@ -66,8 +68,9 @@ def main(argv: list[str] | None = None) -> int:
             rep = run_task(task, jobs=args.jobs)
         except DivalgError as exc:
             missing += 1
-            label = "inconclusive" if isinstance(exc, InconclusiveStatisticsError) else "error"
-            print(f"{theorem:8s} {beta:4d} {size_str:16s} {'-':>12s} {'-':>8s}  {label}: {exc}")
+            label, _, _, message = task_outcome(exc)
+            print(f"{theorem:8s} {beta:4d} {size_str:16s} {'-':>12s} {'-':>8s}  "
+                  f"{label}: {message}")
             continue
         note = ""
         if theorem == "SD" and beta == 1 and sizes == dict(m=2, q=1):

@@ -8,10 +8,13 @@ factor      evaluate one analytic density/transform factor from inline inputs
 gamma       evaluate the multivariate gamma function
 volume      evaluate a Stiefel manifold volume
 sample      draw a random matrix (stiefel | psd | rect) and write it to a file
-demo        run the congruence-factor discrepancy demonstration
+demo        verify --task uhlig-svd --engine demo, with its own defaults:
+            the congruence-factor discrepancy demonstration
 
 Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive statistics,
-4 internal error (an exception that is not a DivalgError).
+4 internal error (an exception that is not a DivalgError).  What a raised
+task counts as is written once, in OUTCOMES: verify and demo reach it
+through main's handler, verify-all for each task's record.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -151,31 +155,41 @@ def _write_report(report: Report, fmt: str, out: str | None) -> bool:
     return _emit(header + _records_to_table(list(report.records)), out)
 
 
+# What a task that raises counts as; the first row whose class matches wins:
+# (exception class, verify-all record key, stderr prefix, exit code).
+OUTCOMES = (
+    (InconclusiveStatisticsError, "inconclusive", "inconclusive", 3),
+    (DivalgError, "error", "failed", 1),
+    (Exception, "internal_error", "internal error", 4),
+)
+
+# a verify-all task's exit code by its key (a report's, or OUTCOMES');
+# the grid exits with its worst, in the order 4 > 1 > 3 > 0
+EXIT_CODES = {"passed": 0, "failed": 1, **{key: code for _, key, _, code in OUTCOMES}}
+EXIT_PRECEDENCE = (0, 3, 1, 4)
+
+
+def task_outcome(exc: Exception) -> tuple[str, str, int, str]:
+    """The record key, stderr prefix and exit code OUTCOMES gives exc, and
+    its message: a DivalgError's own text, any other exception's
+    `Type: text`."""
+    key, prefix, code = next(row[1:] for row in OUTCOMES if isinstance(exc, row[0]))
+    message = str(exc) if isinstance(exc, DivalgError) else f"{type(exc).__name__}: {exc}"
+    return key, prefix, code, message
+
+
 def _exit_for_error(exc: Exception) -> int:
     if isinstance(exc, UnsupportedAlgebraError):
         return _fail_usage(f"octonion results conjectural -- {exc}")
     if isinstance(exc, (RegistryError, ConfigurationError)):
         return _fail_usage(str(exc))
-    if isinstance(exc, InconclusiveStatisticsError):
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
-    if isinstance(exc, DivalgError):
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"internal error: {_internal_error(exc)}", file=sys.stderr)
-    return 4
-
-
-def _internal_error(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+    _, prefix, code, message = task_outcome(exc)
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return code
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        task = _task_from_args(args)
-        report = run_task(task, jobs=_jobs_from_args(args))
-    except Exception as exc:  # noqa: BLE001 -- mapped to exit codes
-        return _exit_for_error(exc)
+    report = run_task(_task_from_args(args), jobs=_jobs_from_args(args))
     if not _write_report(report, args.format, args.out):
         return 2
     return 0 if report.passed else 1
@@ -231,42 +245,31 @@ def preset_tasks(preset: str, seed: int) -> list[TaskSpec]:
     return tasks
 
 
+def grid_task(task: TaskSpec, jobs: int) -> tuple[dict, str]:
+    """Run one verify-all task, printing nothing: its record, and the key it
+    counts under, "passed" or "failed" for a report, OUTCOMES' record key
+    for a task that raises."""
+    try:
+        report = run_task(task, jobs=jobs)
+    except Exception as exc:  # noqa: BLE001 -- one task's bug must not end the grid
+        key, _, _, message = task_outcome(exc)
+        return {"task": task.to_dict(), key: message, "pass": False}, key
+    return report.to_dict(), "passed" if report.passed else "failed"
+
+
 def cmd_verify_all(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    try:
-        jobs = _jobs_from_args(args)
-        tasks = preset_tasks(args.preset, args.seed)
-    except Exception as exc:  # noqa: BLE001
-        return _exit_for_error(exc)
-    results: list[dict] = []
-    n_fail = n_inconclusive = n_internal = 0
-    for task in tasks:
-        try:
-            report = run_task(task, jobs=jobs)
-        except InconclusiveStatisticsError as exc:
-            n_inconclusive += 1
-            results.append(
-                {"task": task.to_dict(), "inconclusive": str(exc), "pass": False}
-            )
-            continue
-        except DivalgError as exc:
-            n_fail += 1
-            results.append(
-                {"task": task.to_dict(), "error": str(exc), "pass": False}
-            )
-            continue
-        except Exception as exc:  # noqa: BLE001 -- one task's bug must not end the grid
-            n_internal += 1
-            message = _internal_error(exc)
-            print(f"internal error: {message}", file=sys.stderr)
-            results.append(
-                {"task": task.to_dict(), "internal_error": message, "pass": False}
-            )
-            continue
-        if not report.passed:
-            n_fail += 1
-        results.append(report.to_dict())
-    passed = n_fail == 0 and n_inconclusive == 0 and n_internal == 0
+    jobs = _jobs_from_args(args)
+    results, keys = [], []
+    for task in preset_tasks(args.preset, args.seed):
+        record, key = grid_task(task, jobs)
+        if key == "internal_error":
+            print(f"internal error: {record[key]}", file=sys.stderr)
+        results.append(record)
+        keys.append(key)
+    count = Counter(keys)
+    n_fail = count["failed"] + count["error"]
+    passed = count["passed"] == len(keys)
     doc = {
         "preset": args.preset,
         "seed": args.seed,
@@ -274,7 +277,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         "tasks": results,
         "n_tasks": len(results),
         "n_failed": n_fail,
-        "n_inconclusive": n_inconclusive,
+        "n_inconclusive": count["inconclusive"],
         "pass": passed,
         "runtime_ms": int((time.perf_counter() - start) * 1000),
     }
@@ -283,7 +286,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         written = _emit(text + "\n", args.out)
     else:
         rows = []
-        for item in results:
+        for item, key in zip(results, keys):
             task = item["task"]
             rows.append(
                 {
@@ -295,26 +298,18 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
                     "q": task["q"],
                     "b_source": task["b_source"],
                     "pass": item["pass"],
-                    "note": item.get(
-                        "inconclusive", item.get("error", item.get("internal_error", ""))
-                    ),
+                    "note": item.get(key, ""),
                 }
             )
         text = _records_to_csv(rows) if args.format == "csv" else _records_to_table(rows)
         summary = (
-            f"pass={passed} failed={n_fail} inconclusive={n_inconclusive} "
-            f"internal_errors={n_internal}\n"
+            f"pass={passed} failed={n_fail} inconclusive={count['inconclusive']} "
+            f"internal_errors={count['internal_error']}\n"
         )
         written = _emit(text + summary if args.format != "csv" else text, args.out)
     if not written:
         return 2
-    if n_internal:
-        return 4
-    if n_fail:
-        return 1
-    if n_inconclusive:
-        return 3
-    return 0
+    return max((EXIT_CODES[key] for key in keys), key=EXIT_PRECEDENCE.index, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,41 +427,25 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
-    try:
-        task = TaskSpec(
-            theorem_id="UHLIG_SVD",
-            beta=args.beta,
-            m=args.m,
-            n=args.n,
-            engine="DEMO",
-            b_source=args.b_matrix,
-            seed=args.seed,
-        )
-        report = run_task(task)
-    except Exception as exc:  # noqa: BLE001
-        return _exit_for_error(exc)
-    if not _write_report(report, args.format, args.out):
-        return 2
-    return 0 if report.passed else 1
-
-
 # ---------------------------------------------------------------------------
 # parser
+
+
+# TaskSpec's defaults, with the box split into the two flags that set it
+TASK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
+TASK_DEFAULTS["lambda_lo"], TASK_DEFAULTS["lambda_hi"] = TASK_DEFAULTS["eigen_box"]
 
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=int, required=True, help="algebra dimension: 1, 2 or 4")
     p.add_argument("--m", type=int, default=0)
     # the other defaults are TaskSpec's own (m has none there)
-    default = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
-    default["lambda_lo"], default["lambda_hi"] = default["eigen_box"]
     for flag, kind in (("n", int), ("q", int), ("trials", int), ("points", int),
                        ("step", float), ("rtol", float), ("ztol", float), ("cv-tol", float),
                        ("lambda-lo", float), ("lambda-hi", float), ("gap", float),
                        ("seed", int)):
-        p.add_argument(f"--{flag}", type=kind, default=default[flag.replace("-", "_")])
-    p.add_argument("--b-matrix", default=default["b_source"],
+        p.add_argument(f"--{flag}", type=kind, default=TASK_DEFAULTS[flag.replace("-", "_")])
+    p.add_argument("--b-matrix", default=TASK_DEFAULTS["b_source"],
                    help="'random', 'identity', 'demo', or a matrix file path")
 
 
@@ -540,7 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
+    # verify --task uhlig-svd --engine demo with its own defaults; the task
+    # defaults go first, so that the flags below keep theirs
     p = sub.add_parser("demo", help="congruence-factor discrepancy demonstration")
+    p.set_defaults(**{**TASK_DEFAULTS, "task": "uhlig-svd", "engine": "demo", "jobs": 1})
     p.add_argument("--beta", type=int, default=1)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=1)
@@ -548,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-matrix", default="demo")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p.set_defaults(func=cmd_demo)
+    p.set_defaults(func=cmd_verify)
 
     return parser
 

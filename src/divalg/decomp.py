@@ -158,17 +158,17 @@ def _check_gaps(d: np.ndarray, q: np.ndarray, top: np.ndarray, what: str) -> Non
 
 
 def _check_singular_values(
-    sv: np.ndarray, r: int, q: int | None = None
+    sv: np.ndarray, r: int, q: int | None = None, what: str = "singular value"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checks on (B, k*r) descending singular values of the complex form,
     which repeats each algebra singular value r = complex_multiplicity(beta)
-    times.
+    times (or on the eigenvalues of a PSD form, with what = "eigenvalue").
 
     Returns the ranks q (B,) and the multiplet means d (B, k).  With q None
     each rank is counted at 1e-10 (embedding_rank) and must agree with the
     count of multiplets above 1e-8 * largest; a given q must equal that count.
-    Kept values must be gapped (DegenerateSpectrumError) and every multiplet
-    tight (InternalConsistencyError).
+    Kept values must be gapped (DegenerateSpectrumError, labelled what) and
+    every multiplet tight (InternalConsistencyError).
     """
     d = _group_multiplets(sv, r)
     top = d[:, 0]
@@ -178,7 +178,7 @@ def _check_singular_values(
     if np.any(wrong):
         b = int(np.argmax(wrong))
         raise RankError(f"matrix has numerical rank {positive[b]}, expected q={qs[b]}")
-    _check_gaps(d, qs, top, "singular value")
+    _check_gaps(d, qs, top, what)
     _check_multiplet_spread(sv, r)
     return qs, d
 
@@ -203,17 +203,13 @@ def eig_hermitian(s: Mat, q: int) -> EigParts:
     w, vecs = np.linalg.eigh(hermitian_part(complex_raw(s.data, beta)))
     w, vecs = w[::-1], vecs[:, ::-1]
     lam_groups = _group_multiplets(w, r)
-    top = float(abs(lam_groups[0]))
     scale = float(np.abs(lam_groups).max())
     if scale == 0.0:
         raise RankError("zero matrix has no nonsingular spectral part")
     if float(lam_groups.min()) < -1e-8 * scale:
         raise NotPsdError(f"negative eigenvalue {lam_groups.min():.3e} beyond tolerance")
-    positive = int(np.sum(lam_groups > 1e-8 * scale))
-    if positive != q:
-        raise RankError(f"matrix has numerical rank {positive}, expected q={q}")
-    _check_gaps(lam_groups[None], np.array([q]), np.array([top]), "eigenvalue")
-    _check_multiplet_spread(w[None], r)
+    # past the negativity check the largest eigenvalue is scale
+    _check_singular_values(w[None], r, q, "eigenvalue")
     cols = _fold_vectors(vecs, q, beta)
     _assert_orthonormal(complex_raw(cols, beta))
     return EigParts(w1=Mat(s.kind, cols), lam=lam_groups[:q].copy())
@@ -277,17 +273,23 @@ def qr_positive(x: Mat, q: int) -> QrParts:
     n, m, beta = x.rows, x.cols, x.kind.beta
     if not 1 <= q <= min(n, m):
         raise RankError(f"q must lie in [1, {min(n, m)}], got {q}")
-    frames, norms = gram_schmidt_batch(x.data[None, :, :q], beta)
+    # X / 2^e, e the exponent of its largest coefficient: the squares in the
+    # norms then neither overflow nor underflow at 1e+-200, and the scaling
+    # is exact, so H1 keeps its bits and T is exactly 2^e times the scaled T
+    e = np.frexp(np.abs(x.data).max())[1]
+    scaled = np.ldexp(x.data, -e)
+    frames, norms = gram_schmidt_batch(scaled[None, :, :q], beta)
     h, norms = frames[0], norms[0]
-    dependent = norms <= 1e-10 * max(float(np.linalg.norm(x.data)), 1e-300)
+    dependent = norms <= 1e-10 * max(float(np.linalg.norm(scaled)), 1e-300)
     if np.any(dependent):
         raise PivotRequiredError(
             f"leading column {int(np.argmax(dependent))} is numerically dependent "
             "on its predecessors"
         )
-    t = mul_raw(ct_raw(h), x.data, beta)
+    t = mul_raw(ct_raw(h), scaled, beta)
     t[np.tril(np.ones((q, m), dtype=bool))] = 0.0
     t[np.arange(q), np.arange(q), 0] = norms
+    t = np.ldexp(t, e)
     _assert_orthonormal(complex_raw(h, beta))
     _assert_residual(x.data[None], mul_raw(h, t, beta)[None], "QR")
     return QrParts(h1=Mat(x.kind, h), t=Mat(x.kind, t))

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from divalg.cli import FACTOR_KINDS, TASK_NAMES, build_parser, main, preset_tasks
+from divalg.errors import ConfigurationError, InconclusiveStatisticsError, RankError
 from divalg.algebra import REAL, AlgebraKind
 from divalg.linalg import Mat, conj_transpose, load_matrix, save_matrix
 from divalg.verify import STEP_RANGE, THEOREMS
@@ -801,6 +802,23 @@ class TestDemoCommand:
         assert rec["uhlig_svd_factor"] == pytest.approx(2.0, abs=1e-6)
         assert rec["expected_mismatch"] is True
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--beta", "4", "--m", "3", "--n", "2"],
+        ["--b-matrix", "random", "--seed", "3", "--beta", "2", "--m", "3", "--n", "1"],
+        ["--format", "csv"], ["--format", "table"],
+    ], ids=["defaults", "beta4", "random-b", "csv", "table"])
+    def test_demo_is_verify_with_its_own_defaults(self, capsys, flags):
+        """`demo` is `verify --task uhlig-svd --engine demo` at beta 1, m 2,
+        n 1 and the demo B: the same output apart from runtime_ms."""
+        verify = ["verify", "--task", "uhlig-svd", "--engine", "demo", "--beta", "1",
+                  "--m", "2", "--n", "1", "--b-matrix", "demo"]
+        outputs = []
+        for argv in (["demo", *flags], [*verify, *flags]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            outputs.append(re.sub(r'"runtime_ms": \d+', "", out))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("scale", [1e60, 1e120])
     def test_factors_out_of_float_range_are_null(self, capsys, tmp_path, scale):
         """The demo compares logs; a determinant or factor whose exp leaves
@@ -948,6 +966,47 @@ class TestVerifyAll:
         with pytest.raises(SystemExit) as exc:
             main(["verify-all", "--preset", "weekly"])
         assert exc.value.code == 2
+
+
+RAISED = [
+    # (exception, its message, verify's exit code and stderr prefix,
+    #  verify-all's record key and exit code)
+    (InconclusiveStatisticsError("too few draws"), "too few draws", 3, "inconclusive",
+     "inconclusive", 3),
+    (RankError("a theorem check failed"), "a theorem check failed", 1, "failed", "error", 1),
+    # a ConfigurationError raised while a task runs is a usage error to
+    # verify, and one more failed task to verify-all
+    (ConfigurationError("no valid reference samples"), "no valid reference samples", 2,
+     "error", "error", 1),
+    (ValueError("stray numpy failure"), "ValueError: stray numpy failure", 4,
+     "internal error", "internal_error", 4),
+]
+
+
+@pytest.mark.parametrize("exc,message,code,prefix,key,grid_code", RAISED,
+                         ids=["inconclusive", "rank", "configuration", "internal"])
+@pytest.mark.parametrize("command", ["verify", "demo", "verify-all"])
+def test_a_raised_task_has_one_outcome(capsys, monkeypatch, command, exc, message, code,
+                                       prefix, key, grid_code):
+    import divalg.cli as cli
+    from divalg.verify import TaskSpec
+
+    def run_task(task, jobs=1):
+        raise exc
+
+    tiny = [TaskSpec(theorem_id="CONGRUENCE_NS", beta=1, m=2, points=2, seed=1)]
+    monkeypatch.setattr(cli, "preset_tasks", lambda preset, seed: tiny)
+    monkeypatch.setattr(cli, "run_task", run_task)
+    argv = {"verify": ["verify", "--task", "mp-herm", "--beta", "1", "--m", "2", "--q", "1"],
+            "demo": ["demo"], "verify-all": ["verify-all"]}[command]
+    got, out, err = run_cli(capsys, *argv)
+    if command != "verify-all":
+        assert (got, out, err) == (code, "", f"{prefix}: {message}\n")
+        return
+    assert got == grid_code
+    assert err == (f"{prefix}: {message}\n" if key == "internal_error" else "")
+    (record,) = json.loads(out)["tasks"]
+    assert record == {"task": tiny[0].to_dict(), key: message, "pass": False}
 
 
 @pytest.mark.parametrize("argv", [

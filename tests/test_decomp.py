@@ -6,6 +6,7 @@ from divalg.decomp import (
     _assert_residual,
     cholesky_rank_q,
     eig_hermitian,
+    gram_schmidt_batch,
     pinv,
     pinv_batch,
     qr_positive,
@@ -22,8 +23,10 @@ from divalg.errors import (
 from divalg.linalg import (
     Mat,
     conj_transpose,
+    ct_raw,
     frobenius_norm,
     mat_inv,
+    mul_raw,
     numerical_rank,
 )
 
@@ -211,6 +214,29 @@ class TestQrPositive:
         x = Mat.from_real(REAL, np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(PivotRequiredError):
             qr_positive(x, 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", KINDS, ids=["beta1", "beta2", "beta4"])
+    def test_scale_is_exact_and_extreme_scales_work(self, kind):
+        """At scale 1, H1 and T are the plain Gram-Schmidt's bit for bit; at
+        2^k, H1 keeps its bits and T is exactly 2^k T; near 1e+-200, where
+        the squared norms overflow or underflow, X is still reproduced."""
+        x = np.random.default_rng(44).normal(size=(4, 2, kind.beta))
+        frames, norms = gram_schmidt_batch(x[None], kind.beta)
+        t = mul_raw(ct_raw(frames[0]), x, kind.beta)
+        t[np.tril(np.ones((2, 2), dtype=bool))] = 0.0
+        t[[0, 1], [0, 1], 0] = norms[0]
+        base = qr_positive(Mat(kind, x), 2)
+        assert base.h1.data.tobytes() == frames[0].tobytes()
+        assert base.t.data.tobytes() == t.tobytes()
+        for k in (664, -664, 1000, -1000):
+            parts = qr_positive(Mat(kind, np.ldexp(x, k)), 2)
+            assert parts.h1.data.tobytes() == base.h1.data.tobytes(), k
+            assert parts.t.data.tobytes() == np.ldexp(base.t.data, k).tobytes(), k
+        for scale in (1e200, 1e-200):
+            parts = qr_positive(Mat(kind, x * scale), 2)
+            back = (parts.h1 @ parts.t).data / scale
+            assert np.linalg.norm(back - x) <= 1e-14 * np.linalg.norm(x), scale
 
 
 class TestCholeskyRankQ:

@@ -74,3 +74,9 @@ def test_bad_seed_range_is_a_usage_error(seeds):
     with pytest.raises(SystemExit) as exc:
         seed_sweep.main(["--seeds", seeds])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", [key for _, key, _, _ in cli.OUTCOMES])
+def test_cause_names_every_record_key_of_a_raised_task(key):
+    item = {"task": {}, "engine": "MC_RATIO", key: "message", "pass": False}
+    assert seed_sweep.cause(item) == key
