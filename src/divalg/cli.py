@@ -12,14 +12,18 @@ demo        verify --task uhlig-svd --engine demo, with its own defaults:
             the congruence-factor discrepancy demonstration
 
 Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive statistics,
-4 internal error (an exception that is not a DivalgError).  What a raised
-task counts as is written once, in OUTCOMES: verify and demo reach it
-through main's handler, verify-all for each task's record.
+4 internal error (an exception that is not a DivalgError).  Every command
+reaches them through main: a command returns its verdict and raises the
+rest, and only main's handler turns an exception into an exit code and a
+stderr line.  Each command's usage_errors, set by the parser, names the
+errors that exit 2; what any other raised task counts as is written once,
+in OUTCOMES.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -128,22 +132,25 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: str | None) -> bool:
-    """Write text to the file out, or to stdout when out is None.  A file
-    that cannot be written prints one error line and gives False."""
+@contextlib.contextmanager
+def _writing(out: str):
+    """A file out that cannot be written is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is None."""
     if not out:
         sys.stdout.write(text)
-        return True
-    try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _fail_usage(f"cannot write {out}: {exc.strerror or exc}")
-        return False
-    return True
+        return
+    with _writing(out), open(out, "w") as fh:
+        fh.write(text)
 
 
-def _write_report(report: Report, fmt: str, out: str | None) -> bool:
+def _write_report(report: Report, fmt: str, out: str | None) -> None:
     if fmt == "json":
         return _emit(report.to_json(indent=2) + "\n", out)
     if fmt == "csv":
@@ -178,10 +185,12 @@ def task_outcome(exc: Exception) -> tuple[str, str, int, str]:
     return key, prefix, code, message
 
 
-def _exit_for_error(exc: Exception) -> int:
+def _exit_for_error(exc: Exception, usage: type | tuple[type, ...]) -> int:
+    """Print exc's one stderr line and give its exit code: 2 for the
+    octonion refusal and for the command's usage errors, else OUTCOMES'."""
     if isinstance(exc, UnsupportedAlgebraError):
         return _fail_usage(f"octonion results conjectural -- {exc}")
-    if isinstance(exc, (RegistryError, ConfigurationError)):
+    if isinstance(exc, usage):
         return _fail_usage(str(exc))
     _, prefix, code, message = task_outcome(exc)
     print(f"{prefix}: {message}", file=sys.stderr)
@@ -190,8 +199,7 @@ def _exit_for_error(exc: Exception) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_task(_task_from_args(args), jobs=_jobs_from_args(args))
-    if not _write_report(report, args.format, args.out):
-        return 2
+    _write_report(report, args.format, args.out)
     return 0 if report.passed else 1
 
 
@@ -283,7 +291,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-        written = _emit(text + "\n", args.out)
+        _emit(text + "\n", args.out)
     else:
         rows = []
         for item, key in zip(results, keys):
@@ -306,9 +314,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
             f"pass={passed} failed={n_fail} inconclusive={count['inconclusive']} "
             f"internal_errors={count['internal_error']}\n"
         )
-        written = _emit(text + summary if args.format != "csv" else text, args.out)
-    if not written:
-        return 2
+        _emit(text + summary if args.format != "csv" else text, args.out)
     return max((EXIT_CODES[key] for key in keys), key=EXIT_PRECEDENCE.index, default=0)
 
 
@@ -328,13 +334,9 @@ def _spectrum_arg(raw: str | None, flag: str) -> tuple[float, ...] | None:
         ) from None
 
 
-def _print_log_value(evaluate) -> int:
-    """Print `log:` and `value:` lines for the log value evaluate() gives
-    (value: inf when exp overflows); a DivalgError is a usage error."""
-    try:
-        log_value = evaluate()
-    except DivalgError as exc:
-        return _fail_usage(str(exc))
+def _print_log_value(log_value: float) -> int:
+    """Print `log:` and `value:` lines for log_value (value: inf when exp
+    overflows)."""
     with np.errstate(over="ignore"):
         value = np.exp(log_value)
     print(f"log: {log_value:.10g}")
@@ -360,69 +362,57 @@ def _evaluate_factor(args: argparse.Namespace) -> float:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     if args.kind not in FACTOR_KINDS:
-        return _fail_usage(
+        raise ConfigurationError(
             f"unknown factor kind {args.kind!r}; expected one of {sorted(FACTOR_KINDS)}"
         )
     if args.kind == "tau":
-        try:
-            value = tau(args.beta, args.q)
-        except DivalgError as exc:
-            return _fail_usage(str(exc))
-        print(f"value: {value:.10g}")
+        print(f"value: {tau(args.beta, args.q):.10g}")
         return 0
-    return _print_log_value(lambda: _evaluate_factor(args))
+    return _print_log_value(_evaluate_factor(args))
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    return _print_log_value(lambda: mv_gamma_log(args.m, args.beta, args.a))
+    return _print_log_value(mv_gamma_log(args.m, args.beta, args.a))
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
-    return _print_log_value(lambda: stiefel_volume_log(args.m, args.n, args.beta))
+    return _print_log_value(stiefel_volume_log(args.m, args.n, args.beta))
 
 
 # a draw that leaves the float range is refused below, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_sample(args: argparse.Namespace) -> int:
-    try:
-        kind = AlgebraKind.from_beta(args.beta)
-    except DivalgError as exc:
-        return _fail_usage(str(exc))
+    kind = AlgebraKind.from_beta(args.beta)
     if args.beta == 8:
-        return _fail_usage(
-            "octonion results conjectural -- sampling supports beta in {1,2,4}"
-        )
+        raise UnsupportedAlgebraError("sampling supports beta in {1,2,4}")
     if args.seed < 0:
-        return _fail_usage(f"seed must be nonnegative, got {args.seed}")
+        raise ConfigurationError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([args.seed, 0x5A])))
     box = (args.lambda_lo, args.lambda_hi)
-    try:
-        if args.q < 1:
-            raise ConfigurationError(f"q must be at least 1, got {args.q}")
-        if args.space == "stiefel":
-            if args.n < args.q:
-                raise ConfigurationError(f"stiefel needs n >= q, got n={args.n} q={args.q}")
-            data = sample_stiefel_batch(args.n, args.q, kind, (rng,), 1)[0]
-        elif args.space == "psd":
-            if args.m < args.q:
-                raise ConfigurationError(f"psd needs m >= q, got m={args.m} q={args.q}")
-            lam, (w1,) = factorized_draw((rng,), box, args.q, (args.m,), kind, 1)
-            data = assemble_sd_batch(w1, lam, args.beta)[0]
-        else:
-            if min(args.n, args.m) < args.q:
-                raise ConfigurationError(
-                    f"rect needs q <= min(n, m), got n={args.n} m={args.m} q={args.q}"
-                )
-            d, (v1, w1) = factorized_draw((rng,), box, args.q, (args.n, args.m), kind, 1)
-            data = assemble_svd_batch(v1, d, w1, args.beta)[0]
-    except DivalgError as exc:
-        return _fail_usage(str(exc))
+    if args.q < 1:
+        raise ConfigurationError(f"q must be at least 1, got {args.q}")
+    if args.space == "stiefel":
+        if args.n < args.q:
+            raise ConfigurationError(f"stiefel needs n >= q, got n={args.n} q={args.q}")
+        data = sample_stiefel_batch(args.n, args.q, kind, (rng,), 1)[0]
+    elif args.space == "psd":
+        if args.m < args.q:
+            raise ConfigurationError(f"psd needs m >= q, got m={args.m} q={args.q}")
+        lam, (w1,) = factorized_draw((rng,), box, args.q, (args.m,), kind, 1)
+        data = assemble_sd_batch(w1, lam, args.beta)[0]
+    else:
+        if min(args.n, args.m) < args.q:
+            raise ConfigurationError(
+                f"rect needs q <= min(n, m), got n={args.n} m={args.m} q={args.q}"
+            )
+        d, (v1, w1) = factorized_draw((rng,), box, args.q, (args.n, args.m), kind, 1)
+        data = assemble_svd_batch(v1, d, w1, args.beta)[0]
     if not np.all(np.isfinite(data)):
-        return _fail_usage(f"the {args.space} sample leaves the float range; lower --lambda-hi")
-    try:
+        raise ConfigurationError(
+            f"the {args.space} sample leaves the float range; lower --lambda-hi"
+        )
+    with _writing(args.out):
         save_matrix(Mat(kind, data), args.out)
-    except OSError as exc:
-        return _fail_usage(f"cannot write {args.out}: {exc.strerror or exc}")
     print(f"wrote {args.space} sample to {args.out}")
     return 0
 
@@ -462,6 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
         "over the real normed division algebras.",
     )
     parser.add_argument("--version", action="version", version=f"divalg {__version__}")
+    # the errors main reports as usage errors (exit 2); the commands that
+    # only evaluate or draw from their flags widen them to every DivalgError
+    parser.set_defaults(usage_errors=(RegistryError, ConfigurationError))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run one verification task")
@@ -493,19 +486,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det-l1l1", type=float, default=None)
     p.add_argument("--det-s11", type=float, default=None)
     p.add_argument("--det-gbh", type=float, default=None)
-    p.set_defaults(func=cmd_factor)
+    p.set_defaults(func=cmd_factor, usage_errors=DivalgError)
 
     p = sub.add_parser("gamma", help="multivariate gamma function")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.set_defaults(func=cmd_gamma)
+    p.set_defaults(func=cmd_gamma, usage_errors=DivalgError)
 
     p = sub.add_parser("volume", help="Stiefel manifold volume")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
-    p.set_defaults(func=cmd_volume)
+    p.set_defaults(func=cmd_volume, usage_errors=DivalgError)
 
     p = sub.add_parser("sample", help="draw a random matrix and write it to a file")
     p.add_argument("space", choices=("stiefel", "psd", "rect"))
@@ -517,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-hi", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, usage_errors=DivalgError)
 
     # verify --task uhlig-svd --engine demo with its own defaults; the task
     # defaults go first, so that the flags below keep theirs
@@ -536,12 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 -- no traceback reaches a CLI user
-        return _exit_for_error(exc)
+        return _exit_for_error(exc, args.usage_errors)
 
 
 if __name__ == "__main__":

@@ -448,10 +448,17 @@ def _pilot(task: TaskSpec, index: int = 0) -> np.random.Generator:
 
 
 def _draw_b(task: TaskSpec) -> Mat:
+    """The task's congruence B: the identity, a seeded draw, the pinned
+    upper-bidiagonal matrix of ones ("demo"), or a matrix file."""
     kind, m = task.kind, task.m
     source = task.b_source
     if source == "identity":
         return Mat.eye(kind, m)
+    if source == "demo":
+        bd = np.zeros((m, m, kind.beta))
+        bd[np.arange(m), np.arange(m), 0] = 1.0
+        bd[np.arange(m - 1), np.arange(1, m), 0] = 1.0
+        return Mat(kind, bd)
     if source == "random":
         rng = _substream(task.seed, task.theorem.code, _SIDE_B, 0)
         for _ in range(1000):
@@ -515,7 +522,9 @@ def _mc_estimate(
     shape (len(test_fns),).  Blocks are fixed-size and reduced in index
     order, so results do not depend on the worker count.  A mean or stderr
     that leaves the float range raises InconclusiveStatisticsError: a NaN
-    stderr would pass every stderr gate.
+    stderr would pass every stderr gate.  So does a positive mean whose
+    stderr squares to 0: Σ(w f)² has underflowed, and a z-test on it would
+    divide by zero.
     """
     n_fns = len(test_fns)
     sizes = [BLOCK_SIZE] * (trials // BLOCK_SIZE)
@@ -562,6 +571,11 @@ def _mc_estimate(
         raise InconclusiveStatisticsError(
             "Monte Carlo mean or stderr is not finite (the weights leave the "
             "float range); narrow or rescale the eigenvalue box"
+        )
+    if np.any((means > 0.0) & (stderrs**2 == 0.0)):
+        raise InconclusiveStatisticsError(
+            "Monte Carlo stderr underflows (the weights are too small to square); "
+            "narrow or rescale the eigenvalue box"
         )
     return means, stderrs
 
@@ -896,8 +910,9 @@ def _mp_rect_equality(task: TaskSpec):
 
 
 def _uhlig_image(task: TaskSpec, b: Mat):
-    """The image sampler of the UHLIG theorems and the spectral boxes of the
-    left side: returns (image_batch, box_lo, box_hi)."""
+    """The image sampler of the UHLIG theorems and the region of image
+    spectra both sides keep: returns (image_batch, region), region a
+    _Region of the n spectral positions with no chart."""
     kind, beta, m, n, gap = task.kind, task.beta, task.m, task.n, task.gap
     lo, hi = task.eigen_box
     mp = task.theorem_id == "UHLIG_MP"
@@ -930,7 +945,7 @@ def _uhlig_image(task: TaskSpec, b: Mat):
         )
     box_lo = 0.95 * np.quantile(pilot_delta, 0.01, axis=0)
     box_hi = 1.05 * np.quantile(pilot_delta, 0.99, axis=0)
-    return image_batch, box_lo, box_hi
+    return image_batch, _Region(None, np.stack([box_lo, box_hi], axis=1))
 
 
 def _uhlig_equality(task: TaskSpec):
@@ -943,13 +958,13 @@ def _uhlig_equality(task: TaskSpec):
     factor = FACTORS[task.theorem_id]
     sizes = (beta, m, n, n)  # the spectra have length n
     bct = ct_raw(b.data)
-    image_batch, box_lo, box_hi = _uhlig_image(task, b)
+    image_batch, region = _uhlig_image(task, b)
 
     def rhs(rng, count):
         x, delta, lam, ok = image_batch(rng, count)
         logw = FACTORS["SD"].log(*sizes, lam=lam)
         logw = logw + factor.log(*sizes, delta=delta, lam=lam, det_b=det_b_log)
-        ok &= np.all((delta >= box_lo) & (delta <= box_hi), axis=1)
+        ok &= region.holds(delta)
         return x, np.where(ok, logw, -np.inf)
 
     rhs_const = factorized_mass_log(task.eigen_box, n, (m,), beta)
@@ -969,8 +984,7 @@ def _uhlig_equality(task: TaskSpec):
     # random stream of each block.
 
     def lhs(rng, count):
-        u = rng.uniform(size=(count, n))
-        lam_x = box_lo + u * (box_hi - box_lo)
+        lam_x = region.draw(rng, count)
         g = rng.standard_normal(size=(count, m, n, beta))
         rows = np.flatnonzero(np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1))
         lam_x, g = lam_x[rows], g[rows]
@@ -994,9 +1008,7 @@ def _uhlig_equality(task: TaskSpec):
         )
         return x, logw
 
-    lhs_const = float(np.log(box_hi - box_lo).sum()) + stiefel_volume_log(
-        n, m, beta
-    )
+    lhs_const = region.log_volume() + stiefel_volume_log(n, m, beta)
     return lhs, lhs_const, rhs, rhs_const, rhs
 
 
@@ -1011,7 +1023,7 @@ def run_mc_equality_task(task: TaskSpec, jobs: int = 1) -> Report:
     records = []
     for k in range(EQUALITY_TEST_FUNCTIONS):
         se = math.sqrt(lhs_se[k] ** 2 + rhs_se[k] ** 2)
-        z = abs(lhs[k] - rhs[k]) / se if se > 0 else math.inf
+        z = abs(lhs[k] - rhs[k]) / se
         records.append(
             {
                 "test_function": k,
@@ -1057,9 +1069,10 @@ def _leading_min(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
 class _Region:
     """The common restriction of an MC_RATIO identity in one chart: chart
     coordinates inside box, a (k, 2) array of lower and upper bounds, whose
-    leading block reaches floor (_leading_min; None for no floor)."""
+    leading block reaches floor (_leading_min; None for no floor).  The
+    UHLIG pilot box is a region with no spec and no floor."""
 
-    spec: ChartSpec
+    spec: ChartSpec | None
     box: np.ndarray
     floor: float | None = None
 
@@ -1196,10 +1209,14 @@ def _qr_ratio(task: TaskSpec):
 
     def triangle_ok(data: np.ndarray) -> np.ndarray:
         """T of the positive-diagonal QR X = H T lies in the T region, and
-        every Gram-Schmidt norm of X exceeds 1e-12 times its row's scale."""
-        h, norms = gram_schmidt_batch(data, beta)
+        every Gram-Schmidt norm of X exceeds 1e-12 times its row's scale.
+        As in decomp.qr_positive, Gram-Schmidt runs on each row X / 2^e, e
+        the exponent of its largest coefficient: the squares in the norms
+        stay in range at any scale, and H keeps its bits."""
+        # scale: each row's largest coefficient magnitude over 2^e
+        scale, e = np.frexp(np.abs(data).max(axis=(1, 2, 3)))
+        h, norms = gram_schmidt_batch(np.ldexp(data, -e[:, None, None, None]), beta)
         coords = tri_spec.extract_batch(mul_raw(ct_raw(h), data, beta))
-        scale = np.abs(data).max(axis=(1, 2, 3))
         return t_region.holds(coords) & (norms > 1e-12 * scale[:, None]).all(axis=1)
 
     fact_const = t_region.log_volume() + stiefel_volume_log(m, n, beta)
@@ -1280,13 +1297,7 @@ def _demo_problem(task: TaskSpec) -> tuple[Mat, Mat, np.ndarray]:
     """(B, Y, lam): the congruence and the pinned rank-n base point
     Y = diag(lam, 0, ..., 0) with lam = (n, ..., 1)."""
     kind, beta, m, n = task.kind, task.beta, task.m, task.n
-    if task.b_source == "demo":
-        bd = np.zeros((m, m, beta))
-        bd[np.arange(m), np.arange(m), 0] = 1.0
-        bd[np.arange(m - 1), np.arange(1, m), 0] = 1.0
-        b = Mat(kind, bd)
-    else:
-        b = _draw_b(task)
+    b = _draw_b(task)
     y_data = np.zeros((m, m, beta))
     lam = np.arange(n, 0, -1, dtype=float)
     y_data[np.arange(n), np.arange(n), 0] = lam

@@ -528,6 +528,20 @@ class TestVerifyCommand:
         assert err.startswith("inconclusive: Monte Carlo mean or stderr is not finite")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("task", [
+        ["--task", "mp-herm", "--engine", "mc-equality", "--m", "2", "--q", "1"],
+        ["--task", "uhlig-mp", "--m", "2", "--n", "1"],
+    ], ids=["mp-herm", "uhlig-mp"])
+    def test_stderr_that_underflows_is_inconclusive(self, capsys, task):
+        """Near 1e90 both sides' means are about 1e-181 but each (w f)^2
+        underflows: the zero stderrs made z = inf, which the JSON writer
+        refused (exit 4)."""
+        code, out, err = run_cli(capsys, "verify", "--beta", "1", *task, "--trials", "10000",
+                                 "--lambda-lo", "1e90", "--lambda-hi", "2e90")
+        assert (code, out) == (3, "")
+        assert err.startswith("inconclusive: Monte Carlo stderr underflows")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["verify", "verify-all"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, command, jobs):
@@ -738,6 +752,17 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: B matrix {bfile} is singular (numerical rank 1 < 2)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--task", "congruence-ns", "--m", "2", "--points", "2"],
+        ["--task", "uhlig-qr", "--m", "2", "--n", "1", "--points", "2"],
+    ], ids=["congruence-ns", "uhlig-qr"])
+    def test_demo_b_matrix_serves_every_congruence_task(self, capsys, argv):
+        """`--b-matrix demo` is the pinned upper-bidiagonal B for any task,
+        not only for the DEMO engine: it was read as a file name."""
+        code, out, err = run_cli(capsys, "verify", "--beta", "1", *argv, "--b-matrix", "demo")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["task"]["b_source"] == "demo"
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -1007,6 +1032,39 @@ def test_a_raised_task_has_one_outcome(capsys, monkeypatch, command, exc, messag
     assert err == (f"{prefix}: {message}\n" if key == "internal_error" else "")
     (record,) = json.loads(out)["tasks"]
     assert record == {"task": tiny[0].to_dict(), key: message, "pass": False}
+
+
+# each command that only evaluates or draws from its flags, and the cli
+# global it calls to do so; test_a_raised_task_has_one_outcome pins the
+# rule of verify, demo and verify-all
+CALLEES = [
+    (["gamma", "--m", "2", "--beta", "1", "--a", "3"], "mv_gamma_log"),
+    (["volume", "--m", "1", "--n", "3", "--beta", "1"], "stiefel_volume_log"),
+    (["factor", "--kind", "mp-herm", "--beta", "1", "--m", "2", "--q", "1", "--lambda", "2"],
+     "factor_log"),
+    (["sample", "psd", "--beta", "1", "--m", "2", "--q", "1"], "factorized_draw"),
+]
+
+
+@pytest.mark.parametrize("exc,code,err", [
+    (RankError("boom"), 2, "error: boom\n"),
+    (ValueError("boom"), 4, "internal error: ValueError: boom\n"),
+], ids=["divalg", "other"])
+@pytest.mark.parametrize("argv,callee", CALLEES, ids=[argv[0] for argv, _ in CALLEES])
+def test_an_evaluating_command_has_one_error_rule(capsys, monkeypatch, tmp_path, argv, callee,
+                                                   exc, code, err):
+    """Any divalg error raised by what gamma, volume, factor or sample
+    calls is a usage error; any other exception is an internal error."""
+    import divalg.cli as cli
+
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, callee, raise_it)
+    target = tmp_path / "x.json"
+    extra = ["--out", str(target)] if argv[0] == "sample" else []
+    assert run_cli(capsys, *argv, *extra) == (code, "", err)
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -237,6 +237,21 @@ class TestTestFunctions:
             with pytest.raises(InconclusiveStatisticsError):
                 verify._mc_estimate(side_fn, 0.0, fns, 500, 1, 2, 3, 1)
 
+    def test_mc_estimate_refuses_a_stderr_that_underflows(self):
+        """At weights near 1e-170 the means are positive, but each (w f)^2
+        underflows to 0 and the stderrs with them: a z-test would divide by
+        a zero stderr, so the estimate is inconclusive.  The same draws at
+        weights near 1 are not."""
+        fns = make_test_functions(5, 3, np.random.default_rng(8).normal(size=(8, 2, 2, 1)))
+
+        def side_fn(rng, count):
+            return rng.normal(size=(count, 2, 2, 1)), rng.normal(size=count)
+
+        means, stderrs = verify._mc_estimate(side_fn, 0.0, fns, 500, 1, 2, 3, 1)
+        assert np.all(means > 0.0) and np.all(stderrs > 0.0)
+        with pytest.raises(InconclusiveStatisticsError, match="stderr underflows"):
+            verify._mc_estimate(side_fn, math.log(1e-170), fns, 500, 1, 2, 3, 1)
+
     def test_mc_estimate_never_reads_dead_rows(self):
         """The data of -inf rows is never read: NaN there gives the same
         means and stderrs as zeros, also in a block with no live row."""
@@ -556,7 +571,8 @@ def _uhlig_lhs_oracle(task: TaskSpec, b: Mat, rng, count):
     T = B^{-*} H with an explicit inverse, and the spectra, masked at the end.
     Sizes come from the task, the boxes from the sampler's own pilot."""
     beta, m, n, mp = task.beta, task.m, task.n, task.theorem_id == "UHLIG_MP"
-    _, box_lo, box_hi = verify._uhlig_image(task, b)
+    _, region = verify._uhlig_image(task, b)
+    box_lo, box_hi = region.box.T
     u = rng.uniform(size=(count, n))
     lam_x = box_lo + u * (box_hi - box_lo)
     sorted_ok = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
@@ -657,6 +673,24 @@ class TestRatioEngine:
         ]
         for constant in constants[:2] + constants[3:]:
             assert constant == pytest.approx(constants[2], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [664, -664])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_qr_surface_side_is_scale_equivariant(self, beta, k):
+        """On the box [1, 2] scaled by 2^k (about 1e+-200) the QR surface
+        side keeps the same draws with the same log-weights, and its data
+        are exactly 2^k times those at k = 0: the Gram-Schmidt norm test
+        squares no entry of the unscaled data."""
+        def surface(exp):
+            task = TaskSpec(theorem_id="QR", beta=beta, n=3, m=2, q=2, engine="MC_RATIO",
+                            trials=10_000, seed=3, eigen_box=(2.0**exp, 2.0**(exp + 1)))
+            return verify._problem(task)[0](np.random.default_rng(5), 4096)
+
+        data, logw = surface(0)
+        scaled_data, scaled_logw = surface(k)
+        assert np.isfinite(logw).sum() > 0
+        assert np.array_equal(scaled_logw, logw)
+        assert np.array_equal(scaled_data, np.ldexp(data, k))
 
 
 def test_ratio_records_carry_the_rel_stderr_the_gate_read():
