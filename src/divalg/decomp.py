@@ -40,6 +40,7 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     mul_raw,
+    plane_sum,
 )
 
 DEFAULT_GAP_FACTOR = 1e-6
@@ -88,7 +89,8 @@ def gram_schmidt_batch(x: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray
 
     Returns the frames and the (B, q) norms each column had before it was
     normalized; a column of norm 0 stays 0.  Callers judge dependence from
-    the norms against their own threshold.
+    the norms against their own threshold.  A norm sums its squares over
+    contiguous coefficient planes, with the bits of np.linalg.norm(axis=1).
     """
     b, _, q, _ = x.shape
     out = np.empty_like(x)
@@ -99,7 +101,8 @@ def gram_schmidt_batch(x: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray
             for i in range(k):
                 coef = _col_inner(out[:, :, i, :], v, beta)
                 v -= _col_scale(out[:, :, i, :], coef, beta)
-        nrm = np.linalg.norm(v.reshape(b, -1), axis=1)
+        flat = v.reshape(b, -1)
+        nrm = np.sqrt(plane_sum(np.square(flat.T, out=np.empty(flat.shape[::-1]))))
         norms[:, k] = nrm
         out[:, :, k, :] = v / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
     return out, norms

@@ -544,6 +544,52 @@ def inner_re(a: Mat, b: Mat) -> float:
     return float(np.sum(a.data * b.data))
 
 
+def plane_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum a (D, ...) float64 stack of planes over axis 0, in place.
+
+    The planes are overwritten with partial sums, and the result is a view
+    of planes[0] (a new array of zeros when D = 0).  The order is that of
+    numpy's pairwise_sum for a contiguous axis of length D (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 4.2), so
+    plane_sum(x.T.copy()) equals np.sum(x, axis=-1) bit for bit for any
+    C-contiguous (..., D) x.  Each step is one ufunc on whole planes, where
+    np.sum over a short last axis pays an inner-loop call per row:
+
+    - below 8 elements, in sequence;
+    - up to 128, eight partial sums r0..r7 over the whole blocks of 8,
+      combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
+      elements in sequence;
+    - above 128, numpy's split at D/2 rounded down to a multiple of 8, each
+      half summed the same way.
+
+    numpy starts from its identity 0.0; adding 0.0 last instead changes
+    only the sign of a zero sum, so both give +0.0 for a sum of -0.0s.
+    """
+    n = planes.shape[0]
+    if n == 0:
+        return np.zeros(planes.shape[1:])
+    out = planes[0]
+    if n < 8:
+        for plane in planes[1:]:
+            out += plane
+    elif n > 128:
+        half = n // 2 - (n // 2) % 8
+        out = plane_sum(planes[:half])
+        out += plane_sum(planes[half:])
+    else:
+        blocks = n - n % 8
+        r = planes[:8]
+        for i in range(8, blocks, 8):
+            r += planes[i:i + 8]
+        np.add(r[0::2], r[1::2], out=r[0::2])
+        np.add(r[0::4], r[2::4], out=r[0::4])
+        out += r[4]
+        for plane in planes[blocks:]:
+            out += plane
+    out += 0.0
+    return out
+
+
 def frobenius_raw(x: np.ndarray) -> float:
     """Frobenius norm of a coefficient array.  math.hypot scales internally,
     so entries near 1e+-200 neither overflow nor underflow (np.linalg.norm

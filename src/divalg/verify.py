@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -106,6 +107,7 @@ from .linalg import (
     load_matrix,
     mul_raw,
     numerical_rank,
+    plane_sum,
     sdet,
     sdet_log,
     svdvals_raw,
@@ -349,7 +351,9 @@ class TestFunction:
     def __call__(self, data: np.ndarray) -> np.ndarray:
         diff = data - self.center[None]
         sq = np.sum(diff.reshape(diff.shape[0], -1) ** 2, axis=1)
-        return np.exp(-sq / (2.0 * self.sigma**2))
+        # a product, not sigma**2: C pow is not correctly rounded, and a
+        # rounded product scales exactly with sigma (see _mc_estimate)
+        return np.exp(-sq / (2.0 * self.sigma * self.sigma))
 
 
 def make_test_functions(
@@ -365,9 +369,11 @@ def make_test_functions(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 0xF])))
     mean = samples.mean(axis=0)
     dev = samples - mean[None]
-    dispersion = float(
-        np.sqrt(np.mean(np.sum(dev.reshape(samples.shape[0], -1) ** 2, axis=1)))
-    )
+    # squared as dev / 2^e, e the largest |dev|'s binary exponent: exact in
+    # the float range, and no square overflows near 1e200
+    e = int(np.frexp(np.max(np.abs(dev)))[1])
+    scaled = np.ldexp(dev, -e).reshape(samples.shape[0], -1)
+    dispersion = float(np.ldexp(np.sqrt(np.mean(np.sum(scaled**2, axis=1))), e))
     if dispersion <= 0:
         dispersion = max(1.0, float(np.linalg.norm(mean)))
     idx = rng.integers(0, samples.shape[0], size=count)
@@ -530,24 +536,48 @@ def _mc_estimate(
     sizes = [BLOCK_SIZE] * (trials // BLOCK_SIZE)
     if trials % BLOCK_SIZE:
         sizes.append(trials % BLOCK_SIZE)
-    # every TestFunction at once: one pass over each block's data
-    centers = np.stack([fn.center.ravel() for fn in test_fns])
-    two_var = np.array([2.0 * fn.sigma**2 for fn in test_fns])
+    # Each block's live rows are scored as D contiguous planes of L rows,
+    # one per coordinate, and plane_sum adds a function's squared deviations
+    # in np.sum's order, so each score has TestFunction.__call__'s bits.  The
+    # planes, the centres and the widths are scaled by 2^shift, shift the
+    # largest width's binary exponent negated: exact in the float range, and
+    # no square overflows near 1e200 (one that still does scores
+    # exp(-inf) = 0, the bump's value there).  Each worker thread gathers and
+    # scores its blocks in one scratch buffer of its own: on a 2-core VM, a
+    # fresh block-sized array per block cost about as much in page faults as
+    # the scoring itself.
+    sigmas = np.array([fn.sigma for fn in test_fns])
+    shift = -int(np.frexp(sigmas.max())[1])
+    centers = np.ldexp(np.stack([fn.center.ravel() for fn in test_fns]), shift)
+    scaled = np.ldexp(sigmas, shift)
+    neg_two_var = -2.0 * scaled * scaled
+    d = centers.shape[1]
+    scratch = threading.local()
 
     def work(args):
         idx, size = args
         rng = _substream(seed, task_code, side_code, idx)
         data, logw = side_fn(rng, size)
-        live = ~np.isneginf(logw)  # NaN and +inf stay, to fail the finiteness check
+        live = np.flatnonzero(~np.isneginf(logw))  # NaN and +inf stay, to fail the finiteness check
         with np.errstate(over="ignore"):
             w = np.exp(logw[live] + log_const)
-        flat = data.reshape(data.shape[0], -1)[live]
-        sq = np.sum((flat[:, None] - centers[None]) ** 2, axis=2)
-        vals = np.exp(-sq / two_var)
+        if not hasattr(scratch, "buf"):
+            scratch.buf = np.empty((2, d * BLOCK_SIZE))
+        gathered, planes = (part[:live.size * d] for part in scratch.buf)
+        # mode="clip" writes into out directly (the default buffers it); no
+        # index of live needs clipping
+        np.take(data.reshape(-1, d), live, axis=0, out=gathered.reshape(-1, d), mode="clip")
+        planes = np.ldexp(gathered.reshape(-1, d).T, shift, out=planes.reshape(d, -1))
+        diff = gathered.reshape(d, -1)  # free again: the rows are in planes now
         out = np.empty((n_fns, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_fns):
-                v = vals[:, k] * w
+                np.subtract(planes, centers[k][:, None], out=diff)
+                np.square(diff, out=diff)
+                v = plane_sum(diff)
+                v /= neg_two_var[k]
+                np.exp(v, out=v)
+                v *= w
                 out[k, 0] = v.sum()
                 out[k, 1] = np.dot(v, v)
         return out

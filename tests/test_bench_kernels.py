@@ -51,3 +51,18 @@ def test_stiefel_and_chart_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         bench_kernels.main(["--stiefel", "--chart"])
     assert exc.value.code == 2
+
+
+def test_scoring_times_every_desk_shape(capsys):
+    assert bench_kernels.main(["--scoring", "--repeats", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["f"], r["d"], r["rows"]) for r in doc["results"]] == [
+        (f, d, 4096) for f, d in bench_kernels.SCORING_SHAPES
+    ]
+    assert all(r["us"] > 0.0 for r in doc["results"])
+
+
+def test_scoring_and_stiefel_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_kernels.main(["--scoring", "--stiefel"])
+    assert exc.value.code == 2

@@ -4,6 +4,8 @@ import pytest
 from divalg import COMPLEX, QUATERNION, REAL
 from divalg.decomp import (
     _assert_residual,
+    _col_inner,
+    _col_scale,
     cholesky_rank_q,
     eig_hermitian,
     gram_schmidt_batch,
@@ -31,6 +33,8 @@ from divalg.linalg import (
 )
 
 KINDS = [REAL, COMPLEX, QUATERNION]
+# the frame shapes (n, q) the desk preset draws (scripts/bench_kernels.py)
+STIEFEL_SHAPES = ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2))
 
 
 def rand_mat(kind, n, m, rng):
@@ -214,6 +218,29 @@ class TestQrPositive:
         x = Mat.from_real(REAL, np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(PivotRequiredError):
             qr_positive(x, 2)
+
+    @pytest.mark.parametrize("beta", (1, 2, 4))
+    @pytest.mark.parametrize("n, q", STIEFEL_SHAPES)
+    def test_batch_norms_are_numpy_norms_bit_for_bit(self, n, q, beta):
+        """gram_schmidt_batch's norms, summed on coefficient planes, are
+        np.linalg.norm(axis=1) of the same columns bit for bit, a zero
+        column's too; so the frames keep their bits."""
+        x = np.random.default_rng(10 * n + q).normal(size=(64, n, q, beta))
+        x[5, :, 0] = 0.0
+        x[9, :, q - 1] = 0.0
+        b = x.shape[0]
+        want, want_norms = np.empty_like(x), np.empty((b, q))
+        for k in range(q):  # the same sweeps, normed by numpy
+            v = x[:, :, k, :].copy()
+            for _ in range(2):
+                for i in range(k):
+                    col = want[:, :, i, :]
+                    v -= _col_scale(col, _col_inner(col, v, beta), beta)
+            want_norms[:, k] = np.linalg.norm(v.reshape(b, -1), axis=1)
+            want[:, :, k, :] = v / np.where(want_norms[:, k] > 0.0, want_norms[:, k], 1.0)[:, None, None]
+        frames, norms = gram_schmidt_batch(x, beta)
+        assert norms.tobytes() == want_norms.tobytes() and frames.tobytes() == want.tobytes()
+        assert norms[5, 0] == 0.0 and not frames[5, :, 0].any()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", KINDS, ids=["beta1", "beta2", "beta4"])

@@ -34,6 +34,7 @@ from divalg.linalg import (
     matmul,
     mul_raw,
     numerical_rank,
+    plane_sum,
     save_matrix,
     sdet,
     sdet_log,
@@ -676,6 +677,32 @@ def test_frobenius_norm_is_scale_safe():
     for scale in (1e-200, 1e200):
         assert frobenius_norm(a * scale) == pytest.approx(scale * frobenius_norm(a), rel=1e-14)
     assert frobenius_norm(Mat.zeros(REAL, 2, 2)) == 0.0
+
+
+@pytest.mark.parametrize("d", list(range(1, 60)) + [128, 129, 300])
+def test_plane_sum_is_numpy_sum_bit_for_bit(d):
+    """numpy's pairwise order on planes: magnitudes spread over ~1e+-20, so
+    any other order of the additions would change low bits."""
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(3, 37, d)) * np.exp(rng.normal(size=(3, 37, d)) * 10)
+    planes = np.moveaxis(x, -1, 0).copy()
+    got = plane_sum(planes)
+    assert got.tobytes() == np.sum(x, axis=-1).tobytes()
+    assert np.shares_memory(got, planes)  # summed in place, into planes[0]
+
+
+def test_plane_sum_propagates_nan_and_inf_and_keeps_numpy_zeros():
+    for d in (5, 12, 130):
+        x = np.random.default_rng(d).normal(size=(6, d))
+        x[0, 1], x[1, d - 1], x[2, 2], x[3, 0], x[3, d - 2] = np.nan, np.inf, -np.inf, np.inf, -np.inf
+        x[4] = -0.0
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            want = np.sum(x, axis=-1)
+            got = plane_sum(x.T.copy())
+        assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got[[0, 3]]).all()
+        assert got[1:3].tolist() == [np.inf, -np.inf]
+        assert got[4:].tobytes() == want[4:].tobytes()  # +0.0 from -0.0s, as numpy gives
+    assert plane_sum(np.empty((0, 4))).tolist() == [0.0] * 4
 
 
 def test_matrix_json_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import threading
 import warnings
 from functools import partial
@@ -199,14 +200,17 @@ class TestTestFunctions:
             dists = np.abs(flat - fn.center.reshape(1, -1)).sum(axis=1)
             assert dists.min() == 0.0
 
-    def test_mc_estimate_sums_each_function_exactly(self):
-        """_mc_estimate evaluates all test functions in one pass; its sums
-        equal those of a block loop over TestFunction.__call__ bit for bit."""
-        samples = np.random.default_rng(5).normal(size=(32, 3, 2, 2))
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 2, 2), (3, 3, 1), (3, 2, 2), (3, 3, 2)],
+                             ids=["D4", "D8", "D9", "D12", "D18"])
+    def test_mc_estimate_sums_each_function_exactly(self, shape):
+        """_mc_estimate scores on coordinate planes; its sums equal those of
+        a block loop over TestFunction.__call__ bit for bit, on both sides
+        of D = 8, where numpy's summation order changes."""
+        samples = np.random.default_rng(5).normal(size=(32,) + shape)
         fns = make_test_functions(5, 5, samples)
 
         def side_fn(rng, count):
-            return rng.normal(size=(count, 3, 2, 2)), rng.normal(size=count)
+            return rng.normal(size=(count,) + shape), rng.normal(size=count)
 
         sizes = [verify.BLOCK_SIZE, 100]
         trials = sum(sizes)
@@ -222,6 +226,27 @@ class TestTestFunctions:
         var = np.maximum(total[:, 1] - trials * expected**2, 0.0) / (trials - 1)
         assert np.array_equal(means, expected)
         assert np.array_equal(stderrs, np.sqrt(var / trials))
+
+    @pytest.mark.filterwarnings("error")
+    def test_mc_estimate_is_exact_under_binary_scaling(self):
+        """A side whose data and reference draws are scaled by 2^k, the
+        widths with them, gives the same means and stderrs bit for bit at
+        k = +-600, where the squared deviations leave the float range."""
+        ref = np.random.default_rng(9).normal(size=(16, 2, 2, 2))
+
+        def estimate(k):
+            fns = make_test_functions(5, 3, np.ldexp(ref, k))
+
+            def side_fn(rng, count):
+                return np.ldexp(rng.normal(size=(count, 2, 2, 2)), k), rng.normal(size=count)
+
+            return fns, verify._mc_estimate(side_fn, 0.0, fns, verify.BLOCK_SIZE + 50, 1, 2, 3, 1)
+
+        base_fns, (means, stderrs) = estimate(0)
+        for k in (600, -600):
+            fns, (m, se) = estimate(k)
+            assert [f.sigma for f in fns] == [math.ldexp(f.sigma, k) for f in base_fns]
+            assert m.tobytes() == means.tobytes() and se.tobytes() == stderrs.tobytes()
 
     def test_mc_estimate_keeps_nan_and_inf_log_weights(self):
         """Only -inf rows are dropped: a NaN or +inf log-weight still makes
@@ -311,6 +336,28 @@ class TestTestFunctions:
         assert asked == [2] and threading.active_count() == threads
         want = verify._mc_estimate(side_fn, 0.1, fns, trials, 1, 2, 3, 1)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_mc_estimate_threads_score_in_their_own_scratch(self, monkeypatch):
+        """Each worker thread gathers and scores its blocks in a scratch
+        buffer of its own: eight threads on two CPUs, switching every
+        microsecond, give the serial estimate bit for bit."""
+        fns = make_test_functions(5, 3, np.random.default_rng(11).normal(size=(8, 3, 2, 1)))
+
+        def side_fn(rng, count):
+            logw = rng.normal(size=count)
+            logw[rng.uniform(size=count) < 0.3] = -np.inf
+            return rng.normal(size=(count, 3, 2, 1)), logw
+
+        trials = 8 * verify.BLOCK_SIZE
+        want = verify._mc_estimate(side_fn, 0.1, fns, trials, 1, 2, 3, 1)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = verify._mc_estimate(side_fn, 0.1, fns, trials, 1, 2, 3, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
     def test_validation(self):
         samples = np.zeros((4, 2, 2, 1))
