@@ -16,7 +16,9 @@ CHART point and one row), each block with the bits of its own generator's
 draw, while the sort and Gram-Schmidt run on all the rows.  Its frames
 come from sample_stiefel_batch, the one retry loop, which takes the same
 sequence of generators and redraws a degenerate frame from the generator
-that drew it.
+that drew it.  assemble, the one assembler, places a draw as it comes:
+frames[0] diag(spectrum) frames[-1]*, Hermitian for the one frame of psd S
+= W diag(lam) W*, and X = V diag(d) W* for the two of rect.
 
 A chart is a ChartSpec, which validates its sizes; a chart point is a
 (spec, coords) pair.  Pivots are per-row arrays, never part of a spec: a
@@ -580,13 +582,10 @@ def factorized_mass_log(
     return out
 
 
-def assemble_sd_batch(w1: np.ndarray, lam: np.ndarray, beta: int) -> np.ndarray:
-    scaled = w1 * lam[:, None, :, None]
-    s = mul_raw(scaled, ct_raw(w1), beta)
-    return (s + ct_raw(s)) / 2.0
-
-
-def assemble_svd_batch(
-    v1: np.ndarray, d: np.ndarray, w1: np.ndarray, beta: int
-) -> np.ndarray:
-    return mul_raw(v1 * d[:, None, :, None], ct_raw(w1), beta)
+def assemble(spectrum: np.ndarray, frames: tuple[np.ndarray, ...], beta: int) -> np.ndarray:
+    """The matrices frames[0] diag(spectrum) frames[-1]* of a factorized_draw
+    output as it comes: spectrum (B, q), each frame (B, d, q, beta).  One
+    frame gives the psd S = W diag(lam) W*, made exactly Hermitian; two give
+    the rect X = V diag(d) W*, and reversed frames W diag(d) V*, X*'s shape."""
+    out = mul_raw(frames[0] * spectrum[:, None, :, None], ct_raw(frames[-1]), beta)
+    return (out + ct_raw(out)) / 2.0 if len(frames) == 1 else out

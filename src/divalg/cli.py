@@ -37,8 +37,7 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraKind
 from .charts import (
-    assemble_sd_batch,
-    assemble_svd_batch,
+    assemble,
     factorized_draw,
     sample_stiefel_batch,
 )
@@ -395,18 +394,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.n < args.q:
             raise ConfigurationError(f"stiefel needs n >= q, got n={args.n} q={args.q}")
         data = sample_stiefel_batch(args.n, args.q, kind, (rng,), 1)[0]
-    elif args.space == "psd":
-        if args.m < args.q:
-            raise ConfigurationError(f"psd needs m >= q, got m={args.m} q={args.q}")
-        lam, (w1,) = factorized_draw((rng,), box, args.q, (args.m,), kind, 1)
-        data = assemble_sd_batch(w1, lam, args.beta)[0]
     else:
-        if min(args.n, args.m) < args.q:
+        if args.space == "psd" and args.m < args.q:
+            raise ConfigurationError(f"psd needs m >= q, got m={args.m} q={args.q}")
+        if args.space == "rect" and min(args.n, args.m) < args.q:
             raise ConfigurationError(
                 f"rect needs q <= min(n, m), got n={args.n} m={args.m} q={args.q}"
             )
-        d, (v1, w1) = factorized_draw((rng,), box, args.q, (args.n, args.m), kind, 1)
-        data = assemble_svd_batch(v1, d, w1, args.beta)[0]
+        dims = (args.m,) if args.space == "psd" else (args.n, args.m)
+        data = assemble(*factorized_draw((rng,), box, args.q, dims, kind, 1), args.beta)[0]
     if not np.all(np.isfinite(data)):
         raise ConfigurationError(
             f"the {args.space} sample leaves the float range; lower --lambda-hi"

@@ -31,13 +31,18 @@ and the inconclusive rule (zero mass on a side, or a largest relative
 stderr above INCONCLUSIVE_REL_STDERR).  A runner keeps only its own test
 and records.  One helper, _factorized_side,
 builds the factorized sides of W, MP_HERM, MP_RECT, SD and SVD from a box,
-frame dimensions, a placement, the names of their FACTORS entries and the
-image whose spectrum must lie in the task's box; it returns each side with
-the log-mass of its own draw.  Every MC_RATIO builder restricts its
-surface side and its factorized side to one _Region, a box of chart
-coordinates and a floor on the leading block laid around pilot draws of
-the factorization; _ratio_problem runs that pilot -> region -> sides
+frame dimensions, a placement (charts.assemble), the names of their FACTORS
+entries and the image whose spectrum must lie in the task's box; it returns
+each side with the log-mass of its own draw.  Every MC_RATIO builder
+restricts its surface side and its factorized side to one _Region, a box of
+chart coordinates and a floor on the leading block laid around pilot draws
+of the factorization; _ratio_problem runs that pilot -> region -> sides
 sequence for SD, SVD and QR.
+
+The two spectral factorizations, psd S = W diag(lam) W* and rect X = V
+diag(d) W*, share one builder per map and engine, which reads the chart
+space and frame dimensions from the size rule (_spectral): _mp_chart and
+_mp_equality for MP_HERM and MP_RECT, _spectral_ratio for SD and SVD.
 
 The UHLIG MC_EQUALITY samplers never diagonalize an m x m image: a rank-n
 image A A* has the nonzero spectrum of the n x n matrix A* A, so the right
@@ -74,8 +79,7 @@ from .algebra import AlgebraKind
 from .charts import (
     ChartSpec,
     _check_box,
-    assemble_sd_batch,
-    assemble_svd_batch,
+    assemble,
     chart_at_batch,
     factorized_draw,
     factorized_mass_log,
@@ -496,6 +500,22 @@ def _in_box_gap(spec: np.ndarray, lo: float, hi: float, gap: float) -> np.ndarra
     return ok
 
 
+def _spectral(task: TaskSpec) -> tuple[str, tuple[int, ...], str]:
+    """(space, dims, factor) of the spectral factorization a task's size
+    rule gives: ("m", "q") is psd, dims (m,), SD; ("n", "m", "q") is rect,
+    dims (n, m), SVD."""
+    dims = tuple(getattr(task, size) for size in task.theorem.sizes[:-1])
+    return ("psd", dims, "SD") if len(dims) == 1 else ("rect", dims, "SVD")
+
+
+def _descending_spectrum(space: str, data: np.ndarray, beta: int) -> np.ndarray:
+    """Descending eigenvalues (psd) or singular values (rect) of a batch of
+    matrices (B, rows, cols, beta)."""
+    if space == "psd":
+        return eigvalsh_raw(data, beta)[:, ::-1]
+    return svdvals_raw(data, beta)
+
+
 def _desc_inverse(spec: np.ndarray) -> np.ndarray:
     """1/spec of a descending positive spectrum, again descending."""
     return (1.0 / spec)[:, ::-1]
@@ -704,27 +724,19 @@ def _chart_factor(task: TaskSpec, spectrum: np.ndarray) -> np.ndarray:
     return factor.log(task.beta, task.m, task.n, task.q, **{label: spectrum})
 
 
-def _mp_herm_chart(task: TaskSpec):
-    kind, beta, m, q = task.kind, task.beta, task.m, task.q
-    spec = ChartSpec("psd", kind, (m, q))
+def _mp_chart(task: TaskSpec):
+    """MP_HERM and MP_RECT: the input chart has the sizes (*dims, q) of the
+    task's spectral factorization and the output chart (*dims[::-1], q), the
+    pivots transported with it (the same pair for psd)."""
+    space, dims, _ = _spectral(task)
+    kind, beta, q = task.kind, task.beta, task.q
 
     def sample(rngs):
-        lam, (w1,) = factorized_draw(rngs, task.eigen_box, q, (m,), kind, 1)
-        _, pivots, coords = chart_at_batch(assemble_sd_batch(w1, lam, beta), q, "psd")
-        return pivots, coords, pivots, _chart_factor(task, lam), _spectrum_gaps(lam)
-    return spec, spec, partial(pinv_batch, beta=beta), sample
-
-
-def _mp_rect_chart(task: TaskSpec):
-    kind, beta, m, n, q = task.kind, task.beta, task.m, task.n, task.q
-    in_spec = ChartSpec("rect", kind, (n, m, q))
-    out_spec = ChartSpec("rect", kind, (m, n, q))
-
-    def sample(rngs):
-        d, (v1, w1) = factorized_draw(rngs, task.eigen_box, q, (n, m), kind, 1)
-        _, pivots, coords = chart_at_batch(assemble_svd_batch(v1, d, w1, beta), q, "rect")
-        return pivots, coords, pivots[::-1], _chart_factor(task, d), _spectrum_gaps(d)
-    return in_spec, out_spec, partial(pinv_batch, beta=beta), sample
+        s, frames = factorized_draw(rngs, task.eigen_box, q, dims, kind, 1)
+        _, pivots, coords = chart_at_batch(assemble(s, frames, beta), q, space)
+        return pivots, coords, pivots[::-1], _chart_factor(task, s), _spectrum_gaps(s)
+    return (ChartSpec(space, kind, (*dims, q)), ChartSpec(space, kind, (*dims[::-1], q)),
+            partial(pinv_batch, beta=beta), sample)
 
 
 def _chol_chart(task: TaskSpec):
@@ -777,9 +789,9 @@ def _congruence_chart(task: TaskSpec):
     congruence = _congruence_map(b)
 
     def sample(rngs):
-        lam, (w1,) = factorized_draw(rngs, task.eigen_box, rank, (m,), kind, 1)
+        lam, frames = factorized_draw(rngs, task.eigen_box, rank, (m,), kind, 1)
         (_, in_pivots, coords), (_, out_pivots), _, dets = _congruence_points(
-            congruence, assemble_sd_batch(w1, lam, beta), rank
+            congruence, assemble(lam, frames, beta), rank
         )
         dets["det_b"] = np.full(len(rngs), det_b)
         # log-determinants throughout: the determinants of a box near 1e+-200
@@ -869,7 +881,7 @@ def _factorized_side(task: TaskSpec, box, dims, place, factors, image=None):
     """A factorized side and its log-mass: (side_fn, log_mass).
 
     side_fn draws factorized_draw((rng,), box, q, dims, kind, count), places
-    the matrices as place(spectrum, *frames) and weighs each draw by the sum,
+    the matrices as place(spectrum, frames) and weighs each draw by the sum,
     left to right, of the FACTORS entries named in factors, each reading the
     spectrum under the one name its Factor.spectra declares.  A draw is kept
     where image(spectrum), or the spectrum itself when image is None, lies in
@@ -889,7 +901,7 @@ def _factorized_side(task: TaskSpec, box, dims, place, factors, image=None):
             term = factor.log(*sizes, **{label: spectrum})
             logw = term if logw is None else logw + term
         ok = _in_box_gap(spectrum if image is None else image(spectrum), lo, hi, gap)
-        return place(spectrum, *frames), np.where(ok, logw, -np.inf)
+        return place(spectrum, frames), np.where(ok, logw, -np.inf)
 
     return side, factorized_mass_log(box, q, dims, task.beta)
 
@@ -899,42 +911,30 @@ def _w_equality(task: TaskSpec):
     lo, hi = task.eigen_box
     root_box = (math.sqrt(lo), math.sqrt(hi))
     lhs = _factorized_side(
-        task, root_box, (n, m), lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta),
-        ("SVD",), image=lambda d: d * d,
+        task, root_box, (n, m), partial(assemble, beta=beta), ("SVD",), image=lambda d: d * d,
     )
     rhs = _factorized_side(
         task, task.eigen_box, (m, n),
-        lambda lam, w1, v1: assemble_svd_batch(v1, np.sqrt(lam), w1, beta), ("SD", "W"),
+        lambda lam, frames: assemble(np.sqrt(lam), frames[::-1], beta), ("SD", "W"),
     )
     return (*lhs, *rhs, rhs[0])
 
 
-def _mp_herm_equality(task: TaskSpec):
-    beta, m = task.beta, task.m
+def _mp_equality(task: TaskSpec):
+    """MP_HERM and MP_RECT: the spectral factorization's measure on the
+    inverted box against its pseudo-inverse image.  The left side draws
+    dims[::-1] (m x n matrices for rect) and reads the factor at the task's
+    sizes: the SVD density is symmetric in n and m."""
+    beta = task.beta
+    _, dims, factor = _spectral(task)
     lo, hi = task.eigen_box
     lhs = _factorized_side(
-        task, (1.0 / hi, 1.0 / lo), (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta),
-        ("SD",), image=_desc_inverse,
+        task, (1.0 / hi, 1.0 / lo), dims[::-1], partial(assemble, beta=beta), (factor,),
+        image=_desc_inverse,
     )
     rhs = _factorized_side(
-        task, task.eigen_box, (m,), lambda lam, w1: assemble_sd_batch(w1, 1.0 / lam, beta),
-        ("SD", "MP_HERM"),
-    )
-    return (*lhs, *rhs, rhs[0])
-
-
-def _mp_rect_equality(task: TaskSpec):
-    beta, m, n = task.beta, task.m, task.n
-    lo, hi = task.eigen_box
-    # the left side draws m x n matrices and reads SVD at the task's (m, n):
-    # the SVD density is symmetric in n and m
-    lhs = _factorized_side(
-        task, (1.0 / hi, 1.0 / lo), (m, n),
-        lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta), ("SVD",), image=_desc_inverse,
-    )
-    rhs = _factorized_side(
-        task, task.eigen_box, (n, m),
-        lambda d, v1, w1: assemble_svd_batch(w1, 1.0 / d, v1, beta), ("SVD", "MP_RECT"),
+        task, task.eigen_box, dims,
+        lambda s, frames: assemble(1.0 / s, frames[::-1], beta), (factor, task.theorem_id),
     )
     return (*lhs, *rhs, rhs[0])
 
@@ -1031,7 +1031,7 @@ def _uhlig_equality(task: TaskSpec):
         x = np.zeros((count, m, m, beta))
         logw = np.full(count, -np.inf)
         h = mul_raw(z[ok], w[ok], beta)
-        x[rows[ok]] = assemble_sd_batch(h, lam_x[ok], beta)
+        x[rows[ok]] = assemble(lam_x[ok], (h,), beta)
         logw[rows[ok]] = (
             FACTORS["SD"].log(*sizes, lam=lam_x[ok]) + beta * n * det_b_log
             + 0.5 * m * beta * logdet_hermitian_raw(tt[ok], beta)
@@ -1089,10 +1089,7 @@ def _phase_fiber_log(beta: int, q: int) -> float:
 def _leading_min(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue (psd chart) or singular value (rect chart) of each
     row's pivoted leading block, the block that completion inverts."""
-    block = spec.leading_block(coords)
-    if spec.space == "psd":
-        return eigvalsh_raw(block, spec.kind.beta)[:, 0]
-    return svdvals_raw(block, spec.kind.beta)[:, -1]
+    return _descending_spectrum(spec.space, spec.leading_block(coords), spec.kind.beta)[:, -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -1191,34 +1188,22 @@ def _ratio_problem(task: TaskSpec, spec: ChartSpec, fact_raw, fact_const: float,
     )
 
 
-def _sd_ratio(task: TaskSpec):
-    beta, m, q, gap = task.beta, task.m, task.q, task.gap
+def _spectral_ratio(task: TaskSpec):
+    """SD and SVD: the factorized side in the surface chart (*dims, q) of
+    the task's spectral factorization, keeping draws whose top q spectrum
+    values lie in the box with their gap."""
+    space, dims, factor = _spectral(task)
+    beta, q, gap = task.beta, task.q, task.gap
     lo, hi = task.eigen_box
     fact_raw, fact_mass = _factorized_side(
-        task, task.eigen_box, (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta), ("SD",)
+        task, task.eigen_box, dims, partial(assemble, beta=beta), (factor,)
     )
 
-    def spectrum_ok(s: np.ndarray) -> np.ndarray:
-        return _in_box_gap(eigvalsh_raw(s, beta)[:, ::-1][:, :q], lo, hi, gap)
+    def spectrum_ok(data: np.ndarray) -> np.ndarray:
+        return _in_box_gap(_descending_spectrum(space, data, beta)[:, :q], lo, hi, gap)
 
     fact_const = fact_mass - _phase_fiber_log(beta, q)
-    return _ratio_problem(task, ChartSpec("psd", task.kind, (m, q)), fact_raw, fact_const,
-                          spectrum_ok)
-
-
-def _svd_ratio(task: TaskSpec):
-    beta, m, n, q, gap = task.beta, task.m, task.n, task.q, task.gap
-    lo, hi = task.eigen_box
-    fact_raw, fact_mass = _factorized_side(
-        task, task.eigen_box, (n, m), lambda d, v1, w1: assemble_svd_batch(v1, d, w1, beta),
-        ("SVD",),
-    )
-
-    def spectrum_ok(x: np.ndarray) -> np.ndarray:
-        return _in_box_gap(svdvals_raw(x, beta)[:, :q], lo, hi, gap)
-
-    fact_const = fact_mass - _phase_fiber_log(beta, q)
-    return _ratio_problem(task, ChartSpec("rect", task.kind, (n, m, q)), fact_raw, fact_const,
+    return _ratio_problem(task, ChartSpec(space, task.kind, (*dims, q)), fact_raw, fact_const,
                           spectrum_ok)
 
 
@@ -1260,8 +1245,8 @@ def _chol_x_ratio(task: TaskSpec):
     x_spec = ChartSpec("rect", kind, (n, m, m))
     s_spec = ChartSpec("psd", kind, (m, m))
 
-    lam, (w1,) = factorized_draw((_pilot(task),), task.eigen_box, m, (m,), kind, 4096)
-    pilot_s = assemble_sd_batch(w1, lam, beta)
+    lam, frames = factorized_draw((_pilot(task),), task.eigen_box, m, (m,), kind, 4096)
+    pilot_s = assemble(lam, frames, beta)
     s_region = _Region.around(s_spec, s_spec.extract_batch(pilot_s))
 
     def assemble_x(s: np.ndarray, h1: np.ndarray) -> np.ndarray:
@@ -1402,16 +1387,14 @@ _MQ, _NMQ, _CONGRUENCE, _M = ("m", "q"), ("n", "m", "q"), ("m", "n"), ("m",)
 # A theorem's code seeds every substream of its tasks: renumbering one would
 # reseed all of its reports, so the codes stay as written.
 THEOREMS: dict[str, Theorem] = {
-    "SVD": Theorem(1, "svd", _NMQ, {"MC_RATIO": _svd_ratio}),
-    "SD": Theorem(2, "sd", _MQ, {"MC_RATIO": _sd_ratio}),
+    "SVD": Theorem(1, "svd", _NMQ, {"MC_RATIO": _spectral_ratio}),
+    "SD": Theorem(2, "sd", _MQ, {"MC_RATIO": _spectral_ratio}),
     "W": Theorem(3, "w", _NMQ, {"MC_EQUALITY": _w_equality}),
     "QR": Theorem(4, "qr", _NMQ, {"MC_RATIO": _qr_ratio}),
     "CHOL": Theorem(5, "chol", _MQ, {"CHART": _chol_chart}),
     "CHOL_X": Theorem(6, "chol-x", _NMQ, {"MC_RATIO": _chol_x_ratio}),
-    "MP_HERM": Theorem(7, "mp-herm", _MQ,
-                       {"CHART": _mp_herm_chart, "MC_EQUALITY": _mp_herm_equality}),
-    "MP_RECT": Theorem(8, "mp-rect", _NMQ,
-                       {"CHART": _mp_rect_chart, "MC_EQUALITY": _mp_rect_equality}),
+    "MP_HERM": Theorem(7, "mp-herm", _MQ, {"CHART": _mp_chart, "MC_EQUALITY": _mp_equality}),
+    "MP_RECT": Theorem(8, "mp-rect", _NMQ, {"CHART": _mp_chart, "MC_EQUALITY": _mp_equality}),
     "UHLIG_SVD": Theorem(9, "uhlig-svd", _CONGRUENCE,
                          {"MC_EQUALITY": _uhlig_equality, "DEMO": _demo_problem}),
     "UHLIG_QR": Theorem(10, "uhlig-qr", _CONGRUENCE, {"CHART": _congruence_chart}),

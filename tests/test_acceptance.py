@@ -17,8 +17,7 @@ import pytest
 
 from divalg.algebra import structure_tensor
 from divalg.charts import (
-    assemble_sd_batch,
-    assemble_svd_batch,
+    assemble,
     chart_at_batch,
     sample_stiefel_batch,
 )
@@ -149,7 +148,7 @@ def test_criterion_03_decomposition_round_trips():
                 d = _spread_spectrum(rng, q)
                 v1 = sample_stiefel_batch(n, q, kind, (rng,), 1)
                 w1 = sample_stiefel_batch(m, q, kind, (rng,), 1)
-                x = Mat(kind, assemble_svd_batch(v1, d[None], w1, beta)[0])
+                x = Mat(kind, assemble(d[None], (v1, w1), beta)[0])
 
                 parts = svd_rank_q(x, q)
                 recon = Mat(kind, parts.v1.data * parts.d[None, :, None]) @ conj_transpose(
@@ -170,7 +169,7 @@ def test_criterion_03_decomposition_round_trips():
                 qh = int(rng.integers(1, min(mh, 3) + 1))
                 lam = _spread_spectrum(rng, qh)
                 h1 = sample_stiefel_batch(mh, qh, kind, (rng,), 1)
-                s = Mat(kind, assemble_sd_batch(h1, lam[None], beta)[0])
+                s = Mat(kind, assemble(lam[None], (h1,), beta)[0])
                 eig = eig_hermitian(s, qh)
                 recon = Mat(
                     kind, eig.w1.data * eig.lam[None, :, None]
@@ -206,7 +205,7 @@ def test_criterion_04_chart_pseudo_inverse_hermitian():
         rng = np.random.default_rng(42)
         lam = 1.6
         w1 = sample_stiefel_batch(2, 1, REAL, (rng,), 1)
-        s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
+        s = Mat(REAL, assemble(np.array([[lam]]), (w1,), 1)[0])
         spec, piv, coords = chart_at_batch(s.data[None], 1, "psd")
         out = ChartSpec("psd", REAL, (2, 1))
         val = _chart_jacobian_logdets(partial(pinv_batch, beta=1), spec, coords, out, 1e-5,

@@ -8,8 +8,7 @@ import pytest
 from divalg import COMPLEX, OCTONION, QUATERNION, REAL, charts, linalg, verify
 from divalg.charts import (
     ChartSpec,
-    assemble_sd_batch,
-    assemble_svd_batch,
+    assemble,
     chart_at_batch,
     choose_pivot,
     factorized_draw,
@@ -19,7 +18,7 @@ from divalg.charts import (
     rect_coord_count,
     sample_stiefel_batch,
 )
-from divalg.decomp import eig_hermitian, gram_schmidt_batch, qr_positive
+from divalg.decomp import eig_hermitian, gram_schmidt_batch, pinv_batch, qr_positive
 from divalg.errors import (
     ConfigurationError,
     NotPsdError,
@@ -742,7 +741,7 @@ def _sd_draws(kind, m, q, box, gap, rng, count):
     logw = FACTORS["SD"].log(kind.beta, m, 0, q, lam=lam)
     ok = verify._in_box_gap(lam, box[0], box[1], gap)
     const = factorized_mass_log(box, q, (m,), kind.beta)
-    return assemble_sd_batch(w1, lam, kind.beta), np.where(ok, logw, -np.inf), const
+    return assemble(lam, (w1,), kind.beta), np.where(ok, logw, -np.inf), const
 
 
 class TestFactorizedSampling:
@@ -771,7 +770,7 @@ class TestFactorizedSampling:
         # masses integrates f over the annulus 1 <= |x| <= 2 in the plane
         rng = np.random.default_rng(17)
         d, (v1, w1) = factorized_draw((rng,), (1.0, 2.0), 1, (2, 1), REAL, 40000)
-        data = assemble_svd_batch(v1, d, w1, 1)
+        data = assemble(d, (v1, w1), 1)
         logw = FACTORS["SVD"].log(1, 1, 2, 1, d=d)
         const = factorized_mass_log((1.0, 2.0), 1, (2, 1), 1)
         r2 = np.sum(data[:, :, 0, 0] ** 2, axis=1)
@@ -820,6 +819,39 @@ class TestFactorizedSampling:
         rng = np.random.default_rng(20)
         with pytest.raises(ConfigurationError):
             factorized_draw((rng,), (2.0, 1.0), 1, (2,), REAL, 1)
+
+
+class TestAssemble:
+    """charts.assemble on factorized_draw's output: one frame for psd, two
+    for rect."""
+
+    @staticmethod
+    def _draw(kind, q, dims, count=16):
+        return factorized_draw((np.random.default_rng(31),), (1.0, 2.0), q, dims, kind, count)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_frame_is_exactly_hermitian(self, kind):
+        s, frames = self._draw(kind, 2, (3,))
+        out = assemble(s, frames, kind.beta)
+        assert out.shape == (16, 3, 3, kind.beta)
+        np.testing.assert_array_equal(out, ct_raw(out))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_frames_are_one_product(self, kind):
+        s, frames = self._draw(kind, 2, (3, 2))
+        want = mul_raw(frames[0] * s[:, None, :, None], ct_raw(frames[1]), kind.beta)
+        np.testing.assert_array_equal(assemble(s, frames, kind.beta), want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("q, dims", [(2, (3,)), (2, (3, 2))], ids=["psd", "rect"])
+    def test_inverse_spectrum_on_reversed_frames_is_the_pseudo_inverse(self, kind, q, dims):
+        # the identity the MP_HERM and MP_RECT right sides place their draws by
+        s, frames = self._draw(kind, q, dims)
+        got = assemble(1.0 / s, frames[::-1], kind.beta)
+        want = pinv_batch(assemble(s, frames, kind.beta), kind.beta)
+        assert got.shape == want.shape
+        err = np.linalg.norm((got - want).reshape(len(s), -1), axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want.reshape(len(s), -1), axis=1))
 
 
 # (q, dims) of the CHART builders that draw spectra and frames, two sizes

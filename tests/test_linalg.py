@@ -341,11 +341,11 @@ KIND_OF = {1: REAL, 2: COMPLEX, 4: QUATERNION}
 def _hermitian_with_spectrum(rng, lam, beta):
     """U diag(lam) U* over the algebra for Haar U, with BATCH batch axes,
     plus an anti-Hermitian part that the kernels must ignore."""
-    from divalg.charts import assemble_sd_batch, sample_stiefel_batch
+    from divalg.charts import assemble, sample_stiefel_batch
 
     count, n = int(np.prod(BATCH)), lam.shape[-1]
     u = sample_stiefel_batch(n, n, KIND_OF[beta], (rng,), count)
-    s = assemble_sd_batch(u, lam.reshape(count, n), beta)
+    s = assemble(lam.reshape(count, n), (u,), beta)
     g = rng.normal(size=s.shape) * np.abs(lam).max()
     skew = (g - ct_raw(g)) / 2.0
     return (s + skew).reshape(BATCH + s.shape[1:])
@@ -444,13 +444,13 @@ def test_two_by_two_singular_values_hold_at_rank_one_and_near_ties(beta, scale, 
     """The 2 x 2 closed form on V diag(1, ratio) W* for Haar V, W: rank one,
     near singular, nearly and exactly tied, against LAPACK on the complex
     form, with every floating-point exception raised."""
-    from divalg.charts import assemble_svd_batch, sample_stiefel_batch
+    from divalg.charts import assemble, sample_stiefel_batch
 
     rng = np.random.default_rng(110 + beta)
     count = int(np.prod(BATCH))
     v, w = (sample_stiefel_batch(2, 2, KIND_OF[beta], (rng,), count) for _ in range(2))
     d = np.tile([scale, scale * ratio], (count, 1))
-    a = assemble_svd_batch(v, d, w, beta).reshape(BATCH + (2, 2, beta))
+    a = assemble(d, (v, w), beta).reshape(BATCH + (2, 2, beta))
     with np.errstate(all="raise"):
         got = svdvals_raw(a, beta)
     want = _lapack_svdvals(a, beta)

@@ -12,7 +12,7 @@ import pytest
 from divalg import COMPLEX, QUATERNION, REAL, charts, verify
 from divalg.algebra import structure_tensor
 from divalg.charts import (
-    assemble_sd_batch,
+    assemble,
     chart_at_batch,
     factorized_draw,
     factorized_mass_log,
@@ -380,7 +380,7 @@ class TestChartClosedForms:
         rng = np.random.default_rng(3)
         lam = np.array([[1.7]])
         w1 = sample_stiefel_batch(3, 1, REAL, (rng,), 1)
-        s = Mat(REAL, assemble_sd_batch(w1, lam, 1)[0])
+        s = Mat(REAL, assemble(lam, (w1,), 1)[0])
         spec, coords, piv = _chart_at_one(s, 1, "psd")
         out = ChartSpec("psd", REAL, (3, 1))
         val = _chart_jacobian_logdets(lambda a: a, spec, coords[None], out, 1e-5, piv, piv)[0]
@@ -407,7 +407,7 @@ class TestChartClosedForms:
         for _ in range(3):
             lam = float(rng.uniform(0.6, 2.5))
             w1 = sample_stiefel_batch(2, 1, REAL, (rng,), 1)
-            s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
+            s = Mat(REAL, assemble(np.array([[lam]]), (w1,), 1)[0])
             spec, coords, piv = _chart_at_one(s, 1, "psd")
             out = ChartSpec("psd", REAL, (2, 1))
             val = _chart_jacobian_logdets(partial(pinv_batch, beta=1), spec, coords[None], out,
@@ -418,7 +418,7 @@ class TestChartClosedForms:
         rng = np.random.default_rng(5)
         lam = 1.3
         w1 = sample_stiefel_batch(2, 1, REAL, (rng,), 1)
-        s = Mat(REAL, assemble_sd_batch(w1, np.array([[lam]]), 1)[0])
+        s = Mat(REAL, assemble(np.array([[lam]]), (w1,), 1)[0])
         vals = []
         for pivot in ((0, 1), (1, 0)):
             spec, coords, piv = _chart_at_one(s, 1, "psd", (pivot, pivot))
@@ -432,7 +432,7 @@ class TestChartClosedForms:
         rng = np.random.default_rng(6)
         lam, c = 1.4, 1.9
         w1 = sample_stiefel_batch(2, 1, COMPLEX, (rng,), 1)
-        base = assemble_sd_batch(w1, np.array([[lam]]), 2)[0]
+        base = assemble(np.array([[lam]]), (w1,), 2)[0]
         vals = []
         for scale in (1.0, c):
             s = Mat(COMPLEX, scale * base)
@@ -525,7 +525,7 @@ class TestChartClosedForms:
         rngs = [verify._substream(task.seed, task.theorem.code, verify._SIDE_POINTS, i)
                 for i in range(task.points)]
         lam, (w1,) = factorized_draw(rngs, task.eigen_box, n, (m,), task.kind, 1)
-        y = assemble_sd_batch(w1, lam, beta)
+        y = assemble(lam, (w1,), beta)
         congruence = verify._congruence_map(verify._draw_b(task))
         (_, in_pivots, _), (_, out_pivots), x, dets = verify._congruence_points(congruence, y, n)
         for i in range(task.points):
@@ -626,7 +626,7 @@ def _uhlig_lhs_oracle(task: TaskSpec, b: Mat, rng, count):
     g = rng.standard_normal(size=(count, m, n, beta))
     z = mul_raw(ct_raw(b.data), g, beta)
     h = mul_raw(z, inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta), beta)
-    x = assemble_sd_batch(h, lam_x, beta)
+    x = assemble(lam_x, (h,), beta)
     t = mul_raw(ct_raw(mat_inv(b).data), h, beta)
     tt = mul_raw(ct_raw(t), t, beta)
     root = np.sqrt(lam_x)
@@ -1298,7 +1298,7 @@ def test_factorized_sides_keep_weigh_and_mass(theorem, sizes, beta):
     # a draw whose spectrum leaves the task's box weighs -inf
     wide = (0.5 * lo, 2.0 * hi)
     side, mass = verify._factorized_side(
-        task, wide, (m,), lambda lam, w1: assemble_sd_batch(w1, lam, beta), ("SD",)
+        task, wide, (m,), lambda lam, frames: assemble(lam, frames, beta), ("SD",)
     )
     assert mass == factorized_mass_log(wide, q, (m,), beta)
     _, logw = side(np.random.default_rng(13), 2048)
