@@ -63,7 +63,6 @@ from .decomp import gram_schmidt_batch
 from .linalg import (
     _abs_raw,
     _require_assoc,
-    _sq_abs,
     ct_raw,
     eigvalsh_raw,
     frobenius_raw,
@@ -312,18 +311,6 @@ class ChartSpec:
         return _blocks(self, coords)[0]
 
 
-def _entry_inv(p: np.ndarray) -> np.ndarray:
-    """conj(p) / |p|^2 of nonzero (..., beta) entries, each divided by its
-    largest coefficient first so that entries near 1e+-200 neither overflow
-    nor underflow."""
-    top = np.abs(p).max(axis=-1)
-    c = p / top[..., None]
-    n2 = _sq_abs(c) * top
-    out = -c / n2[..., None]
-    out[..., 0] = c[..., 0] / n2
-    return out
-
-
 def choose_pivot(data: np.ndarray, q: int, chart: str = "rect"):
     """Greedy max-magnitude pivoting on successive Schur complements, each
     matrix of a (B, n, m, beta) batch on its own.
@@ -366,8 +353,8 @@ def choose_pivot(data: np.ndarray, q: int, chart: str = "rect"):
         if low.any():
             what = "matrix rank" if chart == "rect" else "PSD rank"
             raise RankError(f"{what} is below q={q} (pivot {best[np.argmax(low)]:.3e})")
-        piv_inv = _entry_inv(work[batch, i, j])
-        colv = mul_raw(work[batch, :, j][:, :, None], piv_inv[:, None, None], beta)
+        piv_inv = inv_raw(work[batch, i, j][:, None, None], beta)
+        colv = mul_raw(work[batch, :, j][:, :, None], piv_inv, beta)
         work = work - mul_raw(colv, work[batch, i][:, None], beta)
         order[0][:, t], order[1][:, t] = i, j
     pivots = []

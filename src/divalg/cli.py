@@ -390,17 +390,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     box = (args.lambda_lo, args.lambda_hi)
     if args.q < 1:
         raise ConfigurationError(f"q must be at least 1, got {args.q}")
+    # a frame wider than its space is refused by sample_stiefel_batch
     if args.space == "stiefel":
-        if args.n < args.q:
-            raise ConfigurationError(f"stiefel needs n >= q, got n={args.n} q={args.q}")
         data = sample_stiefel_batch(args.n, args.q, kind, (rng,), 1)[0]
     else:
-        if args.space == "psd" and args.m < args.q:
-            raise ConfigurationError(f"psd needs m >= q, got m={args.m} q={args.q}")
-        if args.space == "rect" and min(args.n, args.m) < args.q:
-            raise ConfigurationError(
-                f"rect needs q <= min(n, m), got n={args.n} m={args.m} q={args.q}"
-            )
         dims = (args.m,) if args.space == "psd" else (args.n, args.m)
         data = assemble(*factorized_draw((rng,), box, args.q, dims, kind, 1), args.beta)[0]
     if not np.all(np.isfinite(data)):

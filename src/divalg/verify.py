@@ -44,9 +44,11 @@ diag(d) W*, share one builder per map and engine, which reads the chart
 space and frame dimensions from the size rule (_spectral): _mp_chart and
 _mp_equality for MP_HERM and MP_RECT, _spectral_ratio for SD and SVD.
 
-The UHLIG MC_EQUALITY samplers never diagonalize an m x m image: a rank-n
-image A A* has the nonzero spectrum of the n x n matrix A* A, so the right
-side takes it from A = B* W Lambda^(1/2) and the left side from
+One builder, _uhlig_equality, owns the UHLIG image law: it draws the
+images, lays the region of image spectra around its pilot draws and builds
+both sides.  Its samplers never diagonalize an m x m image: a rank-n image
+A A* has the nonzero spectrum of the n x n matrix A* A, so the right side
+takes it from A = B* W Lambda^(1/2) and the left side from
 Lambda_x^(1/2) T* T Lambda_x^(1/2), the Gram its frame weight already forms.
 
 Every theorem is one row of THEOREMS: its fixed RNG code, CLI name, size
@@ -521,11 +523,6 @@ def _desc_inverse(spec: np.ndarray) -> np.ndarray:
     return (1.0 / spec)[:, ::-1]
 
 
-def _congruence_batch(bct: np.ndarray, data: np.ndarray, b: np.ndarray, beta: int) -> np.ndarray:
-    out = mul_raw(mul_raw(bct, data, beta), b, beta)
-    return (out + ct_raw(out)) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo accumulation
 
@@ -759,7 +756,12 @@ def _chol_chart(task: TaskSpec):
 
 def _congruence_map(b: Mat):
     """Y -> B*YB on a batch of coefficient arrays, symmetrized."""
-    return partial(_congruence_batch, ct_raw(b.data), b=b.data, beta=b.kind.beta)
+    bct, beta = ct_raw(b.data), b.kind.beta
+
+    def congruence(data: np.ndarray) -> np.ndarray:
+        out = mul_raw(mul_raw(bct, data, beta), b.data, beta)
+        return (out + ct_raw(out)) / 2.0
+    return congruence
 
 
 def _congruence_points(congruence, y: np.ndarray, rank: int):
@@ -783,7 +785,7 @@ def _congruence_chart(task: TaskSpec):
     """UHLIG_QR (a rank-n congruence) and CONGRUENCE_NS (rank m)."""
     kind, beta, m = task.kind, task.beta, task.m
     b = _draw_b(task)
-    rank = task.n if task.theorem_id == "UHLIG_QR" else m
+    rank = task.n or m  # CONGRUENCE_NS reads no n
     factor, det_b = FACTORS[task.theorem_id], sdet_log(b)
     spec = ChartSpec("psd", kind, (m, rank))
     congruence = _congruence_map(b)
@@ -939,34 +941,37 @@ def _mp_equality(task: TaskSpec):
     return (*lhs, *rhs, rhs[0])
 
 
-def _uhlig_image(task: TaskSpec, b: Mat):
-    """The image sampler of the UHLIG theorems and the region of image
-    spectra both sides keep: returns (image_batch, region), region a
-    _Region of the n spectral positions with no chart."""
+def _uhlig_equality(task: TaskSpec):
+    """UHLIG_SVD and UHLIG_MP: the image laws of a rank-n congruence.  The
+    right side draws image points x = B* W Lambda^(+-1) W* B, the left side
+    their preimages; both keep only image spectra in the region laid around
+    the builder's pilot draws."""
     kind, beta, m, n, gap = task.kind, task.beta, task.m, task.n, task.gap
     lo, hi = task.eigen_box
+    b = _draw_b(task)
+    det_b_log = sdet_log(b)
     mp = task.theorem_id == "UHLIG_MP"
+    factor = FACTORS[task.theorem_id]
+    sizes = (beta, m, n, n)  # the spectra have length n
     bct = ct_raw(b.data)
 
-    def image_batch(rng, count):
-        """Draw from the right-hand measure; returns (x, delta, lam, gap_ok).
+    def image(rng, count):
+        """A draw from the right-hand measure: (a, a*, delta, lam, gap_ok).
 
         x = B* W Lambda W* B is A A* for A = B* W Lambda^(1/2), so its top n
-        eigenvalues are the spectrum of the n x n matrix A* A."""
+        eigenvalues delta are the spectrum of the n x n matrix A* A."""
         lam, (w1,) = factorized_draw((rng,), task.eigen_box, n, (m,), kind, count)
         spectrum = 1.0 / lam if mp else lam
         a = mul_raw(bct, w1 * np.sqrt(spectrum)[:, None, :, None], beta)
         a_ct = ct_raw(a)
-        x = mul_raw(a, a_ct, beta)
-        x = (x + ct_raw(x)) / 2.0
         delta = eigvalsh_raw(mul_raw(a_ct, a, beta), beta)[:, ::-1]
-        return x, delta, lam, _in_box_gap(lam, lo, hi, gap)
+        return a, a_ct, delta, lam, _in_box_gap(lam, lo, hi, gap)
 
     # Both sides are additionally restricted to per-position spectral
     # boxes estimated from pilot image spectra.  Any common restriction
     # preserves the identity; the boxes keep the left sampler close to
     # the image so its acceptance rate survives ill-conditioned B.
-    _, pilot_delta, _, pilot_ok = image_batch(_pilot(task), 4096)
+    _, _, pilot_delta, _, pilot_ok = image(_pilot(task), 4096)
     pilot_delta = pilot_delta[pilot_ok]
     if pilot_delta.shape[0] < 32:
         raise InconclusiveStatisticsError(
@@ -975,23 +980,12 @@ def _uhlig_image(task: TaskSpec, b: Mat):
         )
     box_lo = 0.95 * np.quantile(pilot_delta, 0.01, axis=0)
     box_hi = 1.05 * np.quantile(pilot_delta, 0.99, axis=0)
-    return image_batch, _Region(None, np.stack([box_lo, box_hi], axis=1))
-
-
-def _uhlig_equality(task: TaskSpec):
-    """UHLIG_SVD and UHLIG_MP: the image laws of a rank-n congruence."""
-    beta, m, n, gap = task.beta, task.m, task.n, task.gap
-    lo, hi = task.eigen_box
-    b = _draw_b(task)
-    det_b_log = sdet_log(b)
-    mp = task.theorem_id == "UHLIG_MP"
-    factor = FACTORS[task.theorem_id]
-    sizes = (beta, m, n, n)  # the spectra have length n
-    bct = ct_raw(b.data)
-    image_batch, region = _uhlig_image(task, b)
+    region = _Region(None, np.stack([box_lo, box_hi], axis=1))
 
     def rhs(rng, count):
-        x, delta, lam, ok = image_batch(rng, count)
+        a, a_ct, delta, lam, ok = image(rng, count)
+        x = mul_raw(a, a_ct, beta)
+        x = (x + ct_raw(x)) / 2.0
         logw = FACTORS["SD"].log(*sizes, lam=lam)
         logw = logw + factor.log(*sizes, delta=delta, lam=lam, det_b=det_b_log)
         ok &= region.holds(delta)

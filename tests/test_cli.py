@@ -324,6 +324,23 @@ class TestSampleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["stiefel", "--n", "1", "--q", "2"],
+        ["rect", "--n", "1", "--m", "3", "--q", "2"],
+        ["psd", "--m", "1", "--q", "2"],
+    ])
+    def test_frame_wider_than_its_space_is_refused_by_the_sampler(self, capsys, tmp_path,
+                                                                  flags):
+        out_file = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "sample", *flags, "--beta", "1", "--out", str(out_file))
+        assert (code, out, err) == (2, "", "error: need q <= n, got q=2 n=1\n")
+        assert not out_file.exists()
+        # the octonion refusal stays at the command boundary, before any size
+        code, out, err = run_cli(capsys, "sample", *flags, "--beta", "8", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: octonion results conjectural") and err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_octonion_sample_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sample", "stiefel", "--n", "2", "--q", "1", "--beta", "8",

@@ -1,11 +1,14 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from divalg.charts import psd_coord_count, rect_coord_count
 from divalg.errors import ConfigurationError, DomainError, RegistryError
 from divalg.measures import (
     FACTORS,
+    LOG2,
     UHLIG_SVD_ALT,
     FactorInput,
     _vandermonde_log,
@@ -324,3 +327,68 @@ class TestFactorTable:
         factor_log("UHLIG_SVD", fi)
         with pytest.raises(ConfigurationError, match="length 1"):
             factor_log("MP_HERM", fi)
+
+
+# ---------------------------------------------------------------------------
+# Dimension count: each entry relates two measures of known chart dimension,
+# so doubling its input scales it by 2^degree, the degree fixed by those
+# dimensions (Euler's rule for homogeneous maps, through the area formula).
+# A spectrum doubles, and a log-determinant of an m x m block gains m log 2.
+P, R = psd_coord_count, rect_coord_count  # chart coordinate counts
+
+# entry: (the input that doubles, its degree at (beta, n, m, q))
+DEGREES = {
+    "SD": ("lam", lambda b, n, m, q: P(m, q, b) - q),
+    "SVD": ("d", lambda b, n, m, q: R(n, m, q, b) - q),
+    "QR": ("t_diag", lambda b, n, m, q: b * n * q - P(q, q, b)),
+    "CHOL": ("t_diag", lambda b, n, m, q: P(m, q, b)),
+    "MP_HERM": ("lam", lambda b, n, m, q: -2 * P(m, q, b)),
+    "MP_RECT": ("d", lambda b, n, m, q: -2 * R(n, m, q, b)),
+    # S = X*X doubles as X is scaled by sqrt 2
+    "W": ("lam", lambda b, n, m, q: (R(n, m, q, b) - 2 * P(m, q, b)) / 2),
+    "CHOL_X": ("det_s11", lambda b, n, m, q: (b * n * m - 2 * P(m, m, b)) / 2),
+    "CONGRUENCE_NS": ("det_b", lambda b, n, m, q: 2 * P(m, m, b)),
+}
+DEGREE_SIZES = ((2, 2, 1), (3, 2, 1), (3, 2, 2), (3, 3, 2), (4, 3, 2))
+# CHOL_X at full rank, where det_s11 is the determinant of all of S
+DEGREE_CASES = [
+    (name, beta, sizes)
+    for beta in (1, 2, 4)
+    for name in DEGREES
+    for sizes in {
+        "CHOL_X": sorted({(n, m, m) for n, m, _ in DEGREE_SIZES}),
+        "CONGRUENCE_NS": [(0, 2, 0), (0, 3, 0)],
+    }.get(name, DEGREE_SIZES)
+]
+
+
+def _measured_degree(log_f, label: str, x, m: int) -> float:
+    """(log f(2x) - log f(x)) / log 2 for the input `label` at x."""
+    doubled = x + m * LOG2 if label.startswith("det_") else 2.0 * x
+    return float(log_f(**{label: doubled}) - log_f(**{label: x})) / LOG2
+
+
+def _shape_mutation(log_f, label: str):
+    """log_f plus 0.5 times the log-determinant, or 0.5 times the sum of
+    the logs of the spectrum."""
+    def mutated(**inputs):
+        x = inputs[label]
+        return log_f(**inputs) + 0.5 * (x if label.startswith("det_") else np.log(x).sum())
+    return mutated
+
+
+@pytest.mark.parametrize("name,beta,sizes", DEGREE_CASES)
+def test_factor_scales_with_the_degree_its_dimensions_fix(name, beta, sizes):
+    n, m, q = sizes
+    label, degree = DEGREES[name]
+    rng = np.random.default_rng(17)
+    if label.startswith("det_"):
+        x = rng.uniform(-1.0, 1.0)
+    else:
+        x = -np.sort(-rng.uniform(0.5, 3.0, size=q))
+    log_f = partial(FACTORS[name].log, beta, m, n, q)
+    expected = degree(beta, n, m, q)
+    assert _measured_degree(log_f, label, x, m) == pytest.approx(expected, abs=1e-9)
+    # the same check flags a shape error in the entry
+    mutated = _measured_degree(_shape_mutation(log_f, label), label, x, m)
+    assert mutated != pytest.approx(expected, abs=1e-9)

@@ -613,12 +613,29 @@ class TestEqualityEngine:
             run_task(task)
 
 
+def _uhlig_region(task: TaskSpec):
+    """The pilot region the task's UHLIG builder restricts both sides to,
+    read through a spy on verify._Region."""
+    made = []
+    region_cls = verify._Region
+
+    def spy(*args):
+        made.append(region_cls(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_Region", spy)
+        verify._problem(task)
+    (region,) = made
+    return region
+
+
 def _uhlig_lhs_oracle(task: TaskSpec, b: Mat, rng, count):
     """The UHLIG left side as one full batch: every row through the frame H,
     T = B^{-*} H with an explicit inverse, and the spectra, masked at the end.
     Sizes come from the task, the boxes from the sampler's own pilot."""
     beta, m, n, mp = task.beta, task.m, task.n, task.theorem_id == "UHLIG_MP"
-    _, region = verify._uhlig_image(task, b)
+    region = _uhlig_region(task)
     box_lo, box_hi = region.box.T
     u = rng.uniform(size=(count, n))
     lam_x = box_lo + u * (box_hi - box_lo)
@@ -666,6 +683,39 @@ def test_uhlig_left_side_matches_full_batch_oracle(beta, theorem, b_source):
     assert np.all(np.abs(logw[live] - logw_o[live]) <= 1e-12 * np.maximum(1.0, np.abs(logw_o[live])))
     assert np.array_equal(x[live], x_o[live])
     assert not np.any(x[~live])
+
+
+@pytest.mark.parametrize("beta", (1, 2, 4))
+@pytest.mark.parametrize("theorem", ("UHLIG_SVD", "UHLIG_MP"))
+@pytest.mark.parametrize("b_source", ("random", "identity"))
+def test_uhlig_right_side_matches_full_image_oracle(beta, theorem, b_source):
+    """The right side takes the image spectrum delta from the n x n matrix
+    A* A: its accepted set, data and log-weights equal those of an oracle
+    that assembles the full m x m image B* W Lambda^(+-1) W* B and takes its
+    top n eigenvalues."""
+    task = TaskSpec(theorem_id=theorem, beta=beta, m=3, n=2, b_source=b_source,
+                    trials=10_000, seed=42)
+    m, n, mp = task.m, task.n, theorem == "UHLIG_MP"
+    rhs = verify._problem(task)[2]
+    b = verify._draw_b(task)
+    count = 4096
+    x, logw = rhs(np.random.default_rng(9), count)
+    lam, frames = factorized_draw((np.random.default_rng(9),), task.eigen_box, n, (m,),
+                                  task.kind, count)
+    y = assemble(1.0 / lam if mp else lam, frames, beta)
+    x_o = mul_raw(mul_raw(ct_raw(b.data), y, beta), b.data, beta)
+    x_o = (x_o + ct_raw(x_o)) / 2.0
+    delta = eigvalsh_raw(x_o, beta)[:, ::-1][:, :n]
+    lo, hi = task.eigen_box
+    ok = verify._in_box_gap(lam, lo, hi, task.gap) & _uhlig_region(task).holds(delta)
+    logw_o = FACTORS["SD"].log(beta, m, n, n, lam=lam) + FACTORS[theorem].log(
+        beta, m, n, n, delta=delta, lam=lam, det_b=sdet_log(b)
+    )
+    live = ~np.isneginf(logw)
+    assert np.array_equal(live, ok)
+    assert live.any()
+    assert np.abs(x[live] - x_o[live]).max() <= 1e-12 * np.abs(x_o[live]).max()
+    assert np.all(np.abs(logw[live] - logw_o[live]) <= 1e-12 * np.maximum(1.0, np.abs(logw_o[live])))
 
 
 class TestRatioEngine:
