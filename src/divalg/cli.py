@@ -155,7 +155,7 @@ def _write_report(report: Report, fmt: str, out: str | None) -> None:
     if fmt == "csv":
         return _emit(_records_to_csv(list(report.records)), out)
     header = (
-        f"task={report.task.theorem_id} engine={report.engine} "
+        f"task={report.task.theorem_id} engine={report.task.engine} "
         f"beta={report.task.beta} pass={report.passed}\n"
     )
     return _emit(header + _records_to_table(list(report.records)), out)

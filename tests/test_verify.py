@@ -477,7 +477,7 @@ class TestChartClosedForms:
         task = TaskSpec(theorem_id="CHOL", beta=beta, m=2, q=1, points=4, seed=3)
         rep = run_task(task)
         assert rep.passed
-        assert rep.engine == "CHART"
+        assert rep.task.engine == "CHART"
 
     @pytest.mark.parametrize(
         "theorem,sizes",
@@ -570,6 +570,34 @@ class TestDiscrepancyDemo:
         task = TaskSpec(theorem_id="UHLIG_SVD", beta=1, m=2, n=1)
         with pytest.raises(RegistryError):
             run_discrepancy_demo(task)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 2)])
+    def test_block_diagonal_b_expects_no_mismatch(self, beta, m, n):
+        """A B that keeps range(Y) in its leading block makes the two
+        congruence factors coincide at Y = diag(lam, 0), so the SVD-based
+        factor must match the chart there too."""
+        task = TaskSpec(theorem_id="UHLIG_SVD", beta=beta, m=m, n=n, engine="DEMO",
+                        b_source="identity")
+        rep = run_discrepancy_demo(task)
+        (rec,) = rep.records
+        assert rec["expected_mismatch"] is False
+        assert rec["svd_differs_from_chart"] is False
+        assert rec["uhlig_svd_factor"] == pytest.approx(rec["uhlig_qr_factor"], rel=1e-9)
+        assert rep.passed
+
+    def test_diagonal_b_from_file_expects_no_mismatch(self, tmp_path):
+        bfile = tmp_path / "b.json"
+        bd = np.zeros((2, 2, 1))
+        bd[0, 0, 0], bd[1, 1, 0] = 1.0, 2.0
+        save_matrix(Mat(REAL, bd), bfile)
+        task = TaskSpec(theorem_id="UHLIG_SVD", beta=1, m=2, n=1, engine="DEMO",
+                        b_source=str(bfile))
+        rep = run_discrepancy_demo(task)
+        (rec,) = rep.records
+        assert (rec["expected_mismatch"], rec["svd_differs_from_chart"]) == (False, False)
+        assert rec["uhlig_svd_factor"] == pytest.approx(rec["uhlig_qr_factor"], rel=1e-9)
+        assert rep.passed
 
 
 class TestEqualityEngine:
@@ -879,6 +907,58 @@ class TestReportShape:
         rep = run_task(task)
         assert rep.passed == all(r["pass"] for r in rep.records)
 
+    def test_report_holds_only_task_records_and_runtime(self):
+        assert [f.name for f in dataclasses.fields(Report)] == ["task", "records", "runtime_ms"]
+
+    @pytest.mark.parametrize("task", [
+        TaskSpec(theorem_id="MP_HERM", beta=1, m=2, q=1, points=3, seed=42),
+        TaskSpec(theorem_id="MP_HERM", beta=1, m=2, q=1, engine="MC_EQUALITY",
+                 trials=10_000, seed=42),
+        TaskSpec(theorem_id="SD", beta=1, m=2, q=1, trials=50_000, seed=42),
+        TaskSpec(theorem_id="SD", beta=1, m=2, q=1, trials=50_000, seed=42, cv_tol=1e-9),
+        TaskSpec(theorem_id="UHLIG_SVD", beta=1, m=2, n=1, engine="DEMO", b_source="demo"),
+    ], ids=["chart", "mc-equality", "mc-ratio", "mc-ratio-failing", "demo"])
+    def test_verdict_and_constant_are_read_from_the_records(self, task):
+        rep = run_task(task)
+        verdicts = [r["pass"] for r in rep.records if "pass" in r]
+        assert verdicts and rep.passed == all(verdicts)
+        doc = rep.to_dict()
+        assert (doc["pass"], doc["engine"], doc["seed"]) == (rep.passed, task.engine, task.seed)
+        if task.engine == "MC_RATIO":
+            assert rep.records[-1]["summary"] is True
+            assert rep.constant_estimate == rep.records[-1]["constant"]
+            assert rep.passed == (rep.records[-1]["cv"] <= task.cv_tol)
+        else:
+            assert rep.constant_estimate is None
+        assert rep.passed is (task.cv_tol > 1e-9)
+
+    def test_run_task_reaches_each_engine_through_its_module_name(self, monkeypatch):
+        """A wrapper set on a runner's module attribute sees every task of
+        its engine, as the benchmark's tracer needs."""
+        seen = []
+
+        def spy(name):
+            def runner(task, jobs=1):
+                seen.append((name, task.engine, jobs))
+                return [{"pass": True}]
+            return runner
+
+        for name in ("run_chart_task", "run_mc_equality_task", "run_mc_ratio_task"):
+            monkeypatch.setattr(verify, name, spy(name))
+        tasks = [
+            TaskSpec(theorem_id="CHOL", beta=1, m=2, q=1),
+            TaskSpec(theorem_id="W", beta=1, n=3, m=2, q=1),
+            TaskSpec(theorem_id="SD", beta=1, m=2, q=1),
+        ]
+        for task in tasks:
+            rep = run_task(task, jobs=3)
+            assert rep.records == ({"pass": True},) and rep.passed
+        assert seen == [
+            ("run_chart_task", "CHART", 1),
+            ("run_mc_equality_task", "MC_EQUALITY", 3),
+            ("run_mc_ratio_task", "MC_RATIO", 3),
+        ]
+
 
 def test_quaternion_tasks_make_no_einsum_call(monkeypatch):
     """Algebra products run the Cayley-Dickson rule on complex views; only
@@ -912,8 +992,10 @@ def _record_lapack(monkeypatch) -> list:
 def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
     """Batched eigenvalue, SVD, inverse, Cholesky and log-determinant calls
     get the complex form of side r*k, never a real embedding of side beta*k;
-    the one real batched call is the Hausdorff Gram on the p x p side of the
-    completed block, p = (n - q)(m - q) beta."""
+    the real batched calls are the Hausdorff Gram on the p x p side of the
+    completed block, p = (n - q)(m - q) beta, and a CHART task's slogdet of
+    its k x k finite-difference Jacobians, k the chart dimension: a real
+    Jacobian by nature, not an embedding of an algebra matrix."""
     calls = _record_lapack(monkeypatch)
     tasks = [
         TaskSpec(theorem_id="SVD", beta=4, n=3, m=2, q=1, engine="MC_RATIO",
@@ -927,9 +1009,12 @@ def test_batched_linalg_runs_on_the_complex_form(monkeypatch):
         batched = [c for c in calls if len(c[2]) >= 3]
         assert batched, task
         r = complex_multiplicity(task.beta)
+        k = verify._problem(task)[0].coord_count() if task.engine == "CHART" else None
         for name, kind, shape in batched:
             if kind == "c":
                 assert shape[-2] % r == 0 and shape[-1] % r == 0, (task, name, shape)
+            elif task.engine == "CHART":
+                assert (name, shape[-2:]) == ("slogdet", (k, k)), (task, name, shape)
             else:
                 assert task.beta == 4 and task.engine == "MC_RATIO", (task, name, shape)
                 assert (name, shape[-2:]) == ("slogdet", (gram_side, gram_side))
@@ -961,7 +1046,9 @@ def test_small_blocks_take_closed_forms(monkeypatch):
     Hermitian eigvalsh, eigh, slogdet or inv on side 2, and no singular
     values of a 2 x 2 block in a Monte-Carlo side: those blocks take the
     closed forms of linalg.  The rank-2 UHLIG images have their spectra
-    taken on the 2 x 2 side, so UHLIG_SVD makes no LAPACK call at all."""
+    taken on the 2 x 2 side, so UHLIG_SVD makes no LAPACK call at all.  A
+    CHART task's one real batched call is the slogdet of its k x k
+    finite-difference Jacobians, k the chart dimension."""
     calls = _record_lapack(monkeypatch)
     tasks = [
         TaskSpec(theorem_id="UHLIG_SVD", beta=2, m=3, n=2, trials=10_000, seed=7),
@@ -987,7 +1074,11 @@ def test_small_blocks_take_closed_forms(monkeypatch):
         if task.theorem_id == "UHLIG_SVD":
             assert batched == [], task
         r = complex_multiplicity(task.beta)
+        k = verify._problem(task)[0].coord_count() if task.engine == "CHART" else None
         for name, kind, shape in batched:
+            if kind != "c" and task.engine == "CHART":
+                assert (name, shape[-2:]) == ("slogdet", (k, k)), (task, name, shape)
+                continue
             if kind != "c" and task.beta > 1:  # the real Hausdorff Gram of SD and SVD
                 assert (name, shape[-2:]) == ("slogdet", (gram_side, gram_side))
                 continue
