@@ -62,6 +62,16 @@ batch-first on log-domain inputs: the Monte-Carlo samplers on whole
 blocks, CHART on the stacked points of a chunk and the demo on its one
 point.
 
+One unit rule: every theorem is a statement about homogeneous maps, so the
+unit of the eigenvalue box can change no verdict.  run_task alone picks the
+unit: it runs the engine on the box and the gap divided by 2^e, e =
+TaskSpec.unit_exp, which puts hi in [2, 4) and leaves [1, 2] as it is.
+Dividing by a power of two is exact, so a box scaled by 2^k gives the
+records of the unscaled box bit for bit; no kernel below scales again.  A
+report echoes the task in the user's unit and carries e as unit_exp; the
+records that carry a unit (CHART logs, tol and abs_err, Monte-Carlo means
+and stderrs) are at the engine's unit.
+
 Determinism contract: every random block derives its generator from
 (seed, theorem code, side code, block index) and block partial sums are
 reduced in block order, so reports are byte-identical for any worker count.
@@ -74,7 +84,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -244,6 +254,15 @@ class TaskSpec:
         if not (math.isfinite(gap) and gap >= 0):
             raise ConfigurationError(f"gap must be finite and nonnegative, got {gap}")
         object.__setattr__(self, "gap", gap)
+        # run_task divides the box and the gap by 2^e; for x = m 2^E, m in
+        # [0.5, 1), x / 2^e = m 2^(E - e) is normal from E - e = -1021 and
+        # finite up to E - e = 1024
+        e = self.unit_exp
+        if math.frexp(lo)[1] - e < -1021 or math.frexp(gap)[1] - e > 1024:
+            raise ConfigurationError(
+                f"eigenvalue box ({lo}, {hi}) with gap {gap} does not fit one unit: divided "
+                f"by 2^{e}, lo must stay normal (hi/lo below about 2^1022) and the gap finite"
+            )
         for name in ("rtol", "ztol", "cv_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -270,6 +289,11 @@ class TaskSpec:
     def theorem(self) -> Theorem:
         return THEOREMS[self.theorem_id]
 
+    @property
+    def unit_exp(self) -> int:
+        """e of the unit rule: eigen_box / 2^e has its hi in [2, 4)."""
+        return math.frexp(self.eigen_box[1])[1] - 2
+
     def to_dict(self) -> dict:
         """Every field, with eigen_box as a list."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -279,7 +303,8 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Report:
-    """One task's records, as its engine returned them, and its run time."""
+    """One task's records, as its engine returned them, and its run time.
+    task is the task as given; its records are at the unit 2^task.unit_exp."""
 
     task: TaskSpec
     records: tuple[dict, ...]
@@ -303,6 +328,7 @@ class Report:
             "pass": self.passed,
             "constant_estimate": self.constant_estimate,
             "seed": self.task.seed,
+            "unit_exp": self.task.unit_exp,
             "runtime_ms": self.runtime_ms,
             "version": __version__,
         }
@@ -352,8 +378,7 @@ class TestFunction:
     def __call__(self, data: np.ndarray) -> np.ndarray:
         diff = data - self.center[None]
         sq = np.sum(diff.reshape(diff.shape[0], -1) ** 2, axis=1)
-        # a product, not sigma**2: C pow is not correctly rounded, and a
-        # rounded product scales exactly with sigma (see _mc_estimate)
+        # the product _mc_estimate's widths take, so its scores have these bits
         return np.exp(-sq / (2.0 * self.sigma * self.sigma))
 
 
@@ -369,12 +394,8 @@ def make_test_functions(
         raise ConfigurationError("need at least one reference sample")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 0xF])))
     mean = samples.mean(axis=0)
-    dev = samples - mean[None]
-    # squared as dev / 2^e, e the largest |dev|'s binary exponent: exact in
-    # the float range, and no square overflows near 1e200
-    e = int(np.frexp(np.max(np.abs(dev)))[1])
-    scaled = np.ldexp(dev, -e).reshape(samples.shape[0], -1)
-    dispersion = float(np.ldexp(np.sqrt(np.mean(np.sum(scaled**2, axis=1))), e))
+    dev = (samples - mean[None]).reshape(samples.shape[0], -1)
+    dispersion = float(np.sqrt(np.mean(np.sum(dev**2, axis=1))))
     if dispersion <= 0:
         dispersion = max(1.0, float(np.linalg.norm(mean)))
     idx = rng.integers(0, samples.shape[0], size=count)
@@ -548,19 +569,13 @@ def _mc_estimate(
         sizes.append(trials % BLOCK_SIZE)
     # Each block's live rows are scored as D contiguous planes of L rows,
     # one per coordinate, and plane_sum adds a function's squared deviations
-    # in np.sum's order, so each score has TestFunction.__call__'s bits.  The
-    # planes, the centres and the widths are scaled by 2^shift, shift the
-    # largest width's binary exponent negated: exact in the float range, and
-    # no square overflows near 1e200 (one that still does scores
-    # exp(-inf) = 0, the bump's value there).  Each worker thread gathers and
-    # scores its blocks in one scratch buffer of its own: on a 2-core VM, a
-    # fresh block-sized array per block cost about as much in page faults as
-    # the scoring itself.
-    sigmas = np.array([fn.sigma for fn in test_fns])
-    shift = -int(np.frexp(sigmas.max())[1])
-    centers = np.ldexp(np.stack([fn.center.ravel() for fn in test_fns]), shift)
-    scaled = np.ldexp(sigmas, shift)
-    neg_two_var = -2.0 * scaled * scaled
+    # in np.sum's order, so each score has TestFunction.__call__'s bits (a
+    # square that overflows scores exp(-inf) = 0, the bump's value there).
+    # Each worker thread gathers and scores its blocks in one scratch buffer
+    # of its own: on a 2-core VM, a fresh block-sized array per block cost
+    # about as much in page faults as the scoring itself.
+    centers = np.stack([fn.center.ravel() for fn in test_fns])
+    neg_two_var = np.array([-2.0 * fn.sigma * fn.sigma for fn in test_fns])
     d = centers.shape[1]
     scratch = threading.local()
 
@@ -573,12 +588,12 @@ def _mc_estimate(
             w = np.exp(logw[live] + log_const)
         if not hasattr(scratch, "buf"):
             scratch.buf = np.empty((2, d * BLOCK_SIZE))
-        gathered, planes = (part[:live.size * d] for part in scratch.buf)
+        gathered, planes = (part[:live.size * d].reshape(d, -1) for part in scratch.buf)
         # mode="clip" writes into out directly (the default buffers it); no
         # index of live needs clipping
         np.take(data.reshape(-1, d), live, axis=0, out=gathered.reshape(-1, d), mode="clip")
-        planes = np.ldexp(gathered.reshape(-1, d).T, shift, out=planes.reshape(d, -1))
-        diff = gathered.reshape(d, -1)  # free again: the rows are in planes now
+        planes[...] = gathered.reshape(-1, d).T
+        diff = gathered  # free again: the rows are in planes now
         out = np.empty((n_fns, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_fns):
@@ -610,12 +625,12 @@ def _mc_estimate(
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stderrs))):
         raise InconclusiveStatisticsError(
             "Monte Carlo mean or stderr is not finite (the weights leave the "
-            "float range); narrow or rescale the eigenvalue box"
+            "float range); narrow the eigenvalue box"
         )
     if np.any((means > 0.0) & (stderrs**2 == 0.0)):
         raise InconclusiveStatisticsError(
             "Monte Carlo stderr underflows (the weights are too small to square); "
-            "narrow or rescale the eigenvalue box"
+            "narrow the eigenvalue box"
         )
     return means, stderrs
 
@@ -1203,13 +1218,10 @@ def _qr_ratio(task: TaskSpec):
 
     def triangle_ok(data: np.ndarray) -> np.ndarray:
         """T of the positive-diagonal QR X = H T lies in the T region, and
-        every Gram-Schmidt norm of X exceeds 1e-12 times its row's scale.
-        As in decomp.qr_positive, Gram-Schmidt runs on each row X / 2^e, e
-        the exponent of its largest coefficient: the squares in the norms
-        stay in range at any scale, and H keeps its bits."""
-        # scale: each row's largest coefficient magnitude over 2^e
-        scale, e = np.frexp(np.abs(data).max(axis=(1, 2, 3)))
-        h, norms = gram_schmidt_batch(np.ldexp(data, -e[:, None, None, None]), beta)
+        every Gram-Schmidt norm of X exceeds 1e-12 times its row's largest
+        coefficient magnitude."""
+        scale = np.abs(data).max(axis=(1, 2, 3))
+        h, norms = gram_schmidt_batch(data, beta)
         coords = tri_spec.extract_batch(mul_raw(ct_raw(h), data, beta))
         return t_region.holds(coords) & (norms > 1e-12 * scale[:, None]).all(axis=1)
 
@@ -1384,16 +1396,20 @@ THEOREMS: dict[str, Theorem] = {
 
 def run_task(task: TaskSpec, jobs: int = 1) -> Report:
     """Run the task on its engine, timed, and report the records it returns;
-    up to jobs threads, at most one per CPU and per block, share the
-    Monte-Carlo blocks.  Each engine is read from its module name at each
-    call, so a tracer's wrapper on one sees every task of that engine."""
+    the engine runs on the eigenvalue box and gap divided by 2^task.unit_exp
+    (the unit rule, see the module docstring).  Up to jobs threads, at most
+    one per CPU and per block, share the Monte-Carlo blocks.  Each engine is
+    read from its module name at each call, so a tracer's wrapper on one sees
+    every task of that engine."""
     start = time.perf_counter()
-    if task.engine == "CHART":
-        records = run_chart_task(task)
-    elif task.engine == "MC_EQUALITY":
-        records = run_mc_equality_task(task, jobs=jobs)
-    elif task.engine == "MC_RATIO":
-        records = run_mc_ratio_task(task, jobs=jobs)
+    lo, hi, gap = (math.ldexp(v, -task.unit_exp) for v in (*task.eigen_box, task.gap))
+    unit = replace(task, eigen_box=(lo, hi), gap=gap)
+    if unit.engine == "CHART":
+        records = run_chart_task(unit)
+    elif unit.engine == "MC_EQUALITY":
+        records = run_mc_equality_task(unit, jobs=jobs)
+    elif unit.engine == "MC_RATIO":
+        records = run_mc_ratio_task(unit, jobs=jobs)
     else:
-        records = _demo_records(task)
+        records = _demo_records(unit)
     return Report(task, tuple(records), int((time.perf_counter() - start) * 1000))

@@ -35,6 +35,29 @@ def value_of(out: str) -> float:
     return float(match.group(1))
 
 
+# verify probes whose box leaves the unit of [1, 2]
+BOX_PROBES = [
+    "--task sd --beta 1 --m 2 --q 1 --trials 10000 --lambda-lo 1e150 --lambda-hi 1e151",
+    "--task w --beta 1 --n 3 --m 2 --q 1 --trials 10000 --lambda-lo 1e200 --lambda-hi 1e201",
+    "--task sd --beta 1 --m 2 --q 1 --trials 10000 --lambda-lo 3e-308 --lambda-hi 6e-308",
+    "--task mp-herm --engine mc-equality --beta 1 --m 2 --q 1 --trials 10000 "
+    "--lambda-lo 1e-300 --lambda-hi 2e-300",
+    "--task sd --beta 1 --m 2 --q 1 --trials 10000 --lambda-lo 1 --lambda-hi 1e300",
+    "--task qr --beta 1 --n 2 --m 2 --q 2 --trials 10000 --lambda-lo 1e-200 --lambda-hi 2e-200",
+    "--task qr --beta 1 --n 2 --m 2 --q 2 --trials 10000 --lambda-lo 1e200 --lambda-hi 2e200",
+    "--task mp-herm --engine mc-equality --beta 1 --m 2 --q 1 --trials 10000 "
+    "--lambda-lo 1e90 --lambda-hi 2e90",
+    "--task uhlig-mp --beta 1 --m 2 --n 1 --trials 10000 --lambda-lo 1e90 --lambda-hi 2e90",
+    *(f"--task mp-herm --beta {beta} --m 3 --q 2 --points 4 --lambda-lo {lo} --lambda-hi {hi}"
+      for lo, hi in (("1e200", "2e200"), ("1e-200", "2e-200")) for beta in (1, 2, 4)),
+    "--task mp-herm --beta 1 --m 3 --q 2 --points 8 --lambda-lo 1e-3 --lambda-hi 2e-3",
+    "--task uhlig-qr --beta 1 --m 3 --n 2 --points 8 --lambda-lo 1e-3 --lambda-hi 2e-3",
+    "--task mp-herm --beta 1 --m 3 --q 2 --points 8 --lambda-lo 1e-4 --lambda-hi 2e-4",
+    "--task mp-rect --beta 1 --n 3 --m 2 --q 1 --points 8 --lambda-lo 1e-4 --lambda-hi 2e-4",
+    "--task uhlig-qr --beta 1 --m 3 --n 2 --points 8 --lambda-lo 1e-4 --lambda-hi 2e-4",
+]
+
+
 class TestFactorCommand:
     def test_pseudo_inverse_factor(self, capsys):
         code, out, _ = run_cli(
@@ -529,35 +552,25 @@ class TestVerifyCommand:
         assert code == 3
         assert "inconclusive" in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--task", "sd", "--m", "2", "--q", "1", "--lambda-lo", "1e150", "--lambda-hi", "1e151"],
-        ["--task", "w", "--n", "3", "--m", "2", "--q", "1",
-         "--lambda-lo", "1e200", "--lambda-hi", "1e201"],
-    ])
-    def test_weights_out_of_float_range_are_inconclusive(self, capsys, flags):
-        """A NaN stderr fails no stderr gate, so a non-finite estimate must
-        stop the task before any verdict (these boxes once passed with NaN)."""
+    @pytest.mark.parametrize("probe", BOX_PROBES)
+    def test_box_probes_run_on_one_unit(self, capsys, probe):
+        """Boxes near 1e+-90, 1e+-200 and 1e+-300, [1, 1e300] and small CHART
+        boxes once gave a NaN or zero stderr, no mass, a singular chart or
+        an internal error (exit 1, 3 or 4).  Each runs on the box divided by
+        2^unit_exp, with hi in [2, 4), and passes without a warning."""
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run_cli(capsys, "verify", "--beta", "1", *flags, "--trials", "10000")
-        assert code == 3
-        assert "NaN" not in out
-        assert err.startswith("inconclusive: Monte Carlo mean or stderr is not finite")
-        assert err.count("\n") == 1
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", *probe.split())
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=_reject_constant)
+        lo, hi = doc["task"]["eigen_box"]
+        assert 2.0 <= math.ldexp(hi, -doc["unit_exp"]) < 4.0
 
-    @pytest.mark.parametrize("task", [
-        ["--task", "mp-herm", "--engine", "mc-equality", "--m", "2", "--q", "1"],
-        ["--task", "uhlig-mp", "--m", "2", "--n", "1"],
-    ], ids=["mp-herm", "uhlig-mp"])
-    def test_stderr_that_underflows_is_inconclusive(self, capsys, task):
-        """Near 1e90 both sides' means are about 1e-181 but each (w f)^2
-        underflows: the zero stderrs made z = inf, which the JSON writer
-        refused (exit 4)."""
-        code, out, err = run_cli(capsys, "verify", "--beta", "1", *task, "--trials", "10000",
-                                 "--lambda-lo", "1e90", "--lambda-hi", "2e90")
-        assert (code, out) == (3, "")
-        assert err.startswith("inconclusive: Monte Carlo stderr underflows")
-        assert err.count("\n") == 1
+    def test_box_too_wide_for_one_unit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--task", "sd", "--beta", "1", "--m", "2",
+                                 "--q", "1", "--lambda-lo", "1e-300", "--lambda-hi", "1e300")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: eigenvalue box (1e-300, 1e+300) with gap")
 
     @pytest.mark.parametrize("command", ["verify", "verify-all"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -811,16 +824,17 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flags,message", [
         (["--task", "mp-herm", "--beta", "1", "--m", "3", "--q", "2"],
-         "lam must be strictly decreasing, got (1.0, 1.0)"),
-        (["--task", "mp-rect", "--beta", "2", "--n", "3", "--m", "2", "--q", "2"],
-         "d must be strictly decreasing, got (1.0000000000000002, 1.0000000000000002)"),
+         "lam must be strictly decreasing, got (2.0, 2.0)"),
+        (["--task", "mp-rect", "--beta", "1", "--n", "3", "--m", "2", "--q", "2"],
+         "d must be strictly decreasing, got (2.0000000000000004, 2.0000000000000004)"),
     ], ids=["mp-herm", "mp-rect"])
     def test_tied_chart_spectra_are_usage_errors(self, capsys, flags, message):
         """A box one ulp wide ties the drawn spectra: the CHART factor's
-        input check names the first tied point's spectrum."""
+        input check names the first tied point's spectrum.  The box has
+        unit_exp 0, so the spectrum is named as drawn."""
         code, out, err = run_cli(
             capsys, "verify", *flags, "--points", "20",
-            "--lambda-lo", "1", "--lambda-hi", "1.0000000000000002",
+            "--lambda-lo", "2", "--lambda-hi", repr(math.nextafter(2.0, 4.0)),
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

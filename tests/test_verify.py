@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -126,6 +127,21 @@ class TestTaskSpec:
         with pytest.raises(ConfigurationError):
             TaskSpec(theorem_id="SD", beta=1, m=2, q=1, eigen_box=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("lo", [1e-300, 1e-10])
+    def test_box_too_wide_for_one_unit_rejected(self, lo):
+        """Divided by 2^e so that hi lies in [2, 4), lo must stay normal;
+        the message names the box as given."""
+        message = re.escape(f"eigenvalue box ({lo}, 1e+300) with gap")
+        with pytest.raises(ConfigurationError, match=message):
+            TaskSpec(theorem_id="SD", beta=1, m=2, q=1, eigen_box=(lo, 1e300))
+        assert TaskSpec(theorem_id="SD", beta=1, m=2, q=1, eigen_box=(1.0, 1e300)).unit_exp == 995
+
+    def test_gap_that_overflows_on_the_unit_rejected(self):
+        message = re.escape("(1e-300, 2e-300) with gap 1e+300 does not fit one unit")
+        with pytest.raises(ConfigurationError, match=message):
+            TaskSpec(theorem_id="SD", beta=1, m=2, q=1, eigen_box=(1e-300, 2e-300), gap=1e300)
+        TaskSpec(theorem_id="SD", beta=1, m=2, q=1, eigen_box=(1e-300, 2e-300), gap=1e-10)
+
     def test_gap_defaults_to_box_fraction(self):
         task = TaskSpec(theorem_id="SD", beta=1, m=2, q=1, eigen_box=(1.0, 3.0))
         assert task.gap == pytest.approx(2e-3)
@@ -226,27 +242,6 @@ class TestTestFunctions:
         var = np.maximum(total[:, 1] - trials * expected**2, 0.0) / (trials - 1)
         assert np.array_equal(means, expected)
         assert np.array_equal(stderrs, np.sqrt(var / trials))
-
-    @pytest.mark.filterwarnings("error")
-    def test_mc_estimate_is_exact_under_binary_scaling(self):
-        """A side whose data and reference draws are scaled by 2^k, the
-        widths with them, gives the same means and stderrs bit for bit at
-        k = +-600, where the squared deviations leave the float range."""
-        ref = np.random.default_rng(9).normal(size=(16, 2, 2, 2))
-
-        def estimate(k):
-            fns = make_test_functions(5, 3, np.ldexp(ref, k))
-
-            def side_fn(rng, count):
-                return np.ldexp(rng.normal(size=(count, 2, 2, 2)), k), rng.normal(size=count)
-
-            return fns, verify._mc_estimate(side_fn, 0.0, fns, verify.BLOCK_SIZE + 50, 1, 2, 3, 1)
-
-        base_fns, (means, stderrs) = estimate(0)
-        for k in (600, -600):
-            fns, (m, se) = estimate(k)
-            assert [f.sigma for f in fns] == [math.ldexp(f.sigma, k) for f in base_fns]
-            assert m.tobytes() == means.tobytes() and se.tobytes() == stderrs.tobytes()
 
     def test_mc_estimate_keeps_nan_and_inf_log_weights(self):
         """Only -inf rows are dropped: a NaN or +inf log-weight still makes
@@ -500,13 +495,10 @@ class TestChartClosedForms:
         ("UHLIG_QR", dict(m=3, n=2)), ("CONGRUENCE_NS", dict(m=3)),
     ])
     def test_congruence_charts_at_extreme_scale(self, theorem, sizes, beta):
-        """The factor is taken from log-determinants and the pivots and
-        norms are scaled, so a box near 1e200 neither overflows nor warns."""
-        boxes = [(1e200, 2e200)]
-        if theorem == "CONGRUENCE_NS":
-            # UHLIG_QR at 1e-200 still meets the absolute finite-difference step
-            boxes.append((1e-200, 2e-200))
-        for box in boxes:
+        """A box near 1e+-200 runs on the unit of [1, 2]: it neither
+        overflows nor warns, and the finite-difference step is taken at that
+        unit (UHLIG_QR at 1e-200 once failed on the absolute step floor)."""
+        for box in [(1e200, 2e200), (1e-200, 2e-200)]:
             task = TaskSpec(theorem_id=theorem, beta=beta, points=2, seed=42,
                             eigen_box=box, **sizes)
             with warnings.catch_warnings():
@@ -798,24 +790,6 @@ class TestRatioEngine:
         ]
         for constant in constants[:2] + constants[3:]:
             assert constant == pytest.approx(constants[2], rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("k", [664, -664])
-    @pytest.mark.parametrize("beta", [1, 2, 4])
-    def test_qr_surface_side_is_scale_equivariant(self, beta, k):
-        """On the box [1, 2] scaled by 2^k (about 1e+-200) the QR surface
-        side keeps the same draws with the same log-weights, and its data
-        are exactly 2^k times those at k = 0: the Gram-Schmidt norm test
-        squares no entry of the unscaled data."""
-        def surface(exp):
-            task = TaskSpec(theorem_id="QR", beta=beta, n=3, m=2, q=2, engine="MC_RATIO",
-                            trials=10_000, seed=3, eigen_box=(2.0**exp, 2.0**(exp + 1)))
-            return verify._problem(task)[0](np.random.default_rng(5), 4096)
-
-        data, logw = surface(0)
-        scaled_data, scaled_logw = surface(k)
-        assert np.isfinite(logw).sum() > 0
-        assert np.array_equal(scaled_logw, logw)
-        assert np.array_equal(scaled_data, np.ldexp(data, k))
 
 
 def test_ratio_records_carry_the_rel_stderr_the_gate_read():
@@ -1385,6 +1359,28 @@ def test_every_engine_reads_its_theorems_own_factor(monkeypatch, theorem, engine
     )
     run_task(task)
     assert theorem in called
+
+
+@pytest.mark.parametrize(
+    "theorem,engine,sizes", ENGINE_CASES, ids=[f"{t}-{e}" for t, e, _ in ENGINE_CASES]
+)
+def test_a_box_scaled_by_a_power_of_two_gives_the_same_records(theorem, engine, sizes):
+    """The unit rule: on [1, 2] * 2^k the engine runs on [1, 2], so the
+    records are those of k = 0 bit for bit, at k = +-600 too, and the
+    report names k as unit_exp while it echoes the box as given."""
+    def report(k):
+        task = TaskSpec(theorem_id=theorem, beta=1, engine=engine, trials=10_000, points=2,
+                        seed=42, eigen_box=(2.0**k, 2.0**(k + 1)), **sizes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_task(task).to_dict()
+
+    base = report(0)
+    assert base["unit_exp"] == 0
+    for k in (64, -64, 300, -300, 600, -600):
+        doc = report(k)
+        assert (doc["unit_exp"], doc["task"]["eigen_box"]) == (k, [2.0**k, 2.0**(k + 1)])
+        assert json.dumps(doc["records"]) == json.dumps(base["records"]), k
 
 
 # ---------------------------------------------------------------------------
