@@ -157,7 +157,7 @@ def _inv_hermitian_block(s11: np.ndarray, beta: int) -> np.ndarray:
 def _inv_general_block(x11: np.ndarray, beta: int) -> np.ndarray:
     sv = svdvals_raw(x11, beta)
     top = np.maximum(sv[..., 0], 1e-300)
-    if float((sv[..., -1] / top).min()) <= BLOCK_COND_TOL:
+    if np.any(sv[..., -1] / top <= BLOCK_COND_TOL):
         raise SingularBlockError("X11 block is numerically singular")
     return inv_raw(x11, beta)
 

@@ -553,27 +553,27 @@ def _mc_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate E[f * weight] * exp(log_const) per test function.
 
-    side_fn(rng, count) -> (data, logw).  Only the live rows, those with
-    logw > -inf, are scored: a side may leave the data of its -inf rows
-    zero, and they are never read.  Returns (means, stderrs), each of
-    shape (len(test_fns),).  Blocks are fixed-size and reduced in index
-    order, so results do not depend on the worker count.  A mean or stderr
-    that leaves the float range raises InconclusiveStatisticsError: a NaN
-    stderr would pass every stderr gate.  So does a positive mean whose
-    stderr squares to 0: Σ(w f)² has underflowed, and a z-test on it would
-    divide by zero.
+    side_fn(rng, count) -> (data, logw) holds only the draws the side keeps,
+    L <= count rows; every row is scored, and the sums are divided by
+    trials, so a draw the side does not keep counts as weight 0.  Returns
+    (means, stderrs), each of shape (len(test_fns),).  Blocks are
+    fixed-size and reduced in index order, so results do not depend on the
+    worker count.  A mean or stderr that leaves the float range raises
+    InconclusiveStatisticsError: a NaN stderr would pass every stderr gate.
+    So does a positive mean whose stderr squares to 0: Σ(w f)² has
+    underflowed, and a z-test on it would divide by zero.
     """
     n_fns = len(test_fns)
     sizes = [BLOCK_SIZE] * (trials // BLOCK_SIZE)
     if trials % BLOCK_SIZE:
         sizes.append(trials % BLOCK_SIZE)
-    # Each block's live rows are scored as D contiguous planes of L rows,
-    # one per coordinate, and plane_sum adds a function's squared deviations
+    # Each block's rows are scored as D contiguous planes of L rows, one
+    # per coordinate, and plane_sum adds a function's squared deviations
     # in np.sum's order, so each score has TestFunction.__call__'s bits (a
     # square that overflows scores exp(-inf) = 0, the bump's value there).
-    # Each worker thread gathers and scores its blocks in one scratch buffer
-    # of its own: on a 2-core VM, a fresh block-sized array per block cost
-    # about as much in page faults as the scoring itself.
+    # Each worker thread transposes and scores its blocks in one scratch
+    # buffer of its own: on a 2-core VM, a fresh block-sized array per block
+    # cost about as much in page faults as the scoring itself.
     centers = np.stack([fn.center.ravel() for fn in test_fns])
     neg_two_var = np.array([-2.0 * fn.sigma * fn.sigma for fn in test_fns])
     d = centers.shape[1]
@@ -583,17 +583,12 @@ def _mc_estimate(
         idx, size = args
         rng = _substream(seed, task_code, side_code, idx)
         data, logw = side_fn(rng, size)
-        live = np.flatnonzero(~np.isneginf(logw))  # NaN and +inf stay, to fail the finiteness check
         with np.errstate(over="ignore"):
-            w = np.exp(logw[live] + log_const)
+            w = np.exp(logw + log_const)
         if not hasattr(scratch, "buf"):
             scratch.buf = np.empty((2, d * BLOCK_SIZE))
-        gathered, planes = (part[:live.size * d].reshape(d, -1) for part in scratch.buf)
-        # mode="clip" writes into out directly (the default buffers it); no
-        # index of live needs clipping
-        np.take(data.reshape(-1, d), live, axis=0, out=gathered.reshape(-1, d), mode="clip")
-        planes[...] = gathered.reshape(-1, d).T
-        diff = gathered  # free again: the rows are in planes now
+        planes, diff = (part[:logw.size * d].reshape(d, -1) for part in scratch.buf)
+        planes[...] = data.reshape(-1, d).T
         out = np.empty((n_fns, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_fns):
@@ -804,8 +799,8 @@ def _congruence_chart(task: TaskSpec):
             congruence, assemble(lam, frames, beta), rank
         )
         dets["det_b"] = np.full(len(rngs), det_b)
-        # log-determinants throughout: the determinants of a box near 1e+-200
-        # leave the float range
+        # log-determinants throughout: the determinants of a wide box, or of a
+        # B the unit rule does not scale, can leave the float range
         analytic = factor.log(beta, m, task.n, 0, **{d: dets[d] for d in factor.dets})
         return in_pivots, coords, out_pivots, analytic, _spectrum_gaps(lam)
     return spec, spec, congruence, sample
@@ -875,10 +870,10 @@ def run_chart_task(task: TaskSpec) -> list[dict]:
 #
 # Every Monte-Carlo builder, MC_EQUALITY and MC_RATIO alike, returns
 # (lhs_fn, lhs_const, rhs_fn, rhs_const, reference_fn), and _mc_sides runs
-# it.  Each side_fn(rng, count) -> (data, logw); logw already contains
-# density, transform factor, and region indicators (log 0 = -inf for
-# excluded draws).  _mc_estimate never reads the data of a -inf row, so a
-# side may skip the work for such rows and leave their data zero.  The
+# it.  Each side_fn(rng, count) -> (data, logw) returns only the draws it
+# keeps, those inside its region, and logw holds their density and
+# transform factor; a side may skip the work for the draws it drops, but
+# it draws every one of them, so no random stream moves.  The
 # constants carry box volumes and Stiefel masses; the test functions are
 # centred on reference_fn's draws.  An MC_EQUALITY builder's sides are the
 # two sides of its identity, and its reference is the right side.
@@ -890,9 +885,10 @@ def _factorized_side(task: TaskSpec, box, dims, place, factors, image=None):
     side_fn draws factorized_draw((rng,), box, q, dims, kind, count), places
     the matrices as place(spectrum, frames) and weighs each draw by the sum,
     left to right, of the FACTORS entries named in factors, each reading the
-    spectrum under the one name its Factor.spectra declares.  A draw is kept
-    where image(spectrum), or the spectrum itself when image is None, lies in
-    the task's eigen box with its gap.  log_mass is factorized_mass_log of
+    spectrum under the one name its Factor.spectra declares.  It returns
+    only the draws whose image(spectrum), or the spectrum itself when image
+    is None, lies in the task's eigen box with its gap; every draw is placed
+    first, and the kept rows taken after.  log_mass is factorized_mass_log of
     the same box, q and dims, so the constant cannot drift from the sampler.
     """
     kind, q, gap = task.kind, task.q, task.gap
@@ -908,7 +904,7 @@ def _factorized_side(task: TaskSpec, box, dims, place, factors, image=None):
             term = factor.log(*sizes, **{label: spectrum})
             logw = term if logw is None else logw + term
         ok = _in_box_gap(spectrum if image is None else image(spectrum), lo, hi, gap)
-        return place(spectrum, frames), np.where(ok, logw, -np.inf)
+        return place(spectrum, frames)[ok], logw[ok]
 
     return side, factorized_mass_log(box, q, dims, task.beta)
 
@@ -994,7 +990,7 @@ def _uhlig_equality(task: TaskSpec):
         logw = FACTORS["SD"].log(*sizes, lam=lam)
         logw = logw + factor.log(*sizes, delta=delta, lam=lam, det_b=det_b_log)
         ok &= region.holds(delta)
-        return x, np.where(ok, logw, -np.inf)
+        return x[ok], logw[ok]
 
     rhs_const = factorized_mass_log(task.eigen_box, n, (m,), beta)
 
@@ -1009,14 +1005,14 @@ def _uhlig_equality(task: TaskSpec):
     # the spectrum of the n x n matrix Lambda_x^(1/2) T* T Lambda_x^(1/2).
     # A draw whose Lambda_x is not strictly descending has weight 0, so the
     # frame work runs on the descending rows only and X is assembled for the
-    # accepted ones; every row's u and G are still drawn, which keeps the
+    # kept ones; every row's u and G are still drawn, which keeps the
     # random stream of each block.
 
     def lhs(rng, count):
         lam_x = region.draw(rng, count)
         g = rng.standard_normal(size=(count, m, n, beta))
-        rows = np.flatnonzero(np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1))
-        lam_x, g = lam_x[rows], g[rows]
+        descending = np.all(lam_x[:, :-1] > lam_x[:, 1:], axis=1)
+        lam_x, g = lam_x[descending], g[descending]
         z = mul_raw(bct, g, beta)
         w = inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta)
         t = mul_raw(g, w, beta)
@@ -1027,15 +1023,12 @@ def _uhlig_equality(task: TaskSpec):
         )[:, ::-1]
         lam_y = _desc_inverse(z_spec) if mp else z_spec
         ok = _in_box_gap(lam_y, lo, hi, gap)
-        x = np.zeros((count, m, m, beta))
-        logw = np.full(count, -np.inf)
         h = mul_raw(z[ok], w[ok], beta)
-        x[rows[ok]] = assemble(lam_x[ok], (h,), beta)
-        logw[rows[ok]] = (
+        logw = (
             FACTORS["SD"].log(*sizes, lam=lam_x[ok]) + beta * n * det_b_log
             + 0.5 * m * beta * logdet_hermitian_raw(tt[ok], beta)
         )
-        return x, logw
+        return assemble(lam_x[ok], (h,), beta), logw
 
     lhs_const = region.log_volume() + stiefel_volume_log(n, m, beta)
     return lhs, lhs_const, rhs, rhs_const, rhs
@@ -1138,35 +1131,28 @@ def _surface_side(region: _Region, accept):
     """The surface side of an MC_RATIO builder: coordinates uniform in the
     region's box, weighed by the chart's Hausdorff density.
 
-    Only the live rows (region.live) are completed and weighed, so a block
-    with no live row completes nothing; accept(data) -> mask is the
-    builder's restriction on the completed matrices.  Dead rows keep zero
-    data and weight -inf.
+    Only the live rows (region.live) are completed; of those, only the rows
+    that accept(data) -> mask keeps (the builder's restriction on the
+    completed matrices) are weighed and returned.
     """
     spec = region.spec
 
     def side(rng, count):
         coords = region.draw(rng, count)
-        data = np.zeros((count, *spec.shape, spec.kind.beta))
-        logw = np.full(count, -np.inf)
-        live = region.live(coords)
-        if live.any():
-            sub = coords[live]
-            full = spec.complete_batch(sub)
-            data[live] = full
-            hlog = hausdorff_density_log_batch(spec, sub)
-            logw[live] = np.where(accept(full), hlog, -np.inf)
-        return data, logw
+        live = coords[region.live(coords)]
+        full = spec.complete_batch(live)
+        ok = accept(full)
+        return full[ok], hausdorff_density_log_batch(spec, live[ok])
     return side
 
 
 def _restricted_side(raw_fn, region: _Region):
-    """The factorized side raw_fn restricted to the region: its draws'
-    chart coordinates must hold (region.holds)."""
+    """The factorized side raw_fn restricted to the region: it keeps the
+    draws of raw_fn whose chart coordinates hold (region.holds)."""
     def side(rng, count):
         data, logw = raw_fn(rng, count)
         ok = region.holds(region.spec.extract_batch(data))
-        return data, np.where(ok, logw, -np.inf)
+        return data[ok], logw[ok]
     return side
 
 
@@ -1250,15 +1236,9 @@ def _chol_x_ratio(task: TaskSpec):
         s_coords = s_region.draw(rng, count)
         valid = s_region.live(s_coords)
         h1 = sample_stiefel_batch(n, m, kind, (rng,), count)
-        data = np.zeros((count, n, m, beta))
-        logw = np.full(count, -np.inf)
-        if np.any(valid):
-            s_full = s_spec.complete_batch(s_coords[valid])
-            data[valid] = assemble_x(s_full, h1[valid])
-            logw[valid] = FACTORS["CHOL_X"].log(
-                beta, m, n, m, det_s11=logdet_hermitian_raw(s_full, beta)
-            )
-        return data, logw
+        s_full = s_spec.complete_batch(s_coords[valid])
+        logw = FACTORS["CHOL_X"].log(beta, m, n, m, det_s11=logdet_hermitian_raw(s_full, beta))
+        return assemble_x(s_full, h1[valid]), logw
 
     def gram_ok(x: np.ndarray) -> np.ndarray:
         s = mul_raw(ct_raw(x), x, beta)

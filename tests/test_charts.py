@@ -588,6 +588,19 @@ class TestHausdorffDensity:
         with pytest.raises(NotPsdError):
             hausdorff_density_log_batch(psd, np.array([[1.0, 2.0], [-1.0, 2.0]]))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("space,sizes", [
+        ("rect", (3, 3, 2)), ("rect", (2, 2, 1)), ("rect", (3, 2, 2)),
+        ("psd", (3, 1)), ("psd", (2, 2)), ("tri", (2, 3)),
+    ])
+    def test_an_empty_batch_completes_and_weighs_to_empty_arrays(self, kind, space, sizes):
+        """Zero rows in every chart space, rank-deficient or full: a
+        Monte-Carlo block may keep no draw."""
+        spec = ChartSpec(space, kind, sizes)
+        coords = np.zeros((0, spec.coord_count()))
+        assert spec.complete_batch(coords).shape == (0, *spec.shape, kind.beta)
+        assert hausdorff_density_log_batch(spec, coords).shape == (0,)
+
     def test_no_completion_and_one_block_inverse(self, monkeypatch):
         """A rank-q chart inverts its leading block once per call, a full-rank
         chart not at all, and neither completes a matrix."""

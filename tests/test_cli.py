@@ -444,14 +444,14 @@ MC_TASKS = [
     ("qr", "mc-ratio", "--n", "2", "--m", "2", "--q", "2"),
     ("w", "mc-equality", "--n", "3", "--m", "2", "--q", "1"),
 ]
-# one invalid (flag, value) each; lambda-lo 1e3 is at or above every valid
+# one invalid (flag, value) each; lambda-lo 1.5e300 is at or above every valid
 # lambda-hi, and the b-matrix faults are resolved to files in the test
 MC_FAULTS = [
     ("trials", "9999"), ("trials", "0"), ("trials", "-5"),
     ("ztol", "nan"), ("ztol", "-1"), ("cv-tol", "-1"), ("cv-tol", "inf"),
     ("rtol", "nan"), ("rtol", "inf"), ("gap", "-0.1"), ("gap", "nan"), ("gap", "inf"),
     ("lambda-lo", "0"), ("lambda-lo", "-1"), ("lambda-lo", "nan"), ("lambda-hi", "inf"),
-    ("lambda-lo", "1e3"), ("b-matrix", "demo"), ("b-matrix", "missing"),
+    ("lambda-lo", "1.5e300"), ("b-matrix", "demo"), ("b-matrix", "missing"),
     ("b-matrix", "wrong-shape"),
 ]
 # valid flags of test_monte_carlo_flags_exit_cleanly on a task that reads B
@@ -647,7 +647,9 @@ class TestVerifyCommand:
         task=st.sampled_from(MC_TASKS),
         beta=st.sampled_from(["1", "2"]),
         trials=st.sampled_from(["10000", "11111", "12345"]),
-        box=st.sampled_from([("1", "2"), ("1e-3", "2e-3"), ("0.5", "1e3"), ("100", "1e3")]),
+        box=st.sampled_from([("1", "2"), ("1e-3", "2e-3"), ("0.5", "1e3"), ("100", "1e3"),
+                             ("2.2250738585072014e-308", "4.5e-308"), ("1e-300", "2e-300"),
+                             ("1e300", "1.5e300"), ("1", "1e300")]),
         gap=st.sampled_from([None, "0", "0.05", "5"]),
         tols=st.tuples(*[st.sampled_from([None, "0", "0.02", "3"])] * 3),
         b_matrix=st.sampled_from(["random", "identity", "file"]),
@@ -666,7 +668,7 @@ class TestVerifyCommand:
     @example(**MC_VALID, fault=("lambda-lo", "-1"))
     @example(**MC_VALID, fault=("lambda-lo", "nan"))
     @example(**MC_VALID, fault=("lambda-hi", "inf"))
-    @example(**MC_VALID, fault=("lambda-lo", "1e3"))
+    @example(**MC_VALID, fault=("lambda-lo", "1.5e300"))
     @example(**MC_VALID, fault=("b-matrix", "demo"))
     @example(**MC_VALID, fault=("b-matrix", "missing"))
     @example(**MC_VALID, fault=("b-matrix", "wrong-shape"))
@@ -678,9 +680,8 @@ class TestVerifyCommand:
         """Valid Monte-Carlo flags on a small task, with at most one flag set
         to an invalid value (`fault`), give a documented exit code: strict
         JSON for a verdict, one `error:` or `inconclusive:` line otherwise,
-        and a usage error for any number out of its range.  Boxes near the
-        ends of the float range are left out: the engines' scale safety
-        there is still open (ROADMAP items 1 and 3)."""
+        and a usage error for any number out of its range, also on boxes
+        at the ends of the float range."""
         name, engine, *sizes = task
         values = {"trials": trials, "lambda-lo": box[0], "lambda-hi": box[1], "gap": gap,
                   "ztol": tols[0], "cv-tol": tols[1], "rtol": tols[2], "b-matrix": b_matrix}

@@ -244,8 +244,8 @@ class TestTestFunctions:
         assert np.array_equal(stderrs, np.sqrt(var / trials))
 
     def test_mc_estimate_keeps_nan_and_inf_log_weights(self):
-        """Only -inf rows are dropped: a NaN or +inf log-weight still makes
-        the estimate inconclusive, where an isfinite filter would hide it."""
+        """A -inf row weighs 0, but a NaN or +inf log-weight makes the
+        estimate inconclusive, where an isfinite filter would hide it."""
         fns = make_test_functions(5, 3, np.random.default_rng(5).normal(size=(8, 2, 2, 1)))
         for bad in (np.nan, np.inf):
             def side_fn(rng, count, bad=bad):
@@ -271,25 +271,6 @@ class TestTestFunctions:
         assert np.all(means > 0.0) and np.all(stderrs > 0.0)
         with pytest.raises(InconclusiveStatisticsError, match="stderr underflows"):
             verify._mc_estimate(side_fn, math.log(1e-170), fns, 500, 1, 2, 3, 1)
-
-    def test_mc_estimate_never_reads_dead_rows(self):
-        """The data of -inf rows is never read: NaN there gives the same
-        means and stderrs as zeros, also in a block with no live row."""
-        fns = make_test_functions(5, 4, np.random.default_rng(6).normal(size=(8, 3, 2, 2)))
-
-        def side_fn(rng, count, fill):
-            data = rng.normal(size=(count, 3, 2, 2))
-            logw = rng.normal(size=count)
-            dead = rng.uniform(size=count) < (0.4 if count == verify.BLOCK_SIZE else 1.0)
-            data[dead] = fill
-            return data, np.where(dead, -np.inf, logw)
-
-        trials = verify.BLOCK_SIZE + 300
-        with np.errstate(invalid="raise"):
-            got = verify._mc_estimate(partial(side_fn, fill=np.nan), 0.2, fns, trials, 1, 2, 3, 1)
-        want = verify._mc_estimate(partial(side_fn, fill=0.0), 0.2, fns, trials, 1, 2, 3, 1)
-        assert np.all(np.isfinite(got[0])) and np.all(got[1] > 0.0)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_pool_workers_is_capped_by_cpus_and_blocks(self, monkeypatch):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
@@ -652,8 +633,9 @@ def _uhlig_region(task: TaskSpec):
 
 def _uhlig_lhs_oracle(task: TaskSpec, b: Mat, rng, count):
     """The UHLIG left side as one full batch: every row through the frame H,
-    T = B^{-*} H with an explicit inverse, and the spectra, masked at the end.
-    Sizes come from the task, the boxes from the sampler's own pilot."""
+    T = B^{-*} H with an explicit inverse, and the spectra; returns every
+    row's data and log-weight, the mask of the rows kept, G and H.  Sizes
+    come from the task, the boxes from the sampler's own pilot."""
     beta, m, n, mp = task.beta, task.m, task.n, task.theorem_id == "UHLIG_MP"
     region = _uhlig_region(task)
     box_lo, box_hi = region.box.T
@@ -674,35 +656,32 @@ def _uhlig_lhs_oracle(task: TaskSpec, b: Mat, rng, count):
     with np.errstate(invalid="ignore", divide="ignore"):
         logw = FACTORS["SD"].log(beta, m, n, n, lam=lam_x)
     logw = logw + beta * n * sdet_log(b) + 0.5 * m * beta * logdet_hermitian_raw(tt, beta)
-    return x, np.where(ok, logw, -np.inf), g, h
+    return x, logw, ok, g, h
 
 
 @pytest.mark.parametrize("beta", (1, 2, 4))
 @pytest.mark.parametrize("theorem", ("UHLIG_SVD", "UHLIG_MP"))
 @pytest.mark.parametrize("b_source", ("random", "identity"))
 def test_uhlig_left_side_matches_full_batch_oracle(beta, theorem, b_source):
-    """The left side works on descending rows only and takes T = G W: the
-    accepted set equals the full-batch oracle's, and so do the accepted
-    rows' log-weights and data; B^{-*} H equals G (Z* Z)^(-1/2)."""
+    """The left side works on descending rows only and takes T = G W: it
+    returns the full-batch oracle's kept rows, their data and log-weights;
+    B^{-*} H equals G (Z* Z)^(-1/2)."""
     task = TaskSpec(theorem_id=theorem, beta=beta, m=3, n=2, b_source=b_source,
                     trials=10_000, seed=42)
     lhs = verify._problem(task)[0]
     b = verify._draw_b(task)
     count = 4096
     x, logw = lhs(np.random.default_rng(9), count)
-    x_o, logw_o, g, h = _uhlig_lhs_oracle(task, b, np.random.default_rng(9), count)
+    x_o, logw_o, ok, g, h = _uhlig_lhs_oracle(task, b, np.random.default_rng(9), count)
     t_inv = mul_raw(ct_raw(mat_inv(b).data), h, beta)
     z = mul_raw(ct_raw(b.data), g, beta)
     t_gw = mul_raw(g, inv_sqrt_hermitian_raw(mul_raw(ct_raw(z), z, beta), beta), beta)
     assert np.abs(t_gw - t_inv).max() <= 1e-12 * np.abs(t_inv).max()
-    live = ~np.isneginf(logw)
-    assert np.array_equal(live, ~np.isneginf(logw_o))
-    assert live.any()
+    assert ok.any() and x.shape[0] == logw.size == ok.sum()
     if b_source == "identity":
-        assert live.mean() > 0.2
-    assert np.all(np.abs(logw[live] - logw_o[live]) <= 1e-12 * np.maximum(1.0, np.abs(logw_o[live])))
-    assert np.array_equal(x[live], x_o[live])
-    assert not np.any(x[~live])
+        assert ok.mean() > 0.2
+    assert np.all(np.abs(logw - logw_o[ok]) <= 1e-12 * np.maximum(1.0, np.abs(logw_o[ok])))
+    assert np.array_equal(x, x_o[ok])
 
 
 @pytest.mark.parametrize("beta", (1, 2, 4))
@@ -710,9 +689,9 @@ def test_uhlig_left_side_matches_full_batch_oracle(beta, theorem, b_source):
 @pytest.mark.parametrize("b_source", ("random", "identity"))
 def test_uhlig_right_side_matches_full_image_oracle(beta, theorem, b_source):
     """The right side takes the image spectrum delta from the n x n matrix
-    A* A: its accepted set, data and log-weights equal those of an oracle
-    that assembles the full m x m image B* W Lambda^(+-1) W* B and takes its
-    top n eigenvalues."""
+    A* A: it returns the kept rows, data and log-weights of an oracle that
+    assembles the full m x m image B* W Lambda^(+-1) W* B and takes its top
+    n eigenvalues."""
     task = TaskSpec(theorem_id=theorem, beta=beta, m=3, n=2, b_source=b_source,
                     trials=10_000, seed=42)
     m, n, mp = task.m, task.n, theorem == "UHLIG_MP"
@@ -731,11 +710,9 @@ def test_uhlig_right_side_matches_full_image_oracle(beta, theorem, b_source):
     logw_o = FACTORS["SD"].log(beta, m, n, n, lam=lam) + FACTORS[theorem].log(
         beta, m, n, n, delta=delta, lam=lam, det_b=sdet_log(b)
     )
-    live = ~np.isneginf(logw)
-    assert np.array_equal(live, ok)
-    assert live.any()
-    assert np.abs(x[live] - x_o[live]).max() <= 1e-12 * np.abs(x_o[live]).max()
-    assert np.all(np.abs(logw[live] - logw_o[live]) <= 1e-12 * np.maximum(1.0, np.abs(logw_o[live])))
+    assert ok.any() and x.shape[0] == logw.size == ok.sum()
+    assert np.abs(x - x_o[ok]).max() <= 1e-12 * np.abs(x_o[ok]).max()
+    assert np.all(np.abs(logw - logw_o[ok]) <= 1e-12 * np.maximum(1.0, np.abs(logw_o[ok])))
 
 
 class TestRatioEngine:
@@ -1383,6 +1360,31 @@ def test_a_box_scaled_by_a_power_of_two_gives_the_same_records(theorem, engine, 
         assert json.dumps(doc["records"]) == json.dumps(base["records"]), k
 
 
+MC_CASES = [
+    (theorem, engine, sizes, beta)
+    for beta in (1, 2, 4)
+    for theorem, engine, sizes in ENGINE_CASES
+    if engine in ("MC_EQUALITY", "MC_RATIO")
+]
+
+
+@pytest.mark.parametrize(
+    "theorem,engine,sizes,beta", MC_CASES, ids=[f"{t}-{e}-{b}" for t, e, _, b in MC_CASES]
+)
+def test_every_side_returns_only_kept_draws(theorem, engine, sizes, beta):
+    """The side contract: side_fn(rng, count) returns as many data rows as
+    log-weights, at most count of them, every log-weight finite."""
+    task = TaskSpec(theorem_id=theorem, beta=beta, engine=engine, trials=10_000, seed=42,
+                    **sizes)
+    lhs_fn, _, rhs_fn, _, reference_fn = verify._problem(task)
+    for side in (lhs_fn, rhs_fn, reference_fn):
+        for count in (1, 2, 1000):
+            for seed in range(3):
+                data, logw = side(np.random.default_rng(seed), count)
+                assert data.ndim == 4 and data.shape[0] == logw.shape[0] <= count
+                assert logw.shape == (logw.size,) and np.isfinite(logw).all()
+
+
 # ---------------------------------------------------------------------------
 # the factorized sides: draw, keep, weigh and mass from one helper
 
@@ -1425,29 +1427,31 @@ def test_factorized_sides_keep_weigh_and_mass(theorem, sizes, beta):
         ]
     for side, mass, box, dims, image, expected in cases:
         assert mass == factorized_mass_log(box, q, dims, beta)
-        _, logw = side(np.random.default_rng(11), 2048)
+        data, logw = side(np.random.default_rng(11), 2048)
         spectrum, _ = factorized_draw((np.random.default_rng(11),), box, q, dims, task.kind, 2048)
         kept = _kept(image(spectrum), lo, hi, task.gap)
         assert 0 < kept.sum() < kept.size
-        assert np.isneginf(logw[~kept]).all()
-        np.testing.assert_array_equal(logw[kept], expected(spectrum)[kept])
+        assert data.shape[0] == logw.size == kept.sum()
+        np.testing.assert_array_equal(logw, expected(spectrum)[kept])
 
-    # a draw whose spectrum leaves the task's box weighs -inf
+    # a draw whose spectrum leaves the task's box is dropped
     wide = (0.5 * lo, 2.0 * hi)
     side, mass = verify._factorized_side(
         task, wide, (m,), lambda lam, frames: assemble(lam, frames, beta), ("SD",)
     )
     assert mass == factorized_mass_log(wide, q, (m,), beta)
-    _, logw = side(np.random.default_rng(13), 2048)
-    spectrum, _ = factorized_draw((np.random.default_rng(13),), wide, q, (m,), task.kind, 2048)
+    data, logw = side(np.random.default_rng(13), 2048)
+    spectrum, frames = factorized_draw((np.random.default_rng(13),), wide, q, (m,), task.kind,
+                                       2048)
     outside = ~np.all((spectrum >= lo) & (spectrum <= hi), axis=1)
-    assert outside.any() and np.isneginf(logw[outside]).all()
     kept = _kept(spectrum, lo, hi, task.gap)
-    np.testing.assert_array_equal(logw[kept], log("SD", lam=spectrum)[kept])
+    assert outside.any() and not (outside & kept).any()
+    np.testing.assert_array_equal(logw, log("SD", lam=spectrum)[kept])
+    np.testing.assert_array_equal(data, assemble(spectrum, frames, beta)[kept])
 
 
 # ---------------------------------------------------------------------------
-# the MC_RATIO surface side completes and weighs only its live rows
+# the MC_RATIO surface side completes its live rows and returns the kept ones
 
 
 @pytest.mark.parametrize("theorem,sizes", [
@@ -1455,10 +1459,22 @@ def test_factorized_sides_keep_weigh_and_mass(theorem, sizes, beta):
     ("QR", dict(n=3, m=2, q=2)),  # a full-rank chart: every row live
 ])
 def test_surface_side_completes_and_weighs_only_live_rows(monkeypatch, theorem, sizes):
+    """The side completes the live rows, weighs those its accept keeps and
+    returns just these: the completed matrices and Hausdorff log-densities
+    of the kept rows."""
     task = TaskSpec(theorem_id=theorem, beta=2, engine="MC_RATIO", trials=10_000,
                     seed=3, **sizes)
-    surface = verify._problem(task)[0]
     seen = {"complete": [], "hausdorff": []}
+    surface_side = verify._surface_side
+
+    def spy_surface(region, accept):
+        def spy_accept(data):
+            seen["accepted"] = accept(data)
+            return seen["accepted"]
+        return surface_side(region, spy_accept)
+
+    monkeypatch.setattr(verify, "_surface_side", spy_surface)
+    surface = verify._problem(task)[0]
     region_live = verify._Region.live
     complete = ChartSpec.complete_batch
     hausdorff = verify.hausdorff_density_log_batch
@@ -1470,43 +1486,40 @@ def test_surface_side_completes_and_weighs_only_live_rows(monkeypatch, theorem, 
         return live
 
     def spy_complete(self, coords):
-        seen["complete"].append(coords.copy())
-        return complete(self, coords)
+        seen["complete"].append((coords.copy(), complete(self, coords)))
+        return seen["complete"][-1][1]
 
     def spy_hausdorff(spec, coords):
-        seen["hausdorff"].append(coords.copy())
-        return hausdorff(spec, coords)
+        seen["hausdorff"].append((coords.copy(), hausdorff(spec, coords)))
+        return seen["hausdorff"][-1][1]
 
     monkeypatch.setattr(verify._Region, "live", spy_live)
     monkeypatch.setattr(ChartSpec, "complete_batch", spy_complete)
     monkeypatch.setattr(verify, "hausdorff_density_log_batch", spy_hausdorff)
     data, logw = surface(np.random.default_rng(5), 2048)
-    live = seen["live"]
+    live, accepted = seen["live"], seen["accepted"]
     if theorem == "QR":
         assert live.all()
     else:
         assert 0 < live.sum() < live.size
-    for name in ("complete", "hausdorff"):
-        (rows,) = seen[name]
-        np.testing.assert_array_equal(rows, seen["coords"][live])
-    assert np.isneginf(logw[~live]).all() and not data[~live].any()
-    assert np.isfinite(logw[live]).any()
+    ((completed_rows, completed),) = seen["complete"]
+    ((weighed_rows, hlog),) = seen["hausdorff"]
+    np.testing.assert_array_equal(completed_rows, seen["coords"][live])
+    np.testing.assert_array_equal(weighed_rows, seen["coords"][live][accepted])
+    assert accepted.any() and data.shape[0] == logw.size == accepted.sum()
+    np.testing.assert_array_equal(data, completed[accepted])
+    np.testing.assert_array_equal(logw, hlog)
+    assert np.isfinite(logw).all()
 
 
-def test_surface_side_with_no_live_row_completes_nothing(monkeypatch):
-    def never(*args):
-        raise AssertionError("a dead row was completed or weighed")
-
-    monkeypatch.setattr(ChartSpec, "complete_batch", never)
-    monkeypatch.setattr(verify, "hausdorff_density_log_batch", never)
+def test_surface_side_with_no_live_row_returns_no_rows():
     spec = ChartSpec("psd", COMPLEX, (3, 1))
     box = np.array([[1.0, 2.0]] + [[-0.5, 0.5]] * (spec.coord_count() - 1))
     # S11 lies in [1, 2], so no row reaches the floor 3
     region = verify._Region(spec, box, 3.0)
     side = verify._surface_side(region, lambda data: np.ones(len(data), bool))
     data, logw = side(np.random.default_rng(0), 64)
-    assert np.isneginf(logw).all()
-    assert data.shape == (64, 3, 3, 2) and not data.any()
+    assert data.shape == (0, 3, 3, 2) and logw.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -1522,6 +1535,19 @@ RATIO_CASES = [
         ("CHOL_X", dict(n=3, m=2, q=2)),
     )
 ] + [("SVD", dict(n=3, m=3, q=2), 2)]
+
+
+@pytest.mark.parametrize("beta", (1, 2, 4))
+@pytest.mark.parametrize("sizes", [dict(n=2, m=2, q=1), dict(n=3, m=3, q=2)])
+def test_a_one_row_last_block_in_a_rank_deficient_chart_runs(beta, sizes):
+    """trials = 3 * BLOCK_SIZE + 1 leaves a last block of one draw, whose
+    surface side in a rank-deficient rect chart may have no live row: it
+    completes and weighs an empty batch and the task still reports."""
+    trials = 3 * verify.BLOCK_SIZE + 1
+    task = TaskSpec(theorem_id="SVD", beta=beta, engine="MC_RATIO", trials=trials, seed=7,
+                    **sizes)
+    rep = run_task(task)
+    assert len(rep.records) == verify.RATIO_TEST_FUNCTIONS + 1
 
 
 @pytest.mark.parametrize("theorem,sizes,beta", RATIO_CASES)
