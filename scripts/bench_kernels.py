@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Time the algebra product linalg.mul_raw, the Stiefel sampler or the
-Monte-Carlo scoring step, in microseconds per call, or one CHART point, in
-microseconds per point.
+"""Time the algebra product linalg.mul_raw, the Stiefel sampler, chart
+completion or the Monte-Carlo scoring step, in microseconds per call, or one
+CHART point, in microseconds per point.
 
     python3 scripts/bench_kernels.py [--beta 1 2 4] [--shape 3,2,3 ...]
         [--rows 1 64 256 512 1024 4096] [--repeats 7] [--src DIR]
     python3 scripts/bench_kernels.py --stiefel [--beta 1 2 4] [--rows 1 4096]
     python3 scripts/bench_kernels.py --chart [--beta 1 2 4] [--repeats 7]
+    python3 scripts/bench_kernels.py --completion [--beta 1 2 4] [--rows 1 16 4096]
     python3 scripts/bench_kernels.py --scoring [--repeats 7]
 
 For every beta, product shape n,m,p ((n, m) times (m, p)) and batch size,
@@ -18,6 +19,12 @@ max(1, 256 // rows) calls.  With --stiefel, every frame shape (n, q) the
 --chart, every theorem the CHART engine checks runs one task per beta, the
 `full` preset's first at that theorem and beta, at CHART_POINTS points and
 seed 42; each repeat times one run_task call and divides by the points.
+With --completion, every chart the `desk` preset's problem builders make
+(the CHART input and output charts, the MC_RATIO surface and region charts)
+is timed at each row count, by default 1, 16 and 4096, as one
+complete_batch, one extract_batch and one hausdorff_density_log_batch call
+in the unpivoted chart, on seeded coordinates of matrices whose leading
+block is 3 I plus small noise; each repeat times max(1, 256 // rows) calls.
 With --scoring, every (test functions F, coordinates D) pair the `desk`
 preset scores is timed as one verify._mc_estimate call on one block of
 BLOCK_SIZE rows (4096) of a side that returns the same seeded draws every
@@ -120,6 +127,58 @@ def scoring_results(repeats: int) -> list[dict]:
     return results
 
 
+def desk_chart_specs() -> list:
+    """Every ChartSpec the `desk` preset's problem builders construct, in
+    the order first built."""
+    from divalg import charts, verify
+    from divalg.cli import preset_tasks
+
+    built = {}
+    init = charts.ChartSpec.__post_init__
+
+    def record(spec):
+        init(spec)
+        built.setdefault(spec, None)
+
+    charts.ChartSpec.__post_init__ = record
+    try:
+        for task in preset_tasks("desk", 42):
+            verify._problem(task)
+    finally:
+        charts.ChartSpec.__post_init__ = init
+    return list(built)
+
+
+def completion_results(betas: list[int], rows: list[int], repeats: int) -> list[dict]:
+    """Microseconds per complete_batch, extract_batch and
+    hausdorff_density_log_batch call, per desk chart and row count."""
+    from divalg.charts import hausdorff_density_log_batch
+
+    results = []
+    for spec in desk_chart_specs():
+        beta = spec.kind.beta
+        if beta not in betas:
+            continue
+        r, c = spec.shape
+        for count in rows:
+            rng = np.random.default_rng(count * 100 + beta)
+            data = 0.1 * rng.normal(size=(count, r, c, beta))
+            data[:, range(min(r, c)), range(min(r, c)), 0] += 3.0
+            coords = spec.extract_batch(data)
+            full = spec.complete_batch(coords)
+            number = max(1, 256 // count)
+            results.append({
+                "space": spec.space, "beta": beta, "sizes": list(spec.sizes), "rows": count,
+                "complete_us": round(_best_us(lambda: spec.complete_batch(coords),
+                                              number, repeats), 2),
+                "extract_us": round(_best_us(lambda: spec.extract_batch(full),
+                                             number, repeats), 2),
+                "density_us": round(_best_us(lambda: hausdorff_density_log_batch(spec, coords),
+                                             number, repeats), 2),
+            })
+    return results
+
+
 def time_chart(task, repeats: int) -> float:
     """Minimum over the repeats of the microseconds per point of run_task."""
     from divalg.verify import run_task
@@ -158,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--beta", type=int, nargs="+", choices=(1, 2, 4), default=[1, 2, 4])
     parser.add_argument("--shape", type=_shape, nargs="+", default=list(HOT_SHAPES))
     parser.add_argument("--rows", type=int, nargs="+", default=None,
-                        help="batch rows (default 1 64 256 512 1024 4096; 1 4096 with --stiefel)")
+                        help="batch rows (default 1 64 256 512 1024 4096; 1 4096 with "
+                             "--stiefel, 1 16 4096 with --completion)")
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--src", type=Path, default=SRC)
     what = parser.add_mutually_exclusive_group()
@@ -168,9 +228,12 @@ def main(argv: list[str] | None = None) -> int:
                       help="time the Stiefel sampler per desk frame shape instead")
     what.add_argument("--scoring", action="store_true",
                       help="time one Monte-Carlo block's scoring per desk (F, D) pair instead")
+    what.add_argument("--completion", action="store_true",
+                      help="time chart completion, extraction and density per desk chart instead")
     args = parser.parse_args(argv)
     if args.rows is None:
-        args.rows = [1, 4096] if args.stiefel else [1, 64, 256, 512, 1024, 4096]
+        args.rows = ([1, 4096] if args.stiefel else [1, 16, 4096] if args.completion
+                     else [1, 64, 256, 512, 1024, 4096])
     if args.repeats < 1 or min(args.rows) < 1:
         parser.error("--repeats and --rows must be positive")
     sys.path.insert(0, str(args.src))
@@ -182,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         results = stiefel_results(args.beta, args.rows, args.repeats)
     elif args.scoring:
         results = scoring_results(args.repeats)
+    elif args.completion:
+        results = completion_results(args.beta, args.rows, args.repeats)
     else:
         results = [
             {"beta": beta, "shape": list(shape), "rows": rows,

@@ -11,10 +11,12 @@ index b >= beta/2 maps to (0, e_{b - beta/2}).  Every product in the package,
 of scalars here and of matrices in `linalg.mul_raw`, applies this rule to
 complex views of the coefficients (`_cd_view`, `_cd_mul`): a complex entry
 is its pair (a0 + i a1), a quaternion the complex pair (p, q) with
-p = a0 + i a1, q = a2 + i a3, and an octonion a pair of quaternions.  The
-structure tensor C, with e_p e_q = sum_r C[p, q, r] e_r, is built from the
-same rule; it is a signed permutation with beta^2 nonzeros and backs the
-multiplication table and the octonion golden check.
+p = a0 + i a1, q = a2 + i a3, and an octonion a pair of quaternions.
+`_entry_mul`, the one product of raw (..., beta) entries, serves `mul` and
+linalg's small-block kernels.  The structure tensor C, with e_p e_q =
+sum_r C[p, q, r] e_r, is that product of every pair of basis elements; it
+is a signed permutation with beta^2 nonzeros and backs the multiplication
+table and the octonion golden check.
 """
 from __future__ import annotations
 
@@ -73,26 +75,8 @@ def structure_tensor(beta: int) -> np.ndarray:
     """Structure constants C with e_p e_q = sum_r C[p, q, r] e_r (read-only)."""
     if beta not in VALID_BETAS:
         raise ValueError(f"beta must be one of {VALID_BETAS}, got {beta}")
-    if beta == 1:
-        C = np.ones((1, 1, 1))
-    else:
-        half = beta // 2
-        Ch = structure_tensor(half)
-        C = np.zeros((beta, beta, beta))
-        eye = np.eye(half)
-        zero = np.zeros(half)
-        for i in range(beta):
-            p = eye[i] if i < half else zero
-            q = eye[i - half] if i >= half else zero
-            for j in range(beta):
-                r = eye[j] if j < half else zero
-                s = eye[j - half] if j >= half else zero
-                pr = np.einsum("p,q,pqr->r", p, r, Ch)
-                sbar_q = np.einsum("p,q,pqr->r", conj_raw(s), q, Ch)
-                sp = np.einsum("p,q,pqr->r", s, p, Ch)
-                q_rbar = np.einsum("p,q,pqr->r", q, conj_raw(r), Ch)
-                C[i, j, :half] = pr - sbar_q
-                C[i, j, half:] = sp + q_rbar
+    basis = np.eye(beta)
+    C = _entry_mul(basis[:, None], basis[None, :], beta)
     C.setflags(write=False)
     return C
 
@@ -152,6 +136,11 @@ def _cd_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         (_cd_mul(p, r) - _cd_mul(_cd_conj(s), q), _cd_mul(s, p) + _cd_mul(q, _cd_conj(r))),
         axis=-1,
     )
+
+
+def _entry_mul(x: np.ndarray, y: np.ndarray, beta: int) -> np.ndarray:
+    """Products x y of (..., beta) algebra entries, leading axes broadcast."""
+    return _cd_mul(_cd_view(x, beta), _cd_view(y, beta)).view(np.float64)
 
 
 def multiplication_table(beta: int) -> list[list[list[int]]]:
@@ -227,9 +216,7 @@ def _check_kinds(a: Scalar, b: Scalar) -> None:
 def mul(a: Scalar, b: Scalar) -> Scalar:
     """Product under the Cayley-Dickson recursion (noncommutative for beta >= 4)."""
     _check_kinds(a, b)
-    beta = a.kind.beta
-    prod = _cd_mul(_cd_view(a.coeffs, beta), _cd_view(b.coeffs, beta))
-    return Scalar(a.kind, prod.view(np.float64))
+    return Scalar(a.kind, _entry_mul(a.coeffs, b.coeffs, a.kind.beta))
 
 
 def conj(a: Scalar) -> Scalar:

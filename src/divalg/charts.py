@@ -28,24 +28,30 @@ the unpivoted chart, and a batch of points in different pivoted charts of
 the same sizes completes in one call.  chart_at_batch gives each matrix of
 a batch its own chart, from given pivots or from choose_pivot, which pivots
 a whole batch in one elimination loop for both spaces.  Everything is
-written batch-first on raw coefficient arrays.  psd and tri charts share
-one upper-triangle coordinate layout (the q real diagonals, the strict
-upper entries of the leading q x q block row by row, then the q x (m - q)
-block row-major): psd fills S11's lower triangle by conjugation and tri
-completes to the upper trapezoid.  psd and rect charts share one kernel:
-one helper unpacks the pivoted leading blocks (A11, A12, A21; A21 = A12*
-for psd), which completion, the leading block and the Hausdorff density
-all read, and one completion body fills A22 = (A21 A11^{-1}) A12.  The
-block inverses (S11^{-1}, X11^{-1}) and their positivity and conditioning
-checks, each relative to its own row, run on the small-block kernels of
-linalg: closed forms for q = 1 (and q = 2 for S11), LAPACK on the blocks'
-complex form (linalg.complex_raw) otherwise.
+written batch-first on raw coefficient arrays.  Where each coordinate
+sits is stated once, in the cached table _layout: every coordinate's (i,
+j, c) position in the pivoted matrix and, for psd, the mirror entries that
+completion fills by conjugation (S11's lower triangle and S21 = S12*).
+rect coordinates are X11, X12 then X21 row-major; psd and tri share one
+upper-triangle layout (the q real diagonals, the strict upper entries of
+the leading q x q block row by row, then the q x (m - q) block row-major),
+tri completing to the upper trapezoid.  _scatter places coordinates by the
+table, extraction gathers them back by it, and the Hausdorff density reads
+each coordinate's multiplicity from the mirror.  The pivoted leading blocks
+of psd and rect (A11, A12, A21) are slices of the scattered matrices, which
+completion, the leading block and the density all read, and one completion
+body fills A22 = (A21 A11^{-1}) A12.  The block inverses (S11^{-1},
+X11^{-1}) and their positivity and conditioning checks, each relative to
+its own row, run on the small-block kernels of linalg: closed forms for
+q = 1 (and q = 2 for S11), LAPACK on the blocks' complex form
+(linalg.complex_raw) otherwise.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,53 +96,56 @@ def psd_coord_count(m: int, q: int, beta: int) -> int:
 # batch packing / completion
 
 
-def _rect_unpack(coords: np.ndarray, kind: AlgebraKind, n: int, m: int, q: int):
-    beta = kind.beta
-    k = rect_coord_count(n, m, q, beta)
-    if coords.shape[1] != k:
-        raise ShapeMismatchError(f"expected {k} coordinates, got {coords.shape[1]}")
-    b = coords.shape[0]
-    a = q * q * beta
-    c = q * (m - q) * beta
-    x11 = coords[:, :a].reshape(b, q, q, beta)
-    x12 = coords[:, a : a + c].reshape(b, q, m - q, beta)
-    x21 = coords[:, a + c :].reshape(b, n - q, q, beta)
-    return x11, x12, x21
+@lru_cache(maxsize=None)
+def _layout(space: str, sizes: tuple[int, ...], beta: int):
+    """Where each coordinate of a chart sits in its pivoted (rows, m, beta)
+    matrix, the one statement of the coordinate layouts: (where, mirror),
+    read-only.  Coordinate t is the coefficient c of entry (i, j), at flat
+    index where[t] = (i m + j) beta + c.  mirror = (src, at, sign) lists the
+    entries completion also fills: flat index at[u] gets coordinate src[u]
+    times sign[u], the conjugates that fill S11's lower triangle and S21 =
+    S12* in a psd chart (none in rect and tri charts).
+
+    rect (n, m, q): X11, X12 then X21, each row-major.  psd (m, q) and tri
+    (q, m) share the upper-triangle layout: the q real diagonals, the strict
+    upper entries of the leading q x q block row by row, then the q x (m - q)
+    block row-major; tri completes to that upper trapezoid."""
+    comps = range(beta)
+    if space == "rect":
+        n, m, q = sizes
+        blocks = ((range(q), range(q)), (range(q), range(q, m)), (range(q, n), range(q)))
+        cells = [(i, j, c) for rows, cols in blocks for i in rows for j in cols for c in comps]
+    else:
+        m, q = sizes if space == "psd" else sizes[::-1]
+        cells = [(i, i, 0) for i in range(q)]
+        cells += [(i, j, c) for i in range(q) for j in range(i + 1, q) for c in comps]
+        cells += [(i, j, c) for i in range(q) for j in range(q, m) for c in comps]
+    src = [t for t, (i, j, _) in enumerate(cells) if i != j] if space == "psd" else []
+    mirror = [(j, i, c) for i, j, c in (cells[t] for t in src)]
+
+    def flat(entries):
+        return np.array([(i * m + j) * beta + c for i, j, c in entries], dtype=np.intp)
+
+    sign = np.array([-1.0 if c else 1.0 for *_, c in mirror])
+    arrays = (flat(cells), np.array(src, dtype=np.intp), flat(mirror), sign)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0], arrays[1:]
 
 
-def _upper_unpack(coords: np.ndarray, kind: AlgebraKind, m: int, q: int):
-    """(B, k) coordinates in the upper-triangle layout psd and tri charts
-    share -> (U11, U12), the leading q rows of an m-column matrix.  The
-    layout: the q real diagonals, then the strict upper entries of the
-    leading q x q block row by row, then the q x (m - q) block row-major.
-    U11 (B, q, q, beta) is zero below its diagonal."""
-    beta = kind.beta
-    k = psd_coord_count(m, q, beta)
-    if coords.shape[1] != k:
-        raise ShapeMismatchError(f"expected {k} coordinates, got {coords.shape[1]}")
-    b = coords.shape[0]
-    u11 = np.zeros((b, q, q, beta))
-    pos = 0
-    for i in range(q):
-        u11[:, i, i, 0] = coords[:, pos]
-        pos += 1
-    for i in range(q):
-        for j in range(i + 1, q):
-            u11[:, i, j, :] = coords[:, pos : pos + beta]
-            pos += beta
-    return u11, coords[:, pos:].reshape(b, q, m - q, beta)
-
-
-def _upper_pack(u11: np.ndarray, u12: np.ndarray) -> np.ndarray:
-    """The inverse of _upper_unpack: (B, k) coordinates of the diagonal and
-    strict upper entries of U11 (B, q, q, beta) and of U12."""
-    b, q = u11.shape[:2]
-    parts = [u11[:, i, i, 0][:, None] for i in range(q)]
-    for i in range(q):
-        for j in range(i + 1, q):
-            parts.append(u11[:, i, j, :])
-    parts.append(u12.reshape(b, -1))
-    return np.concatenate(parts, axis=1)
+def _scatter(spec: ChartSpec, coords: np.ndarray) -> np.ndarray:
+    """(B, k) coordinates -> (B, rows, cols, beta) pivoted matrices holding
+    each coordinate where _layout puts it, and its mirror; every other entry
+    (a psd or rect chart's A22) is zero."""
+    beta, (rows, cols) = spec.kind.beta, spec.shape
+    where, (src, at, sign) = _layout(spec.space, spec.sizes, beta)
+    if coords.shape[1] != where.size:
+        raise ShapeMismatchError(f"expected {where.size} coordinates, got {coords.shape[1]}")
+    out = np.zeros((coords.shape[0], rows * cols * beta))
+    out[:, where] = coords
+    if src.size:
+        out[:, at] = coords[:, src] * sign
+    return out.reshape(-1, rows, cols, beta)
 
 
 def _inv_hermitian_block(s11: np.ndarray, beta: int) -> np.ndarray:
@@ -162,20 +171,14 @@ def _inv_general_block(x11: np.ndarray, beta: int) -> np.ndarray:
     return inv_raw(x11, beta)
 
 
-def _blocks(spec: ChartSpec, coords: np.ndarray):
-    """(A11, A12, A21) pivoted leading blocks of (B, k) coordinates of a psd
-    chart (S11, S12 and S12*) or a rect chart (X11, X12, X21)."""
-    if spec.space == "psd":
-        s11, s12 = _upper_unpack(coords, spec.kind, *spec.sizes)
-        q = spec.sizes[1]
-        for i in range(q):  # the lower triangle of S11 by conjugation
-            for j in range(i + 1, q):
-                s11[:, j, i, 0] = s11[:, i, j, 0]
-                s11[:, j, i, 1:] = -s11[:, i, j, 1:]
-        return s11, s12, ct_raw(s12)
-    if spec.space == "rect":
-        return _rect_unpack(coords, spec.kind, *spec.sizes)
-    raise RegistryError("a tri chart has no pivoted leading block")
+def _blocks(spec: ChartSpec, x: np.ndarray):
+    """(A11, A12, A21) pivoted leading blocks, as views, of _scatter's (B,
+    rows, cols, beta) matrices x of a psd chart (S11, S12 and S12*) or a
+    rect chart (X11, X12, X21)."""
+    if spec.space == "tri":
+        raise RegistryError("a tri chart has no pivoted leading block")
+    q = spec.sizes[-1]
+    return x[:, :q, :q], x[:, :q, q:], x[:, q:, :q]
 
 
 def _inv_leading(spec: ChartSpec, a11: np.ndarray) -> np.ndarray:
@@ -211,12 +214,9 @@ def _complete(spec: ChartSpec, coords: np.ndarray, pivots=None) -> np.ndarray:
     beta, q = spec.kind.beta, spec.sizes[-1]
     rows, cols = spec.shape
     index = _pivot_index(spec, pivots, coords.shape[0])
-    a11, a12, a21 = _blocks(spec, coords)
-    xp = np.empty((coords.shape[0], rows, cols, beta))
-    xp[:, :q, :q] = a11
-    xp[:, :q, q:] = a12
-    xp[:, q:, :q] = a21
+    xp = _scatter(spec, coords)
     if rows > q and cols > q:
+        a11, a12, a21 = _blocks(spec, xp)
         a22 = mul_raw(mul_raw(a21, _inv_leading(spec, a11), beta), a12, beta)
         if spec.space == "psd":
             a22 = (a22 + ct_raw(a22)) / 2.0
@@ -269,14 +269,7 @@ class ChartSpec:
         return (self.sizes[0],) * 2 if self.space == "psd" else self.sizes[:2]
 
     def coord_count(self) -> int:
-        if self.space == "rect":
-            return rect_coord_count(*self.sizes, self.kind.beta)
-        return psd_coord_count(*self._upper_sizes, self.kind.beta)
-
-    @property
-    def _upper_sizes(self) -> tuple[int, int]:
-        """(m, q) of the upper-triangle layout of a psd or tri chart."""
-        return self.sizes if self.space == "psd" else self.sizes[::-1]
+        return _layout(self.space, self.sizes, self.kind.beta)[0].size
 
     def complete_batch(self, coords: np.ndarray, pivots=None) -> np.ndarray:
         """(B, k) chart coordinates -> (B, rows, cols, beta) matrices.  With
@@ -286,7 +279,7 @@ class ChartSpec:
         matrix); without, in the unpivoted chart."""
         if self.space == "tri":
             _pivot_index(self, pivots, coords.shape[0])
-            return np.concatenate(_upper_unpack(coords, self.kind, *self._upper_sizes), axis=2)
+            return _scatter(self, coords)
         return _complete(self, coords, pivots)
 
     def extract_batch(self, data: np.ndarray, pivots=None) -> np.ndarray:
@@ -294,21 +287,19 @@ class ChartSpec:
         independent entries of the pivoted leading rows and columns, with
         each row's own pivots when given (as in complete_batch)."""
         index = _pivot_index(self, pivots, data.shape[0])
-        if self.space == "tri":
-            q = self.sizes[0]
-            return _upper_pack(data[:, :, :q], data[:, :, q:])
-        q = self.sizes[-1]
         xp = data if index is None else data[index]
         if self.space == "psd":
+            q = self.sizes[1]
             s11 = (xp[:, :q, :q] + ct_raw(xp[:, :q, :q])) / 2.0
-            return _upper_pack(s11, xp[:, :q, q:])
-        blocks = (xp[:, :q, :q], xp[:, :q, q:], xp[:, q:, :q])
-        return np.concatenate([x.reshape(data.shape[0], -1) for x in blocks], axis=1)
+            # the leading q rows, where every psd coordinate keeps its flat index
+            xp = np.concatenate((s11, xp[:, :q, q:]), axis=2)
+        where = _layout(self.space, self.sizes, self.kind.beta)[0]
+        return np.take(xp.reshape(-1, math.prod(xp.shape[1:])), where, axis=1)
 
     def leading_block(self, coords: np.ndarray) -> np.ndarray:
         """(B, k) chart coordinates -> (B, q, q, beta) pivoted leading blocks,
         the blocks completion inverts: S11 (psd, Hermitian) or X11 (rect)."""
-        return _blocks(self, coords)[0]
+        return _blocks(self, _scatter(self, coords))[0]
 
 
 def choose_pivot(data: np.ndarray, q: int, chart: str = "rect"):
@@ -430,8 +421,9 @@ def hausdorff_density_log_batch(spec: ChartSpec, coords: np.ndarray) -> np.ndarr
     the exact differential of the chart's completion.
 
     Completion writes each coordinate into the matrix once, or twice for the
-    off-diagonal S11 entries and S12 of a psd chart (their conjugates fill
-    the lower blocks), and fills X22 = X21 X11^{-1} X12, whose differential is
+    coordinates _layout mirrors (the off-diagonal S11 entries and S12 of a
+    psd chart, whose conjugates fill the lower blocks), and fills
+    X22 = X21 X11^{-1} X12, whose differential is
         dX22 = dX21 K - L dX11 K + L dX12,  K = X11^{-1} X12,  L = X21 X11^{-1}
     (S12* for X21 and L = K* for a psd chart).  So G^T G = D + J^T J with D
     the multiplicity of each coordinate and J the p columns of dX22, and by
@@ -443,25 +435,23 @@ def hausdorff_density_log_batch(spec: ChartSpec, coords: np.ndarray) -> np.ndarr
     if k != spec.coord_count():
         raise ShapeMismatchError(f"expected {spec.coord_count()} coordinates, got {k}")
     beta = spec.kind.beta
-    if spec.space == "tri":  # the coordinates are the matrix entries
-        once, p = k, 0
-    else:
-        q, (rows, cols) = spec.sizes[-1], spec.shape
-        once, p = (q if spec.space == "psd" else k), (rows - q) * (cols - q) * beta
-    base = 0.5 * (k - once) * LOG2
+    rows, cols = spec.shape
+    q = rows if spec.space == "tri" else spec.sizes[-1]
+    p = (rows - q) * (cols - q) * beta
+    mirrored = _layout(spec.space, spec.sizes, beta)[1][0]
+    base = 0.5 * mirrored.size * LOG2
     if p == 0:
         return np.full(b, base)
-    unit = np.eye(k)
-    a11, a12, a21 = _blocks(spec, coords)
+    a11, a12, a21 = _blocks(spec, _scatter(spec, coords))
     a11_inv = _inv_leading(spec, a11)
     right = mul_raw(a11_inv, a12, beta)
     left = ct_raw(right) if spec.space == "psd" else mul_raw(a21, a11_inv, beta)
-    d11, d12, d21 = _blocks(spec, unit)
+    d11, d12, d21 = _blocks(spec, _scatter(spec, np.eye(k)))
     right, left = right[:, None], left[:, None]
     d22 = mul_raw(d21 - mul_raw(left, d11, beta), right, beta) + mul_raw(left, d12, beta)
     jt = d22.reshape(b, k, p)
     inv_mult = np.ones(k)
-    inv_mult[once:] = 0.5
+    inv_mult[mirrored] = 0.5
     gram = np.eye(p) + np.swapaxes(jt, 1, 2) @ (jt * inv_mult[:, None])
     sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0.0):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraKind, Scalar, _cd_mul, _cd_view, _pair_view, conj_raw
+from .algebra import AlgebraKind, Scalar, _cd_mul, _cd_view, _entry_mul, _pair_view, conj_raw
 from .errors import (
     AlgebraMismatchError,
     InternalConsistencyError,
@@ -277,11 +277,6 @@ def eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
         return np.stack([lo, hi], axis=-1) * scale[..., None]
     w = np.linalg.eigvalsh(hermitian_part(complex_raw(a, beta)))
     return _group_multiplets(w, complex_multiplicity(beta))
-
-
-def _entry_mul(x: np.ndarray, y: np.ndarray, beta: int) -> np.ndarray:
-    """Products x y of (..., beta) algebra entries."""
-    return _cd_mul(_cd_view(x, beta), _cd_view(y, beta)).view(np.float64)
 
 
 def _svdvals2(a: np.ndarray, beta: int) -> np.ndarray:

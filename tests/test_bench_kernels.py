@@ -66,3 +66,19 @@ def test_scoring_and_stiefel_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         bench_kernels.main(["--scoring", "--stiefel"])
     assert exc.value.code == 2
+
+
+def test_completion_times_every_desk_chart(capsys):
+    argv = ["--completion", "--beta", "1", "--rows", "1", "3", "--repeats", "1"]
+    assert bench_kernels.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    charts = [(r["space"], tuple(r["sizes"])) for r in doc["results"] if r["rows"] == 1]
+    # CHART inputs and outputs (mp-rect's (2, 3, 1)), MC_RATIO surfaces and regions
+    assert {("rect", (2, 3, 1)), ("tri", (2, 2)), ("rect", (3, 2, 2)), ("psd", (3, 3))} <= set(charts)
+    assert len(set(charts)) == len(charts)
+    assert [(r["space"], tuple(r["sizes"]), r["rows"]) for r in doc["results"]] == [
+        (space, sizes, rows) for space, sizes in charts for rows in (1, 3)
+    ]
+    assert all(r["beta"] == 1 for r in doc["results"])
+    assert all(r[f] > 0.0 for r in doc["results"]
+               for f in ("complete_us", "extract_us", "density_us"))

@@ -345,6 +345,50 @@ class TestUpperTriangleLayout:
                 spec.complete_batch(coords, _tiled(pivots, 2))
 
 
+class TestRectLayout:
+    """rect coordinates are X11, X12 then X21, each row-major, in the
+    pivoted matrix."""
+
+    RECT_4_3_2 = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("pivots", [None, ((2, 0, 3, 1), (1, 2, 0))])
+    def test_rect_order(self, kind, pivots):
+        beta = kind.beta
+        xp = np.zeros((4, 3, beta))  # the pivoted matrix, X22 left zero
+        for t, (i, j) in enumerate(self.RECT_4_3_2):
+            xp[i, j] = 1.0 + t + 0.25 * np.arange(beta)
+        xp[[0, 1], [0, 1], 0] += 10.0  # a well-conditioned X11
+        coords = np.concatenate([xp[i, j] for i, j in self.RECT_4_3_2])
+        rp, cp = pivots or (range(4), range(3))
+        data = np.zeros_like(xp)
+        data[np.ix_(rp, cp)] = xp
+        spec = ChartSpec("rect", kind, (4, 3, 2))
+        piv = _per_row(pivots)
+        np.testing.assert_array_equal(spec.extract_batch(data[None], piv)[0], coords)
+        back = spec.complete_batch(coords[None], piv)[0][np.ix_(rp, cp)]
+        for i, j in self.RECT_4_3_2:
+            np.testing.assert_array_equal(back[i, j], xp[i, j])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sizes", [(4, 2), (3, 3), (3, 1)])
+def test_psd_completion_mirrors_its_coordinates_exactly(kind, sizes):
+    """A psd completion is Hermitian bit for bit: S21 = S12* and the lower
+    triangle of S11 are the conjugates of its coordinates, and S22 is
+    symmetrized."""
+    spec = ChartSpec("psd", kind, sizes)
+    m, q = sizes
+    rng = np.random.default_rng(13)
+    coords = 0.3 * rng.normal(size=(8, spec.coord_count()))
+    coords[:, :q] += 3.0
+    perm = rng.permutation(m)
+    full = spec.complete_batch(coords, _tiled(perm, 8))[:, perm][:, :, perm]
+    np.testing.assert_array_equal(full[:, q:, :q], ct_raw(full[:, :q, q:]))
+    np.testing.assert_array_equal(full[:, :q, :q], ct_raw(full[:, :q, :q]))
+    np.testing.assert_array_equal(full, ct_raw(full))
+
+
 def _loop_pivot(a: Mat, q: int, chart: str):
     """choose_pivot's greedy elimination on one matrix, with the entry
     inverse in Python floats: the form choose_pivot runs on whole batches."""
